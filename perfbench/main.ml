@@ -12,12 +12,11 @@ open Pb_util
 let workloads =
   [ ("net-stream", Pb_work.net_stream);
     ("net-rr", Pb_work.net_rr);
-    ("blk", Pb_work.blk);
-    ("explore", Pb_work.explore) ]
+    ("blk", Pb_work.blk) ]
 
 let usage () =
   prerr_endline
-    "usage: main.exe --workload (net-stream|net-rr|blk|explore) --seed N --trace (0|1) [--spans FILE]\n\
+    "usage: main.exe --workload (net-stream|net-rr|blk) --seed N --trace (0|1) [--spans FILE]\n\
     \       main.exe --micro";
   exit 2
 
@@ -72,7 +71,14 @@ let () =
     | _ -> usage ()
   in
   match args with
-  | [ "--micro" ] -> print_endline (json_string (Obj [ ("wall", floats (Pb_micro.run ())) ]))
+  | [ "--micro" ] ->
+    let exact, wall, failures = Pb_micro.run () in
+    print_endline
+      (json_string
+         (Obj
+            [ ("exact", floats exact);
+              ("wall", floats wall);
+              ("failures", Arr (List.map (fun s -> Str s) failures)) ]))
   | _ -> (
       match parse ~w:None ~s:None ~t:None ~sp:None args with
       | Some name, Some seed, Some traced, spans -> run_workload ~name ~seed ~traced ~spans

@@ -1,6 +1,7 @@
-(* Wall-clock micro-timings of the system's hot public functions.  Each
-   kernel is timed in batches of about [batch_s] seconds after one warm-up
-   batch; the result is the median batch's cost per operation. *)
+(* Wall-clock micro-timings of the system's hot public functions, and the
+   cost of the check layer.  Each kernel is timed in batches of about
+   [batch_s] seconds after one warm-up batch; the result is the median
+   batch's cost per operation. *)
 
 open Pb_util
 module S = Pb_sut
@@ -24,6 +25,43 @@ let time_per_op f =
   in
   median_float samples
 
+(* The check layer: one sud-check random exploration (FIFO baseline
+   included) of each supervised mini soak, from a fixed root seed.  A
+   schedule runs for up to two seconds, so each is timed once; event
+   and choice-point counts are exact.  Returns the exact counts, the
+   wall-clock costs and the failed checks. *)
+let explore_plan = [ ("mini-soak", 3); ("mini-blk-soak", 1) ]
+let explore_root_seed = S.derive ~root:1L "perfbench:explore"
+
+let check_layer () =
+  let failures = ref [] and points = ref 0 and runs = ref 0 in
+  let per_scenario =
+    List.map
+      (fun (scenario, budget) ->
+         let w0 = ref 0.0 and wall_ns = ref 0.0 and steps = ref 0 in
+         let r =
+           S.explore ~scenario ~root_seed:explore_root_seed ~budget
+             ~before:(fun () -> w0 := wall ())
+             ~after:(fun n ->
+                 wall_ns := !wall_ns +. ((wall () -. !w0) *. 1e9);
+                 steps := !steps + n)
+         in
+         if not r.S.ex_fifo_clean then
+           failures := (scenario ^ ": the FIFO baseline failed") :: !failures
+         else if not r.S.ex_clean then
+           failures := (scenario ^ ": exploration found a failing schedule") :: !failures;
+         points := !points + r.S.ex_points;
+         runs := !runs + r.S.ex_runs;
+         let per v = v /. float_of_int r.S.ex_runs in
+         ( ("check.events_per_schedule." ^ scenario, per (float_of_int !steps)),
+           ("check.wall_ms_per_schedule." ^ scenario, per !wall_ns /. 1e6) ))
+      explore_plan
+  in
+  ( ("sim.choice_points_per_schedule", float_of_int !points /. float_of_int !runs)
+    :: List.map fst per_scenario,
+    List.map snd per_scenario,
+    List.rev !failures )
+
 let run () =
   let engine_fifo = time_per_op (S.engine_events ~picker:false) in
   let engine_picker = time_per_op (S.engine_events ~picker:true) in
@@ -46,14 +84,18 @@ let run () =
            (wall () -. t0) *. 1e9))
   in
   ignore (Sys.opaque_identity rig : S.net);
-  [ ("sim.engine_fifo_event_ns", engine_fifo);
-    ("sim.engine_picker_event_ns", engine_picker);
-    ("sim.fiber_wake_ns", fiber_wake);
-    ("sim.cpu_consume_ns", cpu_consume);
-    ("uchan.ring_push_pop_ns", ring);
-    ("uchan.batch_marshal_ns", batch);
-    ("uchan.conformance_ns", conformance);
-    ("hw.iotlb_hit_ns", iotlb);
-    ("hw.phys_mem_rw_1448_ns", phys);
-    ("kernel.copy_and_checksum_1448_ns", csum);
-    ("check.snapshot_hash_ms", snapshot /. 1e6) ]
+  let exact, check_wall, failures = check_layer () in
+  ( exact,
+    check_wall
+    @ [ ("sim.engine_fifo_event_ns", engine_fifo);
+        ("sim.engine_picker_event_ns", engine_picker);
+        ("sim.fiber_wake_ns", fiber_wake);
+        ("sim.cpu_consume_ns", cpu_consume);
+        ("uchan.ring_push_pop_ns", ring);
+        ("uchan.batch_marshal_ns", batch);
+        ("uchan.conformance_ns", conformance);
+        ("hw.iotlb_hit_ns", iotlb);
+        ("hw.phys_mem_rw_1448_ns", phys);
+        ("kernel.copy_and_checksum_1448_ns", csum);
+        ("check.snapshot_hash_ms", snapshot /. 1e6) ],
+    failures )

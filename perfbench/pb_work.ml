@@ -1,4 +1,4 @@
-(* The four workloads.  Each builds its inputs from the seed, drives the
+(* The three workloads.  Each builds its inputs from the seed, drives the
    system through [Pb_sut], checks the outputs, and returns its metrics in
    three groups:
 
@@ -26,7 +26,6 @@ type result = {
 }
 
 let us ns = float_of_int ns /. 1e3
-let sorted_ints l = let a = Array.of_list l in Array.sort compare a; a
 let per a ops = if ops = 0 then 0.0 else float_of_int a /. float_of_int ops
 let fold_digest acc v = Int64.to_string (S.derive ~root:(Int64.of_string acc) (string_of_int v))
 
@@ -105,7 +104,7 @@ let run_window k ~window_ns ~ops =
     if dops > 0 then best_op := Float.min !best_op (dw /. float_of_int dops);
     if devents > 0 then best_event := Float.min !best_event (dw /. float_of_int devents)
   done;
-  (e0, edge k, [ ("wall_ns_per_op", !best_op); ("sim.wall_ns_per_event", !best_event) ])
+  (e0, edge k, [ ("sim.wall_ns_per_op", !best_op); ("sim.wall_ns_per_event", !best_event) ])
 
 (* Metrics every datapath workload derives from its window edges. *)
 let window_metrics k ~ops ~window_ns e0 e1 =
@@ -746,104 +745,3 @@ let blk ~seed =
     fingerprint =
       Printf.sprintf "%Ld/%d/%d/%d" (S.trace_hash k) (S.steps k) !attempted (Ibuf.length io_start);
     t_first_op = e0.e_wall }
-
-(* ---- explore: sud-check random exploration of the two supervised mini soaks ----
-
-   One repetition explores the same schedules [explore_passes] times in
-   this process: the schedules must repeat exactly (same trace hashes),
-   and each schedule's wall-clock cost is its fastest pass. *)
-
-let explore_plan = [ ("mini-soak", 3); ("mini-blk-soak", 1) ]
-let explore_passes = 2
-
-type sched_run = { sr_scenario : string; sr_wall_ns : int; sr_cpu_ns : int; sr_steps : int; sr_hash : int64 }
-
-let explore ~seed =
-  let fail, fails = failures () in
-  let root_seed = S.derive ~root:seed "perfbench:explore" in
-  let t_first = wall () in
-  let minor0 = Gc.minor_words () in
-  let points = ref 0 in
-  let pass () =
-    let runs = ref [] in
-    List.iter
-      (fun (scenario, budget) ->
-         let w0 = ref 0.0 and c0 = ref 0.0 and sp = ref 0 and n = ref 0 in
-         let r =
-           S.explore ~scenario ~root_seed ~budget
-             ~before:(fun () ->
-                 sp := Spans.start ("schedule." ^ scenario) ~sim:0;
-                 c0 := Sys.time ();
-                 w0 := wall ())
-             ~after:(fun s ->
-                 let dw = wall () -. !w0 and dc = Sys.time () -. !c0 in
-                 Spans.finish !sp ~sim:0;
-                 incr n;
-                 runs :=
-                   { sr_scenario = scenario;
-                     sr_wall_ns = int_of_float (dw *. 1e9);
-                     sr_cpu_ns = int_of_float (dc *. 1e9);
-                     sr_steps = s.S.sc_steps;
-                     sr_hash = s.S.sc_hash }
-                   :: !runs;
-                 if s.S.sc_failed then fail (scenario ^ ": a schedule violated an invariant"))
-         in
-         if not r.S.ex_fifo_clean then fail (scenario ^ ": the FIFO baseline failed");
-         if not r.S.ex_clean then fail (scenario ^ ": exploration found a failing schedule");
-         if r.S.ex_runs <> !n then fail (scenario ^ ": schedule count mismatch");
-         points := r.S.ex_points)
-      explore_plan;
-    List.rev !runs
-  in
-  let first = pass () in
-  let points_first = !points in
-  let best = ref first in
-  for _ = 2 to explore_passes do
-    let again = pass () in
-    if List.map (fun r -> r.sr_hash) again <> List.map (fun r -> r.sr_hash) first then
-      fail "a schedule did not repeat under the same seed";
-    best :=
-      List.map2
-        (fun a b -> { a with sr_wall_ns = min a.sr_wall_ns b.sr_wall_ns; sr_cpu_ns = min a.sr_cpu_ns b.sr_cpu_ns })
-        !best again
-  done;
-  let runs = !best in
-  let ops = List.length runs in
-  let sum f l = List.fold_left (fun acc r -> acc + f r) 0 l in
-  let steps = sum (fun r -> r.sr_steps) runs and wall_ns = sum (fun r -> r.sr_wall_ns) runs in
-  let per_sched = sorted_ints (List.map (fun r -> r.sr_wall_ns) runs) in
-  let of_scenario sc = List.filter (fun r -> r.sr_scenario = sc) runs in
-  let exact =
-    [ ("sim.events_per_op", per steps ops);
-      ("sim.choice_points_per_schedule", per points_first ops);
-      ("bench.lat_samples", float_of_int ops) ]
-    @ List.map
-        (fun (sc, _) -> let l = of_scenario sc in ("check.events_per_schedule." ^ sc, per (sum (fun r -> r.sr_steps) l) (List.length l)))
-        explore_plan
-  in
-  let wall =
-    [ ("ops_per_s", float_of_int ops /. (float_of_int wall_ns /. 1e9));
-      ("lat_p50_us", us (pct per_sched 0.50));
-      ("lat_p99_us", us (pct per_sched 0.99));
-      ("cpu_ns_per_op", per (sum (fun r -> r.sr_cpu_ns) runs) ops);
-      ("wall_ns_per_op", per wall_ns ops);
-      ("sim.wall_ns_per_event", per wall_ns steps) ]
-    @ List.map
-        (fun (sc, _) ->
-           let l = of_scenario sc in
-           ("check.wall_ms_per_schedule." ^ sc, per (sum (fun r -> r.sr_wall_ns) l) (List.length l) /. 1e6))
-        explore_plan
-  in
-  let alloc =
-    [ ( "sim.minor_words_per_event",
-        (Gc.minor_words () -. minor0) /. float_of_int (max 1 (explore_passes * steps)) ) ]
-  in
-  { digest = Int64.to_string root_seed;
-    attempted = explore_passes * ops;
-    failed = fails.count;
-    failures = List.rev fails.first;
-    exact;
-    alloc = alloc @ heap ();
-    wall;
-    fingerprint = String.concat "/" (List.map (fun r -> Int64.to_string r.sr_hash) first);
-    t_first_op = t_first }
