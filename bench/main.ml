@@ -571,10 +571,7 @@ let blkperf_point ~depth ~read_pct =
     (blkperf_write_pages + ((depth + 1) * blkperf_read_region)) * Blkdev.page_sectors
   in
   let w = Fault_inject.make_blk_world ~capacity () in
-  (* The measurement is over well inside 2 s of simulated time; without
-     the bound the engine would keep servicing watchdog ticks for the
-     default two sim-minutes per point. *)
-  Fault_inject.in_blk_world ~max_ms:2_000 w (fun () ->
+  Kernel.run ~max_ms:2_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       let sv =

@@ -164,15 +164,6 @@ let make_world () =
   let sp = Safe_pci.init k in
   { eng; k; sp; medium; nic; bdf; wire }
 
-let in_world ?(max_ms = 30_000) w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"soak" (fun () ->
-         result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now w.eng + (max_ms * 1_000_000)) w.eng;
-  match !result with Some r -> r | None -> failwith "soak did not complete"
-
 let secret = "SOAK-SECRET-0xFEEDFACE"
 
 (* Fast supervision policy so a multi-hundred-fault soak converges in
@@ -420,7 +411,7 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
   let w = make_world () in
   let rec_ = Option.map (fun s -> Sched.install w.eng s) sched in
   let report =
-    in_world w (fun () ->
+    Kernel.run w.k (fun () ->
       let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
       Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
       let sv =
@@ -542,7 +533,7 @@ type recovery_sample = {
 
 let measure_recovery ?seed:_ fault =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv =
         match
           Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:10) ~bdf:w.bdf
@@ -593,7 +584,7 @@ type quarantine_report = {
 
 let crash_loop ?(max_restarts = 3) () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv =
         match
           Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
@@ -684,15 +675,6 @@ let make_blk_world ?capacity () =
   let bdf = Kernel.attach_pci k (Nvme_dev.device nvme) in
   let sp = Safe_pci.init k in
   { bw_eng = eng; bw_k = k; bw_sp = sp; bw_nvme = nvme; bw_bdf = bdf }
-
-let in_blk_world ?(max_ms = 120_000) w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.bw_k.Kernel.procs) ~name:"blk-soak"
-       (fun () -> result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now w.bw_eng + (max_ms * 1_000_000)) w.bw_eng;
-  match !result with Some r -> r | None -> failwith "blk soak did not complete"
 
 let honest_blk_factory ~attempt:_ = Nvme.driver
 
@@ -849,7 +831,7 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
   let w = make_blk_world () in
   let rec_ = Option.map (fun s -> Sched.install w.bw_eng s) sched in
   let report =
-    in_blk_world w (fun () ->
+    Kernel.run ~max_ms:120_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let secret_addr = Phys_mem.alloc_pages k.Kernel.mem ~pages:1 in
       Phys_mem.write k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
@@ -1046,10 +1028,7 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
 
 let measure_blk_recovery ?seed:_ fault =
   let w = make_blk_world () in
-  (* Injection at 5 ms, recovery waited on for at most ~2 s: a 10 s
-     sim bound keeps the engine from idling through the default two
-     sim-minutes of watchdog ticks after the sample is taken. *)
-  in_blk_world ~max_ms:10_000 w (fun () ->
+  Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let sv =
         match
@@ -1167,7 +1146,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
   let w = make_blk_world () in
   let rec_ = Option.map (fun s -> Sched.install w.bw_eng s) sched in
   let report =
-    in_blk_world ~max_ms:180_000 w (fun () ->
+    Kernel.run ~max_ms:180_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let eng = w.bw_eng in
       let secret_addr = Phys_mem.alloc_pages k.Kernel.mem ~pages:1 in
@@ -1374,7 +1353,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
 
 let measure_warm_blk_recovery ?seed:_ fault =
   let w = make_blk_world () in
-  in_blk_world ~max_ms:10_000 w (fun () ->
+  Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let sv =
         match

@@ -87,10 +87,6 @@ val make_world : unit -> world
 (** A booted kernel, one emulated E1000 on a snooped medium, safe-PCI
     initialised. *)
 
-val in_world : ?max_ms:int -> world -> (unit -> 'a) -> 'a
-(** Run [main] in a kernel fiber and drive the engine until it returns
-    (at most [max_ms] simulated milliseconds, default 30 s). *)
-
 val secret : string
 (** The canary written to a kernel page; containment means no driver
     death may ever have touched it. *)
@@ -298,8 +294,6 @@ val make_blk_world : ?capacity:int -> unit -> blk_world
 (** A booted kernel with one emulated NVMe ([capacity] in 512-byte
     sectors — the media is sparse, so large devices are free),
     safe-PCI initialised. *)
-
-val in_blk_world : ?max_ms:int -> blk_world -> (unit -> 'a) -> 'a
 
 val honest_blk_factory : attempt:int -> Driver_api.blk_driver
 (** The honest NVMe driver, every generation. *)

@@ -140,7 +140,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
   let w = Fault_inject.make_world () in
   let rec_ = Option.map (fun s -> Sched.install w.Fault_inject.eng s) sched in
   let report =
-    Fault_inject.in_world ~max_ms:300_000 w (fun () ->
+    Kernel.run ~max_ms:300_000 w.Fault_inject.k (fun () ->
       let open Fault_inject in
       let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
       Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
@@ -287,7 +287,7 @@ type quarantine_report = {
 
 let quarantine_campaign ?(max_restarts = 3) () =
   let w = Fault_inject.make_world () in
-  Fault_inject.in_world w (fun () ->
+  Kernel.run w.Fault_inject.k (fun () ->
       let open Fault_inject in
       let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
       Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);

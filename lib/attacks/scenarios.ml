@@ -39,18 +39,6 @@ let make_world ?iommu_mode ?(enable_acs = true) () =
   let sp = Safe_pci.init k in
   { eng; k; sp; medium; nic; victim; bdf; victim_bdf; snoop }
 
-(* Run [main] as a fiber and drive the engine; returns its result. *)
-let in_world w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"scenario" (fun () ->
-         result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(Engine.now w.eng + 5_000_000_000) w.eng;
-  match !result with
-  | Some r -> r
-  | None -> failwith "scenario did not complete"
-
 let secret = "TOPSECRET-CRYPTOKEY-0xDEADBEEF"
 
 let plant_secret w =
@@ -78,7 +66,7 @@ let settle w ms = ignore (Fiber.sleep w.eng (ms * 1_000_000) : Fiber.wake)
 
 let dma_read_exfiltration ~sud =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let addr = plant_secret w in
       if sud then begin
         let drv =
@@ -135,7 +123,7 @@ let dma_read_exfiltration ~sud =
 
 let dma_write_corruption () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let addr = plant_secret w in
       let drv =
         Mal_nic.driver
@@ -165,7 +153,7 @@ let dma_write_corruption () =
 
 let peer_to_peer ~acs =
   let w = make_world ~enable_acs:acs () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       (* Victim's BAR0; its RAL0 register holds the low MAC word. *)
       let victim_bar, _ =
         match Pci_topology.bar_region w.k.Kernel.topo w.victim_bdf ~bar:0 with
@@ -205,7 +193,7 @@ let peer_to_peer ~acs =
 
 let source_spoofing ~validation =
   let w = make_world ~enable_acs:validation () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let addr = plant_secret w in
       (* Start a SUD-confined driver so the attacker's device has an
          (empty) IOMMU domain of its own... *)
@@ -240,7 +228,7 @@ let source_spoofing ~validation =
 
 let interrupt_storm () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let drv =
         Mal_nic.driver
           ~on_open:(fun t ->
@@ -295,7 +283,7 @@ let interrupt_storm () =
 
 let msi_dma_storm ~iommu =
   let w = make_world ~iommu_mode:iommu () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let vector = ref 0 in
       let drv =
         Mal_nic.driver
@@ -358,7 +346,7 @@ let msi_dma_storm ~iommu =
 
 let toctou ~defensive_copy =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       (* A stateful "deep inspection" firewall: it spends CPU examining the
          packet, then rules on the payload.  The inspection time is the
          TOCTOU window. *)
@@ -442,7 +430,7 @@ let toctou ~defensive_copy =
 
 let driver_hang () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let drv =
         Mal_nic.driver
           ~on_open:(fun t ->
@@ -471,7 +459,7 @@ let driver_hang () =
 
 let config_space () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let results = ref [] in
       let drv =
         Mal_nic.driver
@@ -518,7 +506,7 @@ let config_space () =
 
 let allocation_bomb () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let allocated = ref 0 in
       let stopped_by_limit = ref false in
       let drv =
@@ -588,7 +576,7 @@ let supervised_evidence sv ~extra =
 
 let kill_and_restart () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let addr = plant_secret w in
       let mal =
         Mal_nic.driver
@@ -636,7 +624,7 @@ let kill_and_restart () =
 
 let driver_hang_recovery () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       match
         Supervisor.start w.k w.sp ~policy:fast_policy ~name:"eth0" ~bdf:w.bdf
           (fun ~attempt:_ -> E1000.driver)
@@ -739,7 +727,7 @@ let io_port_scan () =
 
 let downcall_flood () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
       let drv =
         Mal_nic.driver
           ~on_open:(fun t ->

@@ -35,7 +35,7 @@ let probe_pages = 32
 
 let blk_status () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:2_000 w (fun () ->
+  Kernel.run ~max_ms:2_000 w.Fault_inject.bw_k (fun () ->
       let sv =
         ok "supervise nvme"
           (Supervisor.start_blk w.Fault_inject.bw_k w.Fault_inject.bw_sp
@@ -177,7 +177,7 @@ let row ~cls sv =
 
 let driver_list () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:5_000 w (fun () ->
+  Kernel.run ~max_ms:5_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       (* One device of each class behind the same class-indexed launch
@@ -226,7 +226,7 @@ let sysfs_state k bdf =
 
 let driver_status () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:5_000 w (fun () ->
+  Kernel.run ~max_ms:5_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let sv =
         ok "supervise nvme"
@@ -272,7 +272,7 @@ type swap_report = {
    the datapath both survived. *)
 let swap_probe ~op doit =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:10_000 w (fun () ->
+  Kernel.run ~max_ms:10_000 w.Fault_inject.bw_k (fun () ->
       let k = w.Fault_inject.bw_k in
       let eng = w.Fault_inject.bw_eng in
       let sv =

@@ -65,9 +65,16 @@ let attach_pci t ?switch dev =
     (Bus.string_of_bdf bdf);
   bdf
 
-let run ?ms t =
-  match ms with
-  | None -> Engine.run t.eng
-  | Some ms -> Engine.run ~max_time:(Engine.now t.eng + (ms * 1_000_000)) t.eng
+let run ?(max_ms = 30_000) t main =
+  let result = ref None in
+  ignore
+    (Process.spawn_fiber (Process.kernel_process t.procs) ~name:"main" (fun () ->
+         result := Some (main ());
+         Engine.stop t.eng)
+     : Fiber.t);
+  Engine.run ~max_time:(Engine.now t.eng + (max_ms * 1_000_000)) t.eng;
+  match !result with
+  | Some r -> r
+  | None -> failwith (Printf.sprintf "Kernel.run: main did not return within %d ms" max_ms)
 
 let uptime_ns t = Engine.now t.eng

@@ -36,8 +36,13 @@ val attach_pci : t -> ?switch:Pci_topology.switch -> Device.t -> Bus.bdf
 (** Attach a device to the fabric (root ports when [switch] is omitted)
     and publish it in sysfs. *)
 
-val run : ?ms:int -> t -> unit
-(** Convenience: run the engine for the given simulated milliseconds
-    (default: until idle). *)
+val run : ?max_ms:int -> t -> (unit -> 'a) -> 'a
+(** [run k main] runs [main] as a fiber of the kernel process and drives
+    the engine until [main] returns.  The engine stops at the event in
+    which it returns: timers, watchdogs and fibers that [main] leaves
+    behind stay queued and never fire, so [Engine.steps] and
+    [Engine.trace_hash] afterwards describe exactly the run up to the
+    result.  [max_ms] (simulated, default 30 000) bounds the run.
+    @raise Failure if [main] has not returned within it. *)
 
 val uptime_ns : t -> int

@@ -11,6 +11,7 @@ type t = {
   mutable thash : int64;
   mutable picker : (step:int -> ready:int -> int) option;
   mutable observer : (step:int -> time:int -> ready:int -> pick:int -> unit) option;
+  mutable stopping : bool;
 }
 
 let dummy_event = { time = 0; seq = 0; h = { cancelled = true }; fn = ignore }
@@ -26,7 +27,8 @@ let create ?(seed = 1L) () =
     steps = 0;
     thash = 0x5D0_C4ECL;
     picker = None;
-    observer = None }
+    observer = None;
+    stopping = false }
 
 let now t = t.now
 let rng t = t.root_rng
@@ -45,6 +47,8 @@ let schedule_after t delay fn =
 let schedule_now t fn = schedule_after t 0 fn
 
 let cancel h = h.cancelled <- true
+
+let stop t = t.stopping <- true
 
 let pending t = Heap.length t.heap
 
@@ -92,7 +96,7 @@ let gather_ready t =
 let run_policy pick ?(max_time = max_int) ?(max_events = max_int) t =
   let fired = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !fired < max_events do
+  while !continue_ && !fired < max_events && not t.stopping do
     match gather_ready t with
     | [] -> continue_ := false
     | ready when (List.hd ready).time > max_time ->
@@ -119,6 +123,7 @@ let run_policy pick ?(max_time = max_int) ?(max_events = max_int) t =
   done
 
 let run ?(max_time = max_int) ?(max_events = max_int) t =
+  t.stopping <- false;
   match t.picker with
   | Some pick -> run_policy pick ~max_time ~max_events t
   | None ->
@@ -126,7 +131,7 @@ let run ?(max_time = max_int) ?(max_events = max_int) t =
        (time, seq) order with no ready-set materialization. *)
     let fired = ref 0 in
     let continue_ = ref true in
-    while !continue_ && !fired < max_events do
+    while !continue_ && !fired < max_events && not t.stopping do
       match Heap.peek t.heap with
       | None -> continue_ := false
       | Some ev when ev.time > max_time -> continue_ := false

@@ -36,6 +36,11 @@ val run : ?max_time:int -> ?max_events:int -> t -> unit
     stops the clock from advancing past the given instant (events at later
     times remain queued). *)
 
+val stop : t -> unit
+(** Called from an event: the current {!run} returns once that event has
+    fired, leaving every later event queued.  Outside [run] it has no
+    effect ([run] clears it on entry). *)
+
 val pending : t -> int
 (** Number of queued (uncancelled or cancelled-but-unreaped) events. *)
 

@@ -3,22 +3,12 @@
 let mac_a = Skbuff.Mac.of_string "52:54:00:12:34:56"
 let mac_b = Skbuff.Mac.of_string "52:54:00:ab:cd:ef"
 
-(* Run [main] as a fiber on a fresh engine+kernel and drive the engine to
-   completion (bounded).  Returns the fiber's result; raises if the fiber
-   never finished. *)
-let run_in_kernel ?iommu_mode ?enable_acs ?(max_ms = 30_000) setup main =
-  let eng = Engine.create () in
-  let k = Kernel.boot ?iommu_mode ?enable_acs eng in
+(* Boot a fresh engine+kernel, run [setup] on it, then run [main] as a
+   kernel fiber until it returns (bounded by [max_ms]). *)
+let run_in_kernel ?iommu_mode ?enable_acs ?max_ms setup main =
+  let k = Kernel.boot ?iommu_mode ?enable_acs (Engine.create ()) in
   let ctx = setup k in
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"test-main" (fun () ->
-         result := Some (main k ctx))
-     : Fiber.t);
-  Engine.run ~max_time:(max_ms * 1_000_000) eng;
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "test fiber did not complete (simulated deadlock?)"
+  Kernel.run ?max_ms k (fun () -> main k ctx)
 
 (* A machine with two e1000 NICs on one gigabit segment. *)
 type duo = {

@@ -72,7 +72,7 @@ let sud_state w =
    survive, and the next standby must park again afterwards. *)
 let test_warm_failover () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
       let eng = w.Fault_inject.bw_eng in
       let sv = start_warm w in
       let bd = blkdev sv in
@@ -103,7 +103,7 @@ let test_warm_failover () =
    live generation. *)
 let test_poisoned_standby_rebuilt () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
       let eng = w.Fault_inject.bw_eng in
       let sv = start_warm w in
       let bd = blkdev sv in
@@ -137,7 +137,7 @@ let test_poisoned_standby_rebuilt () =
    write must replay — acked data survives the worst-timed death. *)
 let test_double_failover () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
       let eng = w.Fault_inject.bw_eng in
       let k = w.Fault_inject.bw_k in
       let sv = start_warm w in
@@ -190,7 +190,7 @@ let test_double_failover () =
    state walks running -> upgrading -> standby_ready. *)
 let test_upgrade_zero_loss () =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world w (fun () ->
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
       let eng = w.Fault_inject.bw_eng in
       let k = w.Fault_inject.bw_k in
       let sv = start_warm w in
@@ -276,7 +276,7 @@ let pp_uop = function
 
 let run_schedule ops =
   let w = Fault_inject.make_blk_world () in
-  Fault_inject.in_blk_world ~max_ms:60_000 w (fun () ->
+  Kernel.run ~max_ms:60_000 w.Fault_inject.bw_k (fun () ->
       let eng = w.Fault_inject.bw_eng in
       let sv = start_warm w in
       let bd = blkdev sv in

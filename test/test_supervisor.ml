@@ -24,17 +24,6 @@ let make_world () =
   let sp = Safe_pci.init k in
   { eng; k; sp; bdf; medium }
 
-let in_world w main =
-  let result = ref None in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"test-sup"
-       (fun () -> result := Some (main ()))
-     : Fiber.t);
-  Engine.run ~max_time:(30_000 * 1_000_000) w.eng;
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "supervisor test fiber did not complete"
-
 let settle w ms = ignore (Fiber.sleep w.eng (ms * 1_000_000) : Fiber.wake)
 
 let fast_policy =
@@ -53,7 +42,7 @@ let start_supervised ?(policy = fast_policy) w =
 
 let test_starts_running () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv = start_supervised w in
       Alcotest.(check bool) "running" true (Supervisor.state sv = Supervisor.Running);
       Alcotest.(check bool) "driver proc live" true
@@ -64,7 +53,7 @@ let test_starts_running () =
 
 let test_kill_auto_restart () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv = start_supervised w in
       let old = match Supervisor.proc sv with Some p -> p | None -> Alcotest.fail "no proc" in
       Process.kill old;
@@ -94,7 +83,7 @@ let test_backlog_replayed () =
          backoff), so the warm standby must stay out of the way. *)
       standby = false }
   in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv = start_supervised ~policy w in
       let dev = Supervisor.netdev sv in
       (match Netstack.ifconfig_up w.k.Kernel.net dev with
@@ -133,7 +122,7 @@ let test_backlog_replayed () =
    other fault class — nothing escalates to a restart. *)
 let test_batch_corrupt_no_restart () =
   let w = make_world () in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv = start_supervised w in
       let dev = Supervisor.netdev sv in
       (match Netstack.ifconfig_up w.k.Kernel.net dev with
@@ -204,7 +193,7 @@ let test_mid_batch_crash_tail_replayed () =
          backoff), so the warm standby must stay out of the way. *)
       standby = false }
   in
-  in_world w (fun () ->
+  Kernel.run w.k (fun () ->
       let sv = start_supervised ~policy w in
       let dev = Supervisor.netdev sv in
       (match Netstack.ifconfig_up w.k.Kernel.net dev with
