@@ -306,6 +306,39 @@ let dma_violate w () =
 
 let honest_factory ~attempt:_ = E1000.driver
 
+(* ---- per-generation channel evidence ---- *)
+
+(* Every driver generation gets a fresh uchan, and its counters die with
+   it: a harness folds the dying generation's channel in at
+   Fault_detected (it is still current) and the final generation's at
+   the end.  A closed channel is read too — a crash's exit hook closes it
+   before the watchdog emits Fault_detected. *)
+type chan_tally = {
+  ct_conf : (string, int) Hashtbl.t;
+  mutable ct_malformed : int;
+  mutable ct_malformed_frames : int;
+  mutable ct_unsent : int;
+}
+
+let new_chan_tally () =
+  { ct_conf = Hashtbl.create 8; ct_malformed = 0; ct_malformed_frames = 0; ct_unsent = 0 }
+
+let tally_chan ct sv =
+  match Supervisor.chan sv with
+  | None -> ()
+  | Some c ->
+    List.iter
+      (fun (cls, n) ->
+         if n > 0 then
+           Hashtbl.replace ct.ct_conf cls
+             (n + Option.value ~default:0 (Hashtbl.find_opt ct.ct_conf cls)))
+      (Conformance.class_counts (Uchan.conformance c));
+    let um = Uchan.metrics c in
+    ct.ct_malformed <- ct.ct_malformed + Sud_obs.Metrics.get um.Uchan.um_malformed;
+    ct.ct_malformed_frames <-
+      ct.ct_malformed_frames + Sud_obs.Metrics.get um.Uchan.um_malformed_frames;
+    ct.ct_unsent <- ct.ct_unsent + Uchan.armed_corruptions c
+
 (* ---- seed plumbing and schedule capture ---- *)
 
 (* Every harness default seed below derives from this one root, so a
@@ -424,24 +457,13 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
       in
       let ctx = install_invariants w sv ~secret_addr in
       let max_outage = ref 0 in
-      (* um_malformed lives on the uchan, and every driver generation gets a
-         fresh uchan: fold the dying generation's count in at detection time
-         (its chan is still current), and the final generation's at the end. *)
-      let malformed = ref 0 in
-      let chan_malformed () =
-        match Supervisor.chan sv with
-        | Some c when not (Uchan.is_closed c) ->
-          let um = Uchan.metrics c in
-          Sud_obs.Metrics.get um.Uchan.um_malformed
-          + Sud_obs.Metrics.get um.Uchan.um_malformed_frames
-        | Some _ | None -> 0
-      in
+      let ct = new_chan_tally () in
       Supervisor.on_event sv (function
           | Supervisor.Driver_restarted { outage_ns; _ } ->
             if outage_ns > !max_outage then max_outage := outage_ns;
             if outage_ns > outage_bound_ns then
               violate ctx "recovery outage %d ms exceeds bound" (outage_ns / 1_000_000)
-          | Supervisor.Fault_detected _ -> malformed := !malformed + chan_malformed ()
+          | Supervisor.Fault_detected _ -> tally_chan ct sv
           | _ -> ());
       let dev = Supervisor.netdev sv in
       (match Netstack.ifconfig_up w.k.Kernel.net dev with
@@ -491,14 +513,18 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
           bl.Netdev.bl_offered bl.Netdev.bl_queued bl.Netdev.bl_dropped bl.Netdev.bl_replayed;
       if ctx.iv_deaths <> st.Supervisor.st_detections then
         violate ctx "detections %d but deaths %d" st.Supervisor.st_detections ctx.iv_deaths;
-      let malformed_total = !malformed + chan_malformed () in
+      tally_chan ct sv;
+      let malformed_total = ct.ct_malformed + ct.ct_malformed_frames in
       let applied cls =
         Option.value ~default:0 (Hashtbl.find_opt stats.inj_by_class cls)
       in
-      if applied "corrupt_batch" + applied "corrupt_reply" > 0 && malformed_total = 0 then
+      (* A corruption armed on a generation that died before sending it
+         never reached the kernel: only the sent ones must be counted. *)
+      let sent = applied "corrupt_batch" + applied "corrupt_reply" - ct.ct_unsent in
+      if sent > 0 && malformed_total = 0 then
         violate ctx
-          "corruptions applied (%d batch, %d reply) but no slot was ever counted malformed"
-          (applied "corrupt_batch") (applied "corrupt_reply");
+          "corruptions applied (%d batch, %d reply; %d never sent) but no slot was ever counted malformed"
+          (applied "corrupt_batch") (applied "corrupt_reply") ct.ct_unsent;
       { sr_seed = seed;
         sr_planned = List.length plan;
         sr_applied = stats.inj_applied;

@@ -132,6 +132,28 @@ val dma_violate : world -> unit -> unit
 val honest_factory : attempt:int -> Driver_api.net_driver
 (** The honest E1000 driver, every generation. *)
 
+(** {1 Per-generation channel evidence}
+
+    Every driver generation gets a fresh uchan and its counters die with
+    it.  A harness calls {!tally_chan} at each [Fault_detected] (the
+    dying generation is still current) and once at the end; closed
+    channels count too, because a crash's exit hook closes the channel
+    before the watchdog detects the death. *)
+
+type chan_tally = {
+  ct_conf : (string, int) Hashtbl.t;  (** conformance class -> total *)
+  mutable ct_malformed : int;  (** slots the kernel worker rejected *)
+  mutable ct_malformed_frames : int;  (** frames dropped from batch slots *)
+  mutable ct_unsent : int;
+      (** corruptions still armed when their generation was tallied:
+          never sent, so never countable *)
+}
+
+val new_chan_tally : unit -> chan_tally
+
+val tally_chan : chan_tally -> Supervisor.t -> unit
+(** Fold the supervisor's current channel into the tally. *)
+
 (** {1 Seed plumbing and schedule capture}
 
     Every harness in this module defaults its seed to

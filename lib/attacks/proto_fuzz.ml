@@ -103,36 +103,16 @@ let count tbl key =
 
 let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 
-(* Per-generation counters die with the generation's channel, so fold
-   the dying channel's counts in at detection time (it is still current)
-   and the final generation's at the end — same discipline as the soak's
-   malformed accounting. *)
-type accum = {
-  acc_conf : (string, int) Hashtbl.t;   (* conformance class -> total *)
-  mutable acc_malformed : int;
-}
-
-let snapshot_chan acc sv =
-  match Supervisor.chan sv with
-  | Some c when not (Uchan.is_closed c) ->
-    List.iter
-      (fun (cls, n) ->
-         if n > 0 then
-           Hashtbl.replace acc.acc_conf cls (n + Option.value ~default:0 (Hashtbl.find_opt acc.acc_conf cls)))
-      (Conformance.class_counts (Uchan.conformance c));
-    let um = Uchan.metrics c in
-    acc.acc_malformed <- acc.acc_malformed + Sud_obs.Metrics.get um.Uchan.um_malformed
-  | Some _ | None -> ()
-
-(* What "this mutation class was detected" means, given the accumulated
-   evidence.  Seq skew legitimately lands as either seq violation class
-   depending on channel history; everything else is one-to-one. *)
-let detected_count acc ~overflows = function
-  | Kind_swap -> get acc.acc_conf "unknown_kind"
-  | Seq_skew -> get acc.acc_conf "seq_from_future" + get acc.acc_conf "nonmonotone_seq"
-  | Stale_epoch -> get acc.acc_conf "bad_epoch"
-  | Len_bomb -> acc.acc_malformed
-  | Completion_forge -> get acc.acc_conf "forged_completion"
+(* What "this mutation class was detected" means, given the evidence
+   tallied over every generation's channel.  Seq skew legitimately lands
+   as either seq violation class depending on channel history;
+   everything else is one-to-one. *)
+let detected_count (ct : Fault_inject.chan_tally) ~overflows = function
+  | Kind_swap -> get ct.ct_conf "unknown_kind"
+  | Seq_skew -> get ct.ct_conf "seq_from_future" + get ct.ct_conf "nonmonotone_seq"
+  | Stale_epoch -> get ct.ct_conf "bad_epoch"
+  | Len_bomb -> ct.ct_malformed
+  | Completion_forge -> get ct.ct_conf "forged_completion"
   | Notify_flood -> overflows
 
 let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
@@ -153,9 +133,9 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
         | Error e -> failwith ("proto_fuzz: supervised start failed: " ^ e)
       in
       let ctx = install_invariants w sv ~secret_addr in
-      let acc = { acc_conf = Hashtbl.create 8; acc_malformed = 0 } in
+      let ct = new_chan_tally () in
       Supervisor.on_event sv (function
-          | Supervisor.Fault_detected _ -> snapshot_chan acc sv
+          | Supervisor.Fault_detected _ -> tally_chan ct sv
           | _ -> ());
       let dev = Supervisor.netdev sv in
       (match Netstack.ifconfig_up w.k.Kernel.net dev with
@@ -245,14 +225,14 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       tr.tr_stop <- true;
       sleep 10_000_000;
       wait_running 2_000;
-      snapshot_chan acc sv;
+      tally_chan ct sv;
       let overflows = Quota.notify_overflows (Supervisor.quota sv) in
       let violate fmt = Printf.ksprintf (fun s -> extra := s :: !extra) fmt in
       List.iter
         (fun m ->
            let n = mutation_name m in
            if get applied n = 0 then violate "mutation class %s was never applied" n
-           else if detected_count acc ~overflows m = 0 then
+           else if detected_count ct ~overflows m = 0 then
              violate "mutation class %s applied %d times but never detected" n (get applied n))
         all_mutations;
       if Supervisor.state sv <> Supervisor.Running then
@@ -264,7 +244,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
         fz_skipped = !skipped;
         fz_by_class = List.map (fun m -> (mutation_name m, get applied (mutation_name m))) all_mutations;
         fz_detected =
-          List.map (fun m -> (mutation_name m, detected_count acc ~overflows m)) all_mutations;
+          List.map (fun m -> (mutation_name m, detected_count ct ~overflows m)) all_mutations;
         fz_detections = st.Supervisor.st_detections;
         fz_restarts = st.Supervisor.st_restarts;
         fz_deaths = invariant_deaths ctx;

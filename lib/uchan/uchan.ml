@@ -827,6 +827,7 @@ let is_wedged t = t.wedged
 let inject_corrupt_replies t n = t.corrupt_next <- t.corrupt_next + n
 let inject_drop_replies t n = t.drop_next <- t.drop_next + n
 let inject_corrupt_batch_frames t n = t.corrupt_batch_next <- t.corrupt_batch_next + n
+let armed_corruptions t = t.corrupt_next + t.corrupt_batch_next
 
 (* Live-fuzzer hooks (lib/attacks/proto_fuzz): mutate marshalled u2k
    slots in flight, or forge whole slots the driver never sent. *)

@@ -271,6 +271,10 @@ val inject_corrupt_batch_frames : t -> int -> unit
     kernel worker counts it in [um_malformed_frames] and drops it, and
     the sibling frames in the batch still deliver. *)
 
+val armed_corruptions : t -> int
+(** Corruptions armed by {!inject_corrupt_replies} and
+    {!inject_corrupt_batch_frames} that no slot has carried yet. *)
+
 val set_u2k_mutator : t -> (queue:int -> bytes -> unit) option -> unit
 (** Live-fuzzer hook: run on every marshalled driver→kernel slot while
     it is still borrowed from the ring, exactly as a malicious driver

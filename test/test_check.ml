@@ -85,6 +85,18 @@ let test_sched_file_roundtrip () =
     Alcotest.(check int64) "trace hash" oc.Scenario.oc_trace_hash g.f_trace_hash;
     Alcotest.(check int) "steps" oc.oc_steps g.f_steps
 
+(* Seeds at which the FIFO mini soak once reported a corruption as sent
+   but never counted malformed: a corruption armed on a generation that
+   died before sending it, and malformed frames lost with a channel that
+   a crash had already closed. *)
+let test_mini_soak_corruption_accounting () =
+  let sc = Option.get (Scenario.find "mini-soak") in
+  List.iter
+    (fun tag ->
+       let oc = sc.Scenario.sc_run ~sched:Sched.Fifo ~seed:(Rng.derive ~root:0x1234L tag) in
+       Alcotest.(check (list string)) ("mini soak seed " ^ tag) [] oc.Scenario.oc_failures)
+    [ "86"; "96" ]
+
 (* Record, then replay three times from the file: identical trace hash
    every time, and identical metrics snapshots across the reruns. *)
 let test_record_replay_file () =
@@ -177,5 +189,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_record_replay;
     Alcotest.test_case "record/replay through the mini soak" `Slow
       test_record_replay_mini_soak;
+    Alcotest.test_case "mini soak counts only sent corruptions" `Quick
+      test_mini_soak_corruption_accounting;
     Alcotest.test_case "hunt + shrink the depth-1 canary" `Quick test_shrink;
     Alcotest.test_case "ddmin on a synthetic oracle" `Quick test_ddmin_synthetic ]
