@@ -12,4 +12,5 @@ let () =
       ("conformance", Test_conformance.suite);
       ("ctl", Test_ctl.suite);
       ("standby", Test_standby.suite);
-      ("check", Test_check.suite) ]
+      ("check", Test_check.suite);
+      ("fingerprint", Test_fingerprint.suite) ]
