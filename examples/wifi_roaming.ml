@@ -26,8 +26,8 @@ let () =
            | Ok s -> s
            | Error e -> failwith e
          in
-         let proxy = Driver_host.wifi_proxy s in
-         (match Netstack.ifconfig_up k.Kernel.net (Driver_host.wifi_netdev s) with
+         let proxy = Driver_host.proxy s in
+         (match Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s) with
           | Ok () -> print_endline "wlan0 up (iwlagn running as an untrusted process)"
           | Error e -> failwith e);
          Printf.printf "supported bitrates (mirrored, no upcall): %s Mb/s\n"
@@ -42,7 +42,7 @@ let () =
           | Ok () -> print_endline "associated with 1a (\"csail\")"
           | Error e -> failwith ("associate: " ^ e));
          ignore (Fiber.sleep eng 5_000_000 : Fiber.wake);
-         Printf.printf "carrier: %b\n" (Netdev.carrier (Driver_host.wifi_netdev s));
+         Printf.printf "carrier: %b\n" (Netdev.carrier (Driver_host.netdev s));
          (* The kernel enables a faster rate while holding a spinlock: the
             proxy must not block here (paper §3.1.1). *)
          Preempt.with_atomic k.Kernel.preempt (fun () ->

@@ -740,7 +740,7 @@ let blk_inject ~eng ~sv ~nvme fault =
       (match Supervisor.current_blk sv with
        | None -> false
        | Some s ->
-         let proxy = Driver_host.blk_proxy s in
+         let proxy = Driver_host.proxy s in
          (* Wait (bounded) for a flush barrier to be on the wire, then
             kill: the nastiest instant for durability bookkeeping.  If
             none shows up the kill still lands — it degrades to Bcrash. *)
@@ -1002,7 +1002,7 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
       let retained, inflight =
         match Supervisor.current_blk sv with
         | Some s ->
-          let p = Driver_host.blk_proxy s in
+          let p = Driver_host.proxy s in
           (Proxy_blk.retained p, Proxy_blk.inflight p)
         | None -> (-1, -1)
       in
@@ -1011,7 +1011,7 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
       if inflight <> 0 then begin
         violate ctx "%d requests still in flight after final fsync" inflight;
         match Supervisor.current_blk sv with
-        | Some s -> violate ctx "stuck:\n%s" (Proxy_blk.inflight_summary (Driver_host.blk_proxy s))
+        | Some s -> violate ctx "stuck:\n%s" (Proxy_blk.inflight_summary (Driver_host.proxy s))
         | None -> ()
       end;
       let st = Supervisor.stats sv in

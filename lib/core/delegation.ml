@@ -5,8 +5,8 @@ type registry_entry =
 
 type started =
   | Started_net of Driver_host.started
-  | Started_wifi of Driver_host.started_wifi
-  | Started_audio of Driver_host.started_audio
+  | Started_wifi of Proxy_wifi.t Driver_host.gen
+  | Started_audio of Proxy_audio.t Driver_host.gen
 
 let name_of_entry = function
   | Net d -> d.Driver_api.nd_name

@@ -11,8 +11,8 @@ type registry_entry =
 
 type started =
   | Started_net of Driver_host.started
-  | Started_wifi of Driver_host.started_wifi
-  | Started_audio of Driver_host.started_audio
+  | Started_wifi of Proxy_wifi.t Driver_host.gen
+  | Started_audio of Proxy_audio.t Driver_host.gen
 
 val scan_and_start :
   Kernel.t ->

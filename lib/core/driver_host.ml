@@ -1,491 +1,46 @@
-type started = {
-  s_k : Kernel.t;
-  s_sp : Safe_pci.t;
-  s_bdf : Bus.bdf;
-  s_uid : int;
-  s_name : string;
-  s_defensive : bool;
-  s_proc : Process.t;
-  s_chan : Uchan.t;
-  s_grant : Safe_pci.grant;
-  s_proxy : Proxy_net.t;
-  s_class : Proxy_class.instance;
-  s_uml : Sud_uml.t;
-  s_netdev : Netdev.t;
-  s_queues : int;
-  s_quota : Quota.t option;
-  s_epoch : int;
+type 'p gen = {
+  g_k : Kernel.t;
+  g_sp : Safe_pci.t;
+  g_bdf : Bus.bdf;
+  g_uid : int;
+  g_name : string;
+  g_proc : Process.t;
+  g_chan : Uchan.t;
+  g_grant : Safe_pci.grant;
+  g_proxy : 'p;
+  g_class : Proxy_class.instance;
+  g_uml : Sud_uml.t;
+  g_netdev : Netdev.t option;
+  g_queues : int;
+  g_quota : Quota.t option;
+  g_epoch : int;
+  g_relaunch : epoch:int -> ('p gen, string) result;
 }
 
-let pool_bufs = 128
-let pool_buf_size = 2048
+type started = Proxy_net.t gen
 
-let find_device k (drv : Driver_api.net_driver) =
-  match Sysfs.match_ids k.Kernel.sysfs ~ids:drv.Driver_api.nd_ids with
-  | [] -> Error "no matching PCI device in sysfs"
-  | e :: _ -> Ok e.Sysfs.bdf
-
-let start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?(unregister_on_exit = true)
-    ?quota ?(epoch = 0) ~uid ~defensive_copy ~name ~bdf (drv : Driver_api.net_driver) =
-  if Sud_obs.Trace.on () then
-    ignore
-      (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name:"start"
-         ~attrs:[ "driver", name; "bdf", Bus.string_of_bdf bdf ] ());
-  Safe_pci.register_device sp bdf;
-  Safe_pci.set_owner sp bdf ~uid;
-  let proc = Process.spawn k.Kernel.procs ~name ~uid in
-  match Safe_pci.open_device sp ?quota bdf ~proc with
-  | Error e ->
-    Process.kill proc;
-    Error ("open device: " ^ e)
-  | Ok grant ->
-    (match
-       Safe_pci.alloc_dma grant
-         ~bytes:(Bufpool.region_size ~count:pool_bufs ~buf_size:pool_buf_size)
-         ()
-     with
-     | Error e ->
-       Process.kill proc;
-       Error ("shared pool: " ^ e)
-     | Ok region ->
-       let pool =
-         Bufpool.create
-           ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-           ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
-           ~base_addr:region.Driver_api.dma_addr ~count:pool_bufs ~buf_size:pool_buf_size
-       in
-       (* One uchan ring pair per deliverable vector: the device's MSI-X
-          table sizes the datapath unless the caller narrows it. *)
-       let queues =
-         match queues with
-         | Some q -> max 1 (min q Uchan.max_queues)
-         | None -> max 1 (min (Safe_pci.msix_vectors grant) Uchan.max_queues)
-       in
-       (* Quota negotiation: clamp the queue count until the ring
-          footprint fits the driver's uchan budget, then charge exactly
-          the negotiated footprint (released again on driver exit, so a
-          restart generation re-charges from a clean ledger). *)
-       let slots = 256 in
-       let queues, ring_charge =
-         match quota with
-         | None -> queues, 0
-         | Some q ->
-           let queues = Quota.negotiate_queues q ~slots ~queues in
-           queues, Quota.ring_bytes ~slots ~queues
-       in
-       (match
-          match quota with
-          | Some q -> Quota.charge_uchan q ~bytes:ring_charge
-          | None -> Ok ()
-        with
-        | Error e ->
-          Process.kill proc;
-          Error ("uchan rings: " ^ e)
-        | Ok () ->
-       let chan =
-         Uchan.create k ?hang_timeout_ns ~slots ~queues ~epoch
-           ~profile:Proxy_proto.conformance_profile ~driver_label:name ()
-       in
-       (match quota with
-        | None -> ()
-        | Some q ->
-          Uchan.set_notify_hook chan (Some (fun ~queue -> Quota.note_notify q ~queue));
-          Process.on_exit proc (fun () -> Quota.release_uchan q ~bytes:ring_charge));
-       let proxy =
-         Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ?adopt:adopt_netdev ()
-       in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () ->
-           if Sud_obs.Trace.on () then
-             ignore
-               (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver"
-                  ~name:"exit" ~attrs:[ "driver", name ] ());
-           Uchan.close chan;
-           (* A supervised device keeps its netdev across driver deaths;
-              the supervisor owns (un)registration in that case. *)
-           if unregister_on_exit then Proxy_net.unregister proxy);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-              Sud_uml.serve_net uml drv)
-          : Fiber.t);
-       (match Proxy_net.wait_ready proxy ~timeout_ns:100_000_000 with
-        | None ->
-          Process.kill proc;
-          Error "driver did not register a network device"
-        | Some dev ->
-          Ok
-            { s_k = k;
-              s_sp = sp;
-              s_bdf = bdf;
-              s_uid = uid;
-              s_name = name;
-              s_defensive = defensive_copy;
-              s_proc = proc;
-              s_chan = chan;
-              s_grant = grant;
-              s_proxy = proxy;
-              s_class = Proxy_net.instance proxy;
-              s_uml = uml;
-              s_netdev = dev;
-              s_queues = queues;
-              s_quota = quota;
-              s_epoch = epoch })))
-
-let start_net k sp ?(uid = 1000) ?(defensive_copy = true) ?name ?bdf ?hang_timeout_ns
-    ?queues ?adopt_netdev ?unregister_on_exit ?quota ?epoch drv =
-  let name = Option.value ~default:drv.Driver_api.nd_name name in
-  let go bdf =
-    start_net_at k sp ?hang_timeout_ns ?queues ?adopt_netdev ?unregister_on_exit ?quota
-      ?epoch ~uid ~defensive_copy ~name ~bdf drv
-  in
-  match bdf with
-  | Some bdf -> go bdf
-  | None -> (match find_device k drv with Error e -> Error e | Ok bdf -> go bdf)
-
-let proc s = s.s_proc
-let netdev s = s.s_netdev
-let grant s = s.s_grant
-let chan s = s.s_chan
-let proxy s = s.s_proxy
-let class_of s = s.s_class
-let uml s = s.s_uml
-let bdf s = s.s_bdf
-let queues s = s.s_queues
-let quota s = s.s_quota
-let epoch s = s.s_epoch
-
-let kill s = Process.kill s.s_proc
-
-let restart k sp s drv =
-  kill s;
-  (* Let teardown events (fiber kills, device reset) settle at the current
-     instant before re-opening the device. *)
-  ignore (Fiber.sleep k.Kernel.eng 1_000 : Fiber.wake);
-  (* The quota survives the restart; the epoch does not — the new
-     generation's channel stamps (and accepts only) epoch+1, so frames
-     replayed from the dead generation adjudicate as [Bad_epoch]. *)
-  start_net_at k sp ~queues:s.s_queues ?quota:s.s_quota
-    ~epoch:((s.s_epoch + 1) land Msg.max_epoch) ~uid:s.s_uid
-    ~defensive_copy:s.s_defensive ~name:s.s_name ~bdf:s.s_bdf drv
-
-let set_memory_limit s ~bytes = Process.setrlimit_memory s.s_proc ~bytes:(Some bytes)
-
-(* ---- generic prelude shared by the class starters ---- *)
-
-let open_with_pool k sp ~uid ~name ~bdf =
-  Safe_pci.register_device sp bdf;
-  Safe_pci.set_owner sp bdf ~uid;
-  let proc = Process.spawn k.Kernel.procs ~name ~uid in
-  match Safe_pci.open_device sp bdf ~proc with
-  | Error e ->
-    Process.kill proc;
-    Error ("open device: " ^ e)
-  | Ok grant ->
-    (match
-       Safe_pci.alloc_dma grant
-         ~bytes:(Bufpool.region_size ~count:pool_bufs ~buf_size:pool_buf_size)
-         ()
-     with
-     | Error e ->
-       Process.kill proc;
-       Error ("shared pool: " ^ e)
-     | Ok region ->
-       let pool =
-         Bufpool.create
-           ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-           ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
-           ~base_addr:region.Driver_api.dma_addr ~count:pool_bufs ~buf_size:pool_buf_size
-       in
-       let queues = max 1 (min (Safe_pci.msix_vectors grant) Uchan.max_queues) in
-       let chan =
-         Uchan.create k ~queues ~profile:Proxy_proto.conformance_profile
-           ~driver_label:name ()
-       in
-       Ok (proc, grant, pool, chan))
-
-let find_by_ids k ids what =
-  match Sysfs.match_ids k.Kernel.sysfs ~ids with
-  | [] -> Error ("no matching PCI device in sysfs for " ^ what)
-  | e :: _ -> Ok e.Sysfs.bdf
-
-type started_wifi = {
-  w_proc : Process.t;
-  w_proxy : Proxy_wifi.t;
-  w_netdev : Netdev.t;
-}
-
-let start_wifi k sp ?(uid = 1000) ?name ?bdf (drv : Driver_api.wifi_driver) =
-  let name = Option.value ~default:drv.Driver_api.wd_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.wd_ids name
-  in
-  match bdf_r with
-  | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_wifi.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () ->
-           Uchan.close chan;
-           Proxy_net.unregister (Proxy_wifi.net proxy));
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_wifi uml drv)
-          : Fiber.t);
-       (match Proxy_wifi.wait_ready proxy ~timeout_ns:100_000_000 with
-        | None ->
-          Process.kill proc;
-          Error "wifi driver did not register"
-        | Some dev -> Ok { w_proc = proc; w_proxy = proxy; w_netdev = dev }))
-
-let wifi_proxy s = s.w_proxy
-let wifi_netdev s = s.w_netdev
-let wifi_proc s = s.w_proc
-let kill_wifi s = Process.kill s.w_proc
-
-type started_audio = {
-  a_proc : Process.t;
-  a_proxy : Proxy_audio.t;
-}
-
-let start_audio k sp ?(uid = 1000) ?name ?bdf (drv : Driver_api.audio_driver) =
-  let name = Option.value ~default:drv.Driver_api.ad_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.ad_ids name
-  in
-  match bdf_r with
-  | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_audio.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () -> Uchan.close chan);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> Sud_uml.serve_audio uml drv)
-          : Fiber.t);
-       if Proxy_audio.wait_ready proxy ~timeout_ns:100_000_000 then
-         Ok { a_proc = proc; a_proxy = proxy }
-       else begin
-         Process.kill proc;
-         Error "audio driver did not register"
-       end)
-
-let audio_proxy s = s.a_proxy
-let audio_proc s = s.a_proc
-let kill_audio s = Process.kill s.a_proc
-
-type started_usb = {
-  u_proc : Process.t;
-  u_proxy : Proxy_usb.t;
-}
-
-let start_usb k sp ?(uid = 1000) ?name ?bdf ~bind_storage ~bind_keyboard
-    (drv : Driver_api.usb_host_driver) =
-  let name = Option.value ~default:drv.Driver_api.ud_name name in
-  let bdf_r =
-    match bdf with Some b -> Ok b | None -> find_by_ids k drv.Driver_api.ud_ids name
-  in
-  match bdf_r with
-  | Error e -> Error e
-  | Ok bdf ->
-    (match open_with_pool k sp ~uid ~name ~bdf with
-     | Error e -> Error e
-     | Ok (proc, grant, pool, chan) ->
-       let proxy = Proxy_usb.create k ~chan ~grant ~pool ~name () in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () -> Uchan.close chan);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-              Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard drv)
-          : Fiber.t);
-       Ok { u_proc = proc; u_proxy = proxy })
-
-let usb_proxy s = s.u_proxy
-let usb_proc s = s.u_proc
-let kill_usb s = Process.kill s.u_proc
-
-(* ---- sud-blk: asynchronous multiqueue block ---- *)
-
-type started_blk = {
-  b_k : Kernel.t;
-  b_sp : Safe_pci.t;
-  b_bdf : Bus.bdf;
-  b_uid : int;
-  b_name : string;
-  b_proc : Process.t;
-  b_chan : Uchan.t;
-  b_grant : Safe_pci.grant;
-  b_proxy : Proxy_blk.t;
-  b_class : Proxy_class.instance;
-  b_uml : Sud_uml.t;
-  b_blkdev : Blkdev.t;
-  b_queues : int;
-  b_quota : Quota.t option;
-  b_epoch : int;
-}
-
-(* Block buffers must hold a fully merged request (64 sectors); fewer,
-   bigger buffers than the net pool. *)
-let blk_pool_bufs = 64
-let blk_pool_buf_size = 32768
-
-let start_blk_at k sp ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt ?quota
-    ?(epoch = 0) ~uid ~name ~bdf (drv : Driver_api.blk_driver) =
-  if Sud_obs.Trace.on () then
-    ignore
-      (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name:"start"
-         ~attrs:[ "driver", name; "bdf", Bus.string_of_bdf bdf; "class", "blk" ] ());
-  Safe_pci.register_device sp bdf;
-  Safe_pci.set_owner sp bdf ~uid;
-  let proc = Process.spawn k.Kernel.procs ~name ~uid in
-  match Safe_pci.open_device sp ?quota bdf ~proc with
-  | Error e ->
-    Process.kill proc;
-    Error ("open device: " ^ e)
-  | Ok grant ->
-    (match
-       Safe_pci.alloc_dma grant
-         ~bytes:(Bufpool.region_size ~count:blk_pool_bufs ~buf_size:blk_pool_buf_size)
-         ()
-     with
-     | Error e ->
-       Process.kill proc;
-       Error ("shared pool: " ^ e)
-     | Ok region ->
-       let pool =
-         Bufpool.create
-           ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-           ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
-           ~base_addr:region.Driver_api.dma_addr ~count:blk_pool_bufs
-           ~buf_size:blk_pool_buf_size
-       in
-       let queues =
-         match queues with
-         | Some q -> max 1 (min q Uchan.max_queues)
-         | None -> max 1 (min (Safe_pci.msix_vectors grant) Uchan.max_queues)
-       in
-       let slots = 256 in
-       let queues, ring_charge =
-         match quota with
-         | None -> queues, 0
-         | Some q ->
-           let queues = Quota.negotiate_queues q ~slots ~queues in
-           queues, Quota.ring_bytes ~slots ~queues
-       in
-       (match
-          match quota with
-          | Some q -> Quota.charge_uchan q ~bytes:ring_charge
-          | None -> Ok ()
-        with
-        | Error e ->
-          Process.kill proc;
-          Error ("uchan rings: " ^ e)
-        | Ok () ->
-          let chan =
-            Uchan.create k ?hang_timeout_ns ~slots ~queues ~epoch
-              ~profile:Proxy_proto.conformance_profile ~driver_label:name ()
-          in
-          (match quota with
-           | None -> ()
-           | Some q ->
-             Uchan.set_notify_hook chan (Some (fun ~queue -> Quota.note_notify q ~queue));
-             Process.on_exit proc (fun () -> Quota.release_uchan q ~bytes:ring_charge));
-          let proxy =
-            Proxy_blk.create k ~chan ~grant ~pool ~name ?request_timeout_ns ?adopt ()
-          in
-          let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-          Process.on_exit proc (fun () ->
-              if Sud_obs.Trace.on () then
-                ignore
-                  (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver"
-                     ~name:"exit" ~attrs:[ "driver", name ] ());
-              Uchan.close chan;
-              (* The blkdev (cache, staging, retention in the persist
-                 record) survives the driver's death; new requests park
-                 in staging until a fresh generation resumes. *)
-              Proxy_blk.quiesce proxy);
-          ignore
-            (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-                 Sud_uml.serve_blk uml drv)
-             : Fiber.t);
-          (match Proxy_blk.wait_ready proxy ~timeout_ns:100_000_000 with
-           | None ->
-             Process.kill proc;
-             Error "driver did not register a block device"
-           | Some bd ->
-             Ok
-               { b_k = k;
-                 b_sp = sp;
-                 b_bdf = bdf;
-                 b_uid = uid;
-                 b_name = name;
-                 b_proc = proc;
-                 b_chan = chan;
-                 b_grant = grant;
-                 b_proxy = proxy;
-                 b_class = Proxy_blk.instance proxy;
-                 b_uml = uml;
-                 b_blkdev = bd;
-                 b_queues = queues;
-                 b_quota = quota;
-                 b_epoch = epoch })))
-
-let start_blk k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?request_timeout_ns ?queues
-    ?adopt ?quota ?epoch drv =
-  let name = Option.value ~default:drv.Driver_api.bd_name name in
-  let go bdf =
-    start_blk_at k sp ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt ?quota ?epoch
-      ~uid ~name ~bdf drv
-  in
-  match bdf with
-  | Some bdf -> go bdf
-  | None ->
-    (match find_by_ids k drv.Driver_api.bd_ids name with Error e -> Error e | Ok bdf -> go bdf)
-
-let blk_proc s = s.b_proc
-let blk_chan s = s.b_chan
-let blk_grant s = s.b_grant
-let blk_proxy s = s.b_proxy
-let blk_class s = s.b_class
-let blk_uml s = s.b_uml
-let blk_bdf s = s.b_bdf
-let blk_blkdev s = s.b_blkdev
-let blk_queues s = s.b_queues
-let blk_quota s = s.b_quota
-let blk_epoch s = s.b_epoch
-let kill_blk s = Process.kill s.b_proc
-
-(* ---- the class-indexed lifecycle API ---- *)
-
-(* One entry point for every device class.  The GADT carries both the
-   driver type the class consumes and the handle it produces, so
-   [launch] is the only spelling callers need; the per-class [start_*]
-   functions above survive as deprecated aliases for external trees. *)
 type (_, _) cls =
   | Net : {
       defensive_copy : bool;
       adopt_netdev : Netdev.t option;
-      unregister_on_exit : bool option;
+      unregister_on_exit : bool;
     }
-      -> (Driver_api.net_driver, started) cls
+      -> (Driver_api.net_driver, Proxy_net.t) cls
   | Blk : {
       adopt : Proxy_blk.persist option;
       request_timeout_ns : int option;
     }
-      -> (Driver_api.blk_driver, started_blk) cls
-  | Wifi : (Driver_api.wifi_driver, started_wifi) cls
-  | Audio : (Driver_api.audio_driver, started_audio) cls
+      -> (Driver_api.blk_driver, Proxy_blk.t) cls
+  | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
+  | Audio : (Driver_api.audio_driver, Proxy_audio.t) cls
   | Usb : {
       bind_storage : Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result;
       bind_keyboard :
         Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit;
     }
-      -> (Driver_api.usb_host_driver, started_usb) cls
+      -> (Driver_api.usb_host_driver, Proxy_usb.t) cls
 
-let net ?(defensive_copy = true) ?adopt_netdev ?unregister_on_exit () =
+let net ?(defensive_copy = true) ?adopt_netdev ?(unregister_on_exit = true) () =
   Net { defensive_copy; adopt_netdev; unregister_on_exit }
 
 let blk ?adopt ?request_timeout_ns () = Blk { adopt; request_timeout_ns }
@@ -493,69 +48,162 @@ let wifi = Wifi
 let audio = Audio
 let usb ~bind_storage ~bind_keyboard = Usb { bind_storage; bind_keyboard }
 
-let launch : type d r.
-  Kernel.t -> Safe_pci.t -> ?uid:int -> ?name:string -> ?bdf:Bus.bdf ->
-  ?hang_timeout_ns:int -> ?queues:int -> ?quota:Quota.t -> ?epoch:int ->
-  (d, r) cls -> d -> (r, string) result =
-  fun k sp ?uid ?name ?bdf ?hang_timeout_ns ?queues ?quota ?epoch cls drv ->
-  match cls with
-  | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
-    start_net k sp ?uid ~defensive_copy ?name ?bdf ?hang_timeout_ns ?queues
-      ?adopt_netdev ?unregister_on_exit ?quota ?epoch drv
-  | Blk { adopt; request_timeout_ns } ->
-    start_blk k sp ?uid ?name ?bdf ?hang_timeout_ns ?request_timeout_ns ?queues ?adopt
-      ?quota ?epoch drv
-  | Wifi -> start_wifi k sp ?uid ?name ?bdf drv
-  | Audio -> start_audio k sp ?uid ?name ?bdf drv
-  | Usb { bind_storage; bind_keyboard } ->
-    start_usb k sp ?uid ?name ?bdf ~bind_storage ~bind_keyboard drv
-
-(* ---- warm-standby generations ---- *)
-
-(* A pre-forked generation, parked before attach.  Only what does not
-   need the device is set up here: the process, the epoch-stamped uchan
-   rings, and their quota charge.  The device grant is exclusive per
-   BDF and opening it resets the device, so grant + DMA pool + proxy +
-   driver init are deferred to [activate_*] — which runs after the
-   dying generation's kill released its grant and the FLR left the
-   device in exactly the quiesced state a fresh driver expects. *)
-type warm = {
-  wm_k : Kernel.t;
-  wm_sp : Safe_pci.t;
-  wm_bdf : Bus.bdf;
-  wm_uid : int;
-  wm_name : string;
-  wm_proc : Process.t;
-  wm_chan : Uchan.t;
-  wm_queues : int;
-  wm_quota : Quota.t option;
-  wm_epoch : int;
+(* What a class contributes to the one bring-up sequence.  [parked]
+   (warm standby) is only ever true for a class whose [adoptable] is Ok:
+   the lighter classes have no standby and ignore it. *)
+type ('d, 'p) desc = {
+  d_name : string;
+  d_ident : 'd -> string * (int * int) list;  (* driver name, PCI ids *)
+  d_pool : int * int;  (* DMA pool: buffers, buffer size *)
+  d_proxy :
+    parked:bool -> Kernel.t -> chan:Uchan.t -> grant:Safe_pci.grant -> pool:Bufpool.t ->
+    name:string -> 'p;
+  d_serve : Sud_uml.t -> 'd -> unit;
+  d_ready : parked:bool -> 'p -> timeout_ns:int -> bool;
+  d_netdev : 'p -> Netdev.t option;
+  d_exit : 'p -> unit;  (* on driver death, after the channel closed *)
+  d_instance : 'p -> Proxy_class.instance;
+  d_adoptable : (unit, string) result;  (* may a parked generation take over? *)
 }
 
-let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0) ~name
-    ~bdf () =
+let net_pool = (128, 2048)
+
+(* Block buffers must hold a fully merged request (64 sectors); fewer,
+   bigger buffers than the net pool. *)
+let blk_pool = (64, 32768)
+
+let no_standby name = Error (name ^ " has no warm standby")
+
+let desc : type d p. (d, p) cls -> (d, p) desc = function
+  | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
+    { d_name = "net";
+      d_ident = (fun d -> (d.Driver_api.nd_name, d.nd_ids));
+      d_pool = net_pool;
+      d_proxy =
+        (fun ~parked k ~chan ~grant ~pool ~name ->
+           Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ~parked
+             ?adopt:adopt_netdev ());
+      d_serve = Sud_uml.serve_net;
+      d_ready =
+        (fun ~parked p ~timeout_ns ->
+           if parked then Proxy_net.wait_registered p ~timeout_ns
+           else Proxy_net.wait_ready p ~timeout_ns <> None);
+      d_netdev =
+        (fun p -> match Proxy_net.netdev p with Some _ as d -> d | None -> adopt_netdev);
+      (* A supervised device keeps its netdev across driver deaths; the
+         supervisor owns (un)registration in that case. *)
+      d_exit = (fun p -> if unregister_on_exit then Proxy_net.unregister p);
+      d_instance = Proxy_net.instance;
+      d_adoptable =
+        (match adopt_netdev with
+         | Some _ -> Ok ()
+         | None -> Error "no surviving netdev to adopt") }
+  | Blk { adopt; request_timeout_ns } ->
+    { d_name = "blk";
+      d_ident = (fun d -> (d.Driver_api.bd_name, d.bd_ids));
+      d_pool = blk_pool;
+      d_proxy =
+        (fun ~parked k ~chan ~grant ~pool ~name ->
+           Proxy_blk.create k ~chan ~grant ~pool ~name ?request_timeout_ns ~parked ?adopt ());
+      d_serve = Sud_uml.serve_blk;
+      d_ready =
+        (fun ~parked p ~timeout_ns ->
+           if parked then Proxy_blk.wait_registered p ~timeout_ns
+           else Proxy_blk.wait_ready p ~timeout_ns <> None);
+      d_netdev = (fun _ -> None);
+      (* The blkdev (cache, staging, retention in the persist record)
+         survives the driver's death; new requests park in staging until
+         a fresh generation resumes. *)
+      d_exit = Proxy_blk.quiesce;
+      d_instance = Proxy_blk.instance;
+      d_adoptable =
+        (match Option.bind adopt Proxy_blk.persist_blkdev with
+         | Some _ -> Ok ()
+         | None -> Error "no surviving block device to adopt") }
+  | Wifi ->
+    { d_name = "wifi";
+      d_ident = (fun d -> (d.Driver_api.wd_name, d.wd_ids));
+      d_pool = net_pool;
+      d_proxy =
+        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_wifi.create k ~chan ~grant ~pool ~name ());
+      d_serve = Sud_uml.serve_wifi;
+      d_ready = (fun ~parked:_ p ~timeout_ns -> Proxy_wifi.wait_ready p ~timeout_ns <> None);
+      d_netdev = Proxy_wifi.netdev;
+      d_exit = (fun p -> Proxy_net.unregister (Proxy_wifi.net p));
+      d_instance = Proxy_wifi.instance;
+      d_adoptable = no_standby "wifi" }
+  | Audio ->
+    { d_name = "audio";
+      d_ident = (fun d -> (d.Driver_api.ad_name, d.ad_ids));
+      d_pool = net_pool;
+      d_proxy =
+        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_audio.create k ~chan ~grant ~pool ~name ());
+      d_serve = Sud_uml.serve_audio;
+      d_ready = (fun ~parked:_ p ~timeout_ns -> Proxy_audio.wait_ready p ~timeout_ns);
+      d_netdev = (fun _ -> None);
+      d_exit = ignore;
+      d_instance = Proxy_audio.instance;
+      d_adoptable = no_standby "audio" }
+  | Usb { bind_storage; bind_keyboard } ->
+    { d_name = "usb";
+      d_ident = (fun d -> (d.Driver_api.ud_name, d.ud_ids));
+      d_pool = net_pool;
+      d_proxy =
+        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_usb.create k ~chan ~grant ~pool ~name ());
+      d_serve = (fun uml d -> Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard d);
+      (* Block and input surfaces appear as the driver enumerates its bus
+         ([Proxy_usb.wait_block]); there is no single registration. *)
+      d_ready = (fun ~parked:_ _ ~timeout_ns:_ -> true);
+      d_netdev = (fun _ -> None);
+      d_exit = ignore;
+      d_instance = Proxy_usb.instance;
+      d_adoptable = no_standby "usb" }
+
+(* ---- the bring-up steps ---- *)
+
+let trace name attrs =
   if Sud_obs.Trace.on () then
     ignore
-      (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name:"prefork"
-         ~attrs:[ "driver", name; "bdf", Bus.string_of_bdf bdf ] ());
+      (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name ~attrs ()
+       : int)
+
+let spawn k sp ~uid ~name ~bdf =
   Safe_pci.register_device sp bdf;
   Safe_pci.set_owner sp bdf ~uid;
-  let proc = Process.spawn k.Kernel.procs ~name ~uid in
+  Process.spawn k.Kernel.procs ~name ~uid
+
+let open_pool sp ?quota bdf ~proc (count, buf_size) =
+  match Safe_pci.open_device sp ?quota bdf ~proc with
+  | Error e -> Error ("open device: " ^ e)
+  | Ok grant ->
+    (match Safe_pci.alloc_dma grant ~bytes:(Bufpool.region_size ~count ~buf_size) () with
+     | Error e -> Error ("shared pool: " ^ e)
+     | Ok region ->
+       Ok
+         ( grant,
+           Bufpool.create
+             ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
+             ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
+             ~base_addr:region.Driver_api.dma_addr ~count ~buf_size ))
+
+let clamp_queues q = max 1 (min q Uchan.max_queues)
+
+(* Quota negotiation: clamp the queue count until the ring footprint
+   fits the driver's uchan budget, then charge exactly the negotiated
+   footprint (released again on driver exit, so a restart generation
+   re-charges from a clean ledger).  Every driver-side kick draws a
+   notification token. *)
+let rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues () =
   let slots = 256 in
-  let queues = max 1 (min queues Uchan.max_queues) in
   let queues, ring_charge =
     match quota with
-    | None -> queues, 0
+    | None -> (queues, 0)
     | Some q ->
       let queues = Quota.negotiate_queues q ~slots ~queues in
-      queues, Quota.ring_bytes ~slots ~queues
+      (queues, Quota.ring_bytes ~slots ~queues)
   in
-  match
-    match quota with Some q -> Quota.charge_uchan q ~bytes:ring_charge | None -> Ok ()
-  with
-  | Error e ->
-    Process.kill proc;
-    Error ("uchan rings: " ^ e)
+  match match quota with Some q -> Quota.charge_uchan q ~bytes:ring_charge | None -> Ok () with
+  | Error e -> Error ("uchan rings: " ^ e)
   | Ok () ->
     let chan =
       Uchan.create k ?hang_timeout_ns ~slots ~queues ~epoch
@@ -566,145 +214,185 @@ let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0
      | Some q ->
        Uchan.set_notify_hook chan (Some (fun ~queue -> Quota.note_notify q ~queue));
        Process.on_exit proc (fun () -> Quota.release_uchan q ~bytes:ring_charge));
-    Process.on_exit proc (fun () -> Uchan.close chan);
-    Ok
-      { wm_k = k;
-        wm_sp = sp;
-        wm_bdf = bdf;
-        wm_uid = uid;
-        wm_name = name;
-        wm_proc = proc;
-        wm_chan = chan;
-        wm_queues = queues;
-        wm_quota = quota;
-        wm_epoch = epoch }
+    Ok (chan, queues)
 
-let warm_proc w = w.wm_proc
-let warm_chan w = w.wm_chan
-let warm_epoch w = w.wm_epoch
-let warm_queues w = w.wm_queues
-let discard_warm w = Process.kill w.wm_proc
+(* Proxy, driver main loop, and the wait for the driver to register.
+   [on_exit] runs at driver death; exit hooks run last-registered-first,
+   so where it is registered fixes its order against the ring hooks. *)
+let attach d k ~parked ~proc ~grant ~pool ~chan ~name ~on_exit drv =
+  let proxy = d.d_proxy ~parked k ~chan ~grant ~pool ~name in
+  let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
+  Process.on_exit proc (fun () -> on_exit proxy);
+  ignore
+    (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> d.d_serve uml drv) : Fiber.t);
+  if d.d_ready ~parked proxy ~timeout_ns:100_000_000 then Ok (proxy, uml)
+  else Error ("driver did not register with the " ^ d.d_name ^ " proxy")
 
-let activate_trace w =
-  if Sud_obs.Trace.on () then
-    ignore
-      (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name:"activate"
-         ~attrs:[ "driver", w.wm_name; "bdf", Bus.string_of_bdf w.wm_bdf ] ())
-
-let activate_net w ?(defensive_copy = true) ?(unregister_on_exit = false) ~adopt
-    (drv : Driver_api.net_driver) =
-  let k = w.wm_k and name = w.wm_name and proc = w.wm_proc and chan = w.wm_chan in
-  activate_trace w;
-  match Safe_pci.open_device w.wm_sp ?quota:w.wm_quota w.wm_bdf ~proc with
-  | Error e ->
+(* A failing step kills the half-built generation; its exit hooks
+   release what the earlier steps charged. *)
+let or_kill proc = function
+  | Ok _ as ok -> ok
+  | Error _ as e ->
     Process.kill proc;
-    Error ("open device: " ^ e)
-  | Ok grant ->
-    (match
-       Safe_pci.alloc_dma grant
-         ~bytes:(Bufpool.region_size ~count:pool_bufs ~buf_size:pool_buf_size)
-         ()
-     with
-     | Error e ->
-       Process.kill proc;
-       Error ("shared pool: " ^ e)
-     | Ok region ->
-       let pool =
-         Bufpool.create
-           ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-           ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
-           ~base_addr:region.Driver_api.dma_addr ~count:pool_bufs ~buf_size:pool_buf_size
-       in
-       let proxy =
-         Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ~parked:true ~adopt ()
-       in
-       let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-       Process.on_exit proc (fun () ->
-           if unregister_on_exit then Proxy_net.unregister proxy);
-       ignore
-         (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-              Sud_uml.serve_net uml drv)
-          : Fiber.t);
-       if Proxy_net.wait_registered proxy ~timeout_ns:100_000_000 then
-         Ok
-           { s_k = k;
-             s_sp = w.wm_sp;
-             s_bdf = w.wm_bdf;
-             s_uid = w.wm_uid;
-             s_name = name;
-             s_defensive = defensive_copy;
-             s_proc = proc;
-             s_chan = chan;
-             s_grant = grant;
-             s_proxy = proxy;
-             s_class = Proxy_net.instance proxy;
-             s_uml = uml;
-             s_netdev = adopt;
-             s_queues = w.wm_queues;
-             s_quota = w.wm_quota;
-             s_epoch = w.wm_epoch }
-       else begin
-         Process.kill proc;
-         Error "driver did not register a network device"
-       end)
+    e
 
-let activate_blk w ?request_timeout_ns ~adopt (drv : Driver_api.blk_driver) =
-  let k = w.wm_k and name = w.wm_name and proc = w.wm_proc and chan = w.wm_chan in
-  activate_trace w;
-  match Proxy_blk.persist_blkdev adopt with
-  | None ->
-    Process.kill proc;
-    Error "no surviving block device to adopt"
-  | Some bd ->
-    (match Safe_pci.open_device w.wm_sp ?quota:w.wm_quota w.wm_bdf ~proc with
-     | Error e ->
-       Process.kill proc;
-       Error ("open device: " ^ e)
-     | Ok grant ->
-       (match
-          Safe_pci.alloc_dma grant
-            ~bytes:(Bufpool.region_size ~count:blk_pool_bufs ~buf_size:blk_pool_buf_size)
-            ()
-        with
-        | Error e ->
-          Process.kill proc;
-          Error ("shared pool: " ^ e)
-        | Ok region ->
-          let pool =
-            Bufpool.create
-              ~read:(fun ~off ~len -> region.Driver_api.dma_read ~off ~len)
-              ~write:(fun ~off ~data -> region.Driver_api.dma_write ~off data)
-              ~base_addr:region.Driver_api.dma_addr ~count:blk_pool_bufs
-              ~buf_size:blk_pool_buf_size
-          in
-          let proxy =
-            Proxy_blk.create k ~chan ~grant ~pool ~name ?request_timeout_ns ~parked:true
-              ~adopt ()
-          in
-          let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-          Process.on_exit proc (fun () -> Proxy_blk.quiesce proxy);
-          ignore
-            (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () ->
-                 Sud_uml.serve_blk uml drv)
-             : Fiber.t);
-          if Proxy_blk.wait_registered proxy ~timeout_ns:100_000_000 then
-            Ok
-              { b_k = k;
-                b_sp = w.wm_sp;
-                b_bdf = w.wm_bdf;
-                b_uid = w.wm_uid;
-                b_name = name;
-                b_proc = proc;
-                b_chan = chan;
-                b_grant = grant;
-                b_proxy = proxy;
-                b_class = Proxy_blk.instance proxy;
-                b_uml = uml;
-                b_blkdev = bd;
-                b_queues = w.wm_queues;
-                b_quota = w.wm_quota;
-                b_epoch = w.wm_epoch }
-          else begin
-            Process.kill proc;
-            Error "driver did not register a block device"
-          end))
+let ( let* ) = Result.bind
+
+let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
+  trace "start" [ "driver", name; "bdf", Bus.string_of_bdf bdf; "class", d.d_name ];
+  let proc = spawn k sp ~uid ~name ~bdf in
+  let* grant, pool = or_kill proc (open_pool sp ?quota bdf ~proc d.d_pool) in
+  (* One uchan ring pair per deliverable vector: the device's MSI-X
+     table sizes the datapath unless the caller narrows it. *)
+  let queues =
+    clamp_queues (match queues with Some q -> q | None -> Safe_pci.msix_vectors grant)
+  in
+  let* chan, queues = or_kill proc (rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues ()) in
+  let on_exit proxy =
+    trace "exit" [ "driver", name ];
+    Uchan.close chan;
+    d.d_exit proxy
+  in
+  let* proxy, uml =
+    or_kill proc (attach d k ~parked:false ~proc ~grant ~pool ~chan ~name ~on_exit drv)
+  in
+  Ok
+    { g_k = k;
+      g_sp = sp;
+      g_bdf = bdf;
+      g_uid = uid;
+      g_name = name;
+      g_proc = proc;
+      g_chan = chan;
+      g_grant = grant;
+      g_proxy = proxy;
+      g_class = d.d_instance proxy;
+      g_uml = uml;
+      g_netdev = d.d_netdev proxy;
+      g_queues = queues;
+      g_quota = quota;
+      g_epoch = epoch;
+      g_relaunch =
+        (fun ~epoch -> cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ~queues ?quota ~epoch drv) }
+
+let launch k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?queues ?quota ?(epoch = 0) cls drv =
+  let d = desc cls in
+  let drv_name, ids = d.d_ident drv in
+  let name = Option.value ~default:drv_name name in
+  let bdf =
+    match bdf with
+    | Some b -> Ok b
+    | None ->
+      (match Sysfs.match_ids k.Kernel.sysfs ~ids with
+       | [] -> Error ("no matching PCI device in sysfs for " ^ name)
+       | e :: _ -> Ok e.Sysfs.bdf)
+  in
+  Result.bind bdf (fun bdf ->
+      cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv)
+
+let proc g = g.g_proc
+let chan g = g.g_chan
+let grant g = g.g_grant
+let proxy g = g.g_proxy
+let blk_proxy = proxy
+let class_of g = g.g_class
+let uml g = g.g_uml
+let bdf g = g.g_bdf
+let queues g = g.g_queues
+let quota g = g.g_quota
+let epoch g = g.g_epoch
+
+let netdev g =
+  match g.g_netdev with
+  | Some d -> d
+  | None -> invalid_arg ("Driver_host.netdev: " ^ g.g_name ^ " registered no network device")
+
+let kill g = Process.kill g.g_proc
+
+let restart g =
+  kill g;
+  (* Let teardown events (fiber kills, device reset) settle at the current
+     instant before re-opening the device. *)
+  ignore (Fiber.sleep g.g_k.Kernel.eng 1_000 : Fiber.wake);
+  (* The quota survives the restart; the epoch does not — the new
+     generation's channel stamps (and accepts only) epoch+1, so frames
+     replayed from the dead generation adjudicate as [Bad_epoch]. *)
+  g.g_relaunch ~epoch:((g.g_epoch + 1) land Msg.max_epoch)
+
+let set_memory_limit g ~bytes = Process.setrlimit_memory g.g_proc ~bytes:(Some bytes)
+
+(* ---- warm-standby generations ---- *)
+
+(* A pre-forked generation, parked before attach: the process and its
+   epoch-stamped, quota-charged rings.  Everything device-facing waits
+   for [activate] (see the interface). *)
+type warm = {
+  w_k : Kernel.t;
+  w_sp : Safe_pci.t;
+  w_bdf : Bus.bdf;
+  w_uid : int;
+  w_name : string;
+  w_proc : Process.t;
+  w_chan : Uchan.t;
+  w_queues : int;
+  w_quota : Quota.t option;
+  w_epoch : int;
+  w_hang_timeout_ns : int option;
+}
+
+let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0) ~name ~bdf
+    () =
+  trace "prefork" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
+  let proc = spawn k sp ~uid ~name ~bdf in
+  let* chan, queues =
+    or_kill proc
+      (rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues:(clamp_queues queues) ())
+  in
+  Process.on_exit proc (fun () -> Uchan.close chan);
+  Ok
+    { w_k = k;
+      w_sp = sp;
+      w_bdf = bdf;
+      w_uid = uid;
+      w_name = name;
+      w_proc = proc;
+      w_chan = chan;
+      w_queues = queues;
+      w_quota = quota;
+      w_epoch = epoch;
+      w_hang_timeout_ns = hang_timeout_ns }
+
+let warm_proc w = w.w_proc
+let warm_chan w = w.w_chan
+let discard_warm w = Process.kill w.w_proc
+
+let activate w cls drv =
+  let d = desc cls in
+  let k = w.w_k and sp = w.w_sp and bdf = w.w_bdf and name = w.w_name and proc = w.w_proc in
+  trace "activate" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
+  let* () = or_kill proc d.d_adoptable in
+  let* grant, pool = or_kill proc (open_pool sp ?quota:w.w_quota bdf ~proc d.d_pool) in
+  let* proxy, uml =
+    or_kill proc
+      (attach d k ~parked:true ~proc ~grant ~pool ~chan:w.w_chan ~name ~on_exit:d.d_exit drv)
+  in
+  Ok
+    { g_k = k;
+      g_sp = sp;
+      g_bdf = bdf;
+      g_uid = w.w_uid;
+      g_name = name;
+      g_proc = proc;
+      g_chan = w.w_chan;
+      g_grant = grant;
+      g_proxy = proxy;
+      g_class = d.d_instance proxy;
+      g_uml = uml;
+      g_netdev = d.d_netdev proxy;
+      g_queues = w.w_queues;
+      g_quota = w.w_quota;
+      g_epoch = w.w_epoch;
+      g_relaunch =
+        (fun ~epoch ->
+           cold d k sp ~uid:w.w_uid ~name ~bdf ?hang_timeout_ns:w.w_hang_timeout_ns
+             ~queues:w.w_queues ?quota:w.w_quota ~epoch drv) }

@@ -1,7 +1,5 @@
 type t = {
   k : Kernel.t;
-  sp : Safe_pci.t;
-  drv : Driver_api.net_driver;
   mutable cur : Driver_host.started;
   mutable want_up : bool;
   mutable n_restarts : int;
@@ -27,7 +25,7 @@ let recover t =
      non-parked proxy today, but it keeps the shadow on the same
      handoff/adopt edge the supervisor uses). *)
   let handoff = Proxy_class.handoff (Driver_host.class_of t.cur) in
-  match Driver_host.restart t.k t.sp t.cur t.drv with
+  match Driver_host.restart t.cur with
   | Error e ->
     Klog.printk t.k.Kernel.klog Klog.Err "shadow: restart failed: %s" e
   | Ok fresh ->
@@ -42,9 +40,8 @@ let recover t =
       | Error e ->
         Klog.printk t.k.Kernel.klog Klog.Err "shadow: recovered driver failed to open: %s" e
 
-let watch k sp ?(poll_ms = 10) started drv =
-  let t =
-    { k; sp; drv; cur = started; want_up = false; n_restarts = 0; running = true }
+let watch k ?(poll_ms = 10) started =
+  let t = { k; cur = started; want_up = false; n_restarts = 0; running = true }
   in
   ignore
     (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"shadow-driver"

@@ -9,14 +9,9 @@
 
 type t
 
-val watch :
-  Kernel.t ->
-  Safe_pci.t ->
-  ?poll_ms:int ->
-  Driver_host.started ->
-  Driver_api.net_driver ->
-  t
-(** Start the watcher fiber (default poll every 10 ms). *)
+val watch : Kernel.t -> ?poll_ms:int -> Driver_host.started -> t
+(** Start the watcher fiber (default poll every 10 ms).  Recovery
+    restarts the watched generation's own driver ({!Driver_host.restart}). *)
 
 val current : t -> Driver_host.started
 (** The driver generation currently serving the device. *)

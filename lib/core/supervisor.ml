@@ -61,46 +61,12 @@ type stats = {
   st_upgrades : int;
 }
 
-(* The class-independent view of one driver generation. *)
-type gen = {
-  g_proc : Process.t;
-  g_chan : Uchan.t;
-  g_grant : Safe_pci.grant;
-  g_class : Proxy_class.instance;
-  g_net : Driver_host.started option;
-  g_blk : Driver_host.started_blk option;
-}
+(* The class-specific containment state that survives generations. *)
+type target = Tgt_net of Netdev.t | Tgt_blk of Proxy_blk.persist
 
-let gen_of_net s =
-  { g_proc = Driver_host.proc s;
-    g_chan = Driver_host.chan s;
-    g_grant = Driver_host.grant s;
-    g_class = Driver_host.class_of s;
-    g_net = Some s;
-    g_blk = None }
-
-let gen_of_blk s =
-  { g_proc = Driver_host.blk_proc s;
-    g_chan = Driver_host.blk_chan s;
-    g_grant = Driver_host.blk_grant s;
-    g_class = Driver_host.blk_class s;
-    g_net = None;
-    g_blk = Some s }
-
-(* What the supervisor restarts, and the class-specific containment
-   state that survives generations. *)
-type target =
-  | Tgt_net of {
-      netdev : Netdev.t;
-      defensive : bool;
-      factory : attempt:int -> Driver_api.net_driver;
-    }
-  | Tgt_blk of {
-      persist : Proxy_blk.persist;
-      factory : attempt:int -> Driver_api.blk_driver;
-    }
-
-type t = {
+(* One supervisor, typed by its driver class: ['d] the driver the
+   factory builds, ['p] the proxy of every generation. *)
+type ('d, 'p) sup = {
   k : Kernel.t;
   sp : Safe_pci.t;
   bdf : Bus.bdf;
@@ -108,9 +74,11 @@ type t = {
   uid : int;
   policy : policy;
   target : target;
+  cls : ('d, 'p) Driver_host.cls;   (* how every later generation launches *)
+  factory : attempt:int -> 'd;
   kickq : Sync.Waitq.t;
   mutable state : state;
-  mutable cur : gen option;
+  mutable cur : 'p Driver_host.gen option;
   mutable listeners : (event -> unit) list;
   mutable restarts : int;
   mutable detections : int;
@@ -144,13 +112,14 @@ and metrics = {
   sm_outage_ns : Sud_obs.Metrics.histogram;   (* detection -> restarted *)
 }
 
+type t = T : ('d, 'p) sup -> t
+
 let now t = Engine.now t.k.Kernel.eng
 
 let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
 let emit t ev = List.iter (fun f -> f ev) (List.rev t.listeners)
 
-let on_event t f = t.listeners <- f :: t.listeners
 
 let set_sysfs_state t v =
   match Sysfs.find_bdf t.k.Kernel.sysfs t.bdf with
@@ -174,41 +143,43 @@ let install t g =
   t.cur <- Some g;
   t.gen <- t.gen + 1;
   let gen = t.gen in
-  let um = Uchan.metrics g.g_chan in
+  let chan = Driver_host.chan g in
+  let um = Uchan.metrics chan in
   t.base_malformed <- Sud_obs.Metrics.get um.Uchan.um_malformed;
   t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
-  t.base_storms <- Safe_pci.grant_storms g.g_grant;
+  t.base_storms <- Safe_pci.grant_storms (Driver_host.grant g);
   t.base_faults <- count_faults t;
   (* The channel is recreated each generation, so its conformance counts
      restart from zero; the quota (and its overflow counter) survives. *)
-  t.base_proto <- Uchan.proto_violations g.g_chan;
+  t.base_proto <- Uchan.proto_violations chan;
   t.last_overflow <- Quota.notify_overflows t.quota;
-  Process.on_exit g.g_proc (fun () ->
+  Process.on_exit (Driver_host.proc g) (fun () ->
       if t.gen = gen && t.state = Running then
         ignore (Sync.Waitq.signal t.kickq : bool))
 
 (* One pass over every misbehavior signal; [None] means healthy.
    Entirely class-independent: every probe goes through the generation
-   view or the proxy-class instance. *)
+   or its proxy-class instance. *)
 let health_check t =
   match t.cur with
   | None -> Some "no driver process"
   | Some g ->
-    let um = Uchan.metrics g.g_chan in
-    if not (Process.is_alive g.g_proc) then Some "driver process died"
-    else if Uchan.is_closed g.g_chan then Some "uchan closed"
+    let chan = Driver_host.chan g in
+    let um = Uchan.metrics chan in
+    if not (Process.is_alive (Driver_host.proc g)) then Some "driver process died"
+    else if Uchan.is_closed chan then Some "uchan closed"
     else if count_faults t > t.base_faults then Some "DMA violation (IOMMU fault)"
-    else if Safe_pci.grant_storms g.g_grant > t.base_storms then
+    else if Safe_pci.grant_storms (Driver_host.grant g) > t.base_storms then
       Some "interrupt storm escalation"
     else if Sud_obs.Metrics.get um.Uchan.um_malformed > t.base_malformed then
       Some "malformed uchan message"
-    else if Uchan.proto_violations g.g_chan > t.base_proto then
+    else if Uchan.proto_violations chan > t.base_proto then
       Some "uchan protocol violation"
     else if Sud_obs.Metrics.get um.Uchan.um_dropped - t.last_dropped >= t.policy.flood_threshold
     then Some "uchan ring flood"
     else if Quota.notify_overflows t.quota - t.last_overflow >= t.policy.overflow_threshold
     then Some "notification flood (quota overflow)"
-    else if Proxy_class.hung g.g_class then Some "upcall hung"
+    else if Proxy_class.hung (Driver_host.class_of g) then Some "upcall hung"
     else begin
       t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
       t.last_overflow <- Quota.notify_overflows t.quota;
@@ -217,7 +188,7 @@ let health_check t =
         (* The ping is answered inline by the driver's queue-0 service
            loop, bounded by the channel's hang timeout — the heartbeat
            deadline.  Class-independent: one probe for every proxy. *)
-        match Proxy_class.heartbeat g.g_class with
+        match Proxy_class.heartbeat (Driver_host.class_of g) with
         | Ok () -> None
         | Error why -> Some why
     end
@@ -261,7 +232,7 @@ let quarantine t reason =
   (* No further generations will run; tear down the parked one too. *)
   (match t.sb with Some sb -> Standby.disable sb | None -> ());
   (match t.target with
-   | Tgt_net { netdev; _ } ->
+   | Tgt_net netdev ->
      let dropped = Netdev.backlog_flush_drop netdev in
      Netdev.netif_carrier_off netdev;
      Netdev.set_up netdev false;
@@ -269,7 +240,7 @@ let quarantine t reason =
      klogf t Klog.Err
        "sud: supervisor(%s): quarantined after %d restarts (%s); netdev removed, %d backlogged frames dropped"
        t.name t.restarts reason dropped
-   | Tgt_blk { persist; _ } ->
+   | Tgt_blk persist ->
      (* The blkdev stays registered (readable state for the operator) but
         detached for good; retention is never dropped, so nothing
         acknowledged is lost — it is just no longer served. *)
@@ -287,33 +258,14 @@ let quarantine t reason =
   set_sysfs_state t "quarantined";
   emit t (Driver_quarantined reason)
 
+(* The quota survives the restart (a crash-looper cannot launder its
+   footprint by dying); the epoch tracks the generation, so the new
+   channel rejects frames replayed from the dead one. *)
 let start_generation t =
-  let attempt = t.restarts + 1 in
-  (* The quota survives the restart (a crash-looper cannot launder its
-     footprint by dying); the epoch tracks the generation, so the new
-     channel rejects frames replayed from the dead one. *)
-  match t.target with
-  | Tgt_net { netdev; defensive; factory } ->
-    (match
-       Driver_host.launch t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
-         ~hang_timeout_ns:t.policy.hang_timeout_ns ~quota:t.quota
-         ~epoch:(t.gen land Msg.max_epoch)
-         (Driver_host.net ~defensive_copy:defensive ~adopt_netdev:netdev
-            ~unregister_on_exit:false ())
-         (factory ~attempt)
-     with
-     | Error e -> Error e
-     | Ok s -> Ok (gen_of_net s))
-  | Tgt_blk { persist; factory } ->
-    (match
-       Driver_host.launch t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
-         ~hang_timeout_ns:t.policy.hang_timeout_ns ~quota:t.quota
-         ~epoch:(t.gen land Msg.max_epoch)
-         (Driver_host.blk ~adopt:persist ())
-         (factory ~attempt)
-     with
-     | Error e -> Error e
-     | Ok s -> Ok (gen_of_blk s))
+  Driver_host.launch t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
+    ~hang_timeout_ns:t.policy.hang_timeout_ns ~quota:t.quota
+    ~epoch:(t.gen land Msg.max_epoch) t.cls
+    (t.factory ~attempt:(t.restarts + 1))
 
 (* --- Warm-standby machinery -------------------------------------------- *)
 
@@ -323,34 +275,19 @@ let start_generation t =
    the persistent target objects are the fallback truth. *)
 let capture_handoff t =
   match t.cur with
-  | Some g -> Proxy_class.handoff g.g_class
+  | Some g -> Proxy_class.handoff (Driver_host.class_of g)
   | None ->
     (match t.target with
-     | Tgt_net { netdev; _ } -> Proxy_net.Net_state { dev = Some netdev; up = t.was_up }
-     | Tgt_blk { persist; _ } -> Proxy_blk.Blk_state persist)
-
-(* Activate a parked generation against the persistent target: open the
-   grant (free once the dead generation is reaped), run driver init on
-   the freshly reset device, and wait for its register.  The returned
-   generation is still parked — the caller adopts the handoff state into
-   it before resuming. *)
-let activate_warm t w ~attempt =
-  match t.target with
-  | Tgt_net { netdev; defensive; factory } ->
-    (match
-       Driver_host.activate_net w ~defensive_copy:defensive ~unregister_on_exit:false
-         ~adopt:netdev (factory ~attempt)
-     with
-     | Error e -> Error e
-     | Ok s -> Ok (gen_of_net s))
-  | Tgt_blk { persist; factory } ->
-    (match Driver_host.activate_blk w ~adopt:persist (factory ~attempt) with
-     | Error e -> Error e
-     | Ok s -> Ok (gen_of_blk s))
+     | Tgt_net netdev -> Proxy_net.Net_state { dev = Some netdev; up = t.was_up }
+     | Tgt_blk persist -> Proxy_blk.Blk_state persist)
 
 (* Claim the parked standby (if warm for this generation) and activate
-   it.  Any failure — no standby, poisoned at the swap instant, driver
-   init rejected on the reset device — falls back to the cold path. *)
+   it against the persistent target: open the grant (free once the dead
+   generation is reaped), run driver init on the freshly reset device,
+   and wait for its register.  The generation comes back still parked —
+   the caller adopts the handoff state into it before resuming.  Any
+   failure — no standby, poisoned at the swap instant, driver init
+   rejected on the reset device — falls back to the cold path. *)
 let take_warm t ~attempt =
   match t.sb with
   | None -> None
@@ -358,7 +295,7 @@ let take_warm t ~attempt =
     (match Standby.take sb ~tag:t.gen with
      | None -> None
      | Some w ->
-       (match activate_warm t w ~attempt with
+       (match Driver_host.activate w t.cls (t.factory ~attempt) with
         | Ok g -> Some g
         | Error e ->
           klogf t Klog.Warn
@@ -373,17 +310,17 @@ let take_warm t ~attempt =
    and start warming the next standby.  Returns the replayed count. *)
 let swap_in t g ~handoff_state =
   install t g;
-  Proxy_class.adopt g.g_class handoff_state;
-  Proxy_class.resume g.g_class;
+  Proxy_class.adopt (Driver_host.class_of g) handoff_state;
+  Proxy_class.resume (Driver_host.class_of g);
   let replayed =
     match t.target with
-    | Tgt_net { netdev; _ } ->
+    | Tgt_net netdev ->
       (if t.was_up then
          match Netstack.ifconfig_up t.k.Kernel.net netdev with
          | Ok () -> ()
          | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reopen failed: %s" t.name e);
       replay_backlog t netdev
-    | Tgt_blk { persist; _ } -> Proxy_blk.persist_inflight persist
+    | Tgt_blk persist -> Proxy_blk.persist_inflight persist
   in
   t.state <- Running;
   set_sysfs_state t "running";
@@ -421,7 +358,7 @@ let recover t reason =
      degrade the class's kernel-facing object, kill the driver, reset
      the device. *)
   (match t.target with
-   | Tgt_net { netdev; _ } ->
+   | Tgt_net netdev ->
      t.was_up <- Netdev.is_up netdev;
      Netdev.netif_carrier_off netdev;
      Netdev.set_ops netdev (backlog_ops t netdev);
@@ -436,8 +373,8 @@ let recover t reason =
   let handoff_state = capture_handoff t in
   (match t.cur with
    | Some g ->
-     Proxy_class.quiesce g.g_class;
-     Process.kill g.g_proc;            (* grant revoked via exit hooks *)
+     Proxy_class.quiesce (Driver_host.class_of g);
+     Driver_host.kill g;               (* grant revoked via exit hooks *)
      t.cur <- None
    | None -> ());
   (match Safe_pci.reset_device t.sp t.bdf with
@@ -568,7 +505,7 @@ let wait_standby_ready t ~timeout_ns =
    the undrained in-flight set replays through resume, same as a crash.
    A standby lost at the swap instant (poisoned) is never installed;
    the upgrade falls back to a cold start of the new generation. *)
-let upgrade t =
+let upgrade (T t) =
   match t.state with
   | Quarantined -> Error "driver is quarantined"
   | Stopped -> Error "supervisor is stopped"
@@ -586,25 +523,25 @@ let upgrade t =
       (* Contain exactly like a recovery: stop feeding the old
          generation, degrade the kernel-facing object. *)
       (match t.target with
-       | Tgt_net { netdev; _ } ->
+       | Tgt_net netdev ->
          t.was_up <- Netdev.is_up netdev;
          Netdev.netif_carrier_off netdev;
          Netdev.set_ops netdev (backlog_ops t netdev);
          Netdev.netif_tx_wake_all_queues netdev
        | Tgt_blk _ -> ());
       (match t.cur with
-       | Some g -> Proxy_class.quiesce g.g_class
+       | Some g -> Proxy_class.quiesce (Driver_host.class_of g)
        | None -> ());
       (* Drain in-flight block requests to a barrier so the handoff is
          clean; escape if the primary dies under us or the drain stalls
          (whatever remains replays in tag order on resume). *)
       (match t.target with
-       | Tgt_blk { persist; _ } ->
+       | Tgt_blk persist ->
          let deadline = now t + 200_000_000 in
          let rec drain () =
            if Proxy_blk.persist_inflight persist > 0 && now t < deadline then
              match t.cur with
-             | Some g when Process.is_alive g.g_proc ->
+             | Some g when Process.is_alive (Driver_host.proc g) ->
                ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
                drain ()
              | Some _ | None ->
@@ -617,7 +554,7 @@ let upgrade t =
       let handoff_state = capture_handoff t in
       (match t.cur with
        | Some g ->
-         Process.kill g.g_proc;
+         Driver_host.kill g;
          t.cur <- None
        | None -> ());
       (match Safe_pci.reset_device t.sp t.bdf with
@@ -657,7 +594,7 @@ let upgrade t =
 
 (* Operator-forced failover: exercise the exact fault path (detection,
    kill, FLR, warm swap) on demand — the fire drill for the standby. *)
-let failover t =
+let failover (T t) =
   match t.state with
   | Quarantined -> Error "driver is quarantined"
   | Stopped -> Error "supervisor is stopped"
@@ -669,7 +606,7 @@ let failover t =
      | Quarantined -> Error "failover exhausted the restart budget; quarantined"
      | Recovering | Stopped -> Error "failover did not restore the driver")
 
-let make t0_target k sp ~policy ~uid ~name ~bdf ~quota g =
+let make ~target ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g =
   let t =
     { k;
       sp;
@@ -677,7 +614,9 @@ let make t0_target k sp ~policy ~uid ~name ~bdf ~quota g =
       name;
       uid;
       policy;
-      target = t0_target;
+      target;
+      cls;
+      factory;
       kickq = Sync.Waitq.create ();
       state = Running;
       cur = None;
@@ -721,12 +660,7 @@ let make t0_target k sp ~policy ~uid ~name ~bdf ~quota g =
       (* Mirror the live generation's ring geometry: the swapped-in
          driver must see the same queue count (and thus the same MSI-X
          vector layout) the datapath negotiated. *)
-      let queues =
-        match t.cur with
-        | Some { g_net = Some s; _ } -> Driver_host.queues s
-        | Some { g_blk = Some s; _ } -> Driver_host.blk_queues s
-        | Some { g_net = None; g_blk = None; _ } | None -> 1
-      in
+      let queues = match t.cur with Some g -> Driver_host.queues g | None -> 1 in
       Driver_host.prefork t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
         ~hang_timeout_ns:t.policy.hang_timeout_ns ~queues ~quota:t.quota
         ~epoch:(tag land Msg.max_epoch) ()
@@ -754,7 +688,7 @@ let make t0_target k sp ~policy ~uid ~name ~bdf ~quota g =
     (Process.spawn_fiber (Process.kernel_process k.Kernel.procs)
        ~name:("supervisor:" ^ name) (watchdog t)
      : Fiber.t);
-  t
+  T t
 
 let start k sp ?(policy = default_policy) ?(uid = 1000) ?(defensive_copy = true) ?name
     ~bdf factory =
@@ -768,29 +702,28 @@ let start k sp ?(policy = default_policy) ?(uid = 1000) ?(defensive_copy = true)
       drv
   with
   | Error e -> Error e
-  | Ok s ->
-    let target =
-      Tgt_net { netdev = Driver_host.netdev s; defensive = defensive_copy; factory }
+  | Ok g ->
+    (* Later generations take over the netdev the first one registered. *)
+    let netdev = Driver_host.netdev g in
+    let cls =
+      Driver_host.net ~defensive_copy ~adopt_netdev:netdev ~unregister_on_exit:false ()
     in
-    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (gen_of_net s))
+    Ok (make ~target:(Tgt_net netdev) ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g)
 
 let start_blk k sp ?(policy = default_policy) ?(uid = 1000) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
   let name = Option.value ~default:drv.Driver_api.bd_name name in
   let quota = Quota.create k.Kernel.eng ~limits:policy.quota_limits ~name () in
   let persist = Proxy_blk.persist_create () in
+  let cls = Driver_host.blk ~adopt:persist () in
   match
     Driver_host.launch k sp ~uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
-      ~quota ~epoch:0
-      (Driver_host.blk ~adopt:persist ())
-      drv
+      ~quota ~epoch:0 cls drv
   with
   | Error e -> Error e
-  | Ok s ->
-    let target = Tgt_blk { persist; factory } in
-    Ok (make target k sp ~policy ~uid ~name ~bdf ~quota (gen_of_blk s))
+  | Ok g -> Ok (make ~target:(Tgt_blk persist) ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g)
 
-let stop t =
+let stop (T t) =
   match t.state with
   | Stopped | Quarantined -> ()
   | Running | Recovering ->
@@ -801,55 +734,58 @@ let stop t =
        (* Quiesce-then-kill: an administrative stop goes through the same
           lifecycle edge as a recovery, so in-flight state is retained
           (blk) or backlogged (net) rather than torn mid-request. *)
-       Proxy_class.quiesce g.g_class;
-       Process.kill g.g_proc;
+       Proxy_class.quiesce (Driver_host.class_of g);
+       Driver_host.kill g;
        t.cur <- None
      | None -> ());
     (match t.target with
-     | Tgt_net { netdev; _ } -> unregister_netdev t netdev
+     | Tgt_net netdev -> unregister_netdev t netdev
      | Tgt_blk _ -> ());
     set_sysfs_state t "stopped";
     ignore (Sync.Waitq.signal t.kickq : bool)
 
-let state t = t.state
+let state (T t) = t.state
 
-let netdev t =
+let netdev (T t) =
   match t.target with
-  | Tgt_net { netdev; _ } -> netdev
+  | Tgt_net netdev -> netdev
   | Tgt_blk _ -> invalid_arg "Supervisor.netdev: blk device"
 
-let blkdev t =
+let blkdev (T t) =
   match t.target with
-  | Tgt_blk { persist; _ } -> Proxy_blk.persist_blkdev persist
+  | Tgt_blk persist -> Proxy_blk.persist_blkdev persist
   | Tgt_net _ -> None
 
-let bdf t = t.bdf
-let name t = t.name
-let current t = Option.bind t.cur (fun g -> g.g_net)
-let current_blk t = Option.bind t.cur (fun g -> g.g_blk)
-let proc t = Option.map (fun g -> g.g_proc) t.cur
-let chan t = Option.map (fun g -> g.g_chan) t.cur
-let grant t = Option.map (fun g -> g.g_grant) t.cur
-let class_of t = Option.map (fun g -> g.g_class) t.cur
-let quota t = t.quota
+let bdf (T t) = t.bdf
+let name (T t) = t.name
 
-let standby_status t =
+let current_blk (T t) : Proxy_blk.t Driver_host.gen option =
+  match t.cls with Driver_host.Blk _ -> t.cur | _ -> None
+
+let proc (T t) = Option.map Driver_host.proc t.cur
+let chan (T t) = Option.map Driver_host.chan t.cur
+let grant (T t) = Option.map Driver_host.grant t.cur
+let class_of (T t) = Option.map Driver_host.class_of t.cur
+let quota (T t) = t.quota
+let on_event (T t) f = t.listeners <- f :: t.listeners
+
+let standby_status (T t) =
   match t.sb with
   | Some sb -> Standby.status sb
   | None -> Standby.Disabled
 
-let standby_stats t =
+let standby_stats (T t) =
   match t.sb with
   | Some sb -> Standby.stats sb
   | None -> (0, 0)
 
-let standby_proc t = Option.map Driver_host.warm_proc (Option.bind t.sb Standby.peek)
-let warm_swaps t = t.warm_swaps
-let upgrades t = t.upgrades
+let standby_proc (T t) = Option.map Driver_host.warm_proc (Option.bind t.sb Standby.peek)
+let warm_swaps (T t) = t.warm_swaps
+let upgrades (T t) = t.upgrades
 
-let metrics t = t.sm
+let metrics (T t) = t.sm
 
-let stats t =
+let stats (T t) =
   { st_state = t.state;
     st_restarts = t.restarts;
     st_detections = t.detections;

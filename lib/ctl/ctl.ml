@@ -76,7 +76,7 @@ let blk_status () =
       let inflight, retained, inflight_summary =
         match Supervisor.current_blk sv with
         | Some s ->
-          let p = Driver_host.blk_proxy s in
+          let p = Driver_host.proxy s in
           (Proxy_blk.inflight p, Proxy_blk.retained p, Proxy_blk.inflight_summary p)
         | None -> (0, 0, "(no live driver generation)")
       in

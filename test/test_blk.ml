@@ -35,7 +35,7 @@ let check_media_page nvme ~lba data what =
 let test_smoke () =
   run_in_kernel setup_nvme (fun k w ->
       let s = ok_or_fail "start_blk" (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver) in
-      let bd = Driver_host.blk_blkdev s in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
       Alcotest.(check int) "capacity" (Nvme_dev.capacity w.nvme) (Blkdev.capacity bd);
       Alcotest.(check bool) "registered in the kernel table" true
         (Blkdev.find k.Kernel.blk "nvme" <> None);
@@ -53,18 +53,18 @@ let test_smoke () =
       ok_or_fail "fsync 2" (Blkdev.fsync bd ());
       let rd2 = ok_or_fail "read 2" (Blkdev.read bd ~lba:8 ~sectors:Blkdev.page_sectors ()) in
       Alcotest.(check string) "read back 2" (Bytes.to_string data2) (Bytes.to_string rd2);
-      Driver_host.kill_blk s)
+      Driver_host.kill s)
 
 (* FUA write-through: durable without any flush. *)
 let test_fua () =
   run_in_kernel setup_nvme (fun k w ->
       let s = ok_or_fail "start_blk" (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver) in
-      let bd = Driver_host.blk_blkdev s in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
       let data = page ~seed:7 in
       ok_or_fail "write_fua" (Blkdev.write_fua bd ~lba:16 data ());
       check_media_page w.nvme ~lba:16 data "after FUA";
       Alcotest.(check int) "fua reached the device" 1 (Nvme_dev.fua_writes w.nvme);
-      Driver_host.kill_blk s)
+      Driver_host.kill s)
 
 let blk_policy =
   { Supervisor.default_policy with

@@ -257,7 +257,7 @@ let test_driver_restart_host () =
       in
       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s1));
       let pid1 = Process.pid (Driver_host.proc s1) in
-      let s2 = ok_or_fail "restart" (Driver_host.restart k sp s1 E1000.driver) in
+      let s2 = ok_or_fail "restart" (Driver_host.restart s1) in
       Alcotest.(check bool) "new process" true (Process.pid (Driver_host.proc s2) <> pid1);
       Alcotest.(check bool) "old one dead" false (Process.is_alive (Driver_host.proc s1));
       ok_or_fail "up again" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s2));
@@ -318,7 +318,7 @@ let test_shadow_recovery () =
         ok_or_fail "start" (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
       in
       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
-      let shadow = Shadow.watch k sp ~poll_ms:5 s E1000.driver in
+      let shadow = Shadow.watch k ~poll_ms:5 s in
       (* The driver process crashes. *)
       ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
       Driver_host.kill s;

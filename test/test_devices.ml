@@ -58,8 +58,8 @@ let test_wifi_sud () =
     (fun k (wifi, bdf) ->
        let sp = Safe_pci.init k in
        let s = ok_or_fail "start iwl" (Driver_host.launch k sp Driver_host.wifi ~bdf Iwl.driver) in
-       let proxy = Driver_host.wifi_proxy s in
-       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.wifi_netdev s));
+       let proxy = Driver_host.proxy s in
+       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
        (* Mirrored state answers without an upcall, even in atomic context
           (paper §3.1.1). *)
        let rates = Preempt.with_atomic k.Kernel.preempt (fun () -> Proxy_wifi.bitrates proxy) in
@@ -70,7 +70,7 @@ let test_wifi_sud () =
        ok_or_fail "associate" (Proxy_wifi.associate proxy ~bssid:0x1A);
        ignore (Fiber.sleep k.Kernel.eng 2_000_000 : Fiber.wake);
        Alcotest.(check (option int)) "associated" (Some 0x1A) (Wifi_dev.associated wifi);
-       Alcotest.(check bool) "carrier on" true (Netdev.carrier (Driver_host.wifi_netdev s));
+       Alcotest.(check bool) "carrier on" true (Netdev.carrier (Driver_host.netdev s));
        (* Rate change queued from non-preemptable context. *)
        Preempt.with_atomic k.Kernel.preempt (fun () -> Proxy_wifi.set_rate proxy 5);
        ignore (Fiber.sleep k.Kernel.eng 2_000_000 : Fiber.wake);
@@ -89,7 +89,7 @@ let test_audio_sud () =
     (fun k (hda, bdf) ->
        let sp = Safe_pci.init k in
        let s = ok_or_fail "start hda" (Driver_host.launch k sp Driver_host.audio ~bdf Hda.driver) in
-       let proxy = Driver_host.audio_proxy s in
+       let proxy = Driver_host.proxy s in
        ok_or_fail "set volume" (Proxy_audio.set_volume proxy 42);
        Alcotest.(check int) "volume round trip" 42
          (ok_or_fail "get volume" (Proxy_audio.get_volume proxy));
@@ -137,7 +137,7 @@ let test_usb_storage_sud () =
                  ~bind_keyboard:Ehci.poll_keyboard)
               Ehci.driver)
        in
-       let proxy = Driver_host.usb_proxy s in
+       let proxy = Driver_host.proxy s in
        let keys = ref [] in
        Proxy_usb.set_key_handler proxy (fun key -> keys := key :: !keys);
        (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with
@@ -179,7 +179,7 @@ let test_uhci_storage_sud () =
                  ~bind_keyboard:Ehci.poll_keyboard)
               Uhci.driver)
        in
-       let proxy = Driver_host.usb_proxy s in
+       let proxy = Driver_host.proxy s in
        let keys = ref 0 in
        Proxy_usb.set_key_handler proxy (fun _ -> incr keys);
        (match Proxy_usb.wait_block proxy ~timeout_ns:5_000_000_000 with

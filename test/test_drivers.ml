@@ -240,9 +240,9 @@ let test_wifi_data_path_sud () =
     (fun k (bdf_w, bdf_p) ->
        let sp = Safe_pci.init k in
        let s = ok_or_fail "start" (Driver_host.launch k sp Driver_host.wifi ~bdf:bdf_w Iwl.driver) in
-       let wdev = Driver_host.wifi_netdev s in
+       let wdev = Driver_host.netdev s in
        ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net wdev);
-       ok_or_fail "assoc" (Proxy_wifi.associate (Driver_host.wifi_proxy s) ~bssid:0x1A);
+       ok_or_fail "assoc" (Proxy_wifi.associate (Driver_host.proxy s) ~bssid:0x1A);
        ignore (Fiber.sleep k.Kernel.eng 2_000_000 : Fiber.wake);
        let pdev = up_native ~name:"eth1" k bdf_p in
        let sw = Netstack.udp_bind k.Kernel.net wdev ~port:5000 in

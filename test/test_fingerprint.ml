@@ -64,7 +64,7 @@ let net_launch () =
        Kernel.attach_pci k (E1000_dev.device (E1000_dev.create k.Kernel.eng ~mac:mac_a ~medium ())))
     (fun k sp bdf ->
        let s = ok_or_fail "launch" (Driver_host.launch k sp ~bdf (Driver_host.net ()) E1000.driver) in
-       let s = ok_or_fail "restart" (Driver_host.restart k sp s E1000.driver) in
+       let s = ok_or_fail "restart" (Driver_host.restart s) in
        let dev = Driver_host.netdev s in
        ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net dev);
        let sock = Netstack.udp_bind k.Kernel.net dev ~port:7000 in
@@ -82,10 +82,10 @@ let blk_launch () =
     (fun k -> Kernel.attach_pci k (Nvme_dev.device (Nvme_dev.create k.Kernel.eng ())))
     (fun k sp bdf ->
        let s = ok_or_fail "launch" (Driver_host.launch k sp ~bdf (Driver_host.blk ()) Nvme.driver) in
-       let bd = Option.get (Proxy_blk.blkdev (Driver_host.blk_proxy s)) in
+       let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
        ok_or_fail "write" (Blkdev.write bd ~lba:0 (Bytes.make Blkdev.page_size 'x') ());
        ok_or_fail "fsync" (Blkdev.fsync bd ());
-       Driver_host.kill_blk s)
+       Driver_host.kill s)
 
 let wifi_launch () =
   launch_and_kill
@@ -98,17 +98,17 @@ let wifi_launch () =
                ())))
     (fun k sp bdf ->
        let s = ok_or_fail "launch" (Driver_host.launch k sp ~bdf Driver_host.wifi Iwl.driver) in
-       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.wifi_netdev s));
-       ignore (ok_or_fail "scan" (Proxy_wifi.scan (Driver_host.wifi_proxy s)) : int list);
-       Driver_host.kill_wifi s)
+       ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
+       ignore (ok_or_fail "scan" (Proxy_wifi.scan (Driver_host.proxy s)) : int list);
+       Driver_host.kill s)
 
 let audio_launch () =
   launch_and_kill
     (fun k -> Kernel.attach_pci k (Hda_dev.device (Hda_dev.create k.Kernel.eng ())))
     (fun k sp bdf ->
        let s = ok_or_fail "launch" (Driver_host.launch k sp ~bdf Driver_host.audio Hda.driver) in
-       ok_or_fail "volume" (Proxy_audio.set_volume (Driver_host.audio_proxy s) 50);
-       Driver_host.kill_audio s)
+       ok_or_fail "volume" (Proxy_audio.set_volume (Driver_host.proxy s) 50);
+       Driver_host.kill s)
 
 let usb_launch () =
   launch_and_kill
@@ -123,12 +123,12 @@ let usb_launch () =
               (Driver_host.usb ~bind_storage:Ehci.bind_storage ~bind_keyboard:Ehci.poll_keyboard)
               Ehci.driver)
        in
-       let proxy = Driver_host.usb_proxy s in
+       let proxy = Driver_host.proxy s in
        (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with
         | Some _ -> ()
         | None -> Alcotest.fail "no storage registered");
        ignore (ok_or_fail "read" (Proxy_usb.read_blocks proxy ~lba:0 ~count:1) : bytes);
-       Driver_host.kill_usb s)
+       Driver_host.kill s)
 
 let entries =
   List.map scenario Scenario.all

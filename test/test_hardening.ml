@@ -182,7 +182,7 @@ let test_epoch_across_restart () =
       in
       Alcotest.(check int) "epoch 0" 0 (Driver_host.epoch s);
       Alcotest.(check int) "chan stamps epoch 0" 0 (Uchan.epoch (Driver_host.chan s));
-      let s2 = ok_or_fail "restart" (Driver_host.restart k sp s E1000.driver) in
+      let s2 = ok_or_fail "restart" (Driver_host.restart s) in
       Alcotest.(check int) "epoch 1" 1 (Driver_host.epoch s2);
       let chan = Driver_host.chan s2 in
       Alcotest.(check int) "chan stamps epoch 1" 1 (Uchan.epoch chan);
@@ -224,7 +224,7 @@ let test_shadow_updown_replay () =
       let s =
         ok_or_fail "start" (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
       in
-      let shadow = Shadow.watch k sp ~poll_ms:5 s E1000.driver in
+      let shadow = Shadow.watch k ~poll_ms:5 s in
       (* Generation 1 dies with the interface DOWN: the shadow must
          restart the driver but leave the interface down. *)
       ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
@@ -286,7 +286,7 @@ let test_rlimit_across_restart_generation () =
       let used_gen1 = Process.memory_used p1 in
       Alcotest.(check bool) "generation 1 charged" true (used_gen1 > 0);
       Driver_host.set_memory_limit s ~bytes:(used_gen1 + 4096);
-      let s2 = ok_or_fail "restart" (Driver_host.restart k sp s E1000.driver) in
+      let s2 = ok_or_fail "restart" (Driver_host.restart s) in
       let p2 = Driver_host.proc s2 in
       (* Charge/uncharge symmetry across the generation: the dead process
          dropped everything, the fresh one re-charged the same footprint
@@ -322,7 +322,7 @@ let shadow_backlog_order_test =
                (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
            in
            ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
-           let shadow = Shadow.watch k sp ~poll_ms:5 s E1000.driver in
+           let shadow = Shadow.watch k ~poll_ms:5 s in
            (* Let the watcher observe (and latch) the up state. *)
            ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
            let old_dev = Driver_host.netdev s in
