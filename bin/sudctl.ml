@@ -22,10 +22,7 @@
      sudctl check list                  list sud-check scenarios and canaries
      sudctl check explore SCENARIO      hunt for failing schedules, dump + shrink
      sudctl check replay FILE           re-execute a recorded schedule bit-for-bit
-     sudctl check shrink FILE           ddmin a saved failing schedule
-
-   [sudctl trace-smoke] survives as a deprecated spelling of
-   [sudctl trace smoke]. *)
+     sudctl check shrink FILE           ddmin a saved failing schedule *)
 
 open Cmdliner
 
@@ -419,23 +416,10 @@ let check_cmd =
         (Cmd.info "shrink" ~doc:"Delta-debug a saved failing schedule to a minimal repro")
         Term.(const run_check_shrink $ file_arg) ]
 
-(* Deprecated flat spelling of `trace smoke`, kept so existing scripts
-   migrate gradually. *)
-let trace_smoke_alias_cmd =
-  Cmd.v
-    (Cmd.info "trace-smoke" ~docs:Manpage.s_none
-       ~doc:"Deprecated alias for $(b,sudctl trace smoke)")
-    Term.(
-      const (fun out ->
-          prerr_endline "sudctl: trace-smoke is deprecated; use `sudctl trace smoke`";
-          run_trace_smoke out)
-      $ out_arg)
-
 let () =
   let info = Cmd.info "sudctl" ~version:"1.0" ~doc:"Drive the SUD reproduction" in
   exit
     (Cmd.eval
        (Cmd.group info
           [ security_cmd; netperf_cmd; mappings_cmd; files_cmd; protocol_cmd;
-            metrics_cmd; blk_cmd; driver_cmd; trace_cmd; check_cmd;
-            trace_smoke_alias_cmd ]))
+            metrics_cmd; blk_cmd; driver_cmd; trace_cmd; check_cmd ]))

@@ -631,13 +631,6 @@ let irq_ack ?(queue = 0) g =
       ignore (Device.raise_msix g.g_dev ~vector:queue : (unit, Bus.fault) result)
   end
 
-(* ---- deprecated scalar shims (the single-vector instances) ---- *)
-
-let setup_irq g ~sink = setup_irqs g ~n:1 ~sink:(fun ~queue:_ -> sink ())
-let teardown_irq g = teardown_irqs g
-let mask_msi g = mask_vector g ~queue:0
-let unmask_msi g = unmask_vector g ~queue:0
-
 (* ---- observability ---- *)
 
 let iommu_mappings g = Iommu.mappings g.g_domain

@@ -135,18 +135,6 @@ val irq_ack : ?queue:int -> grant -> unit
 val mask_vector : grant -> queue:int -> unit
 val unmask_vector : grant -> queue:int -> unit
 
-val setup_irq : grant -> sink:(unit -> unit) -> (unit, string) result
-  [@@deprecated "use Safe_pci.setup_irqs ~n:1"]
-
-val teardown_irq : grant -> unit
-  [@@deprecated "use Safe_pci.teardown_irqs"]
-
-val mask_msi : grant -> unit
-  [@@deprecated "use Safe_pci.mask_vector ~queue:0"]
-
-val unmask_msi : grant -> unit
-  [@@deprecated "use Safe_pci.unmask_vector ~queue:0"]
-
 (** {1 Observability} *)
 
 val iommu_mappings : grant -> (int * int * int * bool) list

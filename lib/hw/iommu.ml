@@ -23,7 +23,6 @@ type iotlb_entry = {
   e_writable : bool;
 }
 
-type iotlb_stats = { hits : int; misses : int; evictions : int }
 
 type metrics = {
   (* Translate sits on the DMA fast path (~9 ns/hit): the hit/miss tallies
@@ -78,10 +77,6 @@ let create ~mode () =
 
 let mode t = t.mode
 let metrics t = match t.m with Some m -> m | None -> assert false
-
-let iotlb_stats t =
-  { hits = t.tlb_hits; misses = t.tlb_misses;
-    evictions = Sud_obs.Metrics.get (metrics t).im_evictions }
 
 let iotlb_slot source vpage = (vpage lxor (source * 7919)) land (iotlb_slots - 1)
 
@@ -308,8 +303,6 @@ let iotlb_flush t d =
   iotlb_drop_source t ~source:d.dom_source;
   Sud_obs.Metrics.incr (metrics t).im_flushes
 
-let iotlb_flushes t = Sud_obs.Metrics.get (metrics t).im_flushes
-
 let faults t = List.rev t.flt
 let clear_faults t = t.flt <- []
 
@@ -333,4 +326,3 @@ let ir_check t ~source ~vector =
   if not (ir_available t) then true
   else Hashtbl.mem t.ir_table (source, vector)
 
-let ir_updates t = Sud_obs.Metrics.get (metrics t).im_ir_writes

@@ -303,6 +303,4 @@ let io_region t bdf ~bar =
 
 let routing_faults t = List.rev t.flt
 let metrics t = t.pm
-let p2p_delivered t = Sud_obs.Metrics.get t.pm.pm_p2p
-let msi_delivered t = Sud_obs.Metrics.get t.pm.pm_msi
-let msi_blocked_by_ir t = Sud_obs.Metrics.get t.pm.pm_ir_blocked
+

@@ -66,8 +66,6 @@ let alloc_vectors t ~n =
           v
         end)
 
-let alloc_vector t = (alloc_vectors t ~n:1).(0)
-
 (* Default affinity spreads vectors round-robin over the sim CPUs, like
    the usual MSI-X ± irqbalance steady state. *)
 let default_affinity t vector = vector mod Cpu.cores t.cpu
@@ -88,9 +86,6 @@ let request_irqs t ~vectors ~name fn =
       vectors;
     Ok ()
 
-let request_irq t ~vector ~name fn =
-  request_irqs t ~vectors:[| vector |] ~name (fun ~queue:_ ~source -> fn ~source)
-
 let free_irqs t ~vectors =
   Array.iter
     (fun v ->
@@ -100,8 +95,6 @@ let free_irqs t ~vectors =
          t.free_pool <- List.merge compare [ v ] t.free_pool
        end)
     vectors
-
-let free_irq t ~vector = free_irqs t ~vectors:[| vector |]
 
 let with_entry t ~vector what f =
   match Hashtbl.find_opt t.handlers vector with
@@ -176,5 +169,3 @@ let count t ~vector =
   match Hashtbl.find_opt t.handlers vector with Some e -> e.hits | None -> 0
 
 let metrics t = t.qm
-let spurious t = Sud_obs.Metrics.get t.qm.qm_spurious
-let total_delivered t = Sud_obs.Metrics.get t.qm.qm_delivered

@@ -11,8 +11,7 @@
     index alongside the requester BDF.  Each vector carries its own
     CPU affinity (delivery cost is booked to that CPU's ledger) and its
     own mask bit, so quarantining a storming vector never silences its
-    siblings.  The old scalar calls survive as deprecated [n = 1]
-    shims. *)
+    siblings. *)
 
 type t
 
@@ -28,9 +27,6 @@ val alloc_vectors : t -> n:int -> int array
     {!free_irqs} are recycled lowest-first.  Raises [Invalid_argument]
     when [n <= 0] and [Failure] if the space is exhausted. *)
 
-val alloc_vector : t -> int
-  [@@deprecated "use alloc_vectors ~n:1 — the scalar call is the one-queue instance"]
-
 val request_irqs :
   t -> vectors:int array -> name:string ->
   (queue:int -> source:Bus.bdf -> unit) -> (unit, string) result
@@ -40,15 +36,9 @@ val request_irqs :
     Each vector starts unmasked with round-robin default affinity
     ([vector mod cores]). *)
 
-val request_irq : t -> vector:int -> name:string -> handler -> (unit, string) result
-  [@@deprecated "use request_irqs ~vectors:[|v|] — the scalar call is the one-queue instance"]
-
 val free_irqs : t -> vectors:int array -> unit
 (** Remove handlers; the vectors are remembered as freed so late
     deliveries count as post-free spurious per offending BDF. *)
-
-val free_irq : t -> vector:int -> unit
-  [@@deprecated "use free_irqs ~vectors:[|v|]"]
 
 (** {1 Per-vector steering} *)
 
@@ -92,9 +82,3 @@ type metrics = {
     span when tracing is enabled. *)
 
 val metrics : t -> metrics
-
-val spurious : t -> int
-  [@@deprecated "read Metrics.get (Irq.metrics t).qm_spurious instead"]
-
-val total_delivered : t -> int
-  [@@deprecated "read Metrics.get (Irq.metrics t).qm_delivered instead"]

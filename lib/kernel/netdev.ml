@@ -184,25 +184,9 @@ let backlog_flush_drop t =
 
 let metrics t = t.nm
 
-let backlog_stats t =
-  { bl_offered = Sud_obs.Metrics.get t.nm.nm_bl_offered;
-    bl_queued = Array.fold_left (fun acc q -> acc + Queue.length q.tq_backlog) 0 t.txqs;
-    bl_dropped = Sud_obs.Metrics.get t.nm.nm_bl_dropped;
-    bl_replayed = Sud_obs.Metrics.get t.nm.nm_bl_replayed }
-
 let netif_rx t skb =
   match t.stack_rx with
   | Some rx -> rx skb
   | None -> t.dstats.rx_dropped <- t.dstats.rx_dropped + 1
 
 let set_stack_rx t rx = t.stack_rx <- Some rx
-
-(* ---- deprecated scalar shims (the queue-0 instances) ---- *)
-
-let queue_stopped t = subqueue_stopped t ~queue:0
-let netif_stop_queue t = netif_stop_subqueue t ~queue:0
-let netif_wake_queue t = netif_wake_subqueue t ~queue:0
-let tx_waitq t = tx_subqueue_waitq t ~queue:0
-let tx_lock t = tx_subqueue_lock t ~queue:0
-let backlog_xmit t ~limit skb = backlog_push t ~queue:0 ~limit skb
-let backlog_take t = backlog_pop t ~queue:0

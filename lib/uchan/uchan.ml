@@ -772,14 +772,6 @@ let wait ?(queue = 0) t =
   in
   loop ~slept:None
 
-(* ---- deprecated scalar shims (the ~queue:0 instances) ---- *)
-
-let send t m = transfer t ~from:`Kernel Sync m
-let asend t m = transfer t ~from:`Kernel Async m
-let try_asend t m = transfer t ~from:`Kernel Nonblock m
-let usend t m = transfer t ~from:`Driver Sync m
-let uasend t m = transfer t ~from:`Driver Batched m
-
 (* ---- queue handles ---- *)
 
 module Queue = struct

@@ -148,27 +148,6 @@ module Queue : sig
   val flush : t -> unit
 end
 
-(** {1 Deprecated scalar shims}
-
-    The pre-multiqueue names, re-expressed as the [~queue:0] instance of
-    {!transfer}.  In-repo callers must use {!transfer} (the build lints
-    for these). *)
-
-val send : t -> Msg.t -> (Msg.t, error) result
-  [@@deprecated "use Uchan.transfer ~from:`Kernel Sync"]
-
-val asend : t -> Msg.t -> (unit, error) result
-  [@@deprecated "use Uchan.transfer ~from:`Kernel Async"]
-
-val try_asend : t -> Msg.t -> bool
-  [@@deprecated "use Uchan.transfer ~from:`Kernel Nonblock"]
-
-val usend : t -> Msg.t -> (Msg.t, error) result
-  [@@deprecated "use Uchan.transfer ~from:`Driver Sync"]
-
-val uasend : t -> Msg.t -> unit
-  [@@deprecated "use Uchan.transfer ~from:`Driver Batched"]
-
 (** {1 Introspection} *)
 
 val hang_timeout_ns : int

@@ -3,11 +3,12 @@
 
 let mode_vtd = Iommu.Intel_vtd { interrupt_remapping = false }
 
-(* New-API reads of the IOMMU registry handles (the deprecated
-   Iommu.iotlb_stats/iotlb_flushes shims are exercised in test_obs.ml). *)
+(* IOTLB traffic read off the IOMMU's registry handles. *)
+type iotlb = { hits : int; misses : int; evictions : int }
+
 let iotlb_stats io =
   let m = Iommu.metrics io in
-  { Iommu.hits = Sud_obs.Metrics.gauge_value m.Iommu.im_hits;
+  { hits = Sud_obs.Metrics.gauge_value m.Iommu.im_hits;
     misses = Sud_obs.Metrics.gauge_value m.Iommu.im_misses;
     evictions = Sud_obs.Metrics.get m.Iommu.im_evictions }
 
@@ -170,7 +171,7 @@ let test_iotlb_counters () =
   let d = Iommu.attach io ~source:5 in
   Iommu.map io d ~iova:0x10000 ~phys:0x20000 ~len:8192 ~writable:true;
   let s0 = iotlb_stats io in
-  Alcotest.(check (list int)) "cold cache" [ 0; 0 ] [ s0.Iommu.hits; s0.Iommu.misses ];
+  Alcotest.(check (list int)) "cold cache" [ 0; 0 ] [ s0.hits; s0.misses ];
   (* Scripted pattern: miss, hit, miss (new page), hit, hit. *)
   List.iter
     (fun addr ->
@@ -179,13 +180,13 @@ let test_iotlb_counters () =
        | `Msi | `Fault _ -> Alcotest.fail "expected translation")
     [ 0x10123; 0x10456; 0x11000; 0x11abc; 0x10789 ];
   let s1 = iotlb_stats io in
-  Alcotest.(check (list int)) "2 walks, 3 hits" [ 3; 2 ] [ s1.Iommu.hits; s1.Iommu.misses ];
+  Alcotest.(check (list int)) "2 walks, 3 hits" [ 3; 2 ] [ s1.hits; s1.misses ];
   (* A fault on an unmapped page pays a walk, not a hit. *)
   (match Iommu.translate io ~source:5 ~addr:0x40000 ~dir:Bus.Dma_read with
    | `Fault _ -> ()
    | `Phys _ | `Msi -> Alcotest.fail "expected fault");
   let s2 = iotlb_stats io in
-  Alcotest.(check (list int)) "fault counted as miss" [ 3; 3 ] [ s2.Iommu.hits; s2.Iommu.misses ]
+  Alcotest.(check (list int)) "fault counted as miss" [ 3; 3 ] [ s2.hits; s2.misses ]
 
 let test_iotlb_conflict_eviction () =
   let io = Iommu.create ~mode:mode_vtd () in
@@ -197,7 +198,7 @@ let test_iotlb_conflict_eviction () =
   ignore (Iommu.translate io ~source:5 ~addr:0x100000 ~dir:Bus.Dma_read);
   ignore (Iommu.translate io ~source:5 ~addr:(0x100000 + stride) ~dir:Bus.Dma_read);
   let s = iotlb_stats io in
-  Alcotest.(check int) "conflict evicts" 1 s.Iommu.evictions;
+  Alcotest.(check int) "conflict evicts" 1 s.evictions;
   (* The evicted page still translates correctly (via a fresh walk). *)
   match Iommu.translate io ~source:5 ~addr:0x100123 ~dir:Bus.Dma_read with
   | `Phys p -> Alcotest.(check int) "re-walk correct" 0x200123 p
@@ -246,8 +247,8 @@ let test_iotlb_flush_scrubs () =
   Iommu.iotlb_flush io d;
   ignore (Iommu.translate io ~source:5 ~addr:0x10000 ~dir:Bus.Dma_read);
   let s1 = iotlb_stats io in
-  Alcotest.(check int) "flush forces a re-walk" (s0.Iommu.misses + 1) s1.Iommu.misses;
-  Alcotest.(check int) "no phantom hit" s0.Iommu.hits s1.Iommu.hits
+  Alcotest.(check int) "flush forces a re-walk" (s0.misses + 1) s1.misses;
+  Alcotest.(check int) "no phantom hit" s0.hits s1.hits
 
 let test_iommu_mappings_merge () =
   let io = Iommu.create ~mode:mode_vtd () in
