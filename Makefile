@@ -1,73 +1,13 @@
-.PHONY: all build lint-deprecated test bench bench-smoke bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke clean
+.PHONY: all build test bench bench-smoke bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke clean
 
 all: build
 
-build: lint-deprecated
+build:
 	dune build
 
-# The deprecated scalar datapath shims (single-vector IRQ setup, scalar
-# uchan sends, single-queue netdev flow control) exist only so external
-# trees migrate gradually; in-tree code must use the queue-aware API.
-# The compiler already enforces this for alert-clean code — this grep
-# backstops sources that locally silence alerts.
-lint-deprecated:
-	@! grep -rnE \
-	  'Uchan\.(send|asend|try_asend|usend|uasend)[^a-zA-Z_]|Irq\.(alloc_vector|request_irq|free_irq)[^a-zA-Z_]|Safe_pci\.(setup_irq|teardown_irq|mask_msi|unmask_msi)[^a-zA-Z_]|Netdev\.(netif_stop_queue|netif_wake_queue|backlog_xmit|backlog_take|queue_stopped)[^a-zA-Z_]' \
-	  lib bin bench test examples \
-	  || { echo 'lint-deprecated: deprecated scalar datapath shim used in-tree (use the ~queue API)'; exit 1; }
-	@# The deprecated scalar Uchan counter accessors are gone; stragglers
-	@# must read the queue-aware metrics record (Uchan.metrics) instead.
-	@! grep -rnE \
-	  'Uchan\.(upcalls_sent|downcalls_sent|notifications|dropped|malformed)[^a-zA-Z_]' \
-	  lib bin bench test examples \
-	  || { echo 'lint-deprecated: removed scalar Uchan accessor referenced (use Uchan.metrics)'; exit 1; }
-	@# Protocol-conformance backstop: every driver->kernel slot must be
-	@# adjudicated by the Conformance validator before anything acts on
-	@# it, so raw Msg.unmarshal_view belongs only to the uchan library
-	@# (dispatch + validator).  The Ring micro-bench in bench/ measures
-	@# the bare unmarshal cost and is deliberately out of scope, as are
-	@# the wire-format round-trip tests.
-	@! { grep -rnE 'Msg\.(Batch\.)?unmarshal_view' lib bin examples \
-	  | grep -vE '^lib/uchan/(msg|uchan|conformance)\.(ml|mli)'; } | grep -q . \
-	  || { echo 'lint-deprecated: Msg.unmarshal_view outside lib/uchan (ingress must go through Conformance)'; exit 1; }
-	@# Batched-datapath backstop: the proxy net datapath must never fall
-	@# back to per-frame sends — data messages ride the queue-aware
-	@# Async/Batched paths so bursts coalesce into scatter-gather batch
-	@# slots, one notification per batch.  A Sync transfer of a datapath
-	@# kind would reintroduce a blocking round-trip per frame.
-	@! grep -nE \
-	  'Uchan\.(usend|uasend)[^a-zA-Z_]|Uchan\.Sync \(Msg\.make ~kind:Proxy_proto\.(up_net_xmit|up_interrupt|down_netif_rx|down_tx_free)' \
-	  lib/core/proxy_net.ml lib/core/sud_uml.ml \
-	  || { echo 'lint-deprecated: per-frame send on the proxy net datapath (use ~queue Async/Batched)'; exit 1; }
-	@# Unified-lifecycle backstop: quiesce/resume is the recovery surface;
-	@# degrade/revive is the terminal quarantine pair and belongs to the
-	@# supervision machinery in lib/core alone.  Anything else reaching
-	@# for it is bypassing the recovery state machine.
-	@! { grep -rnE 'Proxy_class\.(degrade|revive)[^a-zA-Z_]' lib bin bench test examples \
-	  | grep -vE '^lib/core/'; } | grep -q . \
-	  || { echo 'lint-deprecated: Proxy_class.degrade/revive outside lib/core (quarantine is supervisor-only; recovery uses quiesce/resume)'; exit 1; }
-	@# Class-indexed-lifecycle backstop: drivers launch through
-	@# Driver_host.launch with a class witness; the flat start/start_blk
-	@# spellings (and their per-class cousins) are deprecated aliases for
-	@# external trees only.  lib/core keeps them to implement the alias.
-	@! { grep -rnE 'Driver_host\.(start|start_net|start_blk|start_wifi|start_audio|start_usb)[^a-zA-Z_]' \
-	  lib bin bench test examples \
-	  | grep -vE '^lib/core/'; } | grep -q . \
-	  || { echo 'lint-deprecated: flat Driver_host.start* spelling in-tree (use Driver_host.launch with a class)'; exit 1; }
-	@# CLI regroup backstop: sudctl is noun-verb now; nothing in-tree may
-	@# still invoke the deprecated flat `trace-smoke` spelling (the alias
-	@# in bin/sudctl.ml exists only so external scripts migrate).
-	@! grep -rnE -e '-- trace[-]smoke' lib bin bench test examples Makefile \
-	  || { echo 'lint-deprecated: deprecated `sudctl trace-smoke` invocation (use `sudctl trace smoke`)'; exit 1; }
-	@# Determinism backstop: stdlib Random is global mutable state the
-	@# sud-check recorder cannot capture, so schedules seeded through it
-	@# would not replay.  All randomness flows from the splitmix64 Rng in
-	@# lib/sim (sub-seeds via Rng.derive from one root seed).
-	@! { grep -rnE '(^|[^.A-Za-z_"])Random\.' lib bin bench test examples \
-	  | grep -vE '^lib/sim/rng\.(ml|mli)'; } | grep -q . \
-	  || { echo 'lint-deprecated: stdlib Random used outside lib/sim/rng.ml (use Rng / Rng.derive so runs record and replay)'; exit 1; }
-
-test: lint-deprecated
+# The test suite, the source-invariant greps (lint/) and every example
+# (examples/dune).
+test:
 	dune runtest
 
 # Full evaluation: microbenches + Figure-8 netperf sweep, JSON baseline.
