@@ -308,11 +308,6 @@ let honest_factory ~attempt:_ = E1000.driver
 
 (* ---- per-generation channel evidence ---- *)
 
-(* Every driver generation gets a fresh uchan, and its counters die with
-   it: a harness folds the dying generation's channel in at
-   Fault_detected (it is still current) and the final generation's at
-   the end.  A closed channel is read too — a crash's exit hook closes it
-   before the watchdog emits Fault_detected. *)
 type chan_tally = {
   ct_conf : (string, int) Hashtbl.t;
   mutable ct_malformed : int;
@@ -323,6 +318,8 @@ type chan_tally = {
 let new_chan_tally () =
   { ct_conf = Hashtbl.create 8; ct_malformed = 0; ct_malformed_frames = 0; ct_unsent = 0 }
 
+(* A closed channel is read too: a crash's exit hook closes it before
+   the watchdog emits Fault_detected. *)
 let tally_chan ct sv =
   match Supervisor.chan sv with
   | None -> ()

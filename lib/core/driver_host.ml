@@ -1,8 +1,6 @@
 type 'p gen = {
   g_k : Kernel.t;
-  g_sp : Safe_pci.t;
   g_bdf : Bus.bdf;
-  g_uid : int;
   g_name : string;
   g_proc : Process.t;
   g_chan : Uchan.t;
@@ -258,9 +256,7 @@ let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
   in
   Ok
     { g_k = k;
-      g_sp = sp;
       g_bdf = bdf;
-      g_uid = uid;
       g_name = name;
       g_proc = proc;
       g_chan = chan;
@@ -378,9 +374,7 @@ let activate w cls drv =
   in
   Ok
     { g_k = k;
-      g_sp = sp;
       g_bdf = bdf;
-      g_uid = w.w_uid;
       g_name = name;
       g_proc = proc;
       g_chan = w.w_chan;

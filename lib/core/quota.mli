@@ -68,7 +68,8 @@ val ring_bytes : slots:int -> queues:int -> int
 val negotiate_queues : t -> slots:int -> queues:int -> int
 (** Clamp a requested queue count so its ring footprint fits the
     remaining uchan budget (never below 1); the caller charges the
-    clamped footprint.  Quota negotiation at [Driver_host.start]. *)
+    clamped footprint.  {!Driver_host} negotiates every generation's rings
+    through it, cold or warm. *)
 
 (** {1 Notification / IRQ-kick token bucket (per queue)} *)
 

@@ -120,7 +120,6 @@ let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
 let emit t ev = List.iter (fun f -> f ev) (List.rev t.listeners)
 
-
 let set_sysfs_state t v =
   match Sysfs.find_bdf t.k.Kernel.sysfs t.bdf with
   | Some e -> Sysfs.set_attr e "sud_state" v
