@@ -552,11 +552,22 @@ type recovery_sample = {
   rs_fault : string;
   rs_detect_ns : int;
   rs_outage_ns : int;
+  rs_trace_hash : int64;
+  rs_steps : int;
 }
+
+(* A finished run's sample, fingerprinted once [Kernel.run] has stopped
+   the engine. *)
+let sample eng ~fault (detect_ns, outage_ns) =
+  { rs_fault = fault;
+    rs_detect_ns = detect_ns;
+    rs_outage_ns = outage_ns;
+    rs_trace_hash = Engine.trace_hash eng;
+    rs_steps = Engine.steps eng }
 
 let measure_recovery ?seed:_ fault =
   let w = make_world () in
-  Kernel.run w.k (fun () ->
+  sample w.eng ~fault:(fault_name fault) @@ Kernel.run w.k (fun () ->
       let sv =
         match
           Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:10) ~bdf:w.bdf
@@ -591,10 +602,7 @@ let measure_recovery ?seed:_ fault =
       let st = Supervisor.stats sv in
       match !restored with
       | None -> failwith ("measure_recovery: no recovery observed for " ^ fault_name fault)
-      | Some outage ->
-        { rs_fault = fault_name fault;
-          rs_detect_ns = st.Supervisor.st_last_detect_latency_ns;
-          rs_outage_ns = outage })
+      | Some outage -> (st.Supervisor.st_last_detect_latency_ns, outage))
 
 (* ---- forced crash-loop: the restart budget must quarantine ---- *)
 
@@ -603,11 +611,14 @@ type quarantine_report = {
   qr_quarantined : bool;
   qr_netdev_removed : bool;
   qr_sysfs_state : string;
+  qr_trace_hash : int64;
+  qr_steps : int;
 }
 
 let crash_loop ?(max_restarts = 3) () =
   let w = make_world () in
-  Kernel.run w.k (fun () ->
+  let r =
+    Kernel.run w.k (fun () ->
       let sv =
         match
           Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
@@ -649,7 +660,11 @@ let crash_loop ?(max_restarts = 3) () =
       { qr_restarts = st.Supervisor.st_restarts;
         qr_quarantined = Supervisor.state sv = Supervisor.Quarantined;
         qr_netdev_removed = Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None;
-        qr_sysfs_state = sysfs_state })
+        qr_sysfs_state = sysfs_state;
+        qr_trace_hash = 0L;
+        qr_steps = 0 })
+  in
+  { r with qr_trace_hash = Engine.trace_hash w.eng; qr_steps = Engine.steps w.eng }
 
 (* ---- sud-blk: storage fault classes and the crash-consistency soak ---- *)
 
@@ -1051,7 +1066,8 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
 
 let measure_blk_recovery ?seed:_ fault =
   let w = make_blk_world () in
-  Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
+  sample w.bw_eng ~fault:("blk_" ^ blk_fault_name fault)
+  @@ Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let sv =
         match
@@ -1102,10 +1118,7 @@ let measure_blk_recovery ?seed:_ fault =
       match !restored with
       | None ->
         failwith ("measure_blk_recovery: no recovery observed for " ^ blk_fault_name fault)
-      | Some outage ->
-        { rs_fault = "blk_" ^ blk_fault_name fault;
-          rs_detect_ns = st.Supervisor.st_last_detect_latency_ns;
-          rs_outage_ns = outage })
+      | Some outage -> (st.Supervisor.st_last_detect_latency_ns, outage))
 
 (* ---- warm standby: upgrades, poison, and the interleaving soak ---- *)
 
@@ -1376,7 +1389,8 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
 
 let measure_warm_blk_recovery ?seed:_ fault =
   let w = make_blk_world () in
-  Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
+  sample w.bw_eng ~fault:("blk_" ^ blk_fault_name fault)
+  @@ Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
       let k = w.bw_k in
       let sv =
         match
@@ -1438,6 +1452,4 @@ let measure_warm_blk_recovery ?seed:_ fault =
           failwith
             ("measure_warm_blk_recovery: recovery for " ^ blk_fault_name fault
              ^ " took the cold path");
-        { rs_fault = "blk_" ^ blk_fault_name fault;
-          rs_detect_ns = st.Supervisor.st_last_detect_latency_ns;
-          rs_outage_ns = outage })
+        (st.Supervisor.st_last_detect_latency_ns, outage))

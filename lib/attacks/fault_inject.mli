@@ -249,6 +249,8 @@ type recovery_sample = {
   rs_fault : string;
   rs_detect_ns : int;  (** last-healthy instant → detection *)
   rs_outage_ns : int;  (** detection → traffic restored *)
+  rs_trace_hash : int64;  (** {!Engine.trace_hash} at the end of the run *)
+  rs_steps : int;  (** engine events fired *)
 }
 
 val measure_recovery : ?seed:int64 -> fault -> recovery_sample
@@ -262,6 +264,8 @@ type quarantine_report = {
   qr_quarantined : bool;
   qr_netdev_removed : bool;
   qr_sysfs_state : string;  (** the device's [sud_state] attribute *)
+  qr_trace_hash : int64;  (** {!Engine.trace_hash} at the end of the run *)
+  qr_steps : int;  (** engine events fired *)
 }
 
 val crash_loop : ?max_restarts:int -> unit -> quarantine_report

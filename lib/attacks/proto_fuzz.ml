@@ -263,11 +263,14 @@ type quarantine_report = {
   pq_restarts : int;
   pq_quarantined : bool;
   pq_violations : string list;
+  pq_trace_hash : int64;
+  pq_steps : int;
 }
 
 let quarantine_campaign ?(max_restarts = 3) () =
   let w = Fault_inject.make_world () in
-  Kernel.run w.Fault_inject.k (fun () ->
+  let r =
+    Kernel.run w.Fault_inject.k (fun () ->
       let open Fault_inject in
       let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
       Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
@@ -316,4 +319,9 @@ let quarantine_campaign ?(max_restarts = 3) () =
       let st = Supervisor.stats sv in
       { pq_restarts = st.Supervisor.st_restarts;
         pq_quarantined = Supervisor.state sv = Supervisor.Quarantined;
-        pq_violations = invariant_violations ctx })
+        pq_violations = invariant_violations ctx;
+        pq_trace_hash = 0L;
+        pq_steps = 0 })
+  in
+  let eng = w.Fault_inject.eng in
+  { r with pq_trace_hash = Engine.trace_hash eng; pq_steps = Engine.steps eng }

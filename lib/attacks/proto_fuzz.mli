@@ -64,6 +64,8 @@ type quarantine_report = {
   pq_restarts : int;
   pq_quarantined : bool;               (** must be [true] *)
   pq_violations : string list;         (** must be [[]] *)
+  pq_trace_hash : int64;               (** {!Engine.trace_hash} at the end of the run *)
+  pq_steps : int;                      (** engine events fired *)
 }
 
 val quarantine_campaign : ?max_restarts:int -> unit -> quarantine_report

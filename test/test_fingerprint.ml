@@ -3,7 +3,10 @@
    every entry below keeps its pinned [Engine.trace_hash] and step count.
    The entries cover every driver bring-up path: each registered
    scenario, the warm-standby blk harness (prefork + activation), a warm
-   net failover, and a short launch/kill of each device class.
+   net failover, and a short launch/kill of each device class.  They
+   also cover every fault-injection harness the scenarios do not run:
+   the single-fault recovery measures of each lethal class, cold and
+   warm, and both quarantine campaigns.
 
    The metrics hash is left out: the metrics registry is shared by the
    whole process, so it depends on which tests ran before. *)
@@ -46,6 +49,33 @@ let warm_net_failover () =
       Alcotest.(check int) "warm swap" 1 (Supervisor.warm_swaps sv);
       settle w.k 5);
   fingerprint w.Fault_inject.eng
+
+let recovery tag measure fault =
+  ( tag ^ "/" ^ fault,
+    fun () ->
+      let s = measure () in
+      (s.Fault_inject.rs_trace_hash, s.rs_steps) )
+
+let net_recovery f =
+  recovery "recovery" (fun () -> Fault_inject.measure_recovery f) (Fault_inject.fault_name f)
+
+let blk_recovery f =
+  recovery "recovery"
+    (fun () -> Fault_inject.measure_blk_recovery f)
+    ("blk_" ^ Fault_inject.blk_fault_name f)
+
+let warm_blk_recovery f =
+  recovery "warm-recovery"
+    (fun () -> Fault_inject.measure_warm_blk_recovery f)
+    ("blk_" ^ Fault_inject.blk_fault_name f)
+
+let crash_loop () =
+  let q = Fault_inject.crash_loop () in
+  (q.Fault_inject.qr_trace_hash, q.qr_steps)
+
+let proto_quarantine () =
+  let q = Proto_fuzz.quarantine_campaign () in
+  (q.Proto_fuzz.pq_trace_hash, q.pq_steps)
 
 (* Boot, attach the device, launch its driver, drive a little I/O
    through its proxy, then kill it so the exit hooks run too. *)
@@ -140,6 +170,10 @@ let entries =
       ("launch/wifi", wifi_launch);
       ("launch/audio", audio_launch);
       ("launch/usb", usb_launch) ]
+  @ List.map net_recovery (List.filter Fault_inject.lethal Fault_inject.all_faults)
+  @ List.map blk_recovery Fault_inject.all_blk_faults
+  @ List.map warm_blk_recovery Fault_inject.all_blk_faults
+  @ [ ("quarantine/crash-loop", crash_loop); ("quarantine/proto-fuzz", proto_quarantine) ]
 
 let line name (hash, steps) = Printf.sprintf "%s 0x%016Lx %d" name hash steps
 
