@@ -652,13 +652,7 @@ let blkperf_point ~depth ~read_pct =
       let ops = !reads + !writes in
       let window_ns = Engine.now eng - t0 in
       stop := true;
-      let rec join budget =
-        if budget > 0 && !running > 0 then begin
-          ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-          join (budget - 1)
-        end
-      in
-      join 1_000;
+      ignore (Fiber.poll eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !running = 0) : bool);
       { bpp_depth = depth;
         bpp_read_pct = read_pct;
         bpp_kiops = float_of_int ops /. (float_of_int window_ns /. 1e9) /. 1e3;

@@ -545,13 +545,10 @@ let fast_policy =
     backoff_max_ns = 10_000_000 }
 
 let wait_recovered w sv =
-  let rec loop budget =
-    if budget > 0 && (Supervisor.stats sv).Supervisor.st_restarts = 0 then begin
-      settle w 2;
-      loop (budget - 1)
-    end
-  in
-  loop 200
+  ignore
+    (Fiber.poll w.eng ~every_ns:2_000_000 ~budget:200 (fun () ->
+         (Supervisor.stats sv).Supervisor.st_restarts > 0)
+     : bool)
 
 (* One probe frame through the (possibly fresh) driver; true if it
    reached the wire. *)

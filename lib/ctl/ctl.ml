@@ -43,16 +43,15 @@ let blk_status () =
              ~bdf:w.Fault_inject.bw_bdf Fault_inject.honest_blk_factory)
       in
       let eng = w.Fault_inject.bw_eng in
-      let deadline = Engine.now eng + 1_000_000_000 in
-      let rec blkdev () =
+      let registered () =
         match Supervisor.blkdev sv with
-        | Some bd when Blkdev.capacity bd > 0 -> bd
-        | _ ->
-          if Engine.now eng > deadline then failwith "blk status: no block device registered";
-          ignore (Fiber.sleep eng 100_000 : Fiber.wake);
-          blkdev ()
+        | Some bd when Blkdev.capacity bd > 0 -> Some bd
+        | _ -> None
       in
-      let bd = blkdev () in
+      (* Up to 1 s, in 100 us steps. *)
+      if not (Fiber.poll eng ~every_ns:100_000 ~budget:10_000 (fun () -> registered () <> None))
+      then failwith "blk status: no block device registered";
+      let bd = Option.get (registered ()) in
       (* A short synchronous probe so every layer has something to
          count: dirty a few pages, fsync them out, read them back, and
          finish with one write-through. *)

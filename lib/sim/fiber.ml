@@ -157,3 +157,7 @@ let sleep engine ns =
         (Engine.schedule_after engine ns (fun () ->
              ignore (wake_epoch fiber ~epoch Normal : bool))
          : Engine.handle))
+
+let poll engine ~every_ns ~budget cond =
+  let rec go left = cond () || (left > 0 && (ignore (sleep engine every_ns : wake); go (left - 1))) in
+  go budget

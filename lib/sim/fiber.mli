@@ -65,5 +65,12 @@ val sleep : Engine.t -> int -> wake
 (** Sleep for the given number of nanoseconds; may return early with
     [Interrupted]. *)
 
+val poll : Engine.t -> every_ns:int -> budget:int -> (unit -> bool) -> bool
+(** [poll eng ~every_ns ~budget cond] checks [cond], then sleeps
+    [every_ns], at most [budget] times, and returns whether [cond] held
+    at the last check.  It returns [true] without sleeping when [cond]
+    already holds, and [false] after exactly [budget] sleeps (the clock
+    advanced by [budget * every_ns]) when it never does. *)
+
 val on_exit : t -> (unit -> unit) -> unit
 (** Register a cleanup to run when the fiber finishes or is killed. *)

@@ -99,18 +99,12 @@ let test_crash_replay () =
       (match Supervisor.proc sv with
        | Some p -> Process.kill p
        | None -> Alcotest.fail "no driver process");
-      let rec wait budget =
-        if budget = 0 then Alcotest.fail "no recovery"
-        else if
-          (Supervisor.stats sv).Supervisor.st_restarts >= 1
-          && Supervisor.state sv = Supervisor.Running
-        then ()
-        else begin
-          ignore (Fiber.sleep k.Kernel.eng 1_000_000 : Fiber.wake);
-          wait (budget - 1)
-        end
-      in
-      wait 1_000;
+      if
+        not
+          (Fiber.poll k.Kernel.eng ~every_ns:1_000_000 ~budget:1_000 (fun () ->
+               (Supervisor.stats sv).Supervisor.st_restarts >= 1
+               && Supervisor.state sv = Supervisor.Running))
+      then Alcotest.fail "no recovery";
       (* The acked write must survive: fsync through the fresh generation,
          then the media is the ground truth. *)
       ok_or_fail "fsync after recovery" (Blkdev.fsync bd ());

@@ -93,6 +93,44 @@ let test_fiber_stale_wake () =
   Engine.run eng;
   Alcotest.(check int) "body continued exactly once" 1 !wakes
 
+(* Run [Fiber.poll] in a fiber over [cond eng], counting its checks;
+   returns (result, checks, instant it returned). *)
+let run_poll ~every_ns ~budget cond =
+  let eng = Engine.create () in
+  let checks = ref 0 in
+  let cond = cond eng in
+  let got = ref None in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         let held = Fiber.poll eng ~every_ns ~budget (fun () -> incr checks; cond ()) in
+         got := Some (held, !checks, Engine.now eng))
+     : Fiber.t);
+  Engine.run eng;
+  Option.get !got
+
+let test_poll_holds () =
+  let held, checks, t = run_poll ~every_ns:1_000 ~budget:5 (fun _ () -> true) in
+  Alcotest.(check bool) "held" true held;
+  Alcotest.(check int) "one check" 1 checks;
+  Alcotest.(check int) "no sleep" 0 t
+
+let test_poll_budget () =
+  let held, checks, t = run_poll ~every_ns:1_000 ~budget:5 (fun _ () -> false) in
+  Alcotest.(check bool) "never held" false held;
+  Alcotest.(check int) "a check around each of the 5 sleeps" 6 checks;
+  Alcotest.(check int) "clock advanced by budget * every_ns" 5_000 t
+
+let test_poll_flips () =
+  let held, checks, t =
+    run_poll ~every_ns:1_000 ~budget:10 (fun eng ->
+        let flag = ref false in
+        ignore (Engine.schedule_after eng 2_500 (fun () -> flag := true) : Engine.handle);
+        fun () -> !flag)
+  in
+  Alcotest.(check bool) "held" true held;
+  Alcotest.(check int) "checks at 0, 1000, 2000, 3000" 4 checks;
+  Alcotest.(check int) "returned at the first check after the flip" 3_000 t
+
 let test_waitq_fifo () =
   let eng = Engine.create () in
   let q = Sync.Waitq.create () in
@@ -268,6 +306,9 @@ let suite =
     Alcotest.test_case "fiber: kill runs cleanup" `Quick test_fiber_kill_runs_cleanup;
     Alcotest.test_case "fiber: interrupt" `Quick test_fiber_interrupt;
     Alcotest.test_case "fiber: stale wake dropped" `Quick test_fiber_stale_wake;
+    Alcotest.test_case "fiber: poll holds at once" `Quick test_poll_holds;
+    Alcotest.test_case "fiber: poll spends its budget" `Quick test_poll_budget;
+    Alcotest.test_case "fiber: poll sees a mid-wait flip" `Quick test_poll_flips;
     Alcotest.test_case "waitq: FIFO" `Quick test_waitq_fifo;
     Alcotest.test_case "waitq: timeout" `Quick test_waitq_timeout;
     Alcotest.test_case "mutex: exclusion" `Quick test_mutex_exclusion;

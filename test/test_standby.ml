@@ -38,29 +38,13 @@ let check_page bd p c =
    Running" right after an injection means "not yet detected" — wait
    for the restart counter instead. *)
 let wait_restarts ~eng sv n ~budget_ms =
-  let rec loop budget =
-    if
+  Fiber.poll eng ~every_ns:1_000_000 ~budget:budget_ms (fun () ->
       (Supervisor.stats sv).Supervisor.st_restarts >= n
-      && Supervisor.state sv = Supervisor.Running
-    then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
+      && Supervisor.state sv = Supervisor.Running)
 
 let wait_poisoned ~eng sv n ~budget_ms =
-  let rec loop budget =
-    if snd (Supervisor.standby_stats sv) >= n then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
+  Fiber.poll eng ~every_ns:1_000_000 ~budget:budget_ms (fun () ->
+      snd (Supervisor.standby_stats sv) >= n)
 
 let sud_state w =
   match Sysfs.find_bdf w.Fault_inject.bw_k.Kernel.sysfs w.Fault_inject.bw_bdf with
