@@ -1,7 +1,11 @@
 (* Seeded deterministic fault injection against a supervised driver, and
-   the crash-loop soak harness that exercises the supervisor's
-   detect → contain → recover loop hundreds of times under live traffic
-   while checking the containment invariants at every driver death. *)
+   the soak harnesses that exercise the supervisor's
+   detect → contain → recover loop hundreds of times under live load
+   while checking the containment invariants at every driver death.
+   One plan DSL, one injector and one recovery measure serve both
+   device classes; only the fault vocabularies and the worlds differ. *)
+
+(* ---- fault classes ---- *)
 
 type fault = Crash | Hang | Corrupt_reply | Drop_reply | Dma_violation | Corrupt_batch
 
@@ -22,10 +26,31 @@ let lethal = function
   | Crash | Hang | Corrupt_reply | Drop_reply | Dma_violation -> true
   | Corrupt_batch -> false
 
-type injection = { at_ns : int; fault : fault }
-type plan = injection list
+type blk_fault =
+  | Bcrash                 (* kill -9 the block driver *)
+  | Bhang                  (* wedge its upcall loop *)
+  | Corrupt_completion     (* device flips bits in the next CQE's command id *)
+  | Drop_completion        (* the next completion evaporates *)
+  | Drop_flush             (* the next flush neither persists nor acks *)
+  | Crash_mid_barrier      (* kill the driver while a flush is in flight *)
 
-let random_plan ~seed ~duration_ns ~n ?(faults = all_faults) () =
+let all_blk_faults =
+  [ Bcrash; Bhang; Corrupt_completion; Drop_completion; Drop_flush; Crash_mid_barrier ]
+
+let blk_fault_name = function
+  | Bcrash -> "crash"
+  | Bhang -> "hang"
+  | Corrupt_completion -> "corrupt_completion"
+  | Drop_completion -> "drop_completion"
+  | Drop_flush -> "drop_flush"
+  | Crash_mid_barrier -> "crash_mid_barrier"
+
+(* ---- plan DSL ---- *)
+
+type 'f injection = { at_ns : int; fault : 'f }
+type 'f plan = 'f injection list
+
+let random_plan ~seed ~duration_ns ~n ~faults () =
   if n < 0 || duration_ns <= 0 then invalid_arg "Fault_inject.random_plan";
   let rng = Rng.create ~seed in
   let arr = Array.of_list faults in
@@ -33,74 +58,102 @@ let random_plan ~seed ~duration_ns ~n ?(faults = all_faults) () =
       { at_ns = Rng.int rng duration_ns; fault = arr.(Rng.int rng (Array.length arr)) })
   |> List.sort (fun a b -> compare a.at_ns b.at_ns)
 
+(* ---- injection ---- *)
+
+let kill_driver sv =
+  match Supervisor.proc sv with
+  | Some p when Process.is_alive p ->
+    Process.kill p;
+    true
+  | Some _ | None -> false
+
+let on_live_chan sv f =
+  match Supervisor.chan sv with
+  | Some chan when not (Uchan.is_closed chan) ->
+    f chan;
+    true
+  | Some _ | None -> false
+
+(* Apply one fault to the supervisor's current driver generation.
+   Injections only make sense against a Running driver; while the
+   supervisor is mid-recovery there is nothing to sabotage. *)
+let inject ~sv ?dma_violate fault =
+  Supervisor.state sv = Supervisor.Running
+  &&
+  match fault with
+  | Crash -> kill_driver sv
+  | Hang -> on_live_chan sv Uchan.wedge
+  | Corrupt_reply -> on_live_chan sv (fun c -> Uchan.inject_corrupt_replies c 1)
+  | Drop_reply -> on_live_chan sv (fun c -> Uchan.inject_drop_replies c 1)
+  | Dma_violation ->
+    (match dma_violate with
+     | Some f ->
+       f ();
+       true
+     | None -> false)
+  | Corrupt_batch ->
+    (* Garble one frame inside the next multi-frame downcall batch the
+       driver flushes.  The kernel must drop exactly that frame
+       (um_malformed_frames ticks) and deliver its siblings —
+       containment without a restart. *)
+    on_live_chan sv (fun c -> Uchan.inject_corrupt_batch_frames c 1)
+
+(* Crash and hang are the net classes' own arms.  The device-level
+   classes arm a one-shot hook on the emulated NVMe that fires on the
+   next matching command — the continuous workload guarantees one
+   arrives.  None of them produce a direct detection signal; they
+   escalate through the proxy's per-request timeout, so every class here
+   ends in a supervised recovery. *)
+let blk_inject ~eng ~sv ~nvme fault =
+  let running = Supervisor.state sv = Supervisor.Running in
+  let arm hook = running && (hook nvme; true) in
+  match fault with
+  | Bcrash -> inject ~sv Crash
+  | Bhang -> inject ~sv Hang
+  | Corrupt_completion -> arm (Nvme_dev.inject_corrupt_completion ~mask:0x15)
+  | Drop_completion -> arm Nvme_dev.inject_drop_completion
+  | Drop_flush -> arm Nvme_dev.inject_drop_flush
+  | Crash_mid_barrier ->
+    running
+    &&
+    (match Supervisor.current_blk sv with
+     | None -> false
+     | Some s ->
+       (* Wait (bounded) for a flush barrier to be on the wire, then
+          kill: the nastiest instant for durability bookkeeping.  If
+          none shows up the kill still lands — it degrades to Bcrash. *)
+       let proxy = Driver_host.proxy s in
+       ignore
+         (Fiber.poll eng ~every_ns:100_000 ~budget:200 (fun () -> Proxy_blk.inflight_flush proxy)
+          : bool);
+       kill_driver sv)
+
 type injector_stats = {
   mutable inj_applied : int;
   mutable inj_skipped : int;
   inj_by_class : (string, int) Hashtbl.t;
 }
 
-let new_injector_stats () =
-  { inj_applied = 0; inj_skipped = 0; inj_by_class = Hashtbl.create 8 }
-
-let by_class st =
-  List.map
-    (fun f -> (fault_name f, Option.value ~default:0 (Hashtbl.find_opt st.inj_by_class (fault_name f))))
-    all_faults
-
-(* Apply one fault to the supervisor's current driver generation.
-   Injections only make sense against a Running driver; while the
-   supervisor is mid-recovery there is nothing to sabotage. *)
-let inject ~sv ?dma_violate fault =
-  if Supervisor.state sv <> Supervisor.Running then false
-  else
-    match fault with
-    | Crash ->
-      (match Supervisor.proc sv with
-       | Some p when Process.is_alive p ->
-         Process.kill p;
-         true
-       | Some _ | None -> false)
-    | Hang ->
-      (match Supervisor.chan sv with
-       | Some chan when not (Uchan.is_closed chan) ->
-         Uchan.wedge chan;
-         true
-       | Some _ | None -> false)
-    | Corrupt_reply ->
-      (match Supervisor.chan sv with
-       | Some chan when not (Uchan.is_closed chan) ->
-         Uchan.inject_corrupt_replies chan 1;
-         true
-       | Some _ | None -> false)
-    | Drop_reply ->
-      (match Supervisor.chan sv with
-       | Some chan when not (Uchan.is_closed chan) ->
-         Uchan.inject_drop_replies chan 1;
-         true
-       | Some _ | None -> false)
-    | Dma_violation ->
-      (match dma_violate with
-       | Some f ->
-         f ();
-         true
-       | None -> false)
-    | Corrupt_batch ->
-      (* Garble one frame inside the next multi-frame downcall batch the
-         driver flushes.  The kernel must drop exactly that frame
-         (um_malformed_frames ticks) and deliver its siblings —
-         containment without a restart. *)
-      (match Supervisor.chan sv with
-       | Some chan when not (Uchan.is_closed chan) ->
-         Uchan.inject_corrupt_batch_frames chan 1;
-         true
-       | Some _ | None -> false)
+let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* Walk a plan in order, sleeping to each injection instant (relative to
-   the fiber's start).  After injecting, wait for the supervisor to come
-   back to Running before the next one so every planned fault lands on a
-   live driver (injections against a recovering driver are no-ops). *)
-let run_plan k ~sv ?dma_violate ?(stats = new_injector_stats ()) plan =
+   the fiber's start).  Before each injection, wait for a live target so
+   every planned fault lands on a live driver (injections against a
+   recovering driver are no-ops).  "Running" alone is not enough:
+   between a driver death and the supervisor's next tick the state still
+   reads Running while the target is already gone. *)
+let run_plan k ~sv ~inject ~name plan =
   let eng = k.Kernel.eng in
+  let stats = { inj_applied = 0; inj_skipped = 0; inj_by_class = Hashtbl.create 8 } in
+  let target_live () =
+    match Supervisor.state sv with
+    | Supervisor.Running ->
+      (match Supervisor.proc sv with
+       | Some p -> Process.is_alive p
+       | None -> false)
+    | Supervisor.Recovering -> false
+    | _ -> true (* quarantined: no recovery coming; let inject skip *)
+  in
   let t0 = Engine.now eng in
   ignore
     (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"fault-injector"
@@ -109,39 +162,22 @@ let run_plan k ~sv ?dma_violate ?(stats = new_injector_stats ()) plan =
             (fun { at_ns; fault } ->
                let dt = t0 + at_ns - Engine.now eng in
                if dt > 0 then ignore (Fiber.sleep eng dt : Fiber.wake);
-               (* "Running" alone is not enough: between a driver death
-                  and the supervisor's next tick the state still reads
-                  Running while the target is already gone, and a fault
-                  landing in that window would find nothing to sabotage.
-                  Wait for a generation that is actually alive. *)
-               let target_live () =
-                 match Supervisor.state sv with
-                 | Supervisor.Running ->
-                   (match Supervisor.proc sv with
-                    | Some p -> Process.is_alive p
-                    | None -> false)
-                 | Supervisor.Recovering -> false
-                 | _ -> true (* quarantined: no recovery coming; let inject skip *)
-               in
-               let rec wait_running budget =
-                 if budget > 0 && not (target_live ()) then begin
-                   ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-                   wait_running (budget - 1)
-                 end
-               in
-               wait_running 1_000;
-               if inject ~sv ?dma_violate fault then begin
+               ignore (Fiber.poll eng ~every_ns:1_000_000 ~budget:1_000 target_live : bool);
+               if inject fault then begin
                  stats.inj_applied <- stats.inj_applied + 1;
-                 let n = fault_name fault in
-                 Hashtbl.replace stats.inj_by_class n
-                   (1 + Option.value ~default:0 (Hashtbl.find_opt stats.inj_by_class n))
+                 bump stats.inj_by_class (name fault)
                end
                else stats.inj_skipped <- stats.inj_skipped + 1)
             plan)
      : Fiber.t);
   stats
 
-(* ---- the soak world ---- *)
+let by_class st ~name faults =
+  List.map
+    (fun f -> (name f, Option.value ~default:0 (Hashtbl.find_opt st.inj_by_class (name f))))
+    faults
+
+(* ---- the worlds ---- *)
 
 type world = {
   eng : Engine.t;
@@ -163,6 +199,30 @@ let make_world () =
   let bdf = Kernel.attach_pci k (E1000_dev.device nic) in
   let sp = Safe_pci.init k in
   { eng; k; sp; medium; nic; bdf; wire }
+
+type blk_world = {
+  bw_eng : Engine.t;
+  bw_k : Kernel.t;
+  bw_sp : Safe_pci.t;
+  bw_nvme : Nvme_dev.t;
+  bw_bdf : Bus.bdf;
+}
+
+let make_blk_world ?capacity () =
+  let eng = Engine.create () in
+  let k = Kernel.boot eng in
+  let nvme = Nvme_dev.create eng ?capacity () in
+  let bdf = Kernel.attach_pci k (Nvme_dev.device nvme) in
+  let sp = Safe_pci.init k in
+  { bw_eng = eng; bw_k = k; bw_sp = sp; bw_nvme = nvme; bw_bdf = bdf }
+
+let honest_factory ~attempt:_ = E1000.driver
+let honest_blk_factory ~attempt:_ = Nvme.driver
+
+let dma_violate w () =
+  (* Device-level DMA to an address the driver never mapped: the IOMMU
+     must fault and attribute it to this device's BDF. *)
+  ignore (Device.dma_read (E1000_dev.device w.nic) ~addr:0x6000 ~len:64 : (bytes, Bus.fault) result)
 
 let secret = "SOAK-SECRET-0xFEEDFACE"
 
@@ -187,10 +247,14 @@ let soak_policy ~max_restarts =
    swap to the pre-forked generation instead of cold-starting. *)
 let warm_policy ~max_restarts = { (soak_policy ~max_restarts) with Supervisor.standby = true }
 
-(* Containment invariants, checked at every driver death.  The snapshot
-   is taken at Fault_detected (the dying generation is still current);
-   the checks run at Driver_killed (process dead, grant revoked, device
-   reset). *)
+(* ---- containment invariants ----
+
+   Checked at every driver death.  The snapshot is taken at
+   Fault_detected (the dying generation is still current); the checks
+   run at Driver_killed (process dead, grant revoked, device reset).
+   Class-independent: the same contract holds whether the supervised
+   device is a NIC or an NVMe. *)
+
 type invariant_ctx = {
   iv_k : Kernel.t;
   iv_bdf : Bus.bdf;
@@ -206,9 +270,7 @@ let violate ctx fmt =
 let invariant_violations ctx = List.rev ctx.iv_violations
 let invariant_deaths ctx = ctx.iv_deaths
 
-(* Class-independent: the same containment contract holds whether the
-   supervised device is a NIC or an NVMe. *)
-let install_invariants_for ~k ~bdf sv ~secret_addr =
+let install_invariants ~k ~bdf sv ~secret_addr =
   let ctx =
     { iv_k = k;
       iv_bdf = bdf;
@@ -262,8 +324,59 @@ let install_invariants_for ~k ~bdf sv ~secret_addr =
       | Supervisor.Driver_restarted _ | Supervisor.Driver_quarantined _ -> ());
   ctx
 
-let install_invariants w sv ~secret_addr =
-  install_invariants_for ~k:w.k ~bdf:w.bdf sv ~secret_addr
+(* Every campaign opens the same way: plant the secret, start the
+   supervised driver, hook the invariants. *)
+let supervise ~who k ~bdf start =
+  let secret_addr = Phys_mem.alloc_pages k.Kernel.mem ~pages:1 in
+  Phys_mem.write k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
+  match start () with
+  | Error e -> failwith (who ^ ": supervised start failed: " ^ e)
+  | Ok sv -> (sv, install_invariants ~k ~bdf sv ~secret_addr)
+
+(* An outage longer than this (simulated time) means recovery is not
+   "bounded" in any useful sense: with a 10 ms hang timeout, a 1 ms tick
+   and sub-ms backoff, healthy recoveries complete well under it. *)
+let outage_bound_ns = 500_000_000
+
+(* The worst recovery outage so far; any above the bound is a violation. *)
+let track_outage ctx sv =
+  let worst = ref 0 in
+  Supervisor.on_event sv (function
+      | Supervisor.Driver_restarted { outage_ns; _ } ->
+        if outage_ns > !worst then worst := outage_ns;
+        if outage_ns > outage_bound_ns then
+          violate ctx "recovery outage %d ms exceeds bound" (outage_ns / 1_000_000)
+      | _ -> ());
+  worst
+
+(* Fire [plan] at [sv], let it run out, then let the last recovery
+   settle. *)
+let storm k sv ~duration_ms ~inject ~name plan =
+  let stats = run_plan k ~sv ~inject ~name plan in
+  ignore (Fiber.sleep k.Kernel.eng ((duration_ms + 200) * 1_000_000) : Fiber.wake);
+  ignore
+    (Fiber.poll k.Kernel.eng ~every_ns:10_000_000 ~budget:200 (fun () ->
+         Supervisor.state sv <> Supervisor.Recovering)
+     : bool);
+  stats
+
+(* The verdict both fault soaks end on: the supervisor is back to
+   Running and every detection was a checked death. *)
+let check_settled ~who ctx sv =
+  let st = Supervisor.stats sv in
+  if Supervisor.state sv <> Supervisor.Running then
+    violate ctx "%s ended with the supervisor not Running" who;
+  if ctx.iv_deaths <> st.Supervisor.st_detections then
+    violate ctx "detections %d but deaths %d" st.Supervisor.st_detections ctx.iv_deaths;
+  st
+
+(* ---- net load ---- *)
+
+let netdev_up ~who w sv =
+  let dev = Supervisor.netdev sv in
+  match Netstack.ifconfig_up w.k.Kernel.net dev with
+  | Ok () -> dev
+  | Error e -> failwith (who ^ ": ifconfig up: " ^ e)
 
 (* Continuous netperf-style UDP traffic through the supervised netdev. *)
 type traffic = {
@@ -298,13 +411,6 @@ let start_traffic ?(burst = 1) w dev ~gap_ns =
          loop ())
      : Fiber.t);
   tr
-
-let dma_violate w () =
-  (* Device-level DMA to an address the driver never mapped: the IOMMU
-     must fault and attribute it to this device's BDF. *)
-  ignore (Device.dma_read (E1000_dev.device w.nic) ~addr:0x6000 ~len:64 : (bytes, Bus.fault) result)
-
-let honest_factory ~attempt:_ = E1000.driver
 
 (* ---- per-generation channel evidence ---- *)
 
@@ -408,7 +514,7 @@ let pending_sched =
     ss_divergence = None;
     ss_dump = None }
 
-(* ---- the soak itself ---- *)
+(* ---- the net soak ---- *)
 
 type soak_report = {
   sr_seed : int64;
@@ -431,72 +537,42 @@ type soak_report = {
   sr_sched : sched_summary;
 }
 
-(* An outage longer than this (simulated time) means recovery is not
-   "bounded" in any useful sense: with a 10 ms hang timeout, a 1 ms tick
-   and sub-ms backoff, healthy recoveries complete well under it. *)
-let outage_bound_ns = 500_000_000
-
 let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
   let seed = match seed with Some s -> s | None -> dseed "soak" in
+  let plan =
+    match plan with
+    | Some p -> p
+    | None ->
+      random_plan ~seed ~duration_ns:(duration_ms * 1_000_000) ~n:n_faults ~faults:all_faults ()
+  in
   let w = make_world () in
   let rec_ = Option.map (fun s -> Sched.install w.eng s) sched in
   let report =
     Kernel.run w.k (fun () ->
-      let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
-      Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:max_int) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("soak: supervised start failed: " ^ e)
+      let sv, ctx =
+        supervise ~who:"soak" w.k ~bdf:w.bdf (fun () ->
+            Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:max_int) ~bdf:w.bdf
+              honest_factory)
       in
-      let ctx = install_invariants w sv ~secret_addr in
-      let max_outage = ref 0 in
+      let max_outage = track_outage ctx sv in
       let ct = new_chan_tally () in
       Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted { outage_ns; _ } ->
-            if outage_ns > !max_outage then max_outage := outage_ns;
-            if outage_ns > outage_bound_ns then
-              violate ctx "recovery outage %d ms exceeds bound" (outage_ns / 1_000_000)
           | Supervisor.Fault_detected _ -> tally_chan ct sv
           | _ -> ());
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("soak: ifconfig up: " ^ e));
+      let dev = netdev_up ~who:"soak" w sv in
       (* Bursts of 4 at the same average rate as before: back-to-back sends
          are what makes the driver's tx_free downcalls coalesce into
          multi-frame batch slots, so Corrupt_batch injections have an
          actual batch to garble. *)
       let tr = start_traffic ~burst:4 w dev ~gap_ns:800_000 in
-      let plan =
-        match plan with
-        | Some p -> p
-        | None -> random_plan ~seed ~duration_ns:(duration_ms * 1_000_000) ~n:n_faults ()
+      let stats =
+        storm w.k sv ~duration_ms ~inject:(inject ~sv ~dma_violate:(dma_violate w))
+          ~name:fault_name plan
       in
-      let stats = run_plan w.k ~sv ~dma_violate:(dma_violate w) plan in
-      (* Let the plan run out, then let the last recovery settle. *)
-      ignore (Fiber.sleep w.eng ((duration_ms + 200) * 1_000_000) : Fiber.wake);
-      let rec drain budget =
-        if budget > 0 && Supervisor.state sv = Supervisor.Recovering then begin
-          ignore (Fiber.sleep w.eng 10_000_000 : Fiber.wake);
-          drain (budget - 1)
-        end
-      in
-      drain 200;
       tr.tr_stop <- true;
       ignore (Fiber.sleep w.eng 10_000_000 : Fiber.wake);
       (* Post-soak invariants. *)
-      let st = Supervisor.stats sv in
-      if Supervisor.state sv <> Supervisor.Running then
-        violate ctx "soak ended with supervisor %s, expected Running"
-          (match Supervisor.state sv with
-           | Supervisor.Running -> "running"
-           | Supervisor.Recovering -> "recovering"
-           | Supervisor.Quarantined -> "quarantined"
-           | Supervisor.Stopped -> "stopped");
+      let st = check_settled ~who:"soak" ctx sv in
       let bl =
         let nm = Netdev.metrics dev in
         { Netdev.bl_offered = Sud_obs.Metrics.get nm.Netdev.nm_bl_offered;
@@ -508,8 +584,6 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
       then
         violate ctx "backlog accounting broken: offered %d <> queued %d + dropped %d + replayed %d"
           bl.Netdev.bl_offered bl.Netdev.bl_queued bl.Netdev.bl_dropped bl.Netdev.bl_replayed;
-      if ctx.iv_deaths <> st.Supervisor.st_detections then
-        violate ctx "detections %d but deaths %d" st.Supervisor.st_detections ctx.iv_deaths;
       tally_chan ct sv;
       let malformed_total = ct.ct_malformed + ct.ct_malformed_frames in
       let applied cls =
@@ -526,7 +600,7 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
         sr_planned = List.length plan;
         sr_applied = stats.inj_applied;
         sr_skipped = stats.inj_skipped;
-        sr_by_class = by_class stats;
+        sr_by_class = by_class stats ~name:fault_name all_faults;
         sr_detections = st.Supervisor.st_detections;
         sr_restarts = st.Supervisor.st_restarts;
         sr_deaths = ctx.iv_deaths;
@@ -538,7 +612,7 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
         sr_backlog = bl;
         sr_max_outage_ns = !max_outage;
         sr_malformed = malformed_total;
-        sr_violations = List.rev ctx.iv_violations;
+        sr_violations = invariant_violations ctx;
         sr_sched = pending_sched })
   in
   { report with
@@ -546,300 +620,127 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
       finish_sched ~scenario:"soak" ~seed ~sched ~eng:w.eng rec_
         ~violations:report.sr_violations }
 
-(* ---- single-fault recovery latency, for the bench harness ---- *)
-
-type recovery_sample = {
-  rs_fault : string;
-  rs_detect_ns : int;
-  rs_outage_ns : int;
-  rs_trace_hash : int64;
-  rs_steps : int;
-}
-
-(* A finished run's sample, fingerprinted once [Kernel.run] has stopped
-   the engine. *)
-let sample eng ~fault (detect_ns, outage_ns) =
-  { rs_fault = fault;
-    rs_detect_ns = detect_ns;
-    rs_outage_ns = outage_ns;
-    rs_trace_hash = Engine.trace_hash eng;
-    rs_steps = Engine.steps eng }
-
-let measure_recovery ?seed:_ fault =
-  let w = make_world () in
-  sample w.eng ~fault:(fault_name fault) @@ Kernel.run w.k (fun () ->
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:10) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("measure_recovery: " ^ e)
-      in
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("measure_recovery: ifconfig up: " ^ e));
-      let tr = start_traffic w dev ~gap_ns:200_000 in
-      let restored = ref None in
-      Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted { outage_ns; _ } when !restored = None ->
-            restored := Some outage_ns
-          | _ -> ());
-      ignore (Fiber.sleep w.eng 5_000_000 : Fiber.wake);
-      if not (inject ~sv ~dma_violate:(dma_violate w) fault) then
-        failwith ("measure_recovery: injection not applied: " ^ fault_name fault);
-      let rec wait budget =
-        match !restored with
-        | Some _ -> ()
-        | None when budget = 0 -> ()
-        | None ->
-          ignore (Fiber.sleep w.eng 1_000_000 : Fiber.wake);
-          wait (budget - 1)
-      in
-      wait 2_000;
-      tr.tr_stop <- true;
-      let st = Supervisor.stats sv in
-      match !restored with
-      | None -> failwith ("measure_recovery: no recovery observed for " ^ fault_name fault)
-      | Some outage -> (st.Supervisor.st_last_detect_latency_ns, outage))
-
-(* ---- forced crash-loop: the restart budget must quarantine ---- *)
-
-type quarantine_report = {
-  qr_restarts : int;
-  qr_quarantined : bool;
-  qr_netdev_removed : bool;
-  qr_sysfs_state : string;
-  qr_trace_hash : int64;
-  qr_steps : int;
-}
-
-let crash_loop ?(max_restarts = 3) () =
-  let w = make_world () in
-  let r =
-    Kernel.run w.k (fun () ->
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("crash_loop: " ^ e)
-      in
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("crash_loop: ifconfig up: " ^ e));
-      (* Kill every fresh generation as soon as it comes up. *)
-      ignore
-        (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"crash-looper"
-           (fun () ->
-              let rec loop () =
-                if Supervisor.state sv <> Supervisor.Quarantined then begin
-                  ignore (inject ~sv Crash : bool);
-                  ignore (Fiber.sleep w.eng 2_000_000 : Fiber.wake);
-                  loop ()
-                end
-              in
-              loop ())
-         : Fiber.t);
-      let rec wait budget =
-        if budget > 0 && Supervisor.state sv <> Supervisor.Quarantined then begin
-          ignore (Fiber.sleep w.eng 10_000_000 : Fiber.wake);
-          wait (budget - 1)
-        end
-      in
-      wait 1_000;
-      let st = Supervisor.stats sv in
-      let sysfs_state =
-        match Sysfs.find_bdf w.k.Kernel.sysfs w.bdf with
-        | Some e -> Option.value ~default:"" (Sysfs.attr e "sud_state")
-        | None -> ""
-      in
-      { qr_restarts = st.Supervisor.st_restarts;
-        qr_quarantined = Supervisor.state sv = Supervisor.Quarantined;
-        qr_netdev_removed = Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None;
-        qr_sysfs_state = sysfs_state;
-        qr_trace_hash = 0L;
-        qr_steps = 0 })
-  in
-  { r with qr_trace_hash = Engine.trace_hash w.eng; qr_steps = Engine.steps w.eng }
-
-(* ---- sud-blk: storage fault classes and the crash-consistency soak ---- *)
-
-type blk_fault =
-  | Bcrash                 (* kill -9 the block driver *)
-  | Bhang                  (* wedge its upcall loop *)
-  | Corrupt_completion     (* device flips bits in the next CQE's command id *)
-  | Drop_completion        (* the next completion evaporates *)
-  | Drop_flush             (* the next flush neither persists nor acks *)
-  | Crash_mid_barrier      (* kill the driver while a flush is in flight *)
-
-let all_blk_faults =
-  [ Bcrash; Bhang; Corrupt_completion; Drop_completion; Drop_flush; Crash_mid_barrier ]
-
-let blk_fault_name = function
-  | Bcrash -> "crash"
-  | Bhang -> "hang"
-  | Corrupt_completion -> "corrupt_completion"
-  | Drop_completion -> "drop_completion"
-  | Drop_flush -> "drop_flush"
-  | Crash_mid_barrier -> "crash_mid_barrier"
-
-type blk_injection = { bat_ns : int; bfault : blk_fault }
-type blk_plan = blk_injection list
-
-let random_blk_plan ~seed ~duration_ns ~n ?(faults = all_blk_faults) () =
-  if n < 0 || duration_ns <= 0 then invalid_arg "Fault_inject.random_blk_plan";
-  let rng = Rng.create ~seed in
-  let arr = Array.of_list faults in
-  List.init n (fun _ ->
-      { bat_ns = Rng.int rng duration_ns; bfault = arr.(Rng.int rng (Array.length arr)) })
-  |> List.sort (fun a b -> compare a.bat_ns b.bat_ns)
-
-type blk_world = {
-  bw_eng : Engine.t;
-  bw_k : Kernel.t;
-  bw_sp : Safe_pci.t;
-  bw_nvme : Nvme_dev.t;
-  bw_bdf : Bus.bdf;
-}
-
-let make_blk_world ?capacity () =
-  let eng = Engine.create () in
-  let k = Kernel.boot eng in
-  let nvme = Nvme_dev.create eng ?capacity () in
-  let bdf = Kernel.attach_pci k (Nvme_dev.device nvme) in
-  let sp = Safe_pci.init k in
-  { bw_eng = eng; bw_k = k; bw_sp = sp; bw_nvme = nvme; bw_bdf = bdf }
-
-let honest_blk_factory ~attempt:_ = Nvme.driver
-
-(* Apply one storage fault.  The device-level classes (corrupt/drop
-   completion, drop flush) arm a one-shot hook on the emulated NVMe that
-   fires on the next matching command — the continuous workload
-   guarantees one arrives.  None of them produce a direct detection
-   signal; they escalate through the proxy's per-request timeout, so
-   every class here ends in a supervised recovery.  Must run in a fiber
-   (Crash_mid_barrier sleeps, stalking a flush). *)
-let blk_inject ~eng ~sv ~nvme fault =
-  if Supervisor.state sv <> Supervisor.Running then false
-  else
-    match fault with
-    | Bcrash ->
-      (match Supervisor.proc sv with
-       | Some p when Process.is_alive p ->
-         Process.kill p;
-         true
-       | Some _ | None -> false)
-    | Bhang ->
-      (match Supervisor.chan sv with
-       | Some chan when not (Uchan.is_closed chan) ->
-         Uchan.wedge chan;
-         true
-       | Some _ | None -> false)
-    | Corrupt_completion ->
-      Nvme_dev.inject_corrupt_completion nvme ~mask:0x15;
-      true
-    | Drop_completion ->
-      Nvme_dev.inject_drop_completion nvme;
-      true
-    | Drop_flush ->
-      Nvme_dev.inject_drop_flush nvme;
-      true
-    | Crash_mid_barrier ->
-      (match Supervisor.current_blk sv with
-       | None -> false
-       | Some s ->
-         let proxy = Driver_host.proxy s in
-         (* Wait (bounded) for a flush barrier to be on the wire, then
-            kill: the nastiest instant for durability bookkeeping.  If
-            none shows up the kill still lands — it degrades to Bcrash. *)
-         let rec stalk budget =
-           if budget > 0 && not (Proxy_blk.inflight_flush proxy) then begin
-             ignore (Fiber.sleep eng 100_000 : Fiber.wake);
-             stalk (budget - 1)
-           end
-         in
-         stalk 200;
-         (match Supervisor.proc sv with
-          | Some p when Process.is_alive p ->
-            Process.kill p;
-            true
-          | Some _ | None -> false))
-
-(* Walk a blk plan; same live-target discipline as the net runner. *)
-let run_blk_plan k ~sv ~nvme ?(stats = new_injector_stats ()) plan =
-  let eng = k.Kernel.eng in
-  let t0 = Engine.now eng in
-  ignore
-    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-fault-injector"
-       (fun () ->
-          List.iter
-            (fun { bat_ns; bfault } ->
-               let dt = t0 + bat_ns - Engine.now eng in
-               if dt > 0 then ignore (Fiber.sleep eng dt : Fiber.wake);
-               let target_live () =
-                 match Supervisor.state sv with
-                 | Supervisor.Running ->
-                   (match Supervisor.proc sv with
-                    | Some p -> Process.is_alive p
-                    | None -> false)
-                 | Supervisor.Recovering -> false
-                 | _ -> true
-               in
-               let rec wait_running budget =
-                 if budget > 0 && not (target_live ()) then begin
-                   ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-                   wait_running (budget - 1)
-                 end
-               in
-               wait_running 1_000;
-               if blk_inject ~eng ~sv ~nvme bfault then begin
-                 stats.inj_applied <- stats.inj_applied + 1;
-                 let n = blk_fault_name bfault in
-                 Hashtbl.replace stats.inj_by_class n
-                   (1 + Option.value ~default:0 (Hashtbl.find_opt stats.inj_by_class n))
-               end
-               else stats.inj_skipped <- stats.inj_skipped + 1)
-            plan)
-     : Fiber.t);
-  stats
-
-let blk_by_class st =
-  List.map
-    (fun f ->
-       ( blk_fault_name f,
-         Option.value ~default:0 (Hashtbl.find_opt st.inj_by_class (blk_fault_name f)) ))
-    all_blk_faults
-
 (* ---- the crash-consistency oracle ----
 
-   One synchronous workload fiber writes patterned full pages.  Because
+   One synchronous writer fiber writes patterned full pages.  Because
    Blkdev.write blocks until the cache accepts (and the queue acks) the
-   page, the fiber's [last_acked] array is, at every instant it runs,
-   exactly the set of acknowledged writes.  Media may only be compared
-   against it at one kind of instant: immediately after an [fsync]
-   returns Ok, when everything acknowledged is durable by contract and
-   nothing newer has been issued (single writer).  Every supervised
-   restart forces such a check, so "no acked write lost, no unacked
-   write visible" is asserted at every recovery. *)
+   page, the oracle's [dr_acked] array is, at every instant the writer
+   runs, exactly the set of acknowledged writes.  Media may only be
+   compared against it at one kind of instant: immediately after an
+   [fsync] returns Ok, when everything acknowledged is durable by
+   contract and nothing newer has been issued (single writer).  Every
+   supervised restart forces such a check, so "no acked write lost, no
+   unacked write visible" is asserted at every recovery.  Each soak
+   brings its own writer step; the oracle owns the rest. *)
 
-type blk_load = {
-  mutable wl_writes : int;
-  mutable wl_reads : int;
-  mutable wl_fsyncs : int;
-  mutable wl_verifies : int;
-  mutable wl_io_errors : int;
-  mutable wl_check_pending : bool;   (* set on Driver_restarted *)
-  mutable wl_stop : bool;
-  mutable wl_done : bool;
+type durability = {
+  dr_ctx : invariant_ctx;
+  dr_nvme : Nvme_dev.t;
+  dr_bd : Blkdev.t;
+  dr_acked : bytes option array;  (* per page: the last write seen acked *)
+  mutable dr_writes : int;
+  mutable dr_reads : int;
+  mutable dr_fsyncs : int;
+  mutable dr_verifies : int;
+  mutable dr_io_errors : int;
+  mutable dr_check_pending : bool;  (* set on Driver_restarted *)
+  mutable dr_stop : bool;
+  mutable dr_done : bool;
 }
 
 let io_timeout_ns = 5_000_000_000
-
 let blk_soak_pages = 64
+
+(* Supervise the NVMe driver under the oracle. *)
+let durable ~who w ~policy =
+  let sv, ctx =
+    supervise ~who w.bw_k ~bdf:w.bw_bdf (fun () ->
+        Supervisor.start_blk w.bw_k w.bw_sp ~policy ~bdf:w.bw_bdf honest_blk_factory)
+  in
+  let bd =
+    match Supervisor.blkdev sv with
+    | Some bd -> bd
+    | None -> failwith (who ^ ": no blkdev after start")
+  in
+  let d =
+    { dr_ctx = ctx; dr_nvme = w.bw_nvme; dr_bd = bd;
+      dr_acked = Array.make blk_soak_pages None;
+      dr_writes = 0; dr_reads = 0; dr_fsyncs = 0; dr_verifies = 0; dr_io_errors = 0;
+      dr_check_pending = false; dr_stop = false; dr_done = false }
+  in
+  Supervisor.on_event sv (function
+      | Supervisor.Driver_restarted _ -> d.dr_check_pending <- true
+      | _ -> ());
+  (sv, d)
+
+let io_error d fmt =
+  d.dr_io_errors <- d.dr_io_errors + 1;
+  violate d.dr_ctx fmt
+
+let verify_media d why =
+  d.dr_verifies <- d.dr_verifies + 1;
+  Array.iteri
+    (fun page data ->
+       match data with
+       | None -> ()
+       | Some data ->
+         let lba0 = page * Blkdev.page_sectors in
+         for s = 0 to Blkdev.page_sectors - 1 do
+           let expect = Bytes.sub data (s * Blkdev.sector_size) Blkdev.sector_size in
+           match Nvme_dev.media_sector d.dr_nvme ~lba:(lba0 + s) with
+           | None ->
+             violate d.dr_ctx "%s: acked write to sector %d lost (never on media)" why (lba0 + s)
+           | Some got ->
+             if not (Bytes.equal got expect) then
+               violate d.dr_ctx "%s: media mismatch at sector %d" why (lba0 + s)
+         done)
+    d.dr_acked
+
+let fsync_and_verify d why =
+  match Blkdev.fsync d.dr_bd ~timeout_ns:io_timeout_ns () with
+  | Ok () ->
+    d.dr_fsyncs <- d.dr_fsyncs + 1;
+    verify_media d why
+  | Error e -> io_error d "%s: fsync failed: %s" why e
+
+(* Write a patterned page [rng] picks and record the ack. *)
+let acked_write d rng gen =
+  let page = Rng.int rng blk_soak_pages in
+  let data =
+    Bytes.init Blkdev.page_size (fun i -> Char.chr ((page * 131 + gen * 31 + i) land 0xff))
+  in
+  match Blkdev.write d.dr_bd ~timeout_ns:io_timeout_ns ~lba:(page * Blkdev.page_sectors) data () with
+  | Ok () ->
+    d.dr_writes <- d.dr_writes + 1;
+    d.dr_acked.(page) <- Some data
+  | Error e -> io_error d "write to page %d failed: %s" page e
+
+(* The writer fiber: run any pending post-recovery check, then [step]
+   with the next generation number, every 50 us until stopped. *)
+let start_writer k d step =
+  ignore
+    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-load" (fun () ->
+         let gen = ref 0 in
+         while not d.dr_stop do
+           if d.dr_check_pending then begin
+             d.dr_check_pending <- false;
+             fsync_and_verify d "post-recovery check"
+           end;
+           incr gen;
+           step !gen;
+           ignore (Fiber.sleep k.Kernel.eng 50_000 : Fiber.wake)
+         done;
+         d.dr_done <- true)
+     : Fiber.t)
+
+(* Stop and join the writer, then the end-of-run barrier: everything
+   acked must be durable. *)
+let stop_writer eng d =
+  d.dr_stop <- true;
+  ignore (Fiber.poll eng ~every_ns:10_000_000 ~budget:1_000 (fun () -> d.dr_done) : bool);
+  fsync_and_verify d "final check"
+
+(* ---- the storage soak ---- *)
 
 type blk_soak_report = {
   bsr_seed : int64;
@@ -866,151 +767,49 @@ type blk_soak_report = {
 
 let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
   let seed = match seed with Some s -> s | None -> dseed "blk-soak" in
+  let plan =
+    match plan with
+    | Some p -> p
+    | None ->
+      random_plan ~seed ~duration_ns:(duration_ms * 1_000_000) ~n:n_faults
+        ~faults:all_blk_faults ()
+  in
   let w = make_blk_world () in
   let rec_ = Option.map (fun s -> Sched.install w.bw_eng s) sched in
   let report =
     Kernel.run ~max_ms:120_000 w.bw_k (fun () ->
-      let k = w.bw_k in
-      let secret_addr = Phys_mem.alloc_pages k.Kernel.mem ~pages:1 in
-      Phys_mem.write k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start_blk k w.bw_sp ~policy:(soak_policy ~max_restarts:max_int)
-            ~bdf:w.bw_bdf honest_blk_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("blk_soak: supervised start failed: " ^ e)
-      in
-      let ctx = install_invariants_for ~k ~bdf:w.bw_bdf sv ~secret_addr in
-      let bd =
-        match Supervisor.blkdev sv with
-        | Some bd -> bd
-        | None -> failwith "blk_soak: no blkdev after start"
-      in
-      let load =
-        { wl_writes = 0; wl_reads = 0; wl_fsyncs = 0; wl_verifies = 0; wl_io_errors = 0;
-          wl_check_pending = false; wl_stop = false; wl_done = false }
-      in
-      let max_outage = ref 0 in
+      let sv, d = durable ~who:"blk_soak" w ~policy:(soak_policy ~max_restarts:max_int) in
+      let ctx = d.dr_ctx in
+      let max_outage = track_outage ctx sv in
       let reasons = Hashtbl.create 8 in
       Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted { outage_ns; _ } ->
-            if outage_ns > !max_outage then max_outage := outage_ns;
-            if outage_ns > outage_bound_ns then
-              violate ctx "recovery outage %d ms exceeds bound" (outage_ns / 1_000_000);
-            load.wl_check_pending <- true
-          | Supervisor.Fault_detected reason ->
-            Hashtbl.replace reasons reason
-              (1 + Option.value ~default:0 (Hashtbl.find_opt reasons reason))
+          | Supervisor.Fault_detected reason -> bump reasons reason
           | _ -> ());
-      (* Per-page ground truth: the last write this fiber saw acked. *)
-      let last_acked = Array.make blk_soak_pages None in
-      let pattern page gen =
-        Bytes.init Blkdev.page_size (fun i ->
-            Char.chr ((page * 131 + gen * 31 + i) land 0xff))
-      in
-      let verify_media why =
-        load.wl_verifies <- load.wl_verifies + 1;
-        Array.iteri
-          (fun page data ->
-             match data with
-             | None -> ()
-             | Some data ->
-               let lba0 = page * Blkdev.page_sectors in
-               for s = 0 to Blkdev.page_sectors - 1 do
-                 let expect =
-                   Bytes.sub data (s * Blkdev.sector_size) Blkdev.sector_size
-                 in
-                 match Nvme_dev.media_sector w.bw_nvme ~lba:(lba0 + s) with
-                 | None ->
-                   violate ctx "%s: acked write to sector %d lost (never on media)"
-                     why (lba0 + s)
-                 | Some got ->
-                   if not (Bytes.equal got expect) then
-                     violate ctx "%s: media mismatch at sector %d" why (lba0 + s)
-               done)
-          last_acked
-      in
-      let fsync_and_verify why =
-        match Blkdev.fsync bd ~timeout_ns:io_timeout_ns () with
-        | Ok () ->
-          load.wl_fsyncs <- load.wl_fsyncs + 1;
-          verify_media why
-        | Error e ->
-          load.wl_io_errors <- load.wl_io_errors + 1;
-          violate ctx "%s: fsync failed: %s" why e
-      in
       let rng = Rng.create ~seed:(Int64.add seed 1L) in
-      ignore
-        (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-load"
-           (fun () ->
-              let gen = ref 0 in
-              while not load.wl_stop do
-                if load.wl_check_pending then begin
-                  load.wl_check_pending <- false;
-                  fsync_and_verify "post-recovery check"
-                end;
-                incr gen;
-                let page = Rng.int rng blk_soak_pages in
-                let data = pattern page !gen in
-                (match
-                   Blkdev.write bd ~timeout_ns:io_timeout_ns
-                     ~lba:(page * Blkdev.page_sectors) data ()
-                 with
-                 | Ok () ->
-                   load.wl_writes <- load.wl_writes + 1;
-                   last_acked.(page) <- Some data
-                 | Error e ->
-                   load.wl_io_errors <- load.wl_io_errors + 1;
-                   violate ctx "write to page %d failed: %s" page e);
-                (* Read-back: the cache must agree with the last ack. *)
-                if !gen mod 4 = 0 then begin
-                  let rp = Rng.int rng blk_soak_pages in
-                  match last_acked.(rp) with
-                  | None -> ()
-                  | Some expect ->
-                    (match
-                       Blkdev.read bd ~timeout_ns:io_timeout_ns
-                         ~lba:(rp * Blkdev.page_sectors) ~sectors:Blkdev.page_sectors ()
-                     with
-                     | Ok got ->
-                       load.wl_reads <- load.wl_reads + 1;
-                       if not (Bytes.equal got expect) then
-                         violate ctx "read of page %d disagrees with last acked write" rp
-                     | Error e ->
-                       load.wl_io_errors <- load.wl_io_errors + 1;
-                       violate ctx "read of page %d failed: %s" rp e)
-                end;
-                if !gen mod 6 = 0 then fsync_and_verify "periodic check";
-                ignore (Fiber.sleep w.bw_eng 50_000 : Fiber.wake)
-              done;
-              load.wl_done <- true)
-         : Fiber.t);
-      let plan =
-        match plan with
-        | Some p -> p
-        | None -> random_blk_plan ~seed ~duration_ns:(duration_ms * 1_000_000) ~n:n_faults ()
+      start_writer w.bw_k d (fun gen ->
+          acked_write d rng gen;
+          (* Read-back: the cache must agree with the last ack. *)
+          (if gen mod 4 = 0 then
+             let rp = Rng.int rng blk_soak_pages in
+             match d.dr_acked.(rp) with
+             | None -> ()
+             | Some expect ->
+               (match
+                  Blkdev.read d.dr_bd ~timeout_ns:io_timeout_ns
+                    ~lba:(rp * Blkdev.page_sectors) ~sectors:Blkdev.page_sectors ()
+                with
+                | Ok got ->
+                  d.dr_reads <- d.dr_reads + 1;
+                  if not (Bytes.equal got expect) then
+                    violate ctx "read of page %d disagrees with last acked write" rp
+                | Error e -> io_error d "read of page %d failed: %s" rp e));
+          if gen mod 6 = 0 then fsync_and_verify d "periodic check");
+      let stats =
+        storm w.bw_k sv ~duration_ms ~inject:(blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme)
+          ~name:blk_fault_name plan
       in
-      let stats = run_blk_plan k ~sv ~nvme:w.bw_nvme plan in
-      ignore (Fiber.sleep w.bw_eng ((duration_ms + 200) * 1_000_000) : Fiber.wake);
-      let rec drain budget =
-        if budget > 0 && Supervisor.state sv = Supervisor.Recovering then begin
-          ignore (Fiber.sleep w.bw_eng 10_000_000 : Fiber.wake);
-          drain (budget - 1)
-        end
-      in
-      drain 200;
-      load.wl_stop <- true;
-      let rec join budget =
-        if budget > 0 && not load.wl_done then begin
-          ignore (Fiber.sleep w.bw_eng 10_000_000 : Fiber.wake);
-          join (budget - 1)
-        end
-      in
-      join 1_000;
-      (* The end-of-soak barrier: everything acked must be durable and
-         the proxy's retention fully drained. *)
-      fsync_and_verify "final check";
+      stop_writer w.bw_eng d;
+      (* The proxy's retention must be fully drained by the final fsync. *)
       let retained, inflight =
         match Supervisor.current_blk sv with
         | Some s ->
@@ -1026,25 +825,21 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
         | Some s -> violate ctx "stuck:\n%s" (Proxy_blk.inflight_summary (Driver_host.proxy s))
         | None -> ()
       end;
-      let st = Supervisor.stats sv in
-      if Supervisor.state sv <> Supervisor.Running then
-        violate ctx "blk soak ended with supervisor not Running";
-      if ctx.iv_deaths <> st.Supervisor.st_detections then
-        violate ctx "detections %d but deaths %d" st.Supervisor.st_detections ctx.iv_deaths;
+      let st = check_settled ~who:"blk soak" ctx sv in
       { bsr_seed = seed;
         bsr_planned = List.length plan;
         bsr_applied = stats.inj_applied;
         bsr_skipped = stats.inj_skipped;
-        bsr_by_class = blk_by_class stats;
+        bsr_by_class = by_class stats ~name:blk_fault_name all_blk_faults;
         bsr_detections = st.Supervisor.st_detections;
         bsr_restarts = st.Supervisor.st_restarts;
         bsr_deaths = ctx.iv_deaths;
         bsr_state = Supervisor.state sv;
-        bsr_writes = load.wl_writes;
-        bsr_reads = load.wl_reads;
-        bsr_fsyncs = load.wl_fsyncs;
-        bsr_verifies = load.wl_verifies;
-        bsr_io_errors = load.wl_io_errors;
+        bsr_writes = d.dr_writes;
+        bsr_reads = d.dr_reads;
+        bsr_fsyncs = d.dr_fsyncs;
+        bsr_verifies = d.dr_verifies;
+        bsr_io_errors = d.dr_io_errors;
         bsr_max_outage_ns = !max_outage;
         bsr_retained_end = retained;
         bsr_inflight_end = inflight;
@@ -1054,71 +849,13 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
                  (* count desc, then name: hash order must not pick the
                     tie-break winner or reports differ across replays. *)
                  match compare b a with 0 -> compare ra rb | c -> c);
-        bsr_violations = List.rev ctx.iv_violations;
+        bsr_violations = invariant_violations ctx;
         bsr_sched = pending_sched })
   in
   { report with
     bsr_sched =
       finish_sched ~scenario:"blk-soak" ~seed ~sched ~eng:w.bw_eng rec_
         ~violations:report.bsr_violations }
-
-(* ---- single-fault blk recovery latency, for the bench harness ---- *)
-
-let measure_blk_recovery ?seed:_ fault =
-  let w = make_blk_world () in
-  sample w.bw_eng ~fault:("blk_" ^ blk_fault_name fault)
-  @@ Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
-      let k = w.bw_k in
-      let sv =
-        match
-          Supervisor.start_blk k w.bw_sp ~policy:(soak_policy ~max_restarts:10)
-            ~bdf:w.bw_bdf honest_blk_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("measure_blk_recovery: " ^ e)
-      in
-      let bd = Option.get (Supervisor.blkdev sv) in
-      let stop = ref false in
-      ignore
-        (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-load"
-           (fun () ->
-              let gen = ref 0 in
-              while not !stop do
-                incr gen;
-                let page = !gen mod 8 in
-                let data = Bytes.make Blkdev.page_size (Char.chr (!gen land 0xff)) in
-                ignore
-                  (Blkdev.write bd ~timeout_ns:io_timeout_ns
-                     ~lba:(page * Blkdev.page_sectors) data ()
-                   : (unit, string) result);
-                if !gen mod 4 = 0 then
-                  ignore (Blkdev.fsync bd ~timeout_ns:io_timeout_ns () : (unit, string) result);
-                ignore (Fiber.sleep w.bw_eng 50_000 : Fiber.wake)
-              done)
-         : Fiber.t);
-      let restored = ref None in
-      Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted { outage_ns; _ } when !restored = None ->
-            restored := Some outage_ns
-          | _ -> ());
-      ignore (Fiber.sleep w.bw_eng 5_000_000 : Fiber.wake);
-      if not (blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme fault) then
-        failwith ("measure_blk_recovery: injection not applied: " ^ blk_fault_name fault);
-      let rec wait budget =
-        match !restored with
-        | Some _ -> ()
-        | None when budget = 0 -> ()
-        | None ->
-          ignore (Fiber.sleep w.bw_eng 1_000_000 : Fiber.wake);
-          wait (budget - 1)
-      in
-      wait 2_000;
-      stop := true;
-      let st = Supervisor.stats sv in
-      match !restored with
-      | None ->
-        failwith ("measure_blk_recovery: no recovery observed for " ^ blk_fault_name fault)
-      | Some outage -> (st.Supervisor.st_last_detect_latency_ns, outage))
 
 (* ---- warm standby: upgrades, poison, and the interleaving soak ---- *)
 
@@ -1140,26 +877,12 @@ let inject_standby_poison ~sv =
 (* Bounded wait for the warm slot; the watchdog's [ensure] keeps
    re-warming, so Ready is eventually reached unless quarantined. *)
 let wait_standby_ready ~eng sv ~budget_ms =
-  let rec loop budget =
-    if Supervisor.standby_status sv = Standby.Ready then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
+  Fiber.poll eng ~every_ns:1_000_000 ~budget:budget_ms (fun () ->
+      Supervisor.standby_status sv = Standby.Ready)
 
 let wait_running ~eng sv ~budget_ms =
-  let rec loop budget =
-    if Supervisor.state sv = Supervisor.Running then true
-    else if budget = 0 then false
-    else begin
-      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-      loop (budget - 1)
-    end
-  in
-  loop budget_ms
+  Fiber.poll eng ~every_ns:1_000_000 ~budget:budget_ms (fun () ->
+      Supervisor.state sv = Supervisor.Running)
 
 type upgrade_soak_report = {
   usr_seed : int64;
@@ -1183,108 +906,26 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
   let rec_ = Option.map (fun s -> Sched.install w.bw_eng s) sched in
   let report =
     Kernel.run ~max_ms:180_000 w.bw_k (fun () ->
-      let k = w.bw_k in
       let eng = w.bw_eng in
-      let secret_addr = Phys_mem.alloc_pages k.Kernel.mem ~pages:1 in
-      Phys_mem.write k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start_blk k w.bw_sp ~policy:(warm_policy ~max_restarts:max_int)
-            ~bdf:w.bw_bdf honest_blk_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("upgrade_soak: supervised start failed: " ^ e)
-      in
-      let ctx = install_invariants_for ~k ~bdf:w.bw_bdf sv ~secret_addr in
-      let bd =
-        match Supervisor.blkdev sv with
-        | Some bd -> bd
-        | None -> failwith "upgrade_soak: no blkdev after start"
-      in
-      let load =
-        { wl_writes = 0; wl_reads = 0; wl_fsyncs = 0; wl_verifies = 0; wl_io_errors = 0;
-          wl_check_pending = false; wl_stop = false; wl_done = false }
-      in
-      Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted _ -> load.wl_check_pending <- true
-          | _ -> ());
-      let last_acked = Array.make blk_soak_pages None in
-      let pattern page gen =
-        Bytes.init Blkdev.page_size (fun i ->
-            Char.chr ((page * 131 + gen * 31 + i) land 0xff))
-      in
-      let verify_media why =
-        load.wl_verifies <- load.wl_verifies + 1;
-        Array.iteri
-          (fun page data ->
-             match data with
-             | None -> ()
-             | Some data ->
-               let lba0 = page * Blkdev.page_sectors in
-               for s = 0 to Blkdev.page_sectors - 1 do
-                 let expect =
-                   Bytes.sub data (s * Blkdev.sector_size) Blkdev.sector_size
-                 in
-                 match Nvme_dev.media_sector w.bw_nvme ~lba:(lba0 + s) with
-                 | None ->
-                   violate ctx "%s: acked write to sector %d lost (never on media)"
-                     why (lba0 + s)
-                 | Some got ->
-                   if not (Bytes.equal got expect) then
-                     violate ctx "%s: media mismatch at sector %d" why (lba0 + s)
-               done)
-          last_acked
-      in
-      let fsync_and_verify why =
-        match Blkdev.fsync bd ~timeout_ns:io_timeout_ns () with
-        | Ok () ->
-          load.wl_fsyncs <- load.wl_fsyncs + 1;
-          verify_media why
-        | Error e ->
-          load.wl_io_errors <- load.wl_io_errors + 1;
-          violate ctx "%s: fsync failed: %s" why e
-      in
+      let sv, d = durable ~who:"upgrade_soak" w ~policy:(warm_policy ~max_restarts:max_int) in
+      let ctx = d.dr_ctx in
+      (* One rng drives both the writer and the interleavings. *)
       let rng = Rng.create ~seed in
-      ignore
-        (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-load"
-           (fun () ->
-              let gen = ref 0 in
-              while not load.wl_stop do
-                if load.wl_check_pending then begin
-                  load.wl_check_pending <- false;
-                  fsync_and_verify "post-recovery check"
-                end;
-                incr gen;
-                let page = Rng.int rng blk_soak_pages in
-                let data = pattern page !gen in
-                (match
-                   Blkdev.write bd ~timeout_ns:io_timeout_ns
-                     ~lba:(page * Blkdev.page_sectors) data ()
-                 with
-                 | Ok () ->
-                   load.wl_writes <- load.wl_writes + 1;
-                   last_acked.(page) <- Some data
-                 | Error e ->
-                   load.wl_io_errors <- load.wl_io_errors + 1;
-                   violate ctx "write to page %d failed: %s" page e);
-                if !gen mod 6 = 0 then begin
-                  match Blkdev.fsync bd ~timeout_ns:io_timeout_ns () with
-                  | Ok () -> load.wl_fsyncs <- load.wl_fsyncs + 1
-                  | Error e ->
-                    load.wl_io_errors <- load.wl_io_errors + 1;
-                    violate ctx "periodic fsync failed: %s" e
-                end;
-                ignore (Fiber.sleep eng 50_000 : Fiber.wake)
-              done;
-              load.wl_done <- true)
-         : Fiber.t);
+      start_writer w.bw_k d (fun gen ->
+          acked_write d rng gen;
+          if gen mod 6 = 0 then
+            match Blkdev.fsync d.dr_bd ~timeout_ns:io_timeout_ns () with
+            | Ok () -> d.dr_fsyncs <- d.dr_fsyncs + 1
+            | Error e -> io_error d "periodic fsync failed: %s" e);
+      let warm () = ignore (wait_standby_ready ~eng sv ~budget_ms:2_000 : bool) in
+      let crash () = ignore (blk_inject ~eng ~sv ~nvme:w.bw_nvme Bcrash : bool) in
       (* Let the first writes land and the first standby warm up. *)
       ignore (Fiber.sleep eng 5_000_000 : Fiber.wake);
       for i = 1 to interleavings do
         (match Rng.int rng 6 with
          | 0 ->
            (* Plain live upgrade: zero-loss swap to the standby. *)
-           ignore (wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+           warm ();
            (match Supervisor.upgrade sv with
             | Ok () -> ()
             | Error e -> violate ctx "interleaving %d: upgrade failed: %s" i e)
@@ -1295,8 +936,8 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
             | Error e -> violate ctx "interleaving %d: failover failed: %s" i e)
          | 2 ->
            (* A lethal fault while the standby is warm: the swap path. *)
-           ignore (wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
-           ignore (blk_inject ~eng ~sv ~nvme:w.bw_nvme Bcrash : bool)
+           warm ();
+           crash ()
          | 3 ->
            (* A device-level fault that escalates through the request
               timeout — recovery with retained-write replay. *)
@@ -1311,7 +952,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
            (* standby_poisoned: kill the parked generation, then upgrade.
               The poisoned slot must be discarded and rebuilt, never
               swapped in. *)
-           ignore (wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+           warm ();
            let _, poisoned0 = Supervisor.standby_stats sv in
            if inject_standby_poison ~sv then begin
              (match Supervisor.upgrade sv with
@@ -1328,43 +969,32 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
               Either order is a legal interleaving — the upgrade may
               fail ("driver not running" or double failover), but acked
               writes must survive regardless. *)
-           ignore (wait_standby_ready ~eng sv ~budget_ms:2_000 : bool);
+           warm ();
            let delay_ns = 200_000 + Rng.int rng 3_000_000 in
            ignore
-             (Process.spawn_fiber (Process.kernel_process k.Kernel.procs)
+             (Process.spawn_fiber (Process.kernel_process w.bw_k.Kernel.procs)
                 ~name:"upgrade-crasher" (fun () ->
                     ignore (Fiber.sleep eng delay_ns : Fiber.wake);
-                    ignore (blk_inject ~eng ~sv ~nvme:w.bw_nvme Bcrash : bool))
+                    crash ())
               : Fiber.t);
            ignore (Supervisor.upgrade sv : (unit, string) result));
         if not (wait_running ~eng sv ~budget_ms:5_000) then
           violate ctx "interleaving %d: supervisor not Running afterwards" i
         else begin
           (* The media sweep must not race the writer: hand the check to
-             the load fiber (the only mutator of [last_acked]), exactly
+             the writer fiber (the only mutator of [dr_acked]), exactly
              like the post-recovery checks. *)
-          load.wl_check_pending <- true;
-          let rec wait_check budget =
-            if budget > 0 && load.wl_check_pending then begin
-              ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
-              wait_check (budget - 1)
-            end
-          in
-          wait_check 2_000
+          d.dr_check_pending <- true;
+          ignore
+            (Fiber.poll eng ~every_ns:1_000_000 ~budget:2_000 (fun () ->
+                 not d.dr_check_pending)
+             : bool)
         end
       done;
-      load.wl_stop <- true;
-      let rec join budget =
-        if budget > 0 && not load.wl_done then begin
-          ignore (Fiber.sleep eng 10_000_000 : Fiber.wake);
-          join (budget - 1)
-        end
-      in
-      join 1_000;
-      fsync_and_verify "final check";
+      stop_writer eng d;
       let st = Supervisor.stats sv in
       if Supervisor.state sv <> Supervisor.Running then
-        violate ctx "upgrade soak ended with supervisor not Running";
+        violate ctx "upgrade soak ended with the supervisor not Running";
       let _, poisoned = Supervisor.standby_stats sv in
       { usr_seed = seed;
         usr_interleavings = interleavings;
@@ -1372,10 +1002,10 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
         usr_warm_swaps = st.Supervisor.st_warm_swaps;
         usr_cold_restarts = st.Supervisor.st_restarts - st.Supervisor.st_warm_swaps;
         usr_poisoned = poisoned;
-        usr_writes = load.wl_writes;
-        usr_fsyncs = load.wl_fsyncs;
-        usr_verifies = load.wl_verifies;
-        usr_io_errors = load.wl_io_errors;
+        usr_writes = d.dr_writes;
+        usr_fsyncs = d.dr_fsyncs;
+        usr_verifies = d.dr_verifies;
+        usr_io_errors = d.dr_io_errors;
         usr_state = Supervisor.state sv;
         usr_violations = invariant_violations ctx;
         usr_sched = pending_sched })
@@ -1385,71 +1015,146 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
       finish_sched ~scenario:"upgrade-soak" ~seed ~sched ~eng:w.bw_eng rec_
         ~violations:report.usr_violations }
 
-(* ---- per-class warm failover latency, for sud-bench/8 ---- *)
+(* ---- single-fault recovery latency, for the bench harness ---- *)
 
-let measure_warm_blk_recovery ?seed:_ fault =
+type recovery_sample = {
+  rs_fault : string;
+  rs_detect_ns : int;
+  rs_outage_ns : int;
+  rs_trace_hash : int64;
+  rs_steps : int;
+}
+
+(* The one measure body: start the supervised driver, put it under
+   [load] (which returns its stop), let it run 5 ms, inject once — on
+   the warm path only once the standby is Ready — and wait up to 2 s for
+   the restore.  [run] is the world's [Kernel.run]. *)
+let measure ~who ~eng ~run ~start ~load ~inject ~warm fault =
+  let detect_ns, outage_ns =
+    run (fun () ->
+        let sv = match start () with Ok sv -> sv | Error e -> failwith (who ^ ": " ^ e) in
+        let stop_load = load sv in
+        let restored = ref None in
+        Supervisor.on_event sv (function
+            | Supervisor.Driver_restarted { outage_ns; _ } when !restored = None ->
+              restored := Some outage_ns
+            | _ -> ());
+        ignore (Fiber.sleep eng 5_000_000 : Fiber.wake);
+        if warm && not (wait_standby_ready ~eng sv ~budget_ms:2_000) then
+          failwith (who ^ ": standby never became Ready");
+        if not (inject sv) then failwith (who ^ ": injection not applied: " ^ fault);
+        ignore
+          (Fiber.poll eng ~every_ns:1_000_000 ~budget:2_000 (fun () -> !restored <> None) : bool);
+        stop_load ();
+        match !restored with
+        | None -> failwith (who ^ ": no recovery observed for " ^ fault)
+        | Some outage ->
+          if warm && Supervisor.warm_swaps sv = 0 then
+            failwith (who ^ ": recovery for " ^ fault ^ " took the cold path");
+          ((Supervisor.stats sv).Supervisor.st_last_detect_latency_ns, outage))
+  in
+  { rs_fault = fault;
+    rs_detect_ns = detect_ns;
+    rs_outage_ns = outage_ns;
+    rs_trace_hash = Engine.trace_hash eng;
+    rs_steps = Engine.steps eng }
+
+let measure_recovery fault =
+  let w = make_world () in
+  measure ~who:"measure_recovery" ~eng:w.eng ~run:(Kernel.run w.k)
+    ~start:(fun () ->
+        Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:10) ~bdf:w.bdf
+          honest_factory)
+    ~load:(fun sv ->
+        let tr = start_traffic w (netdev_up ~who:"measure_recovery" w sv) ~gap_ns:200_000 in
+        fun () -> tr.tr_stop <- true)
+    ~inject:(fun sv -> inject ~sv ~dma_violate:(dma_violate w) fault)
+    ~warm:false (fault_name fault)
+
+(* Storage load for the measures: a page write every 50 us over 8 pages,
+   an fsync every fourth. *)
+let blk_probe_load w sv =
+  let bd = Option.get (Supervisor.blkdev sv) in
+  let stop = ref false in
+  ignore
+    (Process.spawn_fiber (Process.kernel_process w.bw_k.Kernel.procs) ~name:"blk-load"
+       (fun () ->
+          let gen = ref 0 in
+          while not !stop do
+            incr gen;
+            let page = !gen mod 8 in
+            let data = Bytes.make Blkdev.page_size (Char.chr (!gen land 0xff)) in
+            ignore
+              (Blkdev.write bd ~timeout_ns:io_timeout_ns ~lba:(page * Blkdev.page_sectors) data ()
+               : (unit, string) result);
+            if !gen mod 4 = 0 then
+              ignore (Blkdev.fsync bd ~timeout_ns:io_timeout_ns () : (unit, string) result);
+            ignore (Fiber.sleep w.bw_eng 50_000 : Fiber.wake)
+          done)
+     : Fiber.t);
+  fun () -> stop := true
+
+let measure_blk ~who ~policy ~warm fault =
   let w = make_blk_world () in
-  sample w.bw_eng ~fault:("blk_" ^ blk_fault_name fault)
-  @@ Kernel.run ~max_ms:10_000 w.bw_k (fun () ->
-      let k = w.bw_k in
+  measure ~who ~eng:w.bw_eng ~run:(Kernel.run ~max_ms:10_000 w.bw_k)
+    ~start:(fun () ->
+        Supervisor.start_blk w.bw_k w.bw_sp ~policy ~bdf:w.bw_bdf honest_blk_factory)
+    ~load:(blk_probe_load w)
+    ~inject:(fun sv -> blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme fault)
+    ~warm ("blk_" ^ blk_fault_name fault)
+
+let measure_blk_recovery =
+  measure_blk ~who:"measure_blk_recovery" ~policy:(soak_policy ~max_restarts:10) ~warm:false
+
+let measure_warm_blk_recovery =
+  measure_blk ~who:"measure_warm_blk_recovery" ~policy:(warm_policy ~max_restarts:10)
+    ~warm:true
+
+(* ---- forced crash-loop: the restart budget must quarantine ---- *)
+
+type quarantine_report = {
+  qr_restarts : int;
+  qr_quarantined : bool;
+  qr_netdev_removed : bool;
+  qr_sysfs_state : string;
+  qr_trace_hash : int64;
+  qr_steps : int;
+}
+
+let crash_loop ?(max_restarts = 3) () =
+  let w = make_world () in
+  let r =
+    Kernel.run w.k (fun () ->
       let sv =
         match
-          Supervisor.start_blk k w.bw_sp ~policy:(warm_policy ~max_restarts:10)
-            ~bdf:w.bw_bdf honest_blk_factory
+          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
+            honest_factory
         with
         | Ok sv -> sv
-        | Error e -> failwith ("measure_warm_blk_recovery: " ^ e)
+        | Error e -> failwith ("crash_loop: " ^ e)
       in
-      let bd = Option.get (Supervisor.blkdev sv) in
-      let stop = ref false in
+      let dev = netdev_up ~who:"crash_loop" w sv in
+      let quarantined () = Supervisor.state sv = Supervisor.Quarantined in
+      (* Kill every fresh generation as soon as it comes up. *)
       ignore
-        (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"blk-load"
+        (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"crash-looper"
            (fun () ->
-              let gen = ref 0 in
-              while not !stop do
-                incr gen;
-                let page = !gen mod 8 in
-                let data = Bytes.make Blkdev.page_size (Char.chr (!gen land 0xff)) in
-                ignore
-                  (Blkdev.write bd ~timeout_ns:io_timeout_ns
-                     ~lba:(page * Blkdev.page_sectors) data ()
-                   : (unit, string) result);
-                if !gen mod 4 = 0 then
-                  ignore (Blkdev.fsync bd ~timeout_ns:io_timeout_ns () : (unit, string) result);
-                ignore (Fiber.sleep w.bw_eng 50_000 : Fiber.wake)
+              while not (quarantined ()) do
+                ignore (inject ~sv Crash : bool);
+                ignore (Fiber.sleep w.eng 2_000_000 : Fiber.wake)
               done)
          : Fiber.t);
-      let restored = ref None in
-      Supervisor.on_event sv (function
-          | Supervisor.Driver_restarted { outage_ns; _ } when !restored = None ->
-            restored := Some outage_ns
-          | _ -> ());
-      ignore (Fiber.sleep w.bw_eng 5_000_000 : Fiber.wake);
-      (* The whole point is the warm path: never inject before the
-         standby is parked and Ready. *)
-      if not (wait_standby_ready ~eng:w.bw_eng sv ~budget_ms:2_000) then
-        failwith "measure_warm_blk_recovery: standby never became Ready";
-      if not (blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme fault) then
-        failwith
-          ("measure_warm_blk_recovery: injection not applied: " ^ blk_fault_name fault);
-      let rec wait budget =
-        match !restored with
-        | Some _ -> ()
-        | None when budget = 0 -> ()
-        | None ->
-          ignore (Fiber.sleep w.bw_eng 1_000_000 : Fiber.wake);
-          wait (budget - 1)
+      ignore (Fiber.poll w.eng ~every_ns:10_000_000 ~budget:1_000 quarantined : bool);
+      let sysfs_state =
+        match Sysfs.find_bdf w.k.Kernel.sysfs w.bdf with
+        | Some e -> Option.value ~default:"" (Sysfs.attr e "sud_state")
+        | None -> ""
       in
-      wait 2_000;
-      stop := true;
-      let st = Supervisor.stats sv in
-      match !restored with
-      | None ->
-        failwith
-          ("measure_warm_blk_recovery: no recovery observed for " ^ blk_fault_name fault)
-      | Some outage ->
-        if Supervisor.warm_swaps sv = 0 then
-          failwith
-            ("measure_warm_blk_recovery: recovery for " ^ blk_fault_name fault
-             ^ " took the cold path");
-        (st.Supervisor.st_last_detect_latency_ns, outage))
+      { qr_restarts = (Supervisor.stats sv).Supervisor.st_restarts;
+        qr_quarantined = quarantined ();
+        qr_netdev_removed = Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None;
+        qr_sysfs_state = sysfs_state;
+        qr_trace_hash = 0L;
+        qr_steps = 0 })
+  in
+  { r with qr_trace_hash = Engine.trace_hash w.eng; qr_steps = Engine.steps w.eng }

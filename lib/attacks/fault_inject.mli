@@ -1,10 +1,12 @@
-(** Seeded deterministic fault injection and the supervision soak harness.
+(** Seeded deterministic fault injection and the supervision soak harnesses.
 
     The security evaluation ({!Scenarios}) shows each attack contained
     once; this module shows the {!Supervisor} surviving {e hundreds} of
-    faults in a row under live traffic, with the containment invariants
+    faults in a row under live load, with the containment invariants
     checked at every driver death.  All randomness comes from an explicit
-    seed, so a failing soak replays exactly. *)
+    seed, so a failing soak replays exactly.  One plan DSL, one injector
+    and one recovery measure serve both device classes: only the fault
+    vocabularies ({!fault}, {!blk_fault}) and the worlds differ. *)
 
 (** One injectable fault class, mapped onto the supervisor's detection
     signals:
@@ -33,44 +35,71 @@ val lethal : fault -> bool
     filter classes before {!measure_recovery}, which needs a recovery to
     observe. *)
 
-(** {1 Plan DSL} *)
+(** Storage fault classes.  The device-level ones (corrupt/drop
+    completion, drop flush) arm one-shot hooks on the emulated NVMe;
+    none of them produce a direct detection signal, so all escalate
+    through the proxy's per-request timeout into a full recovery —
+    every class is lethal.  [Crash_mid_barrier] stalks an in-flight
+    flush and kills the driver at that instant. *)
+type blk_fault =
+  | Bcrash
+  | Bhang
+  | Corrupt_completion
+  | Drop_completion
+  | Drop_flush
+  | Crash_mid_barrier
 
-type injection = { at_ns : int; fault : fault }
-type plan = injection list
+val all_blk_faults : blk_fault list
+val blk_fault_name : blk_fault -> string
+
+(** {1 Plan DSL}
+
+    A plan is a time-sorted list of injections over either fault
+    vocabulary. *)
+
+type 'f injection = { at_ns : int; fault : 'f }
+type 'f plan = 'f injection list
 
 val random_plan :
-  seed:int64 -> duration_ns:int -> n:int -> ?faults:fault list -> unit -> plan
+  seed:int64 -> duration_ns:int -> n:int -> faults:'f list -> unit -> 'f plan
 (** [n] injections at uniform times in [\[0, duration_ns)], classes drawn
-    uniformly from [faults] (default all), sorted by time.  Same seed,
-    same plan. *)
+    uniformly from [faults], sorted by time.  Same seed, same plan. *)
 
-type injector_stats = {
-  mutable inj_applied : int;
-  mutable inj_skipped : int;
-  inj_by_class : (string, int) Hashtbl.t;
-}
+(** {1 Injection} *)
 
 val inject : sv:Supervisor.t -> ?dma_violate:(unit -> unit) -> fault -> bool
 (** Apply one fault to the supervisor's current driver generation right
     now.  Returns [false] (not applied) when the supervisor is not
     [Running] or the fault has no live target. *)
 
+val blk_inject :
+  eng:Engine.t -> sv:Supervisor.t -> nvme:Nvme_dev.t -> blk_fault -> bool
+(** Apply one storage fault now; [Bcrash] and [Bhang] are {!inject}'s
+    [Crash] and [Hang].  Must run in a fiber ([Crash_mid_barrier] sleeps
+    while stalking a flush). *)
+
+type injector_stats = {
+  mutable inj_applied : int;
+  mutable inj_skipped : int;
+  inj_by_class : (string, int) Hashtbl.t;  (** applied, by [name] *)
+}
+
 val run_plan :
   Kernel.t ->
   sv:Supervisor.t ->
-  ?dma_violate:(unit -> unit) ->
-  ?stats:injector_stats ->
-  plan ->
+  inject:('f -> bool) ->
+  name:('f -> string) ->
+  'f plan ->
   injector_stats
 (** Spawn an injector fiber that walks the plan, sleeping to each
-    instant (relative to now) and waiting for the supervisor to return
-    to [Running] so every fault lands on a live driver.  Returns the
-    (live-updating) stats record immediately. *)
+    instant (relative to now) and waiting (up to 1 s) for a live driver
+    generation so every fault lands on a live target, then applying
+    [inject].  Returns the (live-updating) stats record immediately. *)
 
-(** {1 Soak harness}
+(** {1 Worlds, invariants and load}
 
-    The world, traffic generator and containment-invariant checker the
-    soak runs in, exported so other adversarial campaigns
+    The worlds, traffic generator and containment-invariant checker the
+    soaks run in, exported so other adversarial campaigns
     ({!Proto_fuzz}) run under identical conditions. *)
 
 type world = {
@@ -86,6 +115,29 @@ type world = {
 val make_world : unit -> world
 (** A booted kernel, one emulated E1000 on a snooped medium, safe-PCI
     initialised. *)
+
+type blk_world = {
+  bw_eng : Engine.t;
+  bw_k : Kernel.t;
+  bw_sp : Safe_pci.t;
+  bw_nvme : Nvme_dev.t;
+  bw_bdf : Bus.bdf;
+}
+
+val make_blk_world : ?capacity:int -> unit -> blk_world
+(** A booted kernel with one emulated NVMe ([capacity] in 512-byte
+    sectors — the media is sparse, so large devices are free),
+    safe-PCI initialised. *)
+
+val honest_factory : attempt:int -> Driver_api.net_driver
+(** The honest E1000 driver, every generation. *)
+
+val honest_blk_factory : attempt:int -> Driver_api.blk_driver
+(** The honest NVMe driver, every generation. *)
+
+val dma_violate : world -> unit -> unit
+(** Device-level DMA to an address the driver never mapped — the IOMMU
+    must fault and attribute it to the device's BDF. *)
 
 val secret : string
 (** The canary written to a kernel page; containment means no driver
@@ -103,11 +155,23 @@ val warm_policy : max_restarts:int -> Supervisor.policy
 
 type invariant_ctx
 
-val install_invariants : world -> Supervisor.t -> secret_addr:int -> invariant_ctx
+val install_invariants :
+  k:Kernel.t -> bdf:Bus.bdf -> Supervisor.t -> secret_addr:int -> invariant_ctx
 (** Hook the supervisor's event stream: at every driver death assert the
-    kernel secret is intact, the dead generation's grant is revoked, its
-    IOMMU domain detached, and no previously-mapped iova still answers
-    from the IOTLB. *)
+    kernel secret at [secret_addr] is intact, the dead generation's grant
+    is revoked, the IOMMU domain of [bdf] detached, and no
+    previously-mapped iova still answers from the IOTLB.  The same
+    contract for a NIC and an NVMe. *)
+
+val supervise :
+  who:string ->
+  Kernel.t ->
+  bdf:Bus.bdf ->
+  (unit -> (Supervisor.t, string) result) ->
+  Supervisor.t * invariant_ctx
+(** Plant {!secret} in a fresh kernel page, run the supervised start and
+    {!install_invariants} on it: how every campaign opens.  Fails with
+    [who] in the message if the start does. *)
 
 val invariant_violations : invariant_ctx -> string list
 (** Failures recorded so far, oldest first; must be [[]]. *)
@@ -121,16 +185,12 @@ type traffic = {
   mutable tr_stop : bool;
 }
 
+val netdev_up : who:string -> world -> Supervisor.t -> Netdev.t
+(** Bring the supervised netdev up; fails with [who] in the message. *)
+
 val start_traffic : ?burst:int -> world -> Netdev.t -> gap_ns:int -> traffic
 (** Continuous UDP broadcast traffic through the netdev ([burst] sends
     every [gap_ns], default burst 1); set [tr_stop] to end it. *)
-
-val dma_violate : world -> unit -> unit
-(** Device-level DMA to an address the driver never mapped — the IOMMU
-    must fault and attribute it to the device's BDF. *)
-
-val honest_factory : attempt:int -> Driver_api.net_driver
-(** The honest E1000 driver, every generation. *)
 
 (** {1 Per-generation channel evidence}
 
@@ -194,7 +254,7 @@ val finish_sched :
 (** Fingerprint a finished run and, when [violations] is non-empty, dump
     the replayable schedule to [traces/].  Shared with {!Proto_fuzz}. *)
 
-(** {1 Soak} *)
+(** {1 Net soak} *)
 
 type soak_report = {
   sr_seed : int64;
@@ -228,7 +288,7 @@ val soak :
   ?seed:int64 ->
   ?n_faults:int ->
   ?duration_ms:int ->
-  ?plan:plan ->
+  ?plan:fault plan ->
   unit ->
   soak_report
 (** Run a supervised honest E1000 with continuous UDP traffic (bursts of
@@ -242,20 +302,6 @@ val soak :
     ([offered = queued + dropped + replayed]), every outage bounded, and
     — when any corruption was injected — at least one slot counted
     malformed over the run. *)
-
-(** {1 Per-class recovery latency (bench)} *)
-
-type recovery_sample = {
-  rs_fault : string;
-  rs_detect_ns : int;  (** last-healthy instant → detection *)
-  rs_outage_ns : int;  (** detection → traffic restored *)
-  rs_trace_hash : int64;  (** {!Engine.trace_hash} at the end of the run *)
-  rs_steps : int;  (** engine events fired *)
-}
-
-val measure_recovery : ?seed:int64 -> fault -> recovery_sample
-(** Inject exactly one fault of the class into a freshly supervised
-    driver under traffic and report the observed latencies. *)
 
 (** {1 Crash loop} *)
 
@@ -273,75 +319,18 @@ val crash_loop : ?max_restarts:int -> unit -> quarantine_report
     (default 3 per window) is exhausted: the supervisor must quarantine
     the device — netdev unregistered, sysfs state ["quarantined"]. *)
 
-(** {1 sud-blk: storage faults and the crash-consistency soak}
+(** {1 sud-blk: the crash-consistency soak}
 
-    The block soak replaces "traffic keeps flowing" with a stronger
-    oracle: {e no acknowledged write is ever lost, and no write is
-    observable that was never acknowledged}.  A single synchronous
-    workload fiber keeps a per-page [last_acked] ground truth; because
-    {!Blkdev.write} blocks until the ack, the array is exact whenever
-    the fiber runs, and media is compared against it immediately after
-    every successful [fsync] — the one instant the durability contract
-    pins everything down.  Every supervised restart forces such a
-    check, so the invariant is asserted at every recovery. *)
-
-(** Storage fault classes.  The device-level ones (corrupt/drop
-    completion, drop flush) arm one-shot hooks on the emulated NVMe;
-    none of them produce a direct detection signal, so all escalate
-    through the proxy's per-request timeout into a full recovery —
-    every class is lethal.  [Crash_mid_barrier] stalks an in-flight
-    flush and kills the driver at that instant. *)
-type blk_fault =
-  | Bcrash
-  | Bhang
-  | Corrupt_completion
-  | Drop_completion
-  | Drop_flush
-  | Crash_mid_barrier
-
-val all_blk_faults : blk_fault list
-val blk_fault_name : blk_fault -> string
-
-type blk_injection = { bat_ns : int; bfault : blk_fault }
-type blk_plan = blk_injection list
-
-val random_blk_plan :
-  seed:int64 -> duration_ns:int -> n:int -> ?faults:blk_fault list -> unit -> blk_plan
-
-type blk_world = {
-  bw_eng : Engine.t;
-  bw_k : Kernel.t;
-  bw_sp : Safe_pci.t;
-  bw_nvme : Nvme_dev.t;
-  bw_bdf : Bus.bdf;
-}
-
-val make_blk_world : ?capacity:int -> unit -> blk_world
-(** A booted kernel with one emulated NVMe ([capacity] in 512-byte
-    sectors — the media is sparse, so large devices are free),
-    safe-PCI initialised. *)
-
-val honest_blk_factory : attempt:int -> Driver_api.blk_driver
-(** The honest NVMe driver, every generation. *)
-
-val blk_inject :
-  eng:Engine.t -> sv:Supervisor.t -> nvme:Nvme_dev.t -> blk_fault -> bool
-(** Apply one storage fault now.  Must run in a fiber
-    ([Crash_mid_barrier] sleeps while stalking a flush). *)
-
-val run_blk_plan :
-  Kernel.t ->
-  sv:Supervisor.t ->
-  nvme:Nvme_dev.t ->
-  ?stats:injector_stats ->
-  blk_plan ->
-  injector_stats
-
-val install_invariants_for :
-  k:Kernel.t -> bdf:Bus.bdf -> Supervisor.t -> secret_addr:int -> invariant_ctx
-(** The class-independent form of {!install_invariants}: the same
-    containment contract, whether the supervised device is a NIC or an
-    NVMe. *)
+    The storage soaks ({!blk_soak}, {!upgrade_soak}) replace "traffic
+    keeps flowing" with a stronger oracle, which they share: {e no
+    acknowledged write is ever lost, and no write is observable that was
+    never acknowledged}.  A single synchronous writer fiber keeps a
+    per-page last-acked ground truth; because {!Blkdev.write} blocks
+    until the ack, it is exact whenever the fiber runs, and media is
+    compared against it immediately after a successful [fsync] — the
+    one instant the durability contract pins everything down.  Every
+    supervised restart forces such a check, so the invariant is asserted
+    at every recovery.  Each soak keeps only its own writer step. *)
 
 type blk_soak_report = {
   bsr_seed : int64;
@@ -372,7 +361,7 @@ val blk_soak :
   ?seed:int64 ->
   ?n_faults:int ->
   ?duration_ms:int ->
-  ?plan:blk_plan ->
+  ?plan:blk_fault plan ->
   unit ->
   blk_soak_report
 (** Run a supervised honest NVMe driver under a continuous synchronous
@@ -383,17 +372,12 @@ val blk_soak :
     acknowledged write for every page; at the end a final fsync must
     leave zero retained and zero in-flight requests. *)
 
-val measure_blk_recovery : ?seed:int64 -> blk_fault -> recovery_sample
-(** Inject exactly one storage fault into a freshly supervised NVMe
-    under workload and report the observed recovery latencies
-    ([rs_fault] is prefixed ["blk_"]). *)
-
 (** {1 Warm standby: upgrades, poison, and the interleaving soak}
 
     The classes here target the generation-swap machinery itself rather
     than the datapath, so they are deliberately {e not} part of
     {!all_blk_faults}: neither produces the fault-detection /
-    [Driver_restarted] shape {!measure_blk_recovery} waits on. *)
+    [Driver_restarted] shape the recovery measures wait on. *)
 
 type upgrade_fault =
   | Upgrade_during_fault  (** a lethal fault racing the upgrade drain *)
@@ -439,7 +423,28 @@ val upgrade_soak :
     supervisor must return to Running and media must equal the last
     acknowledged write for every page. *)
 
-val measure_warm_blk_recovery : ?seed:int64 -> blk_fault -> recovery_sample
+(** {1 Per-class recovery latency (bench)}
+
+    One measure serves every class: start the supervised driver, put it
+    under load for 5 ms, inject exactly one fault and wait (up to 2 s)
+    for the restore.  Each sample carries the run's FIFO fingerprint. *)
+
+type recovery_sample = {
+  rs_fault : string;
+  rs_detect_ns : int;  (** last-healthy instant → detection *)
+  rs_outage_ns : int;  (** detection → traffic restored *)
+  rs_trace_hash : int64;  (** {!Engine.trace_hash} at the end of the run *)
+  rs_steps : int;  (** engine events fired *)
+}
+
+val measure_recovery : fault -> recovery_sample
+(** One net fault into a supervised E1000 under UDP traffic. *)
+
+val measure_blk_recovery : blk_fault -> recovery_sample
+(** One storage fault into a supervised NVMe under a write/fsync load
+    ([rs_fault] is prefixed ["blk_"]). *)
+
+val measure_warm_blk_recovery : blk_fault -> recovery_sample
 (** {!measure_blk_recovery} with the warm standby enabled: waits for
     the parked generation to be Ready before injecting, then requires
     the recovery to have taken the warm-swap path (fails if it fell

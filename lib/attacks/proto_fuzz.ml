@@ -122,25 +122,16 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
   let report =
     Kernel.run ~max_ms:300_000 w.Fault_inject.k (fun () ->
       let open Fault_inject in
-      let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
-      Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:max_int) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("proto_fuzz: supervised start failed: " ^ e)
+      let sv, ctx =
+        supervise ~who:"proto_fuzz" w.k ~bdf:w.bdf (fun () ->
+            Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts:max_int) ~bdf:w.bdf
+              honest_factory)
       in
-      let ctx = install_invariants w sv ~secret_addr in
       let ct = new_chan_tally () in
       Supervisor.on_event sv (function
           | Supervisor.Fault_detected _ -> tally_chan ct sv
           | _ -> ());
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("proto_fuzz: ifconfig up: " ^ e));
+      let dev = netdev_up ~who:"proto_fuzz" w sv in
       (* Bursts so the driver's tx_free downcalls coalesce into batch
          slots: the mutators must see both slot shapes. *)
       let tr = start_traffic ~burst:4 w dev ~gap_ns:400_000 in
@@ -149,11 +140,11 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       let skipped = ref 0 in
       let extra = ref [] in
       let sleep ns = ignore (Fiber.sleep w.eng ns : Fiber.wake) in
-      let rec wait_running budget =
-        if budget > 0 && Supervisor.state sv <> Supervisor.Running then begin
-          sleep 1_000_000;
-          wait_running (budget - 1)
-        end
+      let wait_running () =
+        ignore
+          (Fiber.poll w.eng ~every_ns:1_000_000 ~budget:2_000 (fun () ->
+               Supervisor.state sv = Supervisor.Running)
+           : bool)
       in
       (* Install a one-shot mutator on the current generation's channel
          and wait (bounded) for live traffic to trigger it. *)
@@ -166,13 +157,10 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
                   mutate slot;
                   fired := true
                 end));
-        let rec wait budget =
-          if (not !fired) && budget > 0 && not (Uchan.is_closed chan) then begin
-            sleep 500_000;
-            wait (budget - 1)
-          end
-        in
-        wait 100;
+        ignore
+          (Fiber.poll w.eng ~every_ns:500_000 ~budget:100 (fun () ->
+               !fired || Uchan.is_closed chan)
+           : bool);
         if not (Uchan.is_closed chan) then Uchan.set_u2k_mutator chan None;
         !fired
       in
@@ -208,7 +196,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
         (* Round-robin through the classes (coverage guaranteed), with a
            seeded draw inside Seq_skew for direction. *)
         let m = class_arr.(i mod n_classes) in
-        wait_running 2_000;
+        wait_running ();
         if Supervisor.state sv = Supervisor.Running && apply m then begin
           count applied (mutation_name m);
           (* Give the escalation a couple of watchdog ticks to land
@@ -224,7 +212,7 @@ let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
       sleep 20_000_000;
       tr.tr_stop <- true;
       sleep 10_000_000;
-      wait_running 2_000;
+      wait_running ();
       tally_chan ct sv;
       let overflows = Quota.notify_overflows (Supervisor.quota sv) in
       let violate fmt = Printf.ksprintf (fun s -> extra := s :: !extra) fmt in
@@ -272,22 +260,12 @@ let quarantine_campaign ?(max_restarts = 3) () =
   let r =
     Kernel.run w.Fault_inject.k (fun () ->
       let open Fault_inject in
-      let secret_addr = Phys_mem.alloc_pages w.k.Kernel.mem ~pages:1 in
-      Phys_mem.write w.k.Kernel.mem ~addr:secret_addr (Bytes.of_string secret);
-      let sv =
-        match
-          Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
-            honest_factory
-        with
-        | Ok sv -> sv
-        | Error e -> failwith ("proto_fuzz: quarantine start failed: " ^ e)
+      let sv, ctx =
+        supervise ~who:"proto_fuzz quarantine" w.k ~bdf:w.bdf (fun () ->
+            Supervisor.start w.k w.sp ~policy:(soak_policy ~max_restarts) ~bdf:w.bdf
+              honest_factory)
       in
-      let ctx = install_invariants w sv ~secret_addr in
-      let dev = Supervisor.netdev sv in
-      (match Netstack.ifconfig_up w.k.Kernel.net dev with
-       | Ok () -> ()
-       | Error e -> failwith ("proto_fuzz: ifconfig up: " ^ e));
-      let tr = start_traffic w dev ~gap_ns:400_000 in
+      let tr = start_traffic w (netdev_up ~who:"proto_fuzz quarantine" w sv) ~gap_ns:400_000 in
       (* Every fresh generation speaks out of protocol immediately: the
          supervisor must burn its restart budget and quarantine. *)
       ignore
@@ -308,13 +286,10 @@ let quarantine_campaign ?(max_restarts = 3) () =
               in
               loop ())
          : Fiber.t);
-      let rec wait budget =
-        if budget > 0 && Supervisor.state sv <> Supervisor.Quarantined then begin
-          ignore (Fiber.sleep w.eng 10_000_000 : Fiber.wake);
-          wait (budget - 1)
-        end
-      in
-      wait 1_000;
+      ignore
+        (Fiber.poll w.eng ~every_ns:10_000_000 ~budget:1_000 (fun () ->
+             Supervisor.state sv = Supervisor.Quarantined)
+         : bool);
       tr.tr_stop <- true;
       let st = Supervisor.stats sv in
       { pq_restarts = st.Supervisor.st_restarts;

@@ -114,7 +114,7 @@ let shrink_counterexample ?save (sc : Scenario.t) ~seed decisions =
 
 (* ---- shrink a (schedule x fault-plan) pair: the net soak edition ---- *)
 
-type pair_item = D of Sched.decision | P of Fault_inject.injection
+type pair_item = D of Sched.decision | P of Fault_inject.fault Fault_inject.injection
 
 type pair_report = {
   pr_orig_decisions : int;

@@ -59,7 +59,7 @@ val shrink_counterexample :
 (** ddmin over the failing decision list; permissive replay makes every
     subset well-defined (dropped decisions degrade to FIFO). *)
 
-type pair_item = D of Sched.decision | P of Fault_inject.injection
+type pair_item = D of Sched.decision | P of Fault_inject.fault Fault_inject.injection
 
 type pair_report = {
   pr_orig_decisions : int;
@@ -71,8 +71,8 @@ type pair_report = {
 }
 
 val shrink_soak_pair :
-  seed:int64 -> ?duration_ms:int -> Sched.decision list -> Fault_inject.plan
-  -> pair_report * Sched.decision list * Fault_inject.plan
+  seed:int64 -> ?duration_ms:int -> Sched.decision list -> Fault_inject.fault Fault_inject.plan
+  -> pair_report * Sched.decision list * Fault_inject.fault Fault_inject.plan
 (** Minimize a failing (schedule × fault-plan) pair of the net soak:
     one ddmin over the tagged union, so the oracle prunes schedule
     decisions and injections together. *)

@@ -253,7 +253,8 @@ let plan_determinism_test =
   let gen = QCheck.Gen.(map Int64.of_int (int_bound 1_000_000)) in
   QCheck.Test.make ~name:"fault plans are seeded and deterministic" ~count:100
     (QCheck.make gen) (fun seed ->
-      let mk () = Fault_inject.random_plan ~seed ~duration_ns:1_000_000_000 ~n:50 () in
+      let mk () = Fault_inject.random_plan ~seed ~duration_ns:1_000_000_000 ~n:50
+          ~faults:Fault_inject.all_faults () in
       let p1 = mk () and p2 = mk () in
       p1 = p2
       && List.length p1 = 50
