@@ -1517,8 +1517,24 @@ let run_check () =
   print_endline "wrote BENCH_9.json";
   pass
 
+(* Every word main.exe understands; any other is a usage error, so a typo
+   never silently runs the whole default harness. *)
+let usage =
+  "usage: main.exe [quick] [--json] \
+   [micro | mq | batch [smoke] | fuzz | check | soak | blk-soak [smoke] | blkperf \
+   | upgrade-soak | upgrade]"
+
+let known_args =
+  [ "quick"; "--json"; "smoke"; "micro"; "mq"; "batch"; "fuzz"; "check"; "soak"; "blk-soak";
+    "blkperf"; "upgrade-soak"; "upgrade" ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  (match List.filter (fun a -> not (List.mem a known_args)) args with
+   | [] -> ()
+   | bad ->
+     Printf.eprintf "main.exe: unknown argument %s\n%s\n" (String.concat " " bad) usage;
+     exit 2);
   let quick = List.mem "quick" args in
   let json = List.mem "--json" args in
   if List.mem "micro" args then begin
