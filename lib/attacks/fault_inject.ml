@@ -709,7 +709,8 @@ let acked_write d rng gen =
   let data =
     Bytes.init Blkdev.page_size (fun i -> Char.chr ((page * 131 + gen * 31 + i) land 0xff))
   in
-  match Blkdev.write d.dr_bd ~timeout_ns:io_timeout_ns ~lba:(page * Blkdev.page_sectors) data () with
+  let lba = page * Blkdev.page_sectors in
+  match Blkdev.write d.dr_bd ~timeout_ns:io_timeout_ns ~lba data () with
   | Ok () ->
     d.dr_writes <- d.dr_writes + 1;
     d.dr_acked.(page) <- Some data

@@ -159,5 +159,7 @@ let sleep engine ns =
          : Engine.handle))
 
 let poll engine ~every_ns ~budget cond =
-  let rec go left = cond () || (left > 0 && (ignore (sleep engine every_ns : wake); go (left - 1))) in
+  let rec go left =
+    cond () || (left > 0 && (ignore (sleep engine every_ns : wake); go (left - 1)))
+  in
   go budget
