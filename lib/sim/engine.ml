@@ -1,11 +1,14 @@
-type handle = { mutable cancelled : bool }
+type state = Queued | Fired | Cancelled
 
-type event = { time : int; seq : int; h : handle; fn : unit -> unit }
+type event = { time : int; seq : int; fn : unit -> unit; mutable state : state }
+
+type handle = event
 
 type t = {
   mutable now : int;
   mutable seq : int;
   heap : event Heap.t;
+  mutable cancelled : int;  (* cancelled events still in [heap] *)
   root_rng : Rng.t;
   mutable steps : int;
   mutable thash : int64;
@@ -14,7 +17,7 @@ type t = {
   mutable stopping : bool;
 }
 
-let dummy_event = { time = 0; seq = 0; h = { cancelled = true }; fn = ignore }
+let dummy_event = { time = 0; seq = 0; fn = ignore; state = Fired }
 
 let compare_event a b =
   match compare a.time b.time with 0 -> compare a.seq b.seq | c -> c
@@ -23,6 +26,7 @@ let create ?(seed = 1L) () =
   { now = 0;
     seq = 0;
     heap = Heap.create ~cmp:compare_event ~dummy:dummy_event;
+    cancelled = 0;
     root_rng = Rng.create ~seed;
     steps = 0;
     thash = 0x5D0_C4ECL;
@@ -39,18 +43,42 @@ let set_observer t o = t.observer <- o
 
 let schedule_after t delay fn =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  let h = { cancelled = false } in
   t.seq <- t.seq + 1;
-  Heap.push t.heap { time = t.now + delay; seq = t.seq; h; fn };
-  h
+  let ev = { time = t.now + delay; seq = t.seq; fn; state = Queued } in
+  Heap.push t.heap ev;
+  ev
 
 let schedule_now t fn = schedule_after t 0 fn
 
-let cancel h = h.cancelled <- true
+(* A cancelled event stays in the heap until it reaches the top, or until
+   cancelled events make up more than half of the heap: then one O(n) pass
+   drops them all, so the queue stays within twice its live events.  The
+   floor keeps a small queue from being rebuilt at every cancel. *)
+let compact_floor = 64
+
+let cancel t ev =
+  if ev.state = Queued then begin
+    ev.state <- Cancelled;
+    t.cancelled <- t.cancelled + 1;
+    if t.cancelled > compact_floor && 2 * t.cancelled > Heap.length t.heap then begin
+      Heap.filter t.heap (fun ev -> ev.state = Queued);
+      t.cancelled <- 0
+    end
+  end
 
 let stop t = t.stopping <- true
 
-let pending t = Heap.length t.heap
+let pending t = Heap.length t.heap - t.cancelled
+
+(* The earliest queued event, reaping cancelled ones off the top on the
+   way: they never fire, never count as a step and never move the clock. *)
+let rec peek_live t =
+  match Heap.peek t.heap with
+  | Some ev when ev.state = Cancelled ->
+    ignore (Heap.pop t.heap : event option);
+    t.cancelled <- t.cancelled - 1;
+    peek_live t
+  | top -> top
 
 (* Fingerprint the fired (time, seq) stream.  Two runs that fire the same
    events in the same order — the definition of an identical schedule —
@@ -64,34 +92,25 @@ let note_fired t ev =
          (Int64.of_int (ev.time lxor (ev.seq * 0x9E3779B9))))
 
 let fire t ev =
+  ev.state <- Fired;
   t.now <- max t.now ev.time;
   note_fired t ev;
   ev.fn ()
 
-(* The ready set: every uncancelled event sharing the minimal queued time,
-   in seq (arrival) order.  Cancelled events are reaped, not offered. *)
+(* The ready set: every queued event sharing the minimal time, in seq
+   (arrival) order — the order they pop in, since (time, seq) is total. *)
 let gather_ready t =
-  match Heap.pop t.heap with
+  match peek_live t with
   | None -> []
   | Some first ->
-    let rec drop_cancelled ev =
-      if ev.h.cancelled then
-        match Heap.pop t.heap with None -> None | Some ev' -> drop_cancelled ev'
-      else Some ev
+    let rec collect acc =
+      match peek_live t with
+      | Some ev when ev.time = first.time ->
+        ignore (Heap.pop t.heap : event option);
+        collect (ev :: acc)
+      | _ -> List.rev acc
     in
-    (match drop_cancelled first with
-     | None -> []
-     | Some first ->
-       let acc = ref [ first ] in
-       let continue_ = ref true in
-       while !continue_ do
-         match Heap.peek t.heap with
-         | Some ev when ev.time = first.time ->
-           ignore (Heap.pop t.heap : event option);
-           if not ev.h.cancelled then acc := ev :: !acc
-         | _ -> continue_ := false
-       done;
-       List.sort compare_event !acc)
+    collect []
 
 let run_policy pick ?(max_time = max_int) ?(max_events = max_int) t =
   let fired = ref 0 in
@@ -132,15 +151,10 @@ let run ?(max_time = max_int) ?(max_events = max_int) t =
     let fired = ref 0 in
     let continue_ = ref true in
     while !continue_ && !fired < max_events && not t.stopping do
-      match Heap.peek t.heap with
-      | None -> continue_ := false
-      | Some ev when ev.time > max_time -> continue_ := false
-      | Some _ ->
-        (match Heap.pop t.heap with
-         | None -> continue_ := false
-         | Some ev ->
-           if not ev.h.cancelled then begin
-             incr fired;
-             fire t ev
-           end else t.now <- max t.now ev.time)
+      match peek_live t with
+      | Some ev when ev.time <= max_time ->
+        ignore (Heap.pop t.heap : event option);
+        incr fired;
+        fire t ev
+      | _ -> continue_ := false
     done

@@ -28,8 +28,12 @@ val schedule_now : t -> (unit -> unit) -> handle
 (** Run at the current instant, after already-queued events for this
     instant. *)
 
-val cancel : handle -> unit
-(** Cancelling an already-fired event is a no-op. *)
+val cancel : t -> handle -> unit
+(** [cancel t h] frees the event [h] that [t] scheduled: it never fires,
+    never counts as a step and never moves the clock, and the queue drops
+    it physically (at the latest once cancelled events make up more than
+    half of the queue).  Cancelling an event that already fired or was
+    already cancelled is a no-op. *)
 
 val run : ?max_time:int -> ?max_events:int -> t -> unit
 (** Process events until the queue is empty or a limit is hit.  [max_time]
@@ -42,7 +46,7 @@ val stop : t -> unit
     effect ([run] clears it on entry). *)
 
 val pending : t -> int
-(** Number of queued (uncancelled or cancelled-but-unreaped) events. *)
+(** Number of live events: scheduled, not yet fired and not cancelled. *)
 
 (** {1 Scheduler policy hooks}
 
@@ -68,7 +72,7 @@ val set_observer :
     Only consulted when a picker is installed. *)
 
 val steps : t -> int
-(** Events fired so far (cancelled events are reaped, not counted). *)
+(** Events fired so far; cancelled events are never counted. *)
 
 val trace_hash : t -> int64
 (** Streaming fingerprint of the fired [(time, seq)] event stream.  Two

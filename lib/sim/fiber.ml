@@ -9,7 +9,7 @@ type state =
   | Dead
 
 and susp = {
-  mutable fired : bool;
+  mutable release : unit -> unit;   (* unfiles the wait; runs when it ends *)
   resume : wake -> unit;
   discontinue_killed : unit -> unit;
 }
@@ -20,12 +20,9 @@ and t = {
   mutable state : state;
   mutable pending_kill : bool;
   mutable exits : (unit -> unit) list;
-  (* Bumped at every suspension.  A timer armed for one suspension must not
-     wake a later one: wakers capture the epoch and compare before waking. *)
-  mutable epoch : int;
 }
 
-type _ Effect.t += Suspend : (t -> unit) -> wake Effect.t
+type _ Effect.t += Suspend : (t -> unit -> unit) -> wake Effect.t
 
 let next_id = ref 0
 
@@ -72,7 +69,7 @@ let handler engine t =
            Some
              (fun (k : (a, unit) continuation) ->
                 let susp =
-                  { fired = false;
+                  { release = ignore;
                     resume =
                       (fun w ->
                          ignore
@@ -88,15 +85,18 @@ let handler engine t =
                                 enter t (fun () -> discontinue k Killed))
                             : Engine.handle)) }
                 in
-                t.epoch <- t.epoch + 1;
                 t.state <- Suspended susp;
-                register t)
+                let release = register t in
+                (* [register] may itself have ended the wait. *)
+                match t.state with
+                | Suspended _ -> susp.release <- release
+                | Ready | Running | Dead -> release ())
          | _ -> None) }
 
 let spawn engine ?name:(fname = "fiber") main =
   incr next_id;
   let t =
-    { fid = !next_id; fname; state = Ready; pending_kill = false; exits = []; epoch = 0 }
+    { fid = !next_id; fname; state = Ready; pending_kill = false; exits = [] }
   in
   ignore
     (Engine.schedule_now engine (fun () ->
@@ -108,55 +108,48 @@ let spawn engine ?name:(fname = "fiber") main =
 
 let suspend register = Effect.perform (Suspend register)
 
+(* End the suspension at once: its release runs here, inside whatever
+   woke the fiber, so no timer or queue entry of the wait outlives it. *)
+let end_wait t s =
+  t.state <- Ready;
+  s.release ()
+
 let wake t w =
   match t.state with
-  | Suspended s when not s.fired ->
-    s.fired <- true;
-    t.state <- Ready;
+  | Suspended s ->
+    end_wait t s;
     s.resume w;
     true
-  | Ready | Running | Dead | Suspended _ -> false
+  | Ready | Running | Dead -> false
 
 let kill t =
   match t.state with
   | Dead -> ()
-  | Suspended s when not s.fired ->
-    s.fired <- true;
-    t.state <- Ready;
+  | Suspended s ->
+    end_wait t s;
     t.pending_kill <- true;
     s.discontinue_killed ()
-  | Suspended _ | Ready -> t.pending_kill <- true
+  | Ready -> t.pending_kill <- true
   | Running ->
     (* Only the fiber itself can observe state Running. *)
     raise Killed
 
 let interrupt t =
   match t.state with
-  | Suspended s when not s.fired ->
-    s.fired <- true;
-    t.state <- Ready;
+  | Suspended s ->
+    end_wait t s;
     s.resume Interrupted;
     true
-  | Ready | Running | Dead | Suspended _ -> false
-
-let yield engine =
-  let w =
-    suspend (fun fiber ->
-        ignore (Engine.schedule_now engine (fun () -> ignore (wake fiber Normal)) : Engine.handle))
-  in
-  ignore (w : wake)
-
-let epoch t = t.epoch
-
-let wake_epoch t ~epoch w = if t.epoch = epoch then wake t w else false
+  | Ready | Running | Dead -> false
 
 let sleep engine ns =
   suspend (fun fiber ->
-      let epoch = fiber.epoch in
-      ignore
-        (Engine.schedule_after engine ns (fun () ->
-             ignore (wake_epoch fiber ~epoch Normal : bool))
-         : Engine.handle))
+      let timer =
+        Engine.schedule_after engine ns (fun () -> ignore (wake fiber Normal : bool))
+      in
+      fun () -> Engine.cancel engine timer)
+
+let yield engine = ignore (sleep engine 0 : wake)
 
 let poll engine ~every_ns ~budget cond =
   let rec go left =

@@ -30,24 +30,18 @@ val name : t -> string
 val id : t -> int
 val is_alive : t -> bool
 
-val suspend : (t -> unit) -> wake
-(** [suspend register] parks the current fiber; [register] is called with
-    the fiber so the caller can file it in a wait queue or timer.  Returns
-    the reason it was woken. *)
+val suspend : (t -> unit -> unit) -> wake
+(** [suspend register] parks the current fiber and returns the reason it
+    was woken.  [register fiber] files the fiber where its waker will find
+    it (a wait queue, a timer) and returns the wait's release, which
+    unfiles it.  Whatever ends the suspension — {!wake}, {!interrupt} or
+    {!kill} — runs the release right there, before the fiber resumes, so
+    the wait's timer and queue entry die with the wait and can never wake
+    a later one.  Outside [lib/sim] use {!sleep} or the [Sync] waits. *)
 
 val wake : t -> wake -> bool
-(** Resume a suspended fiber (via the engine queue).  Returns false if the
-    fiber was not suspended or was already woken — stale wakes are safe. *)
-
-val epoch : t -> int
-(** The fiber's suspension counter, bumped at every suspension.  A waker
-    armed for one particular wait (e.g. a timeout timer) must capture the
-    epoch at arm time and wake through {!wake_epoch}, otherwise a timer
-    that lost its race wakes whatever the fiber is waiting on {e next}. *)
-
-val wake_epoch : t -> epoch:int -> wake -> bool
-(** {!wake}, but a no-op unless the fiber is still in the suspension the
-    epoch was captured in. *)
+(** Resume a suspended fiber (via the engine queue), ending its current
+    suspension.  Returns false if the fiber was not suspended. *)
 
 val kill : t -> unit
 (** Kill the fiber: if suspended, it is resumed with {!Killed}; if it has a
@@ -63,7 +57,8 @@ val yield : Engine.t -> unit
 
 val sleep : Engine.t -> int -> wake
 (** Sleep for the given number of nanoseconds; may return early with
-    [Interrupted]. *)
+    [Interrupted].  The sleep owns its timer: a sleep ended early cancels
+    it at once. *)
 
 val poll : Engine.t -> every_ns:int -> budget:int -> (unit -> bool) -> bool
 (** [poll eng ~every_ns ~budget cond] checks [cond], then sleeps

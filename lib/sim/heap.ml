@@ -1,15 +1,22 @@
 (* Array-based binary min-heap, specialized by a comparison function.
-   Used by the engine's event queue; not exposed outside the library. *)
+   Used by the engine's event queue; not exposed outside the library.
+   Vacated slots are reset to [dummy] so the heap never keeps a removed
+   element alive. *)
 
-type 'a t = { mutable data : 'a array; mutable len : int; cmp : 'a -> 'a -> int }
+type 'a t = {
+  mutable data : 'a array;
+  mutable len : int;
+  cmp : 'a -> 'a -> int;
+  dummy : 'a;
+}
 
-let create ~cmp ~dummy = { data = Array.make 64 dummy; len = 0; cmp }
+let create ~cmp ~dummy = { data = Array.make 64 dummy; len = 0; cmp; dummy }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
 let grow t =
-  let bigger = Array.make (2 * Array.length t.data) t.data.(0) in
+  let bigger = Array.make (2 * Array.length t.data) t.dummy in
   Array.blit t.data 0 bigger 0 t.len;
   t.data <- bigger
 
@@ -50,6 +57,23 @@ let pop t =
     let top = t.data.(0) in
     t.len <- t.len - 1;
     t.data.(0) <- t.data.(t.len);
+    t.data.(t.len) <- t.dummy;
     if t.len > 0 then sift_down t 0;
     Some top
   end
+
+(* Drop every element failing [keep], then restore heap order bottom-up
+   (O(n)).  Pop order over the survivors is unchanged whenever [cmp] is a
+   total order. *)
+let filter t keep =
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    if keep x then begin
+      t.data.(!n) <- x;
+      incr n
+    end
+  done;
+  Array.fill t.data !n (t.len - !n) t.dummy;
+  t.len <- !n;
+  for i = (t.len / 2) - 1 downto 0 do sift_down t i done

@@ -1,35 +1,55 @@
 module Waitq = struct
-  type t = { q : Fiber.t Queue.t }
+  (* An entry lives exactly as long as the wait that filed it: whatever
+     ends the wait (signal, timeout, interrupt, kill) kills the entry at
+     once, through the suspension's release. *)
+  type entry = { fiber : Fiber.t; mutable live : bool }
 
-  let create () = { q = Queue.create () }
+  type t = { q : entry Queue.t; mutable live : int }
 
-  let wait t = Fiber.suspend (fun fiber -> Queue.push fiber t.q)
+  let create () = { q = Queue.create (); live = 0 }
+
+  (* Once dead entries outnumber live ones, rotate the queue once and keep
+     only the live entries, in order. *)
+  let compact t =
+    if Queue.length t.q > 2 * t.live then
+      for _ = 1 to Queue.length t.q do
+        let e = Queue.pop t.q in
+        if e.live then Queue.push e t.q
+      done
+
+  let file t fiber =
+    let e = { fiber; live = true } in
+    Queue.push e t.q;
+    t.live <- t.live + 1;
+    fun () ->
+      e.live <- false;
+      t.live <- t.live - 1;
+      compact t
+
+  let wait t = Fiber.suspend (file t)
 
   let wait_timeout engine t ns =
     Fiber.suspend (fun fiber ->
-        Queue.push fiber t.q;
-        (* Capture the suspension epoch: if the fiber is signalled (or
-           interrupted) before the deadline, this timer must die with the
-           wait instead of waking the fiber's next suspension. *)
-        let epoch = Fiber.epoch fiber in
-        ignore
-          (Engine.schedule_after engine ns (fun () ->
-               ignore (Fiber.wake_epoch fiber ~epoch Fiber.Timeout : bool))
-           : Engine.handle))
+        let unfile = file t fiber in
+        let timer =
+          Engine.schedule_after engine ns (fun () ->
+              ignore (Fiber.wake fiber Fiber.Timeout : bool))
+        in
+        fun () ->
+          Engine.cancel engine timer;
+          unfile ())
 
-  (* Entries whose fiber was already woken elsewhere (kill, timeout) are
-     stale; [signal] skips them so a signal is never lost to a dead waiter. *)
   let rec signal t =
     match Queue.take_opt t.q with
     | None -> false
-    | Some fiber -> if Fiber.wake fiber Fiber.Normal then true else signal t
+    | Some e -> (e.live && Fiber.wake e.fiber Fiber.Normal) || signal t
 
   let broadcast t =
     let n = ref 0 in
     while signal t do incr n done;
     !n
 
-  let waiters t = Queue.length t.q
+  let waiters t = t.live
 end
 
 module Mutex = struct

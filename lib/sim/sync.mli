@@ -18,13 +18,20 @@ module Waitq : sig
   val wait_timeout : Engine.t -> t -> int -> Fiber.wake
   (** Like {!wait} but also wakes with [Timeout] after the given ns. *)
 
+  (** A wait owns its timer and its queue entry: both die the moment the
+      wait ends, however it ends.  A signalled wait's timer is cancelled
+      inside {!signal}, so it can neither fire later nor wake the fiber
+      out of an unrelated wait, and a timed-out, interrupted or killed
+      wait leaves no entry that a later {!signal} could spend on it. *)
+
   val signal : t -> bool
-  (** Wake the oldest waiter.  False if nobody was waiting. *)
+  (** Wake the oldest live waiter.  False if nobody was waiting. *)
 
   val broadcast : t -> int
   (** Wake all current waiters; returns how many were woken. *)
 
   val waiters : t -> int
+  (** Fibers waiting right now: live entries only. *)
 end
 
 module Mutex : sig

@@ -43,4 +43,14 @@ report "stdlib Random outside lib/sim/rng.ml (use Rng / Rng.derive so runs repla
   "$(srcs '(^|[^.A-Za-z_"])Random\.' lib bin bench test examples \
      | grep -vE '^lib/sim/rng\.mli?:')"
 
+# Every wait owns its wakers: its timer and queue entry die the moment
+# the wait ends, because every suspension is built in lib/sim
+# (Fiber.sleep, Fiber.yield, the Sync waits), whose release cancels
+# them.  A raw Fiber.suspend elsewhere could arm a timer that outlives
+# its wait and wakes the fiber out of a later one.  test_sim.ml drives
+# the primitive itself.
+report "Fiber.suspend outside lib/sim (use Fiber.sleep or a Sync wait, which own their timers)" \
+  "$(srcs 'Fiber\.suspend' lib bin bench test examples \
+     | grep -vE '^(lib/sim/|test/test_sim\.ml:)')"
+
 exit $status

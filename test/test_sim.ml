@@ -17,9 +17,39 @@ let test_engine_cancel () =
   let eng = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule_after eng 10 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel eng h;
   Engine.run eng;
   Alcotest.(check bool) "cancelled event does not fire" false !fired
+
+let test_engine_cancel_keeps_clock () =
+  let eng = Engine.create () in
+  ignore (Engine.schedule_after eng 10 ignore : Engine.handle);
+  let late = Engine.schedule_after eng 1_000 ignore in
+  Engine.cancel eng late;
+  Alcotest.(check int) "pending counts the live event only" 1 (Engine.pending eng);
+  Engine.run eng;
+  Alcotest.(check int) "clock stops at the last event that fired" 10 (Engine.now eng);
+  Alcotest.(check int) "one step" 1 (Engine.steps eng)
+
+(* Schedule and cancel an event whose closure holds the only reference to
+   a fresh buffer; return a weak pointer to the buffer. *)
+let cancel_holding eng =
+  let w = Weak.create 1 in
+  let buf = Bytes.create 64 in
+  Weak.set w 0 (Some buf);
+  Engine.cancel eng (Engine.schedule_after eng 10 (fun () -> ignore (Bytes.length buf : int)));
+  w
+
+let test_engine_cancel_frees () =
+  let eng = Engine.create () in
+  for _ = 1 to 64 do
+    Engine.cancel eng (Engine.schedule_after eng 20 ignore)
+  done;
+  (* The 65th cancel is past the floor and over half of the queue. *)
+  let w = cancel_holding eng in
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled event no longer reachable" false (Weak.check w 0);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending eng)
 
 let test_engine_max_time () =
   let eng = Engine.create () in
@@ -58,7 +88,9 @@ let test_fiber_kill_runs_cleanup () =
           ~finally:(fun () -> cleaned := true)
           (fun () ->
              ignore
-               (Fiber.suspend (fun self -> blocked := Some self)
+               (Fiber.suspend (fun self ->
+                    blocked := Some self;
+                    ignore)
                 : Fiber.wake)))
   in
   ignore (Engine.schedule_after eng 10 (fun () -> Fiber.kill f) : Engine.handle);
@@ -75,6 +107,19 @@ let test_fiber_interrupt () =
   ignore (Engine.schedule_after eng 10 (fun () -> ignore (Fiber.interrupt f : bool)) : Engine.handle);
   Engine.run ~max_time:2_000_000 eng;
   Alcotest.(check bool) "woken early with Interrupted" true (!got = Some Fiber.Interrupted)
+
+(* A sleep ended early takes its timer with it: the clock stops at the
+   interrupt and the kill, and no timer fires as a step. *)
+let test_fiber_sleep_ended_early () =
+  let eng = Engine.create () in
+  let sleeper () = Fiber.spawn eng (fun () -> ignore (Fiber.sleep eng 1_000_000 : Fiber.wake)) in
+  let a = sleeper () and b = sleeper () in
+  let at_10 fn = ignore (Engine.schedule_after eng 10 fn : Engine.handle) in
+  at_10 (fun () -> ignore (Fiber.interrupt a : bool));
+  at_10 (fun () -> Fiber.kill b);
+  Engine.run eng;
+  Alcotest.(check int) "clock stops at the last wake" 10 (Engine.now eng);
+  Alcotest.(check int) "two spawns, two wakers, two resumes" 6 (Engine.steps eng)
 
 let test_fiber_stale_wake () =
   let eng = Engine.create () in
@@ -160,6 +205,108 @@ let test_waitq_timeout () =
      : Fiber.t);
   Engine.run eng;
   Alcotest.(check bool) "timed out" true (!r = Some Fiber.Timeout)
+
+(* A timed-out wait leaves nothing behind in its queue: a later signal
+   skips it for the next live waiter and cannot cut short the fiber's
+   next, unrelated wait. *)
+let test_waitq_timeout_leaves_no_entry () =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let slept_until = ref (-1) and other_woke = ref (-1) in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         Alcotest.(check bool) "timed out" true (Sync.Waitq.wait_timeout eng q 10 = Fiber.Timeout);
+         Alcotest.(check int) "one waiter left" 1 (Sync.Waitq.waiters q);
+         ignore (Fiber.sleep eng 1_000 : Fiber.wake);
+         slept_until := Engine.now eng)
+     : Fiber.t);
+  ignore
+    (Fiber.spawn eng (fun () ->
+         ignore (Sync.Waitq.wait q : Fiber.wake);
+         other_woke := Engine.now eng)
+     : Fiber.t);
+  ignore
+    (Engine.schedule_after eng 100 (fun () ->
+         Alcotest.(check bool) "signal wakes the live waiter" true (Sync.Waitq.signal q);
+         Alcotest.(check bool) "and nobody else" false (Sync.Waitq.signal q))
+     : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check int) "live waiter woken by the signal" 100 !other_woke;
+  Alcotest.(check int) "sleep ran its full length" 1_010 !slept_until
+
+(* An interrupted or killed wait takes its entry with it. *)
+let test_waitq_waiters_live_only () =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let waiter () = Fiber.spawn eng (fun () -> ignore (Sync.Waitq.wait q : Fiber.wake)) in
+  let a = waiter () and b = waiter () and _c = waiter () in
+  let counts = ref [] in
+  let note n = counts := n :: !counts in
+  ignore
+    (Engine.schedule_after eng 10 (fun () ->
+         note (Sync.Waitq.waiters q);
+         ignore (Fiber.interrupt a : bool);
+         note (Sync.Waitq.waiters q);
+         Fiber.kill b;
+         note (Sync.Waitq.waiters q);
+         note (Bool.to_int (Sync.Waitq.signal q));
+         note (Sync.Waitq.waiters q);
+         note (Bool.to_int (Sync.Waitq.signal q)))
+     : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check (list int)) "live waiters only; one signal lands" [ 3; 2; 1; 1; 0; 0 ]
+    (List.rev !counts)
+
+(* Spawn a fiber that times out on [q] and ends; return a weak pointer
+   to it. *)
+let time_out_once eng q =
+  let w = Weak.create 1 in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         Weak.set w 0 (Some (Fiber.self ()));
+         ignore (Sync.Waitq.wait_timeout eng q 10 : Fiber.wake))
+     : Fiber.t);
+  w
+
+(* Dead entries are compacted away: the queue keeps no finished fiber. *)
+let test_waitq_compacts_dead_entries () =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let w = time_out_once eng q in
+  Engine.run eng;
+  Gc.full_major ();
+  Alcotest.(check bool) "finished fiber unreachable" false (Weak.check w 0);
+  Alcotest.(check bool) "queue still empty" false (Sync.Waitq.signal q)
+
+(* 10,000 waits, each signalled long before its 5 s timeout: every timer
+   dies with its wait, so the queue stays small, the clock never reaches
+   a deadline, and every step is a signal or the wake it causes. *)
+let test_waitq_early_signal_frees_timers () =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () in
+  let n = 10_000 and peak = ref 0 and normal = ref 0 in
+  ignore
+    (Fiber.spawn eng (fun () ->
+         for _ = 1 to n do
+           if Sync.Waitq.wait_timeout eng q 5_000_000_000 = Fiber.Normal then incr normal
+         done)
+     : Fiber.t);
+  let rec tick left =
+    if left > 0 then
+      ignore
+        (Engine.schedule_after eng 1 (fun () ->
+             peak := max !peak (Engine.pending eng);
+             ignore (Sync.Waitq.signal q : bool);
+             tick (left - 1))
+         : Engine.handle)
+  in
+  tick n;
+  Engine.run eng;
+  Alcotest.(check int) "every wait signalled" n !normal;
+  Alcotest.(check bool) (Printf.sprintf "pending stays small (peak %d)" !peak) true (!peak <= 4);
+  Alcotest.(check int) "no timer fired: spawn + signals + wakes" (1 + (2 * n)) (Engine.steps eng);
+  Alcotest.(check int) "clock never reached a deadline" n (Engine.now eng);
+  Alcotest.(check int) "queue empty" 0 (Engine.pending eng)
 
 let test_mutex_exclusion () =
   let eng = Engine.create () in
@@ -295,22 +442,75 @@ let qcheck_cases =
            delays;
          Engine.run eng;
          let result = List.rev !fired in
-         result = List.stable_sort compare delays) ]
+         result = List.stable_sort compare delays);
+    (* Event i is scheduled [delay] ns out; unless [keep] is 0 it is
+       cancelled once event [i + lag] has been scheduled.  With more than
+       64 cancelled events, over half of the queue, compaction must run;
+       the survivors still fire in (time, seq) order, on the FIFO path and
+       on the picker path alike, and the clock ends at the last of them. *)
+    QCheck.Test.make ~name:"engine compaction keeps (time, seq) order" ~count:100
+      QCheck.(
+        list_of_size Gen.(int_range 100 300) (triple (int_bound 500) (int_bound 3) (int_bound 20)))
+      (fun ops ->
+         let ops = Array.of_list ops in
+         let n = Array.length ops in
+         let cancelled i = let _, keep, _ = ops.(i) in keep <> 0 in
+         let n_cancelled = List.length (List.filter cancelled (List.init n Fun.id)) in
+         QCheck.assume (n_cancelled > 64 && 2 * n_cancelled > n);
+         let run ~picker =
+           let eng = Engine.create () in
+           if picker then Engine.set_picker eng (Some (fun ~step:_ ~ready:_ -> 0));
+           let fired = ref [] in
+           let handles = Array.make n None in
+           let due = Array.make n [] in
+           Array.iteri
+             (fun i (delay, _, lag) ->
+                handles.(i) <-
+                  Some (Engine.schedule_after eng delay (fun () -> fired := i :: !fired));
+                if cancelled i then begin
+                  let at = min (n - 1) (i + lag) in
+                  due.(at) <- i :: due.(at)
+                end;
+                List.iter (fun j -> Engine.cancel eng (Option.get handles.(j))) due.(i))
+             ops;
+           let pending = Engine.pending eng in
+           Engine.run eng;
+           (List.rev !fired, pending, Engine.now eng)
+         in
+         let survivors = List.filter (fun i -> not (cancelled i)) (List.init n Fun.id) in
+         let delay i = let d, _, _ = ops.(i) in d in
+         let expected =
+           List.stable_sort (fun a b -> compare (delay a) (delay b)) survivors
+         in
+         let last = List.fold_left (fun m i -> max m (delay i)) 0 survivors in
+         let want = (expected, List.length survivors, last) in
+         run ~picker:false = want && run ~picker:true = want) ]
 
 let suite =
   [ Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine: cancel" `Quick test_engine_cancel;
+    Alcotest.test_case "engine: cancel keeps the clock" `Quick test_engine_cancel_keeps_clock;
+    Alcotest.test_case "engine: cancel frees the event" `Quick test_engine_cancel_frees;
     Alcotest.test_case "engine: max_time" `Quick test_engine_max_time;
     Alcotest.test_case "engine: negative delay" `Quick test_engine_negative_delay;
     Alcotest.test_case "fiber: sleep" `Quick test_fiber_sleep;
     Alcotest.test_case "fiber: kill runs cleanup" `Quick test_fiber_kill_runs_cleanup;
     Alcotest.test_case "fiber: interrupt" `Quick test_fiber_interrupt;
+    Alcotest.test_case "fiber: sleep ended early cancels its timer" `Quick
+      test_fiber_sleep_ended_early;
     Alcotest.test_case "fiber: stale wake dropped" `Quick test_fiber_stale_wake;
     Alcotest.test_case "fiber: poll holds at once" `Quick test_poll_holds;
     Alcotest.test_case "fiber: poll spends its budget" `Quick test_poll_budget;
     Alcotest.test_case "fiber: poll sees a mid-wait flip" `Quick test_poll_flips;
     Alcotest.test_case "waitq: FIFO" `Quick test_waitq_fifo;
     Alcotest.test_case "waitq: timeout" `Quick test_waitq_timeout;
+    Alcotest.test_case "waitq: timed-out entry wakes nothing later" `Quick
+      test_waitq_timeout_leaves_no_entry;
+    Alcotest.test_case "waitq: waiters counts live waits" `Quick test_waitq_waiters_live_only;
+    Alcotest.test_case "waitq: dead entries are compacted" `Quick
+      test_waitq_compacts_dead_entries;
+    Alcotest.test_case "waitq: early signals free their timers" `Quick
+      test_waitq_early_signal_frees_timers;
     Alcotest.test_case "mutex: exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mailbox: blocking send/recv" `Quick test_mailbox_blocking;
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;
