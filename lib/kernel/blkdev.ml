@@ -13,7 +13,12 @@
    The issuer is attachable/detachable at runtime: while detached
    (driver being restarted) requests park in the staging queue and
    dispatch resumes on re-attach, so the cache never observes the
-   recovery window. *)
+   recovery window.
+
+   As in Linux, where a completed bio wakes only the task waiting for
+   it, each batch of requests ([run_bios]) waits on its own wait queue,
+   which the batch's last completion signals: a completion never wakes
+   a task whose IO is still in flight. *)
 
 let sector_size = 512
 let page_sectors = 8
@@ -59,7 +64,6 @@ type t = {
   mutable outstanding : int;
   mutable flush_pending : bool;      (* a Flush is dispatched: barrier *)
   mutable head_pos : int;            (* C-LOOK elevator position *)
-  done_wait : Sync.Waitq.t;
   m_cache_hits : Sud_obs.Metrics.counter;
   m_cache_misses : Sud_obs.Metrics.counter;
   m_merges : Sud_obs.Metrics.counter;
@@ -81,7 +85,6 @@ let create ~eng ~name ?(queue_depth = default_queue_depth) ?(capacity = 0) () =
       outstanding = 0;
       flush_pending = false;
       head_pos = 0;
-      done_wait = Sync.Waitq.create ();
       m_cache_hits =
         Sud_obs.Metrics.counter ~labels:[ "dev", name ] ~subsystem:"blk"
           ~name:"cache_hits" ();
@@ -126,41 +129,47 @@ let clook_sort t reqs =
   let cmp a b = compare a.rq_lba b.rq_lba in
   List.sort cmp above @ List.sort cmp below
 
-(* Fuse physically contiguous same-direction neighbours into one request
-   whose completion fans back out to the constituents. *)
-let merge_pair t a b =
-  Sud_obs.Metrics.incr t.m_merges;
-  let data = Bytes.create ((a.rq_count + b.rq_count) * sector_size) in
-  Bytes.blit a.rq_data 0 data 0 (Bytes.length a.rq_data);
-  Bytes.blit b.rq_data 0 data (Bytes.length a.rq_data) (Bytes.length b.rq_data);
-  let merged =
-    { rq_op = a.rq_op;
-      rq_fua = a.rq_fua;
-      rq_lba = a.rq_lba;
-      rq_count = a.rq_count + b.rq_count;
+(* One request carrying a run of physically contiguous requests in a
+   single buffer; its completion fans back out to them, in order. *)
+let fuse t first = function
+  | [] -> first
+  | others ->
+    let parts = first :: others in
+    Sud_obs.Metrics.add t.m_merges (List.length others);
+    let count = List.fold_left (fun n r -> n + r.rq_count) 0 parts in
+    let data = Bytes.create (count * sector_size) in
+    (* [f r off] for each part, [off] being its byte offset in [data]. *)
+    let iter_offsets f =
+      ignore (List.fold_left (fun off r -> f r off; off + Bytes.length r.rq_data) 0 parts : int)
+    in
+    iter_offsets (fun r off -> Bytes.blit r.rq_data 0 data off (Bytes.length r.rq_data));
+    { rq_op = first.rq_op;
+      rq_fua = first.rq_fua;
+      rq_lba = first.rq_lba;
+      rq_count = count;
       rq_data = data;
-      rq_done = None }
-  in
-  merged.rq_done <-
-    Some
-      (fun ~status ->
-         if a.rq_op = Read && status = 0 then begin
-           Bytes.blit merged.rq_data 0 a.rq_data 0 (Bytes.length a.rq_data);
-           Bytes.blit merged.rq_data (Bytes.length a.rq_data) b.rq_data 0
-             (Bytes.length b.rq_data)
-         end;
-         complete a ~status;
-         complete b ~status);
-  merged
+      rq_done =
+        Some
+          (fun ~status ->
+             if first.rq_op = Read && status = 0 then
+               iter_offsets (fun r off -> Bytes.blit data off r.rq_data 0 (Bytes.length r.rq_data));
+             List.iter (fun r -> complete r ~status) parts) }
 
+(* Fuse each greedy run of physically contiguous same-direction
+   neighbours, up to [merge_cap] sectors, into one request. *)
 let rec merge_run t = function
-  | a :: b :: rest
-    when a.rq_op = b.rq_op && a.rq_op <> Flush && a.rq_fua = b.rq_fua
-         && a.rq_lba + a.rq_count = b.rq_lba
-         && a.rq_count + b.rq_count <= merge_cap ->
-    merge_run t (merge_pair t a b :: rest)
-  | a :: rest -> a :: merge_run t rest
   | [] -> []
+  | a :: rest ->
+    let rec extend others sectors = function
+      | b :: rest
+        when b.rq_op = a.rq_op && a.rq_op <> Flush && b.rq_fua = a.rq_fua
+             && a.rq_lba + sectors = b.rq_lba
+             && sectors + b.rq_count <= merge_cap ->
+        extend (b :: others) (sectors + b.rq_count) rest
+      | rest -> (List.rev others, rest)
+    in
+    let others, rest = extend [] a.rq_count rest in
+    fuse t a others :: merge_run t rest
 
 let rec dispatch t =
   match t.issue with
@@ -191,7 +200,6 @@ let rec dispatch t =
                  t.outstanding <- t.outstanding - 1;
                  if r.rq_op = Flush then t.flush_pending <- false;
                  (match inner with Some f -> f ~status | None -> ());
-                 ignore (Sync.Waitq.broadcast t.done_wait : int);
                  dispatch t);
           issue r;
           dispatch t
@@ -215,26 +223,14 @@ let detach t = t.issue <- None
 
 (* ---- fiber-blocking waits ---- *)
 
-let wait_until t ~timeout_ns cond =
-  let deadline = Engine.now t.eng + timeout_ns in
-  let rec loop () =
-    if cond () then true
-    else begin
-      let left = deadline - Engine.now t.eng in
-      if left <= 0 then false
-      else
-        match Sync.Waitq.wait_timeout t.eng t.done_wait left with
-        | Fiber.Interrupted -> false
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-    end
-  in
-  loop ()
-
 let default_timeout_ns = 5_000_000_000
 
-(* Submit a batch, unplug, wait for all to land. *)
+(* Submit a batch, unplug, wait for all to land.  The batch's own wait
+   queue is signalled by its last completion only, so the one wake this
+   wait gets means the batch is done; its timeout timer dies with it. *)
 let run_bios t ~timeout_ns reqs =
   let left = ref (List.length reqs) and failed = ref None in
+  let landed = Sync.Waitq.create () in
   List.iter
     (fun r ->
        let inner = r.rq_done in
@@ -243,11 +239,19 @@ let run_bios t ~timeout_ns reqs =
            (fun ~status ->
               decr left;
               if status <> 0 && !failed = None then failed := Some status;
-              match inner with Some f -> f ~status | None -> ());
+              (match inner with Some f -> f ~status | None -> ());
+              if !left = 0 then ignore (Sync.Waitq.signal landed : bool));
        submit_bio t r)
     reqs;
   unplug t;
-  if not (wait_until t ~timeout_ns (fun () -> !left = 0)) then Error "block io timed out"
+  let all_landed =
+    !left = 0
+    ||
+    match Sync.Waitq.wait_timeout t.eng landed timeout_ns with
+    | Fiber.Normal -> !left = 0
+    | Fiber.Interrupted | Fiber.Timeout -> false
+  in
+  if not all_landed then Error "block io timed out"
   else match !failed with
     | Some st -> Error (Printf.sprintf "block io failed (status %d)" st)
     | None -> Ok ()
@@ -390,12 +394,10 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
       { rq_op = Write; rq_fua = true; rq_lba = lba; rq_count = sectors;
         rq_data = Bytes.copy data; rq_done = None }
     in
-    (match run_bios t ~timeout_ns [ r ] with
-     | Error e -> Error e
-     | Ok () ->
-       (* Those sectors are durable; clean their pages if fully covered
-          and unchanged since (conservative: only full-page spans). *)
-       Ok ())
+    (* The sectors are durable once this returns, but their cache pages
+       stay dirty: the next fsync writes them back again, which is
+       redundant but never wrong. *)
+    run_bios t ~timeout_ns [ r ]
 
 let dirty_pages t =
   Hashtbl.fold (fun _ pg n -> if pg.pg_dirty then n + 1 else n) t.cache 0

@@ -66,6 +66,38 @@ let test_fua () =
       Alcotest.(check int) "fua reached the device" 1 (Nvme_dev.fua_writes w.nvme);
       Driver_host.kill s)
 
+(* 16 IOs in flight at once — 8 cold reads, 8 FUA writes: each waits on
+   its own completion, and its timeout timer dies with its wait, so the
+   engine's queue returns to what it held before the IO. *)
+let test_concurrent_io_leaves_no_events () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s =
+        ok_or_fail "start_blk"
+          (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver)
+      in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+      let eng = k.Kernel.eng in
+      (* Let the bring-up settle, so [before] counts only the idle load. *)
+      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+      let before = Engine.pending eng in
+      let finished = ref 0 in
+      for i = 0 to 15 do
+        let lba = i * Blkdev.page_sectors in
+        ignore
+          (Fiber.spawn eng (fun () ->
+               (if i mod 2 = 0 then
+                  ignore
+                    (ok_or_fail "read" (Blkdev.read bd ~lba ~sectors:Blkdev.page_sectors ())
+                     : bytes)
+                else ok_or_fail "write_fua" (Blkdev.write_fua bd ~lba (page ~seed:i) ()));
+               incr finished)
+           : Fiber.t)
+      done;
+      if not (Fiber.poll eng ~every_ns:100_000 ~budget:1_000 (fun () -> !finished = 16)) then
+        Alcotest.fail "IO never completed";
+      Alcotest.(check int) "no event left behind by the IO" before (Engine.pending eng);
+      Driver_host.kill s)
+
 let blk_policy =
   { Supervisor.default_policy with
     Supervisor.tick_ns = 1_000_000;
@@ -152,6 +184,8 @@ let test_corrupt_completion () =
 let suite =
   [ Alcotest.test_case "sud-blk: hosted nvme serves write/fsync/read" `Quick test_smoke;
     Alcotest.test_case "sud-blk: FUA is write-through" `Quick test_fua;
+    Alcotest.test_case "sud-blk: concurrent IO leaves no events behind" `Quick
+      test_concurrent_io_leaves_no_events;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
