@@ -86,11 +86,7 @@ let handler engine t =
                             : Engine.handle)) }
                 in
                 t.state <- Suspended susp;
-                let release = register t in
-                (* [register] may itself have ended the wait. *)
-                match t.state with
-                | Suspended _ -> susp.release <- release
-                | Ready | Running | Dead -> release ())
+                susp.release <- register t)
          | _ -> None) }
 
 let spawn engine ?name:(fname = "fiber") main =

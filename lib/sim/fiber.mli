@@ -33,8 +33,8 @@ val is_alive : t -> bool
 val suspend : (t -> unit -> unit) -> wake
 (** [suspend register] parks the current fiber and returns the reason it
     was woken.  [register fiber] files the fiber where its waker will find
-    it (a wait queue, a timer) and returns the wait's release, which
-    unfiles it.  Whatever ends the suspension — {!wake}, {!interrupt} or
+    it (a wait queue, a timer), without waking it, and returns the wait's
+    release, which unfiles it.  Whatever ends the suspension — {!wake}, {!interrupt} or
     {!kill} — runs the release right there, before the fiber resumes, so
     the wait's timer and queue entry die with the wait and can never wake
     a later one.  Outside [lib/sim] use {!sleep} or the [Sync] waits. *)
