@@ -1,4 +1,4 @@
-(* The FIFO fingerprint oracle.  Under the FIFO scheduler a run is
+(* The fingerprint oracle.  Under a fixed scheduler a run is
    bit-reproducible, so a refactor is behaviour-preserving exactly when
    every entry below keeps its pinned [Engine.trace_hash] and step count.
    The entries cover every driver bring-up path: each registered
@@ -6,7 +6,9 @@
    net failover, and a short launch/kill of each device class.  They
    also cover every fault-injection harness the scenarios do not run:
    the single-fault recovery measures of each lethal class, cold and
-   warm, and both quarantine campaigns.
+   warm, and both quarantine campaigns.  All of these run FIFO; the two
+   mini soaks also run under a seeded random picker, which pins the
+   engine's picker path (ready-set gathering and the picks it offers).
 
    The metrics hash is left out: the metrics registry is shared by the
    whole process, so it depends on which tests ran before. *)
@@ -23,6 +25,17 @@ let scenario (sc : Scenario.t) =
   ( "scenario/" ^ sc.Scenario.sc_name,
     fun () ->
       let oc = sc.sc_run ~sched:Sched.Fifo ~seed:(Rng.derive ~root sc.sc_name) in
+      (oc.Scenario.oc_trace_hash, oc.oc_steps) )
+
+(* The picker path: a fixed policy seed, so every pick is pinned too. *)
+let picked name =
+  let sc = Option.get (Scenario.find name) in
+  ( "random/" ^ name,
+    fun () ->
+      let sched =
+        Sched.Random { seed = Rng.derive ~root ("policy:" ^ name); p_preempt = 20 }
+      in
+      let oc = sc.Scenario.sc_run ~sched ~seed:(Rng.derive ~root name) in
       (oc.Scenario.oc_trace_hash, oc.oc_steps) )
 
 let upgrade_soak tag =
@@ -162,7 +175,9 @@ let usb_launch () =
 
 let entries =
   List.map scenario Scenario.all
-  @ [ upgrade_soak "a";
+  @ [ picked "mini-soak";
+      picked "mini-blk-soak";
+      upgrade_soak "a";
       upgrade_soak "b";
       ("supervisor/warm-net-failover", warm_net_failover);
       ("launch/net", net_launch);
@@ -195,7 +210,7 @@ let test_fingerprints () =
   let stale = List.filter (fun (name, _) -> not (List.mem_assoc name got)) pinned in
   if wrong <> [] || stale <> [] then
     Alcotest.failf
-      "FIFO fingerprints moved:\n%s\n%s\n\
+      "Fingerprints moved:\n%s\n%s\n\
        A refactor must keep every pinned value.  If this is an intended behaviour \
        change, put the new lines above into test/%s and record the change in \
        CHANGES.md."
