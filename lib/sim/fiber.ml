@@ -8,15 +8,14 @@ type state =
   | Suspended of susp
   | Dead
 
-and susp = {
-  mutable release : unit -> unit;   (* unfiles the wait; runs when it ends *)
-  resume : wake -> unit;
-  discontinue_killed : unit -> unit;
-}
+(* A parked fiber: the continuation a wake resumes, and the release that
+   unfiles its wait (it runs when the wait ends). *)
+and susp = { k : (wake, unit) Effect.Deep.continuation; mutable release : unit -> unit }
 
 and t = {
   fid : int;
   fname : string;
+  eng : Engine.t;
   mutable state : state;
   mutable pending_kill : bool;
   mutable exits : (unit -> unit) list;
@@ -27,17 +26,19 @@ type _ Effect.t += Suspend : (t -> unit -> unit) -> wake Effect.t
 let next_id = ref 0
 
 (* The engine is single-threaded: exactly one fiber executes at a time, so a
-   single mutable cell suffices to track it. *)
-let current : t option ref = ref None
+   single mutable cell suffices to track it; [nobody] when none does. *)
+let nobody =
+  { fid = 0; fname = ""; eng = Engine.create (); state = Dead; pending_kill = false; exits = [] }
+
+let current = ref nobody
 
 let self () =
-  match !current with
-  | Some f -> f
-  | None -> failwith "Fiber.self: not in fiber context"
+  let t = !current in
+  if t == nobody then failwith "Fiber.self: not in fiber context" else t
 
 let name t = t.fname
 let id t = t.fid
-let is_alive t = t.state <> Dead
+let is_alive t = match t.state with Dead -> false | Ready | Running | Suspended _ -> true
 
 let on_exit t fn = t.exits <- fn :: t.exits
 
@@ -47,15 +48,33 @@ let finish t =
   t.exits <- [];
   List.iter (fun fn -> fn ()) fns
 
-(* Run [step] as fiber [t]'s execution: set the current-fiber cell around it
-   and translate a Killed unwind into a normal death. *)
-let enter t step =
+(* Make [t] the running fiber for one step; the caller restores the
+   returned previous fiber however the step ends. *)
+let enter t =
   let saved = !current in
-  current := Some t;
+  current := t;
   t.state <- Running;
-  Fun.protect ~finally:(fun () -> current := saved) step
+  saved
 
-let handler engine t =
+let leave saved e =
+  let bt = Printexc.get_raw_backtrace () in
+  current := saved;
+  Printexc.raise_with_backtrace e bt
+
+(* One step of a parked fiber: continue it with [w], or unwind it with
+   Killed if a kill came in since the wake was queued. *)
+let step t k w =
+  let saved = enter t in
+  match
+    if t.pending_kill then Effect.Deep.discontinue k Killed else Effect.Deep.continue k w
+  with
+  | () -> current := saved
+  | exception e -> leave saved e
+
+(* A wake queues exactly one closure: the step. *)
+let resume t k w = ignore (Engine.schedule_now t.eng (fun () -> step t k w) : Engine.handle)
+
+let handler t =
   let open Effect.Deep in
   { retc = (fun () -> finish t);
     exnc =
@@ -68,37 +87,24 @@ let handler engine t =
          | Suspend register ->
            Some
              (fun (k : (a, unit) continuation) ->
-                let susp =
-                  { release = ignore;
-                    resume =
-                      (fun w ->
-                         ignore
-                           (Engine.schedule_now engine (fun () ->
-                                if t.pending_kill then
-                                  enter t (fun () -> discontinue k Killed)
-                                else enter t (fun () -> continue k w))
-                            : Engine.handle));
-                    discontinue_killed =
-                      (fun () ->
-                         ignore
-                           (Engine.schedule_now engine (fun () ->
-                                enter t (fun () -> discontinue k Killed))
-                            : Engine.handle)) }
-                in
-                t.state <- Suspended susp;
-                susp.release <- register t)
+                let s = { k; release = ignore } in
+                t.state <- Suspended s;
+                s.release <- register t)
          | _ -> None) }
+
+let start t main =
+  let saved = enter t in
+  match Effect.Deep.match_with main () (handler t) with
+  | () -> current := saved
+  | exception e -> leave saved e
 
 let spawn engine ?name:(fname = "fiber") main =
   incr next_id;
   let t =
-    { fid = !next_id; fname; state = Ready; pending_kill = false; exits = [] }
+    { fid = !next_id; fname; eng = engine; state = Ready; pending_kill = false; exits = [] }
   in
   ignore
-    (Engine.schedule_now engine (fun () ->
-         if t.pending_kill then finish t
-         else
-           enter t (fun () -> Effect.Deep.match_with main () (handler engine t)))
+    (Engine.schedule_now engine (fun () -> if t.pending_kill then finish t else start t main)
      : Engine.handle);
   t
 
@@ -114,7 +120,7 @@ let wake t w =
   match t.state with
   | Suspended s ->
     end_wait t s;
-    s.resume w;
+    resume t s.k w;
     true
   | Ready | Running | Dead -> false
 
@@ -124,7 +130,8 @@ let kill t =
   | Suspended s ->
     end_wait t s;
     t.pending_kill <- true;
-    s.discontinue_killed ()
+    (* The step sees [pending_kill] and unwinds the fiber with Killed. *)
+    resume t s.k Normal
   | Ready -> t.pending_kill <- true
   | Running ->
     (* Only the fiber itself can observe state Running. *)
@@ -134,7 +141,7 @@ let interrupt t =
   match t.state with
   | Suspended s ->
     end_wait t s;
-    s.resume Interrupted;
+    resume t s.k Interrupted;
     true
   | Ready | Running | Dead -> false
 
