@@ -181,7 +181,7 @@ type usb_host_driver = {
   ud_probe : env -> pcidev -> (usb_host_instance, string) result;
 }
 
-let charge cpu ~label ns =
+let charge cell ns =
   match Fiber.self () with
-  | _ -> Cpu.consume cpu ~label ns
-  | exception Failure _ -> Cpu.account cpu ~label ns
+  | _ -> Cpu.consume_cell cell ns
+  | exception Failure _ -> Cpu.account_cell cell ns

@@ -237,6 +237,7 @@ type usb_host_driver = {
   ud_probe : env -> pcidev -> (usb_host_instance, string) result;
 }
 
-val charge : Cpu.t -> label:string -> int -> unit
-(** Charge CPU: blocking [consume] when called from a fiber, non-blocking
-    [account] from event context (interrupt handlers). *)
+val charge : Cpu.cell -> int -> unit
+(** Charge CPU to a ledger cell: blocking [consume_cell] when called from a
+    fiber, non-blocking [account_cell] from event context (interrupt
+    handlers). *)

@@ -1,16 +1,16 @@
 let env (k : Kernel.t) ~label =
-  let cpu = k.Kernel.cpu in
+  let cell = Cpu.cell k.Kernel.cpu label in
   let kernel = Process.kernel_process k.Kernel.procs in
   { Driver_api.env_jiffies = (fun () -> Engine.now k.Kernel.eng / 1_000_000);
     env_msleep =
       (fun ms -> ignore (Fiber.sleep k.Kernel.eng (ms * 1_000_000) : Fiber.wake));
     env_usleep = (fun us -> ignore (Fiber.sleep k.Kernel.eng (us * 1_000) : Fiber.wake));
     env_may_sleep = (fun () -> not (Preempt.in_atomic k.Kernel.preempt));
-    env_udelay = (fun us -> Driver_api.charge cpu ~label (us * 1_000));
+    env_udelay = (fun us -> Driver_api.charge cell (us * 1_000));
     env_printk = (fun s -> Klog.printk k.Kernel.klog Klog.Info "%s: %s" label s);
     env_spawn =
       (fun ~name fn -> ignore (Process.spawn_fiber kernel ~name fn : Fiber.t));
-    env_consume = (fun ns -> Driver_api.charge cpu ~label ns) }
+    env_consume = (fun ns -> Driver_api.charge cell ns) }
 
 let pcidev (k : Kernel.t) bdf ~label =
   match Pci_topology.find_device k.Kernel.topo bdf with
@@ -19,7 +19,8 @@ let pcidev (k : Kernel.t) bdf ~label =
     let topo = k.Kernel.topo in
     let cpu = k.Kernel.cpu in
     let m = Cpu.cost_model cpu in
-    let charge ns = Driver_api.charge cpu ~label ns in
+    let cell = Cpu.cell cpu label in
+    let charge ns = Driver_api.charge cell ns in
     let cfg = Device.cfg dev in
     let vectors = ref None in
     let cfg_read ~off ~size =

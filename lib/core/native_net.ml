@@ -18,6 +18,7 @@ let make_arena mem =
 let attach ?name (k : Kernel.t) (drv : Driver_api.net_driver) bdf =
   let devname = Option.value ~default:drv.Driver_api.nd_name name in
   let label = "kernel:" ^ drv.Driver_api.nd_name in
+  let cell = Cpu.cell k.Kernel.cpu label in
   let m = Cpu.cost_model k.Kernel.cpu in
   match Kenv_native.pcidev k bdf ~label with
   | Error e -> Error e
@@ -35,7 +36,7 @@ let attach ?name (k : Kernel.t) (drv : Driver_api.net_driver) bdf =
                   buffer; the skb wraps that data with no extra copy.
                   RX queue fan-out happens in the stack's RPS, so the
                   queue index needs no plumbing here. *)
-               Driver_api.charge k.Kernel.cpu ~label m.Cost_model.skb_alloc_ns;
+               Driver_api.charge cell m.Cost_model.skb_alloc_ns;
                match !dev_ref with
                | None -> ()
                | Some dev ->
@@ -72,8 +73,7 @@ let attach ?name (k : Kernel.t) (drv : Driver_api.net_driver) bdf =
                    | None -> Netdev.Xmit_busy
                    | Some slot ->
                      let addr = arena.base + (slot * arena_slot_size) in
-                     Driver_api.charge k.Kernel.cpu ~label
-                       (Cost_model.copy_cost m ~bytes:len);
+                     Driver_api.charge cell (Cost_model.copy_cost m ~bytes:len);
                      Phys_mem.write k.Kernel.mem ~addr skb.Skbuff.data;
                      (match
                         inst.Driver_api.ni_xmit ~queue

@@ -65,6 +65,7 @@ let persist_retained p = List.length p.p_unflushed
 
 type t = {
   k : Kernel.t;
+  sud : Cpu.cell;  (* "kernel:sud", the ledger line of SUD's kernel-side work *)
   chan : Uchan.t;
   grant : Safe_pci.grant;
   pool : Bufpool.t;
@@ -156,7 +157,7 @@ let send_submit t br =
                (* The single data copy on the write path: kernel-private
                   request bytes -> shared buffer.  The retained copy in
                   [rq_data] is what replay re-sends after a crash. *)
-               Driver_api.charge t.k.Kernel.cpu ~label:"kernel:sud"
+               Driver_api.charge t.sud
                  (Cost_model.copy_cost (model t) ~bytes:(Bytes.length rq.Blkdev.rq_data));
                Bufpool.write t.pool buf ~off:0 rq.Blkdev.rq_data
              | None -> ());
@@ -293,7 +294,7 @@ let handle_complete t m =
        match Bufpool.get t.pool br.br_buf, br.br_req with
        | Some buf, Some rq ->
          let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
-         Driver_api.charge t.k.Kernel.cpu ~label:"kernel:sud"
+         Driver_api.charge t.sud
            (Cost_model.copy_cost (model t) ~bytes:len);
          let data = Bufpool.read t.pool buf ~off:0 ~len in
          Bytes.blit data 0 rq.Blkdev.rq_data 0 len
@@ -394,6 +395,7 @@ let create k ~chan ~grant ~pool ~name ?(request_timeout_ns = 10_000_000) ?(parke
   let p = match adopt with Some p -> p | None -> persist_create () in
   let t =
     { k;
+      sud = Cpu.cell k.Kernel.cpu "kernel:sud";
       chan;
       grant;
       pool;

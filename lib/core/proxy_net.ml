@@ -1,5 +1,6 @@
 type t = {
   k : Kernel.t;
+  sud : Cpu.cell;  (* "kernel:sud", the ledger line of SUD's kernel-side work *)
   chan : Uchan.t;
   grant : Safe_pci.grant;
   pool : Bufpool.t;
@@ -132,7 +133,7 @@ let do_xmit t ~queue skb =
          driver and the device then use the same bytes in place.  The
          upcall rides the ring matching the TX queue, so queue q's
          traffic wakes only the driver's queue-q service fiber. *)
-      Driver_api.charge t.k.Kernel.cpu ~label:"kernel:sud"
+      Driver_api.charge t.sud
         (Cost_model.copy_cost (model t) ~bytes:len);
       Bufpool.write t.pool buf ~off:0 skb.Skbuff.data;
       match
@@ -173,7 +174,7 @@ let handle_rx t ~queue m =
            folds the transport checksum over the copy, so it costs
            max(copy, checksum) + epsilon instead of two full passes, and
            the verdict is immune to the driver rewriting its buffer. *)
-        Driver_api.charge t.k.Kernel.cpu ~label:"kernel:sud"
+        Driver_api.charge t.sud
           (Cost_model.fused_copy_checksum_cost (model t) ~bytes:len);
         if not (Netstack.frame_checksum_ok buf) then begin
           Sud_obs.Metrics.incr t.rx_csum_bad;
@@ -306,6 +307,7 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
   let nq = Uchan.num_queues chan in
   let t =
     { k;
+      sud = Cpu.cell k.Kernel.cpu "kernel:sud";
       chan;
       grant;
       pool;

@@ -45,6 +45,7 @@ and grant = {
 
 and t = {
   k : Kernel.t;
+  sud : Cpu.cell;  (* "kernel:sud", the ledger line of SUD's kernel-side work *)
   devices : (Bus.bdf, reg_dev) Hashtbl.t;
   mutable n_masks : int;
   mutable n_ir : int;
@@ -57,7 +58,14 @@ and t = {
 let iova_base = 0x42430000
 
 let init k =
-  { k; devices = Hashtbl.create 8; n_masks = 0; n_ir = 0; n_livelock = 0; n_cfg_denied = 0; n_fwd = 0 }
+  { k;
+    sud = Cpu.cell k.Kernel.cpu "kernel:sud";
+    devices = Hashtbl.create 8;
+    n_masks = 0;
+    n_ir = 0;
+    n_livelock = 0;
+    n_cfg_denied = 0;
+    n_fwd = 0 }
 
 let register_device t bdf =
   if not (Hashtbl.mem t.devices bdf) then
@@ -77,9 +85,7 @@ let device_files t bdf =
 
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
-let proc_label g = "proc:" ^ Process.name g.g_proc
-
-let charge g ns = Driver_api.charge g.g.k.Kernel.cpu ~label:(proc_label g) ns
+let charge g ns = Driver_api.charge (Process.cell g.g_proc) ns
 
 let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
@@ -432,7 +438,7 @@ let write_driver_mem g ~iova data =
 (* Masking is per vector: legacy MSI has exactly one (the capability's
    mask bit); MSI-X masks one table entry, leaving sibling queues hot. *)
 let set_vector_mask g vs masked =
-  Cpu.account g.g.k.Kernel.cpu ~label:"kernel:sud" (model g.g).Cost_model.msi_mask_ns;
+  Cpu.account_cell g.g.sud (model g.g).Cost_model.msi_mask_ns;
   if g.g_msix then Pci_cfg.msix_set_mask (Device.cfg g.g_dev) ~vector:vs.vs_queue masked
   else Pci_cfg.msi_set_mask (Device.cfg g.g_dev) masked
 
@@ -467,7 +473,7 @@ let escalate g vs =
       vs.vs_quarantined <- true;
       vs.vs_masked <- true;
       t.n_ir <- t.n_ir + 1;
-      Cpu.account t.k.Kernel.cpu ~label:"kernel:sud" (model t).Cost_model.irte_update_ns;
+      Cpu.account_cell t.sud (model t).Cost_model.irte_update_ns;
       Irq.mask t.k.Kernel.irq ~vector:vs.vs_vector;
       Pci_cfg.msix_set_mask (Device.cfg g.g_dev) ~vector:vs.vs_queue true;
       klogf t Klog.Warn "sud: %s: interrupt storm on queue %d, vector quarantined (siblings live)"
@@ -476,7 +482,7 @@ let escalate g vs =
   end
   else if Iommu.ir_available iommu then begin
     t.n_ir <- t.n_ir + 1;
-    Cpu.account t.k.Kernel.cpu ~label:"kernel:sud" (model t).Cost_model.irte_update_ns;
+    Cpu.account_cell t.sud (model t).Cost_model.irte_update_ns;
     Iommu.ir_block_source iommu ~source:g.g_bdf;
     klogf t Klog.Warn "sud: %s: interrupt storm, disabled via interrupt remapping"
       (Bus.string_of_bdf g.g_bdf)
@@ -532,7 +538,7 @@ let handle_irq g ~queue ~source =
          if permitted then begin
            t.n_fwd <- t.n_fwd + 1;
            Sud_obs.Metrics.incr vs.vs_delivered;
-           Cpu.account t.k.Kernel.cpu ~label:"kernel:sud" (model t).Cost_model.irq_upcall_ns;
+           Cpu.account_cell t.sud (model t).Cost_model.irq_upcall_ns;
            sink ~queue
          end
        | None -> ())

@@ -11,6 +11,7 @@ type entry = {
 type t = {
   eng : Engine.t;
   cpu : Cpu.t;
+  irq_cells : Cpu.cell array;      (* "kernel:irq:cpuN", indexed by sim CPU *)
   preempt : Preempt.t;
   klog : Klog.t;
   handlers : (int, entry) Hashtbl.t;
@@ -30,6 +31,8 @@ let create eng cpu preempt klog =
   let c name = Sud_obs.Metrics.counter ~subsystem:"irq" ~name () in
   { eng;
     cpu;
+    irq_cells =
+      Array.init (Cpu.cores cpu) (fun i -> Cpu.cell cpu (Printf.sprintf "kernel:irq:cpu%d" i));
     preempt;
     klog;
     handlers = Hashtbl.create 16;
@@ -156,9 +159,7 @@ let deliver t ~source ~vector =
     Sud_obs.Metrics.incr t.qm.qm_masked_dropped
   | Some entry ->
     (* Delivery cost lands on the vector's affine CPU's ledger. *)
-    Cpu.account t.cpu
-      ~label:(Printf.sprintf "kernel:irq:cpu%d" entry.affinity)
-      model.Cost_model.irq_deliver_ns;
+    Cpu.account_cell t.irq_cells.(entry.affinity) model.Cost_model.irq_deliver_ns;
     entry.hits <- entry.hits + 1;
     (* Top halves run atomically: blocking inside one is a bug the
        preemption tracker will catch. *)

@@ -25,13 +25,14 @@ let boot ?(cores = 2) ?(mem_size = 256 * 1024 * 1024)
   let klog = Klog.create eng in
   let preempt = Preempt.create () in
   let irq = Irq.create eng cpu preempt klog in
-  let procs = Process.create_table eng in
+  let procs = Process.create_table eng cpu in
   let net = Netstack.create eng cpu preempt klog procs in
   let blk = Blkdev.registry_create () in
   let sysfs = Sysfs.create () in
   Pci_topology.set_msi_sink topo (fun ~source ~vector -> Irq.deliver irq ~source ~vector);
   (* DMA translation is device-side work: account it against utilization
      without blocking any fiber (devices run in pure event callbacks). *)
+  let iommu_cell = Cpu.cell cpu "hw:iommu" in
   Pci_topology.set_dma_charge topo (fun how ->
       let ns =
         match how with
@@ -39,7 +40,7 @@ let boot ?(cores = 2) ?(mem_size = 256 * 1024 * 1024)
         | `Walk -> cost_model.Cost_model.iommu_walk_ns
         | `Bypass -> 0
       in
-      if ns > 0 then Cpu.account cpu ~label:"hw:iommu" ns);
+      if ns > 0 then Cpu.account_cell iommu_cell ns);
   if enable_acs then Pci_topology.enable_acs_everywhere topo;
   (* Observability: spans are stamped with simulated time, and the
      registry is browsable through sysfs like /sys/kernel/* files. *)

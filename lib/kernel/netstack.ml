@@ -69,10 +69,7 @@ type t = {
 
 let model t = Cpu.cost_model t.cpu
 
-let label t =
-  "proc:" ^ Process.name (Process.current t.procs)
-
-let consume t ns = Cpu.consume t.cpu ~label:(label t) ns
+let consume t ns = Cpu.consume_cell (Process.cell (Process.current t.procs)) ns
 
 (* Charge the cost of having been woken from sleep — the ~4us the paper
    blames for UDP_RR's 2x CPU overhead shows up through here.  Waking a

@@ -6,6 +6,7 @@ type t = {
   ppid : int;
   puid : int;
   pname : string;
+  pcell : Cpu.cell;  (* "proc:<name>", the ledger line of its CPU time *)
   eng : Engine.t;
   mutable alive : bool;
   mutable fibers : Fiber.t list;
@@ -17,16 +18,18 @@ type t = {
 
 type table = {
   teng : Engine.t;
+  tcpu : Cpu.t;
   mutable next_pid : int;
   mutable procs : t list;
   kernel : t;
   by_fiber : (int, t) Hashtbl.t;
 }
 
-let make_proc eng ~pid ~uid ~name =
+let make_proc eng cpu ~pid ~uid ~name =
   { ppid = pid;
     puid = uid;
     pname = name;
+    pcell = Cpu.cell cpu ("proc:" ^ name);
     eng;
     alive = true;
     fibers = [];
@@ -35,14 +38,14 @@ let make_proc eng ~pid ~uid ~name =
     mem_used = 0;
     policy = Normal }
 
-let create_table eng =
-  let kernel = make_proc eng ~pid:0 ~uid:0 ~name:"kernel" in
-  { teng = eng; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = Hashtbl.create 64 }
+let create_table eng cpu =
+  let kernel = make_proc eng cpu ~pid:0 ~uid:0 ~name:"kernel" in
+  { teng = eng; tcpu = cpu; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = Hashtbl.create 64 }
 
 let kernel_process table = table.kernel
 
 let spawn table ~name ~uid =
-  let p = make_proc table.teng ~pid:table.next_pid ~uid ~name in
+  let p = make_proc table.teng table.tcpu ~pid:table.next_pid ~uid ~name in
   table.next_pid <- table.next_pid + 1;
   table.procs <- p :: table.procs;
   p
@@ -50,6 +53,7 @@ let spawn table ~name ~uid =
 let pid t = t.ppid
 let uid t = t.puid
 let name t = t.pname
+let cell t = t.pcell
 let is_alive t = t.alive
 let find table ~pid = List.find_opt (fun p -> p.ppid = pid) table.procs
 let all table = List.rev table.procs

@@ -10,7 +10,8 @@
 type table
 type t
 
-val create_table : Engine.t -> table
+val create_table : Engine.t -> Cpu.t -> table
+(** Processes of the table charge their CPU time to that {!Cpu.t}. *)
 
 val kernel_process : table -> t
 (** PID 0, UID 0 — kernel threads belong here. *)
@@ -21,6 +22,11 @@ val spawn : table -> name:string -> uid:int -> t
 val pid : t -> int
 val uid : t -> int
 val name : t -> string
+
+val cell : t -> Cpu.cell
+(** The ledger line ["proc:<name>"] the process's CPU time is charged to,
+    resolved once when the process is created. *)
+
 val is_alive : t -> bool
 val find : table -> pid:int -> t option
 val all : table -> t list

@@ -1,24 +1,28 @@
-type t = {
+type cell = { cpu : t; label : string; mutable ns : int }
+
+and t = {
   eng : Engine.t;
   free_at : int array;
   model : Cost_model.t;
   mutable busy : int;
-  by_label : (string, int ref) Hashtbl.t;
+  cells : (string, cell) Hashtbl.t;
 }
 
 let create eng ~cores model =
   if cores <= 0 then invalid_arg "Cpu.create: need at least one core";
-  { eng; free_at = Array.make cores 0; model; busy = 0; by_label = Hashtbl.create 16 }
+  { eng; free_at = Array.make cores 0; model; busy = 0; cells = Hashtbl.create 16 }
 
 let cores t = Array.length t.free_at
 let cost_model t = t.model
 let engine t = t.eng
 
-let charge t label ns =
-  t.busy <- t.busy + ns;
-  match Hashtbl.find_opt t.by_label label with
-  | Some r -> r := !r + ns
-  | None -> Hashtbl.add t.by_label label (ref ns)
+let cell t label =
+  match Hashtbl.find_opt t.cells label with
+  | Some c -> c
+  | None ->
+    let c = { cpu = t; label; ns = 0 } in
+    Hashtbl.add t.cells label c;
+    c
 
 let pick_core t =
   let best = ref 0 in
@@ -27,44 +31,51 @@ let pick_core t =
   done;
   !best
 
-let consume t ~label ns =
+(* Book [ns] on the earliest-free core and on [c]'s line; the work ends at
+   the returned instant. *)
+let book c ns =
+  let t = c.cpu in
+  let now = Engine.now t.eng in
+  let core = pick_core t in
+  let free = t.free_at.(core) in
+  let finish = (if free > now then free else now) + ns in
+  t.free_at.(core) <- finish;
+  t.busy <- t.busy + ns;
+  c.ns <- c.ns + ns;
+  finish
+
+let consume_cell c ns =
   if ns > 0 then begin
-    let now = Engine.now t.eng in
-    let core = pick_core t in
-    let start = max now t.free_at.(core) in
-    let finish = start + ns in
-    t.free_at.(core) <- finish;
-    charge t label ns;
+    let finish = book c ns in
+    let eng = c.cpu.eng in
     let rec wait_until deadline =
-      match Fiber.sleep t.eng (deadline - Engine.now t.eng) with
+      match Fiber.sleep eng (deadline - Engine.now eng) with
       | Fiber.Normal | Fiber.Timeout -> ()
       | Fiber.Interrupted ->
         (* CPU burn is not interruptible; keep waiting out the charge. *)
-        if Engine.now t.eng < deadline then wait_until deadline
+        if Engine.now eng < deadline then wait_until deadline
     in
-    if finish > now then wait_until finish
+    if finish > Engine.now eng then wait_until finish
   end
 
 (* Event-context work still occupies a core: book capacity by advancing a
    core's free time, without blocking the (nonexistent) fiber.  This keeps
    total busy time bounded by cores * elapsed in steady state. *)
-let account t ~label ns =
-  if ns > 0 then begin
-    let now = Engine.now t.eng in
-    let core = pick_core t in
-    let start = max now t.free_at.(core) in
-    t.free_at.(core) <- start + ns;
-    charge t label ns
-  end
+let account_cell c ns = if ns > 0 then ignore (book c ns : int)
+
+let consume t ~label ns = consume_cell (cell t label) ns
+let account t ~label ns = account_cell (cell t label) ns
 
 let busy_ns t = t.busy
 
 let busy_of t label =
-  match Hashtbl.find_opt t.by_label label with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.cells label with Some c -> c.ns | None -> 0
 
+(* Every charge is positive, so a line that was never charged reads 0 and
+   is left out, as if it had never been resolved. *)
 let labels t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.by_label []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Hashtbl.fold (fun k c acc -> if c.ns > 0 then (k, c.ns) :: acc else acc) t.cells []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let utilization t ~since_busy ~since_time =
   let elapsed = Engine.now t.eng - since_time in

@@ -14,15 +14,37 @@ val cores : t -> int
 val cost_model : t -> Cost_model.t
 val engine : t -> Engine.t
 
-val consume : t -> label:string -> int -> unit
-(** Charge [ns] of CPU to [label]; the current fiber blocks until the work
+(** {1 Charging}
+
+    Busy time is booked against a ledger {!cell}: one label's line.  An
+    owner that charges often (a process, an IRQ vector's CPU, a proxy)
+    resolves its cell once with {!cell}; a charge through a cell then
+    neither builds nor hashes a string.  {!consume} and {!account} are the
+    string entry points: they resolve the label on every call. *)
+
+type cell
+(** The ledger line of one label on one {!t}. *)
+
+val cell : t -> string -> cell
+(** [cell t label] is [label]'s line, created on first use; resolving the
+    same label again returns the same cell.  A line shows up in {!labels}
+    only once something is charged to it. *)
+
+val consume_cell : cell -> int -> unit
+(** Charge [ns] of CPU to the cell; the current fiber blocks until the work
     is done (including any queueing delay for a free core).  Zero or
     negative cost is a no-op.  Not interruptible. *)
 
-val account : t -> label:string -> int -> unit
+val account_cell : cell -> int -> unit
 (** Record busy time without blocking — for costs incurred by pure event
     callbacks (e.g. device-side processing) that should still count against
     utilization. *)
+
+val consume : t -> label:string -> int -> unit
+(** [consume t ~label ns] is [consume_cell (cell t label) ns]. *)
+
+val account : t -> label:string -> int -> unit
+(** [account t ~label ns] is [account_cell (cell t label) ns]. *)
 
 val busy_ns : t -> int
 (** Total busy nanoseconds across all cores since creation. *)

@@ -80,10 +80,10 @@ type t = {
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
 let consume_cur t ns =
-  let label = "proc:" ^ Process.name (Process.current t.k.Kernel.procs) in
+  let cell = Process.cell (Process.current t.k.Kernel.procs) in
   match Fiber.self () with
-  | _ -> Cpu.consume t.k.Kernel.cpu ~label ns
-  | exception Failure _ -> Cpu.account t.k.Kernel.cpu ~label ns
+  | _ -> Cpu.consume_cell cell ns
+  | exception Failure _ -> Cpu.account_cell cell ns
 
 let msg_cost t = consume_cur t (model t).Cost_model.uchan_msg_ns
 let validate_cost t = consume_cur t (model t).Cost_model.uchan_validate_ns
