@@ -397,6 +397,119 @@ let test_convergence () =
 
 (* property tests *)
 
+(* The engine keeps delay-0 events in a lane and the rest in a heap; this
+   is a random event program to check their merge against a sorted-list
+   reference.  Event [s] (the [s]-th scheduled, so its seq) acts as a pure
+   function of the seed and [s]: it may cancel any event scheduled before
+   it, then schedules up to two children, most with delay 0 or onto a few
+   shared instants.  Of the [n] roots, 60% are cancelled before the run,
+   more than 64 and over half of the queue, so compaction runs.  The run
+   stops at [merge_horizon], then runs out. *)
+let merge_delays = [| 0; 0; 0; 1; 2; 3; 5; 8 |]
+let merge_cap = 800
+let merge_horizon = 40
+
+let merge_act seed s ~scheduled =
+  let r = Rng.create ~seed:(Rng.derive ~root:seed (string_of_int s)) in
+  let victim = if Rng.bool r then 1 + Rng.int r scheduled else 0 in
+  let kids = if scheduled >= merge_cap then 0 else Rng.int r 3 in
+  (victim, List.init kids (fun _ -> merge_delays.(Rng.int r (Array.length merge_delays))))
+
+let merge_root_delay seed i = Rng.int (Rng.create ~seed:(Rng.derive ~root:seed (string_of_int (-i)))) 30
+let merge_root_cancelled i = i mod 5 < 3
+
+(* Returns the fired (time, seq) stream, (fired, now, pending) at the
+   horizon, the trace hash and the choice points the observer saw. *)
+let merge_engine seed n ~picker =
+  let eng = Engine.create () in
+  Engine.set_picker eng picker;
+  let points = ref [] in
+  Engine.set_observer eng
+    (Some (fun ~step ~time ~ready ~pick -> points := (step, time, ready, pick) :: !points));
+  let handles = Hashtbl.create 256 and scheduled = ref 0 and fired = ref [] in
+  let rec schedule delay =
+    incr scheduled;
+    let s = !scheduled in
+    Hashtbl.replace handles s (Engine.schedule_after eng delay (fun () -> fire s))
+  and fire s =
+    fired := (Engine.now eng, s) :: !fired;
+    let victim, kids = merge_act seed s ~scheduled:!scheduled in
+    if victim > 0 then Engine.cancel eng (Hashtbl.find handles victim);
+    List.iter schedule kids
+  in
+  for i = 0 to n - 1 do schedule (merge_root_delay seed i) done;
+  for i = 0 to n - 1 do
+    if merge_root_cancelled i then Engine.cancel eng (Hashtbl.find handles (i + 1))
+  done;
+  Engine.run ~max_time:merge_horizon eng;
+  let at_horizon = (List.length !fired, Engine.now eng, Engine.pending eng) in
+  Engine.run eng;
+  (List.rev !fired, at_horizon, Engine.trace_hash eng, List.rev !points)
+
+(* The same program over one list of live (time, seq) pairs kept sorted:
+   the ready set is its prefix at the earliest time. *)
+let merge_reference seed n ~picker =
+  let queue = ref [] and now = ref 0 and steps = ref 0 and scheduled = ref 0 in
+  let fired = ref [] and points = ref [] in
+  let rec insert ev = function
+    | [] -> [ ev ]
+    | e :: rest as l -> if compare ev e < 0 then ev :: l else e :: insert ev rest
+  in
+  let schedule delay =
+    incr scheduled;
+    queue := insert (!now + delay, !scheduled) !queue
+  in
+  let cancel s = queue := List.filter (fun (_, s') -> s' <> s) !queue in
+  let step max_time =
+    match !queue with
+    | (t0, _) :: _ when t0 <= max_time ->
+      let ready = List.filter (fun (t, _) -> t = t0) !queue in
+      let nr = List.length ready in
+      let i =
+        match picker with
+        | Some pick when nr > 1 ->
+          let i = pick ~step:!steps ~ready:nr in
+          let i = if i < 0 || i >= nr then 0 else i in
+          points := (!steps, t0, nr, i) :: !points;
+          i
+        | Some _ | None -> 0
+      in
+      let ((t, s) as ev) = List.nth ready i in
+      queue := List.filter (fun e -> e <> ev) !queue;
+      now := t;
+      incr steps;
+      fired := ev :: !fired;
+      let victim, kids = merge_act seed s ~scheduled:!scheduled in
+      if victim > 0 then cancel victim;
+      List.iter schedule kids;
+      true
+    | _ -> false
+  in
+  for i = 0 to n - 1 do schedule (merge_root_delay seed i) done;
+  for i = 0 to n - 1 do if merge_root_cancelled i then cancel (i + 1) done;
+  while step merge_horizon do () done;
+  let at_horizon = (List.length !fired, !now, List.length !queue) in
+  while step max_int do () done;
+  (List.rev !fired, at_horizon, List.rev !points)
+
+let merge_order_holds (seed, n) =
+  let seed = Int64.of_int seed in
+  let fifo, fifo_h, fifo_hash, _ = merge_engine seed n ~picker:None in
+  let want, want_h, _ = merge_reference seed n ~picker:None in
+  let zero ~step:_ ~ready:_ = 0 in
+  let zeros, zeros_h, zeros_hash, zeros_points = merge_engine seed n ~picker:(Some zero) in
+  let _, _, want_zero_points = merge_reference seed n ~picker:(Some zero) in
+  let mixed ~step ~ready = step * 7 mod (ready + 1) in
+  let picked, picked_h, _, picked_points = merge_engine seed n ~picker:(Some mixed) in
+  let want_picked, want_picked_h, want_picked_points =
+    merge_reference seed n ~picker:(Some mixed)
+  in
+  fifo = want && fifo_h = want_h
+  && zeros = fifo && zeros_h = fifo_h && zeros_hash = fifo_hash
+  && zeros_points <> [] && zeros_points = want_zero_points
+  && picked = want_picked && picked_h = want_picked_h && picked_points = want_picked_points
+
+
 let qcheck_cases =
   [ QCheck.Test.make ~name:"rng int bounds" ~count:500
       QCheck.(pair (int_bound 1000) int)
@@ -466,7 +579,14 @@ let qcheck_cases =
          in
          let last = List.fold_left (fun m i -> max m (delay i)) 0 survivors in
          let want = (expected, List.length survivors, last) in
-         run ~picker:false = want && run ~picker:true = want) ]
+         run ~picker:false = want && run ~picker:true = want);
+    (* The FIFO path, a picker that always takes the first ready event and
+       a picker that also takes later ones (or out-of-range picks, which
+       clamp to 0) all fire what the sorted-list reference fires, and the
+       first two leave the same trace hash. *)
+    QCheck.Test.make ~name:"engine lane and heap merge in (time, seq) order" ~count:40
+      QCheck.(pair int (int_range 110 300))
+      merge_order_holds ]
 
 let suite =
   [ Alcotest.test_case "engine: ordering" `Quick test_engine_ordering;
