@@ -263,26 +263,22 @@ let fire t ev =
    least one more live event.  Dequeue that whole ready set in seq order,
    let the picker choose, and return the choice; the rest go back on the
    lane, emptied by the gathering, in seq order. *)
+let add_ready t n ev =
+  if n = Array.length t.ready then begin
+    let bigger = Array.make (2 * n) none in
+    Array.blit t.ready 0 bigger 0 n;
+    t.ready <- bigger
+  end;
+  t.ready.(n) <- ev
+
 let choose t pick first =
-  let n = ref 0 in
-  let add ev =
-    if !n = Array.length t.ready then begin
-      let bigger = Array.make (2 * !n) none in
-      Array.blit t.ready 0 bigger 0 !n;
-      t.ready <- bigger
-    end;
-    t.ready.(!n) <- ev;
-    incr n
-  in
-  add first;
-  let rec gather () =
-    let ev = pop_due t first.time in
-    if ev != none then begin
-      add ev;
-      gather ()
-    end
-  in
-  gather ();
+  add_ready t 0 first;
+  let n = ref 1 and ev = ref (pop_due t first.time) in
+  while !ev != none do
+    add_ready t !n !ev;
+    incr n;
+    ev := pop_due t first.time
+  done;
   let n = !n in
   let i = pick ~step:t.steps ~ready:n in
   let i = if i < 0 || i >= n then 0 else i in
