@@ -24,19 +24,34 @@ let cell t label =
     Hashtbl.add t.cells label c;
     c
 
-let pick_core t =
-  let best = ref 0 in
-  for i = 1 to Array.length t.free_at - 1 do
-    if t.free_at.(i) < t.free_at.(!best) then best := i
-  done;
-  !best
+(* The core the work starts on soonest: the first idle one, else the
+   earliest-free, the lowest-numbered on a tie.  Any idle core starts the
+   work now, and a core idle now stays idle, so which idle core takes it
+   changes no start or finish time. *)
+let pick_core t now =
+  let free_at = t.free_at in
+  let n = Array.length free_at in
+  let idle = ref 0 in
+  while !idle < n && free_at.(!idle) > now do incr idle done;
+  if !idle < n then !idle
+  else begin
+    let best = ref 0 and best_at = ref free_at.(0) in
+    for i = 1 to n - 1 do
+      let at = free_at.(i) in
+      if at < !best_at then begin
+        best := i;
+        best_at := at
+      end
+    done;
+    !best
+  end
 
-(* Book [ns] on the earliest-free core and on [c]'s line; the work ends at
-   the returned instant. *)
+(* Book [ns] on a core and on [c]'s line; the work ends at the returned
+   instant. *)
 let book c ns =
   let t = c.cpu in
   let now = Engine.now t.eng in
-  let core = pick_core t in
+  let core = pick_core t now in
   let free = t.free_at.(core) in
   let finish = (if free > now then free else now) + ns in
   t.free_at.(core) <- finish;
@@ -44,18 +59,18 @@ let book c ns =
   c.ns <- c.ns + ns;
   finish
 
+let rec wait_until eng deadline =
+  match Fiber.sleep eng (deadline - Engine.now eng) with
+  | Fiber.Normal | Fiber.Timeout -> ()
+  | Fiber.Interrupted ->
+    (* CPU burn is not interruptible; keep waiting out the charge. *)
+    if Engine.now eng < deadline then wait_until eng deadline
+
 let consume_cell c ns =
   if ns > 0 then begin
     let finish = book c ns in
     let eng = c.cpu.eng in
-    let rec wait_until deadline =
-      match Fiber.sleep eng (deadline - Engine.now eng) with
-      | Fiber.Normal | Fiber.Timeout -> ()
-      | Fiber.Interrupted ->
-        (* CPU burn is not interruptible; keep waiting out the charge. *)
-        if Engine.now eng < deadline then wait_until deadline
-    in
-    if finish > Engine.now eng then wait_until finish
+    if finish > Engine.now eng then wait_until eng finish
   end
 
 (* Event-context work still occupies a core: book capacity by advancing a
