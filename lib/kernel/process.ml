@@ -16,13 +16,22 @@ type t = {
   mutable policy : sched_policy;
 }
 
+(* Fiber ids are distinct small integers: they hash to themselves, so
+   finding the running process hashes nothing. *)
+module By_fiber = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash id = id
+  end)
+
 type table = {
   teng : Engine.t;
   tcpu : Cpu.t;
   mutable next_pid : int;
   mutable procs : t list;
   kernel : t;
-  by_fiber : (int, t) Hashtbl.t;
+  by_fiber : t By_fiber.t;
 }
 
 let make_proc eng cpu ~pid ~uid ~name =
@@ -40,7 +49,7 @@ let make_proc eng cpu ~pid ~uid ~name =
 
 let create_table eng cpu =
   let kernel = make_proc eng cpu ~pid:0 ~uid:0 ~name:"kernel" in
-  { teng = eng; tcpu = cpu; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = Hashtbl.create 64 }
+  { teng = eng; tcpu = cpu; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = By_fiber.create 64 }
 
 let kernel_process table = table.kernel
 
@@ -69,7 +78,7 @@ let current table =
   match Fiber.self () with
   | fiber ->
     let fid = Fiber.id fiber in
-    (match Hashtbl.find_opt table.by_fiber fid with
+    (match By_fiber.find_opt table.by_fiber fid with
      | Some p -> p
      | None ->
        (* Walk process fiber lists lazily and cache the hit. *)
@@ -79,7 +88,7 @@ let current table =
             table.procs
         with
         | Some p ->
-          Hashtbl.replace table.by_fiber fid p;
+          By_fiber.replace table.by_fiber fid p;
           p
         | None -> table.kernel))
   | exception Failure _ -> table.kernel
