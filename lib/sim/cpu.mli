@@ -1,10 +1,11 @@
 (** A pool of CPU cores with busy-time accounting.
 
     {!consume} charges CPU time to the calling fiber: the fiber occupies the
-    earliest-free core and blocks until the work completes, so CPU
-    contention naturally delays other consumers.  Busy time is accumulated
-    globally and per label, which is how the benchmarks report the "CPU %"
-    column of Figure 8. *)
+    core that can start the work soonest (an idle one, else the
+    earliest-free) and blocks until the work completes, so CPU contention
+    naturally delays other consumers.  Busy time is accumulated globally
+    and per label, which is how the benchmarks report the "CPU %" column
+    of Figure 8 and perfbench its per-layer ledger. *)
 
 type t
 
@@ -53,7 +54,7 @@ val busy_of : t -> string -> int
 (** Busy nanoseconds charged to one label. *)
 
 val labels : t -> (string * int) list
-(** All labels with their busy time, sorted by label. *)
+(** Every label charged so far with its busy time, sorted by label. *)
 
 val utilization : t -> since_busy:int -> since_time:int -> float
 (** Fraction of total core capacity used over the window starting at

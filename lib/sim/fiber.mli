@@ -6,7 +6,12 @@
     deterministically.  Implemented with OCaml 5 effect handlers.
 
     Only one fiber runs at a time; resumptions always go through the engine
-    queue, so there is no nesting and no data races. *)
+    queue, so there is no nesting and no data races.
+
+    A suspended fiber keeps its continuation.  Whatever ends the wait —
+    {!wake}, {!interrupt} or {!kill} — queues exactly one closure, the step
+    that continues the continuation (or unwinds it with {!Killed} when a
+    kill is pending), on the current instant's lane ({!Engine.schedule_now}). *)
 
 exception Killed
 (** Raised inside a fiber when it is killed, so [Fun.protect]-style cleanup

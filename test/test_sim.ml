@@ -370,6 +370,21 @@ let test_cpu_labels () =
   Alcotest.(check (list (pair string int))) "sorted labels" [ ("a", 150); ("b", 200) ]
     (Cpu.labels cpu)
 
+(* A cell is its label's line: charges through it and through the string
+   entry point add up, and a line nothing was charged to is not listed. *)
+let test_cpu_cells () =
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng ~cores:2 Cost_model.default in
+  let a = Cpu.cell cpu "a" and idle = Cpu.cell cpu "idle" in
+  Cpu.account_cell a 100;
+  Cpu.account cpu ~label:"a" 50;
+  Cpu.account_cell idle 0;
+  Alcotest.(check bool) "same line" true (Cpu.cell cpu "a" == a);
+  Alcotest.(check int) "label a" 150 (Cpu.busy_of cpu "a");
+  Alcotest.(check int) "never charged" 0 (Cpu.busy_of cpu "idle");
+  Alcotest.(check (list (pair string int))) "only charged lines" [ ("a", 150) ] (Cpu.labels cpu);
+  Alcotest.(check int) "total" 150 (Cpu.busy_ns cpu)
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
   for _ = 1 to 100 do
@@ -615,6 +630,7 @@ let suite =
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;
     Alcotest.test_case "cpu: two cores parallel" `Quick test_cpu_parallel_cores;
     Alcotest.test_case "cpu: per-label accounting" `Quick test_cpu_labels;
+    Alcotest.test_case "cpu: ledger cells are label lines" `Quick test_cpu_cells;
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "stats: moments" `Quick test_stats_moments;
     Alcotest.test_case "stats: histogram" `Quick test_stats_histogram;
