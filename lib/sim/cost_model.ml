@@ -52,7 +52,7 @@ let default =
     fused_epsilon_ns = 40 }
 
 let scaled per_kb bytes =
-  if bytes <= 0 then 0 else max 1 ((bytes * per_kb) / 1024)
+  if bytes <= 0 then 0 else Int.max 1 ((bytes * per_kb) / 1024)
 
 let copy_cost t ~bytes = scaled t.copy_ns_per_kb bytes
 let checksum_cost t ~bytes = scaled t.checksum_ns_per_kb bytes
@@ -62,4 +62,4 @@ let checksum_cost t ~bytes = scaled t.checksum_ns_per_kb bytes
    sweep, so it costs the slower of the two passes plus a small fixed
    epsilon, not their sum. *)
 let fused_copy_checksum_cost t ~bytes =
-  max (copy_cost t ~bytes) (checksum_cost t ~bytes) + t.fused_epsilon_ns
+  Int.max (copy_cost t ~bytes) (checksum_cost t ~bytes) + t.fused_epsilon_ns

@@ -259,10 +259,6 @@ let fire t ev =
   note_fired t ev;
   ev.fn ()
 
-(* A choice point: [first], just dequeued, shares its instant with at
-   least one more live event.  Dequeue that whole ready set in seq order,
-   let the picker choose, and return the choice; the rest go back on the
-   lane, emptied by the gathering, in seq order. *)
 let add_ready t n ev =
   if n = Array.length t.ready then begin
     let bigger = Array.make (2 * n) none in
@@ -271,6 +267,10 @@ let add_ready t n ev =
   end;
   t.ready.(n) <- ev
 
+(* A choice point: [first], just dequeued, shares its instant with at
+   least one more live event.  Dequeue that whole ready set in seq order,
+   let the picker choose, and return the choice; the rest go back on the
+   lane, emptied by the gathering, in seq order. *)
 let choose t pick first =
   add_ready t 0 first;
   let n = ref 1 and ev = ref (pop_due t first.time) in

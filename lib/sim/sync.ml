@@ -57,7 +57,7 @@ module Mutex = struct
 
   let create () = { owner = None; waiters = Waitq.create () }
 
-  let locked t = t.owner <> None
+  let locked t = Option.is_some t.owner
 
   let rec lock t =
     match t.owner with
