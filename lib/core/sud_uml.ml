@@ -4,7 +4,6 @@ type t = {
   grant : Safe_pci.grant;
   chan : Uchan.t;
   pool : Bufpool.t;
-  cell : Cpu.cell;  (* the driver process's ledger line *)
   mutable irq_handler : (queue:int -> unit) option;
   work : (unit -> unit) Sync.Mailbox.t;
   mutable n_upcalls : int;
@@ -20,7 +19,6 @@ let create k ~proc ~grant ~chan ~pool =
       grant;
       chan;
       pool;
-      cell = Process.cell proc;
       irq_handler = None;
       work = Sync.Mailbox.create ~capacity:64;
       n_upcalls = 0;
@@ -57,9 +55,9 @@ let env t =
       (fun s ->
          Uchan.transfer t.chan ~from:`Driver Uchan.Batched
            (Msg.make ~kind:Proxy_proto.down_printk ~payload:(Bytes.of_string s) ()));
-    env_udelay = (fun us -> Driver_api.charge t.cell (us * 1_000));
+    env_udelay = (fun us -> Driver_api.charge (Process.cell t.proc) (us * 1_000));
     env_spawn = (fun ~name fn -> ignore (Process.spawn_fiber t.proc ~name fn : Fiber.t));
-    env_consume = (fun ns -> Driver_api.charge t.cell ns) }
+    env_consume = (fun ns -> Driver_api.charge (Process.cell t.proc) ns) }
 
 let pcidev t =
   let g = t.grant in
@@ -126,7 +124,7 @@ let net_callbacks t st_ref =
          (* skb wrapping + netif_rx downcall bookkeeping in SUD-UML.
             Each RX queue batches onto its own ring: per-queue flush
             buffers, never cross-queue contention. *)
-         Driver_api.charge t.cell (uml_packet_cost len);
+         Driver_api.charge (Process.cell t.proc) (uml_packet_cost len);
          Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
            (Msg.make ~kind:Proxy_proto.down_netif_rx ~args:[ addr; len ] ()));
     nc_tx_free =
@@ -186,7 +184,7 @@ let dispatch_net t st ~queue m =
        transmits (paper 6, "Optimized drivers") -- charged here. *)
     let id = Msg.arg m 0 and len = Msg.arg m 1 in
     let txq = if queue < Array.length st.tx_backlog then queue else 0 in
-    Driver_api.charge t.cell (uml_packet_cost len);
+    Driver_api.charge (Process.cell t.proc) (uml_packet_cost len);
     match Bufpool.get t.pool id with
     | None -> ()      (* kernel is trusted; only possible after close *)
     | Some buf ->
@@ -343,7 +341,7 @@ let dispatch_audio t (au : Driver_api.audio_instance) ~queue m =
     | None -> ()
     | Some buf ->
       let pcm = Bufpool.read t.pool buf ~off:0 ~len in
-      Driver_api.charge t.cell 800;
+      Driver_api.charge (Process.cell t.proc) 800;
       ignore (au.Driver_api.au_write pcm : int);
       Uchan.transfer t.chan ~from:`Driver Uchan.Batched
         (Msg.make ~kind:Proxy_proto.down_tx_free ~args:[ id ] ())
@@ -441,7 +439,7 @@ let dispatch_blk t st ~queue m =
        buffer id is encoded +1 on the wire (0 = no buffer — flush). *)
     let tag = Msg.arg m 0 and op = Msg.arg m 1 and lba = Msg.arg m 2 in
     let count = Msg.arg m 3 and buf1 = Msg.arg m 4 in
-    Driver_api.charge t.cell 300;
+    Driver_api.charge (Process.cell t.proc) 300;
     let addr =
       if buf1 = 0 then Some 0
       else

@@ -1,4 +1,4 @@
-type cell = { cpu : t; label : string; mutable ns : int }
+type cell = { cpu : t; mutable ns : int }
 
 and t = {
   eng : Engine.t;
@@ -20,7 +20,7 @@ let cell t label =
   match Hashtbl.find_opt t.cells label with
   | Some c -> c
   | None ->
-    let c = { cpu = t; label; ns = 0 } in
+    let c = { cpu = t; ns = 0 } in
     Hashtbl.add t.cells label c;
     c
 
