@@ -49,7 +49,12 @@ let make_proc eng cpu ~pid ~uid ~name =
 
 let create_table eng cpu =
   let kernel = make_proc eng cpu ~pid:0 ~uid:0 ~name:"kernel" in
-  { teng = eng; tcpu = cpu; next_pid = 1; procs = [ kernel ]; kernel; by_fiber = By_fiber.create 64 }
+  { teng = eng;
+    tcpu = cpu;
+    next_pid = 1;
+    procs = [ kernel ];
+    kernel;
+    by_fiber = By_fiber.create 64 }
 
 let kernel_process table = table.kernel
 

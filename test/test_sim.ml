@@ -430,7 +430,8 @@ let merge_act seed s ~scheduled =
   let kids = if scheduled >= merge_cap then 0 else Rng.int r 3 in
   (victim, List.init kids (fun _ -> merge_delays.(Rng.int r (Array.length merge_delays))))
 
-let merge_root_delay seed i = Rng.int (Rng.create ~seed:(Rng.derive ~root:seed (string_of_int (-i)))) 30
+let merge_root_delay seed i =
+  Rng.int (Rng.create ~seed:(Rng.derive ~root:seed (string_of_int (-i)))) 30
 let merge_root_cancelled i = i mod 5 < 3
 
 (* Returns the fired (time, seq) stream, (fired, now, pending) at the
