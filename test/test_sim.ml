@@ -359,31 +359,22 @@ let test_cpu_parallel_cores () =
   Engine.run eng;
   Alcotest.(check (list int)) "two cores run two jobs concurrently" [ 1000; 1000 ] !done_at
 
+(* Charges through a label's cell and through the string entry point land
+   on one line, and a line nothing was charged to is not listed. *)
 let test_cpu_labels () =
-  let eng = Engine.create () in
-  let cpu = Cpu.create eng ~cores:2 Cost_model.default in
-  Cpu.account cpu ~label:"a" 100;
-  Cpu.account cpu ~label:"b" 200;
-  Cpu.account cpu ~label:"a" 50;
-  Alcotest.(check int) "label a" 150 (Cpu.busy_of cpu "a");
-  Alcotest.(check int) "label b" 200 (Cpu.busy_of cpu "b");
-  Alcotest.(check (list (pair string int))) "sorted labels" [ ("a", 150); ("b", 200) ]
-    (Cpu.labels cpu)
-
-(* A cell is its label's line: charges through it and through the string
-   entry point add up, and a line nothing was charged to is not listed. *)
-let test_cpu_cells () =
   let eng = Engine.create () in
   let cpu = Cpu.create eng ~cores:2 Cost_model.default in
   let a = Cpu.cell cpu "a" and idle = Cpu.cell cpu "idle" in
   Cpu.account_cell a 100;
+  Cpu.account cpu ~label:"b" 200;
   Cpu.account cpu ~label:"a" 50;
   Cpu.account_cell idle 0;
-  Alcotest.(check bool) "same line" true (Cpu.cell cpu "a" == a);
+  Alcotest.(check bool) "one cell per label" true (Cpu.cell cpu "a" == a);
   Alcotest.(check int) "label a" 150 (Cpu.busy_of cpu "a");
+  Alcotest.(check int) "label b" 200 (Cpu.busy_of cpu "b");
   Alcotest.(check int) "never charged" 0 (Cpu.busy_of cpu "idle");
-  Alcotest.(check (list (pair string int))) "only charged lines" [ ("a", 150) ] (Cpu.labels cpu);
-  Alcotest.(check int) "total" 150 (Cpu.busy_ns cpu)
+  Alcotest.(check (list (pair string int))) "sorted labels" [ ("a", 150); ("b", 200) ]
+    (Cpu.labels cpu)
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
@@ -432,6 +423,7 @@ let merge_act seed s ~scheduled =
 
 let merge_root_delay seed i =
   Rng.int (Rng.create ~seed:(Rng.derive ~root:seed (string_of_int (-i)))) 30
+
 let merge_root_cancelled i = i mod 5 < 3
 
 (* Returns the fired (time, seq) stream, (fired, now, pending) at the
@@ -524,7 +516,6 @@ let merge_order_holds (seed, n) =
   && zeros = fifo && zeros_h = fifo_h && zeros_hash = fifo_hash
   && zeros_points <> [] && zeros_points = want_zero_points
   && picked = want_picked && picked_h = want_picked_h && picked_points = want_picked_points
-
 
 let qcheck_cases =
   [ QCheck.Test.make ~name:"rng int bounds" ~count:500
@@ -631,7 +622,6 @@ let suite =
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;
     Alcotest.test_case "cpu: two cores parallel" `Quick test_cpu_parallel_cores;
     Alcotest.test_case "cpu: per-label accounting" `Quick test_cpu_labels;
-    Alcotest.test_case "cpu: ledger cells are label lines" `Quick test_cpu_cells;
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "stats: moments" `Quick test_stats_moments;
     Alcotest.test_case "stats: histogram" `Quick test_stats_histogram;
