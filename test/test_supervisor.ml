@@ -69,6 +69,36 @@ let test_kill_auto_restart () =
          | None -> false);
       Supervisor.stop sv)
 
+(* The administrator's up/down choice survives every kill: a driver that
+   dies with the interface down restarts down, one that dies up comes back
+   up, and one taken down again stays down.  Run cold and with the warm
+   standby swapping in. *)
+let test_updown_across_kills ~standby () =
+  let w = make_world () in
+  let policy = { fast_policy with Supervisor.standby } in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised ~policy w in
+      let dev = Supervisor.netdev sv in
+      let kill_and_check ~restarts ~up what =
+        settle w 20;
+        (match Supervisor.proc sv with Some p -> Process.kill p | None -> Alcotest.fail "no proc");
+        settle w 50;
+        Alcotest.(check bool) (what ^ ": running") true (Supervisor.state sv = Supervisor.Running);
+        Alcotest.(check int) (what ^ ": restarts") restarts
+          (Supervisor.stats sv).Supervisor.st_restarts;
+        Alcotest.(check bool) (what ^ ": same netdev") true (Supervisor.netdev sv == dev);
+        Alcotest.(check bool) (what ^ ": interface up") up (Netdev.is_up dev)
+      in
+      kill_and_check ~restarts:1 ~up:false "killed down";
+      (match Netstack.ifconfig_up w.k.Kernel.net dev with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+      kill_and_check ~restarts:2 ~up:true "killed up";
+      Netstack.ifconfig_down w.k.Kernel.net dev;
+      kill_and_check ~restarts:3 ~up:false "killed after down";
+      Alcotest.(check bool) "recovery path" standby (Supervisor.warm_swaps sv > 0);
+      Supervisor.stop sv)
+
 (* While the driver is down the netdev degrades into a backlog; frames
    offered during the outage are replayed, and the counters always satisfy
    offered = queued + dropped + replayed. *)
@@ -324,6 +354,10 @@ let suite =
   [ Alcotest.test_case "supervised driver starts running" `Quick test_starts_running;
     Alcotest.test_case "kill -9 → autonomous restart" `Quick test_kill_auto_restart;
     Alcotest.test_case "outage backlog parked and replayed" `Quick test_backlog_replayed;
+    Alcotest.test_case "up/down survives kills (cold)" `Quick
+      (test_updown_across_kills ~standby:false);
+    Alcotest.test_case "up/down survives kills (warm)" `Quick
+      (test_updown_across_kills ~standby:true);
     Alcotest.test_case "corrupt batch frame: contained, no restart" `Quick
       test_batch_corrupt_no_restart;
     Alcotest.test_case "mid-batch crash: un-acked tail replayed" `Quick
