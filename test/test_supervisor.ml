@@ -330,6 +330,70 @@ let backlog_replay_order_property =
        done;
        !ok)
 
+(* Wire leg of the ordering property: frames offered while a supervised
+   driver is down park in the per-queue backlog, and the recovered
+   generation puts every flow's frames on the wire in offered order (the
+   wire may interleave flows, never reorder within one). *)
+let backlog_wire_order_property =
+  let n_flows = 3 in
+  let mk_frame ~flow ~seq =
+    let b = Bytes.make (Rss.flow_span + 2) '\x00' in
+    Bytes.set_uint16_be b 15 (1000 + flow);
+    Bytes.set_uint16_be b 17 (7 * (flow + 1));
+    Bytes.set_uint16_be b Rss.flow_span seq;
+    b
+  in
+  let gen = QCheck.Gen.(list_size (int_range 1 24) (int_bound (n_flows - 1))) in
+  QCheck.Test.make ~name:"backlog replay keeps per-flow order" ~count:6 (QCheck.make gen)
+    (fun flows ->
+       let w = make_world () in
+       let policy =
+         { fast_policy with
+           Supervisor.backoff_initial_ns = 20_000_000;
+           backoff_max_ns = 40_000_000;
+           standby = false }
+       in
+       Kernel.run w.k (fun () ->
+           let sv = start_supervised ~policy w in
+           let dev = Supervisor.netdev sv in
+           (match Netstack.ifconfig_up w.k.Kernel.net dev with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+           let seen = ref [] in
+           ignore
+             (Net_medium.attach w.medium ~name:"order-snoop" ~rx:(fun f ->
+                  if Bytes.length f >= Rss.flow_span + 2 then begin
+                    let flow = Bytes.get_uint16_be f 15 - 1000 in
+                    if flow >= 0 && flow < n_flows then
+                      seen := (flow, Bytes.get_uint16_be f Rss.flow_span) :: !seen
+                  end)
+              : Net_medium.port);
+           (match Supervisor.proc sv with
+            | Some p -> Process.kill p
+            | None -> Alcotest.fail "no proc");
+           settle w 2;
+           if Supervisor.state sv <> Supervisor.Recovering then Alcotest.fail "not recovering";
+           let queues = Netdev.tx_queues dev in
+           let offered = Array.make n_flows [] in
+           List.iteri
+             (fun i flow ->
+                let frame = mk_frame ~flow ~seq:i in
+                offered.(flow) <- i :: offered.(flow);
+                match
+                  Netdev.backlog_push dev ~queue:(Rss.queue_for ~queues frame) ~limit:256
+                    (Skbuff.of_bytes frame)
+                with
+                | Netdev.Xmit_ok -> ()
+                | Netdev.Xmit_busy -> Alcotest.fail "unexpected backlog overflow")
+             flows;
+           settle w 100;
+           if Supervisor.state sv <> Supervisor.Running then Alcotest.fail "not recovered";
+           Supervisor.stop sv;
+           let replayed = Array.make n_flows [] in
+           List.iter (fun (flow, seq) -> replayed.(flow) <- seq :: replayed.(flow))
+             (List.rev !seen);
+           Array.for_all2 (fun o r -> o = r) offered replayed))
+
 (* Satellite property: N seeded fault cycles under traffic leave no
    containment residue.  [Fault_inject.soak] asserts at every driver death
    that the kernel secret page is untouched, the dead grant is revoked, the
@@ -366,4 +430,5 @@ let suite =
     Alcotest.test_case "crash loop exhausts budget → quarantine" `Quick
       test_crash_loop_quarantine ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ plan_determinism_test; backlog_replay_order_property; fault_cycle_property ]
+      [ plan_determinism_test; backlog_replay_order_property; backlog_wire_order_property;
+        fault_cycle_property ]
