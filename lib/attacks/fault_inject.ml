@@ -256,8 +256,6 @@ let warm_policy ~max_restarts = { (soak_policy ~max_restarts) with Supervisor.st
    device is a NIC or an NVMe. *)
 
 type invariant_ctx = {
-  iv_k : Kernel.t;
-  iv_bdf : Bus.bdf;
   iv_secret_addr : int;
   mutable iv_snapshot : (Safe_pci.grant * int list) option;  (* grant, mapped iovas *)
   mutable iv_violations : string list;
@@ -272,9 +270,7 @@ let invariant_deaths ctx = ctx.iv_deaths
 
 let install_invariants ~k ~bdf sv ~secret_addr =
   let ctx =
-    { iv_k = k;
-      iv_bdf = bdf;
-      iv_secret_addr = secret_addr;
+    { iv_secret_addr = secret_addr;
       iv_snapshot = None;
       iv_violations = [];
       iv_deaths = 0 }
@@ -861,12 +857,6 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
 (* ---- warm standby: upgrades, poison, and the interleaving soak ---- *)
 
 type upgrade_fault = Upgrade_during_fault | Standby_poisoned
-
-let all_upgrade_faults = [ Upgrade_during_fault; Standby_poisoned ]
-
-let upgrade_fault_name = function
-  | Upgrade_during_fault -> "upgrade_during_fault"
-  | Standby_poisoned -> "standby_poisoned"
 
 let inject_standby_poison ~sv =
   match Supervisor.standby_proc sv with

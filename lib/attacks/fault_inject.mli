@@ -84,18 +84,6 @@ type injector_stats = {
   inj_by_class : (string, int) Hashtbl.t;  (** applied, by [name] *)
 }
 
-val run_plan :
-  Kernel.t ->
-  sv:Supervisor.t ->
-  inject:('f -> bool) ->
-  name:('f -> string) ->
-  'f plan ->
-  injector_stats
-(** Spawn an injector fiber that walks the plan, sleeping to each
-    instant (relative to now) and waiting (up to 1 s) for a live driver
-    generation so every fault lands on a live target, then applying
-    [inject].  Returns the (live-updating) stats record immediately. *)
-
 (** {1 Worlds, invariants and load}
 
     The worlds, traffic generator and containment-invariant checker the
@@ -135,14 +123,6 @@ val honest_factory : attempt:int -> Driver_api.net_driver
 val honest_blk_factory : attempt:int -> Driver_api.blk_driver
 (** The honest NVMe driver, every generation. *)
 
-val dma_violate : world -> unit -> unit
-(** Device-level DMA to an address the driver never mapped — the IOMMU
-    must fault and attribute it to the device's BDF. *)
-
-val secret : string
-(** The canary written to a kernel page; containment means no driver
-    death may ever have touched it. *)
-
 val soak_policy : max_restarts:int -> Supervisor.policy
 (** Fast supervision (1 ms tick, 10 ms hang timeout, sub-ms backoff) so
     multi-hundred-fault campaigns converge in bounded simulated time.
@@ -155,22 +135,18 @@ val warm_policy : max_restarts:int -> Supervisor.policy
 
 type invariant_ctx
 
-val install_invariants :
-  k:Kernel.t -> bdf:Bus.bdf -> Supervisor.t -> secret_addr:int -> invariant_ctx
-(** Hook the supervisor's event stream: at every driver death assert the
-    kernel secret at [secret_addr] is intact, the dead generation's grant
-    is revoked, the IOMMU domain of [bdf] detached, and no
-    previously-mapped iova still answers from the IOTLB.  The same
-    contract for a NIC and an NVMe. *)
-
 val supervise :
   who:string ->
   Kernel.t ->
   bdf:Bus.bdf ->
   (unit -> (Supervisor.t, string) result) ->
   Supervisor.t * invariant_ctx
-(** Plant {!secret} in a fresh kernel page, run the supervised start and
-    {!install_invariants} on it: how every campaign opens.  Fails with
+(** Plant a canary secret in a fresh kernel page, run the supervised
+    start and hook its event stream: at every driver death the secret
+    must be intact, the dead generation's grant revoked, the IOMMU
+    domain of [bdf] detached, and no previously-mapped iova may still
+    answer from the IOTLB.  The same contract for a NIC and an NVMe.
+    This is how every campaign opens.  Fails with
     [who] in the message if the start does. *)
 
 val invariant_violations : invariant_ctx -> string list
@@ -384,9 +360,6 @@ type upgrade_fault =
   | Standby_poisoned
       (** the parked generation is killed while warm; it must be
           discarded and rebuilt, never swapped in *)
-
-val all_upgrade_faults : upgrade_fault list
-val upgrade_fault_name : upgrade_fault -> string
 
 val inject_standby_poison : sv:Supervisor.t -> bool
 (** Kill the parked standby generation's process, if one is warm.

@@ -10,7 +10,6 @@ type toolkit = {
 }
 
 let reg_write t off v = t.mmio.Driver_api.mmio_write ~off ~size:4 v
-let reg_read t off = t.mmio.Driver_api.mmio_read ~off ~size:4
 
 let write_desc t slot ~addr ~len ~cmd =
   let off = slot * R.desc_size in

@@ -15,7 +15,6 @@ type toolkit = {
 }
 
 val reg_write : toolkit -> int -> int -> unit
-val reg_read : toolkit -> int -> int
 
 val dma_read_via_tx : toolkit -> target:int -> len:int -> unit
 (** Program a TX descriptor whose buffer address is [target]: the device

@@ -27,9 +27,6 @@ type mutation =
       (** doorbell storm with nothing behind the kicks → quota
           notification-bucket overflow *)
 
-val all_mutations : mutation list
-val mutation_name : mutation -> string
-
 type fuzz_report = {
   fz_seed : int64;
   fz_planned : int;

@@ -125,31 +125,6 @@ type pair_report = {
   pr_tests : int;
 }
 
-let shrink_soak_pair ~seed ?(duration_ms = 400) decisions plan =
-  let run ds pl =
-    let r =
-      Fault_inject.soak ~sched:(Sched.Replay ds) ~seed ~duration_ms ~plan:pl ()
-    in
-    r.Fault_inject.sr_violations <> []
-  in
-  let test items =
-    let ds = List.filter_map (function D d -> Some d | P _ -> None) items in
-    let pl = List.filter_map (function P p -> Some p | D _ -> None) items in
-    run ds pl
-  in
-  let items = List.map (fun d -> D d) decisions @ List.map (fun p -> P p) plan in
-  let min_items, tests = Shrink.ddmin ~test items in
-  let min_ds = List.filter_map (function D d -> Some d | P _ -> None) min_items in
-  let min_pl = List.filter_map (function P p -> Some p | D _ -> None) min_items in
-  ( { pr_orig_decisions = List.length decisions;
-      pr_orig_plan = List.length plan;
-      pr_min_decisions = List.length min_ds;
-      pr_min_plan = List.length min_pl;
-      pr_still_fails = (min_items <> [] || items = []) && test min_items;
-      pr_tests = tests + 1 },
-    min_ds,
-    min_pl )
-
 (* ---- explore + shrink in one motion ---- *)
 
 type hunt_report = {

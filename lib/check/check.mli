@@ -14,9 +14,6 @@ val find_scenario : string -> Scenario.t option
 val ensure_traces : unit -> unit
 (** Create [traces/] if missing (best-effort). *)
 
-val file_of_outcome :
-  scenario:string -> seed:int64 -> spec:Sched.spec -> Scenario.outcome -> Sched.file
-
 val record :
   ?path:string -> Scenario.t -> spec:Sched.spec -> seed:int64
   -> Scenario.outcome * Sched.file
@@ -69,13 +66,6 @@ type pair_report = {
   pr_still_fails : bool;
   pr_tests : int;
 }
-
-val shrink_soak_pair :
-  seed:int64 -> ?duration_ms:int -> Sched.decision list -> Fault_inject.fault Fault_inject.plan
-  -> pair_report * Sched.decision list * Fault_inject.fault Fault_inject.plan
-(** Minimize a failing (schedule × fault-plan) pair of the net soak:
-    one ddmin over the tagged union, so the oracle prunes schedule
-    decisions and injections together. *)
 
 (** {1 Hunt: explore, dump, shrink} *)
 

@@ -26,6 +26,3 @@ val scan_and_start :
     Returns one row per matched device: its BDF, the driver name, and the
     start outcome.  Devices without a registered driver are skipped.
     Must run in a fiber. *)
-
-val name_of_entry : registry_entry -> string
-val ids_of_entry : registry_entry -> (int * int) list

@@ -24,10 +24,6 @@ let dma_set32 r ~off v =
   Bytes.set_int32_le b 0 (Int32.of_int v);
   r.dma_write ~off b
 
-let dma_get64 r ~off =
-  let b = r.dma_read ~off ~len:8 in
-  Bytes.get_int64_le b 0
-
 let dma_set64 r ~off v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;

@@ -38,7 +38,6 @@ type dma_region = {
 
 val dma_get32 : dma_region -> off:int -> int
 val dma_set32 : dma_region -> off:int -> int -> unit
-val dma_get64 : dma_region -> off:int -> int64
 val dma_set64 : dma_region -> off:int -> int64 -> unit
 
 type pcidev = {

@@ -38,7 +38,7 @@ type breq = {
   mutable br_sent : bool;            (* on the wire this generation *)
   mutable br_submit_ns : int;
   mutable br_serial : int;           (* completion-order stamp; -1 = in flight *)
-  mutable br_cover : int;            (* flushes: completion serial at submit *)
+  br_cover : int;            (* flushes: completion serial at submit *)
 }
 
 (* Driver-generation-independent state, adopted by each restart. *)
@@ -429,17 +429,7 @@ let create k ~chan ~grant ~pool ~name ?(request_timeout_ns = 10_000_000) ?(parke
   Uchan.set_downcall_handler chan (fun ~queue m -> handle_downcall t ~queue m);
   t
 
-let irq_sink t ~queue =
-  let nq = Uchan.num_queues t.chan in
-  let q = if queue >= 0 && queue < nq then queue else 0 in
-  ignore
-    (Uchan.transfer t.chan ~queue:q ~from:`Kernel Uchan.Nonblock
-       (Msg.make ~kind:Proxy_proto.up_interrupt ~args:[ queue ] ())
-     : bool)
-
 let blkdev t = t.p.p_blkdev
-let persist t = t.p
-let capacity t = t.capacity
 let inflight t = Hashtbl.length t.p.p_inflight
 let retained t = List.length t.p.p_unflushed
 

@@ -6,11 +6,12 @@
     increasing idempotency tag that survives driver generations in the
     {!persist} record, along with the in-flight table and the
     unflushed-retention list (completed writes not yet proven durable
-    by a Flush completion).  After a supervised restart, {!resume}
-    replays both sets in tag order and owes a trailing barrier;
-    {!Blkdev.complete} fires upstream completions at most once, so
-    replay is idempotent: {e no acknowledged write is ever lost, and no
-    unacknowledged write becomes visible without being acknowledged}.
+    by a Flush completion).  After a supervised restart,
+    {!Proxy_class.resume} replays both sets in tag order and owes a
+    trailing barrier; {!Blkdev.complete} fires upstream completions at
+    most once, so replay is idempotent: {e no acknowledged write is ever
+    lost, and no unacknowledged write becomes visible without being
+    acknowledged}.
 
     Retention drops follow the {e flush-covering rule}: a Flush
     completion [F] drops a retained write [W] iff [W] completed before
@@ -43,19 +44,16 @@ val create :
   unit ->
   t
 (** [request_timeout_ns] (default 10 ms) bounds how long a submitted
-    request may stay uncompleted before {!hung} reports it — the
-    escalation path for dropped/corrupted completions and dropped
+    request may stay uncompleted before {!Proxy_class.hung} reports it —
+    the escalation path for dropped/corrupted completions and dropped
     flushes.
 
     With [~parked:true] (warm standby) the proxy may share the live
     generation's [?adopt] persist record but treats it as read-only:
     registration is recorded (geometry + ready broadcast) without
     touching persist, blkdev or issuer; completions are counted as
-    forged; quiesce does not detach; {!resume} refuses to serve until
-    {!adopt} swaps the proxy in. *)
-
-val irq_sink : t -> queue:int -> unit
-(** Forward a device interrupt to the driver on the matching ring. *)
+    forged; quiesce does not detach; {!Proxy_class.resume} refuses to
+    serve until {!Proxy_class.adopt} swaps the proxy in. *)
 
 val wait_ready : t -> timeout_ns:int -> Blkdev.t option
 (** Block until the driver registers its block device (or time out). *)
@@ -70,18 +68,7 @@ type Proxy_class.state += Blk_state of persist
 (** The blk class's handoff payload: the generation-independent persist
     record (tags, in-flight table, retention, surviving blkdev). *)
 
-val handoff : t -> Proxy_class.state
-(** Snapshot the persist record ({!Blk_state}).  Idempotent. *)
-
-val adopt : t -> Proxy_class.state -> unit
-(** Install a handoff payload.  On a parked proxy this adopts the
-    persist record (applying the recorded geometry to the surviving
-    blkdev) and unparks it so {!resume} may replay and reattach.  On a
-    live proxy it is a no-op. *)
-
 val blkdev : t -> Blkdev.t option
-val persist : t -> persist
-val capacity : t -> int
 val inflight : t -> int
 val retained : t -> int
 
@@ -93,16 +80,9 @@ val inflight_summary : t -> string
 (** One line per in-flight request (oldest first) plus the send-queue
     state — [sudctl blk status] and harness diagnostics. *)
 
-val hung : t -> bool
 val quiesce : t -> unit
 (** Detach the block device (staging absorbs new requests) and admit no
     further submissions from this generation.  Idempotent. *)
-
-val resume : t -> unit
-(** Replay retention + in-flight in tag order on this generation's
-    channel, owe a trailing barrier, and reattach the device. *)
-
-val unregister : t -> unit
 
 val instance : t -> Proxy_class.instance
 (** This proxy as a member of the unified device-class API

@@ -26,8 +26,6 @@ let chan (Instance ((module P), x)) = P.chan x
 let hung (Instance ((module P), x)) = P.hung x
 let quiesce (Instance ((module P), x)) = P.quiesce x
 let resume (Instance ((module P), x)) = P.resume x
-let degrade (Instance ((module P), x)) = P.degrade x
-let revive (Instance ((module P), x)) = P.revive x
 let handoff (Instance ((module P), x)) = P.handoff x
 let adopt (Instance ((module P), x)) st = P.adopt x st
 

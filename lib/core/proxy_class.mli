@@ -77,12 +77,9 @@ type instance = Instance : (module S with type t = 'a) * 'a -> instance
     can hold for any device class. *)
 
 val class_name : instance -> string
-val chan : instance -> Uchan.t
 val hung : instance -> bool
 val quiesce : instance -> unit
 val resume : instance -> unit
-val degrade : instance -> unit
-val revive : instance -> unit
 val handoff : instance -> state
 val adopt : instance -> state -> unit
 

@@ -346,16 +346,6 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
   Uchan.set_downcall_handler chan (fun ~queue m -> handle_downcall t ~queue m);
   t
 
-let irq_sink t ~queue =
-  if
-    not
-      (Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Kernel Uchan.Nonblock
-         (Msg.make ~kind:Proxy_proto.up_interrupt ~args:[ queue ] ()))
-  then
-    (* Ring saturated with unserviced interrupts: the masking machinery in
-       Safe_pci is already throttling; nothing more to do here. *)
-    ()
-
 let netdev t = t.dev
 
 let wait_ready t ~timeout_ns =
@@ -440,7 +430,6 @@ let adopt t st =
   | _ -> ()
 
 let rx_validation_failures t = Sud_obs.Metrics.get t.rx_bad
-let rx_checksum_failures t = Sud_obs.Metrics.get t.rx_csum_bad
 let rx_pool_counters t = (Sud_obs.Metrics.get t.pool_hits, Sud_obs.Metrics.get t.pool_fresh)
 let frames_per_poll t = t.frames_per_poll
 

@@ -41,12 +41,6 @@ val create :
     ready, but the netstack is untouched and the proxy serves no
     datapath until {!adopt} swaps it in. *)
 
-val irq_sink : t -> queue:int -> unit
-(** Pass to {!Safe_pci.setup_irqs}: forwards queue [queue]'s interrupt
-    as an [up_interrupt] upcall on the matching uchan ring
-    (non-blocking, interrupt-context safe), so one queue's interrupt
-    wakes only that queue's driver fiber. *)
-
 val netdev : t -> Netdev.t option
 
 val wait_ready : t -> timeout_ns:int -> Netdev.t option
@@ -86,11 +80,6 @@ val unregister : t -> unit
 
 val rx_validation_failures : t -> int
 (** netif_rx downcalls whose address failed validation. *)
-
-val rx_checksum_failures : t -> int
-(** Frames the fused defensive-copy+checksum pass rejected (bad
-    transport checksum in the private copy) — dropped at the proxy,
-    never delivered to the stack. *)
 
 val rx_pool_counters : t -> int * int
 (** (hits, fresh): defensive-copy buffers served from the recycle pool

@@ -71,8 +71,6 @@ let wait_block t ~timeout_ns =
   in
   loop ()
 
-let capacity t = t.cap
-
 (* Block data moves through shared buffers, at most one pool buffer per
    request; larger requests are split. *)
 let max_blocks_per_req t = Bufpool.buf_size t.pool / block_size

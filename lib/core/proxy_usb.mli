@@ -22,8 +22,6 @@ val wait_block : t -> timeout_ns:int -> int option
 (** Wait for a storage device to register; returns its capacity in
     512-byte blocks. *)
 
-val capacity : t -> int option
-
 val read_blocks : t -> lba:int -> count:int -> (bytes, string) result
 (** Synchronous upcall; data crosses in shared buffers, validated and
     copied out by the proxy. *)

@@ -41,7 +41,6 @@ let create k ~chan ~grant ~pool ~name ?defensive_copy () =
   t
 
 let net t = t.pnet
-let irq_sink t = Proxy_net.irq_sink t.pnet
 let netdev t = Proxy_net.netdev t.pnet
 let wait_ready t ~timeout_ns = Proxy_net.wait_ready t.pnet ~timeout_ns
 

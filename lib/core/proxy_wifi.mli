@@ -20,7 +20,6 @@ val create :
   t
 
 val net : t -> Proxy_net.t
-val irq_sink : t -> queue:int -> unit
 val netdev : t -> Netdev.t option
 val wait_ready : t -> timeout_ns:int -> Netdev.t option
 

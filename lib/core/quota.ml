@@ -33,14 +33,6 @@ type limits = {
   notify_rate : int;         (* bucket refill, tokens per second *)
 }
 
-let unlimited =
-  { max_grants = max_int;
-    max_dma_bytes = max_int;
-    max_iopt_pages = max_int;
-    max_uchan_bytes = max_int;
-    notify_burst = max_int;
-    notify_rate = max_int }
-
 (* Generous but finite: what the supervisor hands a driver nobody
    configured.  A real e1000 generation uses 1 grant, ~256 KB of DMA,
    a handful of IOPT pages and <1 MB of rings, so honest drivers never
@@ -98,9 +90,6 @@ let create eng ?(limits = default_limits) ~name () =
        (fun () -> t.uchan_bytes)
      : Sud_obs.Metrics.gauge);
   t
-
-let name t = t.q_name
-let limits t = t.lim
 
 let grants t = t.grants
 let dma_bytes t = t.dma_bytes

@@ -26,9 +26,6 @@ type limits = {
   notify_rate : int;         (** bucket refill, tokens per second *)
 }
 
-val unlimited : limits
-(** No limit anywhere; token buckets never run dry. *)
-
 val default_limits : limits
 (** Generous but finite: invisible to honest drivers, binding long
     before a malicious one hurts the kernel. *)
@@ -37,9 +34,6 @@ type t
 
 val create : Engine.t -> ?limits:limits -> name:string -> unit -> t
 (** [limits] defaults to {!default_limits}. *)
-
-val name : t -> string
-val limits : t -> limits
 
 (** {1 Ledger charges}
 

@@ -5,19 +5,17 @@ type dma_alloc = {
 }
 
 type reg_dev = {
-  rd_bdf : Bus.bdf;
   mutable rd_owner : int;        (* uid allowed to open; 0 = root only *)
   mutable rd_grant : grant option;
 }
 
-(* One entry per granted interrupt vector; index = queue.  Mask,
-   ack-pending and storm state are all per vector, so a storm on one RX
-   queue quarantines that vector without silencing its siblings. *)
+(* One entry per granted interrupt vector; index = queue.  Mask and storm
+   state are per vector, so a storm on one RX queue quarantines that
+   vector without silencing its siblings. *)
 and vec_state = {
   vs_queue : int;
   vs_vector : int;
   mutable vs_masked : bool;
-  mutable vs_awaiting_ack : bool;
   mutable vs_storms : int;
   mutable vs_quarantined : bool;
   vs_delivered : Sud_obs.Metrics.counter;   (* per-queue IRQ upcalls forwarded *)
@@ -51,7 +49,6 @@ and t = {
   mutable n_ir : int;
   mutable n_livelock : int;
   mutable n_cfg_denied : int;
-  mutable n_fwd : int;
 }
 
 (* Figure 9's IO virtual addresses start here. *)
@@ -64,12 +61,11 @@ let init k =
     n_masks = 0;
     n_ir = 0;
     n_livelock = 0;
-    n_cfg_denied = 0;
-    n_fwd = 0 }
+    n_cfg_denied = 0 }
 
 let register_device t bdf =
   if not (Hashtbl.mem t.devices bdf) then
-    Hashtbl.add t.devices bdf { rd_bdf = bdf; rd_owner = 0; rd_grant = None }
+    Hashtbl.add t.devices bdf { rd_owner = 0; rd_grant = None }
 
 let set_owner t bdf ~uid =
   match Hashtbl.find_opt t.devices bdf with
@@ -182,8 +178,6 @@ let open_device t ?quota bdf ~proc =
 
 let grant_bdf g = g.g_bdf
 let grant_alive g = g.g_alive
-let grant_quota g = g.g_quota
-let grant_num_vectors g = Array.length g.g_vecs
 
 let vec_of g queue =
   if queue < 0 || queue >= Array.length g.g_vecs then
@@ -425,14 +419,6 @@ let read_driver_mem_into g ~iova ~len ~dst ~dst_off =
       Ok ()
     | None -> Error (Printf.sprintf "address 0x%x+%d outside driver's DMA regions" iova len)
 
-let write_driver_mem g ~iova data =
-  check_alive g;
-  match lookup_iova g ~iova ~len:(Bytes.length data) with
-  | Some phys ->
-    Phys_mem.write g.g.k.Kernel.mem ~addr:phys data;
-    Ok ()
-  | None -> Error (Printf.sprintf "address 0x%x outside driver's DMA regions" iova)
-
 (* ---- interrupts ---- *)
 
 (* Masking is per vector: legacy MSI has exactly one (the capability's
@@ -522,7 +508,6 @@ let handle_irq g ~queue ~source =
          [irq_ack], so under load one upcall covers a whole batch of
          frames while an idle link still gets an immediate upcall. *)
       mask_vector g ~queue;
-      vs.vs_awaiting_ack <- true;
       (match g.g_sink with
        | Some sink ->
          (* Rate limiting at the forwarding boundary: a dry per-queue
@@ -536,7 +521,6 @@ let handle_irq g ~queue ~source =
            | None -> true
          in
          if permitted then begin
-           t.n_fwd <- t.n_fwd + 1;
            Sud_obs.Metrics.incr vs.vs_delivered;
            Cpu.account_cell t.sud (model t).Cost_model.irq_upcall_ns;
            sink ~queue
@@ -569,7 +553,7 @@ let setup_irqs g ~n ~sink =
       g.g_vecs <-
         Array.mapi
           (fun queue vs_vector ->
-             { vs_queue = queue; vs_vector; vs_masked = false; vs_awaiting_ack = false;
+             { vs_queue = queue; vs_vector; vs_masked = false;
                vs_storms = 0; vs_quarantined = false;
                vs_delivered =
                  Sud_obs.Metrics.counter
@@ -622,7 +606,6 @@ let teardown_irqs g =
 let irq_ack ?(queue = 0) g =
   if g.g_alive && queue < Array.length g.g_vecs then begin
     let vs = vec_of g queue in
-    vs.vs_awaiting_ack <- false;
     (* Interrupts the device raised during the poll window latched in
        the MSI-X pending-bit array; unmasking clears that bit with no
        re-delivery, so read it first and replay after the unmask.  A
@@ -648,4 +631,3 @@ let msi_masks t = t.n_masks
 let ir_escalations t = t.n_ir
 let livelock_warnings t = t.n_livelock
 let cfg_denials t = t.n_cfg_denied
-let interrupts_forwarded t = t.n_fwd

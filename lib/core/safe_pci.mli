@@ -49,8 +49,6 @@ val open_device : t -> ?quota:Quota.t -> Bus.bdf -> proc:Process.t -> (grant, st
     pending bit latches and the ack-time replay keeps the device
     live). *)
 
-val grant_quota : grant -> Quota.t option
-
 val release : grant -> unit
 (** Revoke the grant: unmap DMA, revoke IO ports, mask MSI, free the
     vector, detach the IOMMU domain.  Runs automatically when the owning
@@ -64,8 +62,6 @@ val grant_storms : grant -> int
     that kept arriving while a vector was masked), summed over all
     vectors.  The supervisor polls this: growth means the device is
     being driven maliciously. *)
-
-val grant_num_vectors : grant -> int
 
 val grant_irqs_delivered : grant -> int
 (** Interrupt upcalls actually forwarded to the driver across this
@@ -113,8 +109,6 @@ val read_driver_mem_into :
 (** Like {!read_driver_mem} but copying into a caller-supplied (pooled)
     buffer, so the per-frame defensive copy allocates nothing. *)
 
-val write_driver_mem : grant -> iova:int -> bytes -> (unit, string) result
-
 val setup_irqs : grant -> n:int -> sink:(queue:int -> unit) -> (unit, string) result
 (** Allocate [n] vectors (queue [i] rides vector [i]), program the
     device's interrupt capability — legacy MSI when [n = 1], MSI-X
@@ -132,9 +126,6 @@ val irq_ack : ?queue:int -> grant -> unit
     bit with no re-delivery, so the replay is explicit).  Quarantined
     vectors stay silenced. *)
 
-val mask_vector : grant -> queue:int -> unit
-val unmask_vector : grant -> queue:int -> unit
-
 (** {1 Observability} *)
 
 val iommu_mappings : grant -> (int * int * int * bool) list
@@ -149,4 +140,3 @@ val msi_masks : t -> int
 val ir_escalations : t -> int
 val livelock_warnings : t -> int
 val cfg_denials : t -> int
-val interrupts_forwarded : t -> int

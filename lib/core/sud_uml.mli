@@ -22,9 +22,6 @@ val create :
   pool:Bufpool.t ->
   t
 
-val env : t -> Driver_api.env
-val pcidev : t -> Driver_api.pcidev
-
 val serve_net : t -> Driver_api.net_driver -> unit
 (** Probe the driver and run the upcall dispatch loop until the channel
     closes or the process dies.  Call from the driver process's main

@@ -755,7 +755,6 @@ let blkdev (T t) =
   | Tgt_blk persist -> Proxy_blk.persist_blkdev persist
   | Tgt_net _ -> None
 
-let bdf (T t) = t.bdf
 let name (T t) = t.name
 
 let current_blk (T t) : Proxy_blk.t Driver_host.gen option =
@@ -764,7 +763,6 @@ let current_blk (T t) : Proxy_blk.t Driver_host.gen option =
 let proc (T t) = Option.map Driver_host.proc t.cur
 let chan (T t) = Option.map Driver_host.chan t.cur
 let grant (T t) = Option.map Driver_host.grant t.cur
-let class_of (T t) = Option.map Driver_host.class_of t.cur
 let quota (T t) = t.quota
 let on_event (T t) f = t.listeners <- f :: t.listeners
 
@@ -781,8 +779,6 @@ let standby_stats (T t) =
 let standby_proc (T t) = Option.map Driver_host.warm_proc (Option.bind t.sb Standby.peek)
 let warm_swaps (T t) = t.warm_swaps
 let upgrades (T t) = t.upgrades
-
-let metrics (T t) = t.sm
 
 let stats (T t) =
   { st_state = t.state;

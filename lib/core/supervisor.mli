@@ -154,7 +154,6 @@ val blkdev : t -> Blkdev.t option
 (** The persistent block device of a blk supervisor ([None] for net, or
     before the first registration). *)
 
-val bdf : t -> Bus.bdf
 val name : t -> string
 
 val current_blk : t -> Proxy_blk.t Driver_host.gen option
@@ -164,8 +163,6 @@ val current_blk : t -> Proxy_blk.t Driver_host.gen option
 val proc : t -> Process.t option
 val chan : t -> Uchan.t option
 val grant : t -> Safe_pci.grant option
-val class_of : t -> Proxy_class.instance option
-(** The live generation's proxy behind the unified class API. *)
 
 val quota : t -> Quota.t
 (** The driver's resource ledger — one per supervised device, shared by
@@ -208,7 +205,5 @@ type metrics = {
     restart/quarantine span chain; a DMA-violation detection parents to
     the IOMMU fault span that triggered it, closing the causal loop back
     to the offending uchan RPC. *)
-
-val metrics : t -> metrics
 
 val stats : t -> stats

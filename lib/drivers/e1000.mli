@@ -16,4 +16,3 @@
 val driver : Driver_api.net_driver
 
 val tx_ring_size : int
-val rx_ring_size : int

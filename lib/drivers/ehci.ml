@@ -2,7 +2,6 @@ module R = Usb_hci_dev.Regs
 
 type state = {
   env : Driver_api.env;
-  pdev : Driver_api.pcidev;
   mmio : Driver_api.mmio;
   sched : Driver_api.dma_region;    (* QH + qTD + transfer buffer arena *)
   xfer_lock : Sync.Mutex.t;         (* one transfer on the schedule at a time *)
@@ -172,7 +171,7 @@ let probe env pdev =
        (match pdev.Driver_api.pd_alloc_dma ~bytes:Bus.page_size () with
         | Error e -> Error ("schedule arena: " ^ e)
         | Ok sched ->
-          let st = { env; pdev; mmio; sched; xfer_lock = Sync.Mutex.create (); next_addr = 1 } in
+          let st = { env; mmio; sched; xfer_lock = Sync.Mutex.create (); next_addr = 1 } in
           w32 st R.usbcmd R.cmd_run;
           Ok { Driver_api.uh_enumerate = (fun () -> enumerate st ()) }))
 

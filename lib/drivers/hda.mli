@@ -8,4 +8,3 @@
 val driver : Driver_api.audio_driver
 
 val period_bytes : int
-val periods : int

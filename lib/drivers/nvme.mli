@@ -6,8 +6,4 @@
     with the host's unbounded idempotency tag kept in a per-slot side
     table. *)
 
-val sq_entries : int
-(** Entries per submission queue; outstanding commands are bounded at
-    [sq_entries - 1] so slots are never reused while in flight. *)
-
 val driver : Driver_api.blk_driver

@@ -2,7 +2,6 @@ module R = Uhci_dev.Regs
 
 type state = {
   env : Driver_api.env;
-  pdev : Driver_api.pcidev;
   io : Driver_api.pio;
   frames : Driver_api.dma_region;   (* 1024-entry frame list *)
   tds : Driver_api.dma_region;      (* TD + buffer arena *)
@@ -166,7 +165,7 @@ let probe env pdev =
         with
         | Ok frames, Ok tds ->
           let st =
-            { env; pdev; io; frames; tds; xfer_lock = Sync.Mutex.create (); next_addr = 1 }
+            { env; io; frames; tds; xfer_lock = Sync.Mutex.create (); next_addr = 1 }
           in
           (* Empty frame list, then run. *)
           let terminate = Bytes.create 4 in

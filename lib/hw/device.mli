@@ -30,9 +30,6 @@ val cfg : t -> Pci_cfg.t
 val ops : t -> ops
 val set_ops : t -> ops -> unit
 
-val bdf : t -> Bus.bdf
-(** Raises [Failure] before the device is attached. *)
-
 val is_attached : t -> bool
 val attach_to_host : t -> bdf:Bus.bdf -> host_iface -> unit
 

@@ -85,15 +85,12 @@ type t = {
   partial_tx : bytes list array; (* fragments until EOP, per queue *)
   mutable ral : int;
   mutable rah : int;
-  mutable link_up : bool;
   port : Net_medium.port;
   medium : Net_medium.t;
   mutable n_tx : int;
   mutable n_rx : int;
   mutable n_drop : int;
   mutable n_dma_fault : int;
-  mutable n_msi : int;
-  n_vec : int array;             (* per-vector MSI-X messages, storm accounting *)
   n_rxq : int array;             (* frames landed per RX queue *)
 }
 
@@ -111,7 +108,6 @@ let mac_of_eeprom eeprom =
    messages at least regs_itr*256ns apart; causes accumulate in ICR and
    are delivered in one (coalesced) interrupt. *)
 let fire_msi t =
-  t.n_msi <- t.n_msi + 1;
   t.next_int_at <- Engine.now t.eng + (t.regs_itr * 256);
   match Device.raise_msi t.dev with
   | Ok () -> ()
@@ -132,12 +128,10 @@ let rec raise_irq t cause =
     end
   end
 
-(* Per-queue completion: in MSI-X mode queue [q] signals its own vector
-   (counted per vector, so a storm is attributable); otherwise fall back
-   to the legacy coalesced ICR path. *)
+(* Per-queue completion: in MSI-X mode queue [q] signals its own vector;
+   otherwise fall back to the legacy coalesced ICR path. *)
 let raise_queue_irq t q cause =
   if Pci_cfg.msix_enabled (Device.cfg t.dev) then begin
-    t.n_vec.(q) <- t.n_vec.(q) + 1;
     match Device.raise_msix t.dev ~vector:q with
     | Ok () -> ()
     | Error _ -> t.n_dma_fault <- t.n_dma_fault + 1
@@ -278,7 +272,7 @@ let ring_reg t off =
    peers reaching the register file by P2P DMA). *)
 let peek t off =
   if off = ctrl then t.regs_ctrl
-  else if off = status then if t.link_up then status_lu else 0
+  else if off = status then status_lu
   else if off = eerd then t.regs_eerd
   else if off = itr then t.regs_itr
   else if off = icr then t.regs_icr
@@ -418,15 +412,12 @@ let create eng ~mac ~medium ?(queues = 1) () =
          partial_tx = Array.make queues [];
          ral = 0;
          rah = 0;
-         link_up = true;
          port;
          medium;
          n_tx = 0;
          n_rx = 0;
          n_drop = 0;
          n_dma_fault = 0;
-         n_msi = 0;
-         n_vec = Array.make queues 0;
          n_rxq = Array.make queues 0 })
   in
   let t = Lazy.force t in
@@ -446,6 +437,4 @@ let tx_frames t = t.n_tx
 let rx_frames t = t.n_rx
 let rx_dropped t = t.n_drop
 let dma_faults t = t.n_dma_fault
-let msi_raised t = t.n_msi + Array.fold_left ( + ) 0 t.n_vec
-let msix_raised t ~vector = t.n_vec.(vector)
 let rx_queue_frames t ~queue = t.n_rxq.(queue)

@@ -20,7 +20,6 @@
     causes coalesce onto the legacy ITR-moderated MSI path. *)
 
 module Regs : sig
-  val ctrl : int
   val status : int
   val eerd : int
   val icr : int
@@ -44,7 +43,6 @@ module Regs : sig
   val rdh : int
   val rdt : int
   val ral0 : int
-  val rah0 : int
 
   val mrqc : int
   (** RSS control: number of active RX queues ([<= 1] disables RSS). *)
@@ -54,7 +52,6 @@ module Regs : sig
 
   val max_queues : int
 
-  val ctrl_rst : int
   val status_lu : int
   val eerd_start : int
   val eerd_done : int
@@ -74,7 +71,6 @@ module Regs : sig
   val txd_cmd_rs : int
   val txd_sta_dd : int
   val rxd_sta_dd : int
-  val rxd_sta_eop : int
 end
 
 type t
@@ -100,12 +96,6 @@ val rx_dropped : t -> int
 val dma_faults : t -> int
 (** Device-side count of DMA transactions that were refused by the fabric
     (IOMMU fault, ACS block, master abort). *)
-
-val msi_raised : t -> int
-(** Total interrupt messages raised, legacy MSI and MSI-X combined. *)
-
-val msix_raised : t -> vector:int -> int
-(** Messages raised on one MSI-X vector — the per-queue storm ledger. *)
 
 val rx_queue_frames : t -> queue:int -> int
 (** Frames the RSS dispatcher landed in one RX queue. *)

@@ -54,7 +54,6 @@ type t = {
   mutable played : int;
   mutable completed : int;
   mutable csum : int;
-  mutable n_dma_fault : int;
 }
 
 let tick_ns = 1_000_000 (* advance the stream every millisecond *)
@@ -67,9 +66,7 @@ let raise_irq t =
 let dma_read t addr len =
   match Device.dma_read t.dev ~addr ~len with
   | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
+  | Error _ -> None
 
 let bdl_entry t idx =
   match dma_read t (t.r_bdp + (idx * bdl_entry_size)) bdl_entry_size with
@@ -221,8 +218,7 @@ let create eng ?(byte_rate = 192_000) () =
       running_tick = None;
       played = 0;
       completed = 0;
-      csum = 0;
-      n_dma_fault = 0 }
+      csum = 0 }
   in
   Device.set_ops t.dev
     { Device.mmio_read = (fun ~bar:_ ~off ~size:_ -> read32 t (off land lnot 3));

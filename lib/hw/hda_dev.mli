@@ -40,7 +40,6 @@ module Regs : sig
   (** Codec verbs *)
 
   val verb_get_param : int
-  val verb_set_power : int
   val verb_set_volume : int
   val verb_get_volume : int
   val param_vendor_id : int

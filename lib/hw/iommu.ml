@@ -8,7 +8,6 @@ type domain = {
   (* Two-level table over a 4 GiB IO virtual space: directory index = bits
      31..22, table index = bits 21..12. *)
   dir : pte option array option array;
-  mutable entries : int;
   dom_source : Bus.bdf;             (* requester this domain translates for *)
 }
 
@@ -93,7 +92,7 @@ let iotlb_drop_source t ~source =
     | Some _ | None -> ()
   done
 
-let fresh_domain ~source = { dir = Array.make dir_slots None; entries = 0; dom_source = source }
+let fresh_domain ~source = { dir = Array.make dir_slots None; dom_source = source }
 
 let attach t ~source =
   match Hashtbl.find_opt t.domains source with
@@ -152,8 +151,7 @@ let map _t d ~iova ~phys ~len ~writable =
        invalid_arg "Iommu.map: conflicting existing mapping"
      | Some _ -> ()
      | None ->
-       tbl.(ti) <- Some { phys = pa; writable };
-       d.entries <- d.entries + 1)
+       tbl.(ti) <- Some { phys = pa; writable })
   done
 
 let unmap t d ~iova ~len =
@@ -173,10 +171,7 @@ let unmap t d ~iova ~len =
     match d.dir.(di) with
     | None -> ()
     | Some tbl ->
-      if tbl.(ti) <> None then begin
-        tbl.(ti) <- None;
-        d.entries <- d.entries - 1
-      end
+      tbl.(ti) <- None
   done;
   Sud_obs.Metrics.incr (metrics t).im_flushes
 
@@ -304,7 +299,6 @@ let iotlb_flush t d =
   Sud_obs.Metrics.incr (metrics t).im_flushes
 
 let faults t = List.rev t.flt
-let clear_faults t = t.flt <- []
 
 let ir_available t =
   match t.mode with

@@ -98,8 +98,6 @@ val iotlb_flush : t -> domain -> unit
 val faults : t -> Bus.fault list
 (** Accumulated translation faults, oldest first. *)
 
-val clear_faults : t -> unit
-
 (** {1 Interrupt remapping (VT-d with [interrupt_remapping = true])} *)
 
 val ir_available : t -> bool

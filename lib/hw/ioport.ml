@@ -22,12 +22,10 @@ let register t ~base ~len ~read ~write =
   if List.exists (overlaps r) t.ranges then invalid_arg "Ioport.register: overlap";
   t.ranges <- r :: t.ranges
 
-let unregister t ~base = t.ranges <- List.filter (fun r -> r.base <> base) t.ranges
-
 let find t port = List.find_opt (fun r -> port >= r.base && port < r.base + r.len) t.ranges
 
 module Iopb = struct
-  type t = { bits : Bytes.t; mutable allow_all : bool }
+  type t = { bits : Bytes.t; allow_all : bool }
 
   let none () = { bits = Bytes.make (port_space / 8) '\000'; allow_all = false }
   let all () = { bits = Bytes.make (port_space / 8) '\000'; allow_all = true }

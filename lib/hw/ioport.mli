@@ -19,8 +19,6 @@ val register :
   unit
 (** Claim [base, base+len).  Raises [Invalid_argument] on overlap. *)
 
-val unregister : t -> base:int -> unit
-
 module Iopb : sig
   (** A task's IO-permission bitmap. *)
 

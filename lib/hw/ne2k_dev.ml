@@ -42,7 +42,6 @@ type t = {
   eng : Engine.t;
   dev : Device.t;
   buffer : bytes;               (* on-card packet memory *)
-  mac_bytes : bytes;
   mutable r_cr : int;
   mutable r_pstart : int;
   mutable r_pstop : int;
@@ -54,12 +53,9 @@ type t = {
   mutable r_rsar : int;
   mutable r_rbcr : int;
   mutable r_curr : int;
-  mutable par : bytes;          (* programmable MAC, page 1 *)
+  par : bytes;          (* programmable MAC, page 1 *)
   port : Net_medium.port;
   medium : Net_medium.t;
-  mutable n_tx : int;
-  mutable n_rx : int;
-  mutable n_overrun : int;
 }
 
 let raise_irq t bits =
@@ -70,7 +66,7 @@ let buffer_size = buffer_pages * 256
 
 (* Receive into the BNRY/CURR ring with the standard 4-byte packet header. *)
 let receive t frame =
-  if t.r_cr land cr_sta = 0 || t.r_pstop <= t.r_pstart then t.n_overrun <- t.n_overrun + 1
+  if t.r_cr land cr_sta = 0 || t.r_pstop <= t.r_pstart then () (* stopped: dropped *)
   else begin
     let len = Bytes.length frame + 4 in
     let pages_needed = (len + 255) / 256 in
@@ -78,7 +74,7 @@ let receive t frame =
     let used =
       if t.r_curr >= t.r_bnry then t.r_curr - t.r_bnry else ring_pages - (t.r_bnry - t.r_curr)
     in
-    if pages_needed >= ring_pages - used then t.n_overrun <- t.n_overrun + 1
+    if pages_needed >= ring_pages - used then () (* overrun: dropped *)
     else begin
       let next_page cur = if cur + 1 >= t.r_pstop then t.r_pstart else cur + 1 in
       let first = t.r_curr in
@@ -105,7 +101,6 @@ let receive t frame =
       in
       write_seq first (Bytes.cat hdr frame);
       t.r_curr <- !next;
-      t.n_rx <- t.n_rx + 1;
       raise_irq t isr_prx
     end
   end
@@ -114,7 +109,6 @@ let transmit t =
   let start = t.r_tpsr * 256 and len = t.r_tbcr in
   if len > 0 && start + len <= buffer_size then begin
     let frame = Bytes.sub t.buffer start len in
-    t.n_tx <- t.n_tx + 1;
     Net_medium.send t.medium t.port frame
   end;
   t.r_cr <- t.r_cr land lnot cr_txp;
@@ -217,7 +211,6 @@ let create eng ~mac ~medium () =
        { eng;
          dev;
          buffer = Bytes.make buffer_size '\000';
-         mac_bytes = Bytes.copy mac;
          r_cr = cr_stp;
          r_pstart = 0;
          r_pstop = 0;
@@ -231,10 +224,7 @@ let create eng ~mac ~medium () =
          r_curr = 0;
          par = Bytes.copy mac;
          port;
-         medium;
-         n_tx = 0;
-         n_rx = 0;
-         n_overrun = 0 })
+         medium })
   in
   let t = Lazy.force t in
   (* The PROM image at the start of card memory holds the MAC doubled, as
@@ -256,7 +246,3 @@ let create eng ~mac ~medium () =
   t
 
 let device t = t.dev
-let mac t = Bytes.copy t.mac_bytes
-let tx_frames t = t.n_tx
-let rx_frames t = t.n_rx
-let rx_overruns t = t.n_overrun

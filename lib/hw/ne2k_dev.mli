@@ -29,10 +29,8 @@ module Regs : sig
   val dcr : int
   val imr : int
   val dataport : int
-  val reset_port : int
 
   (* page 1 *)
-  val par0 : int
   val curr : int
 
   (* CR bits *)
@@ -41,7 +39,6 @@ module Regs : sig
   val cr_txp : int
   val cr_rd_read : int
   val cr_rd_write : int
-  val cr_rd_abort : int
   val cr_page1 : int
 
   (* ISR bits *)
@@ -58,7 +55,3 @@ type t
 val create : Engine.t -> mac:bytes -> medium:Net_medium.t -> unit -> t
 
 val device : t -> Device.t
-val mac : t -> bytes
-val tx_frames : t -> int
-val rx_frames : t -> int
-val rx_overruns : t -> int

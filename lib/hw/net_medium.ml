@@ -1,6 +1,6 @@
 type port = {
   pname : string;
-  mutable rx : bytes -> unit;
+  rx : bytes -> unit;
   mutable tx_free_at : int;   (* per-sender line is busy until then *)
 }
 
@@ -21,8 +21,6 @@ let attach t ~name ~rx =
   let p = { pname = name; rx; tx_free_at = 0 } in
   t.ports <- t.ports @ [ p ];
   p
-
-let set_rx port rx = port.rx <- rx
 
 let min_frame = 60
 
@@ -51,4 +49,3 @@ let send t port frame =
     t.ports
 
 let frames_sent t = t.frames
-let bytes_sent t = t.bytes

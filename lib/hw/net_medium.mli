@@ -14,15 +14,8 @@ val attach : t -> name:string -> rx:(bytes -> unit) -> port
 (** Add a station.  [rx] is invoked (via the engine) for every frame sent
     by any other station. *)
 
-val set_rx : port -> (bytes -> unit) -> unit
-(** Replace the receive callback (used when a NIC is reset/reopened). *)
-
 val send : t -> port -> bytes -> unit
 (** Transmit a frame from this port to all other ports.  Frames shorter
     than 60 bytes are padded to the Ethernet minimum for timing purposes. *)
 
 val frames_sent : t -> int
-val bytes_sent : t -> int
-
-val frame_time_ns : t -> bytes:int -> int
-(** Serialization delay of a frame of the given size at line rate. *)

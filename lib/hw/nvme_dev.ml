@@ -92,15 +92,8 @@ type t = {
   mutable corrupt_next_completion : int option;  (* xor mask over the cid *)
   mutable drop_next_completion : bool;
   mutable drop_next_flush : bool;
-  mutable n_read : int;
   mutable n_write : int;
-  mutable n_flush : int;
   mutable n_fua : int;
-  mutable n_dma_fault : int;
-  mutable n_irq : int;
-  mutable n_dropped_completions : int;
-  mutable n_corrupted_completions : int;
-  mutable n_dropped_flushes : int;
 }
 
 let per_cmd_delay = 400 (* ns of device-side processing per command *)
@@ -110,16 +103,12 @@ let enabled t = t.regs_cc land cc_en <> 0
 let dma_read t ~addr ~len =
   match Device.dma_read t.dev ~addr ~len with
   | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
+  | Error _ -> None
 
 let dma_write t ~addr ~data =
   match Device.dma_write t.dev ~addr ~data with
   | Ok () -> true
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    false
+  | Error _ -> false
 
 let sector_of tbl lba =
   match Hashtbl.find_opt tbl lba with Some b -> b | None -> Bytes.make sector_size '\000'
@@ -139,16 +128,12 @@ let do_flush t =
 let post_cqe t qi cid status =
   let q = t.qps.(qi) in
   if q.cqn > 0 then begin
-    if t.drop_next_completion then begin
-      t.drop_next_completion <- false;
-      t.n_dropped_completions <- t.n_dropped_completions + 1
-    end
+    if t.drop_next_completion then t.drop_next_completion <- false
     else begin
       let cid =
         match t.corrupt_next_completion with
         | Some mask ->
           t.corrupt_next_completion <- None;
-          t.n_corrupted_completions <- t.n_corrupted_completions + 1;
           (cid lxor mask) land 0xFFFF
         | None -> cid
       in
@@ -163,7 +148,6 @@ let post_cqe t qi cid status =
           q.cq_tail <- 0;
           q.cq_phase <- 1 - q.cq_phase
         end;
-        t.n_irq <- t.n_irq + 1;
         if Pci_cfg.msix_enabled (Device.cfg t.dev) then
           ignore (Device.raise_msix t.dev ~vector:qi : (unit, Bus.fault) result)
         else ignore (Device.raise_msi t.dev : (unit, Bus.fault) result)
@@ -184,16 +168,13 @@ let execute t qi sqe =
   let slba = Int64.to_int (Bytes.get_int64_le sqe 16) in
   let count = Int32.to_int (Bytes.get_int32_le sqe 24) land 0xFFFFFFFF in
   if op = op_flush then begin
-    if t.drop_next_flush then begin
+    if t.drop_next_flush then
       (* The lying-firmware fault: the flush disappears — nothing is
          persisted and, crucially, nothing is acknowledged, so the host
          escalates by timeout instead of trusting a false durability
          claim. *)
-      t.drop_next_flush <- false;
-      t.n_dropped_flushes <- t.n_dropped_flushes + 1
-    end
+      t.drop_next_flush <- false
     else begin
-      t.n_flush <- t.n_flush + 1;
       do_flush t;
       post_cqe t qi cid 0
     end
@@ -226,7 +207,6 @@ let execute t qi sqe =
         in
         Bytes.blit s 0 data (i * sector_size) sector_size
       done;
-      t.n_read <- t.n_read + 1;
       if dma_write t ~addr:prp ~data then post_cqe t qi cid 0
       else post_cqe t qi cid 1
     end
@@ -391,15 +371,8 @@ let create eng ?(queues = 4) ?(capacity = 16384) () =
       corrupt_next_completion = None;
       drop_next_completion = false;
       drop_next_flush = false;
-      n_read = 0;
       n_write = 0;
-      n_flush = 0;
-      n_fua = 0;
-      n_dma_fault = 0;
-      n_irq = 0;
-      n_dropped_completions = 0;
-      n_corrupted_completions = 0;
-      n_dropped_flushes = 0 }
+      n_fua = 0 }
   in
   reset t;
   Device.set_ops t.dev
@@ -411,14 +384,11 @@ let create eng ?(queues = 4) ?(capacity = 16384) () =
   t
 
 let device t = t.dev
-let queues t = t.queues
 let capacity t = t.capacity
 
-(* Oracle-side accessors for the crash-consistency invariant: what is
-   durably on media (survives reset) vs parked in the volatile cache. *)
+(* Oracle-side accessor for the crash-consistency invariant: what is
+   durably on media (survives reset). *)
 let media_sector t ~lba = Hashtbl.find_opt t.media lba
-let cached_sector t ~lba = Hashtbl.find_opt t.wcache lba
-let dirty_cache_sectors t = Hashtbl.length t.wcache
 
 let inject_corrupt_completion t ~mask =
   t.corrupt_next_completion <- Some (mask land 0xFFFF)
@@ -433,12 +403,5 @@ let debug_qp_summary t =
          Printf.sprintf "q%d sqh %d sqt %d cqt %d cqh %d cqn %d busy %b" qi
            q.sq_head q.sq_tail q.cq_tail q.cq_head q.cqn q.busy))
 
-let reads t = t.n_read
 let writes t = t.n_write
-let flushes t = t.n_flush
 let fua_writes t = t.n_fua
-let dma_faults t = t.n_dma_fault
-let irqs_raised t = t.n_irq
-let dropped_completions t = t.n_dropped_completions
-let corrupted_completions t = t.n_corrupted_completions
-let dropped_flushes t = t.n_dropped_flushes

@@ -18,9 +18,7 @@
     host escalates by timeout). *)
 
 module Regs : sig
-  val cap_mqes : int
   val cap_nqs : int
-  val vs : int
   val cc : int
   val csts : int
   val cap_lo : int
@@ -42,11 +40,7 @@ module Regs : sig
   val op_write : int
   val op_read : int
   val flags_fua : int
-  val max_queues : int
-  val mqes : int
 end
-
-val sector_size : int
 
 type t
 
@@ -55,18 +49,12 @@ val create : Engine.t -> ?queues:int -> ?capacity:int -> unit -> t
     512-byte sectors (default 16384). *)
 
 val device : t -> Device.t
-val queues : t -> int
 val capacity : t -> int
 
 (** {2 Oracle accessors} — what the invariant checker compares against. *)
 
 val media_sector : t -> lba:int -> bytes option
 (** Durable contents of a sector ([None] = never persisted). *)
-
-val cached_sector : t -> lba:int -> bytes option
-(** Volatile write-cache contents (lost on reset). *)
-
-val dirty_cache_sectors : t -> int
 
 (** {2 One-shot fault hooks} *)
 
@@ -79,12 +67,5 @@ val inject_drop_flush : t -> unit
 (** {2 Counters} *)
 
 val debug_qp_summary : t -> string
-val reads : t -> int
 val writes : t -> int
-val flushes : t -> int
 val fua_writes : t -> int
-val dma_faults : t -> int
-val irqs_raised : t -> int
-val dropped_completions : t -> int
-val corrupted_completions : t -> int
-val dropped_flushes : t -> int

@@ -24,15 +24,11 @@ let vendor_id = 0x00
 let device_id = 0x02
 let command = 0x04
 let status = 0x06
-let revision = 0x08
 let class_code = 0x09
 let cache_line = 0x0C
 let latency_timer = 0x0D
-let header_type = 0x0E
 let bar0 = 0x10
 let cap_ptr = 0x34
-let interrupt_line = 0x3C
-let interrupt_pin = 0x3D
 
 let cmd_io_enable = 0x0001
 let cmd_mem_enable = 0x0002
@@ -273,5 +269,3 @@ let msix_pending t ~vector = (msix_entry t ~vector "msix_pending").mx_pending
 
 let msix_set_pending t ~vector p =
   (msix_entry t ~vector "msix_set_pending").mx_pending <- p
-
-let snapshot t = Bytes.copy t.space

@@ -18,16 +18,10 @@ type t
 val vendor_id : int
 val device_id : int
 val command : int
-val status : int
-val revision : int
 val class_code : int
 val cache_line : int
 val latency_timer : int
-val header_type : int
 val bar0 : int
-val cap_ptr : int
-val interrupt_line : int
-val interrupt_pin : int
 
 (** Command register bits *)
 
@@ -91,7 +85,7 @@ val msi_set_mask : t -> bool -> unit
 
 (** {1 MSI-X capability}
 
-    A vector table of up to {!msix_max_vectors} entries, each with its
+    A vector table of up to 32 entries, each with its
     own message address/data, mask bit and pending bit (16 bytes per
     entry in the modeled layout).  Entries come up masked; the kernel
     unmasks each as it programs it.  The message-control word lives in
@@ -100,11 +94,10 @@ val msi_set_mask : t -> bool -> unit
     file. *)
 
 val msix_cap_id : int
-val msix_max_vectors : int
 
 val add_msix_capability : t -> vectors:int -> unit
 (** Append an MSI-X capability advertising [vectors] table entries
-    (1..{!msix_max_vectors}). *)
+    (1..32). *)
 
 val msix_table_size : t -> int
 (** Number of table entries; 0 when the capability is absent. *)
@@ -130,9 +123,3 @@ val msix_pending : t -> vector:int -> bool
     unmask — the spec's pending-bit array. *)
 
 val msix_set_pending : t -> vector:int -> bool -> unit
-
-(** {1 Snapshots} *)
-
-val snapshot : t -> bytes
-(** A copy of all 256 bytes — used by the config-space filter to virtualize
-    registers. *)

@@ -70,10 +70,6 @@ let add_switch t ~parent ~name =
   t.sws <- sw :: t.sws;
   sw
 
-let switch_name sw = sw.sname
-let acs sw = sw.sacs
-let switches t = List.rev t.sws
-
 let enable_acs_everywhere t =
   List.iter
     (fun sw ->
@@ -81,14 +77,8 @@ let enable_acs_everywhere t =
        sw.sacs.p2p_redirect <- true)
     t.sws
 
-let devices t = List.rev_map (fun a -> a.dev) t.devs
 let find_attached t bdf = List.find_opt (fun a -> a.abdf = bdf) t.devs
 let find_device t bdf = Option.map (fun a -> a.dev) (find_attached t bdf)
-
-let device_switch t bdf =
-  match find_attached t bdf with
-  | Some a -> a.sw
-  | None -> invalid_arg "Pci_topology.device_switch: unknown device"
 
 let set_msi_sink t sink = t.msi_sink <- Some sink
 let set_dma_charge t f = t.dma_charge <- Some f

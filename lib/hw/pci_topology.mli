@@ -30,9 +30,6 @@ val root_switch : t -> switch
     ports. *)
 
 val add_switch : t -> parent:switch -> name:string -> switch
-val switch_name : switch -> string
-val acs : switch -> acs
-val switches : t -> switch list
 
 val enable_acs_everywhere : t -> unit
 (** What SUD does at startup: source validation + P2P redirection on every
@@ -43,9 +40,7 @@ val attach : t -> switch:switch -> Device.t -> Bus.bdf
     MMIO and IO-port windows for its BARs, programs the BARs, registers IO
     ranges, and installs the DMA host interface.  Returns the BDF. *)
 
-val devices : t -> Device.t list
 val find_device : t -> Bus.bdf -> Device.t option
-val device_switch : t -> Bus.bdf -> switch
 
 val set_msi_sink : t -> (source:Bus.bdf -> vector:int -> unit) -> unit
 (** Install the interrupt controller; MSI messages that pass interrupt

@@ -23,8 +23,6 @@ let create ~size =
   { size; pages = Hashtbl.create 1024; bump = 16; free_runs = Hashtbl.create 8; outstanding = 0;
     last_idx = -1; last_page = Bytes.empty }
 
-let size t = t.size
-
 let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     raise (Bus_error addr)
@@ -116,16 +114,6 @@ let read32 t addr =
     land 0xFFFFFFFF
   end
   else read16 t addr lor (read16 t (addr + 2) lsl 16)
-
-let read64 t addr =
-  if fits_in_page addr 8 then begin
-    check t addr 8;
-    Bytes.get_int64_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask)
-  end
-  else
-    Int64.logor
-      (Int64.of_int (read32 t addr))
-      (Int64.shift_left (Int64.of_int (read32 t (addr + 4))) 32)
 
 let write16 t addr v =
   if fits_in_page addr 2 then begin

@@ -16,24 +16,17 @@ type t
 val create : size:int -> t
 (** [size] in bytes, rounded up to a page. *)
 
-val size : t -> int
-
 val read : t -> addr:int -> len:int -> bytes
 val write : t -> addr:int -> bytes -> unit
 val blit_out : t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_in : t -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
 
 val read8 : t -> int -> int
-val read16 : t -> int -> int
 val read32 : t -> int -> int
-val read64 : t -> int -> int64
 val write8 : t -> int -> int -> unit
-val write16 : t -> int -> int -> unit
 val write32 : t -> int -> int -> unit
 val write64 : t -> int -> int64 -> unit
 (** Little-endian scalar accessors, matching x86. *)
-
-val fill : t -> addr:int -> len:int -> char -> unit
 
 val alloc_pages : t -> pages:int -> int
 (** Allocate a contiguous run of zeroed pages; returns the physical address.

@@ -8,14 +8,11 @@
     the ethertype and the first bytes of the payload (the sim
     netstack's protocol byte and port pair). *)
 
-val hash_frame : bytes -> int
-(** Stable nonnegative hash of the frame's flow-identifying bytes. *)
-
 val queue_for : queues:int -> bytes -> int
-(** Queue index for the frame's flow: the xor-folded [hash_frame]
-    reduced mod [queues] (FNV's low bit is a parity function of the
-    input, so the fold is what keeps correlated flows off same-parity
-    queues); queue 0 when [queues <= 1]. *)
+(** Queue index for the frame's flow: the xor-folded flow hash reduced
+    mod [queues] (FNV's low bit is a parity function of the input, so
+    the fold is what keeps correlated flows off same-parity queues);
+    queue 0 when [queues <= 1]. *)
 
 val flow_span : int
 (** How many leading frame bytes the hash covers. *)

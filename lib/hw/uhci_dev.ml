@@ -37,8 +37,6 @@ type t = {
   mutable r_frnum : int;
   mutable r_frbase : int;
   mutable ticking : bool;
-  mutable n_done : int;
-  mutable n_dma_fault : int;
   (* Setup packets must precede the data stage; remember the last SETUP per
      device address, as the function's "control pipe state". *)
   pending_setup : (int, bytes) Hashtbl.t;
@@ -53,16 +51,12 @@ let raise_irq t =
 let dma_read t addr len =
   match Device.dma_read t.dev ~addr ~len with
   | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
+  | Error _ -> None
 
 let dma_write t addr data =
   match Device.dma_write t.dev ~addr ~data with
   | Ok () -> true
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    false
+  | Error _ -> false
 
 let find_by_address t addr =
   Array.to_list t.ports
@@ -151,7 +145,6 @@ let process_td t td_addr =
          let ctrl' = ctrl land lnot td_active lor status lor (actual land 0x7FF) in
          Bytes.set_int32_le td 4 (Int32.of_int ctrl');
          if dma_write t td_addr td then begin
-           t.n_done <- t.n_done + 1;
            if ctrl land td_ioc <> 0 then raise_irq t
          end);
       link
@@ -238,8 +231,6 @@ let create eng ~ports () =
       r_frnum = 0;
       r_frbase = 0;
       ticking = false;
-      n_done = 0;
-      n_dma_fault = 0;
       pending_setup = Hashtbl.create 4 }
   in
   Device.set_ops t.dev
@@ -264,11 +255,3 @@ let plug t ~port dev =
   t.ports.(port) <- Some dev;
   t.portsc.(port) <- t.portsc.(port) lor portsc_connect;
   raise_irq t
-
-let unplug t ~port =
-  if port < 0 || port >= Array.length t.ports then invalid_arg "Uhci_dev.unplug: bad port";
-  t.ports.(port) <- None;
-  t.portsc.(port) <- t.portsc.(port) land lnot (portsc_connect lor portsc_enabled)
-
-let transfers_completed t = t.n_done
-let dma_faults t = t.n_dma_fault

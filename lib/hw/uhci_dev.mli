@@ -18,16 +18,11 @@
 
 module Regs : sig
   val usbcmd : int
-  val usbsts : int
-  val usbintr : int
-  val frnum : int
   val frbaseadd : int
   val portsc1 : int
 
   val cmd_rs : int
-  val sts_int : int
   val portsc_connect : int
-  val portsc_enabled : int
   val portsc_reset : int
 
   val pid_setup : int
@@ -47,6 +42,3 @@ type t
 val create : Engine.t -> ports:int -> unit -> t
 val device : t -> Device.t
 val plug : t -> port:int -> Usb_device.t -> unit
-val unplug : t -> port:int -> unit
-val transfers_completed : t -> int
-val dma_faults : t -> int

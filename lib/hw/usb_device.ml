@@ -12,22 +12,24 @@ and storage_state = {
   mutable expect_out : (int * int * int) option;  (* (lba, blocks_left, tag) for WRITE *)
 }
 
-type t = { uname : string; mutable addr : int; kind : kind; mutable configured : bool }
+type t = { uname : string; mutable addr : int; kind : kind }
 
-let name t = t.uname
 let address t = t.addr
 let set_address t a = t.addr <- a land 0x7f
 
 let block_size = 512
 
-let keyboard ~name = { uname = name; addr = 0; kind = Keyboard { reports = Queue.create () }; configured = false }
+let keyboard ~name = { uname = name; addr = 0; kind = Keyboard { reports = Queue.create () } }
 
 let storage ~name ~blocks =
   if blocks <= 0 then invalid_arg "Usb_device.storage: need at least one block";
   { uname = name;
     addr = 0;
-    kind = Storage { blocks = Array.init blocks (fun _ -> Bytes.make block_size '\000'); pending_in = []; expect_out = None };
-    configured = false }
+    kind =
+      Storage
+        { blocks = Array.init blocks (fun _ -> Bytes.make block_size '\000');
+          pending_in = [];
+          expect_out = None } }
 
 let keyboard_pending t =
   match t.kind with Keyboard { reports } -> Queue.length reports | Storage _ -> 0
@@ -49,12 +51,6 @@ let storage_peek t ~lba =
   let s = storage_state t in
   if lba < 0 || lba >= Array.length s.blocks then invalid_arg "storage_peek: bad LBA";
   Bytes.copy s.blocks.(lba)
-
-let storage_poke t ~lba data =
-  let s = storage_state t in
-  if lba < 0 || lba >= Array.length s.blocks then invalid_arg "storage_poke: bad LBA";
-  if Bytes.length data <> block_size then invalid_arg "storage_poke: block must be 512 bytes";
-  s.blocks.(lba) <- Bytes.copy data
 
 (* ---- standard control requests ---- *)
 
@@ -93,7 +89,6 @@ let control t ~setup ~data =
       Done Bytes.empty
     | 0x00, 0x09 ->
       (* SET_CONFIGURATION *)
-      t.configured <- true;
       Done Bytes.empty
     | _ -> Stall
   end

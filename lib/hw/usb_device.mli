@@ -13,7 +13,6 @@ type transfer_result =
 
 type t
 
-val name : t -> string
 val address : t -> int
 val set_address : t -> int -> unit
 
@@ -44,5 +43,3 @@ val storage : name:string -> blocks:int -> t
 
 val storage_peek : t -> lba:int -> bytes
 (** Read a block directly from the backing store (test oracle). *)
-
-val storage_poke : t -> lba:int -> bytes -> unit

@@ -35,8 +35,6 @@ type t = {
   mutable r_intr : int;
   mutable r_async : int;
   mutable ticking : bool;
-  mutable n_done : int;
-  mutable n_dma_fault : int;
 }
 
 let microframe_ns = 125_000
@@ -49,16 +47,12 @@ let raise_irq t bits =
 let dma_read t addr len =
   match Device.dma_read t.dev ~addr ~len with
   | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
+  | Error _ -> None
 
 let dma_write t addr data =
   match Device.dma_write t.dev ~addr ~data with
   | Ok () -> true
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    false
+  | Error _ -> false
 
 let find_by_address t addr =
   Array.to_list t.ports
@@ -137,7 +131,6 @@ let process_qh t qh_addr =
             Bytes.set qtd 9 (Char.chr status);
             Bytes.set_int32_le qtd 24 (Int32.of_int actual);
             if dma_write t qtd_ptr qtd then begin
-              t.n_done <- t.n_done + 1;
               (* Advance the QH to the next qTD in the chain. *)
               let next_qtd = Bytes.get_int64_le qtd 0 in
               Bytes.set_int64_le qh 16 next_qtd;
@@ -215,9 +208,7 @@ let create eng ~ports () =
       r_sts = 0;
       r_intr = 0;
       r_async = 0;
-      ticking = false;
-      n_done = 0;
-      n_dma_fault = 0 }
+      ticking = false }
   in
   Device.set_ops t.dev
     { Device.mmio_read = (fun ~bar:_ ~off ~size:_ -> read32 t (off land lnot 3));
@@ -239,14 +230,3 @@ let plug t ~port dev =
   t.ports.(port) <- Some dev;
   t.portsc.(port) <- t.portsc.(port) lor portsc_connect;
   raise_irq t sts_port_change
-
-let unplug t ~port =
-  if port < 0 || port >= Array.length t.ports then invalid_arg "Usb_hci_dev.unplug: bad port";
-  t.ports.(port) <- None;
-  t.portsc.(port) <- t.portsc.(port) land lnot (portsc_connect lor portsc_enabled);
-  raise_irq t sts_port_change
-
-let port_device t ~port = t.ports.(port)
-
-let transfers_completed t = t.n_done
-let dma_faults t = t.n_dma_fault

@@ -31,21 +31,13 @@
 
 module Regs : sig
   val usbcmd : int
-  val usbsts : int
-  val usbintr : int
   val asynclistaddr : int
   val portsc0 : int
 
   val cmd_run : int
-  val sts_int : int
-  val sts_port_change : int
-  val intr_enable : int
   val portsc_connect : int
-  val portsc_enabled : int
   val portsc_reset : int
 
-  val qh_size : int
-  val qtd_size : int
   val qtd_active : int
   val qtd_ioc : int
 
@@ -62,9 +54,3 @@ val device : t -> Device.t
 val plug : t -> port:int -> Usb_device.t -> unit
 (** Connect a USB device; sets the port's connect bit and raises a
     port-change interrupt. *)
-
-val unplug : t -> port:int -> unit
-val port_device : t -> port:int -> Usb_device.t option
-
-val transfers_completed : t -> int
-val dma_faults : t -> int

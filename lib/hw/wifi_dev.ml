@@ -52,7 +52,6 @@ let supported_rates = [| 6; 12; 24; 36; 48; 54 |]
 type t = {
   eng : Engine.t;
   dev : Device.t;
-  mac_bytes : bytes;
   bss_list : bss list;
   mutable r_ctrl : int;
   mutable r_int : int;
@@ -73,9 +72,6 @@ type t = {
   port : Net_medium.port;
   medium : Net_medium.t;
   mutable tx_busy : bool;
-  mutable n_tx : int;
-  mutable n_rx : int;
-  mutable n_dma_fault : int;
 }
 
 let raise_irq t bits =
@@ -90,16 +86,12 @@ let push_event t ev =
 let dma_read t addr len =
   match Device.dma_read t.dev ~addr ~len with
   | Ok b -> Some b
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    None
+  | Error _ -> None
 
 let dma_write t addr data =
   match Device.dma_write t.dev ~addr ~data with
   | Ok () -> true
-  | Error _ ->
-    t.n_dma_fault <- t.n_dma_fault + 1;
-    false
+  | Error _ -> false
 
 let enabled t = t.r_ctrl land ctrl_enable <> 0 && t.fw_loaded
 
@@ -119,7 +111,6 @@ let rec process_tx t =
        | None -> t.tx_busy <- false
        | Some frame ->
          if t.assoc <> None then begin
-           t.n_tx <- t.n_tx + 1;
            Net_medium.send t.medium t.port frame
          end;
          Bytes.set_int32_le desc 12 1l;
@@ -155,7 +146,6 @@ let receive t frame =
         Bytes.set_int32_le desc 12 1l;
         if dma_write t daddr desc then begin
           t.r_rxh <- (slot + 1) mod slots;
-          t.n_rx <- t.n_rx + 1;
           raise_irq t int_rx
         end
       end
@@ -275,7 +265,6 @@ let create eng ~mac ~medium ~bss_list () =
        let port = Net_medium.attach medium ~name:"iwl" ~rx:(fun f -> receive (Lazy.force t) f) in
        { eng;
          dev;
-         mac_bytes = Bytes.copy mac;
          bss_list;
          r_ctrl = 0;
          r_int = 0;
@@ -295,10 +284,7 @@ let create eng ~mac ~medium ~bss_list () =
          events = Queue.create ();
          port;
          medium;
-         tx_busy = false;
-         n_tx = 0;
-         n_rx = 0;
-         n_dma_fault = 0 })
+         tx_busy = false })
   in
   let t = Lazy.force t in
   Device.set_ops t.dev
@@ -310,11 +296,8 @@ let create eng ~mac ~medium ~bss_list () =
   t
 
 let device t = t.dev
-let mac t = Bytes.copy t.mac_bytes
 let associated t = t.assoc
 let current_rate t = supported_rates.(t.r_rate)
-let tx_frames t = t.n_tx
-let rx_frames t = t.n_rx
 
 let roam t ~bssid =
   if List.exists (fun b -> b.bssid = bssid) t.bss_list then begin

@@ -25,12 +25,10 @@ module Regs : sig
   val rxh : int
   val rxt : int
   val rate : int
-  val rate_table : int
   val bss_count : int
   val bss_table : int
 
   val ctrl_enable : int
-  val ctrl_reset : int
   val fw_magic : int
   val fw_ready : int
 
@@ -62,7 +60,6 @@ val create :
   Engine.t -> mac:bytes -> medium:Net_medium.t -> bss_list:bss list -> unit -> t
 
 val device : t -> Device.t
-val mac : t -> bytes
 val associated : t -> int option
 (** BSSID currently associated with, if any. *)
 
@@ -70,8 +67,6 @@ val supported_rates : int array
 (** Mb/s values exposed through the rate table registers. *)
 
 val current_rate : t -> int
-val tx_frames : t -> int
-val rx_frames : t -> int
 
 val roam : t -> bssid:int -> unit
 (** Force the firmware to switch BSS, queueing an [ev_bss_changed] event —

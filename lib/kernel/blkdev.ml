@@ -399,11 +399,7 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
        redundant but never wrong. *)
     run_bios t ~timeout_ns [ r ]
 
-let dirty_pages t =
-  Hashtbl.fold (fun _ pg n -> if pg.pg_dirty then n + 1 else n) t.cache 0
-
 let staged_requests t = List.length t.staging
-let outstanding_requests t = t.outstanding
 
 let metrics t =
   ( Sud_obs.Metrics.get t.m_cache_hits,
@@ -420,6 +416,4 @@ let registry_create () = { devs = [] }
 let register reg dev =
   reg.devs <- (name dev, dev) :: List.remove_assoc (name dev) reg.devs
 
-let unregister reg dev = reg.devs <- List.remove_assoc (name dev) reg.devs
 let find reg n = List.assoc_opt n reg.devs
-let devices reg = List.map snd reg.devs

@@ -52,12 +52,6 @@ val attach : t -> (request -> unit) -> unit
 val detach : t -> unit
 val attached : t -> bool
 
-val submit_bio : t -> request -> unit
-(** Stage a raw request ("plugged"); {!unplug} sorts, merges and
-    dispatches.  Most callers want the cache operations below. *)
-
-val unplug : t -> unit
-
 (** {2 Cache operations} — fiber-blocking, with an IO timeout. *)
 
 val read :
@@ -72,9 +66,7 @@ val write_fua : t -> ?timeout_ns:int -> lba:int -> bytes -> unit -> (unit, strin
 
 (** {2 Introspection} *)
 
-val dirty_pages : t -> int
 val staged_requests : t -> int
-val outstanding_requests : t -> int
 
 val metrics : t -> int * int * int * int
 (** (cache_hits, cache_misses, merges, flush_barriers). *)
@@ -85,6 +77,4 @@ type registry
 
 val registry_create : unit -> registry
 val register : registry -> t -> unit
-val unregister : registry -> t -> unit
 val find : registry -> string -> t option
-val devices : registry -> t list

@@ -9,7 +9,6 @@ type entry = {
 }
 
 type t = {
-  eng : Engine.t;
   cpu : Cpu.t;
   irq_cells : Cpu.cell array;      (* "kernel:irq:cpuN", indexed by sim CPU *)
   preempt : Preempt.t;
@@ -27,10 +26,9 @@ and metrics = {
   qm_masked_dropped : Sud_obs.Metrics.counter;
 }
 
-let create eng cpu preempt klog =
+let create cpu preempt klog =
   let c name = Sud_obs.Metrics.counter ~subsystem:"irq" ~name () in
-  { eng;
-    cpu;
+  { cpu;
     irq_cells =
       Array.init (Cpu.cores cpu) (fun i -> Cpu.cell cpu (Printf.sprintf "kernel:irq:cpu%d" i));
     preempt;
@@ -109,16 +107,7 @@ let set_affinity t ~vector ~cpu =
     invalid_arg (Printf.sprintf "Irq.set_affinity: no such cpu %d" cpu);
   with_entry t ~vector "set_affinity" (fun e -> e.affinity <- cpu)
 
-let affinity t ~vector =
-  match Hashtbl.find_opt t.handlers vector with
-  | Some e -> Some e.affinity
-  | None -> None
-
 let mask t ~vector = with_entry t ~vector "mask" (fun e -> e.masked <- true)
-let unmask t ~vector = with_entry t ~vector "unmask" (fun e -> e.masked <- false)
-
-let masked t ~vector =
-  match Hashtbl.find_opt t.handlers vector with Some e -> e.masked | None -> false
 
 let spurious_after_free_counter t source =
   match Hashtbl.find_opt t.spurious_bdf source with
@@ -131,9 +120,6 @@ let spurious_after_free_counter t source =
     in
     Hashtbl.replace t.spurious_bdf source c;
     c
-
-let spurious_after_free t ~source =
-  Sud_obs.Metrics.get (spurious_after_free_counter t source)
 
 let deliver t ~source ~vector =
   Sud_obs.Metrics.incr t.qm.qm_delivered;

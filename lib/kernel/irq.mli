@@ -16,7 +16,7 @@
 type t
 
 val create :
-  Engine.t -> Cpu.t -> Preempt.t -> Klog.t -> t
+  Cpu.t -> Preempt.t -> Klog.t -> t
 
 type handler = source:Bus.bdf -> unit
 
@@ -50,15 +50,10 @@ val default_affinity : t -> int -> int
 (** [vector mod cores]: the round-robin spread [request_irqs] starts
     from before any explicit {!set_affinity}. *)
 
-val affinity : t -> vector:int -> int option
-
 val mask : t -> vector:int -> unit
 (** Drop deliveries on this vector (counted in [qm_masked_dropped])
-    until {!unmask} — the kernel-side quarantine of a storming queue.
+    from now on — the kernel-side quarantine of a storming queue.
     Sibling vectors are unaffected. *)
-
-val unmask : t -> vector:int -> unit
-val masked : t -> vector:int -> bool
 
 val deliver : t -> source:Bus.bdf -> vector:int -> unit
 (** Charge interrupt-delivery CPU cost to the vector's affine CPU and
@@ -68,9 +63,6 @@ val deliver : t -> source:Bus.bdf -> vector:int -> unit
     detector sees post-free floods.  Masked vectors drop silently. *)
 
 val count : t -> vector:int -> int
-
-val spurious_after_free : t -> source:Bus.bdf -> int
-(** Current value of the per-BDF post-free spurious counter. *)
 
 type metrics = {
   qm_delivered : Sud_obs.Metrics.counter;

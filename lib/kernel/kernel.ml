@@ -24,7 +24,7 @@ let boot ?(cores = 2) ?(mem_size = 256 * 1024 * 1024)
   let topo = Pci_topology.create ~mem ~iommu ~ioports () in
   let klog = Klog.create eng in
   let preempt = Preempt.create () in
-  let irq = Irq.create eng cpu preempt klog in
+  let irq = Irq.create cpu preempt klog in
   let procs = Process.create_table eng cpu in
   let net = Netstack.create eng cpu preempt klog procs in
   let blk = Blkdev.registry_create () in
@@ -77,5 +77,3 @@ let run ?(max_ms = 30_000) t main =
   match !result with
   | Some r -> r
   | None -> failwith (Printf.sprintf "Kernel.run: main did not return within %d ms" max_ms)
-
-let uptime_ns t = Engine.now t.eng

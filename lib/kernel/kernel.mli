@@ -44,5 +44,3 @@ val run : ?max_ms:int -> t -> (unit -> 'a) -> 'a
     [Engine.trace_hash] afterwards describe exactly the run up to the
     result.  [max_ms] (simulated, default 30 000) bounds the run.
     @raise Failure if [main] has not returned within it. *)
-
-val uptime_ns : t -> int

@@ -20,5 +20,3 @@ let contains_substring s sub =
   end
 
 let matching t sub = List.filter (fun (_, _, m) -> contains_substring m sub) (entries t)
-
-let clear t = t.log <- []

@@ -15,5 +15,3 @@ val entries : t -> (int * level * string) list
 
 val matching : t -> string -> (int * level * string) list
 (** Entries whose message contains the given substring. *)
-
-val clear : t -> unit

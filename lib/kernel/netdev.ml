@@ -47,7 +47,6 @@ type t = {
   mutable carrier_on : bool;
   txqs : txq array;
   mutable stack_rx : (Skbuff.t -> unit) option;
-  mutable backlog_limit : int;
   nm : metrics;
 }
 and metrics = {
@@ -80,7 +79,6 @@ let create ~name ~mac ~ops ?(tx_queues = 1) () =
     carrier_on = false;
     txqs;
     stack_rx = None;
-    backlog_limit = 0;
     nm =
       (let labels = [ "dev", name ] in
        let c n = Sud_obs.Metrics.counter ~labels ~subsystem:"netdev" ~name:n () in
@@ -128,9 +126,6 @@ let netif_wake_subqueue t ~queue =
   q.tq_stopped <- false;
   ignore (Sync.Waitq.broadcast q.tq_waitq : int)
 
-let netif_tx_stop_all_queues t =
-  Array.iter (fun q -> q.tq_stopped <- true) t.txqs
-
 let netif_tx_wake_all_queues t =
   Array.iter
     (fun q ->
@@ -145,7 +140,6 @@ let tx_subqueue_lock t ~queue = (txq_of t queue).tq_lock
 
 let backlog_push t ~queue ~limit skb =
   let q = txq_of t queue in
-  t.backlog_limit <- limit;
   Sud_obs.Metrics.incr t.nm.nm_bl_offered;
   Sud_obs.Metrics.incr q.tqm_offered;
   if Queue.length q.tq_backlog < limit then Queue.push skb q.tq_backlog

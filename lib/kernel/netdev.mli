@@ -69,7 +69,6 @@ val select_queue : t -> Skbuff.t -> int
 val subqueue_stopped : t -> queue:int -> bool
 val netif_stop_subqueue : t -> queue:int -> unit
 val netif_wake_subqueue : t -> queue:int -> unit
-val netif_tx_stop_all_queues : t -> unit
 val netif_tx_wake_all_queues : t -> unit
 
 val tx_subqueue_waitq : t -> queue:int -> Sync.Waitq.t

@@ -44,7 +44,6 @@ type stream = {
   conn_wait : Sync.Waitq.t;
   mutable segs_unacked : int;
   mutable fin_received : bool;
-  mutable bytes_rcvd : int;
 }
 
 type t = {
@@ -64,7 +63,6 @@ type t = {
   mutable fw_drops : int;
   mutable bl_drops : int;
   mutable cs_drops : int;
-  mutable tx_drops : int;
 }
 
 let model t = Cpu.cost_model t.cpu
@@ -94,14 +92,14 @@ let build_frame ~dst ~src ~payload =
 (* Blocking xmit with Linux-style queue flow control.  Retries are
    bounded: a queue that stays stopped — a dead or wedged driver never
    waking it — used to park the sender in a silent infinite retry loop.
-   Now the packet is dropped and counted after [tx_retry_limit] rounds.
+   Now the packet is dropped and counted in the device's [tx_dropped]
+   after [tx_retry_limit] rounds.
    The drop path deliberately charges no wakeup: a sender whose packet
    went nowhere is not billed the scheduling latency of a delivery. *)
 let tx_retry_limit = 64
 
 let dev_xmit t dev skb =
   let drop () =
-    t.tx_drops <- t.tx_drops + 1;
     let stats = Netdev.stats dev in
     stats.Netdev.tx_dropped <- stats.Netdev.tx_dropped + 1;
     `Dropped
@@ -227,7 +225,6 @@ let stream_deliver t dev ~src_mac payload =
           if seq = st.rcv_next then begin
             let data = Bytes.sub payload stream_hdr len in
             st.rcv_next <- st.rcv_next + len;
-            st.bytes_rcvd <- st.bytes_rcvd + len;
             Queue.push data st.rx_data;
             ignore (Sync.Waitq.signal st.rx_wait : bool);
             st.segs_unacked <- st.segs_unacked + 1;
@@ -347,8 +344,7 @@ let create eng cpu preempt klog procs =
       firewall = None;
       fw_drops = 0;
       bl_drops = 0;
-      cs_drops = 0;
-      tx_drops = 0 }
+      cs_drops = 0 }
   in
   let kernel = Process.kernel_process procs in
   Array.iteri
@@ -433,7 +429,6 @@ let set_firewall t fw = t.firewall <- fw
 let firewall_drops t = t.fw_drops
 let backlog_drops t = t.bl_drops
 let csum_drops t = t.cs_drops
-let tx_drops t = t.tx_drops
 
 (* ---- UDP API ---- *)
 
@@ -496,8 +491,7 @@ let fresh_stream dev ~port =
     snd_wait = Sync.Waitq.create ();
     conn_wait = Sync.Waitq.create ();
     segs_unacked = 0;
-    fin_received = false;
-    bytes_rcvd = 0 }
+    fin_received = false }
 
 let stream_listen t dev ~port =
   let key = (Netdev.name dev, port) in
@@ -580,5 +574,3 @@ let stream_close t st =
   st.state <- Closed;
   Hashtbl.remove t.streams (Netdev.name st.sdev, st.lport);
   ignore (Sync.Waitq.broadcast st.rx_wait : int)
-
-let stream_bytes_received st = st.bytes_rcvd

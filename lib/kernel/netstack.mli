@@ -38,16 +38,11 @@ val ifconfig_down : t -> Netdev.t -> unit
 
 val dev_xmit : t -> Netdev.t -> Skbuff.t -> [ `Sent | `Dropped ]
 (** Queue one fully-formed frame on a device, with Linux-style TX flow
-    control.  Blocks (bounded) while the queue is stopped; after
-    {!tx_retry_limit} fruitless rounds the frame is dropped and counted
-    in {!tx_drops} — a dead driver no longer parks senders forever.  The
-    supervisor uses this directly to replay its recovery backlog. *)
-
-val tx_retry_limit : int
-
-val tx_drops : t -> int
-(** Frames dropped by {!dev_xmit} because the TX queue stayed stopped
-    through the retry budget (or the wait was interrupted). *)
+    control.  Blocks (bounded) while the queue is stopped; after a
+    bounded number of fruitless rounds the frame is dropped and counted in
+    the device's [tx_dropped] — a dead driver no longer parks senders
+    forever.  The supervisor uses this directly to replay its recovery
+    backlog. *)
 
 val dev_ioctl : t -> Netdev.t -> cmd:int -> arg:int -> (int, string) result
 
@@ -103,6 +98,3 @@ val stream_recv : t -> stream -> bytes option
     drained. *)
 
 val stream_close : t -> stream -> unit
-val stream_bytes_received : stream -> int
-
-val mss : int

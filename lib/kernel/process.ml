@@ -70,7 +70,6 @@ let name t = t.pname
 let cell t = t.pcell
 let is_alive t = t.alive
 let find table ~pid = List.find_opt (fun p -> p.ppid = pid) table.procs
-let all table = List.rev table.procs
 
 let spawn_fiber t ?name fn =
   if not t.alive then failwith (t.pname ^ ": process is dead");
@@ -110,9 +109,6 @@ let kill t =
     t.mem_used <- 0
   end
 
-let interrupt t =
-  List.iter (fun f -> ignore (Fiber.interrupt f : bool)) t.fibers
-
 let on_exit t h = t.exit_hooks <- h :: t.exit_hooks
 
 let setrlimit_memory t ~bytes = t.mem_limit <- bytes
@@ -128,4 +124,3 @@ let uncharge_memory t ~bytes = t.mem_used <- max 0 (t.mem_used - bytes)
 let memory_used t = t.mem_used
 
 let set_scheduler t policy = t.policy <- policy
-let scheduler t = t.policy

@@ -29,7 +29,6 @@ val cell : t -> Cpu.cell
 
 val is_alive : t -> bool
 val find : table -> pid:int -> t option
-val all : table -> t list
 
 val spawn_fiber : t -> ?name:string -> (unit -> unit) -> Fiber.t
 (** Run a fiber belonging to this process; it is killed with the process.
@@ -42,10 +41,6 @@ val current : table -> t
 val kill : t -> unit
 (** SIGKILL: every fiber of the process is killed, exit hooks run,
     memory charges are dropped.  Idempotent. *)
-
-val interrupt : t -> unit
-(** SIGINT (Ctrl-C): interruptible waits in the process's fibers return
-    [Interrupted]; the process keeps running. *)
 
 val on_exit : t -> (unit -> unit) -> unit
 
@@ -65,4 +60,3 @@ val memory_used : t -> int
 type sched_policy = Normal | Realtime
 
 val set_scheduler : t -> sched_policy -> unit
-val scheduler : t -> sched_policy

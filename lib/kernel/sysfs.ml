@@ -19,15 +19,11 @@ let register_file t ~path ~read =
 
 let read_file t ~path = Option.map (fun read -> read ()) (List.assoc_opt path t.files)
 
-let files t = List.rev_map fst t.files
-
 let add_pci_device t ~bdf ~vendor ~device ~class_code =
   let path = Printf.sprintf "/sys/devices/pci0000:00/0000:%s" (Bus.string_of_bdf bdf) in
   let e = { path; bdf; vendor; device; class_code; attrs = [] } in
   t.items <- e :: t.items;
   e
-
-let remove t ~bdf = t.items <- List.filter (fun e -> e.bdf <> bdf) t.items
 
 let entries t = List.rev t.items
 let find_bdf t bdf = List.find_opt (fun e -> e.bdf = bdf) t.items

@@ -16,7 +16,6 @@ type entry = {
 val create : unit -> t
 
 val add_pci_device : t -> bdf:Bus.bdf -> vendor:int -> device:int -> class_code:int -> entry
-val remove : t -> bdf:Bus.bdf -> unit
 
 val entries : t -> entry list
 val find_bdf : t -> Bus.bdf -> entry option
@@ -38,4 +37,3 @@ val register_file : t -> path:string -> read:(unit -> string) -> unit
 (** Re-registering a path replaces its reader. *)
 
 val read_file : t -> path:string -> string option
-val files : t -> string list

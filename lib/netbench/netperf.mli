@@ -76,12 +76,10 @@ type mq_point = {
 val mq_flows : int
 (** Concurrent UDP flows offered during the sweep (8). *)
 
-val udp_multi_rx : queues:int -> mq_point
-(** Aggregate receive throughput with the SUD e1000 on [queues] MSI-X
-    vectors / uchan ring pairs, 8 cores on the DUT. *)
-
 val mq_sweep : ?queue_counts:int list -> unit -> mq_point list
-(** [udp_multi_rx] at each queue count (default 1/2/4/8). *)
+(** Aggregate UDP receive throughput with the SUD e1000 on [queues] MSI-X
+    vectors / uchan ring pairs, 8 cores on the DUT, at each queue count
+    (default 1/2/4/8). *)
 
 (** {1 Batch sweep (netperf_batch)} *)
 
@@ -100,13 +98,8 @@ type batch_point = {
           shrink. *)
 }
 
-val batch_rate_bps : int
-(** Link speed of the batch sweep (10 Gb/s): at 1 Gb/s the 64-byte flood
-    is line-rate-bound at ~1.126 Mpps — BENCH_4's 4q/8q plateau — so the
-    per-frame CPU costs the batched datapath removes would be invisible. *)
-
 val udp_batch_rx : queues:int -> batch:int -> batch_point
-(** [udp_multi_rx] on a {!batch_rate_bps} medium with the DUT uchan's
+(** The {!mq_sweep} measurement on a 10 Gb/s medium with the DUT uchan's
     frame-aggregation threshold set to [batch] (1 reproduces the
     per-frame wire traffic), additionally counting IRQ upcalls so
     [bp_irqs / bp_frames] gives the NAPI coalescing ratio. *)
@@ -119,6 +112,3 @@ type row = { test : string; driver : string; value : string; cpu : string }
 
 val figure8 : unit -> row list
 (** All eight rows of Figure 8 (4 tests x kernel/SUD). *)
-
-val msg_size : int
-(** Size of the UDP payloads (64 bytes, as in the paper). *)

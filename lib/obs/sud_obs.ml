@@ -113,14 +113,6 @@ module Metrics = struct
         e_read = weaken h (fun h -> M_histogram h) };
     h
 
-  let unregister ?(registry = default) ~subsystem ?name () =
-    registry.entries <-
-      List.filter
-        (fun e ->
-           not (e.e_subsystem = subsystem
-                && (match name with None -> true | Some n -> e.e_name = n)))
-        registry.entries
-
   let incr c = c.c_v <- c.c_v + 1
   let add c n = c.c_v <- c.c_v + n
   let get c = c.c_v
@@ -298,7 +290,6 @@ module Trace = struct
   let on () = !enabled
   let set_enabled b = enabled := b
   let set_clock f = clock := f
-  let capacity () = !cap
 
   let reset () =
     if Array.length !ring > 0 then Array.fill !ring 0 (Array.length !ring) dummy;
@@ -340,7 +331,6 @@ module Trace = struct
         (!ring).((!n_emitted - r + i) mod cap))
 
   let current () = !cur
-  let set_current id = cur := id
 
   let with_current id f =
     let saved = !cur in

@@ -43,12 +43,6 @@ module Metrics : sig
 
   val create_registry : unit -> registry
 
-  val default : registry
-  (** The process-wide registry every subsystem registers into unless
-      told otherwise.  Re-registering the same (subsystem, name,
-      labels) key replaces the old entry, so short-lived instances
-      (test worlds, driver generations) don't accumulate. *)
-
   (** {1 Registration}
 
       [subsystem] groups metrics in the snapshot tree ("iommu",
@@ -66,9 +60,6 @@ module Metrics : sig
   val histogram :
     ?registry:registry -> ?labels:(string * string) list ->
     subsystem:string -> name:string -> unit -> histogram
-
-  val unregister : ?registry:registry -> subsystem:string -> ?name:string -> unit -> unit
-  (** Drop entries (all of a subsystem, or one name) — for tests. *)
 
   (** {1 Mutation and reads} *)
 
@@ -135,8 +126,6 @@ module Trace : sig
   val set_capacity : int -> unit
   (** Resize the ring (and {!reset} it).  Default 16384 spans. *)
 
-  val capacity : unit -> int
-
   val emit :
     ?parent:int -> ?dur_ns:int -> ?attrs:(string * string) list ->
     cat:string -> name:string -> unit -> int
@@ -168,7 +157,6 @@ module Trace : sig
       layer recalls as a parent. *)
 
   val current : unit -> int
-  val set_current : int -> unit
   val with_current : int -> (unit -> 'a) -> 'a
   val remember : string -> int -> unit
   val recall : string -> int

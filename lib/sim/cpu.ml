@@ -14,7 +14,6 @@ let create eng ~cores model =
 
 let cores t = Array.length t.free_at
 let cost_model t = t.model
-let engine t = t.eng
 
 let cell t label =
   match Hashtbl.find_opt t.cells label with

@@ -13,7 +13,6 @@ val create : Engine.t -> cores:int -> Cost_model.t -> t
 
 val cores : t -> int
 val cost_model : t -> Cost_model.t
-val engine : t -> Engine.t
 
 (** {1 Charging}
 

@@ -161,7 +161,6 @@ let create ?(seed = 1L) () =
     stopping = false }
 
 let now t = t.now
-let rng t = t.root_rng
 let steps t = t.steps
 let trace_hash t = t.thash
 let set_picker t p = t.picker <- p

@@ -29,9 +29,6 @@ val create : ?seed:int64 -> unit -> t
 val now : t -> int
 (** Current simulated time in nanoseconds. *)
 
-val rng : t -> Rng.t
-(** The engine's root random stream; split it for independent components. *)
-
 val schedule_after : t -> int -> (unit -> unit) -> handle
 (** [schedule_after t delay fn] runs [fn] at [now t + delay].
     Raises [Invalid_argument] on a negative delay. *)

@@ -18,7 +18,6 @@ and t = {
   eng : Engine.t;
   mutable state : state;
   mutable pending_kill : bool;
-  mutable exits : (unit -> unit) list;
 }
 
 type _ Effect.t += Suspend : (t -> unit -> unit) -> wake Effect.t
@@ -28,7 +27,7 @@ let next_id = ref 0
 (* The engine is single-threaded: exactly one fiber executes at a time, so a
    single mutable cell suffices to track it; [nobody] when none does. *)
 let nobody =
-  { fid = 0; fname = ""; eng = Engine.create (); state = Dead; pending_kill = false; exits = [] }
+  { fid = 0; fname = ""; eng = Engine.create (); state = Dead; pending_kill = false }
 
 let current = ref nobody
 
@@ -36,17 +35,10 @@ let self () =
   let t = !current in
   if t == nobody then failwith "Fiber.self: not in fiber context" else t
 
-let name t = t.fname
 let id t = t.fid
 let is_alive t = match t.state with Dead -> false | Ready | Running | Suspended _ -> true
 
-let on_exit t fn = t.exits <- fn :: t.exits
-
-let finish t =
-  t.state <- Dead;
-  let fns = t.exits in
-  t.exits <- [];
-  List.iter (fun fn -> fn ()) fns
+let finish t = t.state <- Dead
 
 (* Make [t] the running fiber for one step; the caller restores the
    returned previous fiber however the step ends. *)
@@ -101,7 +93,7 @@ let start t main =
 let spawn engine ?name:(fname = "fiber") main =
   incr next_id;
   let t =
-    { fid = !next_id; fname; eng = engine; state = Ready; pending_kill = false; exits = [] }
+    { fid = !next_id; fname; eng = engine; state = Ready; pending_kill = false }
   in
   ignore
     (Engine.schedule_now engine (fun () -> if t.pending_kill then finish t else start t main)
@@ -151,8 +143,6 @@ let sleep engine ns =
         Engine.schedule_after engine ns (fun () -> ignore (wake fiber Normal : bool))
       in
       fun () -> Engine.cancel engine timer)
-
-let yield engine = ignore (sleep engine 0 : wake)
 
 let poll engine ~every_ns ~budget cond =
   let rec go left =

@@ -31,7 +31,6 @@ val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t
 val self : unit -> t
 (** The running fiber.  Raises [Failure] outside fiber context. *)
 
-val name : t -> string
 val id : t -> int
 val is_alive : t -> bool
 
@@ -57,9 +56,6 @@ val interrupt : t -> bool
 (** Deliver an interrupt: a suspended fiber's wait returns {!Interrupted}.
     Models interruptible sleeps (Ctrl-C on a hung synchronous upcall). *)
 
-val yield : Engine.t -> unit
-(** Reschedule the current fiber behind already-queued events. *)
-
 val sleep : Engine.t -> int -> wake
 (** Sleep for the given number of nanoseconds; may return early with
     [Interrupted].  The sleep owns its timer: a sleep ended early cancels
@@ -71,6 +67,3 @@ val poll : Engine.t -> every_ns:int -> budget:int -> (unit -> bool) -> bool
     at the last check.  It returns [true] without sleeping when [cond]
     already holds, and [false] after exactly [budget] sleeps (the clock
     advanced by [budget * every_ns]) when it never does. *)
-
-val on_exit : t -> (unit -> unit) -> unit
-(** Register a cleanup to run when the fiber finishes or is killed. *)

@@ -15,18 +15,12 @@ let mix z =
 
 let int64 t = mix (next_state t)
 
-let split t = { state = int64 t }
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Mask to a non-negative native int: Int64.to_int truncates to 63 bits,
      so a raw shift can still come out negative. *)
   let v = Int64.to_int (int64 t) land max_int in
   v mod n
-
-let float t x =
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  x *. v /. 9007199254740992.0
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
@@ -39,8 +33,3 @@ let derive ~root tag =
     (fun c -> h := mix (Int64.add (Int64.mul !h 0x100000001B3L) (Int64.of_int (Char.code c))))
     tag;
   !h
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

@@ -9,17 +9,11 @@ val create : seed:int64 -> t
 (** [create ~seed] returns a fresh generator.  Two generators created with the
     same seed produce identical streams. *)
 
-val split : t -> t
-(** [split t] derives an independent generator, advancing [t]. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Raises [Invalid_argument] if [n <= 0]. *)
-
-val float : t -> float -> float
-(** [float t x] is uniform in [\[0, x)]. *)
 
 val bool : t -> bool
 
@@ -33,6 +27,3 @@ val derive : root:int64 -> string -> int64
 val mix : int64 -> int64
 (** The splitmix64 finalizer — a cheap 64-bit mixing function, exposed for
     building streaming fingerprints (e.g. {!Engine.trace_hash}). *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed value with the given mean. *)

@@ -42,9 +42,6 @@ val spec_label : spec -> string
 
 (** {1 Schedule files} *)
 
-val version : string
-(** Format tag written in the header line; currently ["sud-sched/1"]. *)
-
 type file = {
   f_scenario : string;
   f_seed : int64;

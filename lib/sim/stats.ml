@@ -1,14 +1,3 @@
-module Counter = struct
-  type t = { name : string; mutable v : int }
-
-  let create name = { name; v = 0 }
-  let name t = t.name
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let get t = t.v
-  let reset t = t.v <- 0
-end
-
 module Moments = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 
@@ -20,7 +9,6 @@ module Moments = struct
     t.mean <- t.mean +. (delta /. float_of_int t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let n t = t.n
   let mean t = t.mean
 
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
@@ -52,8 +40,6 @@ module Histogram = struct
     t.len <- t.len + 1;
     t.sorted <- false
 
-  let count t = t.len
-
   let ensure_sorted t =
     if not t.sorted then begin
       let live = Array.sub t.samples 0 t.len in
@@ -68,16 +54,6 @@ module Histogram = struct
     ensure_sorted t;
     let idx = int_of_float (q *. float_of_int (t.len - 1)) in
     t.samples.(idx)
-
-  let mean t =
-    if t.len = 0 then 0.0
-    else begin
-      let sum = ref 0.0 in
-      for i = 0 to t.len - 1 do
-        sum := !sum +. t.samples.(i)
-      done;
-      !sum /. float_of_int t.len
-    end
 
   let max t = quantile t 1.0
   let min t = quantile t 0.0

@@ -1,21 +1,10 @@
-(** Measurement helpers: counters, running moments, histograms and
-    confidence intervals.
+(** Measurement helpers: running moments, histograms and confidence
+    intervals.
 
     The benchmark harness stops sampling once the half-width of the
     confidence interval falls below a requested fraction of the mean, the
     same stopping rule netperf uses (the paper runs netperf "to report
     results accurate to 5% with 99% confidence"). *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val name : t -> string
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-  val reset : t -> unit
-end
 
 module Moments : sig
   (** Welford running mean / variance. *)
@@ -24,13 +13,8 @@ module Moments : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val n : t -> int
   val mean : t -> float
   val stddev : t -> float
-
-  val ci_halfwidth : t -> confidence:float -> float
-  (** Half-width of the confidence interval for the mean.  [confidence] is
-      0.95 or 0.99; other values fall back to 0.99's critical value. *)
 
   val converged : t -> confidence:float -> accuracy:float -> bool
   (** True once at least three samples were taken and the CI half-width is
@@ -42,12 +26,10 @@ module Histogram : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val quantile : t -> float -> float
   (** [quantile h 0.5] is the median.  Raises [Invalid_argument] on an empty
       histogram or a quantile outside [0,1]. *)
 
-  val mean : t -> float
   val max : t -> float
   val min : t -> float
 end

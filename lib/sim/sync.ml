@@ -57,8 +57,6 @@ module Mutex = struct
 
   let create () = { owner = None; waiters = Waitq.create () }
 
-  let locked t = Option.is_some t.owner
-
   let rec lock t =
     match t.owner with
     | None -> t.owner <- Some (Fiber.self ())
@@ -79,21 +77,6 @@ module Mutex = struct
     Fun.protect ~finally:(fun () -> unlock t) fn
 end
 
-module Condvar = struct
-  type t = { waiters : Waitq.t }
-
-  let create () = { waiters = Waitq.create () }
-
-  let wait t mu =
-    Mutex.unlock mu;
-    let w = Waitq.wait t.waiters in
-    Mutex.lock mu;
-    w
-
-  let signal t = ignore (Waitq.signal t.waiters : bool)
-  let broadcast t = ignore (Waitq.broadcast t.waiters : int)
-end
-
 module Mailbox = struct
   type 'a t = {
     items : 'a Queue.t;
@@ -105,8 +88,6 @@ module Mailbox = struct
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Mailbox.create: capacity must be positive";
     { items = Queue.create (); capacity; readers = Waitq.create (); writers = Waitq.create () }
-
-  let length t = Queue.length t.items
 
   let try_send t x =
     if Queue.length t.items >= t.capacity then false
@@ -138,17 +119,4 @@ module Mailbox = struct
        | Fiber.Interrupted -> `Interrupted
        | Fiber.Normal | Fiber.Timeout -> recv t)
 
-  let rec recv_timeout engine t ns =
-    match try_recv t with
-    | Some x -> `Ok x
-    | None ->
-      let deadline = Engine.now engine + ns in
-      (match Waitq.wait_timeout engine t.readers ns with
-       | Fiber.Interrupted -> `Interrupted
-       | Fiber.Timeout -> (match try_recv t with Some x -> `Ok x | None -> `Timeout)
-       | Fiber.Normal ->
-         let remaining = deadline - Engine.now engine in
-         if remaining <= 0 then
-           match try_recv t with Some x -> `Ok x | None -> `Timeout
-         else recv_timeout engine t remaining)
 end

@@ -1,5 +1,4 @@
-(** Fiber synchronization: wait queues, mutexes, condition variables and
-    bounded mailboxes.
+(** Fiber synchronization: wait queues, mutexes and bounded mailboxes.
 
     Wait queues are FIFO.  Every blocking operation reports whether it was
     woken normally, interrupted (signal delivery) or timed out, which the
@@ -38,23 +37,7 @@ module Mutex : sig
   type t
 
   val create : unit -> t
-  val lock : t -> unit
-  val unlock : t -> unit
   val with_lock : t -> (unit -> 'a) -> 'a
-  val locked : t -> bool
-end
-
-module Condvar : sig
-  type t
-
-  val create : unit -> t
-
-  val wait : t -> Mutex.t -> Fiber.wake
-  (** Atomically release the mutex and wait; the mutex is re-acquired before
-      returning, whatever the wake reason. *)
-
-  val signal : t -> unit
-  val broadcast : t -> unit
 end
 
 module Mailbox : sig
@@ -73,7 +56,5 @@ module Mailbox : sig
   val recv : 'a t -> [ `Ok of 'a | `Interrupted ]
   (** Blocks while empty. *)
 
-  val recv_timeout : Engine.t -> 'a t -> int -> [ `Ok of 'a | `Interrupted | `Timeout ]
   val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
 end

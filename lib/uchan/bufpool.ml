@@ -18,7 +18,6 @@ let create ~read ~write ~base_addr ~count ~buf_size =
   for i = 0 to count - 1 do Queue.push i free_ids done;
   { rd = read; wr = write; base_addr; n = count; bsize = buf_size; free_ids; allocated = Array.make count false }
 
-let count t = t.n
 let buf_size t = t.bsize
 
 let mk t id = { id; addr = t.base_addr + (id * t.bsize); size = t.bsize }

@@ -24,7 +24,6 @@ val create :
 
 val region_size : count:int -> buf_size:int -> int
 
-val count : t -> int
 val buf_size : t -> int
 
 val alloc : t -> buf option

@@ -90,7 +90,6 @@ let escalates = function Stale_completion -> false | _ -> true
 type verdict = Pass | Violation of violation
 
 type t = {
-  c_label : string;
   c_profile : profile;
   mutable c_epoch : int;
   mutable c_ready : bool;           (* DFA: Start(false) -> Ready(true) *)
@@ -101,8 +100,7 @@ type t = {
 }
 
 let create ?(profile = permissive) ~label ~epoch () =
-  { c_label = label;
-    c_profile = profile;
+  { c_profile = profile;
     c_epoch = epoch land Msg.max_epoch;
     c_ready = false;
     c_seq_hi = 0;
@@ -116,9 +114,6 @@ let create ?(profile = permissive) ~label ~epoch () =
                 ~labels:[ ("chan", label); ("class", class_name cl) ]
                 ~subsystem:"uchan" ~name:"proto_violation" ())
            all_classes) }
-
-let epoch t = t.c_epoch
-let label t = t.c_label
 
 (* Supervisor restart: new generation, fresh handshake, but the seq
    counter is per-channel state the kernel owns, so it survives. *)

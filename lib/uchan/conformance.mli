@@ -12,8 +12,8 @@
 
     Kind semantics (which opcode registers, which is data) belong to the
     proxy classes living above this library, so the DFA is parameterised
-    by an injectable {!profile}; channels without one get {!permissive}
-    (epoch/seq/reply checks only). *)
+    by an injectable {!profile}; channels without one get a permissive
+    profile (epoch/seq/reply checks only). *)
 
 type kind_class =
   | Register    (** handshake: moves the channel [Start] -> [Ready] *)
@@ -26,10 +26,6 @@ type profile = {
   p_classify : int -> kind_class;
 }
 
-val permissive : profile
-(** Everything is [Control]: only epoch, sequence and reply-matching
-    conformance applies.  The default for raw channels. *)
-
 type violation =
   | Bad_epoch             (** slot stamped with a dead generation's epoch *)
   | Nonmonotone_seq       (** non-reply seq at or below one already seen *)
@@ -41,7 +37,6 @@ type violation =
   | Unknown_kind          (** kind outside the proxy class's vocabulary *)
 
 val class_name : violation -> string
-val all_classes : violation list
 
 val escalates : violation -> bool
 (** Everything except {!Stale_completion}, which is a benign race. *)
@@ -51,9 +46,6 @@ type verdict = Pass | Violation of violation
 type t
 
 val create : ?profile:profile -> label:string -> epoch:int -> unit -> t
-
-val epoch : t -> int
-val label : t -> string
 
 val new_generation : t -> epoch:int -> unit
 (** Supervisor restart: adopt the new generation's epoch and drop back to

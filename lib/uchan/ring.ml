@@ -47,5 +47,3 @@ let pop_inplace t reader =
     t.tail <- t.tail + 1;
     Some v
   end
-
-let peek t = if is_empty t then None else Some (Bytes.copy t.slots.(t.tail land t.mask))

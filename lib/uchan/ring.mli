@@ -8,7 +8,6 @@ type t
 val create : slots:int -> t
 (** [slots] must be a power of two. *)
 
-val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
@@ -34,5 +33,3 @@ val push_inplace : t -> (bytes -> unit) -> bool
 val pop_inplace : t -> (bytes -> 'a) -> 'a option
 (** Decode directly out of the oldest slot; the slot is released when the
     reader returns.  [None] (reader not called) when empty. *)
-
-val peek : t -> bytes option

@@ -772,50 +772,16 @@ let wait ?(queue = 0) t =
   in
   loop ~slept:None
 
-(* ---- queue handles ---- *)
-
-module Queue = struct
-  type chan = t
-  type t = { q_chan : chan; q_index : int }
-
-  let get chan index =
-    ignore (qstate_of chan index : qstate);
-    { q_chan = chan; q_index = index }
-
-  let all chan = Array.to_list (Array.init (num_queues chan) (get chan))
-  let index q = q.q_index
-  let chan q = q.q_chan
-
-  let transfer : type r. t -> from:[ `Kernel | `Driver ] -> r mode -> Msg.t -> r =
-   fun q ~from mode m -> transfer q.q_chan ~queue:q.q_index ~from mode m
-
-  let wait q = wait ~queue:q.q_index q.q_chan
-  let reply q m = reply ~queue:q.q_index q.q_chan m
-  let flush q = flush ~queue:q.q_index q.q_chan
-end
-
 let metrics t = t.um
-let hang_timeout t = t.hang_timeout_ns
 let epoch t = t.epoch
 let conformance t = t.conf
 let proto_violations t = Conformance.violations t.conf
-
-let queue_upcalls t ~queue = Sud_obs.Metrics.get (qstate_of t queue).q_up
-let queue_downcalls t ~queue = Sud_obs.Metrics.get (qstate_of t queue).q_down
-let queue_dropped t ~queue = Sud_obs.Metrics.get (qstate_of t queue).q_dropped
 
 (* ---- fault injection (lib/attacks) ---- *)
 
 let wedge t =
   t.wedged <- true
 
-let unwedge t =
-  if t.wedged then begin
-    t.wedged <- false;
-    Array.iter (fun q -> ignore (Sync.Waitq.broadcast q.u_waitq : int)) t.qs
-  end
-
-let is_wedged t = t.wedged
 let inject_corrupt_replies t n = t.corrupt_next <- t.corrupt_next + n
 let inject_drop_replies t n = t.drop_next <- t.drop_next + n
 let inject_corrupt_batch_frames t n = t.corrupt_batch_next <- t.corrupt_batch_next + n
@@ -851,4 +817,3 @@ let set_notify_hook t f = t.notify_hook <- f
 (* ---- batch tuning ---- *)
 
 let set_batch_limit t n = t.batch_limit <- max 1 n
-let batch_limit t = t.batch_limit

@@ -41,8 +41,8 @@ val create :
     {!Msg.max_epoch}) is the generation stamp marshalled into every
     header — the supervisor passes its generation number, so frames
     replayed from a dead generation fail conformance.  [profile] is the
-    proxy-class kind vocabulary for the conformance DFA (default
-    {!Conformance.permissive}). *)
+    proxy-class kind vocabulary for the conformance DFA (default: every
+    kind is control, so only epoch, sequence and reply checks apply). *)
 
 val close : t -> unit
 (** Tear the channel down (driver death): all blocked senders and waiters
@@ -65,13 +65,14 @@ val max_queues : int
     - [Async]: enqueue without waiting for a reply; if the ring stays
       full past a short grace period the peer is presumed hung.
     - [Batched]: driver side, sit in the queue's local batch until the
-      driver next enters the kernel on that queue (or {!batch_limit}
-      messages pile up), so a burst costs one notification.  At flush,
-      consecutive same-kind batchable messages ({!Msg.Batch.fits}) are
-      coalesced into scatter-gather batch slots — one marshal and one
-      per-message charge per slot of up to {!Msg.Batch.max_frames}
-      frames, not per frame.  On the kernel side (which pays no syscall
-      per kick) this degrades to fire-and-forget that counts drops.
+      driver next enters the kernel on that queue (or the channel's batch
+      limit of messages piles up), so a burst costs one notification.
+      At flush, consecutive same-kind batchable messages
+      ({!Msg.Batch.fits}) are coalesced into scatter-gather batch slots
+      — one marshal and one per-message charge per slot of up to
+      {!Msg.Batch.max_frames} frames, not per frame.  On the kernel side
+      (which pays no syscall per kick) this degrades to fire-and-forget
+      that counts drops.
     - [Nonblock]: never block, safe from interrupt context; [false]
       when the ring is full or the channel closed. *)
 
@@ -112,41 +113,12 @@ val flush : ?queue:int -> t -> unit
 
 val set_batch_limit : t -> int -> unit
 (** Set the per-queue accumulation threshold for [Batched] driver sends
-    (clamped to at least 1; default {!default_batch_limit}).  1 flushes
+    (clamped to at least 1; default 64).  1 flushes
     on every send — the pre-batching wire behaviour — while larger
     values let bursts coalesce into scatter-gather slots.  Flushing
     stays load-adaptive: a driver entering the kernel (or one already
     parked in [wait]) ships whatever has accumulated immediately, so a
     lone frame at idle never waits for the batch to fill. *)
-
-val batch_limit : t -> int
-(** This channel's effective [Batched] accumulation threshold. *)
-
-val default_batch_limit : int
-(** Default accumulation threshold (64), used when {!set_batch_limit}
-    was never called. *)
-
-(** {1 Queue handles}
-
-    A first-class handle on one (channel, queue) pair, so per-queue
-    fibers and per-queue supervision state can be passed one capability
-    instead of a channel plus a loose index. *)
-
-module Queue : sig
-  type chan = t
-  type t
-
-  val get : chan -> int -> t
-  (** Raises [Invalid_argument] if the index is out of range. *)
-
-  val all : chan -> t list
-  val index : t -> int
-  val chan : t -> chan
-  val transfer : t -> from:[ `Kernel | `Driver ] -> 'r mode -> Msg.t -> 'r
-  val wait : t -> (Msg.t, error) result
-  val reply : t -> Msg.t -> unit
-  val flush : t -> unit
-end
 
 (** {1 Introspection} *)
 
@@ -154,16 +126,13 @@ val hang_timeout_ns : int
 (** Default sync-upcall deadline (50 ms), used when [create] is not given
     one. *)
 
-val hang_timeout : t -> int
-(** This channel's effective sync-upcall deadline. *)
-
 (** {1 Observability}
 
     Per-channel counters and the sync-RPC latency histogram live in the
     {!Sud_obs.Metrics} registry under subsystem ["uchan"], labelled
     [("chan", driver_label)]; per-queue traffic counters
-    ([queue_upcalls]/[queue_downcalls]/[queue_dropped]) additionally
-    carry [("queue", i)].  With tracing enabled, every sync RPC emits an
+    (["queue_upcalls"], ["queue_downcalls"], ["queue_dropped"])
+    additionally carry [("queue", i)].  With tracing enabled, every sync RPC emits an
     ["uchan"/"rpc"] span at issue (remembered under ["uchan.rpc.last"]
     and a per-seq key) and an ["rpc.complete"] span with the round-trip
     duration; ring pushes/pops emit ["push"]/["pop"] spans carrying the
@@ -188,12 +157,6 @@ type metrics = {
 }
 
 val metrics : t -> metrics
-
-val queue_upcalls : t -> queue:int -> int
-val queue_downcalls : t -> queue:int -> int
-
-val queue_dropped : t -> queue:int -> int
-(** Per-queue share of {!metrics}'s [um_dropped]. *)
 
 (** {1 Protocol conformance}
 
@@ -229,11 +192,8 @@ val set_notify_hook : t -> (queue:int -> unit) option -> unit
 
 val wedge : t -> unit
 (** Park the driver main loop: [wait] stops servicing the ring (and stops
-    flushing batches) until {!unwedge} or process death.  Sync upcalls
+    flushing batches) until process death.  Sync upcalls
     from the kernel subsequently time out [Hung]. *)
-
-val unwedge : t -> unit
-val is_wedged : t -> bool
 
 val inject_corrupt_replies : t -> int -> unit
 (** Garble the next [n] driver replies: the slot is filled with 0xFF so
