@@ -135,8 +135,6 @@ let instance t =
         let hung _ = false
         let quiesce t = t.quiescing <- true
         let resume t = t.quiescing <- false
-        let degrade t = t.ready <- false
-        let revive _ = ()   (* the register downcall flips [ready] back *)
         let handoff = handoff
         let adopt = adopt
       end),

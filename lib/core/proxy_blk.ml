@@ -536,10 +536,6 @@ let resume t =
     maybe_replay_flush t
   end
 
-let unregister t =
-  quiesce t;
-  t.quiescing <- false
-
 (* ---- handoff / adopt: the generation-swap contract ---- *)
 
 type Proxy_class.state += Blk_state of persist
@@ -573,11 +569,6 @@ let instance t =
         let hung = hung
         let quiesce = quiesce
         let resume = resume
-        let degrade = unregister
-
-        (* Reattachment happens through resume after the fresh driver's
-           register downcall. *)
-        let revive _ = ()
         let handoff = handoff
         let adopt = adopt
       end),

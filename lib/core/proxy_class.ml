@@ -13,8 +13,6 @@ module type S = sig
   val hung : t -> bool
   val quiesce : t -> unit
   val resume : t -> unit
-  val degrade : t -> unit
-  val revive : t -> unit
   val handoff : t -> state
   val adopt : t -> state -> unit
 end

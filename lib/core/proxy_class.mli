@@ -6,20 +6,16 @@
 
     {v
       running --quiesce--> quiesced --(kill/restart)--> resume --> running
-         |                                                  |
-         +----------------degrade (terminal)----------------+
     v}
 
     [quiesce] stops the proxy admitting new work while preserving
     everything in flight (the block proxy retains unacknowledged
     requests for replay; the net proxy parks transmits in the backlog).
     [resume] re-admits work against the restarted driver and replays
-    whatever quiesce retained.  [degrade]/[revive] remain the terminal
-    detach/re-attach pair used for quarantine, where no new generation
-    is coming.  [handoff]/[adopt] carry the class's kernel-facing state
-    (surviving netdev, blk persist record, mirrored device attributes)
-    from a dying generation's proxy to its successor — the contract both
-    warm-standby swap and shadow recovery ride.  The supervisor and
+    whatever quiesce retained.  [handoff]/[adopt] carry the class's
+    kernel-facing state (surviving netdev, blk persist record, mirrored
+    device attributes) from a dying generation's proxy to its successor
+    — the contract the warm-standby swap rides.  The supervisor and
     driver host program against {!instance} instead of pattern-matching
     on proxy kinds, so adding a device class never touches the recovery
     machinery. *)
@@ -50,15 +46,6 @@ module type S = sig
   val resume : t -> unit
   (** Re-admit work after a successful restart and replay whatever
       {!quiesce} retained against the new generation.  Idempotent. *)
-
-  val degrade : t -> unit
-  (** Terminal detach from the kernel subsystem (e.g. the net proxy
-      unregisters its netdev) — used for quarantine, when no further
-      generation will be started. *)
-
-  val revive : t -> unit
-  (** Undo {!degrade}.  Classes whose registration downcall re-attaches
-      on its own leave this a no-op. *)
 
   val handoff : t -> state
   (** Snapshot the kernel-facing state this proxy guards (taken from the

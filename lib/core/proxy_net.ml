@@ -443,11 +443,6 @@ let instance t =
         let hung = hung
         let quiesce = quiesce
         let resume = resume
-        let degrade = unregister
-
-        (* Reattachment happens through the fresh driver's register
-           downcall (possibly adopting the surviving netdev). *)
-        let revive _ = ()
         let handoff = handoff
         let adopt = adopt
       end),

@@ -179,8 +179,6 @@ let instance t =
         let hung _ = false
         let quiesce t = t.quiescing <- true
         let resume t = t.quiescing <- false
-        let degrade t = t.cap <- None
-        let revive _ = ()   (* the register downcall restores the capacity *)
         let handoff = handoff
         let adopt = adopt
       end),

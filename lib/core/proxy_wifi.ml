@@ -116,8 +116,6 @@ let instance t =
         let hung t = Proxy_net.hung t.pnet
         let quiesce t = Proxy_net.quiesce t.pnet
         let resume t = Proxy_net.resume t.pnet
-        let degrade t = Proxy_net.unregister t.pnet
-        let revive _ = ()
         let handoff = handoff
         let adopt = adopt
       end),

@@ -29,13 +29,6 @@ report "per-frame Sync send on the proxy net datapath (use ~queue Async/Batched)
   "$(grep -nE 'Uchan\.Sync \(Msg\.make ~kind:Proxy_proto\.(up_net_xmit|up_interrupt|down_netif_rx|down_tx_free)' \
      lib/core/proxy_net.ml lib/core/sud_uml.ml)"
 
-# Quarantine is supervisor-only: degrade/revive is the terminal pair of
-# the recovery state machine in lib/core; everything else recovers
-# through quiesce/resume.
-report "Proxy_class.degrade/revive outside lib/core (recovery uses quiesce/resume)" \
-  "$(srcs 'Proxy_class\.(degrade|revive)[^a-zA-Z_]' lib bin bench test examples \
-     | grep -vE '^lib/core/')"
-
 # Determinism: stdlib Random is global state the sud-check recorder
 # cannot capture, so runs seeded through it would not replay.  All
 # randomness flows from the splitmix64 Rng (sub-seeds via Rng.derive).
