@@ -293,7 +293,6 @@ let proxy g = g.g_proxy
 let blk_proxy = proxy
 let class_of g = g.g_class
 let uml g = g.g_uml
-let bdf g = g.g_bdf
 let queues g = g.g_queues
 let quota g = g.g_quota
 let epoch g = g.g_epoch

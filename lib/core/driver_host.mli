@@ -140,7 +140,6 @@ val class_of : _ gen -> Proxy_class.instance
 (** The proxy behind the class-independent supervision surface. *)
 
 val uml : _ gen -> Sud_uml.t
-val bdf : _ gen -> Bus.bdf
 
 val netdev : _ gen -> Netdev.t
 (** The network device the driver registered (or, warm, adopted); it

@@ -311,39 +311,6 @@ let test_delegation () =
       Alcotest.(check int) "both netdevs registered" 2
         (List.length (Netstack.netdevs k.Kernel.net)))
 
-let test_shadow_recovery () =
-  run_in_kernel setup_duo (fun k duo ->
-      let sp = Safe_pci.init k in
-      let s =
-        ok_or_fail "start" (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
-      in
-      ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
-      let shadow = Shadow.watch k ~poll_ms:5 s in
-      (* The driver process crashes. *)
-      ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
-      Driver_host.kill s;
-      ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
-      Alcotest.(check int) "one restart" 1 (Shadow.restarts shadow);
-      let fresh = Shadow.current shadow in
-      Alcotest.(check bool) "fresh process alive" true
-        (Process.is_alive (Driver_host.proc fresh));
-      Alcotest.(check bool) "interface came back up" true
-        (Netdev.is_up (Driver_host.netdev fresh));
-      (* Traffic flows through the recovered driver. *)
-      let dev_b = up_native ~name:"eth1" k duo.bdf_b in
-      let sa = Netstack.udp_bind k.Kernel.net (Shadow.netdev shadow) ~port:1 in
-      let sb = Netstack.udp_bind k.Kernel.net dev_b ~port:2 in
-      (match
-         Netstack.udp_sendto k.Kernel.net sa ~dst:(Netdev.mac dev_b) ~dst_port:2
-           (Bytes.of_string "recovered")
-       with
-       | `Sent -> ()
-       | `Dropped -> Alcotest.fail "tx dropped");
-      (match Netstack.udp_recv k.Kernel.net sb with
-       | Some (d, _) -> Alcotest.(check string) "payload" "recovered" (Bytes.to_string d)
-       | None -> Alcotest.fail "no traffic after recovery");
-      Shadow.stop shadow)
-
 let test_xmit_from_atomic_context () =
   (* §3.1.1: packet transmission is an asynchronous upcall precisely so the
      kernel can send while non-preemptable. *)
@@ -450,5 +417,4 @@ let suite =
     Alcotest.test_case "sysfs: id matching" `Quick test_sysfs_matching;
     Alcotest.test_case "safe_pci: device files (Figure 6)" `Quick test_device_files_listed;
     Alcotest.test_case "delegation: one process per device" `Quick test_delegation;
-    Alcotest.test_case "shadow: automatic crash recovery" `Quick test_shadow_recovery;
     Alcotest.test_case "proxy: xmit from atomic context" `Quick test_xmit_from_atomic_context ]

@@ -216,37 +216,6 @@ let test_proto_quarantine () =
   Alcotest.(check bool) "quarantined" true r.Proto_fuzz.pq_quarantined;
   Alcotest.(check bool) "burned the restart budget" true (r.Proto_fuzz.pq_restarts >= 3)
 
-(* ---- shadow recovery replays interface state (satellite) ---- *)
-
-let test_shadow_updown_replay () =
-  run_in_kernel setup_duo (fun k duo ->
-      let sp = Safe_pci.init k in
-      let s =
-        ok_or_fail "start" (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
-      in
-      let shadow = Shadow.watch k ~poll_ms:5 s in
-      (* Generation 1 dies with the interface DOWN: the shadow must
-         restart the driver but leave the interface down. *)
-      ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
-      Driver_host.kill s;
-      ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
-      Alcotest.(check int) "first restart" 1 (Shadow.restarts shadow);
-      let s2 = Shadow.current shadow in
-      Alcotest.(check bool) "fresh process alive" true
-        (Process.is_alive (Driver_host.proc s2));
-      Alcotest.(check bool) "interface stayed down" false
-        (Netdev.is_up (Driver_host.netdev s2));
-      (* The administrator brings it up; generation 2 dies: the shadow
-         must replay the captured up state. *)
-      ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s2));
-      ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
-      Driver_host.kill s2;
-      ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
-      Alcotest.(check int) "second restart" 2 (Shadow.restarts shadow);
-      Alcotest.(check bool) "interface replayed up" true
-        (Netdev.is_up (Driver_host.netdev (Shadow.current shadow)));
-      Shadow.stop shadow)
-
 (* ---- setrlimit_memory edge cases (satellite) ---- *)
 
 let test_setrlimit_edges () =
@@ -299,90 +268,6 @@ let test_rlimit_across_restart_generation () =
       Alcotest.(check int) "charge/uncharge symmetric" used_gen1 (Process.memory_used p2);
       Driver_host.kill s2)
 
-(* ---- shadow recovery composes with per-queue backlog replay: no frame
-   is reordered within its flow (satellite property) ---- *)
-
-let shadow_backlog_order_test =
-  let n_flows = 3 in
-  let mk_payload ~flow ~seq =
-    let b = Bytes.make (Rss.flow_span + 2) '\x00' in
-    Bytes.set_uint16_be b 15 (1000 + flow);
-    Bytes.set_uint16_be b 17 (7 * (flow + 1));
-    Bytes.set_uint16_be b Rss.flow_span seq;
-    b
-  in
-  let gen = QCheck.Gen.(list_size (int_range 1 24) (int_bound (n_flows - 1))) in
-  QCheck.Test.make ~name:"shadow recovery + backlog replay keeps per-flow order" ~count:6
-    (QCheck.make gen)
-    (fun flows ->
-       run_in_kernel setup_duo (fun k duo ->
-           let sp = Safe_pci.init k in
-           let s =
-             ok_or_fail "start"
-               (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" E1000.driver)
-           in
-           ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s));
-           let shadow = Shadow.watch k ~poll_ms:5 s in
-           (* Let the watcher observe (and latch) the up state. *)
-           ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
-           let old_dev = Driver_host.netdev s in
-           let queues = Netdev.tx_queues old_dev in
-           (* The driver dies; frames arriving during the outage park in
-              the per-queue backlog, steered by the same RSS hash
-              dev_xmit uses. *)
-           Driver_host.kill s;
-           let offered = Array.make n_flows [] in
-           List.iteri
-             (fun i flow ->
-                let payload = mk_payload ~flow ~seq:i in
-                offered.(flow) <- i :: offered.(flow);
-                let queue = Rss.queue_for ~queues payload in
-                match
-                  Netdev.backlog_push old_dev ~queue ~limit:256 (Skbuff.of_bytes payload)
-                with
-                | Netdev.Xmit_ok -> ()
-                | Netdev.Xmit_busy -> failwith "unexpected backlog overflow")
-             flows;
-           ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
-           if Shadow.restarts shadow < 1 then Alcotest.fail "shadow did not recover";
-           let fresh = Shadow.current shadow in
-           if not (Netdev.is_up (Driver_host.netdev fresh)) then
-             Alcotest.fail "interface not replayed up";
-           (* Replay queue-major (the supervisor's discipline) through
-              the fresh generation and observe the wire: frames travel
-              proxy -> driver -> device -> medium byte-identical. *)
-           let seen = ref [] in
-           ignore
-             (Net_medium.attach duo.medium ~name:"order-snoop" ~rx:(fun f ->
-                  if Bytes.length f >= Rss.flow_span + 2 then begin
-                    let flow = Bytes.get_uint16_be f 15 - 1000 in
-                    let seq = Bytes.get_uint16_be f Rss.flow_span in
-                    if flow >= 0 && flow < n_flows then seen := (flow, seq) :: !seen
-                  end)
-              : Net_medium.port);
-           for q = 0 to queues - 1 do
-             let rec go () =
-               match Netdev.backlog_pop old_dev ~queue:q with
-               | None -> ()
-               | Some skb ->
-                 (match
-                    Netstack.dev_xmit k.Kernel.net (Driver_host.netdev fresh) skb
-                  with
-                  | `Sent -> ()
-                  | `Dropped -> Alcotest.fail "replayed frame dropped");
-                 go ()
-             in
-             go ()
-           done;
-           ignore (Fiber.sleep k.Kernel.eng 100_000_000 : Fiber.wake);
-           Shadow.stop shadow;
-           let replayed = Array.make n_flows [] in
-           List.iter (fun (flow, seq) -> replayed.(flow) <- seq :: replayed.(flow))
-             (List.rev !seen);
-           (* Every flow's frames hit the wire in offered order (the wire
-              may interleave flows, never reorder within one). *)
-           Array.for_all2 (fun o r -> List.rev o = List.rev r) offered replayed))
-
 let suite =
   [ Alcotest.test_case "conformance: every violation class" `Quick test_conformance_classes;
     Alcotest.test_case "quota: ledger charges and denials" `Quick test_quota_ledger;
@@ -396,8 +281,6 @@ let suite =
       test_epoch_across_restart;
     Alcotest.test_case "fuzz: campaign smoke" `Slow test_fuzz_smoke;
     Alcotest.test_case "fuzz: protocol crash-loop quarantines" `Slow test_proto_quarantine;
-    Alcotest.test_case "shadow: up/down replay across kills" `Quick test_shadow_updown_replay;
     Alcotest.test_case "rlimit: setrlimit_memory edge cases" `Quick test_setrlimit_edges;
     Alcotest.test_case "rlimit: symmetry across restart generation" `Quick
       test_rlimit_across_restart_generation ]
-  @ List.map QCheck_alcotest.to_alcotest [ shadow_backlog_order_test ]
