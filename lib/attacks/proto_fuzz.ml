@@ -115,7 +115,11 @@ let detected_count (ct : Fault_inject.chan_tally) ~overflows = function
   | Completion_forge -> get ct.ct_conf "forged_completion"
   | Notify_flood -> overflows
 
-let campaign ?sched ?seed ?(n_mutations = 600) ?(storm_kicks = 6_000) () =
+(* Doorbell kicks per [Notify_flood]: comfortably past the default
+   4096-token bucket. *)
+let storm_kicks = 6_000
+
+let campaign ?sched ?seed ?(n_mutations = 600) () =
   let seed = match seed with Some s -> s | None -> Fault_inject.dseed "fuzz" in
   let w = Fault_inject.make_world () in
   let rec_ = Option.map (fun s -> Sched.install w.Fault_inject.eng s) sched in

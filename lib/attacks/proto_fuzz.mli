@@ -46,14 +46,13 @@ val campaign :
   ?sched:Sched.spec ->
   ?seed:int64 ->
   ?n_mutations:int ->
-  ?storm_kicks:int ->
   unit ->
   fuzz_report
 (** Run a supervised honest E1000 under continuous burst traffic while
     applying [n_mutations] (default 600) mutations round-robin across
     every class, waiting for the supervisor to return to [Running]
-    between lethal ones.  [storm_kicks] (default 6000, comfortably past
-    the default 4096-token bucket) sizes each [Notify_flood].
+    between lethal ones.  Each [Notify_flood] rings 6000 doorbells,
+    comfortably past the default 4096-token bucket.
     [fz_violations] collects both containment-invariant failures and
     coverage failures (a class never applied or never detected). *)
 

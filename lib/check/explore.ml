@@ -78,8 +78,9 @@ let random ?(p_preempt = 50) (sc : Scenario.t) ~root_seed ~budget =
    deviations (step, ready, pick>0); running it replays those picks and
    is FIFO everywhere else.  Children deviate at choice points the run
    exposed after the last forced step, up to the preemption budget. *)
-let bounded ?(max_preemptions = 2) ?(branch_points = 12) (sc : Scenario.t) ~root_seed
-    ~budget =
+let branch_points = 12
+
+let bounded ?(max_preemptions = 2) (sc : Scenario.t) ~root_seed ~budget =
   let t0 = Sys.time () in
   let rep = ref (base_report ~mode:"bounded" ~root_seed sc) in
   let seed = !rep.ex_scenario_seed in

@@ -29,12 +29,11 @@ val random : ?p_preempt:int -> Scenario.t -> root_seed:int64 -> budget:int -> re
 
 val bounded :
   ?max_preemptions:int ->
-  ?branch_points:int ->
   Scenario.t ->
   root_seed:int64 ->
   budget:int ->
   report
 (** Systematic BFS over forced-deviation prefixes in the CHESS/DPOR
     tradition: replay a prefix, run FIFO beyond it, branch on up to
-    [branch_points] choice points exposed after the prefix, never
+    12 choice points exposed after the prefix, never
     forcing more than [max_preemptions] (default 2) deviations. *)

@@ -18,8 +18,8 @@ let ids_of_entry = function
   | Wifi d -> d.Driver_api.wd_ids
   | Audio d -> d.Driver_api.ad_ids
 
-let scan_and_start k sp ?(base_uid = 2000) ~registry () =
-  let next_uid = ref base_uid in
+let scan_and_start k sp ~registry () =
+  let next_uid = ref 2000 in
   let seq = ref 0 in
   List.filter_map
     (fun dev ->

@@ -17,12 +17,11 @@ type started =
 val scan_and_start :
   Kernel.t ->
   Safe_pci.t ->
-  ?base_uid:int ->
   registry:registry_entry list ->
   unit ->
   (Bus.bdf * string * (started, string) result) list
 (** Walk sysfs; for each device matching a registry entry, allocate a fresh
-    UID (from [base_uid], default 2000, incrementing) and start the driver.
+    UID (from 2000, incrementing) and start the driver.
     Returns one row per matched device: its BDF, the driver name, and the
     start outcome.  Devices without a registered driver are skipped.
     Must run in a fiber. *)

@@ -26,7 +26,6 @@ type 'g t = {
   warm : tag:int -> ('g, string) result;
   probe : 'g -> string option;          (* Some reason = poisoned *)
   discard : 'g -> unit;
-  retry_ns : int;
   mutable slot : (int * 'g) option;     (* tag, parked generation *)
   mutable warming : bool;
   mutable enabled : bool;
@@ -38,13 +37,12 @@ type 'g t = {
 
 let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
-let create k ~name ~warm ~probe ~discard ?(retry_ns = 1_000_000) () =
+let create k ~name ~warm ~probe ~discard =
   { k;
     name;
     warm;
     probe;
     discard;
-    retry_ns;
     slot = None;
     warming = false;
     enabled = true;
@@ -71,6 +69,8 @@ let drop_slot t =
     t.discard g
   | None -> ()
 
+let retry_ns = 1_000_000 (* pause between warm attempts *)
+
 (* The warming fiber: build one generation for [tag], retrying a few
    times (driver init can transiently fail), and park it — unless the
    world moved on (tag changed, manager disabled) while we built. *)
@@ -94,7 +94,7 @@ let rec spawn_warmer t ~tag =
                 else t.discard g
               | Error e ->
                 if n < 3 then begin
-                  ignore (Fiber.sleep t.k.Kernel.eng t.retry_ns : Fiber.wake);
+                  ignore (Fiber.sleep t.k.Kernel.eng retry_ns : Fiber.wake);
                   attempt (n + 1)
                 end
                 else

@@ -23,15 +23,13 @@ val create :
   warm:(tag:int -> ('g, string) result) ->
   probe:('g -> string option) ->
   discard:('g -> unit) ->
-  ?retry_ns:int ->
-  unit ->
   'g t
 (** [warm ~tag] builds one parked generation for live-generation [tag];
     it runs on a dedicated fiber and may block.  [probe g] returns
     [Some reason] if the parked generation is no longer fit to swap in
     (process died, protocol violation while parked).  [discard g] tears
-    a generation down.  [retry_ns] is the pause between warm attempts
-    when [warm] fails transiently (default 1 ms, up to 3 retries). *)
+    a generation down.  A transient [warm] failure is retried after
+    1 ms, up to 3 times. *)
 
 val set_on_ready : 'g t -> (unit -> unit) -> unit
 (** Hook invoked (on the warming fiber) each time a generation is

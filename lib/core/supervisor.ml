@@ -42,6 +42,9 @@ let default_policy =
     overflow_threshold = 512;
     standby = true }
 
+(* Every supervised driver generation runs as this unprivileged uid. *)
+let driver_uid = 1000
+
 type state = Running | Recovering | Quarantined | Stopped
 
 type event =
@@ -71,7 +74,6 @@ type ('d, 'p) sup = {
   sp : Safe_pci.t;
   bdf : Bus.bdf;
   name : string;
-  uid : int;
   policy : policy;
   target : target;
   cls : ('d, 'p) Driver_host.cls;   (* how every later generation launches *)
@@ -261,7 +263,7 @@ let quarantine t reason =
    footprint by dying); the epoch tracks the generation, so the new
    channel rejects frames replayed from the dead one. *)
 let start_generation t =
-  Driver_host.launch t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
+  Driver_host.launch t.k t.sp ~uid:driver_uid ~name:t.name ~bdf:t.bdf
     ~hang_timeout_ns:t.policy.hang_timeout_ns ~quota:t.quota
     ~epoch:(t.gen land Msg.max_epoch) t.cls
     (t.factory ~attempt:(t.restarts + 1))
@@ -605,13 +607,12 @@ let failover (T t) =
      | Quarantined -> Error "failover exhausted the restart budget; quarantined"
      | Recovering | Stopped -> Error "failover did not restore the driver")
 
-let make ~target ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g =
+let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
   let t =
     { k;
       sp;
       bdf;
       name;
-      uid;
       policy;
       target;
       cls;
@@ -660,7 +661,7 @@ let make ~target ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g =
          driver must see the same queue count (and thus the same MSI-X
          vector layout) the datapath negotiated. *)
       let queues = match t.cur with Some g -> Driver_host.queues g | None -> 1 in
-      Driver_host.prefork t.k t.sp ~uid:t.uid ~name:t.name ~bdf:t.bdf
+      Driver_host.prefork t.k t.sp ~uid:driver_uid ~name:t.name ~bdf:t.bdf
         ~hang_timeout_ns:t.policy.hang_timeout_ns ~queues ~quota:t.quota
         ~epoch:(tag land Msg.max_epoch) ()
     in
@@ -675,7 +676,7 @@ let make ~target ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g =
       then Some "standby sent malformed message"
       else None
     in
-    let sb = Standby.create k ~name ~warm ~probe ~discard:Driver_host.discard_warm () in
+    let sb = Standby.create k ~name ~warm ~probe ~discard:Driver_host.discard_warm in
     Standby.set_on_ready sb (fun () ->
         if t.state = Running then set_sysfs_state t "standby_ready");
     t.sb <- Some sb
@@ -689,38 +690,35 @@ let make ~target ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g =
      : Fiber.t);
   T t
 
-let start k sp ?(policy = default_policy) ?(uid = 1000) ?(defensive_copy = true) ?name
-    ~bdf factory =
+let start k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
   let name = Option.value ~default:drv.Driver_api.nd_name name in
   let quota = Quota.create k.Kernel.eng ~limits:policy.quota_limits ~name () in
   match
-    Driver_host.launch k sp ~uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
+    Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
       ~quota ~epoch:0
-      (Driver_host.net ~defensive_copy ~unregister_on_exit:false ())
+      (Driver_host.net ~unregister_on_exit:false ())
       drv
   with
   | Error e -> Error e
   | Ok g ->
     (* Later generations take over the netdev the first one registered. *)
     let netdev = Driver_host.netdev g in
-    let cls =
-      Driver_host.net ~defensive_copy ~adopt_netdev:netdev ~unregister_on_exit:false ()
-    in
-    Ok (make ~target:(Tgt_net netdev) ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g)
+    let cls = Driver_host.net ~adopt_netdev:netdev ~unregister_on_exit:false () in
+    Ok (make ~target:(Tgt_net netdev) ~cls ~factory k sp ~policy ~name ~bdf ~quota g)
 
-let start_blk k sp ?(policy = default_policy) ?(uid = 1000) ?name ~bdf factory =
+let start_blk k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
   let name = Option.value ~default:drv.Driver_api.bd_name name in
   let quota = Quota.create k.Kernel.eng ~limits:policy.quota_limits ~name () in
   let persist = Proxy_blk.persist_create () in
   let cls = Driver_host.blk ~adopt:persist () in
   match
-    Driver_host.launch k sp ~uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
+    Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
       ~quota ~epoch:0 cls drv
   with
   | Error e -> Error e
-  | Ok g -> Ok (make ~target:(Tgt_blk persist) ~cls ~factory k sp ~policy ~uid ~name ~bdf ~quota g)
+  | Ok g -> Ok (make ~target:(Tgt_blk persist) ~cls ~factory k sp ~policy ~name ~bdf ~quota g)
 
 let stop (T t) =
   match t.state with

@@ -93,23 +93,21 @@ val start :
   Kernel.t ->
   Safe_pci.t ->
   ?policy:policy ->
-  ?uid:int ->
-  ?defensive_copy:bool ->
   ?name:string ->
   bdf:Bus.bdf ->
   (attempt:int -> Driver_api.net_driver) ->
   (t, string) result
-(** Start the driver under supervision and spawn the watchdog.  The
-    factory is called with [~attempt:0] for the initial start and
-    [~attempt:n] (n ≥ 1) for the n-th restart, so tests can hand the
-    supervisor a malicious driver first and an honest one after
+(** Start the driver under supervision and spawn the watchdog.  Every
+    generation runs as uid 1000 and has its received frames defensively
+    copied.  The factory is called with [~attempt:0] for the initial
+    start and [~attempt:n] (n ≥ 1) for the n-th restart, so tests can
+    hand the supervisor a malicious driver first and an honest one after
     recovery.  Must be called from a fiber. *)
 
 val start_blk :
   Kernel.t ->
   Safe_pci.t ->
   ?policy:policy ->
-  ?uid:int ->
   ?name:string ->
   bdf:Bus.bdf ->
   (attempt:int -> Driver_api.blk_driver) ->

@@ -78,7 +78,6 @@ let qp_reset q =
 type t = {
   eng : Engine.t;
   dev : Device.t;
-  queues : int;
   capacity : int;                            (* sectors *)
   mutable regs_cc : int;
   mutable regs_csts : int;
@@ -96,6 +95,7 @@ type t = {
   mutable n_fua : int;
 }
 
+let queues = 4 (* hardware queue pairs, one MSI-X vector each *)
 let per_cmd_delay = 400 (* ns of device-side processing per command *)
 
 let enabled t = t.regs_cc land cc_en <> 0
@@ -267,7 +267,7 @@ let db_reg off =
 
 let peek t off =
   if off = cap_mqes then mqes
-  else if off = cap_nqs then t.queues
+  else if off = cap_nqs then queues
   else if off = vs then 0x00010400
   else if off = cc then t.regs_cc
   else if off = csts then t.regs_csts
@@ -275,7 +275,7 @@ let peek t off =
   else if off = cap_hi then t.capacity lsr 32
   else
     match qcfg_reg off with
-    | Some (qi, reg) when qi < t.queues ->
+    | Some (qi, reg) when qi < queues ->
       let q = t.qps.(qi) in
       if reg = sq_base_lo then q.sqb land 0xFFFFFFFF
       else if reg = sq_base_hi then q.sqb lsr 32
@@ -293,13 +293,13 @@ let write32 t off v =
     t.regs_cc <- v;
     if v land cc_en <> 0 then begin
       t.regs_csts <- csts_rdy;
-      if not was then for qi = 0 to t.queues - 1 do kick t qi done
+      if not was then for qi = 0 to queues - 1 do kick t qi done
     end
     else t.regs_csts <- 0
   end
   else
     match qcfg_reg off with
-    | Some (qi, reg) when qi < t.queues ->
+    | Some (qi, reg) when qi < queues ->
       let q = t.qps.(qi) in
       if reg = sq_base_lo then q.sqb <- q.sqb land lnot 0xFFFFFFFF lor v
       else if reg = sq_base_hi then q.sqb <- q.sqb land 0xFFFFFFFF lor (v lsl 32)
@@ -309,7 +309,7 @@ let write32 t off v =
       else if reg = cq_size then q.cqn <- min v mqes
     | _ ->
       (match db_reg off with
-       | Some (qi, reg) when qi < t.queues ->
+       | Some (qi, reg) when qi < queues ->
          let q = t.qps.(qi) in
          if reg = 0 then begin
            if q.sqn > 0 then begin
@@ -346,9 +346,7 @@ let mmio_write t ~bar ~off ~size v =
     end
   end
 
-let create eng ?(queues = 4) ?(capacity = 16384) () =
-  if queues < 1 || queues > max_queues then
-    invalid_arg "Nvme_dev.create: queues must be 1..8";
+let create eng ?(capacity = 16384) () =
   let cfg =
     Pci_cfg.create ~vendor:0x8086 ~device:0x0953 ~class_code:0x010802
       ~bars:[| Some (Pci_cfg.Mem { size = 0x4000 }) |]
@@ -360,7 +358,6 @@ let create eng ?(queues = 4) ?(capacity = 16384) () =
   let t =
     { eng;
       dev;
-      queues;
       capacity;
       regs_cc = 0;
       regs_csts = 0;
@@ -398,7 +395,7 @@ let inject_drop_flush t = t.drop_next_flush <- true
 
 let debug_qp_summary t =
   String.concat "; "
-    (List.init t.queues (fun qi ->
+    (List.init queues (fun qi ->
          let q = t.qps.(qi) in
          Printf.sprintf "q%d sqh %d sqt %d cqt %d cqh %d cqn %d busy %b" qi
            q.sq_head q.sq_tail q.cq_tail q.cq_head q.cqn q.busy))

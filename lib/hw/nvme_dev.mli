@@ -44,9 +44,9 @@ end
 
 type t
 
-val create : Engine.t -> ?queues:int -> ?capacity:int -> unit -> t
-(** [queues] hardware queue pairs (1..8, default 4), [capacity] in
-    512-byte sectors (default 16384). *)
+val create : Engine.t -> ?capacity:int -> unit -> t
+(** Four hardware queue pairs; [capacity] in 512-byte sectors (default
+    16384). *)
 
 val device : t -> Device.t
 val capacity : t -> int

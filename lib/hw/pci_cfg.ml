@@ -84,7 +84,7 @@ let raw_write t off size v =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let create ~vendor ~device ?(class_code = 0x020000) ?(revision = 1) ~bars () =
+let create ~vendor ~device ?(class_code = 0x020000) ~bars () =
   if Array.length bars > 6 then invalid_arg "Pci_cfg.create: at most 6 BARs";
   Array.iter
     (function
@@ -106,7 +106,7 @@ let create ~vendor ~device ?(class_code = 0x020000) ?(revision = 1) ~bars () =
   in
   raw_write t vendor_id 2 vendor;
   raw_write t device_id 2 device;
-  raw_write8 t 0x08 revision;
+  raw_write8 t 0x08 1;                       (* revision ID *)
   raw_write8 t 0x09 (class_code land 0xff);
   raw_write t 0x0A 2 (class_code lsr 8);
   t

@@ -38,13 +38,12 @@ val create :
   vendor:int ->
   device:int ->
   ?class_code:int ->
-  ?revision:int ->
   bars:bar_kind option array ->
   unit ->
   t
-(** A type-0 config space with up to 6 BARs.  BAR sizes must be powers of
-    two and at least one page for memory BARs (SUD requires page-aligned
-    MMIO ranges). *)
+(** A type-0 config space (revision ID 1) with up to 6 BARs.  BAR sizes
+    must be powers of two and at least one page for memory BARs (SUD
+    requires page-aligned MMIO ranges). *)
 
 (** {1 Raw access (bus master / root complex view)} *)
 

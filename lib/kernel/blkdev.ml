@@ -25,7 +25,7 @@ let page_sectors = 8
 let page_size = sector_size * page_sectors
 
 let merge_cap = 64                   (* max sectors in one merged request *)
-let default_queue_depth = 32
+let queue_depth = 32                 (* requests dispatched at once *)
 
 type op = Read | Write | Flush
 
@@ -57,7 +57,6 @@ type t = {
   eng : Engine.t;
   name : string;
   mutable capacity : int;            (* sectors; set when a driver registers *)
-  queue_depth : int;
   cache : (int, page) Hashtbl.t;     (* page index -> page *)
   mutable issue : (request -> unit) option;
   mutable staging : request list;    (* reverse submission order *)
@@ -73,12 +72,11 @@ type t = {
   m_writes : Sud_obs.Metrics.counter;
 }
 
-let create ~eng ~name ?(queue_depth = default_queue_depth) ?(capacity = 0) () =
+let create ~eng ~name ?(capacity = 0) () =
   let t =
     { eng;
       name;
       capacity;
-      queue_depth;
       cache = Hashtbl.create 256;
       issue = None;
       staging = [];
@@ -175,7 +173,7 @@ let rec dispatch t =
   match t.issue with
   | None -> ()
   | Some issue ->
-    if (not t.flush_pending) && t.outstanding < t.queue_depth then begin
+    if (not t.flush_pending) && t.outstanding < queue_depth then begin
       match t.staging with
       | [] -> ()
       | r :: rest ->

@@ -38,7 +38,7 @@ val complete : request -> status:int -> unit
 type t
 
 val create :
-  eng:Engine.t -> name:string -> ?queue_depth:int -> ?capacity:int -> unit -> t
+  eng:Engine.t -> name:string -> ?capacity:int -> unit -> t
 
 val name : t -> string
 val capacity : t -> int

@@ -14,8 +14,9 @@ type t = {
   procs : Process.table;
 }
 
-let boot ?(cores = 2) ?(mem_size = 256 * 1024 * 1024)
-    ?(iommu_mode = Iommu.Intel_vtd { interrupt_remapping = false })
+let mem_size = 256 * 1024 * 1024
+
+let boot ?(cores = 2) ?(iommu_mode = Iommu.Intel_vtd { interrupt_remapping = false })
     ?(cost_model = Cost_model.default) ?(enable_acs = true) eng =
   let cpu = Cpu.create eng ~cores cost_model in
   let mem = Phys_mem.create ~size:mem_size in

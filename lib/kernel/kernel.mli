@@ -23,7 +23,6 @@ type t = {
 
 val boot :
   ?cores:int ->
-  ?mem_size:int ->
   ?iommu_mode:Iommu.mode ->
   ?cost_model:Cost_model.t ->
   ?enable_acs:bool ->

@@ -31,8 +31,8 @@ let fail_on_error what = function
   | Ok v -> v
   | Error e -> failwith (what ^ ": " ^ e)
 
-let make_rig ?cost_model ?(defensive_copy = true) ?iommu_mode ?(queues = 1) ?(peer_queues = 1)
-    ?(dut_cores = 2) ?(peer_cores = 4) ?rate_bps mode =
+let make_rig ?cost_model ?iommu_mode ?(queues = 1) ?(peer_queues = 1) ?(dut_cores = 2)
+    ?(peer_cores = 4) ?rate_bps mode =
   let eng = Engine.create () in
   let dut = Kernel.boot ?cost_model ?iommu_mode ~cores:dut_cores eng in
   let peer = Kernel.boot ?cost_model ~cores:peer_cores eng in
@@ -61,7 +61,7 @@ let make_rig ?cost_model ?(defensive_copy = true) ?iommu_mode ?(queues = 1) ?(pe
              let s =
                fail_on_error "dut sud start"
                  (Driver_host.launch dut sp ~bdf:bdf_dut ~name:"eth0"
-                    (Driver_host.net ~defensive_copy ()) E1000.driver)
+                    (Driver_host.net ()) E1000.driver)
              in
              (Driver_host.netdev s, Some s)
          in
@@ -359,8 +359,7 @@ let udp_multi_rx ~queues =
     mq_rxq_frames =
       List.init queues (fun q -> E1000_dev.rx_queue_frames rig.nic_dut ~queue:q) }
 
-let mq_sweep ?(queue_counts = [ 1; 2; 4; 8 ]) () =
-  List.map (fun queues -> udp_multi_rx ~queues) queue_counts
+let mq_sweep () = List.map (fun queues -> udp_multi_rx ~queues) [ 1; 2; 4; 8 ]
 
 (* ---- netperf_batch: frame aggregation sweep (make bench-batch) ---- *)
 

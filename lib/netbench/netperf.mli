@@ -34,7 +34,6 @@ type rig = {
 
 val make_rig :
   ?cost_model:Cost_model.t ->
-  ?defensive_copy:bool ->
   ?iommu_mode:Iommu.mode ->
   ?queues:int ->
   ?peer_queues:int ->
@@ -76,10 +75,9 @@ type mq_point = {
 val mq_flows : int
 (** Concurrent UDP flows offered during the sweep (8). *)
 
-val mq_sweep : ?queue_counts:int list -> unit -> mq_point list
-(** Aggregate UDP receive throughput with the SUD e1000 on [queues] MSI-X
-    vectors / uchan ring pairs, 8 cores on the DUT, at each queue count
-    (default 1/2/4/8). *)
+val mq_sweep : unit -> mq_point list
+(** Aggregate UDP receive throughput with the SUD e1000 on 1, 2, 4 and 8
+    MSI-X vectors / uchan ring pairs, 8 cores on the DUT. *)
 
 (** {1 Batch sweep (netperf_batch)} *)
 

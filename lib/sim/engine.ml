@@ -138,7 +138,6 @@ type t = {
   lane : Lane.t;
   mutable cancelled : int;  (* cancelled events still in [heap] or [lane] *)
   mutable ready : event array;  (* a choice point's ready set, in seq order *)
-  root_rng : Rng.t;
   mutable steps : int;
   mutable thash : int64;
   mutable picker : (step:int -> ready:int -> int) option;
@@ -146,14 +145,13 @@ type t = {
   mutable stopping : bool;
 }
 
-let create ?(seed = 1L) () =
+let create () =
   { now = 0;
     seq = 0;
     heap = Heap.create ();
     lane = Lane.create ();
     cancelled = 0;
     ready = Array.make 16 none;
-    root_rng = Rng.create ~seed;
     steps = 0;
     thash = 0x5D0_C4ECL;
     picker = None;

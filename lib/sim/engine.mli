@@ -22,9 +22,8 @@ type t
 type handle
 (** A scheduled event, cancellable until it fires. *)
 
-val create : ?seed:int64 -> unit -> t
-(** Fresh engine at time 0.  [seed] initializes the engine's root RNG
-    (default 1). *)
+val create : unit -> t
+(** Fresh engine at time 0. *)
 
 val now : t -> int
 (** Current simulated time in nanoseconds. *)

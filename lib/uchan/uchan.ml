@@ -791,8 +791,8 @@ let armed_corruptions t = t.corrupt_next + t.corrupt_batch_next
    slots in flight, or forge whole slots the driver never sent. *)
 let set_u2k_mutator t f = t.u2k_mutator <- f
 
-let inject_raw ?(queue = 0) t writer =
-  let q = qstate_of t queue in
+let inject_raw t writer =
+  let q = qstate_of t 0 in
   if t.closed then false
   else begin
     let pushed = Ring.push_inplace q.u2k writer in
@@ -800,12 +800,12 @@ let inject_raw ?(queue = 0) t writer =
     pushed
   end
 
-(* A doorbell flood: ring the worker's notification [n] times with no
+(* A doorbell flood: ring queue 0's worker notification [n] times with no
    slots behind the kicks.  Each kick passes through the notify hook, so
    the quota layer's token bucket sees (and counts) the storm; the
    worker just finds the ring empty and goes back to sleep. *)
-let notify_storm ?(queue = 0) t n =
-  let q = qstate_of t queue in
+let notify_storm t n =
+  let q = qstate_of t 0 in
   if not t.closed then
     for _ = 1 to n do
       kick_worker t q

@@ -220,15 +220,15 @@ val set_u2k_mutator : t -> (queue:int -> bytes -> unit) option -> unit
     racing the shared memory would.  The mutator sees scalar and batch
     slots alike (discriminate with {!Msg.Batch.is_batch}). *)
 
-val inject_raw : ?queue:int -> t -> (bytes -> unit) -> bool
-(** Live-fuzzer hook: forge one raw u2k slot the driver never sent —
-    [writer] fills the borrowed {!Msg.slot_size}-byte slot — then kick
-    the kernel worker.  [false] if the ring was full or the channel
-    closed. *)
+val inject_raw : t -> (bytes -> unit) -> bool
+(** Live-fuzzer hook: forge one raw u2k slot the driver never sent on
+    queue 0 — [writer] fills the borrowed {!Msg.slot_size}-byte slot —
+    then kick the kernel worker.  [false] if the ring was full or the
+    channel closed. *)
 
-val notify_storm : ?queue:int -> t -> int -> unit
-(** Live-fuzzer hook: ring the kernel worker's doorbell [n] times with
-    no slots behind the kicks — a malicious driver hammering the notify
+val notify_storm : t -> int -> unit
+(** Live-fuzzer hook: ring queue 0's kernel worker doorbell [n] times
+    with no slots behind the kicks — a malicious driver hammering the notify
     syscall.  Every kick passes through the {!set_notify_hook} observer,
     so the quota token bucket counts the storm; the worker itself just
     finds an empty ring. *)
