@@ -222,6 +222,36 @@ let replay_backlog t netdev =
   done;
   !n
 
+(* Containment of the class's kernel-facing object, shared by recovery
+   and upgrade: a net target keeps its netdev but drops carrier and parks
+   transmits in the backlog; a blk target is detached by the proxy's
+   quiesce, and its requests park in the blkdev staging queue until the
+   replay. *)
+let contain t =
+  match t.target with
+  | Tgt_net netdev ->
+    t.was_up <- Netdev.is_up netdev;
+    Netdev.netif_carrier_off netdev;
+    Netdev.set_ops netdev (backlog_ops t netdev);
+    (* Senders parked on any stopped queue must fall through to the backlog. *)
+    Netdev.netif_tx_wake_all_queues netdev
+  | Tgt_blk _ -> ()
+
+let quiesce_current t =
+  match t.cur with Some g -> Proxy_class.quiesce (Driver_host.class_of g) | None -> ()
+
+(* Kill the current generation (its grant is revoked via the exit
+   hooks) and function-level-reset the device. *)
+let kill_and_reset t =
+  (match t.cur with
+   | Some g ->
+     Driver_host.kill g;
+     t.cur <- None
+   | None -> ());
+  match Safe_pci.reset_device t.sp t.bdf with
+  | Ok () -> ()
+  | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reset failed: %s" t.name e
+
 let unregister_netdev t netdev =
   match Netstack.find_netdev t.k.Kernel.net (Netdev.name netdev) with
   | Some d when d == netdev -> Netstack.unregister_netdev t.k.Kernel.net netdev
@@ -355,32 +385,14 @@ let recover t reason =
   emit t (Fault_detected reason);
   t.state <- Recovering;
   set_sysfs_state t "recovering";
-  (* Contain: quiesce the proxy (stop feeding the doomed generation),
-     degrade the class's kernel-facing object, kill the driver, reset
-     the device. *)
-  (match t.target with
-   | Tgt_net netdev ->
-     t.was_up <- Netdev.is_up netdev;
-     Netdev.netif_carrier_off netdev;
-     Netdev.set_ops netdev (backlog_ops t netdev);
-     (* Senders parked on any stopped queue must fall through to the backlog. *)
-     Netdev.netif_tx_wake_all_queues netdev
-   | Tgt_blk _ ->
-     (* Quiesce below detaches the blkdev; requests park in its staging
-        queue and are dispatched after the replay, in order. *)
-     ());
-  (* Snapshot the class state while the dying generation's proxy is still
-     around: the successor (warm or cold) adopts it after activation. *)
+  (* Contain the kernel-facing object, snapshot the class state while the
+     dying generation's proxy is still around (the successor, warm or
+     cold, adopts it after activation), then quiesce the proxy, kill the
+     driver and reset the device. *)
+  contain t;
   let handoff_state = capture_handoff t in
-  (match t.cur with
-   | Some g ->
-     Proxy_class.quiesce (Driver_host.class_of g);
-     Driver_host.kill g;               (* grant revoked via exit hooks *)
-     t.cur <- None
-   | None -> ());
-  (match Safe_pci.reset_device t.sp t.bdf with
-   | Ok () -> ()
-   | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reset failed: %s" t.name e);
+  quiesce_current t;
+  kill_and_reset t;
   let sp_kill =
     if sp_detect <> 0 then
       Sud_obs.Trace.emit ~parent:sp_detect ~cat:"sup" ~name:"kill"
@@ -521,18 +533,10 @@ let upgrade (T t) =
       set_sysfs_state t "upgrading";
       klogf t Klog.Info "sud: supervisor(%s): live upgrade: draining generation %d" t.name
         t.restarts;
-      (* Contain exactly like a recovery: stop feeding the old
-         generation, degrade the kernel-facing object. *)
-      (match t.target with
-       | Tgt_net netdev ->
-         t.was_up <- Netdev.is_up netdev;
-         Netdev.netif_carrier_off netdev;
-         Netdev.set_ops netdev (backlog_ops t netdev);
-         Netdev.netif_tx_wake_all_queues netdev
-       | Tgt_blk _ -> ());
-      (match t.cur with
-       | Some g -> Proxy_class.quiesce (Driver_host.class_of g)
-       | None -> ());
+      (* Contain exactly like a recovery, but quiesce first and drain
+         before the handoff is captured. *)
+      contain t;
+      quiesce_current t;
       (* Drain in-flight block requests to a barrier so the handoff is
          clean; escape if the primary dies under us or the drain stalls
          (whatever remains replays in tag order on resume). *)
@@ -553,14 +557,7 @@ let upgrade (T t) =
          drain ()
        | Tgt_net _ -> ());
       let handoff_state = capture_handoff t in
-      (match t.cur with
-       | Some g ->
-         Driver_host.kill g;
-         t.cur <- None
-       | None -> ());
-      (match Safe_pci.reset_device t.sp t.bdf with
-       | Ok () -> ()
-       | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reset failed: %s" t.name e);
+      kill_and_reset t;
       let attempt = t.restarts + t.upgrades + 1 in
       let installed =
         match take_warm t ~attempt with
