@@ -856,8 +856,6 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
 
 (* ---- warm standby: upgrades, poison, and the interleaving soak ---- *)
 
-type upgrade_fault = Upgrade_during_fault | Standby_poisoned
-
 let inject_standby_poison ~sv =
   match Supervisor.standby_proc sv with
   | Some p when Process.is_alive p ->

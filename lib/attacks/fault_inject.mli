@@ -78,12 +78,6 @@ val blk_inject :
     [Crash] and [Hang].  Must run in a fiber ([Crash_mid_barrier] sleeps
     while stalking a flush). *)
 
-type injector_stats = {
-  mutable inj_applied : int;
-  mutable inj_skipped : int;
-  inj_by_class : (string, int) Hashtbl.t;  (** applied, by [name] *)
-}
-
 (** {1 Worlds, invariants and load}
 
     The worlds, traffic generator and containment-invariant checker the
@@ -350,16 +344,11 @@ val blk_soak :
 
 (** {1 Warm standby: upgrades, poison, and the interleaving soak}
 
-    The classes here target the generation-swap machinery itself rather
-    than the datapath, so they are deliberately {e not} part of
+    Upgrades racing a lethal fault and a standby poisoned while warm
+    target the generation-swap machinery itself rather than the
+    datapath, so they are deliberately {e not} part of
     {!all_blk_faults}: neither produces the fault-detection /
     [Driver_restarted] shape the recovery measures wait on. *)
-
-type upgrade_fault =
-  | Upgrade_during_fault  (** a lethal fault racing the upgrade drain *)
-  | Standby_poisoned
-      (** the parked generation is killed while warm; it must be
-          discarded and rebuilt, never swapped in *)
 
 val inject_standby_poison : sv:Supervisor.t -> bool
 (** Kill the parked standby generation's process, if one is warm.

@@ -112,19 +112,6 @@ let shrink_counterexample ?save (sc : Scenario.t) ~seed decisions =
       sh_out = out },
     min_ds )
 
-(* ---- shrink a (schedule x fault-plan) pair: the net soak edition ---- *)
-
-type pair_item = D of Sched.decision | P of Fault_inject.fault Fault_inject.injection
-
-type pair_report = {
-  pr_orig_decisions : int;
-  pr_orig_plan : int;
-  pr_min_decisions : int;
-  pr_min_plan : int;
-  pr_still_fails : bool;
-  pr_tests : int;
-}
-
 (* ---- explore + shrink in one motion ---- *)
 
 type hunt_report = {

@@ -56,17 +56,6 @@ val shrink_counterexample :
 (** ddmin over the failing decision list; permissive replay makes every
     subset well-defined (dropped decisions degrade to FIFO). *)
 
-type pair_item = D of Sched.decision | P of Fault_inject.fault Fault_inject.injection
-
-type pair_report = {
-  pr_orig_decisions : int;
-  pr_orig_plan : int;
-  pr_min_decisions : int;
-  pr_min_plan : int;
-  pr_still_fails : bool;
-  pr_tests : int;
-}
-
 (** {1 Hunt: explore, dump, shrink} *)
 
 type hunt_report = {

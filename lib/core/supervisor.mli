@@ -190,18 +190,15 @@ val on_event : t -> (event -> unit) -> unit
 (** Subscribe to lifecycle events (delivered synchronously, in
     subscription order, from the watchdog fiber). *)
 
-type metrics = {
-  sm_detections : Sud_obs.Metrics.counter;
-  sm_restarts : Sud_obs.Metrics.counter;
-  sm_quarantines : Sud_obs.Metrics.counter;
-  sm_detect_ns : Sud_obs.Metrics.histogram;
-  sm_outage_ns : Sud_obs.Metrics.histogram;
-}
-(** Supervisor accounting lives in the {!Sud_obs.Metrics} registry under
-    subsystem ["supervisor"], labelled [("driver", name)].  With tracing
-    enabled, every recovery emits a ["sup"] detect → kill →
-    restart/quarantine span chain; a DMA-violation detection parents to
-    the IOMMU fault span that triggered it, closing the causal loop back
-    to the offending uchan RPC. *)
+(** {1 Observability}
+
+    Supervisor accounting (detections, restarts, quarantines, detect
+    latency and outage histograms) lives in the {!Sud_obs.Metrics}
+    registry under subsystem ["supervisor"], labelled
+    [("driver", name)].  With tracing enabled, every recovery emits a
+    ["sup"] detect → kill → restart/quarantine span chain; a
+    DMA-violation detection parents to the IOMMU fault span that
+    triggered it, closing the causal loop back to the offending uchan
+    RPC. *)
 
 val stats : t -> stats

@@ -21,8 +21,6 @@
 type t
 type switch
 
-type acs = { mutable source_validation : bool; mutable p2p_redirect : bool }
-
 val create : mem:Phys_mem.t -> iommu:Iommu.t -> ioports:Ioport.t -> unit -> t
 
 val root_switch : t -> switch
