@@ -1,6 +1,5 @@
 type 'p gen = {
   g_k : Kernel.t;
-  g_bdf : Bus.bdf;
   g_name : string;
   g_proc : Process.t;
   g_chan : Uchan.t;
@@ -256,7 +255,6 @@ let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
   in
   Ok
     { g_k = k;
-      g_bdf = bdf;
       g_name = name;
       g_proc = proc;
       g_chan = chan;
@@ -373,7 +371,6 @@ let activate w cls drv =
   in
   Ok
     { g_k = k;
-      g_bdf = bdf;
       g_name = name;
       g_proc = proc;
       g_chan = w.w_chan;
