@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke clean
+.PHONY: all build test bench bench-smoke gates bench-mq bench-batch bench-blk soak blk-smoke upgrade-smoke bench-upgrade fuzz-smoke check-smoke trace-smoke clean
 
 all: build
 
@@ -10,25 +10,38 @@ build:
 test:
 	dune runtest
 
-# Full evaluation: microbenches + Figure-8 netperf sweep, JSON baseline.
+# Every bench run writes its result (data, gate rows, verdict) to
+# traces/bench_<mode>.json and no tracked file; gates that compare
+# against an earlier measurement read the frozen bench/baseline.json.
+
+# Full evaluation: microbenches + Figure-8 netperf sweep + tracer guard.
 bench:
-	dune exec bench/main.exe -- --json
+	dune exec bench/main.exe
 
-# CI smoke: whole test suite plus a quick JSON bench (no Figure-8 sweep).
+# CI smoke: whole test suite plus the quick bench (no Figure-8 sweep).
 bench-smoke:
-	dune runtest && dune exec bench/main.exe -- quick --json
+	dune runtest && dune exec bench/main.exe -- quick
 
-# Multiqueue sweep: aggregate UDP RX at 1/2/4/8 queues, writes
-# BENCH_4.json; exits nonzero unless 4 queues beat 1 queue by >= 2x
-# with traffic actually spread across RX queues.
+# Every gate in one process: the tracer guard, mq, batch smoke, fuzz,
+# blkperf, upgrade, upgrade-soak, check, soak and blk-soak smoke.  Prints
+# every row even after one fails; exits nonzero iff a row fails.
+gates:
+	dune exec bench/main.exe -- gates
+
+# Multiqueue sweep: aggregate UDP RX at 1/2/4/8 queues; exits nonzero
+# unless 4 queues beat 1 queue by >= 2x with traffic actually spread
+# across RX queues.  This gate currently fails: the sweep runs on a
+# 1 GbE link, where 1 queue already reaches 979.1 kpps and 2-8 queues
+# sit at the 1126.4 kpps wire ceiling, so 4q/1q is 1.15x.
 bench-mq:
 	dune exec bench/main.exe -- mq
 
 # Batched-datapath sweep in smoke mode: fused copy+checksum micro plus
 # the four corner (queues, batch) points, checked against the scaling
-# gates (fused ratio, 8q speedup over BENCH_4, irqs/frame, single-frame
-# latency); exits nonzero on any gate.  The checked-in BENCH_5.json is
-# the full 1/4/8-queue x 1/8/32-batch grid from `batch` without smoke.
+# gates (fused ratio, 8q speedup over the baseline 4q point, irqs/frame,
+# single-frame throughput vs the baseline 1q point); exits nonzero on any
+# gate.  `batch` without smoke measures the full 1/4/8-queue x
+# 1/8/32-batch grid.
 bench-batch:
 	dune exec bench/main.exe -- batch smoke
 
@@ -52,9 +65,9 @@ soak:
 upgrade-smoke:
 	dune exec bench/main.exe -- upgrade-soak
 
-# Warm-failover latency per storage fault class vs the BENCH_7 cold
-# baseline; writes BENCH_8.json and exits nonzero unless the crash
-# class fails over >= 2x faster than the cold restart it replaces.
+# Warm-failover latency per storage fault class vs the cold outages in
+# the baseline; exits nonzero unless the crash class fails over >= 2x
+# faster than the cold restart it replaces.
 bench-upgrade:
 	dune exec bench/main.exe -- upgrade
 
@@ -63,16 +76,16 @@ blk-smoke:
 	dune exec bench/main.exe -- blk-soak smoke
 
 # Block datapath sweep: durable IOPS over queue depth x read mix on the
-# supervised NVMe, plus per-fault-class recovery latency; writes
-# BENCH_7.json and exits nonzero unless qd16 scales >= 2x over qd1 and
-# every storage fault class recovers inside the soak's outage bound.
+# supervised NVMe, plus per-fault-class recovery latency; exits nonzero
+# unless qd16 scales >= 2x over qd1 and every storage fault class
+# recovers inside the soak's outage bound.
 bench-blk:
 	dune exec bench/main.exe -- blkperf
 
 # Adversarial-interface smoke: the fixed-seed 600-mutation Byzantine
 # protocol campaign (every class applied and detected, containment
 # invariants held, protocol crash loop quarantined) plus the
-# conformance-overhead gate vs BENCH_5; writes BENCH_6.json and exits
+# conformance-overhead gate vs the baseline 8q/batch=32 point; exits
 # nonzero on any failure.
 fuzz-smoke:
 	dune exec bench/main.exe -- fuzz
@@ -81,7 +94,7 @@ fuzz-smoke:
 # canary ordering bug (<= 25% of the original counterexample), recorded
 # schedules must replay with identical trace hashes across 3 consecutive
 # runs (including a supervised fault-domain soak), and the exploration
-# throughput is reported; writes BENCH_9.json, exits nonzero on any gate.
+# throughput is reported; exits nonzero on any gate.
 check-smoke:
 	dune exec bench/main.exe -- check
 

@@ -305,7 +305,6 @@ let as_float = function
   | Float f -> Some f
   | _ -> None
 
-let as_int = function Int i -> Some i | _ -> None
 let as_str = function Str s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | _ -> None
 let as_list = function List vs -> Some vs | _ -> None

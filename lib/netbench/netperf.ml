@@ -402,9 +402,6 @@ let udp_batch_rx ~queues ~batch =
     bp_cpu_ns_per_frame =
       float_of_int (Cpu.busy_ns rig.dut.Kernel.cpu) /. float_of_int (max 1 frames) }
 
-let batch_sweep ?(points = [ (1, 1); (1, 32); (8, 1); (8, 32) ]) () =
-  List.map (fun (queues, batch) -> udp_batch_rx ~queues ~batch) points
-
 type row = { test : string; driver : string; value : string; cpu : string }
 
 let row_of test mode (r : result) =

@@ -102,10 +102,6 @@ val udp_batch_rx : queues:int -> batch:int -> batch_point
     per-frame wire traffic), additionally counting IRQ upcalls so
     [bp_irqs / bp_frames] gives the NAPI coalescing ratio. *)
 
-val batch_sweep : ?points:(int * int) list -> unit -> batch_point list
-(** [udp_batch_rx] at each (queues, batch) point
-    (default (1,1)/(1,32)/(8,1)/(8,32)). *)
-
 type row = { test : string; driver : string; value : string; cpu : string }
 
 val figure8 : unit -> row list

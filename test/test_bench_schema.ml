@@ -107,15 +107,36 @@ let test_legacy_lookups () =
     (J.find_point pts [ ("queues", J.Int 2) ])
 
 let test_checked_in_baselines () =
-  (* Tests run sandboxed away from the repo root, so round-trip a
-     representative whole document instead: every construct the real
-     baselines use is in [sample] and [legacy]. *)
+  (* The historical emitter style, as a whole document. *)
   match J.of_string legacy with
   | Error e -> Alcotest.fail e
   | Ok doc ->
     (match J.of_string (J.to_string doc) with
      | Ok doc2 -> Alcotest.check value "reprint of legacy reparses equal" doc doc2
      | Error e -> Alcotest.failf "reprint did not parse: %s" e)
+
+(* The frozen baseline every bench gate reads (a dep of this test, so
+   dune copies it beside the sandbox). *)
+let test_frozen_baseline () =
+  let doc =
+    match J.of_file "../bench/baseline.json" with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "bench/baseline.json: %s" e
+  in
+  Alcotest.(check (option string)) "schema" (Some "sud-bench/10")
+    Option.(bind (J.member doc "schema") J.as_str);
+  (match J.member doc "values" with
+   | Some (J.Obj (_ :: _ as values)) ->
+     List.iter
+       (fun (key, entry) ->
+          match Option.bind (J.member entry "value") J.as_float with
+          | Some v when Float.is_finite v -> ()
+          | _ -> Alcotest.failf "baseline %s: value is not a finite number" key)
+       values
+   | _ -> Alcotest.fail "baseline has no values");
+  match J.of_string (J.to_string doc) with
+  | Ok doc2 -> Alcotest.check value "reprint reparses equal" doc doc2
+  | Error e -> Alcotest.failf "reprint did not parse: %s" e
 
 let test_errors () =
   let fails s =
@@ -140,4 +161,6 @@ let suite =
       test_legacy_lookups;
     Alcotest.test_case "reprinted documents reparse equal" `Quick
       test_checked_in_baselines;
+    Alcotest.test_case "bench/baseline.json is frozen sud-bench/10" `Quick
+      test_frozen_baseline;
     Alcotest.test_case "malformed inputs are rejected" `Quick test_errors ]
