@@ -270,7 +270,12 @@ let insert_page t idx data =
   Hashtbl.replace t.cache idx pg;
   pg
 
-(* Pull a page from the device into the cache (read-modify-write miss). *)
+(* Pull a page from the device into the cache (read-modify-write miss).
+   Another fiber may cache the page while the read is in flight, by
+   overwriting it in full or by a fill of its own.  As when Linux adds a
+   page the page cache already holds, the cached page wins: replacing it
+   with the device's older bytes would drop a write the next fsync owes
+   the media. *)
 let fill_page t ~timeout_ns idx =
   let data = Bytes.create page_size in
   let r =
@@ -279,7 +284,10 @@ let fill_page t ~timeout_ns idx =
   in
   match run_bios t ~timeout_ns [ r ] with
   | Error e -> Error e
-  | Ok () -> Ok (insert_page t idx data)
+  | Ok () ->
+    (match Hashtbl.find_opt t.cache idx with
+     | Some pg -> Ok pg
+     | None -> Ok (insert_page t idx data))
 
 let check_range t ~lba ~sectors =
   if sectors <= 0 then Error "sector count must be positive"

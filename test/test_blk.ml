@@ -98,6 +98,38 @@ let test_concurrent_io_leaves_no_events () =
       Alcotest.(check int) "no event left behind by the IO" before (Engine.pending eng);
       Driver_host.kill s)
 
+(* A read miss whose fill lands after another fiber overwrote the page
+   in full must keep the newer page: fiber A reads page 5, and while its
+   read is in flight the main fiber writes page 5, waits for A, then
+   fsyncs.  The fsync's [Ok] promises the write reached the media. *)
+let test_fill_keeps_page_written_meanwhile () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s =
+        ok_or_fail "start_blk"
+          (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver)
+      in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+      let eng = k.Kernel.eng in
+      let lba = 5 * Blkdev.page_sectors in
+      let misses () = let _, m, _, _ = Blkdev.metrics bd in m in
+      let misses0 = misses () and read_done = ref false in
+      ignore
+        (Fiber.spawn eng (fun () ->
+             ignore
+               (ok_or_fail "read" (Blkdev.read bd ~lba ~sectors:Blkdev.page_sectors ()) : bytes);
+             read_done := true)
+         : Fiber.t);
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> misses () > misses0)) then
+        Alcotest.fail "the read never missed";
+      let data = page ~seed:9 in
+      ok_or_fail "write" (Blkdev.write bd ~lba data ());
+      Alcotest.(check bool) "the write landed while the fill was in flight" false !read_done;
+      if not (Fiber.poll eng ~every_ns:100_000 ~budget:1_000 (fun () -> !read_done)) then
+        Alcotest.fail "the read never completed";
+      ok_or_fail "fsync" (Blkdev.fsync bd ());
+      check_media_page w.nvme ~lba data "write made during the fill";
+      Driver_host.kill s)
+
 let blk_policy =
   { Supervisor.default_policy with
     Supervisor.tick_ns = 1_000_000;
@@ -186,6 +218,8 @@ let suite =
     Alcotest.test_case "sud-blk: FUA is write-through" `Quick test_fua;
     Alcotest.test_case "sud-blk: concurrent IO leaves no events behind" `Quick
       test_concurrent_io_leaves_no_events;
+    Alcotest.test_case "sud-blk: a fill keeps the page written while it was in flight" `Quick
+      test_fill_keeps_page_written_meanwhile;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
