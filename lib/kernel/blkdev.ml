@@ -18,7 +18,13 @@
    As in Linux, where a completed bio wakes only the task waiting for
    it, each batch of requests ([run_bios]) waits on its own wait queue,
    which the batch's last completion signals: a completion never wakes
-   a task whose IO is still in flight. *)
+   a task whose IO is still in flight.
+
+   The cache holds at most [cache_pages] pages and reclaims clean ones
+   with a CLOCK hand (see [reclaim]).  Dirty pages are never reclaimed,
+   so a cache full of dirty pages grows past the bound until the next
+   [fsync] cleans them.  Reclaim only drops a table entry: it takes no
+   simulated time and schedules no event. *)
 
 let sector_size = 512
 let page_sectors = 8
@@ -26,6 +32,7 @@ let page_size = sector_size * page_sectors
 
 let merge_cap = 64                   (* max sectors in one merged request *)
 let queue_depth = 32                 (* requests dispatched at once *)
+let cache_pages = 1024               (* page-cache bound: 4 MiB *)
 
 type op = Read | Write | Flush
 
@@ -48,9 +55,11 @@ let complete r ~status =
   | None -> ()
 
 type page = {
+  pg_idx : int;
   pg_data : bytes;                   (* page_size *)
   mutable pg_dirty : bool;
   mutable pg_ver : int;              (* bumped per write; guards writeback races *)
+  mutable pg_ref : bool;             (* hit since the CLOCK hand last passed *)
 }
 
 type t = {
@@ -58,6 +67,7 @@ type t = {
   name : string;
   mutable capacity : int;            (* sectors; set when a driver registers *)
   cache : (int, page) Hashtbl.t;     (* page index -> page *)
+  clock : page Queue.t;              (* every cached page; the hand is the front *)
   mutable issue : (request -> unit) option;
   mutable staging : request list;    (* reverse submission order *)
   mutable outstanding : int;
@@ -78,6 +88,7 @@ let create ~eng ~name ?(capacity = 0) () =
       name;
       capacity;
       cache = Hashtbl.create 256;
+      clock = Queue.create ();
       issue = None;
       staging = [];
       outstanding = 0;
@@ -260,14 +271,39 @@ let page_of t idx =
   match Hashtbl.find_opt t.cache idx with
   | Some pg ->
     Sud_obs.Metrics.incr t.m_cache_hits;
+    pg.pg_ref <- true;
     Some pg
   | None ->
     Sud_obs.Metrics.incr t.m_cache_misses;
     None
 
+(* CLOCK: the hand sweeps the pages in insertion order, dropping clean,
+   unreferenced pages until one more page fits under the bound.  A page
+   hit since the hand last passed loses its bit and gets another turn,
+   as does a dirty page.  Two turns clear every bit, so a cache with too
+   few clean pages gives up and grows instead. *)
+let reclaim t =
+  let rec sweep budget =
+    if Hashtbl.length t.cache >= cache_pages && budget > 0 then begin
+      let pg = Queue.pop t.clock in
+      if pg.pg_ref || pg.pg_dirty then begin
+        pg.pg_ref <- false;
+        Queue.push pg t.clock
+      end
+      else Hashtbl.remove t.cache pg.pg_idx;
+      sweep (budget - 1)
+    end
+  in
+  sweep (2 * Queue.length t.clock)
+
+(* Callers insert only pages the cache does not hold.  Reclaim runs
+   before the new page joins, so the page being inserted is never its
+   victim. *)
 let insert_page t idx data =
-  let pg = { pg_data = data; pg_dirty = false; pg_ver = 0 } in
-  Hashtbl.replace t.cache idx pg;
+  reclaim t;
+  let pg = { pg_idx = idx; pg_data = data; pg_dirty = false; pg_ver = 0; pg_ref = false } in
+  Hashtbl.add t.cache idx pg;
+  Queue.push pg t.clock;
   pg
 
 (* Pull a page from the device into the cache (read-modify-write miss).
@@ -406,6 +442,7 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
     run_bios t ~timeout_ns [ r ]
 
 let staged_requests t = List.length t.staging
+let cached_pages t = Hashtbl.length t.cache
 
 let metrics t =
   ( Sud_obs.Metrics.get t.m_cache_hits,

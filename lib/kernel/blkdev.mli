@@ -5,6 +5,13 @@
     dispatch window, feeding an attachable {e issuer} (the block proxy,
     or a native driver).
 
+    The cache holds at most 1,024 pages (4 MiB).  A CLOCK hand reclaims
+    clean pages, sparing each page hit since the hand last passed it
+    once.  Dirty pages are never reclaimed, so a cache full of dirty
+    pages grows past the bound until the next {!fsync} cleans them.
+    Reclaim takes no simulated time.  A read miss whose fill lands after
+    the page was cached by another fiber keeps the cached page.
+
     Durability contract:
     - {!write} dirties cache pages and is {e not} durable;
     - {!fsync} returning [Ok] means every page dirtied before the call
@@ -67,6 +74,9 @@ val write_fua : t -> ?timeout_ns:int -> lba:int -> bytes -> unit -> (unit, strin
 (** {2 Introspection} *)
 
 val staged_requests : t -> int
+
+val cached_pages : t -> int
+(** Pages the cache holds, clean and dirty. *)
 
 val metrics : t -> int * int * int * int
 (** (cache_hits, cache_misses, merges, flush_barriers). *)

@@ -31,6 +31,12 @@ let check_media_page nvme ~lba data what =
         (Bytes.to_string sec)
   done
 
+let launch_blk k w =
+  let s =
+    ok_or_fail "start_blk" (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver)
+  in
+  (s, Option.get (Proxy_blk.blkdev (Driver_host.proxy s)))
+
 (* Hosted driver registers; write -> cache, fsync -> media, read back. *)
 let test_smoke () =
   run_in_kernel setup_nvme (fun k w ->
@@ -104,11 +110,7 @@ let test_concurrent_io_leaves_no_events () =
    fsyncs.  The fsync's [Ok] promises the write reached the media. *)
 let test_fill_keeps_page_written_meanwhile () =
   run_in_kernel setup_nvme (fun k w ->
-      let s =
-        ok_or_fail "start_blk"
-          (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf Nvme.driver)
-      in
-      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+      let s, bd = launch_blk k w in
       let eng = k.Kernel.eng in
       let lba = 5 * Blkdev.page_sectors in
       let misses () = let _, m, _, _ = Blkdev.metrics bd in m in
@@ -128,6 +130,68 @@ let test_fill_keeps_page_written_meanwhile () =
         Alcotest.fail "the read never completed";
       ok_or_fail "fsync" (Blkdev.fsync bd ());
       check_media_page w.nvme ~lba data "write made during the fill";
+      Driver_host.kill s)
+
+(* The page cache's bound, a constant of Blkdev. *)
+let cache_bound = 1024
+
+let hits_misses bd = let h, m, _, _ = Blkdev.metrics bd in (h, m)
+
+let read_page bd idx =
+  ignore
+    (ok_or_fail "read"
+       (Blkdev.read bd ~lba:(idx * Blkdev.page_sectors) ~sectors:Blkdev.page_sectors ())
+     : bytes)
+
+(* Whether re-reading page [idx] hits the cache. *)
+let cached bd idx =
+  let h0, _ = hits_misses bd in
+  read_page bd idx;
+  fst (hits_misses bd) > h0
+
+(* A cold stream longer than the bound keeps the bound: the oldest page
+   is gone, the newest is still cached. *)
+let test_cache_is_bounded () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, bd = launch_blk k w in
+      for idx = 0 to 1099 do read_page bd idx done;
+      Alcotest.(check int) "clean pages held" cache_bound (Blkdev.cached_pages bd);
+      Alcotest.(check bool) "newest page still cached" true (cached bd 1099);
+      Alcotest.(check bool) "first page reclaimed" false (cached bd 0);
+      Driver_host.kill s)
+
+(* Dirty pages are never reclaimed, and neither is the page being
+   inserted: 1,100 buffered writes grow the cache past its bound, and
+   the fsync puts every one of them on the media. *)
+let test_dirty_pages_outgrow_the_bound () =
+  run_in_kernel ~max_ms:60_000 setup_nvme (fun k w ->
+      let s, bd = launch_blk k w in
+      let n = 1100 in
+      for idx = 0 to n - 1 do
+        ok_or_fail "write" (Blkdev.write bd ~lba:(idx * Blkdev.page_sectors) (page ~seed:idx) ())
+      done;
+      Alcotest.(check int) "every dirty page held" n (Blkdev.cached_pages bd);
+      ok_or_fail "fsync" (Blkdev.fsync bd ());
+      for idx = 0 to n - 1 do
+        check_media_page w.nvme ~lba:(idx * Blkdev.page_sectors) (page ~seed:idx)
+          (Printf.sprintf "page %d" idx)
+      done;
+      (* Clean now, so the next miss brings the cache back to its bound. *)
+      read_page bd n;
+      Alcotest.(check int) "back to the bound" cache_bound (Blkdev.cached_pages bd);
+      Driver_host.kill s)
+
+(* CLOCK's second chance: with the cache full, page 0 is hit and then a
+   new page misses.  The hand passes page 0 (clearing its bit) and
+   reclaims page 1 instead. *)
+let test_clock_spares_a_hit_page () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, bd = launch_blk k w in
+      for idx = 0 to cache_bound - 1 do read_page bd idx done;
+      Alcotest.(check bool) "page 0 hit" true (cached bd 0);
+      read_page bd cache_bound;
+      Alcotest.(check bool) "page 0 survived the sweep" true (cached bd 0);
+      Alcotest.(check bool) "page 1 reclaimed" false (cached bd 1);
       Driver_host.kill s)
 
 let blk_policy =
@@ -220,6 +284,11 @@ let suite =
       test_concurrent_io_leaves_no_events;
     Alcotest.test_case "sud-blk: a fill keeps the page written while it was in flight" `Quick
       test_fill_keeps_page_written_meanwhile;
+    Alcotest.test_case "sud-blk: page cache keeps its bound" `Quick test_cache_is_bounded;
+    Alcotest.test_case "sud-blk: dirty pages outgrow the bound, fsync keeps them all" `Quick
+      test_dirty_pages_outgrow_the_bound;
+    Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
+      test_clock_spares_a_hit_page;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
