@@ -289,15 +289,21 @@ let handle_complete t m =
     br.br_serial <- t.p.p_serial;
     (* Defensive copy on the read path: shared buffer -> kernel-private
        request bytes, before the buffer goes back to the pool.  The
-       driver cannot rewrite data the cache already accepted. *)
+       driver cannot rewrite data the cache already accepted.  A revoked
+       grant took the pool with it, so, as for a buffer id the pool no
+       longer knows, there is nothing to copy. *)
     (if base_op br.br_op = Proxy_proto.blk_op_read && status = 0 && br.br_buf >= 0 then
        match Bufpool.get t.pool br.br_buf, br.br_req with
-       | Some buf, Some rq ->
+       | Some buf, Some rq when Safe_pci.grant_alive t.grant ->
          let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
          Driver_api.charge t.sud
            (Cost_model.copy_cost (model t) ~bytes:len);
-         let data = Bufpool.read t.pool buf ~off:0 ~len in
-         Bytes.blit data 0 rq.Blkdev.rq_data 0 len
+         (match
+            Safe_pci.read_driver_mem_into t.grant ~iova:buf.Bufpool.addr ~len
+              ~dst:rq.Blkdev.rq_data ~dst_off:0
+          with
+          | Ok () -> ()
+          | Error e -> klogf t Klog.Warn "sud-blk(%s): read completion: %s" t.name e)
        | _ -> ());
     if br.br_buf >= 0 then begin
       Bufpool.free t.pool br.br_buf;

@@ -110,8 +110,11 @@ let dma_write t ~addr ~data =
   | Ok () -> true
   | Error _ -> false
 
+(* What a never-written sector reads as.  Shared and only ever read. *)
+let zero_sector = Bytes.make sector_size '\000'
+
 let sector_of tbl lba =
-  match Hashtbl.find_opt tbl lba with Some b -> b | None -> Bytes.make sector_size '\000'
+  match Hashtbl.find_opt tbl lba with Some b -> b | None -> zero_sector
 
 let persist_sector t lba data =
   Hashtbl.replace t.media lba data;
