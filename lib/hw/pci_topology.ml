@@ -163,73 +163,127 @@ let translate_charged t ~source ~addr ~dir =
   (match t.dma_charge with Some f -> f how | None -> ());
   result
 
-let dma_common t ~source ~addr ~dir k_peer k_phys k_msi =
+(* Where a device-initiated transfer goes, decided before any byte
+   moves. *)
+type route =
+  | Peer of attached * int * int  (* a peer's BAR: victim, bar, offset *)
+  | Run of int                    (* physically contiguous from here *)
+  | Scatter of int array          (* per page touched, its physical address;
+                                     the first at the transfer's offset *)
+  | Msi
+  | Fault of Bus.fault
+
+let abort t addr =
+  let f = Bus.Bus_abort { addr } in
+  record_fault t f;
+  f
+
+(* Translate, and charge, every IOVA page that [addr, addr+len) touches,
+   so a transfer is confined page by page and not just by its first
+   byte.  Any page that faults, or that falls in the MSI window, fails
+   the whole transfer; only a write within one page can be an MSI.  The
+   array is built only when the pages are not physically contiguous. *)
+let translate_pages t ~source ~addr ~len ~dir =
+  let pages = max 1 (((addr land Bus.page_mask) + len + Bus.page_mask) / Bus.page_size) in
+  match translate_charged t ~source ~addr ~dir with
+  | `Fault f -> Fault f
+  | `Msi -> if pages = 1 then Msi else Fault (abort t addr)
+  | `Phys p when pages = 1 -> Run p
+  | `Phys p ->
+    let base = Bus.page_align_down addr and pbase = Bus.page_align_down p in
+    let rec more i scatter =
+      if i = pages then (match scatter with None -> Run p | Some a -> Scatter a)
+      else
+        let va = base + (i * Bus.page_size) in
+        match translate_charged t ~source ~addr:va ~dir with
+        | `Fault f -> Fault f
+        | `Msi -> Fault (abort t va)
+        | `Phys q ->
+          (match scatter with
+           | Some a -> a.(i) <- q; more (i + 1) scatter
+           | None when q = pbase + (i * Bus.page_size) -> more (i + 1) None
+           | None ->
+             let a = Array.init pages (fun j -> if j = 0 then p else pbase + (j * Bus.page_size)) in
+             a.(i) <- q;
+             more (i + 1) (Some a))
+    in
+    more 1 None
+
+let route t ~source ~addr ~len ~dir =
   match find_attached t source with
   | None ->
     (* A spoofed requester ID that got past validation: translate under the
        claimed source's IOMMU domain. *)
-    (match translate_charged t ~source ~addr ~dir with
-     | `Phys p -> k_phys p
-     | `Msi -> k_msi ()
-     | `Fault f -> Error f)
+    translate_pages t ~source ~addr ~len ~dir
   | Some requester ->
     (match p2p_victim t requester addr with
      | Some (victim, bar, off) ->
        Sud_obs.Metrics.incr t.pm.pm_p2p;
-       k_peer victim bar off
-     | None ->
-       (match translate_charged t ~source ~addr ~dir with
-        | `Phys p -> k_phys p
-        | `Msi -> k_msi ()
-        | `Fault f -> Error f))
+       Peer (victim, bar, off)
+     | None -> translate_pages t ~source ~addr ~len ~dir)
+
+(* [f phys off n] for each page of a scattered transfer: its [n] bytes
+   at offset [off] of the transfer live at [phys]. *)
+let iter_pages pages ~len f =
+  let off = ref 0 and i = ref 0 in
+  while !off < len do
+    let n = min (len - !off) (Bus.page_size - (pages.(!i) land Bus.page_mask)) in
+    f pages.(!i) !off n;
+    off := !off + n;
+    incr i
+  done
 
 let host_iface_for t att =
   let dma_read ~source ~addr ~len =
     match source_ok t att ~claimed:source with
     | Error f -> Error f
     | Ok () ->
-      dma_common t ~source ~addr ~dir:Bus.Dma_read
-        (fun victim bar off ->
-           (* Peer-to-peer read: pull bytes out of the victim's registers. *)
-           let b = Bytes.create len in
-           for i = 0 to len - 1 do
-             Bytes.set b i
-               (Char.chr ((Device.ops victim.dev).mmio_read ~bar ~off:(off + i) ~size:1 land 0xff))
-           done;
-           Ok b)
-        (fun p ->
-           match Phys_mem.read t.mem ~addr:p ~len with
-           | b -> Ok b
-           | exception Phys_mem.Bus_error _ ->
-             record_fault t (Bus.Bus_abort { addr });
-             Error (Bus.Bus_abort { addr }))
-        (fun () ->
-           record_fault t (Bus.Bus_abort { addr });
-           Error (Bus.Bus_abort { addr }))
+      (match route t ~source ~addr ~len ~dir:Bus.Dma_read with
+       | Peer (victim, bar, off) ->
+         (* Peer-to-peer read: pull bytes out of the victim's registers. *)
+         let b = Bytes.create len in
+         for i = 0 to len - 1 do
+           Bytes.set b i
+             (Char.chr ((Device.ops victim.dev).mmio_read ~bar ~off:(off + i) ~size:1 land 0xff))
+         done;
+         Ok b
+       | Run p ->
+         (match Phys_mem.read t.mem ~addr:p ~len with
+          | b -> Ok b
+          | exception Phys_mem.Bus_error _ -> Error (abort t addr))
+       | Scatter pages ->
+         let b = Bytes.create len in
+         iter_pages pages ~len (fun phys off n ->
+             Phys_mem.blit_out t.mem ~addr:phys ~dst:b ~dst_off:off ~len:n);
+         Ok b
+       | Msi -> Error (abort t addr)
+       | Fault f -> Error f)
   in
   let dma_write ~source ~addr ~data =
     match source_ok t att ~claimed:source with
     | Error f -> Error f
     | Ok () ->
-      dma_common t ~source ~addr ~dir:Bus.Dma_write
-        (fun victim bar off ->
-           Bytes.iteri
-             (fun i c ->
-                (Device.ops victim.dev).mmio_write ~bar ~off:(off + i) ~size:1 (Char.code c))
-             data;
-           Ok ())
-        (fun p ->
-           match Phys_mem.write t.mem ~addr:p data with
-           | () -> Ok ()
-           | exception Phys_mem.Bus_error _ ->
-             record_fault t (Bus.Bus_abort { addr });
-             Error (Bus.Bus_abort { addr }))
-        (fun () ->
-           if Bytes.length data >= 4 then begin
-             deliver_msi t ~source ~data:(Int32.to_int (Bytes.get_int32_le data 0) land 0xFFFFFFFF);
-             Ok ()
-           end
-           else Ok ())
+      let len = Bytes.length data in
+      (match route t ~source ~addr ~len ~dir:Bus.Dma_write with
+       | Peer (victim, bar, off) ->
+         Bytes.iteri
+           (fun i c ->
+              (Device.ops victim.dev).mmio_write ~bar ~off:(off + i) ~size:1 (Char.code c))
+           data;
+         Ok ()
+       | Run p ->
+         (match Phys_mem.write t.mem ~addr:p data with
+          | () -> Ok ()
+          | exception Phys_mem.Bus_error _ -> Error (abort t addr))
+       | Scatter pages ->
+         iter_pages pages ~len (fun phys off n ->
+             Phys_mem.blit_in t.mem ~addr:phys ~src:data ~src_off:off ~len:n);
+         Ok ()
+       | Msi ->
+         if len >= 4 then
+           deliver_msi t ~source ~data:(Int32.to_int (Bytes.get_int32_le data 0) land 0xFFFFFFFF);
+         Ok ()
+       | Fault f -> Error f)
   in
   { Device.dma_read; dma_write }
 

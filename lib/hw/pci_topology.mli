@@ -10,6 +10,11 @@
       the peer} — the peer-to-peer DMA attack.  With ACS enabled the
       request continues to the root, where the IOMMU translates it (and
       faults, since MMIO addresses are never in IO page tables).
+    - The root translates {e every} IOVA page a transfer touches before
+      moving a byte, and moves each page's bytes to that page's own
+      physical frame.  If any page is unmapped, read-only for a write,
+      or in the MSI window, the transfer faults and moves nothing: a
+      device cannot run off the end of its grant.
     - {e Source validation} at the endpoint's upstream switch port rejects
       requests whose requester ID does not match the port.
     - Writes that reach the root and fall in the MSI window are passed to
@@ -46,9 +51,10 @@ val set_msi_sink : t -> (source:Bus.bdf -> vector:int -> unit) -> unit
 
 val set_dma_charge : t -> ([ `Hit | `Walk | `Bypass ] -> unit) -> unit
 (** Install the cost sink for DMA address translation.  Called once per
-    device-initiated DMA with how the IOMMU produced the answer ([`Hit] =
-    IOTLB, [`Walk] = two-level table walk, [`Bypass] = passthrough or
-    implicit MSI); the kernel maps these to {!Cost_model} charges. *)
+    IOVA page a device-initiated DMA touches, with how the IOMMU produced
+    the answer ([`Hit] = IOTLB, [`Walk] = two-level table walk,
+    [`Bypass] = passthrough or implicit MSI); the kernel maps these to
+    {!Cost_model} charges. *)
 
 (** {1 CPU-initiated access} *)
 

@@ -355,6 +355,63 @@ let test_topology_bdf_assignment () =
   let bdf_c = Pci_topology.attach topo ~switch:sw (E1000_dev.device nic) in
   Alcotest.(check bool) "switch gets its own bus" true (Bus.bdf_bus bdf_c <> Bus.bdf_bus bdf_a)
 
+(* A bus-mastering NIC behind an (empty) IOMMU domain, for device DMA. *)
+let mk_dma_world () =
+  let eng, mem, iommu, topo = mk_world () in
+  let nic, bdf = mk_nic eng topo (Net_medium.create eng ()) '\x02' in
+  Pci_topology.cfg_write topo bdf ~off:Pci_cfg.command ~size:2 Pci_cfg.cmd_bus_master;
+  (mem, iommu, Iommu.attach iommu ~source:bdf, E1000_dev.device nic)
+
+let fault_count iommu = List.length (Iommu.faults iommu)
+
+(* Two IOVA-contiguous pages mapped to physical pages that are not
+   adjacent: a transfer across the boundary lands on each mapped page,
+   never on the physical page after the first. *)
+let test_dma_scatters_across_pages () =
+  let mem, iommu, d, dev = mk_dma_world () in
+  Iommu.map iommu d ~iova:0x10000 ~phys:0x20000 ~len:4096 ~writable:true;
+  Iommu.map iommu d ~iova:0x11000 ~phys:0x40000 ~len:4096 ~writable:true;
+  Phys_mem.write mem ~addr:0x21000 (Bytes.make 16 'K');
+  let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  (match Device.dma_write dev ~addr:0x10800 ~data with
+   | Ok () -> ()
+   | Error f -> Alcotest.failf "write: %s" (Bus.string_of_fault f));
+  Alcotest.(check string) "first half on the first page"
+    (Bytes.sub_string data 0 2048) (Bytes.to_string (Phys_mem.read mem ~addr:0x20800 ~len:2048));
+  Alcotest.(check string) "second half on the second mapped page"
+    (Bytes.sub_string data 2048 2048) (Bytes.to_string (Phys_mem.read mem ~addr:0x40000 ~len:2048));
+  Alcotest.(check string) "the adjacent physical page is untouched" (String.make 16 'K')
+    (Bytes.to_string (Phys_mem.read mem ~addr:0x21000 ~len:16));
+  (match Device.dma_read dev ~addr:0x10800 ~len:4096 with
+   | Ok b -> Alcotest.(check string) "read gathers both pages" (Bytes.to_string data) (Bytes.to_string b)
+   | Error f -> Alcotest.failf "read: %s" (Bus.string_of_fault f));
+  Alcotest.(check int) "no fault" 0 (fault_count iommu)
+
+(* A transfer whose second page is not mapped faults and moves nothing,
+   in either direction; nor may a write touch a read-only second page. *)
+let test_dma_faults_on_unmapped_second_page () =
+  let mem, iommu, d, dev = mk_dma_world () in
+  Iommu.map iommu d ~iova:0x10000 ~phys:0x20000 ~len:4096 ~writable:true;
+  Phys_mem.write mem ~addr:0x21000 (Bytes.make 16 'K');
+  let expect_fault what r =
+    match r with
+    | Error (Bus.Iommu_fault { addr; _ }) -> Alcotest.(check int) (what ^ ": faulting page") 0x11000 addr
+    | Error f -> Alcotest.failf "%s: unexpected %s" what (Bus.string_of_fault f)
+    | Ok _ -> Alcotest.failf "%s: a DMA past the grant succeeded" what
+  in
+  expect_fault "write" (Device.dma_write dev ~addr:0x10000 ~data:(Bytes.make 8192 'X'));
+  Alcotest.(check string) "the granted page is untouched" (String.make 16 '\000')
+    (Bytes.to_string (Phys_mem.read mem ~addr:0x20000 ~len:16));
+  Alcotest.(check string) "the next physical page is untouched" (String.make 16 'K')
+    (Bytes.to_string (Phys_mem.read mem ~addr:0x21000 ~len:16));
+  expect_fault "read" (Device.dma_read dev ~addr:0x10000 ~len:8192);
+  Iommu.map iommu d ~iova:0x11000 ~phys:0x21000 ~len:4096 ~writable:false;
+  expect_fault "write onto a read-only page"
+    (Device.dma_write dev ~addr:0x10ff0 ~data:(Bytes.make 32 'X'));
+  Alcotest.(check string) "nothing written before the read-only page" (String.make 16 '\000')
+    (Bytes.to_string (Phys_mem.read mem ~addr:0x20ff0 ~len:16));
+  Alcotest.(check int) "one IOMMU fault per refused transfer" 3 (fault_count iommu)
+
 let test_bus_bdf () =
   let bdf = Bus.make_bdf ~bus:3 ~dev:31 ~fn:7 in
   Alcotest.(check int) "bus" 3 (Bus.bdf_bus bdf);
@@ -639,6 +696,10 @@ let suite =
     Alcotest.test_case "topology: cfg + mmio decode" `Quick test_topology_cfg_and_mmio;
     Alcotest.test_case "topology: unknown address" `Quick test_topology_unknown_addr;
     Alcotest.test_case "topology: BDF assignment" `Quick test_topology_bdf_assignment;
+    Alcotest.test_case "topology: DMA scatters across non-adjacent pages" `Quick
+      test_dma_scatters_across_pages;
+    Alcotest.test_case "topology: DMA past an unmapped page faults" `Quick
+      test_dma_faults_on_unmapped_second_page;
     Alcotest.test_case "bus: BDF packing" `Quick test_bus_bdf;
     Alcotest.test_case "medium: delivery" `Quick test_medium_delivery;
     Alcotest.test_case "medium: serialization" `Quick test_medium_serialization;
