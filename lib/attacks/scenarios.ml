@@ -119,6 +119,47 @@ let dma_read_exfiltration ~sud =
              else "secret unexpectedly did not leak") }
       end)
 
+(* ---- 1b. DMA straddling the grant ---- *)
+
+(* The driver aims a TX descriptor 16 bytes before the end of its own
+   one-page DMA buffer, long enough to run on into the next IOVA page,
+   which it was never granted.  The kernel secret sits on the physical
+   page right after the buffer's, so a transfer confined by its first
+   byte alone would put the secret on the wire. *)
+let dma_straddle () =
+  let w = make_world () in
+  Kernel.run ~max_ms:5_000 w.k (fun () ->
+      let tail = 16 and target = ref 0 in
+      let drv =
+        Mal_nic.driver
+          ~on_open:(fun t ->
+              let buf = t.Mal_nic.buf in
+              target := buf.Driver_api.dma_addr + buf.Driver_api.dma_size - tail;
+              Mal_nic.dma_read_via_tx t ~target:!target ~len:(tail + String.length secret);
+              Ok ())
+          ()
+      in
+      let s = start_mal w drv in
+      let addr = plant_secret w in
+      ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
+      settle w 5;
+      let after_buf =
+        List.find_map
+          (fun (iova, phys, len, _) ->
+             if !target >= iova && !target < iova + len then Some (phys + (!target - iova) + tail)
+             else None)
+          (Safe_pci.iommu_mappings (Driver_host.grant s))
+      in
+      if after_buf <> Some addr then failwith "dma_straddle: the secret is not on the page after the buffer";
+      let faults = Iommu.faults w.k.Kernel.iommu in
+      { attack = "DMA straddling the grant";
+        config = "SUD, VT-d";
+        contained = (not (leaked w)) && faults <> [];
+        evidence =
+          Printf.sprintf "secret %s; %d IOMMU fault(s)"
+            (if leaked w then "LEAKED onto the wire" else "never left memory")
+            (List.length faults) })
+
 (* ---- 2. DMA write (corruption) ---- *)
 
 let dma_write_corruption () =
@@ -768,6 +809,7 @@ let downcall_flood () =
 let all () =
   [ dma_read_exfiltration ~sud:false;
     dma_read_exfiltration ~sud:true;
+    dma_straddle ();
     dma_write_corruption ();
     peer_to_peer ~acs:false;
     peer_to_peer ~acs:true;

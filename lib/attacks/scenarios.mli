@@ -18,6 +18,11 @@ val dma_read_exfiltration : sud:bool -> outcome
 (** TX descriptor aimed at a kernel secret.  [sud:false] runs the same
     malicious driver trusted in-kernel — the baseline where it succeeds. *)
 
+val dma_straddle : unit -> outcome
+(** TX descriptor starting 16 bytes before the end of the driver's own
+    DMA buffer and running into the ungranted next page, with the kernel
+    secret on the physical page after the buffer's. *)
+
 val dma_write_corruption : unit -> outcome
 (** RX descriptor aimed at kernel memory; a peer frame pulls the trigger. *)
 

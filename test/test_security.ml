@@ -15,6 +15,8 @@ let suite =
       (fun () -> check ~expect:false (dma_read_exfiltration ~sud:false) ());
     Alcotest.test_case "SUD blocks DMA read" `Quick
       (fun () -> check (dma_read_exfiltration ~sud:true) ());
+    Alcotest.test_case "SUD blocks a DMA straddling the grant" `Quick
+      (fun () -> check (dma_straddle ()) ());
     Alcotest.test_case "SUD blocks DMA write" `Quick
       (fun () -> check (dma_write_corruption ()) ());
     Alcotest.test_case "P2P DMA succeeds without ACS" `Quick
