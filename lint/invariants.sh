@@ -46,4 +46,12 @@ report "Fiber.suspend outside lib/sim (use Fiber.sleep or a Sync wait, which own
   "$(srcs 'Fiber\.suspend' lib bin bench test examples \
      | grep -vE '^(lib/sim/|test/test_sim\.ml:)')"
 
+# DMA confinement: device models and drivers reach physical memory only
+# through Pci_topology's DMA path, which checks every IOVA page of a
+# transfer against the IOMMU.  A direct Phys_mem call from a device
+# model or a driver would move bytes no translation ever saw.
+report "Phys_mem. in lib/hw or lib/drivers outside phys_mem.ml(i) and pci_topology.ml(i) (DMA goes through Pci_topology)" \
+  "$(srcs 'Phys_mem\.' lib/hw lib/drivers \
+     | grep -vE '^lib/hw/(phys_mem|pci_topology)\.mli?:')"
+
 exit $status
