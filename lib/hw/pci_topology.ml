@@ -253,9 +253,12 @@ let host_iface_for t att =
           | exception Phys_mem.Bus_error _ -> Error (abort t addr))
        | Scatter pages ->
          let b = Bytes.create len in
-         iter_pages pages ~len (fun phys off n ->
-             Phys_mem.blit_out t.mem ~addr:phys ~dst:b ~dst_off:off ~len:n);
-         Ok b
+         (match
+            iter_pages pages ~len (fun phys off n ->
+                Phys_mem.blit_out t.mem ~addr:phys ~dst:b ~dst_off:off ~len:n)
+          with
+          | () -> Ok b
+          | exception Phys_mem.Bus_error _ -> Error (abort t addr))
        | Msi -> Error (abort t addr)
        | Fault f -> Error f)
   in
@@ -276,9 +279,13 @@ let host_iface_for t att =
           | () -> Ok ()
           | exception Phys_mem.Bus_error _ -> Error (abort t addr))
        | Scatter pages ->
-         iter_pages pages ~len (fun phys off n ->
-             Phys_mem.blit_in t.mem ~addr:phys ~src:data ~src_off:off ~len:n);
-         Ok ()
+         (* Only a page mapped outside RAM can abort part-way. *)
+         (match
+            iter_pages pages ~len (fun phys off n ->
+                Phys_mem.blit_in t.mem ~addr:phys ~src:data ~src_off:off ~len:n)
+          with
+          | () -> Ok ()
+          | exception Phys_mem.Bus_error _ -> Error (abort t addr))
        | Msi ->
          if len >= 4 then
            deliver_msi t ~source ~data:(Int32.to_int (Bytes.get_int32_le data 0) land 0xFFFFFFFF);

@@ -412,6 +412,17 @@ let test_dma_faults_on_unmapped_second_page () =
     (Bytes.to_string (Phys_mem.read mem ~addr:0x20ff0 ~len:16));
   Alcotest.(check int) "one IOMMU fault per refused transfer" 3 (fault_count iommu)
 
+(* A scattered transfer whose second page is mapped past the end of RAM
+   is a master abort, not an exception out of the device model. *)
+let test_dma_scatter_outside_ram_aborts () =
+  let _, iommu, d, dev = mk_dma_world () in
+  Iommu.map iommu d ~iova:0x10000 ~phys:0x20000 ~len:4096 ~writable:true;
+  Iommu.map iommu d ~iova:0x11000 ~phys:0x4000000 ~len:4096 ~writable:true;
+  let is_abort = function Error (Bus.Bus_abort { addr }) -> addr = 0x10800 | _ -> false in
+  Alcotest.(check bool) "write aborts" true
+    (is_abort (Device.dma_write dev ~addr:0x10800 ~data:(Bytes.make 4096 'X')));
+  Alcotest.(check bool) "read aborts" true (is_abort (Device.dma_read dev ~addr:0x10800 ~len:4096))
+
 let test_bus_bdf () =
   let bdf = Bus.make_bdf ~bus:3 ~dev:31 ~fn:7 in
   Alcotest.(check int) "bus" 3 (Bus.bdf_bus bdf);
@@ -700,6 +711,8 @@ let suite =
       test_dma_scatters_across_pages;
     Alcotest.test_case "topology: DMA past an unmapped page faults" `Quick
       test_dma_faults_on_unmapped_second_page;
+    Alcotest.test_case "topology: scattered page outside RAM aborts" `Quick
+      test_dma_scatter_outside_ram_aborts;
     Alcotest.test_case "bus: BDF packing" `Quick test_bus_bdf;
     Alcotest.test_case "medium: delivery" `Quick test_medium_delivery;
     Alcotest.test_case "medium: serialization" `Quick test_medium_serialization;
