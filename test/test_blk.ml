@@ -37,6 +37,9 @@ let launch_blk k w =
   in
   (s, Option.get (Proxy_blk.blkdev (Driver_host.proxy s)))
 
+let cache_hits bd = let h, _, _, _ = Blkdev.metrics bd in h
+let cache_misses bd = let _, m, _, _ = Blkdev.metrics bd in m
+
 (* Hosted driver registers; write -> cache, fsync -> media, read back. *)
 let test_smoke () =
   run_in_kernel setup_nvme (fun k w ->
@@ -113,15 +116,14 @@ let test_fill_keeps_page_written_meanwhile () =
       let s, bd = launch_blk k w in
       let eng = k.Kernel.eng in
       let lba = 5 * Blkdev.page_sectors in
-      let misses () = let _, m, _, _ = Blkdev.metrics bd in m in
-      let misses0 = misses () and read_done = ref false in
+      let misses0 = cache_misses bd and read_done = ref false in
       ignore
         (Fiber.spawn eng (fun () ->
              ignore
                (ok_or_fail "read" (Blkdev.read bd ~lba ~sectors:Blkdev.page_sectors ()) : bytes);
              read_done := true)
          : Fiber.t);
-      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> misses () > misses0)) then
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> cache_misses bd > misses0)) then
         Alcotest.fail "the read never missed";
       let data = page ~seed:9 in
       ok_or_fail "write" (Blkdev.write bd ~lba data ());
@@ -135,8 +137,6 @@ let test_fill_keeps_page_written_meanwhile () =
 (* The page cache's bound, a constant of Blkdev. *)
 let cache_bound = 1024
 
-let hits_misses bd = let h, m, _, _ = Blkdev.metrics bd in (h, m)
-
 let read_page bd idx =
   ignore
     (ok_or_fail "read"
@@ -145,9 +145,9 @@ let read_page bd idx =
 
 (* Whether re-reading page [idx] hits the cache. *)
 let cached bd idx =
-  let h0, _ = hits_misses bd in
+  let h0 = cache_hits bd in
   read_page bd idx;
-  fst (hits_misses bd) > h0
+  cache_hits bd > h0
 
 (* A cold stream longer than the bound keeps the bound: the oldest page
    is gone, the newest is still cached. *)
@@ -164,7 +164,7 @@ let test_cache_is_bounded () =
    inserted: 1,100 buffered writes grow the cache past its bound, and
    the fsync puts every one of them on the media. *)
 let test_dirty_pages_outgrow_the_bound () =
-  run_in_kernel ~max_ms:60_000 setup_nvme (fun k w ->
+  run_in_kernel setup_nvme (fun k w ->
       let s, bd = launch_blk k w in
       let n = 1100 in
       for idx = 0 to n - 1 do
