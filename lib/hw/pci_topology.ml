@@ -167,7 +167,7 @@ let translate_charged t ~source ~addr ~dir =
    moves. *)
 type route =
   | Peer of attached * int * int  (* a peer's BAR: victim, bar, offset *)
-  | Run of int                    (* physically contiguous from here *)
+  | Run of int                    (* within one page, from here *)
   | Scatter of int array          (* per page touched, its physical address;
                                      the first at the transfer's offset *)
   | Msi
@@ -181,8 +181,7 @@ let abort t addr =
 (* Translate, and charge, every IOVA page that [addr, addr+len) touches,
    so a transfer is confined page by page and not just by its first
    byte.  Any page that faults, or that falls in the MSI window, fails
-   the whole transfer; only a write within one page can be an MSI.  The
-   array is built only when the pages are not physically contiguous. *)
+   the whole transfer; only a write within one page can be an MSI. *)
 let translate_pages t ~source ~addr ~len ~dir =
   let pages = max 1 (((addr land Bus.page_mask) + len + Bus.page_mask) / Bus.page_size) in
   match translate_charged t ~source ~addr ~dir with
@@ -190,24 +189,17 @@ let translate_pages t ~source ~addr ~len ~dir =
   | `Msi -> if pages = 1 then Msi else Fault (abort t addr)
   | `Phys p when pages = 1 -> Run p
   | `Phys p ->
-    let base = Bus.page_align_down addr and pbase = Bus.page_align_down p in
-    let rec more i scatter =
-      if i = pages then (match scatter with None -> Run p | Some a -> Scatter a)
+    let base = Bus.page_align_down addr and a = Array.make pages p in
+    let rec more i =
+      if i = pages then Scatter a
       else
         let va = base + (i * Bus.page_size) in
         match translate_charged t ~source ~addr:va ~dir with
         | `Fault f -> Fault f
         | `Msi -> Fault (abort t va)
-        | `Phys q ->
-          (match scatter with
-           | Some a -> a.(i) <- q; more (i + 1) scatter
-           | None when q = pbase + (i * Bus.page_size) -> more (i + 1) None
-           | None ->
-             let a = Array.init pages (fun j -> if j = 0 then p else pbase + (j * Bus.page_size)) in
-             a.(i) <- q;
-             more (i + 1) (Some a))
+        | `Phys q -> a.(i) <- q; more (i + 1)
     in
-    more 1 None
+    more 1
 
 let route t ~source ~addr ~len ~dir =
   match find_attached t source with
