@@ -265,6 +265,10 @@ let maybe_replay_flush t =
 let oldest_inflight_tag t =
   Hashtbl.fold (fun tag _ acc -> min tag acc) t.p.p_inflight max_int
 
+(* The status a read completes with when its bytes never reached the
+   request: NVMe's generic "Data Transfer Error". *)
+let status_data_transfer_error = 0x4
+
 let handle_complete t m =
   if t.parked then
     (* A parked standby never submitted anything: any completion it
@@ -289,22 +293,29 @@ let handle_complete t m =
     br.br_serial <- t.p.p_serial;
     (* Defensive copy on the read path: shared buffer -> kernel-private
        request bytes, before the buffer goes back to the pool.  The
-       driver cannot rewrite data the cache already accepted.  A revoked
-       grant took the pool with it, so, as for a buffer id the pool no
-       longer knows, there is nothing to copy. *)
-    (if base_op br.br_op = Proxy_proto.blk_op_read && status = 0 && br.br_buf >= 0 then
-       match Bufpool.get t.pool br.br_buf, br.br_req with
-       | Some buf, Some rq when Safe_pci.grant_alive t.grant ->
-         let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
-         Driver_api.charge t.sud
-           (Cost_model.copy_cost (model t) ~bytes:len);
-         (match
-            Safe_pci.read_driver_mem_into t.grant ~iova:buf.Bufpool.addr ~len
-              ~dst:rq.Blkdev.rq_data ~dst_off:0
-          with
-          | Ok () -> ()
-          | Error e -> klogf t Klog.Warn "sud-blk(%s): read completion: %s" t.name e)
-       | _ -> ());
+       driver cannot rewrite data the cache already accepted.  A read
+       whose bytes cannot be copied (a revoked grant took the pool with
+       it, or the pool no longer knows the buffer) fails, so the cache
+       never takes a page nobody filled. *)
+    let status =
+      match br.br_req with
+      | Some rq when base_op br.br_op = Proxy_proto.blk_op_read && status = 0 ->
+        (match Bufpool.get t.pool br.br_buf with
+         | Some buf when Safe_pci.grant_alive t.grant ->
+           let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
+           Driver_api.charge t.sud
+             (Cost_model.copy_cost (model t) ~bytes:len);
+           (match
+              Safe_pci.read_driver_mem_into t.grant ~iova:buf.Bufpool.addr ~len
+                ~dst:rq.Blkdev.rq_data ~dst_off:0
+            with
+            | Ok () -> status
+            | Error e ->
+              klogf t Klog.Warn "sud-blk(%s): read completion: %s" t.name e;
+              status_data_transfer_error)
+         | Some _ | None -> status_data_transfer_error)
+      | Some _ | None -> status
+    in
     if br.br_buf >= 0 then begin
       Bufpool.free t.pool br.br_buf;
       br.br_buf <- -1
