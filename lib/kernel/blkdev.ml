@@ -68,6 +68,7 @@ type t = {
   mutable capacity : int;            (* sectors; set when a driver registers *)
   cache : (int, page) Hashtbl.t;     (* page index -> page *)
   clock : page Queue.t;              (* every cached page; the hand is the front *)
+  mutable dirty_pages : int;
   mutable issue : (request -> unit) option;
   mutable staging : request list;    (* reverse submission order *)
   mutable outstanding : int;
@@ -89,6 +90,7 @@ let create ~eng ~name ?(capacity = 0) () =
       capacity;
       cache = Hashtbl.create 256;
       clock = Queue.create ();
+      dirty_pages = 0;
       issue = None;
       staging = [];
       outstanding = 0;
@@ -118,8 +120,7 @@ let create ~eng ~name ?(capacity = 0) () =
   in
   ignore
     (Sud_obs.Metrics.gauge ~labels:[ "dev", name ] ~subsystem:"blk" ~name:"dirty_pages"
-       (fun () ->
-          Hashtbl.fold (fun _ pg n -> if pg.pg_dirty then n + 1 else n) t.cache 0)
+       (fun () -> t.dirty_pages)
      : Sud_obs.Metrics.gauge);
   t
 
@@ -280,21 +281,21 @@ let page_of t idx =
 (* CLOCK: the hand sweeps the pages in insertion order, dropping clean,
    unreferenced pages until one more page fits under the bound.  A page
    hit since the hand last passed loses its bit and gets another turn,
-   as does a dirty page.  Two turns clear every bit, so a cache with too
-   few clean pages gives up and grows instead. *)
+   as does a dirty page.  Two turns clear every bit, so the sweep ends
+   while a clean page is left; with none left it does not start, and
+   the cache grows instead.  The hand passes each dirty page it meets,
+   so while more than [cache_pages] pages are dirty a clean insert costs
+   a walk past all of them: quadratic in host time for a long buffered
+   stream that mixes reads into its writes, but no simulated time. *)
 let reclaim t =
-  let rec sweep budget =
-    if Hashtbl.length t.cache >= cache_pages && budget > 0 then begin
-      let pg = Queue.pop t.clock in
-      if pg.pg_ref || pg.pg_dirty then begin
-        pg.pg_ref <- false;
-        Queue.push pg t.clock
-      end
-      else Hashtbl.remove t.cache pg.pg_idx;
-      sweep (budget - 1)
+  while Hashtbl.length t.cache >= cache_pages && t.dirty_pages < Hashtbl.length t.cache do
+    let pg = Queue.pop t.clock in
+    if pg.pg_ref || pg.pg_dirty then begin
+      pg.pg_ref <- false;
+      Queue.push pg t.clock
     end
-  in
-  sweep (2 * Queue.length t.clock)
+    else Hashtbl.remove t.cache pg.pg_idx
+  done
 
 (* Callers insert only pages the cache does not hold.  Reclaim runs
    before the new page joins, so the page being inserted is never its
@@ -377,6 +378,7 @@ let write t ?(timeout_ns = default_timeout_ns) ~lba data () =
           let store pg =
             Bytes.blit data (s * sector_size) pg.pg_data (off * sector_size)
               (n * sector_size);
+            if not pg.pg_dirty then t.dirty_pages <- t.dirty_pages + 1;
             pg.pg_dirty <- true;
             pg.pg_ver <- pg.pg_ver + 1;
             go (s + n)
@@ -415,9 +417,14 @@ let fsync t ?(timeout_ns = default_timeout_ns) () =
   match run_bios t ~timeout_ns bios with
   | Error e -> Error e
   | Ok () ->
-    (* Clean only the pages nobody re-dirtied while writeback ran. *)
+    (* Clean only the pages nobody re-dirtied while writeback ran (and
+       that a concurrent fsync has not cleaned already). *)
     List.iter
-      (fun (_, pg, ver) -> if pg.pg_ver = ver then pg.pg_dirty <- false)
+      (fun (_, pg, ver) ->
+         if pg.pg_ver = ver && pg.pg_dirty then begin
+           pg.pg_dirty <- false;
+           t.dirty_pages <- t.dirty_pages - 1
+         end)
       dirty;
     let barrier =
       { rq_op = Flush; rq_fua = false; rq_lba = 0; rq_count = 0;
@@ -443,6 +450,7 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
 
 let staged_requests t = List.length t.staging
 let cached_pages t = Hashtbl.length t.cache
+let dirty_pages t = t.dirty_pages
 
 let metrics t =
   ( Sud_obs.Metrics.get t.m_cache_hits,

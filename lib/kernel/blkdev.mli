@@ -78,6 +78,9 @@ val staged_requests : t -> int
 val cached_pages : t -> int
 (** Pages the cache holds, clean and dirty. *)
 
+val dirty_pages : t -> int
+(** Cached pages not yet written back. *)
+
 val metrics : t -> int * int * int * int
 (** (cache_hits, cache_misses, merges, flush_barriers). *)
 

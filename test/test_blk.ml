@@ -162,7 +162,9 @@ let test_cache_is_bounded () =
 
 (* Dirty pages are never reclaimed, and neither is the page being
    inserted: 1,100 buffered writes grow the cache past its bound, and
-   the fsync puts every one of them on the media. *)
+   the fsync puts every one of them on the media.  A miss while every
+   cached page is dirty adds a clean page, which the next miss reclaims
+   past all the dirty ones. *)
 let test_dirty_pages_outgrow_the_bound () =
   run_in_kernel setup_nvme (fun k w ->
       let s, bd = launch_blk k w in
@@ -171,14 +173,37 @@ let test_dirty_pages_outgrow_the_bound () =
         ok_or_fail "write" (Blkdev.write bd ~lba:(idx * Blkdev.page_sectors) (page ~seed:idx) ())
       done;
       Alcotest.(check int) "every dirty page held" n (Blkdev.cached_pages bd);
+      read_page bd n;
+      Alcotest.(check int) "a clean page joins the dirty ones" (n + 1) (Blkdev.cached_pages bd);
+      read_page bd (n + 1);
+      Alcotest.(check int) "and gives way to the next" (n + 1) (Blkdev.cached_pages bd);
       ok_or_fail "fsync" (Blkdev.fsync bd ());
       for idx = 0 to n - 1 do
         check_media_page w.nvme ~lba:(idx * Blkdev.page_sectors) (page ~seed:idx)
           (Printf.sprintf "page %d" idx)
       done;
       (* Clean now, so the next miss brings the cache back to its bound. *)
-      read_page bd n;
+      read_page bd (n + 2);
       Alcotest.(check int) "back to the bound" cache_bound (Blkdev.cached_pages bd);
+      Driver_host.kill s)
+
+(* Two fsyncs that both caught page 0 dirty clean it once between them:
+   the cache's dirty count, which decides whether reclaim may sweep,
+   stays exact. *)
+let test_concurrent_fsyncs_count_a_page_once () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, bd = launch_blk k w in
+      let eng = k.Kernel.eng and synced = ref 0 in
+      ok_or_fail "write" (Blkdev.write bd ~lba:0 (page ~seed:3) ());
+      Alcotest.(check int) "one dirty page" 1 (Blkdev.dirty_pages bd);
+      for _ = 1 to 2 do
+        ignore
+          (Fiber.spawn eng (fun () -> ok_or_fail "fsync" (Blkdev.fsync bd ()); incr synced)
+           : Fiber.t)
+      done;
+      if not (Fiber.poll eng ~every_ns:100_000 ~budget:1_000 (fun () -> !synced = 2)) then
+        Alcotest.fail "the fsyncs never completed";
+      Alcotest.(check int) "no dirty page left" 0 (Blkdev.dirty_pages bd);
       Driver_host.kill s)
 
 (* CLOCK's second chance: with the cache full, page 0 is hit and then a
@@ -287,6 +312,8 @@ let suite =
     Alcotest.test_case "sud-blk: page cache keeps its bound" `Quick test_cache_is_bounded;
     Alcotest.test_case "sud-blk: dirty pages outgrow the bound, fsync keeps them all" `Quick
       test_dirty_pages_outgrow_the_bound;
+    Alcotest.test_case "sud-blk: concurrent fsyncs clean a page once" `Quick
+      test_concurrent_fsyncs_count_a_page_once;
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
       test_clock_spares_a_hit_page;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
