@@ -134,6 +134,49 @@ let test_fill_keeps_page_written_meanwhile () =
       check_media_page w.nvme ~lba data "write made during the fill";
       Driver_host.kill s)
 
+(* A driver that accepts every request and completes none until the
+   test says so. *)
+let holding_driver held =
+  { Nvme.driver with
+    Driver_api.bd_probe =
+      (fun _ _ cb ->
+         Ok
+           { Driver_api.bi_capacity = 1024;
+             bi_queues = 1;
+             bi_submit =
+               (fun ~queue ~tag ~op:_ ~lba:_ ~count:_ ~addr:_ ->
+                  held := (fun status -> cb.Driver_api.bc_complete ~queue ~tag ~status) :: !held;
+                  `Ok) }) }
+
+(* A read that completes with status 0 after its grant was revoked has
+   no bytes the proxy could copy: it fails and caches nothing, rather
+   than hand back a page nobody filled. *)
+let test_read_without_its_bytes_fails () =
+  run_in_kernel setup_nvme (fun k w ->
+      let held = ref [] in
+      let s =
+        ok_or_fail "launch"
+          (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf (holding_driver held))
+      in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+      let eng = k.Kernel.eng and result = ref None in
+      ignore
+        (Fiber.spawn eng (fun () ->
+             result := Some (Blkdev.read bd ~lba:0 ~sectors:Blkdev.page_sectors ()))
+         : Fiber.t);
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> !held <> [])) then
+        Alcotest.fail "the read never reached the driver";
+      Safe_pci.release (Driver_host.grant s);
+      List.iter (fun complete -> complete 0) !held;
+      Uchan.flush (Driver_host.chan s);
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> !result <> None)) then
+        Alcotest.fail "the read never completed";
+      (match !result with
+       | Some (Ok _) -> Alcotest.fail "a read with no bytes copied succeeded"
+       | Some (Error _) | None -> ());
+      Alcotest.(check int) "nothing cached" 0 (Blkdev.cached_pages bd);
+      Driver_host.kill s)
+
 (* The page cache's bound, a constant of Blkdev. *)
 let cache_bound = 1024
 
@@ -312,6 +355,8 @@ let suite =
     Alcotest.test_case "sud-blk: page cache keeps its bound" `Quick test_cache_is_bounded;
     Alcotest.test_case "sud-blk: dirty pages outgrow the bound, fsync keeps them all" `Quick
       test_dirty_pages_outgrow_the_bound;
+    Alcotest.test_case "sud-blk: a read without its bytes fails" `Quick
+      test_read_without_its_bytes_fails;
     Alcotest.test_case "sud-blk: concurrent fsyncs clean a page once" `Quick
       test_concurrent_fsyncs_count_a_page_once;
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
