@@ -68,7 +68,7 @@ type t = {
   mutable capacity : int;            (* sectors; set when a driver registers *)
   cache : (int, page) Hashtbl.t;     (* page index -> page *)
   clock : page Queue.t;              (* every cached page; the hand is the front *)
-  mutable dirty_pages : int;
+  mutable dirty_pages : int;         (* cached pages with [pg_dirty] set *)
   mutable issue : (request -> unit) option;
   mutable staging : request list;    (* reverse submission order *)
   mutable outstanding : int;
@@ -281,9 +281,9 @@ let page_of t idx =
 (* CLOCK: the hand sweeps the pages in insertion order, dropping clean,
    unreferenced pages until one more page fits under the bound.  A page
    hit since the hand last passed loses its bit and gets another turn,
-   as does a dirty page.  Two turns clear every bit, so the sweep ends
-   while a clean page is left; with none left it does not start, and
-   the cache grows instead.  The hand passes each dirty page it meets,
+   as does a dirty page.  Two turns clear every bit, so the sweep finds
+   a clean page whenever one is left; with none left it does not start,
+   and the cache grows instead.  The hand passes each dirty page it meets,
    so while more than [cache_pages] pages are dirty a clean insert costs
    a walk past all of them: quadratic in host time for a long buffered
    stream that mixes reads into its writes, but no simulated time. *)
