@@ -309,6 +309,67 @@ let test_crash_replay () =
       Alcotest.(check string) "cache agrees" (Bytes.to_string data2) (Bytes.to_string rd);
       Supervisor.stop sv)
 
+(* NVMe, but while [hold] is set its completions wait in [held] until
+   the test delivers them. *)
+let gated_driver ~hold held =
+  { Nvme.driver with
+    Driver_api.bd_probe =
+      (fun env dev cb ->
+         Nvme.driver.Driver_api.bd_probe env dev
+           { Driver_api.bc_complete =
+               (fun ~queue ~tag ~status ->
+                  if !hold then
+                    held := (fun () -> cb.Driver_api.bc_complete ~queue ~tag ~status) :: !held
+                  else cb.Driver_api.bc_complete ~queue ~tag ~status) }) }
+
+(* A replay larger than the proxy's pool parks requests, and completions
+   arriving on several rings at once all drain that one queue.  Only one
+   fiber may send its head at a time: a second drainer would send the
+   same request again, and the first would later pop a request it never
+   sent, which then sits in flight until its timeout forces another
+   restart.  The fsync's 100 writes go to every other page, so none
+   merge; the driver dies with the flush on the wire, and the restarted
+   driver holds the replay's first 64 completions, one per pool buffer,
+   until the other 36 writes and the flush have parked. *)
+let test_replay_drains_once () =
+  run_in_kernel setup_nvme (fun k w ->
+      let hold = ref false and held = ref [] in
+      let factory ~attempt = if attempt = 0 then Nvme.driver else gated_driver ~hold held in
+      let sv =
+        ok_or_fail "start_blk supervised"
+          (Supervisor.start_blk k w.sp ~policy:blk_policy ~bdf:w.bdf factory)
+      in
+      let bd = Option.get (Supervisor.blkdev sv) and eng = k.Kernel.eng in
+      let pages = List.init 100 (fun i -> 2 * i * Blkdev.page_sectors) in
+      List.iter (fun lba -> ok_or_fail "write" (Blkdev.write bd ~lba (page ~seed:lba) ())) pages;
+      let synced = ref None in
+      ignore (Fiber.spawn eng (fun () -> synced := Some (Blkdev.fsync bd ())) : Fiber.t);
+      let proxy = Driver_host.proxy (Option.get (Supervisor.current_blk sv)) in
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:100_000 (fun () -> Proxy_blk.inflight_flush proxy))
+      then Alcotest.fail "the fsync's flush never went on the wire";
+      Alcotest.(check int) "every write completed before the flush" 100 (Proxy_blk.retained proxy);
+      hold := true;
+      (match Supervisor.proc sv with
+       | Some p -> Process.kill p
+       | None -> Alcotest.fail "no driver process");
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:100_000 (fun () -> List.length !held = 64))
+      then Alcotest.fail "the replay never filled the pool";
+      ignore (Fiber.sleep eng 100_000 : Fiber.wake);
+      Alcotest.(check int) "no completion past the pool" 64 (List.length !held);
+      hold := false;
+      List.iter (fun complete -> complete ()) (List.rev !held);
+      Uchan.flush (Driver_host.chan (Option.get (Supervisor.current_blk sv)));
+      if not (Fiber.poll eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !synced <> None)) then
+        Alcotest.fail "the fsync never returned";
+      ok_or_fail "fsync across the replay" (Option.get !synced);
+      Alcotest.(check int) "one restart" 1 (Supervisor.stats sv).Supervisor.st_restarts;
+      List.iter
+        (fun lba -> check_media_page w.nvme ~lba (page ~seed:lba) (Printf.sprintf "lba %d" lba))
+        pages;
+      let proxy = Driver_host.proxy (Option.get (Supervisor.current_blk sv)) in
+      Alcotest.(check int) "nothing left in flight" 0 (Proxy_blk.inflight proxy);
+      Supervisor.stop sv)
+
 (* A dropped flush must never fake durability: the fsync blocks, the
    request timeout escalates, and the post-recovery replay makes the
    data durable before fsync returns. *)
@@ -362,6 +423,8 @@ let suite =
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
       test_clock_spares_a_hit_page;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
+    Alcotest.test_case "sud-blk: one fiber drains a parked replay" `Quick
+      test_replay_drains_once;
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
     Alcotest.test_case "sud-blk: corrupt completion cannot fake durability" `Quick
