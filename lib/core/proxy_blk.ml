@@ -97,6 +97,10 @@ type t = {
      ordered — nothing overtakes a parked request — and per generation:
      membership in [p_inflight] is the replay source of truth. *)
   pending : breq Queue.t;
+  (* Set while one fiber drains [pending].  A send suspends for its CPU
+     charge before the head is popped, so a second drainer would send
+     that head again and then pop a request it never sent. *)
+  mutable draining : bool;
   m_submits : Sud_obs.Metrics.counter;
   m_replays : Sud_obs.Metrics.counter;
   m_stale : Sud_obs.Metrics.counter;
@@ -193,18 +197,25 @@ let send_submit t br =
        end;
        `Err)
 
+(* One drainer at a time, in queue order.  A completion that finds the
+   queue being drained leaves it to the drainer, which retries its next
+   head only after its send returns, so a buffer or barrier released
+   meanwhile is not missed.  A killed drainer releases the guard. *)
 let drain_pending t =
-  let rec go () =
-    match Queue.peek_opt t.pending with
-    | None -> ()
-    | Some br ->
-      (match send_submit t br with
-       | `Ok ->
-         ignore (Queue.pop t.pending : breq);
-         go ()
-       | `No_buf | `Err | `Barrier -> ())
-  in
-  go ()
+  if not t.draining then begin
+    t.draining <- true;
+    let rec go () =
+      match Queue.peek_opt t.pending with
+      | None -> ()
+      | Some br ->
+        (match send_submit t br with
+         | `Ok ->
+           ignore (Queue.pop t.pending : breq);
+           go ()
+         | `No_buf | `Err | `Barrier -> ())
+    in
+    Fun.protect ~finally:(fun () -> t.draining <- false) go
+  end
 
 (* Submit, or park behind anything already parked: ordering first. *)
 let enqueue_or_send t br =
@@ -427,6 +438,7 @@ let create k ~chan ~grant ~pool ~name ?(request_timeout_ns = 10_000_000) ?(parke
       parked;
       on_wire = 0;
       pending = Queue.create ();
+      draining = false;
       m_submits =
         Sud_obs.Metrics.counter ~labels:[ "driver", name ] ~subsystem:"proxy"
           ~name:"blk_submits" ();
