@@ -1,82 +1,138 @@
 exception Bus_error of int
 
+(* Storage grain.  A page starts out as [Zero] and takes storage only
+   where it is written: a write covering less than [whole_min] bytes of
+   the page materializes just the 256-byte chunks it touches, and one
+   covering at least [whole_min] turns the page into one 4 KiB block
+   (keeping what its chunks held), so whole-page DMA stays one blit.  An
+   e1000 RX page that carries two short frames then costs two chunks,
+   not a page. *)
+let page_shift = 12 (* log2 Bus.page_size *)
+let chunk_shift = 8
+let chunk_size = 1 lsl chunk_shift
+let chunk_mask = chunk_size - 1
+let whole_min = 1024
+
+type page =
+  | Zero                        (* never written since create or free *)
+  | Chunks of bytes array       (* one slot per chunk; [Bytes.empty] reads as zeros *)
+  | Whole of bytes              (* [Bus.page_size] bytes *)
+
+(* Two-level page table: [dirs.(idx lsr dir_shift)] holds the pages of
+   one 2 MiB span, made on the first write into it; [[||]] is a span
+   nothing was written to. *)
+let dir_shift = 9
+let dir_mask = (1 lsl dir_shift) - 1
+
 type t = {
   size : int;
-  pages : (int, bytes) Hashtbl.t;
+  dirs : page array array;
   mutable bump : int;           (* next never-allocated page index *)
   free_runs : (int, int list) Hashtbl.t;  (* run length -> start pages *)
   mutable outstanding : int;
-  (* One-entry page cache: DMA is overwhelmingly sequential (descriptor
-     rings, packet buffers), so the last page touched answers the next
-     access without a Hashtbl lookup.  Pages are never removed from the
-     table once materialized, so the cached bytes can never go stale. *)
-  mutable last_idx : int;
-  mutable last_page : bytes;
 }
 
 let create ~size =
   let size = Bus.page_align_up size in
   if size <= 0 then invalid_arg "Phys_mem.create: size must be positive";
+  let pages = size lsr page_shift in
   (* The first 64 KiB stay unallocated, like the reserved low memory of a
      real machine — so no DMA structure ever lands at address 0, which
      device schedules use as a null link. *)
-  { size; pages = Hashtbl.create 1024; bump = 16; free_runs = Hashtbl.create 8; outstanding = 0;
-    last_idx = -1; last_page = Bytes.empty }
+  { size;
+    dirs = Array.make ((pages + dir_mask) lsr dir_shift) [||];
+    bump = 16;
+    free_runs = Hashtbl.create 8;
+    outstanding = 0 }
 
 let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     raise (Bus_error addr)
 
 let page t idx =
-  if idx = t.last_idx then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
-        let p = Bytes.make Bus.page_size '\000' in
-        Hashtbl.add t.pages idx p;
-        p
-    in
-    t.last_idx <- idx;
-    t.last_page <- p;
-    p
-  end
+  let dir = t.dirs.(idx lsr dir_shift) in
+  if Array.length dir = 0 then Zero else dir.(idx land dir_mask)
+
+let set_page t idx pg =
+  let d = idx lsr dir_shift in
+  if Array.length t.dirs.(d) = 0 then t.dirs.(d) <- Array.make (dir_mask + 1) Zero;
+  t.dirs.(d).(idx land dir_mask) <- pg
+
+(* Every access goes through the bytes holding its address: a chunk, a
+   whole page, or one of the shared zero blocks below where nothing was
+   written.  Each is a power of two long, so the address's offset in it
+   is [addr land (Bytes.length b - 1)], and the access may run to its
+   end.  The zero blocks are only ever read. *)
+let zero_page = Bytes.make Bus.page_size '\000'
+let zero_chunk = Bytes.make chunk_size '\000'
+
+let offset b addr = addr land (Bytes.length b - 1)
+
+let chunk_index addr = (addr land Bus.page_mask) lsr chunk_shift
+
+let readable t addr =
+  match page t (addr lsr page_shift) with
+  | Whole p -> p
+  | Zero -> zero_page
+  | Chunks cs ->
+    let c = cs.(chunk_index addr) in
+    if Bytes.length c = 0 then zero_chunk else c
+
+(* Chunk [addr] of a chunked page, materialized on first write. *)
+let chunk cs addr =
+  let i = chunk_index addr in
+  if Bytes.length cs.(i) = 0 then cs.(i) <- Bytes.make chunk_size '\000';
+  cs.(i)
+
+(* Store page [idx] as one block from now on, keeping what its chunks
+   [cs] held. *)
+let whole t idx cs =
+  let p = Bytes.make Bus.page_size '\000' in
+  Array.iteri (fun i c -> Bytes.blit c 0 p (i lsl chunk_shift) (Bytes.length c)) cs;
+  set_page t idx (Whole p);
+  p
+
+(* The bytes to write [addr] into, for a write covering [span] bytes of
+   its page from [addr] on. *)
+let writable t addr ~span =
+  let idx = addr lsr page_shift in
+  match page t idx with
+  | Whole p -> p
+  | Chunks cs -> if span < whole_min then chunk cs addr else whole t idx cs
+  | Zero ->
+    if span < whole_min then begin
+      let cs = Array.make (Bus.page_size lsr chunk_shift) Bytes.empty in
+      set_page t idx (Chunks cs);
+      chunk cs addr
+    end
+    else whole t idx [||]
 
 let blit_out t ~addr ~dst ~dst_off ~len =
   check t addr len;
-  let in_page = addr land Bus.page_mask in
-  if in_page + len <= Bus.page_size then
-    (* Single-page fast path: one blit, no loop state. *)
-    Bytes.blit (page t (addr / Bus.page_size)) in_page dst dst_off len
-  else begin
-    let pos = ref addr and off = ref dst_off and left = ref len in
-    while !left > 0 do
-      let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-      let chunk = min !left (Bus.page_size - in_page) in
-      Bytes.blit (page t idx) in_page dst !off chunk;
-      pos := !pos + chunk;
-      off := !off + chunk;
-      left := !left - chunk
-    done
-  end
+  let pos = ref addr and off = ref dst_off and left = ref len in
+  while !left > 0 do
+    let b = readable t !pos in
+    let at = offset b !pos in
+    let n = min !left (Bytes.length b - at) in
+    Bytes.blit b at dst !off n;
+    pos := !pos + n;
+    off := !off + n;
+    left := !left - n
+  done
 
 let blit_in t ~addr ~src ~src_off ~len =
   check t addr len;
-  let in_page = addr land Bus.page_mask in
-  if in_page + len <= Bus.page_size then
-    Bytes.blit src src_off (page t (addr / Bus.page_size)) in_page len
-  else begin
-    let pos = ref addr and off = ref src_off and left = ref len in
-    while !left > 0 do
-      let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-      let chunk = min !left (Bus.page_size - in_page) in
-      Bytes.blit src !off (page t idx) in_page chunk;
-      pos := !pos + chunk;
-      off := !off + chunk;
-      left := !left - chunk
-    done
-  end
+  let pos = ref addr and off = ref src_off and left = ref len in
+  while !left > 0 do
+    let span = min !left (Bus.page_size - (!pos land Bus.page_mask)) in
+    let b = writable t !pos ~span in
+    let at = offset b !pos in
+    let n = min !left (Bytes.length b - at) in
+    Bytes.blit src !off b at n;
+    pos := !pos + n;
+    off := !off + n;
+    left := !left - n
+  done
 
 let read t ~addr ~len =
   let b = Bytes.create len in
@@ -87,39 +143,42 @@ let write t ~addr data = blit_in t ~addr ~src:data ~src_off:0 ~len:(Bytes.length
 
 let read8 t addr =
   check t addr 1;
-  Char.code (Bytes.get (page t (addr / Bus.page_size)) (addr land Bus.page_mask))
+  let b = readable t addr in
+  Char.code (Bytes.get b (offset b addr))
 
 let write8 t addr v =
   check t addr 1;
-  Bytes.set (page t (addr / Bus.page_size)) (addr land Bus.page_mask) (Char.chr (v land 0xff))
+  let b = writable t addr ~span:1 in
+  Bytes.set b (offset b addr) (Char.chr (v land 0xff))
 
-(* Scalar accessors: when the access sits inside one page (the common case
-   — descriptors are naturally aligned), use the runtime's little-endian
-   primitives on the page directly; fall back to byte assembly only when
-   straddling a page boundary. *)
+(* Scalar accessors: when the access sits inside one chunk (the common
+   case — descriptors are naturally aligned), use the runtime's
+   little-endian primitives on the chunk or page directly; fall back to
+   byte assembly only when straddling a chunk boundary. *)
 
-let fits_in_page addr n = addr land Bus.page_mask <= Bus.page_size - n
+let fits_in_chunk addr n = addr land chunk_mask <= chunk_size - n
 
 let read16 t addr =
-  if fits_in_page addr 2 then begin
+  if fits_in_chunk addr 2 then begin
     check t addr 2;
-    Bytes.get_uint16_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask)
+    let b = readable t addr in
+    Bytes.get_uint16_le b (offset b addr)
   end
   else read8 t addr lor (read8 t (addr + 1) lsl 8)
 
 let read32 t addr =
-  if fits_in_page addr 4 then begin
+  if fits_in_chunk addr 4 then begin
     check t addr 4;
-    Int32.to_int (Bytes.get_int32_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask))
-    land 0xFFFFFFFF
+    let b = readable t addr in
+    Int32.to_int (Bytes.get_int32_le b (offset b addr)) land 0xFFFFFFFF
   end
   else read16 t addr lor (read16 t (addr + 2) lsl 16)
 
 let write16 t addr v =
-  if fits_in_page addr 2 then begin
+  if fits_in_chunk addr 2 then begin
     check t addr 2;
-    Bytes.set_uint16_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask)
-      (v land 0xFFFF)
+    let b = writable t addr ~span:2 in
+    Bytes.set_uint16_le b (offset b addr) (v land 0xFFFF)
   end
   else begin
     write8 t addr v;
@@ -127,10 +186,10 @@ let write16 t addr v =
   end
 
 let write32 t addr v =
-  if fits_in_page addr 4 then begin
+  if fits_in_chunk addr 4 then begin
     check t addr 4;
-    Bytes.set_int32_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask)
-      (Int32.of_int v)
+    let b = writable t addr ~span:4 in
+    Bytes.set_int32_le b (offset b addr) (Int32.of_int v)
   end
   else begin
     write16 t addr v;
@@ -138,25 +197,15 @@ let write32 t addr v =
   end
 
 let write64 t addr v =
-  if fits_in_page addr 8 then begin
+  if fits_in_chunk addr 8 then begin
     check t addr 8;
-    Bytes.set_int64_le (page t (addr / Bus.page_size)) (addr land Bus.page_mask) v
+    let b = writable t addr ~span:8 in
+    Bytes.set_int64_le b (offset b addr) v
   end
   else begin
     write32 t addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
     write32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical v 32))
   end
-
-let fill t ~addr ~len c =
-  check t addr len;
-  let pos = ref addr and left = ref len in
-  while !left > 0 do
-    let idx = !pos / Bus.page_size and in_page = !pos land Bus.page_mask in
-    let chunk = min !left (Bus.page_size - in_page) in
-    Bytes.fill (page t idx) in_page chunk c;
-    pos := !pos + chunk;
-    left := !left - chunk
-  done
 
 let alloc_pages t ~pages =
   if pages <= 0 then invalid_arg "Phys_mem.alloc_pages";
@@ -176,10 +225,22 @@ let alloc_pages t ~pages =
 
 let free_pages t ~addr ~pages =
   if not (Bus.is_page_aligned addr) then invalid_arg "Phys_mem.free_pages: unaligned";
-  fill t ~addr ~len:(pages * Bus.page_size) '\000';
-  let start = addr / Bus.page_size in
+  check t addr (pages * Bus.page_size);
+  let start = addr lsr page_shift in
+  for idx = start to start + pages - 1 do
+    let dir = t.dirs.(idx lsr dir_shift) in
+    if Array.length dir > 0 then dir.(idx land dir_mask) <- Zero
+  done;
   let runs = Option.value ~default:[] (Hashtbl.find_opt t.free_runs pages) in
   Hashtbl.replace t.free_runs pages (start :: runs);
   t.outstanding <- t.outstanding - pages
 
 let allocated_pages t = t.outstanding
+
+let resident_bytes t =
+  let page_bytes = function
+    | Zero -> 0
+    | Whole p -> Bytes.length p
+    | Chunks cs -> Array.fold_left (fun n c -> n + Bytes.length c) 0 cs
+  in
+  Array.fold_left (Array.fold_left (fun n pg -> n + page_bytes pg)) 0 t.dirs

@@ -1,7 +1,10 @@
 (** Sparse, byte-accurate physical memory with a page allocator.
 
-    Pages materialize (zero-filled) on first touch.  Accesses beyond the
-    configured size raise {!Bus_error} — the simulated equivalent of a
+    A byte never written reads as zero and takes no storage.  A write
+    materializes (zero-filled) only the 256-byte chunks it touches, unless
+    it covers at least 1 KiB of a page: that page is then stored as one
+    4 KiB block, so whole-page transfers stay one copy.  Accesses beyond
+    the configured size raise {!Bus_error} — the simulated equivalent of a
     machine check, which the tests use to prove that confined DMA can never
     reach unmapped territory.
 
@@ -33,8 +36,12 @@ val alloc_pages : t -> pages:int -> int
     Raises [Failure] when physical memory is exhausted. *)
 
 val free_pages : t -> addr:int -> pages:int -> unit
-(** Return a run to the allocator.  Freeing re-zeroes the pages, so a
-    use-after-free in a driver reads zeros rather than stale secrets. *)
+(** Return a run to the allocator.  Freeing drops the pages' storage, so
+    a use-after-free in a driver reads zeros rather than stale secrets. *)
 
 val allocated_pages : t -> int
 (** Pages currently handed out by the allocator. *)
+
+val resident_bytes : t -> int
+(** Bytes of storage materialized: 256 per written chunk, 4096 per page
+    stored as one block.  The page table itself is not counted. *)

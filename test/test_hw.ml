@@ -54,6 +54,264 @@ let test_phys_exhaustion () =
   Alcotest.check_raises "oom" (Failure "Phys_mem: out of physical memory") (fun () ->
       for _ = 1 to 1000 do ignore (Phys_mem.alloc_pages m ~pages:8 : int) done)
 
+(* The sparseness of the chunk grain, pinned: reading memory nobody
+   wrote takes no storage; 64-byte frames at the start of both 2 KiB
+   buffers of 512 pages (an e1000 RX ring's pages) take two chunks a
+   page; a 4 KiB write takes one page; freeing the run drops it all. *)
+let test_phys_sparse () =
+  let m = Phys_mem.create ~size:(4 * 1024 * 1024) in
+  let pages = 512 in
+  let base = Phys_mem.alloc_pages m ~pages in
+  ignore (Phys_mem.read m ~addr:base ~len:(pages * Bus.page_size) : bytes);
+  ignore (Phys_mem.read32 m (base + 2048) : int);
+  Alcotest.(check int) "reads materialize nothing" 0 (Phys_mem.resident_bytes m);
+  let frame = Bytes.make 64 'f' in
+  for p = 0 to pages - 1 do
+    Phys_mem.write m ~addr:(base + (p * Bus.page_size)) frame;
+    Phys_mem.write m ~addr:(base + (p * Bus.page_size) + 2048) frame
+  done;
+  Alcotest.(check bool) "at most two chunks a page" true
+    (Phys_mem.resident_bytes m <= pages * 2 * 256);
+  Phys_mem.free_pages m ~addr:base ~pages;
+  Alcotest.(check int) "free_pages drops the run" 0 (Phys_mem.resident_bytes m);
+  Phys_mem.write m ~addr:base (Bytes.make Bus.page_size 'p');
+  Alcotest.(check int) "a page written whole is one page" Bus.page_size
+    (Phys_mem.resident_bytes m)
+
+(* A flat reference model of Phys_mem: every byte in one [bytes], the
+   allocator's policy (the most recently freed run of the same length,
+   else a bump pointer from page 16), and its bus errors: a block access
+   checks its whole range before it moves a byte, and a scalar access
+   that straddles a page splits into halves, lower half first, so it can
+   write its lower half before it faults. *)
+module Flat = struct
+  type t = {
+    mem : bytes;
+    mutable bump : int;
+    mutable free : (int * int) list;  (* (pages, start page), newest first *)
+    mutable out : int;
+  }
+
+  let create size = { mem = Bytes.make size '\000'; bump = 16; free = []; out = 0 }
+
+  let check m addr len =
+    if addr < 0 || len < 0 || addr + len > Bytes.length m.mem then
+      raise (Phys_mem.Bus_error addr)
+
+  let straddles addr n = n > 1 && addr land Bus.page_mask > Bus.page_size - n
+
+  let rec read_le m addr n =
+    if straddles addr n then
+      let h = n / 2 in
+      read_le m addr h lor (read_le m (addr + h) h lsl (8 * h))
+    else begin
+      check m addr n;
+      let v = ref 0 in
+      for i = n - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get m.mem (addr + i))
+      done;
+      !v
+    end
+
+  let rec write_le m addr n v =
+    if straddles addr n then begin
+      let h = n / 2 in
+      write_le m addr h v;
+      write_le m (addr + h) h (Int64.shift_right_logical v (8 * h))
+    end
+    else begin
+      check m addr n;
+      for i = 0 to n - 1 do
+        Bytes.set m.mem (addr + i)
+          (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+      done
+    end
+
+  let blit_out m ~addr ~dst ~dst_off ~len =
+    check m addr len;
+    Bytes.blit m.mem addr dst dst_off len
+
+  let blit_in m ~addr ~src ~src_off ~len =
+    check m addr len;
+    Bytes.blit src src_off m.mem addr len
+
+  let alloc_pages m ~pages =
+    if pages <= 0 then invalid_arg "Phys_mem.alloc_pages";
+    let start =
+      match List.assoc_opt pages m.free with
+      | Some p ->
+        let rec drop = function
+          | (n, _) :: rest when n = pages -> rest
+          | r :: rest -> r :: drop rest
+          | [] -> []
+        in
+        m.free <- drop m.free;
+        p
+      | None ->
+        let p = m.bump in
+        if (p + pages) * Bus.page_size > Bytes.length m.mem then
+          failwith "Phys_mem: out of physical memory";
+        m.bump <- p + pages;
+        p
+    in
+    m.out <- m.out + pages;
+    start * Bus.page_size
+
+  let free_pages m ~addr ~pages =
+    if not (Bus.is_page_aligned addr) then invalid_arg "Phys_mem.free_pages: unaligned";
+    check m addr (pages * Bus.page_size);
+    Bytes.fill m.mem addr (pages * Bus.page_size) '\000';
+    m.free <- (pages, addr / Bus.page_size) :: m.free;
+    m.out <- m.out - pages
+end
+
+type mem_op =
+  | Write of int * int * int        (* addr, len, pattern seed *)
+  | Blit_in of int * int * int * int  (* addr, src_off, len, seed *)
+  | Blit_out of int * int * int     (* addr, dst_off, len *)
+  | Read of int * int
+  | Read8 of int
+  | Read32 of int
+  | Write8 of int * int
+  | Write32 of int * int
+  | Write64 of int * int64
+  | Alloc of int
+  | Free of int * int
+
+let show_mem_op = function
+  | Write (a, n, s) -> Printf.sprintf "write %d len %d seed %d" a n s
+  | Blit_in (a, o, n, s) -> Printf.sprintf "blit_in %d off %d len %d seed %d" a o n s
+  | Blit_out (a, o, n) -> Printf.sprintf "blit_out %d off %d len %d" a o n
+  | Read (a, n) -> Printf.sprintf "read %d len %d" a n
+  | Read8 a -> Printf.sprintf "read8 %d" a
+  | Read32 a -> Printf.sprintf "read32 %d" a
+  | Write8 (a, v) -> Printf.sprintf "write8 %d %d" a v
+  | Write32 (a, v) -> Printf.sprintf "write32 %d %d" a v
+  | Write64 (a, v) -> Printf.sprintf "write64 %d %Ld" a v
+  | Alloc n -> Printf.sprintf "alloc_pages %d" n
+  | Free (a, n) -> Printf.sprintf "free_pages %d pages %d" a n
+
+(* Nonzero-heavy bytes that differ by seed and position, so a lost or
+   misplaced byte shows. *)
+let pattern ~seed len = Bytes.init len (fun i -> Char.chr (((seed * 37) + (i * 11) + 1) land 0xff))
+
+let flat_pages = 24
+let flat_size = flat_pages * Bus.page_size
+
+(* Addresses where the representation changes: the chunk boundaries of
+   the first allocatable pages, every page boundary (0 and the end of
+   memory included) and the last 300 bytes of memory. *)
+let gen_mem_addr =
+  QCheck.Gen.(
+    frequency
+      [ ( 5,
+          map3
+            (fun p c d -> (p * Bus.page_size) + (c * 256) + d)
+            (int_range 16 19) (int_range 0 16) (int_range (-4) 4) );
+        (2, map2 (fun p d -> (p * Bus.page_size) + d) (int_range 0 flat_pages) (int_range (-8) 8));
+        (2, map (fun d -> flat_size + d) (int_range (-300) 8)) ])
+
+(* Short writes stay in chunks, those of 1 KiB or more take a whole
+   page, and the longest cross pages. *)
+let gen_mem_len =
+  QCheck.Gen.(
+    frequency
+      [ (5, int_range 0 300); (3, int_range 900 1200); (2, int_range 1200 5000);
+        (1, int_range (-2) (-1)) ])
+
+let gen_mem_op =
+  QCheck.Gen.(
+    let a = gen_mem_addr and n = gen_mem_len and seed = int_bound 1000 in
+    frequency
+      [ (4, map3 (fun a n s -> Write (a, max 0 n, s)) a n seed);
+        (3, map3 (fun a (o, n) s -> Blit_in (a, o, n, s)) a (pair (int_bound 16) n) seed);
+        (3, map3 (fun a o n -> Blit_out (a, o, n)) a (int_bound 16) n);
+        (2, map2 (fun a n -> Read (a, max 0 n)) a n);
+        (2, map (fun a -> Read8 a) a);
+        (2, map (fun a -> Read32 a) a);
+        (2, map2 (fun a v -> Write8 (a, v)) a (int_bound 255));
+        (2, map2 (fun a v -> Write32 (a, v)) a (int_bound 0x3FFFFFFF));
+        (2, map2 (fun a v -> Write64 (a, v)) a (map Int64.of_int int));
+        (1, map (fun n -> Alloc n) (int_range 0 3));
+        ( 1,
+          map2
+            (fun p n -> Free (p, n))
+            (frequency [ (4, map (fun p -> p * Bus.page_size) (int_range 16 24)); (1, int_range 65530 65540) ])
+            (int_range 1 3) ) ])
+
+(* One operation's outcome, as a string both sides can be compared on. *)
+let outcome f =
+  match f () with
+  | s -> s
+  | exception Phys_mem.Bus_error a -> Printf.sprintf "Bus_error %d" a
+  | exception Failure e -> "Failure " ^ e
+  | exception Invalid_argument e -> "Invalid_argument " ^ e
+
+let run_real m = function
+  | Write (addr, len, seed) -> Phys_mem.write m ~addr (pattern ~seed len); "ok"
+  | Blit_in (addr, src_off, len, seed) ->
+    Phys_mem.blit_in m ~addr ~src:(pattern ~seed (src_off + max 0 len)) ~src_off ~len; "ok"
+  | Blit_out (addr, dst_off, len) ->
+    let dst = Bytes.make (dst_off + max 0 len) '?' in
+    Phys_mem.blit_out m ~addr ~dst ~dst_off ~len;
+    Bytes.to_string dst
+  | Read (addr, len) -> Bytes.to_string (Phys_mem.read m ~addr ~len)
+  | Read8 a -> string_of_int (Phys_mem.read8 m a)
+  | Read32 a -> string_of_int (Phys_mem.read32 m a)
+  | Write8 (a, v) -> Phys_mem.write8 m a v; "ok"
+  | Write32 (a, v) -> Phys_mem.write32 m a v; "ok"
+  | Write64 (a, v) -> Phys_mem.write64 m a v; "ok"
+  | Alloc pages -> string_of_int (Phys_mem.alloc_pages m ~pages)
+  | Free (addr, pages) -> Phys_mem.free_pages m ~addr ~pages; "ok"
+
+let run_flat f = function
+  | Write (addr, len, seed) -> Flat.blit_in f ~addr ~src:(pattern ~seed len) ~src_off:0 ~len; "ok"
+  | Blit_in (addr, src_off, len, seed) ->
+    Flat.blit_in f ~addr ~src:(pattern ~seed (src_off + max 0 len)) ~src_off ~len; "ok"
+  | Blit_out (addr, dst_off, len) ->
+    let dst = Bytes.make (dst_off + max 0 len) '?' in
+    Flat.blit_out f ~addr ~dst ~dst_off ~len;
+    Bytes.to_string dst
+  | Read (addr, len) ->
+    let dst = Bytes.create len in
+    Flat.blit_out f ~addr ~dst ~dst_off:0 ~len;
+    Bytes.to_string dst
+  | Read8 a -> string_of_int (Flat.read_le f a 1)
+  | Read32 a -> string_of_int (Flat.read_le f a 4)
+  | Write8 (a, v) -> Flat.write_le f a 1 (Int64.of_int v); "ok"
+  | Write32 (a, v) -> Flat.write_le f a 4 (Int64.of_int v); "ok"
+  | Write64 (a, v) -> Flat.write_le f a 8 v; "ok"
+  | Alloc pages -> string_of_int (Flat.alloc_pages f ~pages)
+  | Free (addr, pages) -> Flat.free_pages f ~addr ~pages; "ok"
+
+(* Where two outcomes part, for the failure report. *)
+let first_difference got want =
+  let n = min (String.length got) (String.length want) in
+  let rec from i = if i < n && got.[i] = want.[i] then from (i + 1) else i in
+  let i = from 0 in
+  let window s = String.sub s i (min 16 (String.length s - i)) in
+  Printf.sprintf "from byte %d: phys_mem %S, model %S" i (window got) (window want)
+
+let phys_mem_matches_flat_model =
+  QCheck.Test.make ~name:"phys_mem matches a flat reference model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_mem_op))
+    (fun ops ->
+       let m = Phys_mem.create ~size:flat_size and f = Flat.create flat_size in
+       List.iteri
+         (fun i op ->
+            let got = outcome (fun () -> run_real m op) and want = outcome (fun () -> run_flat f op) in
+            if got <> want then
+              QCheck.Test.fail_reportf "op %d (%s) differs %s" i (show_mem_op op)
+                (first_difference got want))
+         ops;
+       let got = Bytes.to_string (Phys_mem.read m ~addr:0 ~len:flat_size) in
+       if got <> Bytes.to_string f.Flat.mem then
+         QCheck.Test.fail_reportf "memory differs at the end %s"
+           (first_difference got (Bytes.to_string f.Flat.mem));
+       Phys_mem.allocated_pages m = f.Flat.out)
+
 (* ---- pci_cfg ---- *)
 
 let mk_cfg () =
@@ -649,7 +907,8 @@ let test_usb_kbd_reports () =
 (* ---- property tests ---- *)
 
 let qcheck_cases =
-  [ QCheck.Test.make ~name:"phys_mem write/read roundtrip" ~count:200
+  [ phys_mem_matches_flat_model;
+    QCheck.Test.make ~name:"phys_mem write/read roundtrip" ~count:200
       QCheck.(pair (int_bound 60000) (string_of_size Gen.(int_range 1 5000)))
       (fun (addr, s) ->
          let m = Phys_mem.create ~size:(1 lsl 17) in
@@ -684,6 +943,7 @@ let suite =
     Alcotest.test_case "phys_mem: bounds" `Quick test_phys_bounds;
     Alcotest.test_case "phys_mem: allocator" `Quick test_phys_alloc;
     Alcotest.test_case "phys_mem: exhaustion" `Quick test_phys_exhaustion;
+    Alcotest.test_case "phys_mem: storage only where written" `Quick test_phys_sparse;
     Alcotest.test_case "pci_cfg: ids" `Quick test_cfg_ids;
     Alcotest.test_case "pci_cfg: BAR sizing" `Quick test_cfg_bar_sizing;
     Alcotest.test_case "pci_cfg: MSI capability" `Quick test_cfg_msi;
