@@ -49,7 +49,7 @@ let check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     raise (Bus_error addr)
 
-let page t idx =
+let[@inline] page t idx =
   let dir = t.dirs.(idx lsr dir_shift) in
   if Array.length dir = 0 then Zero else dir.(idx land dir_mask)
 
@@ -70,7 +70,7 @@ let offset b addr = addr land (Bytes.length b - 1)
 
 let chunk_index addr = (addr land Bus.page_mask) lsr chunk_shift
 
-let readable t addr =
+let[@inline] readable t addr =
   match page t (addr lsr page_shift) with
   | Whole p -> p
   | Zero -> zero_page
@@ -93,8 +93,9 @@ let whole t idx cs =
   p
 
 (* The bytes to write [addr] into, for a write covering [span] bytes of
-   its page from [addr] on. *)
-let writable t addr ~span =
+   its page from [addr] on.  [writable] inlines the case of a page
+   already whole. *)
+let materialize t addr ~span =
   let idx = addr lsr page_shift in
   match page t idx with
   | Whole p -> p
@@ -107,13 +108,21 @@ let writable t addr ~span =
     end
     else whole t idx [||]
 
+let[@inline] writable t addr ~span =
+  match page t (addr lsr page_shift) with
+  | Whole p -> p
+  | Zero | Chunks _ -> materialize t addr ~span
+
+(* A transfer walks memory one chunk or page at a time, so one that lies
+   in a single chunk or page is one blit.  Every access pays for the
+   lookups above, which is why they are inlined. *)
 let blit_out t ~addr ~dst ~dst_off ~len =
   check t addr len;
   let pos = ref addr and off = ref dst_off and left = ref len in
   while !left > 0 do
     let b = readable t !pos in
     let at = offset b !pos in
-    let n = min !left (Bytes.length b - at) in
+    let n = Int.min !left (Bytes.length b - at) in
     Bytes.blit b at dst !off n;
     pos := !pos + n;
     off := !off + n;
@@ -124,10 +133,10 @@ let blit_in t ~addr ~src ~src_off ~len =
   check t addr len;
   let pos = ref addr and off = ref src_off and left = ref len in
   while !left > 0 do
-    let span = min !left (Bus.page_size - (!pos land Bus.page_mask)) in
+    let span = Int.min !left (Bus.page_size - (!pos land Bus.page_mask)) in
     let b = writable t !pos ~span in
     let at = offset b !pos in
-    let n = min !left (Bytes.length b - at) in
+    let n = Int.min !left (Bytes.length b - at) in
     Bytes.blit src !off b at n;
     pos := !pos + n;
     off := !off + n;
