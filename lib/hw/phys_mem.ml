@@ -45,7 +45,7 @@ let create ~size =
     free_runs = Hashtbl.create 8;
     outstanding = 0 }
 
-let check t addr len =
+let[@inline] check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     raise (Bus_error addr)
 
@@ -115,7 +115,7 @@ let[@inline] writable t addr ~span =
 
 (* A transfer walks memory one chunk or page at a time, so one that lies
    in a single chunk or page is one blit.  Every access pays for the
-   lookups above, which is why they are inlined. *)
+   range check and the lookups above, which is why they are inlined. *)
 let blit_out t ~addr ~dst ~dst_off ~len =
   check t addr len;
   let pos = ref addr and off = ref dst_off and left = ref len in
