@@ -1150,8 +1150,9 @@ let guard_threshold = 1.05
 let guard_base key = baseline ("micro_ns." ^ key)
 
 (* One shared environment for all retries: rebuilding the cases per call
-   would leave a trail of dead 16 MB phys_mem arenas, and on this box the
-   growing major heap measurably taxes the 10ns loops being re-judged.
+   would leave a trail of dead rings, IOMMU page tables and memory pages
+   (a Phys_mem holds only what was written, here one page), and a
+   growing major heap measurably taxes the 10 ns loops being re-judged.
    Compacting before each run puts every retry on the same GC footing. *)
 let remeasure_cases = lazy (microbench_cases ())
 

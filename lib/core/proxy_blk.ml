@@ -197,10 +197,9 @@ let send_submit t br =
        end;
        `Err)
 
-(* One drainer at a time, in queue order.  A completion that finds the
-   queue being drained leaves it to the drainer, which retries its next
-   head only after its send returns, so a buffer or barrier released
-   meanwhile is not missed.  A killed drainer releases the guard. *)
+(* A completion that finds the queue being drained leaves it to the
+   drainer, which tries its next head after each send returns, so a
+   buffer or barrier released meanwhile is not missed. *)
 let drain_pending t =
   if not t.draining then begin
     t.draining <- true;
