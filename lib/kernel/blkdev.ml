@@ -24,7 +24,13 @@
    with a CLOCK hand (see [reclaim]).  Dirty pages are never reclaimed,
    so a cache full of dirty pages grows past the bound until the next
    [fsync] cleans them.  Reclaim only drops a table entry: it takes no
-   simulated time and schedules no event. *)
+   simulated time and schedules no event.
+
+   A page filled from the device with nothing but zeros (a read of
+   never-written media) keeps one shared read-only zero block instead of
+   its own 4 KiB, as [Phys_mem] and [Nvme_dev] store nothing for bytes
+   never written.  [write]'s [store] is the only place page bytes change,
+   and it gives a page its own copy before writing into it. *)
 
 let sector_size = 512
 let page_sectors = 8
@@ -56,7 +62,7 @@ let complete r ~status =
 
 type page = {
   pg_idx : int;
-  pg_data : bytes;                   (* page_size *)
+  mutable pg_data : bytes;           (* page_size; [zero_page] until written *)
   mutable pg_dirty : bool;
   mutable pg_ver : int;              (* bumped per write; guards writeback races *)
   mutable pg_ref : bool;             (* hit since the CLOCK hand last passed *)
@@ -307,12 +313,16 @@ let insert_page t idx data =
   Queue.push pg t.clock;
   pg
 
+(* The bytes of every cached page that holds only zeros and has not been
+   written since it was filled.  Never written into: see [store]. *)
+let zero_page = Bytes.make page_size '\000'
+
 (* Pull a page from the device into the cache (read-modify-write miss).
    Another fiber may cache the page while the read is in flight, by
    overwriting it in full or by a fill of its own.  As when Linux adds a
    page the page cache already holds, the cached page wins: replacing it
    with the device's older bytes would drop a write the next fsync owes
-   the media. *)
+   the media.  An all-zero fill keeps [zero_page], not its own buffer. *)
 let fill_page t ~timeout_ns idx =
   let data = Bytes.create page_size in
   let r =
@@ -324,7 +334,7 @@ let fill_page t ~timeout_ns idx =
   | Ok () ->
     (match Hashtbl.find_opt t.cache idx with
      | Some pg -> Ok pg
-     | None -> Ok (insert_page t idx data))
+     | None -> Ok (insert_page t idx (if Bytes.equal data zero_page then zero_page else data)))
 
 let check_range t ~lba ~sectors =
   if sectors <= 0 then Error "sector count must be positive"
@@ -376,6 +386,7 @@ let write t ?(timeout_ns = default_timeout_ns) ~lba data () =
           let idx = abs / page_sectors and off = abs mod page_sectors in
           let n = min (sectors - s) (page_sectors - off) in
           let store pg =
+            if pg.pg_data == zero_page then pg.pg_data <- Bytes.copy zero_page;
             Bytes.blit data (s * sector_size) pg.pg_data (off * sector_size)
               (n * sector_size);
             if not pg.pg_dirty then t.dirty_pages <- t.dirty_pages + 1;
@@ -450,6 +461,9 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
 
 let staged_requests t = List.length t.staging
 let cached_pages t = Hashtbl.length t.cache
+
+let resident_pages t =
+  Hashtbl.fold (fun _ pg n -> if pg.pg_data == zero_page then n else n + 1) t.cache 0
 let dirty_pages t = t.dirty_pages
 
 let metrics t =

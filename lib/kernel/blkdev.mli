@@ -12,6 +12,11 @@
     Reclaim takes no simulated time.  A read miss whose fill lands after
     the page was cached by another fiber keeps the cached page.
 
+    A page filled from the device with only zeros shares one read-only
+    zero block with every other such page; the first write into it gives
+    it its own 4 KiB.  Reads, writeback and reclaim see the same bytes
+    either way.
+
     Durability contract:
     - {!write} dirties cache pages and is {e not} durable;
     - {!fsync} returning [Ok] means every page dirtied before the call
@@ -77,6 +82,11 @@ val staged_requests : t -> int
 
 val cached_pages : t -> int
 (** Pages the cache holds, clean and dirty. *)
+
+val resident_pages : t -> int
+(** Cached pages that own their storage: every cached page but those
+    filled with zeros from the device and not written since, which share
+    one block. *)
 
 val dirty_pages : t -> int
 (** Cached pages not yet written back. *)

@@ -203,6 +203,36 @@ let test_cache_is_bounded () =
       Alcotest.(check bool) "first page reclaimed" false (cached bd 0);
       Driver_host.kill s)
 
+(* Pages filled from never-written media hold only zeros and share one
+   block: cold reads of 512 such pages leave no page owning storage.  A
+   one-sector write gives its page its own copy; that page reads back
+   the sector over zeros, and the shared block still reads zeros for the
+   other 511. *)
+let test_zero_fills_share_one_block () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, bd = launch_blk k w in
+      let n = 512 in
+      for idx = 0 to n - 1 do read_page bd idx done;
+      Alcotest.(check int) "pages cached" n (Blkdev.cached_pages bd);
+      Alcotest.(check int) "zero fills own no storage" 0 (Blkdev.resident_pages bd);
+      let sector = Bytes.make Blkdev.sector_size 'w' and written = 7 in
+      let lba = (written * Blkdev.page_sectors) + 3 in
+      ok_or_fail "write" (Blkdev.write bd ~lba sector ());
+      Alcotest.(check int) "the written page owns its bytes" 1 (Blkdev.resident_pages bd);
+      let zeros = Bytes.make Blkdev.page_size '\000' in
+      let expect = Bytes.copy zeros in
+      Bytes.blit sector 0 expect (3 * Blkdev.sector_size) Blkdev.sector_size;
+      for idx = 0 to n - 1 do
+        let got =
+          ok_or_fail "read"
+            (Blkdev.read bd ~lba:(idx * Blkdev.page_sectors) ~sectors:Blkdev.page_sectors ())
+        in
+        Alcotest.(check string) (Printf.sprintf "page %d" idx)
+          (Bytes.to_string (if idx = written then expect else zeros))
+          (Bytes.to_string got)
+      done;
+      Driver_host.kill s)
+
 (* Dirty pages are never reclaimed, and neither is the page being
    inserted: 1,100 buffered writes grow the cache past its bound, and
    the fsync puts every one of them on the media.  A miss while every
@@ -414,6 +444,8 @@ let suite =
     Alcotest.test_case "sud-blk: a fill keeps the page written while it was in flight" `Quick
       test_fill_keeps_page_written_meanwhile;
     Alcotest.test_case "sud-blk: page cache keeps its bound" `Quick test_cache_is_bounded;
+    Alcotest.test_case "sud-blk: zero fills share one block until written" `Quick
+      test_zero_fills_share_one_block;
     Alcotest.test_case "sud-blk: dirty pages outgrow the bound, fsync keeps them all" `Quick
       test_dirty_pages_outgrow_the_bound;
     Alcotest.test_case "sud-blk: a read without its bytes fails" `Quick
