@@ -173,6 +173,84 @@ let run_mini_fuzz ~sched ~seed =
     outcome_of_summary r.Proto_fuzz.fz_violations r.fz_sched
   with e -> crashed e
 
+(* fsync-overlap: four fibers rewrite page 0 of a supervised NVMe, two
+   with write + fsync and two with write_fua, no fault injected.  They
+   start together and yield between rounds.  Each write stamps every
+   sector with a fresh version, taken when the bytes enter the page
+   cache, so versions follow the cache's order.  After each
+   acknowledged fsync or FUA write, media must hold at least the version
+   that call wrote.  The device does not order the commands it holds,
+   so two writes of page 0 on the wire at once could land oldest last. *)
+let overlap_rounds = 6
+
+let stamp v =
+  let data = Bytes.make Blkdev.page_size '\x5a' in
+  for s = 0 to Blkdev.page_sectors - 1 do
+    Bytes.set_int64_le data (s * Blkdev.sector_size) (Int64.of_int v)
+  done;
+  data
+
+(* The oldest version among page 0's sectors on media; 0 if any sector
+   was never persisted. *)
+let media_version nvme =
+  let rec go s acc =
+    if s = Blkdev.page_sectors then acc
+    else
+      match Nvme_dev.media_sector nvme ~lba:s with
+      | None -> 0
+      | Some sec -> go (s + 1) (min acc (Int64.to_int (Bytes.get_int64_le sec 0)))
+  in
+  go 0 max_int
+
+let run_fsync_overlap ~sched ~seed:_ =
+  try
+    let w = Fault_inject.make_blk_world () in
+    let eng = w.Fault_inject.bw_eng in
+    let r = Sched.install eng sched in
+    let fails = ref [] in
+    let fail fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
+    Kernel.run w.bw_k (fun () ->
+        match
+          Supervisor.start_blk w.bw_k w.bw_sp
+            ~policy:(Fault_inject.soak_policy ~max_restarts:max_int)
+            ~bdf:w.bw_bdf Fault_inject.honest_blk_factory
+        with
+        | Error e -> fail "start: %s" e
+        | Ok sv ->
+          let bd = Option.get (Supervisor.blkdev sv) in
+          let version = ref 0 and running = ref 4 in
+          for i = 0 to 3 do
+            let fua = i mod 2 = 1 in
+            ignore
+              (Fiber.spawn eng (fun () ->
+                   for _ = 1 to overlap_rounds do
+                     ignore (Fiber.sleep eng 0 : Fiber.wake);
+                     incr version;
+                     let v = !version in
+                     let data = stamp v in
+                     let acked =
+                       if fua then Blkdev.write_fua bd ~lba:0 data ()
+                       else
+                         Result.bind (Blkdev.write bd ~lba:0 data ()) (fun () ->
+                             Blkdev.fsync bd ())
+                     in
+                     match acked with
+                     | Error e -> fail "writer %d, version %d: %s" i v e
+                     | Ok () ->
+                       let on_media = media_version w.bw_nvme in
+                       if on_media < v then
+                         fail "writer %d: %s of version %d acknowledged, media holds %d" i
+                           (if fua then "FUA write" else "fsync") v on_media
+                   done;
+                   decr running)
+               : Fiber.t)
+          done;
+          if not (Fiber.poll eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !running = 0)) then
+            fail "writers still running after 1 s";
+          Supervisor.stop sv);
+    canary_outcome eng r !fails
+  with e -> crashed e
+
 let all =
   [ { sc_name = "doorbell_vs_publish";
       sc_descr = "notify handled before the slot publish it assumes (depth 1)";
@@ -197,7 +275,11 @@ let all =
     { sc_name = "mini-fuzz";
       sc_descr = "36-mutation Byzantine protocol campaign";
       sc_canary = false;
-      sc_run = run_mini_fuzz } ]
+      sc_run = run_mini_fuzz };
+    { sc_name = "fsync-overlap";
+      sc_descr = "four writers of one page: acked fsync and FUA writes never regress on media";
+      sc_canary = false;
+      sc_run = run_fsync_overlap } ]
 
 let canaries = List.filter (fun s -> s.sc_canary) all
 

@@ -26,7 +26,10 @@ val failed : outcome -> bool
 val all : t list
 (** Canaries: [doorbell_vs_publish] (depth 1), [quiesce_vs_handoff]
     (depth 2), [stale_wakeup] (fiber wake path).  Mini soaks:
-    [mini-soak], [mini-blk-soak], [mini-fuzz]. *)
+    [mini-soak], [mini-blk-soak], [mini-fuzz].  Block-layer ordering:
+    [fsync-overlap] (four writers of one page, two fsyncing and two
+    writing FUA; after every acknowledged call media holds at least the
+    version it wrote). *)
 
 val canaries : t list
 val find : string -> t option

@@ -34,6 +34,19 @@ let test_bounded_explore_finds () =
        Alcotest.(check bool) (name ^ " found by bounded explore") true (r.Explore.ex_found <> None))
     [ "doorbell_vs_publish"; "quiesce_vs_handoff" ]
 
+(* Four writers of page 0, two fsyncing and two writing FUA: no
+   explored schedule lets an acknowledged call find media older than
+   the version it wrote. *)
+let test_fsync_overlap_explored () =
+  let sc = Option.get (Scenario.find "fsync-overlap") in
+  let r = Explore.random ~p_preempt:30 sc ~root_seed:root ~budget:40 in
+  Alcotest.(check bool) "FIFO baseline clean" true r.Explore.ex_fifo_clean;
+  match r.ex_found with
+  | None -> ()
+  | Some f ->
+    Alcotest.failf "schedule %d: %s" f.Explore.fd_run
+      (String.concat "; " f.fd_outcome.Scenario.oc_failures)
+
 (* Strict replay on a raw engine: re-executes bit-for-bit, and a
    tampered decision list is reported as divergence. *)
 let test_strict_replay () =
@@ -183,6 +196,8 @@ let suite =
     Alcotest.test_case "random explore finds every canary" `Quick test_random_explore_finds;
     Alcotest.test_case "bounded explore finds depth-1 and depth-2" `Quick
       test_bounded_explore_finds;
+    Alcotest.test_case "random explore: overlapping writes of one page" `Quick
+      test_fsync_overlap_explored;
     Alcotest.test_case "strict replay + divergence detection" `Quick test_strict_replay;
     Alcotest.test_case "schedule file round-trip" `Quick test_sched_file_roundtrip;
     Alcotest.test_case "record/replay x3 from file" `Quick test_record_replay_file;
