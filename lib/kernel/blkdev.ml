@@ -26,6 +26,16 @@
    [fsync] cleans them.  Reclaim only drops a table entry: it takes no
    simulated time and schedules no event.
 
+   The device does not order the commands it holds, so two writes of one
+   page on the wire at once could land oldest last.  As with Linux's
+   [PG_writeback], a page whose write is on the wire is in [writeback]
+   until that request completes, and another write of the page waits
+   for it: [fsync] before it snapshots the page, [write_fua] before it
+   takes its sectors from the cache.  Every page therefore has at most
+   one write on the wire, carrying bytes at least as new as the last
+   one's.  A wait that times out leaves the page in [writeback] until
+   its request completes.
+
    A page filled from the device with nothing but zeros (a read of
    never-written media) keeps one shared read-only zero block instead of
    its own 4 KiB, as [Phys_mem] and [Nvme_dev] store nothing for bytes
@@ -75,6 +85,8 @@ type t = {
   cache : (int, page) Hashtbl.t;     (* page index -> page *)
   clock : page Queue.t;              (* every cached page; the hand is the front *)
   mutable dirty_pages : int;         (* cached pages with [pg_dirty] set *)
+  writeback : (int, unit) Hashtbl.t; (* pages with a write on the wire *)
+  writeback_done : Sync.Waitq.t;     (* woken when a page leaves [writeback] *)
   mutable issue : (request -> unit) option;
   mutable staging : request list;    (* reverse submission order *)
   mutable outstanding : int;
@@ -97,6 +109,8 @@ let create ~eng ~name ?(capacity = 0) () =
       cache = Hashtbl.create 256;
       clock = Queue.create ();
       dirty_pages = 0;
+      writeback = Hashtbl.create 64;
+      writeback_done = Sync.Waitq.create ();
       issue = None;
       staging = [];
       outstanding = 0;
@@ -272,6 +286,26 @@ let run_bios t ~timeout_ns reqs =
     | Some st -> Error (Printf.sprintf "block io failed (status %d)" st)
     | None -> Ok ()
 
+(* ---- writes on the wire ---- *)
+
+(* Mark pages [first..last] as having a write on the wire; the write's
+   completion clears them, whatever its status and whether or not its
+   caller is still waiting. *)
+let start_writeback t first last =
+  for idx = first to last do Hashtbl.replace t.writeback idx () done
+
+let end_writeback t first last =
+  for idx = first to last do Hashtbl.remove t.writeback idx done;
+  ignore (Sync.Waitq.broadcast t.writeback_done : int)
+
+let on_wire t idx = Hashtbl.mem t.writeback idx
+
+(* Park until some page leaves [writeback]; false once [deadline] has
+   passed first.  Callers re-check the pages they wait for. *)
+let writeback_wait t ~deadline =
+  let left = deadline - Engine.now t.eng in
+  left > 0 && Sync.Waitq.wait_timeout t.eng t.writeback_done left = Fiber.Normal
+
 (* ---- the write-back page cache ---- *)
 
 let page_of t idx =
@@ -342,34 +376,38 @@ let check_range t ~lba ~sectors =
     Error "out of range"
   else Ok ()
 
+(* Copy sectors [lba, lba + sectors) out of the cache, filling each page
+   [lookup] does not find. *)
+let copy_out t ~timeout_ns ~lookup ~lba ~sectors =
+  let out = Bytes.create (sectors * sector_size) in
+  let rec go s =
+    if s >= sectors then Ok out
+    else begin
+      let abs = lba + s in
+      let idx = abs / page_sectors and off = abs mod page_sectors in
+      let n = min (sectors - s) (page_sectors - off) in
+      let copy pg =
+        Bytes.blit pg.pg_data (off * sector_size) out (s * sector_size)
+          (n * sector_size)
+      in
+      match lookup t idx with
+      | Some pg ->
+        copy pg;
+        go (s + n)
+      | None ->
+        (match fill_page t ~timeout_ns idx with
+         | Error e -> Error e
+         | Ok pg ->
+           copy pg;
+           go (s + n))
+    end
+  in
+  go 0
+
 let read t ?(timeout_ns = default_timeout_ns) ~lba ~sectors () =
   match check_range t ~lba ~sectors with
   | Error e -> Error e
-  | Ok () ->
-    let out = Bytes.create (sectors * sector_size) in
-    let rec go s =
-      if s >= sectors then Ok out
-      else begin
-        let abs = lba + s in
-        let idx = abs / page_sectors and off = abs mod page_sectors in
-        let n = min (sectors - s) (page_sectors - off) in
-        let copy pg =
-          Bytes.blit pg.pg_data (off * sector_size) out (s * sector_size)
-            (n * sector_size)
-        in
-        match page_of t idx with
-        | Some pg ->
-          copy pg;
-          go (s + n)
-        | None ->
-          (match fill_page t ~timeout_ns idx with
-           | Error e -> Error e
-           | Ok pg ->
-             copy pg;
-             go (s + n))
-      end
-    in
-    go 0
+  | Ok () -> copy_out t ~timeout_ns ~lookup:page_of ~lba ~sectors
 
 let write t ?(timeout_ns = default_timeout_ns) ~lba data () =
   let len = Bytes.length data in
@@ -412,58 +450,97 @@ let write t ?(timeout_ns = default_timeout_ns) ~lba data () =
       go 0
   end
 
-let write_bio_of_page idx pg =
+(* The writeback request for page [idx], which goes on the wire now. *)
+let write_bio_of_page t idx pg =
+  start_writeback t idx idx;
   { rq_op = Write; rq_fua = false; rq_lba = idx * page_sectors;
-    rq_count = page_sectors; rq_data = Bytes.copy pg.pg_data; rq_done = None }
+    rq_count = page_sectors; rq_data = Bytes.copy pg.pg_data;
+    rq_done = Some (fun ~status:_ -> end_writeback t idx idx) }
 
 let fsync t ?(timeout_ns = default_timeout_ns) () =
-  let dirty =
+  let deadline = Engine.now t.eng + timeout_ns in
+  let dirty_set () =
     Hashtbl.fold (fun idx pg acc -> if pg.pg_dirty then (idx, pg, pg.pg_ver) :: acc else acc)
       t.cache []
     (* Writeback in page order, not hash order: bio submission order is
        visible to the device (and to schedule replay hashes). *)
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
-  let bios = List.map (fun (idx, pg, _) -> write_bio_of_page idx pg) dirty in
-  match run_bios t ~timeout_ns bios with
-  | Error e -> Error e
-  | Ok () ->
-    (* Clean only the pages nobody re-dirtied while writeback ran (and
-       that a concurrent fsync has not cleaned already). *)
-    List.iter
-      (fun (_, pg, ver) ->
-         if pg.pg_ver = ver && pg.pg_dirty then begin
-           pg.pg_dirty <- false;
-           t.dirty_pages <- t.dirty_pages - 1
-         end)
-      dirty;
-    let barrier =
-      { rq_op = Flush; rq_fua = false; rq_lba = 0; rq_count = 0;
-        rq_data = Bytes.empty; rq_done = None }
-    in
-    run_bios t ~timeout_ns [ barrier ]
+  (* Snapshot the dirty set once none of its pages has a write on the
+     wire.  A page cleaned during the wait was written back by the fsync
+     that cleaned it, and this call's Flush covers that write too. *)
+  let rec settle () =
+    let dirty = dirty_set () in
+    if not (List.exists (fun (idx, _, _) -> on_wire t idx) dirty) then Some dirty
+    else if writeback_wait t ~deadline then settle ()
+    else None
+  in
+  match settle () with
+  | None -> Error "block io timed out"
+  | Some dirty ->
+    let bios = List.map (fun (idx, pg, _) -> write_bio_of_page t idx pg) dirty in
+    match run_bios t ~timeout_ns bios with
+    | Error e -> Error e
+    | Ok () ->
+      (* Clean only the pages nobody re-dirtied while writeback ran (and
+         that a concurrent fsync has not cleaned already). *)
+      List.iter
+        (fun (_, pg, ver) ->
+           if pg.pg_ver = ver && pg.pg_dirty then begin
+             pg.pg_dirty <- false;
+             t.dirty_pages <- t.dirty_pages - 1
+           end)
+        dirty;
+      let barrier =
+        { rq_op = Flush; rq_fua = false; rq_lba = 0; rq_count = 0;
+          rq_data = Bytes.empty; rq_done = None }
+      in
+      run_bios t ~timeout_ns [ barrier ]
 
 (* Write-through: durable when it returns, no flush needed.  The cache is
-   updated too so subsequent reads hit. *)
+   updated too so subsequent reads hit.  The request goes out once no
+   write of its pages is on the wire, carrying the sectors' bytes as the
+   cache holds them then: another write may have changed them while this
+   one waited, and sending this call's older bytes after that write's
+   writeback would undo it on media.  A page the cache dropped meanwhile
+   was written back whole before it went, so a fill reads its newest
+   bytes. *)
 let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
   match write t ~timeout_ns ~lba data () with
   | Error e -> Error e
   | Ok () ->
     let sectors = Bytes.length data / sector_size in
-    let r =
-      { rq_op = Write; rq_fua = true; rq_lba = lba; rq_count = sectors;
-        rq_data = Bytes.copy data; rq_done = None }
+    let first = lba / page_sectors and last = (lba + sectors - 1) / page_sectors in
+    let deadline = Engine.now t.eng + timeout_ns in
+    let rec settle idx =
+      idx > last
+      || if on_wire t idx then writeback_wait t ~deadline && settle first else settle (idx + 1)
     in
-    (* The sectors are durable once this returns, but their cache pages
-       stay dirty: the next fsync writes them back again, which is
-       redundant but never wrong. *)
-    run_bios t ~timeout_ns [ r ]
+    if not (settle first) then Error "block io timed out"
+    else begin
+      start_writeback t first last;
+      let cached t idx = Hashtbl.find_opt t.cache idx in
+      match copy_out t ~timeout_ns ~lookup:cached ~lba ~sectors with
+      | Error e ->
+        end_writeback t first last;
+        Error e
+      | Ok bytes ->
+        let r =
+          { rq_op = Write; rq_fua = true; rq_lba = lba; rq_count = sectors; rq_data = bytes;
+            rq_done = Some (fun ~status:_ -> end_writeback t first last) }
+        in
+        (* The sectors are durable once this returns, but their cache pages
+           stay dirty: the next fsync writes them back again, which is
+           redundant but never wrong. *)
+        run_bios t ~timeout_ns [ r ]
+    end
 
 let staged_requests t = List.length t.staging
 let cached_pages t = Hashtbl.length t.cache
 
 let resident_pages t =
   Hashtbl.fold (fun _ pg n -> if pg.pg_data == zero_page then n else n + 1) t.cache 0
+
 let dirty_pages t = t.dirty_pages
 
 let metrics t =
