@@ -400,6 +400,79 @@ let test_replay_drains_once () =
       Alcotest.(check int) "nothing left in flight" 0 (Proxy_blk.inflight proxy);
       Supervisor.stop sv)
 
+(* Page 0's writeback is on the wire (its completion held by the first
+   driver generation) when a newer version is written and fsynced.  The
+   second fsync waits for the first write instead of sending another,
+   and the driver dies with the write still on the wire.  Returns the
+   supervisor, each fsync's result and duration once it returns, and the
+   newer version's bytes. *)
+let two_fsyncs_across_a_death k w ~policy ~timeout_ns =
+  let hold = ref true and held = ref [] in
+  let factory ~attempt = if attempt = 0 then gated_driver ~hold held else Nvme.driver in
+  let sv =
+    ok_or_fail "start_blk supervised" (Supervisor.start_blk k w.sp ~policy ~bdf:w.bdf factory)
+  in
+  let bd = Option.get (Supervisor.blkdev sv) and eng = k.Kernel.eng in
+  let fsync_in_fiber () =
+    let result = ref None and t0 = Engine.now eng in
+    ignore
+      (Fiber.spawn eng (fun () ->
+           let r = Blkdev.fsync bd ~timeout_ns () in
+           result := Some (r, Engine.now eng - t0))
+       : Fiber.t);
+    result
+  in
+  ok_or_fail "write 1" (Blkdev.write bd ~lba:0 (page ~seed:1) ());
+  let first = fsync_in_fiber () in
+  if not (Fiber.poll eng ~every_ns:1_000 ~budget:10_000 (fun () -> !held <> [])) then
+    Alcotest.fail "the first writeback never reached the driver";
+  let newer = page ~seed:2 in
+  ok_or_fail "write 2" (Blkdev.write bd ~lba:0 newer ());
+  let second = fsync_in_fiber () in
+  ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+  Alcotest.(check int) "one write of page 0 on the wire" 1 (List.length !held);
+  Alcotest.(check bool) "the second fsync waits" true (!second = None);
+  (match Supervisor.proc sv with
+   | Some p -> Process.kill p
+   | None -> Alcotest.fail "no driver process");
+  (sv, first, second, newer)
+
+(* The in-flight mark outlives the driver: the replay completes the
+   first write, and only then does the second fsync put the newer
+   version on the wire and on media. *)
+let test_writeback_mark_across_replay () =
+  run_in_kernel setup_nvme (fun k w ->
+      let sv, first, second, newer =
+        two_fsyncs_across_a_death k w ~policy:blk_policy ~timeout_ns:1_000_000_000
+      in
+      if not (Fiber.poll k.Kernel.eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !second <> None))
+      then Alcotest.fail "the second fsync never returned";
+      ok_or_fail "first fsync" (fst (Option.get !first));
+      ok_or_fail "second fsync" (fst (Option.get !second));
+      Alcotest.(check int) "one restart" 1 (Supervisor.stats sv).Supervisor.st_restarts;
+      check_media_page w.nvme ~lba:0 newer "newer version after the replay";
+      Supervisor.stop sv)
+
+(* With no restart left the device is quarantined and the first write
+   never completes, so page 0 stays marked: the waiting fsync gives up
+   once its timeout passes. *)
+let test_writeback_mark_under_quarantine () =
+  run_in_kernel setup_nvme (fun k w ->
+      let timeout_ns = 50_000_000 in
+      let sv, first, second, _ =
+        two_fsyncs_across_a_death k w ~policy:{ blk_policy with Supervisor.max_restarts = 0 }
+          ~timeout_ns
+      in
+      if not (Fiber.poll k.Kernel.eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !second <> None))
+      then Alcotest.fail "the second fsync hung";
+      let result, waited = Option.get !second in
+      Alcotest.(check bool) "quarantined" true (Supervisor.state sv = Supervisor.Quarantined);
+      Alcotest.(check bool) "the second fsync failed" true (Result.is_error result);
+      Alcotest.(check int) "after exactly its timeout" timeout_ns waited;
+      Alcotest.(check bool) "the first fsync failed" true
+        (match !first with Some (r, _) -> Result.is_error r | None -> false);
+      Supervisor.stop sv)
+
 (* A dropped flush must never fake durability: the fsync blocks, the
    request timeout escalates, and the post-recovery replay makes the
    data durable before fsync returns. *)
@@ -457,6 +530,10 @@ let suite =
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
     Alcotest.test_case "sud-blk: one fiber drains a parked replay" `Quick
       test_replay_drains_once;
+    Alcotest.test_case "sud-blk: a page's write in flight outlives a driver death" `Quick
+      test_writeback_mark_across_replay;
+    Alcotest.test_case "sud-blk: a quarantined write in flight times out a waiting fsync" `Quick
+      test_writeback_mark_under_quarantine;
     Alcotest.test_case "sud-blk: dropped flush cannot fake durability" `Quick
       test_dropped_flush;
     Alcotest.test_case "sud-blk: corrupt completion cannot fake durability" `Quick
