@@ -306,6 +306,15 @@ let writeback_wait t ~deadline =
   let left = deadline - Engine.now t.eng in
   left > 0 && Sync.Waitq.wait_timeout t.eng t.writeback_done left = Fiber.Normal
 
+let rec range_on_wire t first last =
+  first <= last && (on_wire t first || range_on_wire t (first + 1) last)
+
+(* Wait until no page in [first..last] is on the wire; false if
+   [deadline] passes first. *)
+let rec await_range t ~deadline first last =
+  (not (range_on_wire t first last))
+  || (writeback_wait t ~deadline && await_range t ~deadline first last)
+
 (* ---- the write-back page cache ---- *)
 
 let page_of t idx =
@@ -511,12 +520,8 @@ let write_fua t ?(timeout_ns = default_timeout_ns) ~lba data () =
   | Ok () ->
     let sectors = Bytes.length data / sector_size in
     let first = lba / page_sectors and last = (lba + sectors - 1) / page_sectors in
-    let deadline = Engine.now t.eng + timeout_ns in
-    let rec settle idx =
-      idx > last
-      || if on_wire t idx then writeback_wait t ~deadline && settle first else settle (idx + 1)
-    in
-    if not (settle first) then Error "block io timed out"
+    if not (await_range t ~deadline:(Engine.now t.eng + timeout_ns) first last) then
+      Error "block io timed out"
     else begin
       start_writeback t first last;
       let cached t idx = Hashtbl.find_opt t.cache idx in
