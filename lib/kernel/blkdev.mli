@@ -17,6 +17,15 @@
     it its own 4 KiB.  Reads, writeback and reclaim see the same bytes
     either way.
 
+    A page has at most one write on the wire, as with Linux's
+    [PG_writeback]: the device does not order the commands it holds, so
+    a second write could otherwise land before an older one.  {!fsync}
+    waits for the in-flight writes of its dirty pages before it
+    snapshots them, and {!write_fua} waits for those of its pages before
+    it sends its sectors, taking them from the cache as they are then.
+    A page leaves the wire when its request completes, not when a caller
+    stops waiting, and every wait honours the call's [timeout_ns].
+
     Durability contract:
     - {!write} dirties cache pages and is {e not} durable;
     - {!fsync} returning [Ok] means every page dirtied before the call
