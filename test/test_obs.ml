@@ -85,6 +85,89 @@ let test_trace_disabled_is_free () =
   Alcotest.(check int) "disabled emit returns 0" 0 id;
   Alcotest.(check int) "nothing recorded" 0 (T.emitted ())
 
+(* ---- the disabled tracer on the hot paths, by exact allocation ---- *)
+
+(* Minor words per call of [step], exact: the words of 2n calls minus
+   the words of n, so the warm-up and the probe's own allocation cancel.
+   Allocation in one domain is deterministic. *)
+let words_per_op step =
+  let n = 1_000 in
+  let words m =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to m do step () done;
+    Gc.minor_words () -. w0
+  in
+  step ();
+  (words (2 * n) -. words n) /. float_of_int n
+
+(* Async kernel->driver upcalls, each delivered to a driver fiber parked
+   in [Uchan.wait] (the sender sleeps until the driver has parked
+   again): minor words per upcall over the second n of 2n. *)
+let upcall_words () =
+  let n = 200 in
+  let eng = Engine.create () in
+  let k = Kernel.boot eng in
+  let chan = Uchan.create k ~driver_label:"words" () in
+  let drv = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+  let delivered = ref 0 in
+  ignore
+    (Process.spawn_fiber drv (fun () ->
+         while Result.is_ok (Uchan.wait chan) do incr delivered done)
+     : Fiber.t);
+  let m = Msg.make ~kind:Proxy_proto.up_interrupt () in
+  let marks = Array.make 2 0.0 in
+  ignore
+    (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) (fun () ->
+         for i = 1 to 2 * n do
+           if i = n + 1 then marks.(0) <- Gc.minor_words ();
+           ignore (Uchan.transfer chan ~from:`Kernel Uchan.Async m : (unit, Uchan.error) result);
+           ignore (Fiber.sleep eng 10_000 : Fiber.wake)
+         done;
+         marks.(1) <- Gc.minor_words ();
+         Uchan.close chan)
+     : Fiber.t);
+  Engine.run ~max_time:1_000_000_000 eng;
+  Alcotest.(check int) "every upcall delivered" (2 * n) !delivered;
+  (marks.(1) -. marks.(0)) /. float_of_int n
+
+(* A disabled tracer adds nothing to the datapath, checked by exact
+   counts rather than wall-clock time: with tracing off each hot path
+   allocates exactly its pinned minor words per op and records no span,
+   and the same upcall loop traced allocates more, so the probe sees
+   tracer work.  The ring's 2 words are [pop_inplace]'s [Some]; the
+   IOTLB hit's 6 are the [`Phys] and the pair [translate_info] returns.
+   A slowdown that allocates nothing passes here.  The pins hold for
+   OCaml 5.1.1 without flambda; another compiler may allocate
+   differently. *)
+let test_trace_disabled_words () =
+  let ring = Ring.create ~slots:256 in
+  let io = Iommu.create ~mode:(Iommu.Intel_vtd { interrupt_remapping = false }) () in
+  let dom = Iommu.attach io ~source:7 in
+  Iommu.map io dom ~iova:0x10000 ~phys:0x20000 ~len:4096 ~writable:true;
+  T.set_enabled false;
+  T.reset ();
+  let ring_push_pop () =
+    ignore (Ring.push_inplace ring ignore : bool);
+    ignore (Ring.pop_inplace ring Bytes.length : int option)
+  in
+  let iotlb_hit () =
+    ignore
+      (Iommu.translate io ~source:7 ~addr:0x10040 ~dir:Bus.Dma_read
+       : [ `Phys of int | `Msi | `Fault of Bus.fault ])
+  in
+  let untraced = upcall_words () in
+  Alcotest.(check (list (pair string (float 0.))))
+    "minor words per op, tracing off"
+    [ ("ring push+pop in place", 2.); ("IOTLB hit", 6.); ("async upcall to a parked driver", 471.) ]
+    [ ("ring push+pop in place", words_per_op ring_push_pop);
+      ("IOTLB hit", words_per_op iotlb_hit);
+      ("async upcall to a parked driver", untraced) ];
+  Alcotest.(check int) "no span recorded with tracing off" 0 (T.emitted ());
+  let traced = with_trace upcall_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "traced upcall allocates more (%.0f > %.0f words)" traced untraced)
+    true (traced > untraced)
+
 let trace_accounting_test =
   QCheck.Test.make ~name:"trace: emitted = retained + dropped under storms"
     ~count:100
@@ -223,6 +306,8 @@ let suite =
     Alcotest.test_case "metrics: registry holds weakly" `Quick
       test_registry_does_not_root_metrics;
     Alcotest.test_case "trace: disabled emit is free" `Quick test_trace_disabled_is_free;
+    Alcotest.test_case "trace: disabled, hot paths pinned by words" `Quick
+      test_trace_disabled_words;
     Alcotest.test_case "trace: jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "trace: chain_exists" `Quick test_chain_exists;
     Alcotest.test_case "trace: remember/recall/current" `Quick
