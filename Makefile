@@ -14,17 +14,20 @@ test:
 # traces/bench_<mode>.json and no tracked file; gates that compare
 # against an earlier measurement read the frozen bench/baseline.json.
 
-# Full evaluation: microbenches + Figure-8 netperf sweep + tracer guard.
+# Full evaluation report: every figure and table, the Figure-8 netperf
+# sweep included.  It gates nothing; wall-clock micro-timings are
+# perfbench's (perfbench/main.exe --micro).
 bench:
 	dune exec bench/main.exe
 
-# CI smoke: whole test suite plus the quick bench (no Figure-8 sweep).
+# CI smoke: whole test suite (which pins the disabled tracer's hot-path
+# allocation) plus the quick report (no Figure-8 sweep).
 bench-smoke:
 	dune runtest && dune exec bench/main.exe -- quick
 
-# Every gate in one process: the tracer guard, mq, batch smoke, fuzz,
-# blkperf, upgrade, upgrade-soak, check, soak and blk-soak smoke.  Prints
-# every row even after one fails; exits nonzero iff a row fails.
+# Every gate in one process: mq, batch smoke, fuzz, blkperf, upgrade,
+# upgrade-soak, check, soak and blk-soak smoke.  Prints every row even
+# after one fails; exits nonzero iff a row fails.
 gates:
 	dune exec bench/main.exe -- gates
 

@@ -1,11 +1,10 @@
 (* The full evaluation harness: regenerates every table and figure from the
    paper's evaluation (Figures 5-9 and the §5.2 security results), runs the
-   §6 ablations, the Bechamel micro-benchmarks of the hot primitives and
-   every beyond-paper gate.  A run is exactly one mode of the [modes] table
-   at the bottom of this file:
+   §6 ablations and every beyond-paper gate.  A run is exactly one mode of
+   the [modes] table at the bottom of this file:
 
-     dune exec bench/main.exe                    # everything
-     dune exec bench/main.exe -- quick           # skip the slow netperf sweep
+     dune exec bench/main.exe                    # every figure and table (a report)
+     dune exec bench/main.exe -- quick           # the same without the slow netperf sweep
      dune exec bench/main.exe -- soak            # supervision soak only (make soak)
      dune exec bench/main.exe -- gates           # every gate, one process (make gates)
 
@@ -352,121 +351,6 @@ let ablation_itr () =
   let r = Netperf.udp_rr Netperf.Kernel_driver in
   Printf.printf "ITR 50us (driver default): %7.0f Tx/sec at %2.0f%% CPU\n" r.Netperf.throughput
     r.Netperf.cpu_pct
-
-(* ---- Bechamel micro-benchmarks ---- *)
-
-(* One Bechamel run of [fn]: the OLS estimate of its ns per call, nan when
-   no estimate was produced. *)
-let measure_ns ~quota fn =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let results =
-    Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ]
-      (Test.make ~name:"bench" (Staged.stage fn))
-  in
-  let analysis =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  Hashtbl.fold
-    (fun _ ols est ->
-       match Analyze.OLS.estimates ols with Some [ e ] -> e | Some _ | None -> est)
-    analysis nan
-
-(* (json key, display name, closure) for each hot primitive.  The ring and
-   translate benches measure what the datapath actually does since the
-   zero-copy/IOTLB work: borrowed-slot marshalling and cached translation.
-   The copying variants stay measured so the delta is visible. *)
-let microbench_cases () =
-  let ring = Ring.create ~slots:256 in
-  let ring_copy = Ring.create ~slots:256 in
-  let msg = Msg.make ~kind:3 ~args:[ 42; 1448 ] () in
-  let slot = Msg.marshal msg in
-  (* IOTLB hit: same page every time (first access warms the cache). *)
-  let iommu = Iommu.create ~mode:(Iommu.Intel_vtd { interrupt_remapping = false }) () in
-  let dom = Iommu.attach iommu ~source:7 in
-  Iommu.map iommu dom ~iova:0x42430000 ~phys:0x100000 ~len:0x100000 ~writable:true;
-  (* IOTLB miss: sweep 1024 pages through a 64-entry direct-mapped cache so
-     every access pays the two-level walk. *)
-  let iommu_m = Iommu.create ~mode:(Iommu.Intel_vtd { interrupt_remapping = false }) () in
-  let dom_m = Iommu.attach iommu_m ~source:7 in
-  Iommu.map iommu_m dom_m ~iova:0x50000000 ~phys:0x400000 ~len:(1024 * 4096) ~writable:true;
-  let sweep = ref 0 in
-  let payload = Bytes.make 1448 'x' in
-  let mem = Phys_mem.create ~size:(16 * 1024 * 1024) in
-  let sink = ref 0 in
-  [ ( "ring_push_pop",
-      "uchan ring push+pop",
-      (* The borrowed-slot ring: transport is index arithmetic, the copies
-         the old API forced are gone (marshalling is measured separately
-         and by the msg_through_ring pair). *)
-      fun () ->
-        ignore (Ring.push_inplace ring ignore : bool);
-        ignore (Ring.pop_inplace ring (fun slot -> sink := !sink + Bytes.length slot)
-                : unit option) );
-    ( "ring_push_pop_copying",
-      "uchan ring push+pop (legacy copying API)",
-      fun () ->
-        ignore (Ring.try_push ring_copy slot : bool);
-        ignore (Ring.try_pop ring_copy : bytes option) );
-    ( "msg_through_ring",
-      "msg through ring, zero-copy (datapath)",
-      fun () ->
-        ignore (Ring.push_inplace ring (Msg.marshal_into msg) : bool);
-        ignore (Ring.pop_inplace ring Msg.unmarshal_view : (Msg.t, string) result option) );
-    ( "msg_through_ring_copying",
-      "msg through ring, copying (old datapath)",
-      fun () ->
-        ignore (Ring.try_push ring_copy (Msg.marshal msg) : bool);
-        (match Ring.try_pop ring_copy with
-         | Some b -> ignore (Msg.unmarshal b : (Msg.t, string) result)
-         | None -> ()) );
-    ( "msg_marshal_unmarshal",
-      "msg marshal+unmarshal",
-      fun () ->
-        let b = Msg.marshal msg in
-        ignore (Msg.unmarshal b : (Msg.t, string) result) );
-    ( "iommu_translate_hit",
-      "IOMMU translate (IOTLB hit)",
-      fun () ->
-        ignore
-          (Iommu.translate iommu ~source:7 ~addr:0x42480123 ~dir:Bus.Dma_read
-           : [ `Phys of int | `Msi | `Fault of Bus.fault ]) );
-    ( "iommu_translate_miss",
-      "IOMMU translate (miss: table walk)",
-      fun () ->
-        let addr = 0x50000000 + ((!sweep land 1023) * 4096) in
-        incr sweep;
-        ignore
-          (Iommu.translate iommu_m ~source:7 ~addr ~dir:Bus.Dma_read
-           : [ `Phys of int | `Msi | `Fault of Bus.fault ]) );
-    ( "checksum_1448B",
-      "checksum 1448B (defensive-copy pass)",
-      fun () -> ignore (Skbuff.checksum payload : int) );
-    ( "phys_mem_1448B_write_read",
-      "phys_mem 1448B write+read",
-      fun () ->
-        Phys_mem.write mem ~addr:0x2000 payload;
-        ignore (Phys_mem.read mem ~addr:0x2000 ~len:1448 : bytes) ) ]
-
-(* Returns (key, name, ns/op) per case, ns/op = nan when no estimate was
-   produced. *)
-let microbenches cases =
-  banner "Micro-benchmarks (Bechamel): SUD's hot primitives";
-  List.map
-    (fun (key, name, fn) ->
-       let est = measure_ns ~quota:0.4 fn in
-       if Float.is_nan est then Printf.printf "%-42s (no estimate)\n" name
-       else Printf.printf "%-42s %10.1f ns/op\n" name est;
-       (key, name, est))
-    cases
-
-let micro_json micro =
-  J.Obj
-    (List.map
-       (fun (key, name, ns) ->
-          (key, J.Obj [ ("name", J.Str name); ("ns_per_op", J.fnum ~dp:1 ns) ]))
-       micro)
 
 (* ---- supervision: per-fault-class recovery latency ---- *)
 
@@ -1124,141 +1008,9 @@ let run_fuzz () =
       vs_baseline "fuzz.overhead_8q_b32" Ge fuzz_overhead_floor "batch_kpps.8q_b32"
         (fun base -> p.Netperf.bp_kpps /. base) ] )
 
-(* ---- disabled-tracer overhead guard ---- *)
+(* ---- the paper's evaluation: every figure and table ---- *)
 
-(* The compile-out-cheap claim, enforced: with tracing disabled (the
-   default; nothing in this harness enables it outside the soak), the
-   guarded hot paths must sit within 5% of their baseline ns/op.
-
-   Two noise sources have to be rejected at the 10ns scale.  Machine
-   drift since the baseline was recorded: benches whose code is
-   untouched move +-10% between sessions, so each raw ratio is also
-   divided by the drift of a control bench the observability layer
-   cannot have touched (the legacy copying-ring micro-bench: no metrics,
-   no trace points, same cache-resident small-op profile).  Run-to-run
-   jitter: a failing key is re-measured in control/key/control sandwich
-   rounds — the spread between the two control runs is a direct reading
-   of that round's measurement resolution, and the gate widens by
-   exactly that much (capped), so a quiet machine is held to the strict
-   threshold while a host-steal-noisy one is not failed for noise it
-   just demonstrated.  A real hot-path regression moves the guarded key
-   but not the controls, so it still fails. *)
-
-let guard_keys = [ "ring_push_pop"; "iommu_translate_hit" ]
-let guard_control = "ring_push_pop_copying"
-let guard_threshold = 1.05
-let guard_base key = baseline ("micro_ns." ^ key)
-
-(* One shared environment for all retries: rebuilding the cases per call
-   would leave a trail of dead rings, IOMMU page tables and memory pages
-   (a Phys_mem holds only what was written, here one page), and a
-   growing major heap measurably taxes the 10 ns loops being re-judged.
-   Compacting before each run puts every retry on the same GC footing. *)
-let remeasure_cases = lazy (microbench_cases ())
-
-let remeasure ~quota key =
-  match List.find_opt (fun (k, _, _) -> k = key) (Lazy.force remeasure_cases) with
-  | None -> nan
-  | Some (_, _, fn) ->
-    Gc.compact ();
-    measure_ns ~quota fn
-
-(* [micro] holds the first measurement of every guarded key and of the
-   control.  Each key's row carries the first ratio that met its
-   threshold, and that threshold (widened by the round's resolution when
-   the normalized ratio decided); a key that never met it carries its
-   best ratio against the plain threshold. *)
-let trace_overhead_guard micro =
-  banner
-    (Printf.sprintf "Disabled-tracer bench guard (<= %.0f%% of %s)"
-       (guard_threshold *. 100.) baseline_path);
-  let measured key =
-    match List.find_opt (fun (k, _, _) -> k = key) micro with
-    | Some (_, _, ns) -> ns
-    | None -> nan
-  in
-  let drift =
-    match guard_base guard_control, measured guard_control with
-    | Ok base, ns when base > 0. && not (Float.is_nan ns) -> ns /. base
-    | _ -> 1.0
-  in
-  Printf.printf "machine drift (control %s): %.3f\n" guard_control drift;
-  let judge key =
-    let ( let* ) = Result.bind in
-    let* base = guard_base key in
-    let* ctl_base = guard_base guard_control in
-    let ns0 = measured key in
-    if Float.is_nan ns0 then Error ("no Bechamel estimate for " ^ key)
-    else begin
-      let ns = ref ns0 in
-      let best_raw = ref (ns0 /. base) in
-      let best_norm =
-        ref (if drift >= 0.7 && drift <= 1.6 then ns0 /. base /. drift else infinity)
-      in
-      let met = ref None in
-      let meets ratio bound = if !met = None && ratio <= bound then met := Some (ratio, bound) in
-      meets !best_raw guard_threshold;
-      meets !best_norm guard_threshold;
-      let rounds = ref 0 in
-      while !met = None && !rounds < 8 do
-        incr rounds;
-        let quota = if !rounds <= 3 then 0.2 else 0.5 in
-        let ctl_a = remeasure ~quota guard_control in
-        let again = remeasure ~quota key in
-        let ctl_b = remeasure ~quota guard_control in
-        if not (Float.is_nan again) then begin
-          if again < !ns then ns := again;
-          best_raw := Float.min !best_raw (again /. base);
-          meets !best_raw guard_threshold;
-          if ctl_a > 0. && ctl_b > 0. then begin
-            let d = (ctl_a +. ctl_b) /. 2. /. ctl_base in
-            (* Spread between the two control runs = this round's
-               demonstrated measurement resolution; an implausible mean
-               drift is a broken round, not a slower machine. *)
-            let res =
-              Float.min 0.15 (Float.abs (ctl_a -. ctl_b) /. Float.min ctl_a ctl_b)
-            in
-            if d >= 0.7 && d <= 1.6 then begin
-              let norm = again /. base /. d in
-              best_norm := Float.min !best_norm norm;
-              meets norm (guard_threshold *. (1. +. res))
-            end
-          end
-        end
-      done;
-      Printf.printf "%-24s baseline %6.1f ns  measured %6.1f ns  ratio %.3f (%.3f normalized)\n"
-        key base !ns !best_raw !best_norm;
-      Ok
-        (match !met with
-         | Some decided -> decided
-         | None -> (Float.min !best_raw !best_norm, guard_threshold))
-    end
-  in
-  ( [ ("control", J.Str guard_control); ("control_drift", J.fnum drift) ],
-    List.map
-      (fun key ->
-         let r = judge key in
-         { name = "trace_overhead." ^ key;
-           value = Result.map fst r;
-           cmp = Le;
-           bound = (match r with Ok (_, bound) -> bound | Error _ -> guard_threshold);
-           base = Some ("micro_ns." ^ key) })
-      guard_keys )
-
-(* The guard on its own, as [gates] runs it: the guarded keys and the
-   control measured as the full micro table would. *)
-let run_guard () =
-  let micro =
-    microbenches
-      (List.filter
-         (fun (k, _, _) -> k = guard_control || List.mem k guard_keys)
-         (microbench_cases ()))
-  in
-  let data, gates = trace_overhead_guard micro in
-  (("micro", micro_json micro) :: data, gates)
-
-(* ---- the paper's evaluation: every figure and table, then the guard ---- *)
-
+(* A report: it prints every table and gates nothing. *)
 let run_harness ~quick () =
   figure5 ();
   figure6 ();
@@ -1268,7 +1020,6 @@ let run_harness ~quick () =
   ablation_interrupt_defence ();
   ablation_defensive_copy ();
   ablation_batching ();
-  let micro = microbenches (microbench_cases ()) in
   let figure8_rows =
     if not quick then begin
       ablation_itr ();
@@ -1281,7 +1032,6 @@ let run_harness ~quick () =
     end
   in
   let recovery = recovery_latencies () in
-  let guard_data, guard = trace_overhead_guard micro in
   (* The metrics snapshot is already JSON (Sud_obs renders it); parsing
      it back into the result keeps it one well-formed tree instead of a
      string splice. *)
@@ -1290,9 +1040,7 @@ let run_harness ~quick () =
     | Ok v -> v
     | Error e -> failwith ("bench: metrics snapshot is not valid JSON: " ^ e)
   in
-  ( [ ("units", J.Str "ns_per_op");
-      ("micro", micro_json micro);
-      ( "figure8",
+  ( [ ( "figure8",
         J.List
           (List.map
              (fun r ->
@@ -1302,10 +1050,9 @@ let run_harness ~quick () =
                     ("value", J.Str r.Netperf.value);
                     ("cpu", J.Str r.Netperf.cpu) ])
              figure8_rows) );
-      ("trace_overhead", J.Obj guard_data);
       ("metrics", metrics);
       ("recovery", recovery_rows recovery) ],
-    guard )
+    [] )
 
 (* ---- sud-check: canary hunt, replay determinism, exploration
    throughput (make check-smoke) ---- *)
@@ -1449,7 +1196,6 @@ let run_mode m =
     path;
   (gates, pass)
 
-let guard = { words = [ "guard" ]; run = run_guard }
 let mq = { words = [ "mq" ]; run = run_netperf_mq }
 let batch_smoke = { words = [ "batch"; "smoke" ]; run = run_netperf_batch ~smoke:true }
 let fuzz = { words = [ "fuzz" ]; run = run_fuzz }
@@ -1460,10 +1206,8 @@ let check = { words = [ "check" ]; run = run_check }
 let soak = { words = [ "soak" ]; run = run_soak }
 let blk_soak_smoke = { words = [ "blk-soak"; "smoke" ]; run = run_blk_soak ~n_faults:40 }
 
-(* Every gating mode, each run as on its own, and the tracer guard
-   (first, before the other modes grow the heap under its 10ns loops;
-   it is not a mode of its own: [quick] runs it too). *)
-let gating = [ guard; mq; batch_smoke; fuzz; blkperf; upgrade; upgrade_soak; check; soak; blk_soak_smoke ]
+(* Every gating mode, each run as on its own. *)
+let gating = [ mq; batch_smoke; fuzz; blkperf; upgrade; upgrade_soak; check; soak; blk_soak_smoke ]
 
 let gates () =
   let rows = List.concat_map (fun m -> fst (run_mode m)) gating in
@@ -1473,8 +1217,6 @@ let gates () =
 let modes =
   [ { words = []; run = run_harness ~quick:false };
     { words = [ "quick" ]; run = run_harness ~quick:true };
-    { words = [ "micro" ];
-      run = (fun () -> ([ ("micro", micro_json (microbenches (microbench_cases ()))) ], [])) };
     mq;
     { words = [ "batch" ]; run = run_netperf_batch ~smoke:false };
     batch_smoke;

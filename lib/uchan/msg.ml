@@ -28,10 +28,10 @@ let make ?(seq = 0) ?(epoch = 0) ?(args = []) ?(payload = Bytes.empty) ?(buf = -
 (* Marshal into a caller-supplied slot (e.g. a ring slot borrowed via
    {!Ring.push_inplace}) without allocating.  Only the bytes the format
    says are live get written: a reused slot may keep stale garbage past
-   [plen] and [nargs], which [unmarshal]/[unmarshal_view] never read. *)
+   [plen] and [nargs], which [unmarshal_view] never reads. *)
 let marshal_into t b =
-  if Array.length t.args > max_args then invalid_arg "Msg.marshal: too many args";
-  if Bytes.length t.payload > max_payload then invalid_arg "Msg.marshal: payload too large";
+  if Array.length t.args > max_args then invalid_arg "Msg.marshal_into: too many args";
+  if Bytes.length t.payload > max_payload then invalid_arg "Msg.marshal_into: payload too large";
   if Bytes.length b < slot_size then invalid_arg "Msg.marshal_into: slot too small";
   Bytes.set_uint16_le b 0 (t.kind land 0xFFFF);
   Bytes.set_int32_le b 2 (Int32.of_int t.seq);
@@ -41,11 +41,6 @@ let marshal_into t b =
   Bytes.set_uint16_le b 12 (t.epoch land max_epoch);
   Array.iteri (fun i v -> Bytes.set_int64_le b (14 + (8 * i)) (Int64.of_int v)) t.args;
   Bytes.blit t.payload 0 b header (Bytes.length t.payload)
-
-let marshal t =
-  let b = Bytes.make slot_size '\000' in
-  marshal_into t b;
-  b
 
 (* Decode from a borrowed slot.  The payload is still copied out (the slot
    is recycled under us), but the empty-payload common case allocates no
@@ -66,9 +61,6 @@ let unmarshal_view b =
           args = Array.init nargs (fun i -> Int64.to_int (Bytes.get_int64_le b (14 + (8 * i))));
           payload = (if plen = 0 then Bytes.empty else Bytes.sub b header plen) }
   end
-
-let unmarshal b =
-  if Bytes.length b <> slot_size then Error "bad slot size" else unmarshal_view b
 
 let arg t i = if i >= 0 && i < Array.length t.args then t.args.(i) else 0
 

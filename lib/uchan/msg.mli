@@ -28,26 +28,21 @@ val make :
   ?seq:int -> ?epoch:int -> ?args:int list -> ?payload:bytes -> ?buf:int ->
   kind:int -> unit -> t
 
-val marshal : t -> bytes
-(** Raises [Invalid_argument] if the message exceeds the slot format. *)
-
 val marshal_into : t -> bytes -> unit
-(** Zero-copy variant: marshal into the first {!slot_size} bytes of a
-    caller-supplied buffer (typically a ring slot borrowed through
-    {!Ring.push_inplace}), allocating nothing.  Stale bytes beyond the
-    encoded payload/args are left in place — the unmarshallers never read
-    them.  Raises [Invalid_argument] if the message exceeds the slot
-    format or the buffer is shorter than {!slot_size}. *)
-
-val unmarshal : bytes -> (t, string) result
-(** Defensive: a malicious driver writes arbitrary bytes into the shared
-    ring, so unmarshalling validates every length field. *)
+(** Marshal into the first {!slot_size} bytes of a caller-supplied buffer
+    (typically a ring slot borrowed through {!Ring.push_inplace}),
+    allocating nothing.  Stale bytes beyond the encoded payload/args are
+    left in place — {!unmarshal_view} never reads them.  Raises
+    [Invalid_argument] if the message exceeds the slot format or the
+    buffer is shorter than {!slot_size}. *)
 
 val unmarshal_view : bytes -> (t, string) result
-(** Like {!unmarshal} but for a borrowed slot (from {!Ring.pop_inplace}):
-    accepts any buffer of at least {!slot_size} bytes and copies only the
-    live payload out, sharing the empty payload when there is none.  The
-    returned message owns no part of [b]. *)
+(** Decode a borrowed slot (from {!Ring.pop_inplace}).  Defensive: a
+    malicious driver writes arbitrary bytes into the shared ring, so it
+    validates every length field.  Accepts any buffer of at least
+    {!slot_size} bytes and copies only the live payload out, sharing the
+    empty payload when there is none.  The returned message owns no part
+    of [b]. *)
 
 val arg : t -> int -> int
 (** [arg t i] with a 0 default for missing arguments. *)

@@ -12,18 +12,13 @@ val length : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool
 
-val try_push : t -> bytes -> bool
-(** False when full.  The slot bytes are copied in. *)
+(** {1 Borrowed slots}
 
-val try_pop : t -> bytes option
-(** The returned bytes are a fresh copy the caller may retain. *)
-
-(** {1 Borrowed-slot (zero-copy) API}
-
-    The callback receives the ring's own {!Msg.slot_size}-byte slot buffer;
-    it is only valid for the duration of the call and must not be retained
-    — the slot is recycled as the ring wraps.  Callers that need to keep
-    the bytes use {!try_push}/{!try_pop} instead. *)
+    Messages are marshalled into the ring in place (zero-copy): the
+    callback receives the ring's own {!Msg.slot_size}-byte slot buffer;
+    it is only valid for the duration of the call and must not be
+    retained — the slot is recycled as the ring wraps.  A caller that
+    needs to keep bytes copies them out itself. *)
 
 val push_inplace : t -> (bytes -> unit) -> bool
 (** Marshal directly into the next free slot.  False (writer not called)

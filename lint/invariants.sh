@@ -15,10 +15,9 @@ report() {
 # Protocol conformance: every driver->kernel slot is adjudicated by the
 # Conformance validator before anything acts on it, so raw
 # Msg.unmarshal_view belongs to the uchan library alone (dispatch and
-# validator).  bench/'s ring micro-bench, which measures the bare
-# unmarshal cost, and the wire-format round-trip tests are out of scope.
+# validator).  The wire-format round-trip tests are out of scope.
 report "Msg.unmarshal_view outside lib/uchan (ingress must go through Conformance)" \
-  "$(srcs 'Msg\.(Batch\.)?unmarshal_view' lib bin examples \
+  "$(srcs 'Msg\.(Batch\.)?unmarshal_view' lib bin bench examples \
      | grep -vE '^lib/uchan/(msg|uchan|conformance)\.mli?:')"
 
 # Batched datapath: data messages on the proxy net path ride the

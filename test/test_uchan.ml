@@ -18,9 +18,16 @@ let in_fiber eng k fn =
 
 (* ---- msg ---- *)
 
+(* Marshal [m] in place into a fresh slot, as into a ring slot, and
+   decode the slot back. *)
+let roundtrip m =
+  let slot = Bytes.make Msg.slot_size '\000' in
+  Msg.marshal_into m slot;
+  Msg.unmarshal_view slot
+
 let test_msg_roundtrip () =
   let m = Msg.make ~seq:7 ~args:[ 1; 2; 3 ] ~payload:(Bytes.of_string "hi") ~buf:5 ~kind:42 () in
-  match Msg.unmarshal (Msg.marshal m) with
+  match roundtrip m with
   | Error e -> Alcotest.fail e
   | Ok m' ->
     Alcotest.(check int) "kind" 42 m'.Msg.kind;
@@ -39,9 +46,11 @@ let test_msg_validation () =
      trust the length fields. *)
   let evil = Bytes.make Msg.slot_size '\xFF' in
   Alcotest.(check bool) "garbage slot rejected" true
-    (Result.is_error (Msg.unmarshal evil));
+    (Result.is_error (Msg.unmarshal_view evil));
   Alcotest.(check bool) "wrong size rejected" true
-    (Result.is_error (Msg.unmarshal (Bytes.make 10 '\x00')))
+    (Result.is_error (Msg.unmarshal_view (Bytes.make 10 '\x00')));
+  Alcotest.check_raises "short slot refused" (Invalid_argument "Msg.marshal_into: slot too small")
+    (fun () -> Msg.marshal_into (Msg.make ~kind:1 ()) (Bytes.make 10 '\x00'))
 
 (* ---- ring ---- *)
 
@@ -50,20 +59,20 @@ let test_ring_fifo () =
   Alcotest.(check bool) "empty" true (Ring.is_empty r);
   for i = 1 to 4 do
     Alcotest.(check bool) "push" true
-      (Ring.try_push r (Msg.marshal (Msg.make ~kind:i ())))
+      (Ring.push_inplace r (Msg.marshal_into (Msg.make ~kind:i ())))
   done;
   Alcotest.(check bool) "full" true (Ring.is_full r);
   Alcotest.(check bool) "push on full fails" false
-    (Ring.try_push r (Msg.marshal (Msg.make ~kind:9 ())));
+    (Ring.push_inplace r (fun _ -> Alcotest.fail "writer called on a full ring"));
   for i = 1 to 4 do
-    match Ring.try_pop r with
-    | Some slot ->
-      (match Msg.unmarshal slot with
-       | Ok m -> Alcotest.(check int) "FIFO order" i m.Msg.kind
-       | Error e -> Alcotest.fail e)
+    match Ring.pop_inplace r Msg.unmarshal_view with
+    | Some (Ok m) -> Alcotest.(check int) "FIFO order" i m.Msg.kind
+    | Some (Error e) -> Alcotest.fail e
     | None -> Alcotest.fail "pop"
   done;
-  Alcotest.(check bool) "drained" true (Ring.is_empty r)
+  Alcotest.(check bool) "drained" true (Ring.is_empty r);
+  Alcotest.(check bool) "pop on empty fails" true
+    (Ring.pop_inplace r (fun _ -> Alcotest.fail "reader called on an empty ring") = None)
 
 let test_ring_power_of_two () =
   Alcotest.check_raises "non-power-of-two rejected"
@@ -263,20 +272,32 @@ let msg_gen =
   QCheck.Gen.(
     let* kind = int_range 0 0x7FFF in
     let* seq = int_range 0 1000000 in
+    let* epoch = int_range 0 Msg.max_epoch in
     let* nargs = int_range 0 Msg.max_args in
     let* args = list_repeat nargs (int_range (-1000000) 1000000) in
-    let* payload = string_size (int_range 0 Msg.max_payload) in
+    (* Often empty: an empty payload marshalled over a longer one is
+       where a stale length byte would show. *)
+    let* payload = frequency [ (1, return ""); (3, string_size (int_range 0 Msg.max_payload)) ] in
     let* buf = int_range (-1) 1000 in
-    return (Msg.make ~seq ~args ~payload:(Bytes.of_string payload) ~buf ~kind ()))
+    return (Msg.make ~seq ~epoch ~args ~payload:(Bytes.of_string payload) ~buf ~kind ()))
+
+(* One slot for every case of the round-trip, as a ring slot is reused:
+   each message is marshalled over the previous case's bytes, or over a
+   0xFF fill.  [marshal_into] leaves bytes past the live fields in place,
+   so the decoder must read none of them. *)
+let stale_slot = Bytes.make Msg.slot_size '\xFF'
 
 let qcheck_cases =
   [ QCheck.Test.make ~name:"msg marshal/unmarshal roundtrip" ~count:500
-      (QCheck.make msg_gen)
-      (fun m ->
-         match Msg.unmarshal (Msg.marshal m) with
+      (QCheck.make QCheck.Gen.(pair msg_gen bool))
+      (fun (m, refill) ->
+         if refill then Bytes.fill stale_slot 0 Msg.slot_size '\xFF';
+         Msg.marshal_into m stale_slot;
+         match Msg.unmarshal_view stale_slot with
          | Error _ -> false
          | Ok m' ->
            m'.Msg.kind = m.Msg.kind && m'.Msg.seq = m.Msg.seq && m'.Msg.buf = m.Msg.buf
+           && m'.Msg.epoch = m.Msg.epoch
            && Array.to_list m'.Msg.args = Array.to_list m.Msg.args
            && Bytes.equal m'.Msg.payload m.Msg.payload);
     QCheck.Test.make ~name:"ring preserves order under mixed ops" ~count:200
@@ -290,14 +311,16 @@ let qcheck_cases =
            (fun op ->
               if op = 0 then begin
                 incr next;
-                let pushed = Ring.try_push r (Msg.marshal (Msg.make ~kind:(!next land 0x7FFF) ())) in
+                let pushed =
+                  Ring.push_inplace r (Msg.marshal_into (Msg.make ~kind:(!next land 0x7FFF) ()))
+                in
                 if pushed then Queue.push (!next land 0x7FFF) model
               end
               else
-                match (Ring.try_pop r, Queue.take_opt model) with
+                match (Ring.pop_inplace r Msg.unmarshal_view, Queue.take_opt model) with
                 | None, None -> ()
-                | Some slot, Some expect ->
-                  (match Msg.unmarshal slot with
+                | Some decoded, Some expect ->
+                  (match decoded with
                    | Ok m -> if m.Msg.kind <> expect then ok := false
                    | Error _ -> ok := false)
                 | Some _, None | None, Some _ -> ok := false)
