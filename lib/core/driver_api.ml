@@ -40,7 +40,6 @@ type pcidev = {
   pd_io_bar : int -> (pio, string) result;
   pd_alloc_dma : ?coherent:bool -> bytes:int -> unit -> (dma_region, string) result;
   pd_free_dma : dma_region -> unit;
-  pd_request_irq : (unit -> unit) -> (unit, string) result;
   pd_request_irqs : n:int -> (queue:int -> unit) -> (unit, string) result;
   pd_free_irq : unit -> unit;
   pd_irq_ack : ?queue:int -> unit -> unit;

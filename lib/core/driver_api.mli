@@ -52,9 +52,6 @@ type pcidev = {
   pd_io_bar : int -> (pio, string) result;
   pd_alloc_dma : ?coherent:bool -> bytes:int -> unit -> (dma_region, string) result;
   pd_free_dma : dma_region -> unit;
-  pd_request_irq : (unit -> unit) -> (unit, string) result;
-      (** the [n = 1] instance of [pd_request_irqs]; kept for
-          single-queue drivers *)
   pd_request_irqs : n:int -> (queue:int -> unit) -> (unit, string) result;
       (** Allocate [n] MSI-X vectors (one per queue) and install one
           handler over the block; the handler receives the queue index.
