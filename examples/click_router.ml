@@ -102,10 +102,10 @@ let () =
   let nic_b = E1000_dev.create eng ~mac:(Skbuff.Mac.of_string "02:00:00:00:00:0b") ~medium:link_b () in
   let bdf_a = Kernel.attach_pci k (E1000_dev.device nic_a) in
   let bdf_b = Kernel.attach_pci k (E1000_dev.device nic_b) in
-  let source = Net_medium.attach link_a ~name:"src" ~rx:ignore in
+  let source = Net_medium.attach link_a ~rx:ignore in
   let forwarded = ref 0 in
   ignore
-    (Net_medium.attach link_b ~name:"sink" ~rx:(fun f ->
+    (Net_medium.attach link_b ~rx:(fun f ->
          incr forwarded;
          if !forwarded <= 3 then
            Printf.printf "[sink] frame %d (%d bytes): %s...\n" !forwarded (Bytes.length f)

@@ -17,8 +17,6 @@ let () =
            | Ok s -> s
            | Error e -> failwith e
          in
-         (* Realtime scheduling for the audio driver process. *)
-         Process.set_scheduler (Driver_host.proc s) Process.Realtime;
          let proxy = Driver_host.proxy s in
          (match Proxy_audio.set_volume proxy 70 with
           | Ok () -> print_endline "mixer: volume 70"

@@ -8,8 +8,8 @@ let () =
   let eng = Engine.create () in
   let k = Kernel.boot eng in
   let hci = Usb_hci_dev.create eng ~ports:2 () in
-  let disk = Usb_device.storage ~name:"usb-stick" ~blocks:128 in
-  let kbd = Usb_device.keyboard ~name:"usb-kbd" in
+  let disk = Usb_device.storage ~blocks:128 in
+  let kbd = Usb_device.keyboard () in
   Usb_hci_dev.plug hci ~port:0 disk;
   Usb_hci_dev.plug hci ~port:1 kbd;
   let bdf = Kernel.attach_pci k (Usb_hci_dev.device hci) in

@@ -194,7 +194,7 @@ let make_world () =
   let k = Kernel.boot eng in
   let medium = Net_medium.create eng () in
   let wire = ref 0 in
-  ignore (Net_medium.attach medium ~name:"snoop" ~rx:(fun _ -> incr wire) : Net_medium.port);
+  ignore (Net_medium.attach medium ~rx:(fun _ -> incr wire) : Net_medium.port);
   let nic = E1000_dev.create eng ~mac:(Bytes.of_string "\x02\x00\x00\x00\x00\x01") ~medium () in
   let bdf = Kernel.attach_pci k (E1000_dev.device nic) in
   let sp = Safe_pci.init k in

@@ -25,14 +25,11 @@ let make_world ?iommu_mode ?(enable_acs = true) () =
   let medium = Net_medium.create eng () in
   let snoop = ref [] in
   ignore
-    (Net_medium.attach medium ~name:"snoop" ~rx:(fun f -> snoop := f :: !snoop)
+    (Net_medium.attach medium ~rx:(fun f -> snoop := f :: !snoop)
      : Net_medium.port);
   let nic = E1000_dev.create eng ~mac:(Bytes.of_string "\x02\x00\x00\x00\x00\x01") ~medium () in
   let victim = E1000_dev.create eng ~mac:(Bytes.of_string "\x02\x00\x00\x00\x00\x02") ~medium () in
-  let sw =
-    Pci_topology.add_switch k.Kernel.topo ~parent:(Pci_topology.root_switch k.Kernel.topo)
-      ~name:"plx-switch"
-  in
+  let sw = Pci_topology.add_switch k.Kernel.topo ~parent:(Pci_topology.root_switch k.Kernel.topo) in
   if enable_acs then Pci_topology.enable_acs_everywhere k.Kernel.topo;
   let bdf = Kernel.attach_pci k ~switch:sw (E1000_dev.device nic) in
   let victim_bdf = Kernel.attach_pci k ~switch:sw (E1000_dev.device victim) in
@@ -177,7 +174,7 @@ let dma_write_corruption () =
       ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
       (* The trigger: any frame on the medium is received by the device
          and DMA-written to the target. *)
-      let port = Net_medium.attach w.medium ~name:"trigger" ~rx:ignore in
+      let port = Net_medium.attach w.medium ~rx:ignore in
       Net_medium.send w.medium port (Bytes.make 64 '\xEE');
       settle w 5;
       let now = Phys_mem.read w.k.Kernel.mem ~addr ~len:(String.length secret) in
@@ -216,7 +213,7 @@ let peer_to_peer ~acs =
       in
       let s = start_mal w drv in
       ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
-      let port = Net_medium.attach w.medium ~name:"trigger" ~rx:ignore in
+      let port = Net_medium.attach w.medium ~rx:ignore in
       Net_medium.send w.medium port (Bytes.make 64 '\xAA');
       settle w 5;
       let after = (Device.ops (E1000_dev.device w.victim)).Device.mmio_read
@@ -346,7 +343,7 @@ let msi_dma_storm ~iommu =
       ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
       settle w 1;
       (* Crafted frames: first 4 bytes encode the forged MSI message. *)
-      let port = Net_medium.attach w.medium ~name:"crafted" ~rx:ignore in
+      let port = Net_medium.attach w.medium ~rx:ignore in
       for _ = 1 to 100 do
         let f = Bytes.make 64 '\000' in
         Bytes.set_int32_le f 0 (Int32.of_int !vector);

@@ -112,8 +112,7 @@ let pcidev (k : Kernel.t) bdf ~label =
         else begin
           let vs = Irq.alloc_vectors k.Kernel.irq ~n in
           match
-            Irq.request_irqs k.Kernel.irq ~vectors:vs ~name:label
-              (fun ~queue ~source:_ -> handler ~queue)
+            Irq.request_irqs k.Kernel.irq ~vectors:vs (fun ~queue ~source:_ -> handler ~queue)
           with
           | Error e -> Error e
           | Ok () ->

@@ -544,9 +544,7 @@ let setup_irqs g ~n ~sink =
     let use_msix = n > 1 && Pci_cfg.find_capability cfg Pci_cfg.msix_cap_id <> None in
     let vectors = Irq.alloc_vectors t.k.Kernel.irq ~n in
     match
-      Irq.request_irqs t.k.Kernel.irq ~vectors
-        ~name:(Printf.sprintf "sud-%s" (Bus.string_of_bdf g.g_bdf))
-        (fun ~queue ~source -> handle_irq g ~queue ~source)
+      Irq.request_irqs t.k.Kernel.irq ~vectors (fun ~queue ~source -> handle_irq g ~queue ~source)
     with
     | Error e -> Error e
     | Ok () ->

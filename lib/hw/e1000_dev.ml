@@ -390,7 +390,7 @@ let create eng ~mac ~medium ?(queues = 1) () =
     lazy
       (let dev = Device.create ~name:"e1000" ~cfg ~ops:Device.no_io in
        let port =
-         Net_medium.attach medium ~name:"e1000" ~rx:(fun frame -> receive (Lazy.force t) frame)
+         Net_medium.attach medium ~rx:(fun frame -> receive (Lazy.force t) frame)
        in
        { eng;
          dev;

@@ -206,7 +206,7 @@ let create eng ~mac ~medium () =
     lazy
       (let dev = Device.create ~name:"ne2k" ~cfg ~ops:Device.no_io in
        let port =
-         Net_medium.attach medium ~name:"ne2k" ~rx:(fun f -> receive (Lazy.force t) f)
+         Net_medium.attach medium ~rx:(fun f -> receive (Lazy.force t) f)
        in
        { eng;
          dev;

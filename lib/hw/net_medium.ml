@@ -1,5 +1,4 @@
 type port = {
-  pname : string;
   rx : bytes -> unit;
   mutable tx_free_at : int;   (* per-sender line is busy until then *)
 }
@@ -17,8 +16,8 @@ let create eng ?(rate_bps = 1_000_000_000) ?(latency_ns = 20_000) () =
   if rate_bps <= 0 then invalid_arg "Net_medium.create: rate must be positive";
   { eng; rate_bps; latency_ns; ports = []; frames = 0; bytes = 0 }
 
-let attach t ~name ~rx =
-  let p = { pname = name; rx; tx_free_at = 0 } in
+let attach t ~rx =
+  let p = { rx; tx_free_at = 0 } in
   t.ports <- t.ports @ [ p ];
   p
 

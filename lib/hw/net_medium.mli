@@ -10,7 +10,7 @@ type port
 val create : Engine.t -> ?rate_bps:int -> ?latency_ns:int -> unit -> t
 (** Defaults: 1 Gb/s, 20 us propagation latency. *)
 
-val attach : t -> name:string -> rx:(bytes -> unit) -> port
+val attach : t -> rx:(bytes -> unit) -> port
 (** Add a station.  [rx] is invoked (via the engine) for every frame sent
     by any other station. *)
 

@@ -1,7 +1,6 @@
 type acs = { mutable source_validation : bool; mutable p2p_redirect : bool }
 
 type switch = {
-  sname : string;
   sacs : acs;
   parent : switch option;         (* None = the root complex *)
   bus : int;
@@ -43,7 +42,7 @@ let mmio_window_base = 0xE000_0000
 let io_window_base = 0xC000
 
 let create ~mem ~iommu ~ioports () =
-  let root = { sname = "root-complex"; sacs = { source_validation = false; p2p_redirect = false }; parent = None; bus = 0; next_dev = 0 } in
+  let root = { sacs = { source_validation = false; p2p_redirect = false }; parent = None; bus = 0; next_dev = 0 } in
   { mem;
     iommu;
     ioports;
@@ -64,8 +63,8 @@ let create ~mem ~iommu ~ioports () =
 
 let root_switch t = t.root
 
-let add_switch t ~parent ~name =
-  let sw = { sname = name; sacs = { source_validation = false; p2p_redirect = false }; parent = Some parent; bus = t.next_bus; next_dev = 0 } in
+let add_switch t ~parent =
+  let sw = { sacs = { source_validation = false; p2p_redirect = false }; parent = Some parent; bus = t.next_bus; next_dev = 0 } in
   t.next_bus <- t.next_bus + 1;
   t.sws <- sw :: t.sws;
   sw

@@ -32,7 +32,7 @@ val root_switch : t -> switch
 (** The root complex's internal "switch"; devices attached here sit on root
     ports. *)
 
-val add_switch : t -> parent:switch -> name:string -> switch
+val add_switch : t -> parent:switch -> switch
 
 val enable_acs_everywhere : t -> unit
 (** What SUD does at startup: source validation + P2P redirection on every

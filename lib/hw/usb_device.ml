@@ -12,19 +12,18 @@ and storage_state = {
   mutable expect_out : (int * int * int) option;  (* (lba, blocks_left, tag) for WRITE *)
 }
 
-type t = { uname : string; mutable addr : int; kind : kind }
+type t = { mutable addr : int; kind : kind }
 
 let address t = t.addr
 let set_address t a = t.addr <- a land 0x7f
 
 let block_size = 512
 
-let keyboard ~name = { uname = name; addr = 0; kind = Keyboard { reports = Queue.create () } }
+let keyboard () = { addr = 0; kind = Keyboard { reports = Queue.create () } }
 
-let storage ~name ~blocks =
+let storage ~blocks =
   if blocks <= 0 then invalid_arg "Usb_device.storage: need at least one block";
-  { uname = name;
-    addr = 0;
+  { addr = 0;
     kind =
       Storage
         { blocks = Array.init blocks (fun _ -> Bytes.make block_size '\000');

@@ -26,7 +26,7 @@ val endpoint_out : t -> ep:int -> data:bytes -> transfer_result
 
 (** {1 Keyboard} *)
 
-val keyboard : name:string -> t
+val keyboard : unit -> t
 val keyboard_press : t -> key:int -> unit
 (** Queue a key-down report on the interrupt endpoint (EP 1 IN).
     Raises [Invalid_argument] if [t] is not a keyboard. *)
@@ -36,7 +36,7 @@ val keyboard_pending : t -> int
 
 (** {1 Mass storage} *)
 
-val storage : name:string -> blocks:int -> t
+val storage : blocks:int -> t
 (** A disk of 512-byte blocks, bulk-only transport on EP 1 OUT / EP 2 IN.
     SCSI subset: TEST UNIT READY, INQUIRY, READ CAPACITY(10), READ(10),
     WRITE(10). *)

@@ -262,7 +262,7 @@ let create eng ~mac ~medium ~bss_list () =
   let rec t =
     lazy
       (let dev = Device.create ~name:"iwl" ~cfg ~ops:Device.no_io in
-       let port = Net_medium.attach medium ~name:"iwl" ~rx:(fun f -> receive (Lazy.force t) f) in
+       let port = Net_medium.attach medium ~rx:(fun f -> receive (Lazy.force t) f) in
        { eng;
          dev;
          bss_list;

@@ -1,7 +1,6 @@
 type handler = source:Bus.bdf -> unit
 
 type entry = {
-  hname : string;
   fn : handler;
   mutable hits : int;
   mutable masked : bool;
@@ -71,15 +70,14 @@ let alloc_vectors t ~n =
    the usual MSI-X ± irqbalance steady state. *)
 let default_affinity t vector = vector mod Cpu.cores t.cpu
 
-let request_irqs t ~vectors ~name fn =
+let request_irqs t ~vectors fn =
   match Array.to_list vectors |> List.find_opt (Hashtbl.mem t.handlers) with
   | Some v -> Error (Printf.sprintf "vector %d already requested" v)
   | None ->
     Array.iteri
       (fun queue v ->
          Hashtbl.add t.handlers v
-           { hname = name;
-             fn = (fun ~source -> fn ~queue ~source);
+           { fn = (fun ~source -> fn ~queue ~source);
              hits = 0;
              masked = false;
              affinity = default_affinity t v };

@@ -28,8 +28,7 @@ val alloc_vectors : t -> n:int -> int array
     when [n <= 0] and [Failure] if the space is exhausted. *)
 
 val request_irqs :
-  t -> vectors:int array -> name:string ->
-  (queue:int -> source:Bus.bdf -> unit) -> (unit, string) result
+  t -> vectors:int array -> (queue:int -> source:Bus.bdf -> unit) -> (unit, string) result
 (** Install one handler across a vector block; the handler receives the
     index of the vector within [vectors] as [queue].  All-or-nothing:
     fails without side effects if any vector is already requested.

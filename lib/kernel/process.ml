@@ -1,7 +1,5 @@
 exception Rlimit_exceeded of string
 
-type sched_policy = Normal | Realtime
-
 type t = {
   ppid : int;
   puid : int;
@@ -13,7 +11,6 @@ type t = {
   mutable exit_hooks : (unit -> unit) list;
   mutable mem_limit : int option;
   mutable mem_used : int;
-  mutable policy : sched_policy;
 }
 
 (* Fiber ids are distinct small integers: they hash to themselves, so
@@ -44,8 +41,7 @@ let make_proc eng cpu ~pid ~uid ~name =
     fibers = [];
     exit_hooks = [];
     mem_limit = None;
-    mem_used = 0;
-    policy = Normal }
+    mem_used = 0 }
 
 let create_table eng cpu =
   let kernel = make_proc eng cpu ~pid:0 ~uid:0 ~name:"kernel" in
@@ -122,5 +118,3 @@ let charge_memory t ~bytes =
 
 let uncharge_memory t ~bytes = t.mem_used <- max 0 (t.mem_used - bytes)
 let memory_used t = t.mem_used
-
-let set_scheduler t policy = t.policy <- policy

@@ -54,9 +54,3 @@ val charge_memory : t -> bytes:int -> unit
 
 val uncharge_memory : t -> bytes:int -> unit
 val memory_used : t -> int
-
-(** {1 Scheduling policy} *)
-
-type sched_policy = Normal | Realtime
-
-val set_scheduler : t -> sched_policy -> unit

@@ -25,7 +25,7 @@ let setup_duo ?(switched = false) (k : Kernel.t) =
   let nic_b = E1000_dev.create k.Kernel.eng ~mac:mac_b ~medium () in
   let bdf_a, bdf_b =
     if switched then begin
-      let sw = Pci_topology.add_switch k.Kernel.topo ~parent:(Pci_topology.root_switch k.Kernel.topo) ~name:"plx" in
+      let sw = Pci_topology.add_switch k.Kernel.topo ~parent:(Pci_topology.root_switch k.Kernel.topo) in
       let a = Kernel.attach_pci k ~switch:sw (E1000_dev.device nic_a) in
       let b = Kernel.attach_pci k ~switch:sw (E1000_dev.device nic_b) in
       (a, b)

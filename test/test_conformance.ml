@@ -120,7 +120,7 @@ let test_usb () =
   run_in_kernel
     (fun k ->
        let hci = Usb_hci_dev.create k.Kernel.eng ~ports:1 () in
-       Usb_hci_dev.plug hci ~port:0 (Usb_device.storage ~name:"stick" ~blocks:16);
+       Usb_hci_dev.plug hci ~port:0 (Usb_device.storage ~blocks:16);
        Kernel.attach_pci k (Usb_hci_dev.device hci))
     (fun k bdf ->
        let sp = Safe_pci.init k in

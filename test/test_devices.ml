@@ -122,8 +122,8 @@ let test_usb_storage_sud () =
   run_in_kernel
     (fun k ->
        let hci = Usb_hci_dev.create k.Kernel.eng ~ports:2 () in
-       let disk = Usb_device.storage ~name:"stick" ~blocks:64 in
-       let kbd = Usb_device.keyboard ~name:"kbd" in
+       let disk = Usb_device.storage ~blocks:64 in
+       let kbd = Usb_device.keyboard () in
        Usb_hci_dev.plug hci ~port:0 disk;
        Usb_hci_dev.plug hci ~port:1 kbd;
        let bdf = Kernel.attach_pci k (Usb_hci_dev.device hci) in
@@ -164,8 +164,8 @@ let test_uhci_storage_sud () =
   run_in_kernel
     (fun k ->
        let hci = Uhci_dev.create k.Kernel.eng ~ports:2 () in
-       let disk = Usb_device.storage ~name:"stick" ~blocks:32 in
-       let kbd = Usb_device.keyboard ~name:"kbd" in
+       let disk = Usb_device.storage ~blocks:32 in
+       let kbd = Usb_device.keyboard () in
        Uhci_dev.plug hci ~port:0 disk;
        Uhci_dev.plug hci ~port:1 kbd;
        let bdf = Kernel.attach_pci k (Uhci_dev.device hci) in

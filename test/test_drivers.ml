@@ -60,7 +60,7 @@ let test_e1000_stop_disables_rx () =
       ok_or_fail "open" (inst.Driver_api.ni_open ());
       inst.Driver_api.ni_stop ();
       (* A frame arriving after stop is dropped by the device (RCTL off). *)
-      let port = Net_medium.attach duo.medium ~name:"inj" ~rx:ignore in
+      let port = Net_medium.attach duo.medium ~rx:ignore in
       Net_medium.send duo.medium port (Bytes.make 64 'z');
       ignore (Fiber.sleep k.Kernel.eng 5_000_000 : Fiber.wake);
       Alcotest.(check int) "no frames received" 0 (E1000_dev.rx_frames duo.nic_a);

@@ -157,7 +157,7 @@ let usb_launch () =
   launch_and_kill
     (fun k ->
        let hci = Usb_hci_dev.create k.Kernel.eng ~ports:1 () in
-       Usb_hci_dev.plug hci ~port:0 (Usb_device.storage ~name:"stick" ~blocks:16);
+       Usb_hci_dev.plug hci ~port:0 (Usb_device.storage ~blocks:16);
        Kernel.attach_pci k (Usb_hci_dev.device hci))
     (fun k sp bdf ->
        let s =

@@ -608,7 +608,7 @@ let test_topology_bdf_assignment () =
   let _, bdf_a = mk_nic eng topo medium '\x02' in
   let _, bdf_b = mk_nic eng topo medium '\x03' in
   Alcotest.(check bool) "distinct BDFs" true (bdf_a <> bdf_b);
-  let sw = Pci_topology.add_switch topo ~parent:(Pci_topology.root_switch topo) ~name:"sw" in
+  let sw = Pci_topology.add_switch topo ~parent:(Pci_topology.root_switch topo) in
   let nic = E1000_dev.create eng ~mac:(Bytes.make 6 '\x04') ~medium () in
   let bdf_c = Pci_topology.attach topo ~switch:sw (E1000_dev.device nic) in
   Alcotest.(check bool) "switch gets its own bus" true (Bus.bdf_bus bdf_c <> Bus.bdf_bus bdf_a)
@@ -694,8 +694,8 @@ let test_medium_delivery () =
   let eng = Engine.create () in
   let m = Net_medium.create eng ~rate_bps:1_000_000_000 ~latency_ns:1000 () in
   let got = ref [] in
-  let _a = Net_medium.attach m ~name:"a" ~rx:(fun f -> got := ("a", Bytes.length f) :: !got) in
-  let b = Net_medium.attach m ~name:"b" ~rx:(fun f -> got := ("b", Bytes.length f) :: !got) in
+  let _a = Net_medium.attach m ~rx:(fun f -> got := ("a", Bytes.length f) :: !got) in
+  let b = Net_medium.attach m ~rx:(fun f -> got := ("b", Bytes.length f) :: !got) in
   Net_medium.send m b (Bytes.make 100 'x');
   Engine.run eng;
   (* Only the other station hears it. *)
@@ -706,8 +706,8 @@ let test_medium_serialization () =
   let eng = Engine.create () in
   let m = Net_medium.create eng ~rate_bps:1_000_000_000 ~latency_ns:0 () in
   let times = ref [] in
-  let _a = Net_medium.attach m ~name:"a" ~rx:(fun _ -> times := Engine.now eng :: !times) in
-  let b = Net_medium.attach m ~name:"b" ~rx:ignore in
+  let _a = Net_medium.attach m ~rx:(fun _ -> times := Engine.now eng :: !times) in
+  let b = Net_medium.attach m ~rx:ignore in
   (* Two back-to-back frames serialize on the sender's line. *)
   Net_medium.send m b (Bytes.make 1500 'x');
   Net_medium.send m b (Bytes.make 1500 'x');
@@ -858,9 +858,9 @@ let test_medium_broadcast_domain () =
   let eng = Engine.create () in
   let m = Net_medium.create eng () in
   let hits = ref 0 in
-  let _a = Net_medium.attach m ~name:"a" ~rx:(fun _ -> incr hits) in
-  let _b = Net_medium.attach m ~name:"b" ~rx:(fun _ -> incr hits) in
-  let c = Net_medium.attach m ~name:"c" ~rx:(fun _ -> incr hits) in
+  let _a = Net_medium.attach m ~rx:(fun _ -> incr hits) in
+  let _b = Net_medium.attach m ~rx:(fun _ -> incr hits) in
+  let c = Net_medium.attach m ~rx:(fun _ -> incr hits) in
   Net_medium.send m c (Bytes.make 64 'x');
   Engine.run eng;
   Alcotest.(check int) "both other stations hear it" 2 !hits;
@@ -869,7 +869,7 @@ let test_medium_broadcast_domain () =
 (* ---- usb device models ---- *)
 
 let test_usb_storage_scsi () =
-  let disk = Usb_device.storage ~name:"d" ~blocks:8 in
+  let disk = Usb_device.storage ~blocks:8 in
   Usb_device.set_address disk 1;
   (* CBW for READ CAPACITY *)
   let cb = Bytes.make 16 '\000' in
@@ -895,7 +895,7 @@ let test_usb_storage_scsi () =
   | Usb_device.Nak | Usb_device.Stall -> Alcotest.fail "no CSW"
 
 let test_usb_kbd_reports () =
-  let kbd = Usb_device.keyboard ~name:"k" in
+  let kbd = Usb_device.keyboard () in
   (match Usb_device.endpoint_in kbd ~ep:1 ~len:8 with
    | Usb_device.Nak -> ()
    | Usb_device.Done _ | Usb_device.Stall -> Alcotest.fail "idle keyboard must NAK");

@@ -112,7 +112,7 @@ let test_irq_dispatch () =
       let v = (Irq.alloc_vectors irq ~n:1).(0) in
       let hits = ref 0 in
       (match
-         Irq.request_irqs irq ~vectors:[| v |] ~name:"t" (fun ~queue:_ ~source:_ -> incr hits)
+         Irq.request_irqs irq ~vectors:[| v |] (fun ~queue:_ ~source:_ -> incr hits)
        with
        | Ok () -> ()
        | Error e -> Alcotest.fail e);
@@ -124,7 +124,7 @@ let test_irq_dispatch () =
       Alcotest.(check int) "spurious counted" 1 (Sud_obs.Metrics.get (Irq.metrics irq).Irq.qm_spurious);
       Alcotest.(check bool) "double request rejected" true
         (Result.is_error
-           (Irq.request_irqs irq ~vectors:[| v |] ~name:"t2" (fun ~queue:_ ~source:_ -> ()))))
+           (Irq.request_irqs irq ~vectors:[| v |] (fun ~queue:_ ~source:_ -> ()))))
 
 let test_irq_vector_recycling () =
   (* MSI carries the vector in data[7:0], so the allocator must recycle
@@ -136,7 +136,7 @@ let test_irq_vector_recycling () =
       let irq = k.Kernel.irq in
       let first = Irq.alloc_vectors irq ~n:4 in
       (match
-         Irq.request_irqs irq ~vectors:first ~name:"gen0" (fun ~queue:_ ~source:_ -> ())
+         Irq.request_irqs irq ~vectors:first (fun ~queue:_ ~source:_ -> ())
        with
        | Ok () -> ()
        | Error e -> Alcotest.fail e);
@@ -149,7 +149,7 @@ let test_irq_vector_recycling () =
                Alcotest.failf "vector %d escapes the 8-bit MSI data field" v)
           vs;
         (match
-           Irq.request_irqs irq ~vectors:vs ~name:"gen" (fun ~queue:_ ~source:_ -> ())
+           Irq.request_irqs irq ~vectors:vs (fun ~queue:_ ~source:_ -> ())
          with
          | Ok () -> ()
          | Error e -> Alcotest.fail e);
@@ -164,7 +164,7 @@ let test_irq_handler_atomic () =
       let v = (Irq.alloc_vectors k.Kernel.irq ~n:1).(0) in
       let was_atomic = ref false in
       (match
-         Irq.request_irqs k.Kernel.irq ~vectors:[| v |] ~name:"t" (fun ~queue:_ ~source:_ ->
+         Irq.request_irqs k.Kernel.irq ~vectors:[| v |] (fun ~queue:_ ~source:_ ->
              was_atomic := Preempt.in_atomic k.Kernel.preempt)
        with
        | Ok () -> ()

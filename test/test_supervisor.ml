@@ -174,7 +174,7 @@ let test_batch_corrupt_no_restart () =
          multi-frame batch slot; pump until the armed corruption lands on
          one.  (TX completions in this quiet world free one token at a
          time — too sparse to ever form a batch.) *)
-      let peer = Net_medium.attach w.medium ~name:"peer" ~rx:ignore in
+      let peer = Net_medium.attach w.medium ~rx:ignore in
       let wire_frame =
         let b = Bytes.make 64 '\x00' in
         Bytes.blit mac 0 b 0 6;
@@ -361,7 +361,7 @@ let backlog_wire_order_property =
             | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
            let seen = ref [] in
            ignore
-             (Net_medium.attach w.medium ~name:"order-snoop" ~rx:(fun f ->
+             (Net_medium.attach w.medium ~rx:(fun f ->
                   if Bytes.length f >= Rss.flow_span + 2 then begin
                     let flow = Bytes.get_uint16_be f 15 - 1000 in
                     if flow >= 0 && flow < n_flows then
