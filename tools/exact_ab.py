@@ -1,32 +1,44 @@
 #!/usr/bin/env python3
-"""Check that two checkouts simulate exactly the same runs of the benchmark.
+"""Check that two checkouts simulate exactly the same runs.
 
     python3 tools/exact_ab.py PARENT CHANGE
 
-Builds `perfbench/main.exe` in the PARENT and the CHANGE checkout with
-dune, then runs `perfbench/main.exe --workload W --seed S --trace 0` in
-both for every workload of CHANGE's BENCHMARK.json and the seeds 1, 2, 7
-and 42.  Under one seed a run is bit-reproducible, so a change that
-preserves the simulated behaviour leaves every compared value identical:
-the `digest`, the `fingerprint` (trace hash, steps, ops, samples), the
-`attempted` and `failed` op counts and every key of the `exact` block.
-Wall-clock and allocation figures are not compared.
+Builds `perfbench/main.exe` and `bench/main.exe` in the PARENT and the
+CHANGE checkout with dune.  It then runs in both:
 
-Prints one line per workload and seed, and under it each differing key
-with both values.  The script reads both checkouts and writes nothing;
-dune builds each checkout.  Exit status: 0 when every compared value is
-identical, 1 on any difference, 2 on a usage or build error or a run
-that printed no result.
+  * `perfbench/main.exe --workload W --seed S --trace 0` for every
+    workload of CHANGE's BENCHMARK.json and the seeds 1, 2, 7 and 42;
+  * the two fixed-seed soaks, `bench/main.exe soak` and
+    `bench/main.exe blk-soak smoke`.
+
+Under one seed a run is bit-reproducible, so a change that preserves the
+simulated behaviour leaves every compared value identical.  For a
+benchmark run those are the `digest`, the `fingerprint` (trace hash,
+steps, ops, samples), the `attempted` and `failed` op counts and every
+key of the `exact` block; wall-clock and allocation figures are not
+compared.  For a soak they are every line of its standard output and
+its exit status.
+
+Prints one line per benchmark run and per soak, and under it each
+differing key or line with both values.  The script writes nothing to
+either checkout: dune builds each one, and the soaks run in a temporary
+directory, which takes their traces/ output.  The soaks take about 10 s
+per checkout.  Exit status: 0 when every compared value is identical,
+1 on any difference, 2 on a usage or build error or a benchmark run that
+printed no result.
 """
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 USAGE = "usage: exact_ab.py PARENT CHANGE"
 SEEDS = (1, 2, 7, 42)
 TOP_KEYS = ("digest", "fingerprint", "attempted", "failed")
+SOAKS = (("soak",), ("blk-soak", "smoke"))
 
 
 def die(msg):
@@ -36,7 +48,7 @@ def die(msg):
 
 def build(checkout):
     r = subprocess.run(["dune", "build", "--root", checkout, "--display", "quiet",
-                        "./perfbench/main.exe"], cwd=checkout)
+                        "./perfbench/main.exe", "./bench/main.exe"], cwd=checkout)
     if r.returncode != 0:
         die(f"{checkout}: build failed")
 
@@ -50,6 +62,25 @@ def run(checkout, workload, seed):
         sys.stderr.write(p.stderr[-4000:])
         die(f"{checkout}: {workload} seed {seed} printed no result (exit {p.returncode})")
     return json.loads(lines[-1])
+
+
+def soak(checkout, mode):
+    """The stdout lines and exit status of one bench soak, run in a
+    fresh temporary directory."""
+    exe = os.path.join(checkout, "_build", "default", "bench", "main.exe")
+    with tempfile.TemporaryDirectory() as cwd:
+        p = subprocess.run([exe, *mode], cwd=cwd, capture_output=True, text=True)
+    return p.stdout.splitlines(), p.returncode
+
+
+def soak_diff(parent, change, mode):
+    """Each compared soak value that differs, as (what, parent, change)."""
+    (a, a_rc), (b, b_rc) = soak(parent, mode), soak(change, mode)
+    moved = [(f"line {i}", x, y)
+             for i, (x, y) in enumerate(itertools.zip_longest(a, b), start=1) if x != y]
+    if a_rc != b_rc:
+        moved.append(("exit status", a_rc, b_rc))
+    return moved, max(len(a), len(b))
 
 
 def values(result):
@@ -82,7 +113,14 @@ def main():
             for k in moved:
                 print(f"  {k}: parent {a.get(k)!r}, change {b.get(k)!r}")
             differ += bool(moved)
-    print(f"{differ} of {len(workloads) * len(SEEDS)} runs differ")
+    for mode in SOAKS:
+        moved, n_lines = soak_diff(parent, change, mode)
+        print(f"{' '.join(mode)}: "
+              f"{'identical' if not moved else f'{len(moved)} of {n_lines} lines differ'}")
+        for what, x, y in moved:
+            print(f"  {what}: parent {x!r}, change {y!r}")
+        differ += bool(moved)
+    print(f"{differ} of {len(workloads) * len(SEEDS) + len(SOAKS)} runs differ")
     sys.exit(1 if differ else 0)
 
 
