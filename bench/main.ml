@@ -20,10 +20,9 @@
    uchan rpc -> iommu fault -> supervisor detect -> kill -> restart
    causal chain. *)
 
-(* Every result is emitted and the baseline re-read through the versioned
-   Bench_schema document type — no ad-hoc printf JSON, no substring
-   scrapers. *)
-module J = Bench_schema
+(* Every result is written and the baseline read through Json, the
+   repository's one JSON codec. *)
+module J = Json
 
 (* One root seed for every seeded bench harness: each entry point derives
    its sub-seed by tag (satellite of sud-check), so a red run is
@@ -417,17 +416,11 @@ let run_soak () =
   let n_spans = Sud_obs.Trace.write_jsonl ~path:trace_path in
   let spans = Sud_obs.Trace.spans () in
   let parsed =
-    let ic = open_in trace_path in
-    let n = ref 0 in
-    (try
-       while true do
-         match Sud_obs.Trace.span_of_line (input_line ic) with
-         | Some _ -> incr n
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
+    match Sud_obs.Trace.read_jsonl ~path:trace_path with
+    | Ok read -> List.length read
+    | Error e ->
+      Printf.printf "trace: %s\n" e;
+      0
   in
   let chain_ok = Sud_obs.Trace.chain_exists spans soak_chain in
   Printf.printf
@@ -1032,14 +1025,6 @@ let run_harness ~quick () =
     end
   in
   let recovery = recovery_latencies () in
-  (* The metrics snapshot is already JSON (Sud_obs renders it); parsing
-     it back into the result keeps it one well-formed tree instead of a
-     string splice. *)
-  let metrics =
-    match J.of_string (Sud_obs.Metrics.to_json (Sud_obs.Metrics.snapshot ())) with
-    | Ok v -> v
-    | Error e -> failwith ("bench: metrics snapshot is not valid JSON: " ^ e)
-  in
   ( [ ( "figure8",
         J.List
           (List.map
@@ -1050,7 +1035,7 @@ let run_harness ~quick () =
                     ("value", J.Str r.Netperf.value);
                     ("cpu", J.Str r.Netperf.cpu) ])
              figure8_rows) );
-      ("metrics", metrics);
+      ("metrics", Sud_obs.Metrics.to_json (Sud_obs.Metrics.snapshot ()));
       ("recovery", recovery_rows recovery) ],
     [] )
 

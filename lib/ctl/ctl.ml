@@ -130,17 +130,9 @@ let trace_smoke ~out =
   if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let n = Sud_obs.Trace.write_jsonl ~path:out in
   let spans =
-    let ic = open_in out in
-    let acc = ref [] in
-    (try
-       while true do
-         match Sud_obs.Trace.span_of_line (input_line ic) with
-         | Some sp -> acc := sp :: !acc
-         | None -> failwith "trace smoke: unparseable JSONL line"
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
+    match Sud_obs.Trace.read_jsonl ~path:out with
+    | Ok spans -> spans
+    | Error e -> failwith ("trace smoke: " ^ e)
   in
   { ts_fault = r.Fault_inject.rs_fault;
     ts_detect_us = r.Fault_inject.rs_detect_ns / 1000;

@@ -49,7 +49,7 @@ let boot ?(cores = 2) ?(iommu_mode = Iommu.Intel_vtd { interrupt_remapping = fal
   Sysfs.register_file sysfs ~path:"/sys/kernel/sud_metrics" ~read:(fun () ->
       Sud_obs.Metrics.render_table (Sud_obs.Metrics.snapshot ()));
   Sysfs.register_file sysfs ~path:"/sys/kernel/sud_metrics.json" ~read:(fun () ->
-      Sud_obs.Metrics.to_json (Sud_obs.Metrics.snapshot ()));
+      Json.to_string (Sud_obs.Metrics.to_json (Sud_obs.Metrics.snapshot ())));
   Klog.printk klog Klog.Info "kernel: booted with %d cores, %d MiB RAM" cores
     (mem_size / 1024 / 1024);
   { eng; cpu; mem; iommu; ioports; topo; irq; preempt; net; blk; sysfs; klog; procs }

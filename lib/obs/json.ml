@@ -47,6 +47,7 @@ let rec compact = function
   | Float f -> float_str f
   | Str s -> "\"" ^ escape s ^ "\""
   | List vs -> "[" ^ String.concat ", " (List.map compact vs) ^ "]"
+  | Obj [] -> "{}"
   | Obj fs ->
     "{ "
     ^ String.concat ", "
@@ -96,9 +97,20 @@ let to_string v =
   Buffer.add_char b '\n';
   Buffer.contents b
 
+let to_line = compact
+
 let write ~path v =
   let oc = open_out path in
   output_string oc (to_string v);
+  close_out oc
+
+let write_jsonl ~path vs =
+  let oc = open_out path in
+  List.iter
+    (fun v ->
+       output_string oc (compact v);
+       output_char oc '\n')
+    vs;
   close_out oc
 
 (* ---- parsing ---- *)
@@ -283,15 +295,30 @@ let of_string s =
     else Ok v
   with Parse (at, msg) -> Error (Printf.sprintf "parse error at byte %d: %s" at msg)
 
-let of_file path =
-  match
+let with_file path f =
+  try
     let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (match of_string s with Ok v -> Ok v | Error e -> Error (path ^ ": " ^ e))
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+  with Sys_error e -> Error e
+
+let of_file path =
+  with_file path (fun ic ->
+      match of_string (really_input_string ic (in_channel_length ic)) with
+      | Ok v -> Ok v
+      | Error e -> Error (path ^ ": " ^ e))
+
+let of_jsonl_file path =
+  with_file path (fun ic ->
+      let rec lines acc n =
+        match input_line ic with
+        | exception End_of_file -> Ok (List.rev acc)
+        | l when String.trim l = "" -> lines acc (n + 1)
+        | l ->
+          (match of_string l with
+           | Ok v -> lines (v :: acc) (n + 1)
+           | Error e -> Error (Printf.sprintf "%s:%d: %s" path n e))
+      in
+      lines [] 1)
 
 (* ---- readers ---- *)
 

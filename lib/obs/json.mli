@@ -1,19 +1,24 @@
-(** The machine-readable bench baseline format ([BENCH_*.json]).
+(** The repository's one JSON codec: every JSON document the program
+    writes or reads is a {!t}.  That covers the bench results
+    ([traces/bench_<mode>.json], [bench/baseline.json], the frozen
+    [BENCH_*.json]), the metrics snapshot ([Sud_obs.Metrics.to_json]),
+    and two JSONL files with one {!to_line} record per line: the span
+    trace ([Sud_obs.Trace.write_jsonl]) and sud-check's schedule files
+    ([Sched.save]).  Stdlib-only, so every layer can use it.
 
-    Every harness that emits a baseline builds a {!t} and hands it to
-    {!write}; every gate that reads an earlier baseline goes through
-    {!of_file} + {!path} instead of substring-scanning the file.  The
-    schema is versioned: document [N] carries ["schema": "sud-bench/N"]
-    (see {!schema}), and the parser accepts every version ever checked
-    in, so a new harness can always read the baselines of its
-    predecessors.
+    Bench documents are versioned: document [N] carries
+    ["schema": "sud-bench/N"] (see {!schema}), and the parser accepts
+    every version ever checked in, so a new harness can always read the
+    baselines of its predecessors.
 
     The printer is deterministic (two-space indent, short collections
     inlined) and the parser is total on its output: for every [v],
     [of_string (to_string v) = Ok v] once floats are built through
     {!fnum} (which rounds to a decimal budget, exactly what a baseline
     wants anyway — nobody gates on the 15th digit of a throughput
-    sample). *)
+    sample).  Strings are byte strings: control bytes travel as
+    [\u00XX] escapes and bytes above 0x7F verbatim, so any OCaml
+    string survives the round trip. *)
 
 type t =
   | Null
@@ -37,7 +42,13 @@ val fnum : ?dp:int -> float -> t
 val to_string : t -> string
 (** Render with a trailing newline, ready for the file. *)
 
+val to_line : t -> string
+(** The one-line rendering, without a newline: a JSONL record. *)
+
 val write : path:string -> t -> unit
+
+val write_jsonl : path:string -> t list -> unit
+(** One {!to_line} record per line. *)
 
 (** {1 Parsing} *)
 
@@ -49,6 +60,11 @@ val of_string : string -> (t, string) result
 
 val of_file : string -> (t, string) result
 (** [Error] on unreadable files as well as unparseable ones. *)
+
+val of_jsonl_file : string -> (t list, string) result
+(** One document per line, blank lines skipped.  [Error] on an
+    unreadable file or on the first line that does not parse, naming
+    its number. *)
 
 (** {1 Readers} *)
 

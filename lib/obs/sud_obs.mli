@@ -16,9 +16,13 @@
       fault can be followed back to the RPC that provoked it.
 
     Tracing is disabled by default and compile-out cheap: every call
-    site guards on {!Trace.on}, a single load-and-branch, so the
-    datapath benches regress by noise only (the bench guard enforces
-    ≤ 5% vs the BENCH_2 baseline). *)
+    site guards on {!Trace.on}, a single load-and-branch, so a disabled
+    tracer allocates nothing on the datapath (the tier-1 case "trace:
+    disabled, hot paths pinned by words" in [test/test_obs.ml] checks
+    the exact minor words per op).
+
+    Both render through {!Json}: the snapshot as one document, the
+    spans as JSONL. *)
 
 module Metrics : sig
   (** {1 Handles}
@@ -89,11 +93,15 @@ module Metrics : sig
   val snapshot : ?registry:registry -> unit -> snapshot
   (** Groups sorted by subsystem, samples by (name, labels). *)
 
-  val to_json : snapshot -> string
+  val to_json : snapshot -> Json.t
+  (** One object per subsystem, one member per sample keyed
+      [name{label=value,...}]. *)
+
   val render_table : snapshot -> string
 
   val snapshot_hash : ?registry:registry -> unit -> int64
-  (** FNV-1a fingerprint of the canonical (sorted) JSON snapshot — equal
+  (** FNV-1a fingerprint of the snapshot's one-line JSON ({!Json.to_line};
+      the snapshot is sorted, so it is canonical) — equal
       iff the registries' observable state is equal.  Runs a full major
       collection first so only live subsystems contribute (weak entries
       from torn-down worlds would otherwise leak GC timing into the
@@ -164,14 +172,13 @@ module Trace : sig
 
   (** {1 JSONL export} *)
 
-  val to_jsonl : unit -> string
-  (** One JSON object per line, oldest first. *)
-
   val write_jsonl : path:string -> int
-  (** Returns the number of spans written. *)
+  (** The retained spans, oldest first, one {!Json.to_line} object per
+      line.  Returns the number of spans written. *)
 
-  val span_of_line : string -> span option
-  (** Parse one line of {!to_jsonl} output back into a span. *)
+  val read_jsonl : path:string -> (span list, string) result
+  (** The spans of a {!write_jsonl} file; [Error] on an unreadable file
+      or on the first line that is not a span. *)
 
   val chain_exists : span list -> (string * string) list -> bool
   (** [chain_exists spans [(c1,n1); (c2,n2); …]] holds when spans

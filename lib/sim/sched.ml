@@ -1,7 +1,7 @@
 (* Scheduler policies over Engine's same-instant choice points, plus the
-   recorder/replayer and the versioned schedule-file format.  Everything
-   here is stdlib-only so any layer (attacks soaks included) can dump a
-   replayable schedule on failure. *)
+   recorder/replayer and the versioned schedule-file format.  It sits in
+   sud_sim and needs only the stdlib and Json, so any layer (attacks
+   soaks included) can dump a replayable schedule on failure. *)
 
 type decision = { d_step : int; d_ready : int; d_pick : int }
 
@@ -105,103 +105,59 @@ let file_of ~scenario ~seed ~spec ~trace_hash ~metrics_hash ~steps r =
     f_trace_hash = trace_hash;
     f_metrics_hash = metrics_hash }
 
+let hex v = Json.Str (Printf.sprintf "0x%Lx" v)
+
 let save ~path f =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schedule\":\"%s\",\"scenario\":\"%s\",\"seed\":\"0x%Lx\",\"policy\":\"%s\",\"policy_seed\":\"0x%Lx\",\"p_preempt\":%d}\n"
-    version f.f_scenario f.f_seed f.f_policy f.f_policy_seed f.f_p_preempt;
-  List.iter
-    (fun d ->
-       Printf.fprintf oc "{\"step\":%d,\"ready\":%d,\"pick\":%d}\n" d.d_step d.d_ready
-         d.d_pick)
-    f.f_decisions;
-  Printf.fprintf oc
-    "{\"end\":true,\"points\":%d,\"steps\":%d,\"trace_hash\":\"0x%Lx\",\"metrics_hash\":\"0x%Lx\"}\n"
-    f.f_points f.f_steps f.f_trace_hash f.f_metrics_hash;
-  close_out oc
-
-(* Minimal field scanners for our own emissions above — not a general JSON
-   parser (Bench_schema lives higher in the stack and is not reachable
-   from here without a cycle). *)
-
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let str_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":\"" key) with
-  | None -> None
-  | Some i ->
-    (match String.index_from_opt line i '"' with
-     | None -> None
-     | Some j -> Some (String.sub line i (j - i)))
-
-let int_field line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    let n = String.length line in
-    while !j < n && (match line.[!j] with '0' .. '9' | '-' -> true | _ -> false) do
-      incr j
-    done;
-    if !j = i then None else int_of_string_opt (String.sub line i (!j - i))
-
-let hex_field line key =
-  match str_field line key with None -> None | Some s -> Int64.of_string_opt s
+  Json.write_jsonl ~path
+    ((Json.Obj
+        [ ("schedule", Json.Str version);
+          ("scenario", Json.Str f.f_scenario);
+          ("seed", hex f.f_seed);
+          ("policy", Json.Str f.f_policy);
+          ("policy_seed", hex f.f_policy_seed);
+          ("p_preempt", Json.Int f.f_p_preempt) ]
+     :: List.map
+          (fun d ->
+             Json.Obj
+               [ ("step", Json.Int d.d_step); ("ready", Json.Int d.d_ready);
+                 ("pick", Json.Int d.d_pick) ])
+          f.f_decisions)
+     @ [ Json.Obj
+           [ ("end", Json.Bool true);
+             ("points", Json.Int f.f_points);
+             ("steps", Json.Int f.f_steps);
+             ("trace_hash", hex f.f_trace_hash);
+             ("metrics_hash", hex f.f_metrics_hash) ] ])
 
 let load path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "%s: no such schedule" path)
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match List.rev !lines with
-    | [] -> Error (Printf.sprintf "%s: empty schedule file" path)
-    | header :: rest ->
-      (match str_field header "schedule" with
-       | Some v when v = version ->
-         let scenario = Option.value ~default:"?" (str_field header "scenario") in
-         let seed = Option.value ~default:0L (hex_field header "seed") in
-         let policy = Option.value ~default:"fifo" (str_field header "policy") in
-         let policy_seed = Option.value ~default:0L (hex_field header "policy_seed") in
-         let p_preempt = Option.value ~default:0 (int_field header "p_preempt") in
-         let ds = ref [] in
-         let footer = ref None in
-         List.iter
-           (fun line ->
-              if int_field line "end" <> None || find_sub line "\"end\":true" <> None
-              then footer := Some line
-              else
-                match
-                  (int_field line "step", int_field line "ready", int_field line "pick")
-                with
-                | Some s, Some r, Some p ->
-                  ds := { d_step = s; d_ready = r; d_pick = p } :: !ds
-                | _ -> ())
-           rest;
-         let foot = Option.value ~default:"" !footer in
-         Ok
-           { f_scenario = scenario;
-             f_seed = seed;
-             f_policy = policy;
-             f_policy_seed = policy_seed;
-             f_p_preempt = p_preempt;
-             f_decisions = List.rev !ds;
-             f_points = Option.value ~default:0 (int_field foot "points");
-             f_steps = Option.value ~default:0 (int_field foot "steps");
-             f_trace_hash = Option.value ~default:0L (hex_field foot "trace_hash");
-             f_metrics_hash = Option.value ~default:0L (hex_field foot "metrics_hash") }
-       | Some v -> Error (Printf.sprintf "%s: schedule version %s (want %s)" path v version)
-       | None -> Error (Printf.sprintf "%s: not a sud-sched file" path))
-  end
+  let str j k = Option.bind (Json.member j k) Json.as_str in
+  let int j k = match Json.member j k with Some (Json.Int i) -> Some i | _ -> None in
+  let int64 j k = Option.bind (str j k) Int64.of_string_opt in
+  match Json.of_jsonl_file path with
+  | Error e -> Error e
+  | Ok [] -> Error (Printf.sprintf "%s: empty schedule file" path)
+  | Ok (header :: rest) ->
+    (match str header "schedule" with
+     | Some v when v = version ->
+       let foot =
+         Option.value ~default:(Json.Obj [])
+           (List.find_opt (fun j -> Json.member j "end" = Some (Json.Bool true)) rest)
+       in
+       let decision j =
+         match (int j "step", int j "ready", int j "pick") with
+         | Some s, Some r, Some p -> Some { d_step = s; d_ready = r; d_pick = p }
+         | _ -> None
+       in
+       Ok
+         { f_scenario = Option.value ~default:"?" (str header "scenario");
+           f_seed = Option.value ~default:0L (int64 header "seed");
+           f_policy = Option.value ~default:"fifo" (str header "policy");
+           f_policy_seed = Option.value ~default:0L (int64 header "policy_seed");
+           f_p_preempt = Option.value ~default:0 (int header "p_preempt");
+           f_decisions = List.filter_map decision rest;
+           f_points = Option.value ~default:0 (int foot "points");
+           f_steps = Option.value ~default:0 (int foot "steps");
+           f_trace_hash = Option.value ~default:0L (int64 foot "trace_hash");
+           f_metrics_hash = Option.value ~default:0L (int64 foot "metrics_hash") }
+     | Some v -> Error (Printf.sprintf "%s: schedule version %s (want %s)" path v version)
+     | None -> Error (Printf.sprintf "%s: not a sud-sched file" path))

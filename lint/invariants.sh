@@ -53,4 +53,12 @@ report "Phys_mem. in lib/hw or lib/drivers outside phys_mem.ml(i) and pci_topolo
   "$(srcs 'Phys_mem\.' lib/hw lib/drivers \
      | grep -vE '^lib/hw/(phys_mem|pci_topology)\.mli?:')"
 
+# One JSON codec: every JSON document the program writes or reads is a
+# Json.t, printed and parsed by lib/obs/json.ml.  A key spelled out in a
+# format string or a scanner's pattern is a second codec, one that
+# escapes strings its own way or misreads what the other wrote.
+report "hand-written JSON key outside lib/obs/json.ml (build a Json.t)" \
+  "$(srcs '\\"(%s|[a-z_]+)\\":' lib bin bench examples \
+     | grep -vE '^lib/obs/json\.ml:')"
+
 exit $status

@@ -98,6 +98,44 @@ let test_sched_file_roundtrip () =
     Alcotest.(check int64) "trace hash" oc.Scenario.oc_trace_hash g.f_trace_hash;
     Alcotest.(check int) "steps" oc.oc_steps g.f_steps
 
+(* Every field of a schedule file survives save and load: a scenario name
+   that needs escaping, hashes above Int64.max_int, the footer.  A file in
+   the compact layout earlier versions wrote loads too. *)
+let test_sched_file_fields () =
+  Check.ensure_traces ();
+  let f =
+    { Sched.f_scenario = "a\"b\\c\nd";
+      f_seed = 0xCBF29CE484222325L;
+      f_policy = "random";
+      f_policy_seed = 7L;
+      f_p_preempt = 50;
+      f_decisions =
+        [ { Sched.d_step = 3; d_ready = 2; d_pick = 1 }; { d_step = 9; d_ready = 4; d_pick = 3 } ];
+      f_points = 11;
+      f_steps = 1234;
+      f_trace_hash = -1L;
+      f_metrics_hash = Int64.min_int }
+  in
+  let path = "traces/check_fields.sched.jsonl" in
+  Sched.save ~path f;
+  (match Sched.load path with
+   | Ok g -> Alcotest.(check bool) "save |> load is the identity" true (f = g)
+   | Error e -> Alcotest.fail e);
+  let compact = "traces/check_compact.sched.jsonl" in
+  let oc = open_out compact in
+  output_string oc
+    {|{"schedule":"sud-sched/1","scenario":"stale_wakeup","seed":"0x7","policy":"random","policy_seed":"0x5","p_preempt":60}
+{"step":3,"ready":2,"pick":1}
+{"step":9,"ready":4,"pick":3}
+{"end":true,"points":11,"steps":1234,"trace_hash":"0xffffffffffffffff","metrics_hash":"0x8000000000000000"}
+|};
+  close_out oc;
+  match Sched.load compact with
+  | Ok g ->
+    Alcotest.(check bool) "compact layout loads" true
+      (g = { f with f_scenario = "stale_wakeup"; f_seed = 7L; f_policy_seed = 5L; f_p_preempt = 60 })
+  | Error e -> Alcotest.fail e
+
 (* Seeds at which the FIFO mini soak once reported a corruption as sent
    but never counted malformed: a corruption armed on a generation that
    died before sending it, and malformed frames lost with a channel that
@@ -200,6 +238,7 @@ let suite =
       test_fsync_overlap_explored;
     Alcotest.test_case "strict replay + divergence detection" `Quick test_strict_replay;
     Alcotest.test_case "schedule file round-trip" `Quick test_sched_file_roundtrip;
+    Alcotest.test_case "schedule file keeps every field" `Quick test_sched_file_fields;
     Alcotest.test_case "record/replay x3 from file" `Quick test_record_replay_file;
     QCheck_alcotest.to_alcotest prop_record_replay;
     Alcotest.test_case "record/replay through the mini soak" `Slow

@@ -8,7 +8,7 @@ let () =
       ("smoke", Test_smoke.suite); ("security", Test_security.suite); ("devices", Test_devices.suite); ("drivers", Test_drivers.suite); ("supervisor", Test_supervisor.suite); ("props", Test_props.suite); ("obs", Test_obs.suite);
       ("hardening", Test_hardening.suite);
       ("blk", Test_blk.suite);
-      ("bench_schema", Test_bench_schema.suite);
+      ("bench_schema", Test_json.suite);
       ("conformance", Test_conformance.suite);
       ("ctl", Test_ctl.suite);
       ("standby", Test_standby.suite);

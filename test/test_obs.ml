@@ -68,6 +68,26 @@ let hist_bucket_sum_test =
        && M.hist_count h = List.length vs
        && M.hist_sum h = List.fold_left ( + ) 0 vs)
 
+(* The snapshot's JSON reparses to the same tree; a label value that
+   needs quoting stays inside its key. *)
+let test_metrics_json_roundtrip () =
+  let reg = M.create_registry () in
+  let c = M.counter ~registry:reg ~labels:[ ("dev", "eth\"0") ] ~subsystem:"t" ~name:"c" () in
+  M.add c 3;
+  let g = M.gauge ~registry:reg ~subsystem:"t" ~name:"g" (fun () -> -5) in
+  let h = M.histogram ~registry:reg ~subsystem:"u" ~name:"h" () in
+  List.iter (M.observe h) [ 1; 3; 1000 ];
+  let j = M.to_json (M.snapshot ~registry:reg ()) in
+  Alcotest.(check bool) "counter under its labelled key" true
+    (Json.path j [ "t"; "c{dev=eth\"0}"; "counter" ] = Some (Json.Int 3));
+  Alcotest.(check bool) "histogram buckets" true
+    (Json.path j [ "u"; "h"; "histogram"; "log2_buckets" ]
+     = Some (Json.Obj [ ("0", Json.Int 1); ("1", Json.Int 1); ("9", Json.Int 1) ]));
+  (match Json.of_string (Json.to_string j) with
+   | Ok j' -> Alcotest.(check bool) "reparses equal" true (j = j')
+   | Error e -> Alcotest.failf "reparse: %s" e);
+  ignore (M.get c + M.gauge_value g + M.hist_count h : int)
+
 (* ---- trace ring ---- *)
 
 let with_trace f =
@@ -193,14 +213,20 @@ let trace_accounting_test =
                   first.T.sp_id = n - T.retained () + 1
                   && (List.nth l (T.retained () - 1)).T.sp_id = n)))
 
+(* Export a trace and read it back. *)
+let read_back path =
+  let n = T.write_jsonl ~path in
+  Alcotest.(check int) "every retained span written" (T.retained ()) n;
+  match T.read_jsonl ~path with
+  | Ok spans -> spans
+  | Error e -> Alcotest.failf "read_jsonl: %s" e
+
 let test_jsonl_roundtrip () =
   with_trace (fun () ->
       let a = T.emit ~cat:"uchan" ~name:"rpc" ~attrs:[ ("seq", "1"); ("odd", "a\"b\\c\n") ] () in
       let b = T.emit ~parent:a ~dur_ns:42 ~cat:"iommu" ~name:"fault" () in
       ignore (T.emit ~parent:b ~cat:"sup" ~name:"detect" () : int);
-      let lines = String.split_on_char '\n' (String.trim (T.to_jsonl ())) in
-      Alcotest.(check int) "three lines" 3 (List.length lines);
-      let parsed = List.filter_map T.span_of_line lines in
+      let parsed = read_back "obs_roundtrip.jsonl" in
       Alcotest.(check int) "all parse" 3 (List.length parsed);
       let orig = T.spans () in
       List.iter2
@@ -212,6 +238,27 @@ let test_jsonl_roundtrip () =
            Alcotest.(check string) "name" o.T.sp_name p.T.sp_name;
            Alcotest.(check bool) "attrs" true (o.T.sp_attrs = p.T.sp_attrs))
         orig parsed)
+
+(* Timestamps and every byte survive the file: control bytes the JSON
+   escapes as \u00XX and a byte above 0x7F that it keeps verbatim. *)
+let test_jsonl_keeps_ts_and_bytes () =
+  let clock = ref 0 in
+  T.set_clock (fun () -> !clock);
+  Fun.protect ~finally:(fun () -> T.set_clock (fun () -> 0)) (fun () ->
+      with_trace (fun () ->
+          clock := 1_234_567_890_123;
+          let a =
+            T.emit ~cat:"uchan" ~name:"rpc"
+              ~attrs:[ ("tab", "a\tb"); ("cr", "c\rd"); ("ctrl", "\001"); ("high", "\xff\xfe") ]
+              ()
+          in
+          clock := 1_234_567_890_456;
+          ignore (T.emit ~parent:a ~dur_ns:7 ~cat:"k\tv" ~name:"\xff" () : int);
+          let orig = T.spans () in
+          Alcotest.(check (list int)) "clock stamped" [ 1_234_567_890_123; 1_234_567_890_456 ]
+            (List.map (fun sp -> sp.T.sp_ts) orig);
+          Alcotest.(check bool) "read_jsonl returns the spans" true
+            (read_back "obs_bytes.jsonl" = orig)))
 
 let test_chain_exists () =
   with_trace (fun () ->
@@ -303,12 +350,16 @@ let suite =
   [ Alcotest.test_case "metrics: counter/gauge/histogram" `Quick
       test_counter_gauge_histogram;
     Alcotest.test_case "metrics: replace on same key" `Quick test_replace_on_same_key;
+    Alcotest.test_case "metrics: JSON snapshot reparses equal" `Quick
+      test_metrics_json_roundtrip;
     Alcotest.test_case "metrics: registry holds weakly" `Quick
       test_registry_does_not_root_metrics;
     Alcotest.test_case "trace: disabled emit is free" `Quick test_trace_disabled_is_free;
     Alcotest.test_case "trace: disabled, hot paths pinned by words" `Quick
       test_trace_disabled_words;
     Alcotest.test_case "trace: jsonl round-trip" `Quick test_jsonl_roundtrip;
+    Alcotest.test_case "trace: jsonl keeps ts and raw bytes" `Quick
+      test_jsonl_keeps_ts_and_bytes;
     Alcotest.test_case "trace: chain_exists" `Quick test_chain_exists;
     Alcotest.test_case "trace: remember/recall/current" `Quick
       test_remember_recall_current;
