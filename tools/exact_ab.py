@@ -3,29 +3,31 @@
 
     python3 tools/exact_ab.py PARENT CHANGE
 
-Builds `perfbench/main.exe` and `bench/main.exe` in the PARENT and the
-CHANGE checkout with dune.  It then runs in both:
+Builds `perfbench/main.exe`, `bench/main.exe` and `bin/sudctl.exe` in
+the PARENT and the CHANGE checkout with dune.  It then runs in both:
 
   * `perfbench/main.exe --workload W --seed S --trace 0` for every
     workload of CHANGE's BENCHMARK.json and the seeds 1, 2, 7 and 42;
   * the two fixed-seed soaks, `bench/main.exe soak` and
-    `bench/main.exe blk-soak smoke`.
+    `bench/main.exe blk-soak smoke`;
+  * `sudctl trace smoke`, which exports a traced recovery as JSONL,
+    reads it back and looks for the causal chain in what it read.
 
 Under one seed a run is bit-reproducible, so a change that preserves the
 simulated behaviour leaves every compared value identical.  For a
 benchmark run those are the `digest`, the `fingerprint` (trace hash,
 steps, ops, samples), the `attempted` and `failed` op counts and every
 key of the `exact` block; wall-clock and allocation figures are not
-compared.  For a soak they are every line of its standard output and
-its exit status.
+compared.  For a soak and the trace smoke they are every line of its
+standard output and its exit status.
 
-Prints one line per benchmark run and per soak, and under it each
+Prints one line per benchmark run, soak and smoke, and under it each
 differing key or line with both values.  The script writes nothing to
-either checkout: dune builds each one, and the soaks run in a temporary
-directory, which takes their traces/ output.  The soaks take about 10 s
-per checkout.  Exit status: 0 when every compared value is identical,
-1 on any difference, 2 on a usage or build error or a benchmark run that
-printed no result.
+either checkout: dune builds each one, and the soaks and the smoke run
+in a temporary directory, which takes their traces/ output.  The soaks
+take about 10 s per checkout.  Exit status: 0 when every compared value
+is identical, 1 on any difference, 2 on a usage or build error or a
+benchmark run that printed no result.
 """
 
 import itertools
@@ -38,7 +40,10 @@ import tempfile
 USAGE = "usage: exact_ab.py PARENT CHANGE"
 SEEDS = (1, 2, 7, 42)
 TOP_KEYS = ("digest", "fingerprint", "attempted", "failed")
-SOAKS = (("soak",), ("blk-soak", "smoke"))
+# Runs compared by their whole output: an executable under
+# _build/default and its arguments.
+OUTPUT_RUNS = (("bench/main.exe", "soak"), ("bench/main.exe", "blk-soak", "smoke"),
+               ("bin/sudctl.exe", "trace", "smoke"))
 
 
 def die(msg):
@@ -48,7 +53,8 @@ def die(msg):
 
 def build(checkout):
     r = subprocess.run(["dune", "build", "--root", checkout, "--display", "quiet",
-                        "./perfbench/main.exe", "./bench/main.exe"], cwd=checkout)
+                        "./perfbench/main.exe", "./bench/main.exe", "./bin/sudctl.exe"],
+                       cwd=checkout)
     if r.returncode != 0:
         die(f"{checkout}: build failed")
 
@@ -64,18 +70,19 @@ def run(checkout, workload, seed):
     return json.loads(lines[-1])
 
 
-def soak(checkout, mode):
-    """The stdout lines and exit status of one bench soak, run in a
+def output(checkout, cmd):
+    """The stdout lines and exit status of one of OUTPUT_RUNS, run in a
     fresh temporary directory."""
-    exe = os.path.join(checkout, "_build", "default", "bench", "main.exe")
+    exe, *args = cmd
+    exe = os.path.join(checkout, "_build", "default", exe)
     with tempfile.TemporaryDirectory() as cwd:
-        p = subprocess.run([exe, *mode], cwd=cwd, capture_output=True, text=True)
+        p = subprocess.run([exe, *args], cwd=cwd, capture_output=True, text=True)
     return p.stdout.splitlines(), p.returncode
 
 
-def soak_diff(parent, change, mode):
-    """Each compared soak value that differs, as (what, parent, change)."""
-    (a, a_rc), (b, b_rc) = soak(parent, mode), soak(change, mode)
+def output_diff(parent, change, cmd):
+    """Each compared output value that differs, as (what, parent, change)."""
+    (a, a_rc), (b, b_rc) = output(parent, cmd), output(change, cmd)
     moved = [(f"line {i}", x, y)
              for i, (x, y) in enumerate(itertools.zip_longest(a, b), start=1) if x != y]
     if a_rc != b_rc:
@@ -113,14 +120,14 @@ def main():
             for k in moved:
                 print(f"  {k}: parent {a.get(k)!r}, change {b.get(k)!r}")
             differ += bool(moved)
-    for mode in SOAKS:
-        moved, n_lines = soak_diff(parent, change, mode)
-        print(f"{' '.join(mode)}: "
+    for cmd in OUTPUT_RUNS:
+        moved, n_lines = output_diff(parent, change, cmd)
+        print(f"{' '.join(cmd)}: "
               f"{'identical' if not moved else f'{len(moved)} of {n_lines} lines differ'}")
         for what, x, y in moved:
             print(f"  {what}: parent {x!r}, change {y!r}")
         differ += bool(moved)
-    print(f"{differ} of {len(workloads) * len(SEEDS) + len(SOAKS)} runs differ")
+    print(f"{differ} of {len(workloads) * len(SEEDS) + len(OUTPUT_RUNS)} runs differ")
     sys.exit(1 if differ else 0)
 
 
