@@ -38,7 +38,7 @@ type pcidev = {
   pd_enable : unit -> (unit, string) result;
   pd_map_bar : int -> (mmio, string) result;
   pd_io_bar : int -> (pio, string) result;
-  pd_alloc_dma : ?coherent:bool -> bytes:int -> unit -> (dma_region, string) result;
+  pd_alloc_dma : bytes:int -> unit -> (dma_region, string) result;
   pd_free_dma : dma_region -> unit;
   pd_request_irqs : n:int -> (queue:int -> unit) -> (unit, string) result;
   pd_free_irq : unit -> unit;

@@ -50,7 +50,7 @@ type pcidev = {
       (** pci_enable_device: memory/IO decoding + bus mastering *)
   pd_map_bar : int -> (mmio, string) result;
   pd_io_bar : int -> (pio, string) result;
-  pd_alloc_dma : ?coherent:bool -> bytes:int -> unit -> (dma_region, string) result;
+  pd_alloc_dma : bytes:int -> unit -> (dma_region, string) result;
   pd_free_dma : dma_region -> unit;
   pd_request_irqs : n:int -> (queue:int -> unit) -> (unit, string) result;
       (** Allocate [n] MSI-X vectors (one per queue) and install one

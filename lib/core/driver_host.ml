@@ -23,11 +23,7 @@ type (_, _) cls =
       unregister_on_exit : bool;
     }
       -> (Driver_api.net_driver, Proxy_net.t) cls
-  | Blk : {
-      adopt : Proxy_blk.persist option;
-      request_timeout_ns : int option;
-    }
-      -> (Driver_api.blk_driver, Proxy_blk.t) cls
+  | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
   | Audio : (Driver_api.audio_driver, Proxy_audio.t) cls
   | Usb : {
@@ -40,7 +36,7 @@ type (_, _) cls =
 let net ?(defensive_copy = true) ?adopt_netdev ?(unregister_on_exit = true) () =
   Net { defensive_copy; adopt_netdev; unregister_on_exit }
 
-let blk ?adopt ?request_timeout_ns () = Blk { adopt; request_timeout_ns }
+let blk ?adopt () = Blk { adopt }
 let wifi = Wifi
 let audio = Audio
 let usb ~bind_storage ~bind_keyboard = Usb { bind_storage; bind_keyboard }
@@ -95,13 +91,13 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
         (match adopt_netdev with
          | Some _ -> Ok ()
          | None -> Error "no surviving netdev to adopt") }
-  | Blk { adopt; request_timeout_ns } ->
+  | Blk { adopt } ->
     { d_name = "blk";
       d_ident = (fun d -> (d.Driver_api.bd_name, d.bd_ids));
       d_pool = blk_pool;
       d_proxy =
         (fun ~parked k ~chan ~grant ~pool ~name ->
-           Proxy_blk.create k ~chan ~grant ~pool ~name ?request_timeout_ns ~parked ?adopt ());
+           Proxy_blk.create k ~chan ~grant ~pool ~name ~parked ?adopt ());
       d_serve = Sud_uml.serve_blk;
       d_ready =
         (fun ~parked p ~timeout_ns ->

@@ -42,11 +42,7 @@ type (_, _) cls =
       unregister_on_exit : bool;
     }
       -> (Driver_api.net_driver, Proxy_net.t) cls
-  | Blk : {
-      adopt : Proxy_blk.persist option;
-      request_timeout_ns : int option;
-    }
-      -> (Driver_api.blk_driver, Proxy_blk.t) cls
+  | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
   | Audio : (Driver_api.audio_driver, Proxy_audio.t) cls
   | Usb : {
@@ -69,11 +65,7 @@ val net :
     [~unregister_on_exit:false] (it owns the netdev; driver death must
     not tear the interface down). *)
 
-val blk :
-  ?adopt:Proxy_blk.persist ->
-  ?request_timeout_ns:int ->
-  unit ->
-  (Driver_api.blk_driver, Proxy_blk.t) cls
+val blk : ?adopt:Proxy_blk.persist -> unit -> (Driver_api.blk_driver, Proxy_blk.t) cls
 (** sud-blk, the asynchronous multiqueue block class: its pool holds
     fully merged 64-sector requests.  A supervisor passes [adopt] (the
     {!Proxy_blk.persist} record carrying tags, in-flight table and

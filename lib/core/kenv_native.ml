@@ -70,7 +70,7 @@ let pcidev (k : Kernel.t) bdf ~label =
                  charge m.Cost_model.pio_access_ns;
                  Ioport.write k.Kernel.ioports ~iopb:kernel_iopb ~port:(base + off) ~size v) }
     in
-    let alloc_dma ?coherent:_ ~bytes () =
+    let alloc_dma ~bytes () =
       if bytes <= 0 then Error "alloc_dma: empty region"
       else begin
         let pages = (bytes + Bus.page_mask) / Bus.page_size in

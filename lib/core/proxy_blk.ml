@@ -73,7 +73,6 @@ type t = {
   (* Mutable so a warm standby can adopt the surviving persist record at
      swap time; everywhere else it is fixed at creation. *)
   mutable p : persist;
-  request_timeout_ns : int;
   ready : Sync.Waitq.t;
   mutable nqueues : int;             (* device queues; 0 until registered *)
   mutable capacity : int;
@@ -418,7 +417,7 @@ let handle_downcall t ~queue:_ m =
     None
   end
 
-let create k ~chan ~grant ~pool ~name ?(request_timeout_ns = 10_000_000) ?(parked = false) ?adopt () =
+let create k ~chan ~grant ~pool ~name ?(parked = false) ?adopt () =
   let p = match adopt with Some p -> p | None -> persist_create () in
   let t =
     { k;
@@ -428,7 +427,6 @@ let create k ~chan ~grant ~pool ~name ?(request_timeout_ns = 10_000_000) ?(parke
       pool;
       name;
       p;
-      request_timeout_ns;
       ready = Sync.Waitq.create ();
       nqueues = 0;
       capacity = 0;
@@ -508,6 +506,8 @@ let wait_registered t ~timeout_ns =
   in
   loop ()
 
+let request_timeout_ns = 10_000_000
+
 (* Hung when the sync path said so, or when the oldest in-flight request
    outlived the request timeout — the escalation path for dropped and
    corrupted completions and for dropped flushes, none of which produce
@@ -519,7 +519,7 @@ let hung t =
      &&
      let now = Engine.now t.k.Kernel.eng in
      Hashtbl.fold
-       (fun _ br acc -> acc || now - br.br_submit_ns > t.request_timeout_ns)
+       (fun _ br acc -> acc || now - br.br_submit_ns > request_timeout_ns)
        t.p.p_inflight false
 
 let quiesce t =

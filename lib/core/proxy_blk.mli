@@ -38,15 +38,13 @@ val create :
   grant:Safe_pci.grant ->
   pool:Bufpool.t ->
   name:string ->
-  ?request_timeout_ns:int ->
   ?parked:bool ->
   ?adopt:persist ->
   unit ->
   t
-(** [request_timeout_ns] (default 10 ms) bounds how long a submitted
-    request may stay uncompleted before {!Proxy_class.hung} reports it —
-    the escalation path for dropped/corrupted completions and dropped
-    flushes.
+(** A submitted request may stay uncompleted for 10 ms before
+    {!Proxy_class.hung} reports it — the escalation path for
+    dropped/corrupted completions and dropped flushes.
 
     With [~parked:true] (warm standby) the proxy may share the live
     generation's [?adopt] persist record but treats it as read-only:

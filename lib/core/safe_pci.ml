@@ -326,9 +326,8 @@ let claim_io g ~bar =
 
 (* ---- DMA regions ---- *)
 
-let alloc_dma g ?(coherent = true) ~bytes () =
+let alloc_dma g ~bytes () =
   check_alive g;
-  ignore coherent;
   if bytes <= 0 then Error "alloc_dma: empty region"
   else begin
     let pages = (bytes + Bus.page_mask) / Bus.page_size in

@@ -90,7 +90,7 @@ val cfg_write : grant -> off:int -> size:int -> int -> (unit, string) result
 val enable_device : grant -> (unit, string) result
 val map_mmio : grant -> bar:int -> (Driver_api.mmio, string) result
 val claim_io : grant -> bar:int -> (Driver_api.pio, string) result
-val alloc_dma : grant -> ?coherent:bool -> bytes:int -> unit -> (Driver_api.dma_region, string) result
+val alloc_dma : grant -> bytes:int -> unit -> (Driver_api.dma_region, string) result
 val free_dma : grant -> Driver_api.dma_region -> unit
 val find_capability : grant -> int -> int option
 

@@ -82,7 +82,7 @@ let pcidev t =
     pd_enable = (fun () -> Safe_pci.enable_device g);
     pd_map_bar = (fun bar -> Safe_pci.map_mmio g ~bar);
     pd_io_bar = (fun bar -> Safe_pci.claim_io g ~bar);
-    pd_alloc_dma = (fun ?coherent ~bytes () -> Safe_pci.alloc_dma g ?coherent ~bytes ());
+    pd_alloc_dma = (fun ~bytes () -> Safe_pci.alloc_dma g ~bytes ());
     pd_free_dma = (fun r -> Safe_pci.free_dma g r);
     pd_request_irqs = request_irqs;
     pd_free_irq =

@@ -17,7 +17,8 @@ type t = {
 let mem_size = 256 * 1024 * 1024
 
 let boot ?(cores = 2) ?(iommu_mode = Iommu.Intel_vtd { interrupt_remapping = false })
-    ?(cost_model = Cost_model.default) ?(enable_acs = true) eng =
+    ?(enable_acs = true) eng =
+  let cost_model = Cost_model.default in
   let cpu = Cpu.create eng ~cores cost_model in
   let mem = Phys_mem.create ~size:mem_size in
   let iommu = Iommu.create ~mode:iommu_mode () in

@@ -24,7 +24,6 @@ type t = {
 val boot :
   ?cores:int ->
   ?iommu_mode:Iommu.mode ->
-  ?cost_model:Cost_model.t ->
   ?enable_acs:bool ->
   Engine.t ->
   t

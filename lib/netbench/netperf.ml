@@ -31,11 +31,11 @@ let fail_on_error what = function
   | Ok v -> v
   | Error e -> failwith (what ^ ": " ^ e)
 
-let make_rig ?cost_model ?iommu_mode ?(queues = 1) ?(peer_queues = 1) ?(dut_cores = 2)
-    ?(peer_cores = 4) ?rate_bps mode =
+let make_rig ?iommu_mode ?(queues = 1) ?(peer_queues = 1) ?(dut_cores = 2) ?(peer_cores = 4)
+    ?rate_bps mode =
   let eng = Engine.create () in
-  let dut = Kernel.boot ?cost_model ?iommu_mode ~cores:dut_cores eng in
-  let peer = Kernel.boot ?cost_model ~cores:peer_cores eng in
+  let dut = Kernel.boot ?iommu_mode ~cores:dut_cores eng in
+  let peer = Kernel.boot ~cores:peer_cores eng in
   let medium = Net_medium.create eng ?rate_bps () in
   let nic_dut = E1000_dev.create eng ~mac:mac_dut ~medium ~queues () in
   let nic_peer = E1000_dev.create eng ~mac:mac_peer ~medium ~queues:peer_queues () in
@@ -116,12 +116,10 @@ let measure rig ~counter =
   if not !finished then failwith "netperf measurement did not converge or deadlocked";
   (Stats.Moments.mean rates, Stats.Moments.mean cpus, !samples)
 
-let get_rig ?rig mode = match rig with Some r -> r | None -> make_rig mode
-
 (* ---- TCP_STREAM: peer streams to DUT; DUT receive throughput ---- *)
 
-let tcp_stream ?rig mode =
-  let rig = get_rig ?rig mode in
+let tcp_stream mode =
+  let rig = make_rig mode in
   let bytes_received = ref 0 in
   ignore
     (Process.spawn_fiber (Process.kernel_process rig.dut.Kernel.procs) ~name:"tcp-server"
@@ -160,8 +158,8 @@ let tcp_stream ?rig mode =
 
 (* ---- UDP_STREAM TX: DUT floods the peer with 64-byte datagrams ---- *)
 
-let udp_stream_tx ?rig mode =
-  let rig = get_rig ?rig mode in
+let udp_stream_tx mode =
+  let rig = make_rig mode in
   let received = ref 0 in
   ignore
     (Process.spawn_fiber (Process.kernel_process rig.peer.Kernel.procs) ~name:"udp-sink"
@@ -194,8 +192,8 @@ let udp_stream_tx ?rig mode =
 
 (* ---- UDP_STREAM RX: peer floods the DUT ---- *)
 
-let udp_stream_rx ?rig mode =
-  let rig = get_rig ?rig mode in
+let udp_stream_rx mode =
+  let rig = make_rig mode in
   let received = ref 0 in
   ignore
     (Process.spawn_fiber (Process.kernel_process rig.dut.Kernel.procs) ~name:"udp-sink"
@@ -233,8 +231,8 @@ let udp_stream_rx ?rig mode =
 
 (* ---- UDP_RR: request/response ping-pong, client on the peer ---- *)
 
-let udp_rr ?rig mode =
-  let rig = get_rig ?rig mode in
+let udp_rr mode =
+  let rig = make_rig mode in
   let transactions = ref 0 in
   ignore
     (Process.spawn_fiber (Process.kernel_process rig.dut.Kernel.procs) ~name:"rr-server"

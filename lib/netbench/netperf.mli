@@ -33,7 +33,6 @@ type rig = {
 }
 
 val make_rig :
-  ?cost_model:Cost_model.t ->
   ?iommu_mode:Iommu.mode ->
   ?queues:int ->
   ?peer_queues:int ->
@@ -50,16 +49,16 @@ val make_rig :
     peer — raise it when the offered load must exceed what a single
     HARD_TX_LOCK'd transmit queue can push (~1.6 Mpps). *)
 
-val tcp_stream : ?rig:rig -> mode -> result
+val tcp_stream : mode -> result
 (** Bulk stream from peer to DUT (receive throughput), Mbit/s. *)
 
-val udp_stream_tx : ?rig:rig -> mode -> result
+val udp_stream_tx : mode -> result
 (** DUT floods 64-byte datagrams; Kpackets/s that reached the peer. *)
 
-val udp_stream_rx : ?rig:rig -> mode -> result
+val udp_stream_rx : mode -> result
 (** Peer floods the DUT; Kpackets/s delivered to the DUT socket. *)
 
-val udp_rr : ?rig:rig -> mode -> result
+val udp_rr : mode -> result
 (** 64-byte ping-pong; transactions/s, client on the peer. *)
 
 (** {1 Multiqueue sweep (netperf_mq)} *)
