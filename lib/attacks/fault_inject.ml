@@ -235,7 +235,6 @@ let soak_policy ~max_restarts =
     backoff_initial_ns = 500_000;
     backoff_max_ns = 10_000_000;
     max_restarts;
-    restart_window_ns = 2_000_000_000;
     backlog_limit = 128;
     (* The soak and the fuzzer measure the *cold* recovery path — its
        backoff, its backlog window, its per-class outage baselines

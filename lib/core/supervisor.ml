@@ -15,32 +15,30 @@
 
 type policy = {
   tick_ns : int;
-  heartbeat : bool;
   hang_timeout_ns : int;
   backoff_initial_ns : int;
   backoff_max_ns : int;
   max_restarts : int;
   restart_window_ns : int;
   backlog_limit : int;
-  flood_threshold : int;
-  quota_limits : Quota.limits;
-  overflow_threshold : int;
   standby : bool;
 }
 
 let default_policy =
   { tick_ns = 5_000_000;
-    heartbeat = true;
     hang_timeout_ns = 20_000_000;
     backoff_initial_ns = 2_000_000;
     backoff_max_ns = 200_000_000;
     max_restarts = 5;
     restart_window_ns = 2_000_000_000;
     backlog_limit = 256;
-    flood_threshold = 512;
-    quota_limits = Quota.default_limits;
-    overflow_threshold = 512;
     standby = true }
+
+(* Per-tick thresholds: dropped async downcalls that count as a ring
+   flood, and notification-kick token-bucket overflows that count as a
+   doorbell flood. *)
+let flood_threshold = 512
+let overflow_threshold = 512
 
 (* Every supervised driver generation runs as this unprivileged uid. *)
 let driver_uid = 1000
@@ -176,22 +174,20 @@ let health_check t =
       Some "malformed uchan message"
     else if Uchan.proto_violations chan > t.base_proto then
       Some "uchan protocol violation"
-    else if Sud_obs.Metrics.get um.Uchan.um_dropped - t.last_dropped >= t.policy.flood_threshold
-    then Some "uchan ring flood"
-    else if Quota.notify_overflows t.quota - t.last_overflow >= t.policy.overflow_threshold
-    then Some "notification flood (quota overflow)"
+    else if Sud_obs.Metrics.get um.Uchan.um_dropped - t.last_dropped >= flood_threshold then
+      Some "uchan ring flood"
+    else if Quota.notify_overflows t.quota - t.last_overflow >= overflow_threshold then
+      Some "notification flood (quota overflow)"
     else if Proxy_class.hung (Driver_host.class_of g) then Some "upcall hung"
     else begin
       t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
       t.last_overflow <- Quota.notify_overflows t.quota;
-      if not t.policy.heartbeat then None
-      else
-        (* The ping is answered inline by the driver's queue-0 service
-           loop, bounded by the channel's hang timeout — the heartbeat
-           deadline.  Class-independent: one probe for every proxy. *)
-        match Proxy_class.heartbeat (Driver_host.class_of g) with
-        | Ok () -> None
-        | Error why -> Some why
+      (* The ping is answered inline by the driver's queue-0 service
+         loop, bounded by the channel's hang timeout — the heartbeat
+         deadline.  Class-independent: one probe for every proxy. *)
+      match Proxy_class.heartbeat (Driver_host.class_of g) with
+      | Ok () -> None
+      | Error why -> Some why
     end
 
 (* During recovery the netdev degrades instead of vanishing: frames land
@@ -690,7 +686,7 @@ let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
 let start k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
   let name = Option.value ~default:drv.Driver_api.nd_name name in
-  let quota = Quota.create k.Kernel.eng ~limits:policy.quota_limits ~name () in
+  let quota = Quota.create k.Kernel.eng ~name () in
   match
     Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
       ~quota ~epoch:0
@@ -707,7 +703,7 @@ let start k sp ?(policy = default_policy) ?name ~bdf factory =
 let start_blk k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
   let name = Option.value ~default:drv.Driver_api.bd_name name in
-  let quota = Quota.create k.Kernel.eng ~limits:policy.quota_limits ~name () in
+  let quota = Quota.create k.Kernel.eng ~name () in
   let persist = Proxy_blk.persist_create () in
   let cls = Driver_host.blk ~adopt:persist () in
   match

@@ -34,7 +34,6 @@
 
 type policy = {
   tick_ns : int;  (** watchdog polling period *)
-  heartbeat : bool;  (** send [up_ping] each healthy tick *)
   hang_timeout_ns : int;
       (** uchan sync-upcall deadline for this device — also the heartbeat
           deadline *)
@@ -43,13 +42,6 @@ type policy = {
   max_restarts : int;  (** restart budget within the window *)
   restart_window_ns : int;
   backlog_limit : int;  (** frames buffered while recovering *)
-  flood_threshold : int;
-      (** dropped async downcalls per tick treated as a ring flood *)
-  quota_limits : Quota.limits;
-      (** the resource ledger handed to every driver generation *)
-  overflow_threshold : int;
-      (** notification-kick token-bucket overflows per tick treated as a
-          doorbell flood *)
   standby : bool;
       (** keep a warm standby generation parked (process forked, rings
           allocated and charged to the same quota ledger) so a lethal
@@ -58,10 +50,12 @@ type policy = {
 }
 
 val default_policy : policy
-(** 5 ms tick, heartbeat on, 20 ms hang timeout, 2 ms initial backoff
-    capped at 200 ms, 5 restarts per 2 s window, 256-frame backlog,
-    flood at 512 drops/tick, {!Quota.default_limits}, overflow at 512
-    per tick, warm standby on. *)
+(** 5 ms tick, 20 ms hang timeout, 2 ms initial backoff capped at
+    200 ms, 5 restarts per 2 s window, 256-frame backlog, warm standby
+    on.  Under every policy, 512 dropped async downcalls in one tick are
+    a ring flood, 512 notification-kick token-bucket overflows in one
+    tick are a doorbell flood, and each driver's {!Quota} has
+    {!Quota.default_limits}. *)
 
 type state = Running | Recovering | Quarantined | Stopped
 
