@@ -189,10 +189,7 @@ let figure7 () =
     (fun (name, dir, desc) -> Printf.printf "%-22s %-10s %s\n" name dir desc)
     Proxy_proto.figure7_sample;
   Printf.printf "\nFull protocol implemented by this repo (opcode: name):\n";
-  List.iter
-    (fun op -> Printf.printf "  %3d: %s\n" op (Proxy_proto.name_of op))
-    [ 1; 2; 3; 4; 5; 16; 17; 18; 19; 32; 33; 34; 35; 36; 48; 49; 50;
-      100; 101; 102; 103; 104; 105; 110; 111; 112; 113; 114; 115; 116; 120 ]
+  List.iter (fun (op, name) -> Printf.printf "  %3d: %s\n" op name) Proxy_proto.opcodes
 
 (* ---- Figure 8: netperf ---- *)
 

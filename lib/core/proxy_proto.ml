@@ -5,36 +5,43 @@
     operations block for a reply and are interruptible; everything else
     is asynchronous and batched. *)
 
+(* Every opcode is declared once, with its name, through [op]; {!opcodes}
+   is the resulting table, which the full-protocol listing under Figure 7
+   prints. *)
+let declared = ref []
+
+let op n name =
+  declared := (n, name) :: !declared;
+  n
+
 (* ---- upcalls ---- *)
 
-let up_net_open = 1          (* sync *)
-let up_net_stop = 2          (* sync *)
-let up_net_xmit = 3          (* async; args [buf_id; len] *)
-let up_net_ioctl = 4         (* sync; args [cmd; arg] *)
-let up_interrupt = 5         (* async *)
-let up_ping = 6              (* sync; supervisor heartbeat, empty reply *)
+let up_net_open = op 1 "net_open"    (* sync *)
+let up_net_stop = op 2 "net_stop"    (* sync *)
+let up_net_xmit = op 3 "net_xmit"    (* async; args [buf_id; len] *)
+let up_net_ioctl = op 4 "net_ioctl"  (* sync; args [cmd; arg] *)
+let up_interrupt = op 5 "interrupt"  (* async *)
+let up_ping = op 6 "ping"            (* sync; supervisor heartbeat, empty reply *)
 
-let up_wifi_scan = 16        (* sync (trigger; completion is an event) *)
-let up_wifi_assoc = 17       (* sync; args [bssid] *)
-let up_wifi_set_rate = 18    (* async — queued from non-preemptable context *)
-let up_wifi_get_rates = 19   (* sync *)
+let up_wifi_scan = op 16 "wifi_scan"          (* sync (trigger; completion is an event) *)
+let up_wifi_assoc = op 17 "wifi_assoc"        (* sync; args [bssid] *)
+let up_wifi_set_rate = op 18 "wifi_set_rate"  (* async — queued from non-preemptable context *)
 
-let up_audio_start = 32      (* sync *)
-let up_audio_stop = 33       (* sync *)
-let up_audio_write = 34      (* async; args [buf_id; len] *)
-let up_audio_set_vol = 35    (* async; args [vol] *)
-let up_audio_get_vol = 36    (* sync *)
+let up_audio_start = op 32 "audio_start"      (* sync *)
+let up_audio_stop = op 33 "audio_stop"        (* sync *)
+let up_audio_write = op 34 "audio_write"      (* async; args [buf_id; len] *)
+let up_audio_set_vol = op 35 "audio_set_vol"  (* async; args [vol] *)
+let up_audio_get_vol = op 36 "audio_get_vol"  (* sync *)
 
-let up_blk_read = 48         (* sync; args [lba; count; buf_id] *)
-let up_blk_write = 49        (* sync; args [lba; count; buf_id] *)
-let up_blk_capacity = 50     (* sync *)
+let up_blk_read = op 48 "blk_read"    (* sync; args [lba; count; buf_id] *)
+let up_blk_write = op 49 "blk_write"  (* sync; args [lba; count; buf_id] *)
 
 (* The sud-blk asynchronous submission path (NVMe-style queue pairs).
    [tag] is the proxy's idempotency tag — monotonically increasing per
    device, the identity a request keeps across driver restarts so
    replay can re-issue it without double-applying.  The buffer id is
    encoded +1 so 0 means "no shared buffer" (flush). *)
-let up_blk_submit = 52       (* async; args [tag; op; lba; count; buf_id+1] *)
+let up_blk_submit = op 52 "blk_submit"  (* async; args [tag; op; lba; count; buf_id+1] *)
 
 (* blk ops carried in up_blk_submit's [op] argument. *)
 let blk_op_read = 0
@@ -44,23 +51,25 @@ let blk_op_fua = 4           (* flag bit OR'd onto a write *)
 
 (* ---- downcalls ---- *)
 
-let down_net_register = 100  (* sync; payload = MAC *)
-let down_netif_rx = 101      (* async; args [iova; len] *)
-let down_tx_free = 102       (* async; args [buf_id] *)
-let down_tx_done = 103       (* async *)
-let down_carrier = 104       (* async; args [0|1] *)
-let down_irq_ack = 105       (* async *)
+let down_net_register = op 100 "net_register"  (* sync; payload = MAC *)
+let down_netif_rx = op 101 "netif_rx"          (* async; args [iova; len] *)
+let down_tx_free = op 102 "tx_free"            (* async; args [buf_id] *)
+let down_tx_done = op 103 "tx_done"            (* async *)
+let down_carrier = op 104 "carrier"            (* async; args [0|1] *)
+let down_irq_ack = op 105 "irq_ack"            (* async *)
 
-let down_wifi_scan_done = 110   (* async; payload = bssid list (u16s) *)
-let down_wifi_bss_changed = 111 (* async; args [bssid] *)
-let down_audio_period = 112     (* async *)
-let down_blk_register = 113     (* sync; args [capacity] *)
-let down_input_key = 114        (* async; args [keycode] *)
-let down_wifi_rates = 115       (* async; payload = supported rates, one u16 each *)
-let down_audio_register = 116   (* sync *)
-let down_blkdev_register = 117  (* sync; args [capacity; nr_queues] — sud-blk *)
-let down_blk_complete = 118     (* async (Batched); args [tag; status] *)
-let down_printk = 120           (* async; payload = message *)
+let down_wifi_scan_done = op 110 "wifi_scan_done"      (* async; payload = bssid list (u16s) *)
+let down_wifi_bss_changed = op 111 "wifi_bss_changed"  (* async; args [bssid] *)
+let down_audio_period = op 112 "audio_period"          (* async *)
+let down_blk_register = op 113 "blk_register"          (* sync; args [capacity] *)
+let down_input_key = op 114 "input_key"                (* async; args [keycode] *)
+let down_wifi_rates = op 115 "wifi_rates"              (* async; payload = rates, one u16 each *)
+let down_audio_register = op 116 "audio_register"      (* sync *)
+let down_blkdev_register = op 117 "blkdev_register"    (* sync; args [capacity; nr_queues] *)
+let down_blk_complete = op 118 "blk_complete"          (* async (Batched); args [tag; status] *)
+let down_printk = op 120 "printk"                      (* async; payload = message *)
+
+let opcodes = List.rev !declared
 
 (* Kind vocabulary for the uchan conformance DFA, covering the
    driver->kernel (downcall) direction the kernel adjudicates.  The
@@ -77,22 +86,6 @@ let classify_downcall = function
 
 let conformance_profile =
   { Conformance.p_name = "proxy"; p_classify = classify_downcall }
-
-let name_of = function
-  | 1 -> "net_open" | 2 -> "net_stop" | 3 -> "net_xmit" | 4 -> "net_ioctl"
-  | 5 -> "interrupt" | 6 -> "ping"
-  | 16 -> "wifi_scan" | 17 -> "wifi_assoc" | 18 -> "wifi_set_rate" | 19 -> "wifi_get_rates"
-  | 32 -> "audio_start" | 33 -> "audio_stop" | 34 -> "audio_write"
-  | 35 -> "audio_set_vol" | 36 -> "audio_get_vol"
-  | 48 -> "blk_read" | 49 -> "blk_write" | 50 -> "blk_capacity"
-  | 52 -> "blk_submit"
-  | 100 -> "net_register" | 101 -> "netif_rx" | 102 -> "tx_free" | 103 -> "tx_done"
-  | 104 -> "carrier" | 105 -> "irq_ack"
-  | 110 -> "wifi_scan_done" | 111 -> "wifi_bss_changed" | 112 -> "audio_period"
-  | 113 -> "blk_register" | 114 -> "input_key" | 115 -> "wifi_rates"
-  | 116 -> "audio_register" | 117 -> "blkdev_register" | 118 -> "blk_complete"
-  | 120 -> "printk"
-  | n -> Printf.sprintf "op%d" n
 
 (** Figure 7's sample table: (name, direction, description). *)
 let figure7_sample =

@@ -284,12 +284,6 @@ let dispatch_wifi t (wi : Driver_api.wifi_instance) st ~queue m =
   else if kind = Proxy_proto.up_wifi_set_rate then
     (* Asynchronous by design: queued from non-preemptable kernel context. *)
     ignore (wi.Driver_api.wi_set_rate (Msg.arg m 0) : (unit, string) result)
-  else if kind = Proxy_proto.up_wifi_get_rates then
-    to_worker t (fun () ->
-        let rates = wi.Driver_api.wi_bitrates () in
-        let payload = Bytes.create (2 * List.length rates) in
-        List.iteri (fun i r -> Bytes.set_uint16_le payload (2 * i) r) rates;
-        reply_ok t ~queue m ~payload ())
   else dispatch_net t st ~queue m
 
 let serve_wifi t (drv : Driver_api.wifi_driver) =
@@ -509,11 +503,6 @@ let dispatch_usb t (blk : Driver_api.block_instance option) ~queue m =
              (match b.Driver_api.bl_write ~lba data with
               | Error e -> reply_err t ~queue m e
               | Ok () -> reply_ok t ~queue m ())))
-  else if kind = Proxy_proto.up_blk_capacity then
-    to_worker t (fun () ->
-        match blk with
-        | None -> reply_err t ~queue m "no storage device"
-        | Some b -> reply_ok t ~queue m ~args:[ 0; b.Driver_api.bl_capacity () ] ())
   else if kind = Proxy_proto.up_interrupt then
     handle_interrupt t ~queue:(Msg.arg m 0)
   else if kind = Proxy_proto.up_ping then reply_ok t ~queue m ()
