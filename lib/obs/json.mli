@@ -77,6 +77,9 @@ val path : t -> string list -> t option
 val as_float : t -> float option
 (** {!Int} or {!Float} as a number; everything else [None]. *)
 
+val as_int : t -> int option
+(** {!Int} only. *)
+
 val as_str : t -> string option
 val as_bool : t -> bool option
 val as_list : t -> t list option

@@ -309,7 +309,7 @@ module Trace = struct
         ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) sp.sp_attrs)) ]
 
   let span_of_json j =
-    let int k = match Json.member j k with Some (Json.Int i) -> Some i | _ -> None in
+    let int k = Option.bind (Json.member j k) Json.as_int in
     let str k = Option.bind (Json.member j k) Json.as_str in
     let attr (k, v) = Option.map (fun v -> (k, v)) (Json.as_str v) in
     let attrs =

@@ -131,7 +131,7 @@ let save ~path f =
 
 let load path =
   let str j k = Option.bind (Json.member j k) Json.as_str in
-  let int j k = match Json.member j k with Some (Json.Int i) -> Some i | _ -> None in
+  let int j k = Option.bind (Json.member j k) Json.as_int in
   let int64 j k = Option.bind (str j k) Int64.of_string_opt in
   match Json.of_jsonl_file path with
   | Error e -> Error e
