@@ -13,15 +13,15 @@
    verdict (and exit status) is the AND of its rows.  Every run writes its
    result (schema sud-bench/10: the mode's data, its gate rows and the
    verdict) to traces/bench_<mode>.json; no run writes a tracked file, and
-   a baseline changes only by editing bench/baseline.json.
+   a baseline changes only by editing bench/baseline.json.  Results,
+   the baseline and the metrics snapshot the report embeds are all Json
+   values, the repository's one JSON codec.
 
    The soak run enables tracing (64k-span ring), exports
-   traces/soak_trace.jsonl, and fails unless the trace contains a complete
-   uchan rpc -> iommu fault -> supervisor detect -> kill -> restart
-   causal chain. *)
+   traces/soak_trace.jsonl, and fails unless every exported span reads
+   back and the trace contains a complete uchan rpc -> iommu fault ->
+   supervisor detect -> kill -> restart causal chain. *)
 
-(* Every result is written and the baseline read through Json, the
-   repository's one JSON codec. *)
 module J = Json
 
 (* One root seed for every seeded bench harness: each entry point derives
