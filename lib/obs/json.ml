@@ -18,8 +18,8 @@ let fnum ?(dp = 3) v =
 
 (* ---- printing ---- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let add_str b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
        match c with
@@ -30,7 +30,7 @@ let escape s =
          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
        | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 (* A float always renders with a decimal point (or exponent) so it
    parses back as a Float, not an Int: 100. -> "100.0". *)
@@ -40,56 +40,58 @@ let float_str v =
     let s = Printf.sprintf "%.12g" v in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s else s ^ ".0"
 
-let rec compact = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Int i -> string_of_int i
-  | Float f -> float_str f
-  | Str s -> "\"" ^ escape s ^ "\""
-  | List vs -> "[" ^ String.concat ", " (List.map compact vs) ^ "]"
-  | Obj [] -> "{}"
-  | Obj fs ->
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ compact v) fs)
-    ^ " }"
+let add_items b ~first ~sep ~last add_item items =
+  Buffer.add_string b first;
+  List.iteri
+    (fun i x ->
+       if i > 0 then Buffer.add_string b sep;
+       add_item x)
+    items;
+  Buffer.add_string b last
+
+let add_field add_value b (k, v) =
+  add_str b k;
+  Buffer.add_string b ": ";
+  add_value v
+
+exception Too_wide
+
+(* The one-line rendering, written straight into [b]; it gives up with
+   [Too_wide] as soon as [b] is longer than [stop]. *)
+let rec add_compact ~stop b v =
+  (match v with
+   | Null -> Buffer.add_string b "null"
+   | Bool v -> Buffer.add_string b (string_of_bool v)
+   | Int i -> Buffer.add_string b (string_of_int i)
+   | Float f -> Buffer.add_string b (float_str f)
+   | Str s -> add_str b s
+   | List vs -> add_items b ~first:"[" ~sep:", " ~last:"]" (add_compact ~stop b) vs
+   | Obj [] -> Buffer.add_string b "{}"
+   | Obj fs ->
+     add_items b ~first:"{ " ~sep:", " ~last:" }" (add_field (add_compact ~stop b) b) fs);
+  if Buffer.length b > stop then raise Too_wide
 
 (* Sweep-point rows and short arrays stay on one line (the diffable
-   table style of the checked-in baselines); anything wider breaks. *)
+   table style of the checked-in baselines); anything wider breaks.  A
+   collection is written inline first and taken back once it passes the
+   budget, so no value is measured apart from being printed. *)
 let inline_budget = 120
 
 let rec render b indent v =
-  match v with
-  | Null | Bool _ | Int _ | Float _ | Str _ -> Buffer.add_string b (compact v)
-  | List [] -> Buffer.add_string b "[]"
-  | Obj [] -> Buffer.add_string b "{}"
-  | (List _ | Obj _) when String.length (compact v) + indent <= inline_budget ->
-    Buffer.add_string b (compact v)
-  | List vs ->
-    let pad = String.make (indent + 2) ' ' in
-    Buffer.add_string b "[\n";
-    List.iteri
-      (fun i v ->
-         if i > 0 then Buffer.add_string b ",\n";
-         Buffer.add_string b pad;
-         render b (indent + 2) v)
-      vs;
-    Buffer.add_char b '\n';
-    Buffer.add_string b (String.make indent ' ');
-    Buffer.add_char b ']'
-  | Obj fs ->
-    let pad = String.make (indent + 2) ' ' in
-    Buffer.add_string b "{\n";
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_string b ",\n";
-         Buffer.add_string b pad;
-         Buffer.add_string b ("\"" ^ escape k ^ "\": ");
-         render b (indent + 2) v)
-      fs;
-    Buffer.add_char b '\n';
-    Buffer.add_string b (String.make indent ' ');
-    Buffer.add_char b '}'
+  let start = Buffer.length b in
+  try add_compact ~stop:(start + inline_budget - indent) b v
+  with Too_wide -> (
+    Buffer.truncate b start;
+    let pad = "\n" ^ String.make (indent + 2) ' ' in
+    let last close = "\n" ^ String.make indent ' ' ^ close in
+    match v with
+    | List (_ :: _ as vs) ->
+      add_items b ~first:("[" ^ pad) ~sep:("," ^ pad) ~last:(last "]") (render b (indent + 2)) vs
+    | Obj (_ :: _ as fs) ->
+      add_items b ~first:("{" ^ pad) ~sep:("," ^ pad) ~last:(last "}")
+        (add_field (render b (indent + 2)) b) fs
+    | Null | Bool _ | Int _ | Float _ | Str _ | List [] | Obj [] ->
+      add_compact ~stop:max_int b v)
 
 let to_string v =
   let b = Buffer.create 2048 in
@@ -97,7 +99,10 @@ let to_string v =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let to_line = compact
+let to_line v =
+  let b = Buffer.create 256 in
+  add_compact ~stop:max_int b v;
+  Buffer.contents b
 
 let write ~path v =
   let oc = open_out path in
@@ -108,7 +113,7 @@ let write_jsonl ~path vs =
   let oc = open_out path in
   List.iter
     (fun v ->
-       output_string oc (compact v);
+       output_string oc (to_line v);
        output_char oc '\n')
     vs;
   close_out oc

@@ -155,8 +155,56 @@ let test_errors () =
   fails "nul";
   fails "{\"a\": 00x}"
 
+(* The printer's exact bytes.  A round trip cannot see a layout change,
+   but the bench files and the metrics snapshot hash can: this document
+   has inline rows, a nested list, an object and a list broken over the
+   120-column budget (one value exactly at it, one a column past it) and
+   a key that needs escapes. *)
+let test_exact_text () =
+  let a = String.make 114 'a' and b = String.make 115 'b' and x = String.make 100 'x' in
+  let doc =
+    J.Obj
+      [ J.schema 10;
+        ("row", J.Obj [ ("queues", J.Int 4); ("kpps", J.Float 979.1); ("ok", J.Bool true) ]);
+        ( "grid",
+          J.List [ J.List [ J.Int 1; J.Int (-2) ]; J.List [ J.Null; J.Float 0.5 ]; J.Obj [] ] );
+        ("at_budget", J.List [ J.Str a ]);
+        ("past_budget", J.List [ J.Str b ]);
+        ( "wide",
+          J.Obj
+            [ ("note", J.Str x); ("rows", J.List [ J.Obj [ ("a", J.Int 1) ]; J.List [] ]) ] );
+        ("key \"q\" \\ nl\n ctl\001", J.Str "tab\there") ]
+  in
+  Alcotest.(check string) "to_line"
+    (String.concat ""
+       [ {|{ "schema": "sud-bench/10", "row": { "queues": 4, "kpps": 979.1, "ok": true }, |};
+         {|"grid": [[1, -2], [null, 0.5], {}], "at_budget": ["|}; a; {|"], "past_budget": ["|};
+         b; {|"], "wide": { "note": "|}; x; {|", "rows": [{ "a": 1 }, []] }, |};
+         {|"key \"q\" \\ nl\n ctl\u0001": "tab\u0009here" }|} ])
+    (J.to_line doc);
+  Alcotest.(check string) "to_string"
+    (Printf.sprintf
+       {|{
+  "schema": "sud-bench/10",
+  "row": { "queues": 4, "kpps": 979.1, "ok": true },
+  "grid": [[1, -2], [null, 0.5], {}],
+  "at_budget": ["%s"],
+  "past_budget": [
+    "%s"
+  ],
+  "wide": {
+    "note": "%s",
+    "rows": [{ "a": 1 }, []]
+  },
+  "key \"q\" \\ nl\n ctl\u0001": "tab\u0009here"
+}
+|}
+       a b x)
+    (J.to_string doc)
+
 let suite =
   [ Alcotest.test_case "print/parse round-trip" `Quick test_roundtrip;
+    Alcotest.test_case "exact printed text" `Quick test_exact_text;
     Alcotest.test_case "fnum rounding and null" `Quick test_fnum;
     Alcotest.test_case "whole floats stay floats" `Quick test_float_identity;
     Alcotest.test_case "legacy emitter style parses, readers work" `Quick
