@@ -118,15 +118,19 @@ let () =
          Safe_pci.register_device sp bdf_b;
          Safe_pci.set_owner sp bdf_a ~uid:3000;
          Safe_pci.set_owner sp bdf_b ~uid:3000;
-         (* The router: ONE untrusted process owning both NICs. *)
+         (* The router: ONE untrusted process owning both NICs, each grant
+            in its own capability table. *)
          let router = Process.spawn k.Kernel.procs ~name:"click-router" ~uid:3000 in
+         let open_nic bdf =
+           Safe_pci.open_device sp ~caps:(Quota.table None router) bdf ~proc:router
+         in
          let ga =
-           match Safe_pci.open_device sp bdf_a ~proc:router with
+           match open_nic bdf_a with
            | Ok g -> g
            | Error e -> failwith e
          in
          let gb =
-           match Safe_pci.open_device sp bdf_b ~proc:router with
+           match open_nic bdf_b with
            | Ok g -> g
            | Error e -> failwith e
          in

@@ -250,9 +250,9 @@ let warm_policy ~max_restarts = { (soak_policy ~max_restarts) with Supervisor.st
 
    Checked at every driver death.  The snapshot is taken at
    Fault_detected (the dying generation is still current); the checks
-   run at Driver_killed (process dead, grant revoked, device reset).
-   Class-independent: the same contract holds whether the supervised
-   device is a NIC or an NVMe. *)
+   run at Driver_killed (process dead, capability table revoked, device
+   reset).  Class-independent: the same contract holds whether the
+   supervised device is a NIC or an NVMe. *)
 
 type invariant_ctx = {
   iv_secret_addr : int;
@@ -295,13 +295,16 @@ let install_invariants ~k ~bdf sv ~secret_addr =
         in
         if Bytes.to_string now <> secret then
           violate ctx "death %d: kernel secret page corrupted" ctx.iv_deaths;
-        (* The dead generation's grant is revoked and its IOMMU domain
-           detached. *)
+        (* The dead generation holds no capability: its grant, DMA
+           regions, IO ports, vectors and rings are all revoked, and its
+           IOMMU domain detached. *)
         (match ctx.iv_snapshot with
          | None -> violate ctx "death %d: no grant snapshot at detection time" ctx.iv_deaths
          | Some (g, iovas) ->
            if Safe_pci.grant_alive g then
              violate ctx "death %d: grant still alive after driver death" ctx.iv_deaths;
+           if Quota.held (Safe_pci.grant_caps g) <> [] then
+             violate ctx "death %d: dead generation still holds a capability" ctx.iv_deaths;
            if Iommu.domain_of iommu ~source:bdf <> None then
              violate ctx "death %d: IOMMU domain still attached" ctx.iv_deaths;
            (* No stale IOTLB entry: probing any previously-mapped iova must

@@ -725,7 +725,7 @@ let io_port_scan () =
          Safe_pci.set_owner sp bdf ~uid:1000;
          let proc = Process.spawn k.Kernel.procs ~name:"mal-ne2k" ~uid:1000 in
          let grant =
-           match Safe_pci.open_device sp bdf ~proc with
+           match Safe_pci.open_device sp ~caps:(Quota.table None proc) bdf ~proc with
            | Ok g -> g
            | Error e -> failwith e
          in

@@ -9,7 +9,7 @@ type 'p gen = {
   g_uml : Sud_uml.t;
   g_netdev : Netdev.t option;
   g_queues : int;
-  g_quota : Quota.t option;
+  g_caps : Quota.caps;
   g_epoch : int;
   g_relaunch : epoch:int -> ('p gen, string) result;
 }
@@ -160,13 +160,17 @@ let trace name attrs =
       (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"driver" ~name ~attrs ()
        : int)
 
-let spawn k sp ~uid ~name ~bdf =
+(* The process and its capability table: everything later steps acquire
+   for the generation is recorded there, and the process's death revokes
+   it newest first. *)
+let spawn k sp ?quota ~uid ~name ~bdf () =
   Safe_pci.register_device sp bdf;
   Safe_pci.set_owner sp bdf ~uid;
-  Process.spawn k.Kernel.procs ~name ~uid
+  let proc = Process.spawn k.Kernel.procs ~name ~uid in
+  (proc, Quota.table quota proc)
 
-let open_pool sp ?quota bdf ~proc (count, buf_size) =
-  match Safe_pci.open_device sp ?quota bdf ~proc with
+let open_pool sp ~caps bdf ~proc (count, buf_size) =
+  match Safe_pci.open_device sp ~caps bdf ~proc with
   | Error e -> Error ("open device: " ^ e)
   | Ok grant ->
     (match Safe_pci.alloc_dma grant ~bytes:(Bufpool.region_size ~count ~buf_size) () with
@@ -182,36 +186,33 @@ let open_pool sp ?quota bdf ~proc (count, buf_size) =
 let clamp_queues q = max 1 (min q Uchan.max_queues)
 
 (* Quota negotiation: clamp the queue count until the ring footprint
-   fits the driver's uchan budget, then charge exactly the negotiated
-   footprint (released again on driver exit, so a restart generation
-   re-charges from a clean ledger).  Every driver-side kick draws a
-   notification token. *)
-let rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues () =
+   fits the driver's uchan budget, then record exactly the negotiated
+   footprint in the generation's table, whose revocation closes the
+   channel.  Every driver-side kick draws a notification token. *)
+let rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues () =
   let slots = 256 in
-  let queues, ring_charge =
-    match quota with
-    | None -> (queues, 0)
-    | Some q ->
-      let queues = Quota.negotiate_queues q ~slots ~queues in
-      (queues, Quota.ring_bytes ~slots ~queues)
+  let quota = Quota.ledger caps in
+  let queues =
+    match quota with Some q -> Quota.negotiate_queues q ~slots ~queues | None -> queues
   in
-  match match quota with Some q -> Quota.charge_uchan q ~bytes:ring_charge | None -> Ok () with
+  let footprint = Quota.Rings { bytes = Quota.ring_bytes ~slots ~queues } in
+  match Quota.admit caps footprint with
   | Error e -> Error ("uchan rings: " ^ e)
   | Ok () ->
     let chan =
       Uchan.create k ?hang_timeout_ns ~slots ~queues ~epoch
         ~profile:Proxy_proto.conformance_profile ~driver_label:name ()
     in
+    Quota.record caps footprint ~revoke:(fun () -> Uchan.close chan);
     (match quota with
-     | None -> ()
-     | Some q ->
-       Uchan.set_notify_hook chan (Some (fun ~queue -> Quota.note_notify q ~queue));
-       Process.on_exit proc (fun () -> Quota.release_uchan q ~bytes:ring_charge));
+     | Some q -> Uchan.set_notify_hook chan (Some (fun ~queue -> Quota.note_notify q ~queue))
+     | None -> ());
     Ok (chan, queues)
 
 (* Proxy, driver main loop, and the wait for the driver to register.
-   [on_exit] runs at driver death; exit hooks run last-registered-first,
-   so where it is registered fixes its order against the ring hooks. *)
+   [on_exit] runs at driver death, before the table's revocation
+   (exit hooks run last-registered-first, and [spawn] registered the
+   table's first). *)
 let attach d k ~parked ~proc ~grant ~pool ~chan ~name ~on_exit drv =
   let proxy = d.d_proxy ~parked k ~chan ~grant ~pool ~name in
   let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
@@ -221,8 +222,8 @@ let attach d k ~parked ~proc ~grant ~pool ~chan ~name ~on_exit drv =
   if d.d_ready ~parked proxy ~timeout_ns:100_000_000 then Ok (proxy, uml)
   else Error ("driver did not register with the " ^ d.d_name ^ " proxy")
 
-(* A failing step kills the half-built generation; its exit hooks
-   release what the earlier steps charged. *)
+(* A failing step kills the half-built generation; its table's
+   revocation undoes what the earlier steps acquired. *)
 let or_kill proc = function
   | Ok _ as ok -> ok
   | Error _ as e ->
@@ -233,14 +234,17 @@ let ( let* ) = Result.bind
 
 let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
   trace "start" [ "driver", name; "bdf", Bus.string_of_bdf bdf; "class", d.d_name ];
-  let proc = spawn k sp ~uid ~name ~bdf in
-  let* grant, pool = or_kill proc (open_pool sp ?quota bdf ~proc d.d_pool) in
+  let proc, caps = spawn k sp ?quota ~uid ~name ~bdf () in
+  let* grant, pool = or_kill proc (open_pool sp ~caps bdf ~proc d.d_pool) in
   (* One uchan ring pair per deliverable vector: the device's MSI-X
      table sizes the datapath unless the caller narrows it. *)
   let queues =
     clamp_queues (match queues with Some q -> q | None -> Safe_pci.msix_vectors grant)
   in
-  let* chan, queues = or_kill proc (rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues ()) in
+  let* chan, queues = or_kill proc (rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues ()) in
+  (* A cold generation closes its channel before the class exit action
+     runs, ahead of the table's revocation (whose close is then a
+     no-op). *)
   let on_exit proxy =
     trace "exit" [ "driver", name ];
     Uchan.close chan;
@@ -260,7 +264,7 @@ let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
       g_uml = uml;
       g_netdev = d.d_netdev proxy;
       g_queues = queues;
-      g_quota = quota;
+      g_caps = caps;
       g_epoch = epoch;
       g_relaunch =
         (fun ~epoch -> cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ~queues ?quota ~epoch drv) }
@@ -288,7 +292,7 @@ let blk_proxy = proxy
 let class_of g = g.g_class
 let uml g = g.g_uml
 let queues g = g.g_queues
-let quota g = g.g_quota
+let quota g = Quota.ledger g.g_caps
 let epoch g = g.g_epoch
 
 let netdev g =
@@ -313,8 +317,8 @@ let set_memory_limit g ~bytes = Process.setrlimit_memory g.g_proc ~bytes:(Some b
 (* ---- warm-standby generations ---- *)
 
 (* A pre-forked generation, parked before attach: the process and its
-   epoch-stamped, quota-charged rings.  Everything device-facing waits
-   for [activate] (see the interface). *)
+   epoch-stamped rings, recorded in its table.  Everything
+   device-facing waits for [activate] (see the interface). *)
 type warm = {
   w_k : Kernel.t;
   w_sp : Safe_pci.t;
@@ -324,7 +328,7 @@ type warm = {
   w_proc : Process.t;
   w_chan : Uchan.t;
   w_queues : int;
-  w_quota : Quota.t option;
+  w_caps : Quota.caps;
   w_epoch : int;
   w_hang_timeout_ns : int option;
 }
@@ -332,12 +336,10 @@ type warm = {
 let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0) ~name ~bdf
     () =
   trace "prefork" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
-  let proc = spawn k sp ~uid ~name ~bdf in
+  let proc, caps = spawn k sp ?quota ~uid ~name ~bdf () in
   let* chan, queues =
-    or_kill proc
-      (rings k ?hang_timeout_ns ?quota ~epoch ~name ~proc ~queues:(clamp_queues queues) ())
+    or_kill proc (rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues:(clamp_queues queues) ())
   in
-  Process.on_exit proc (fun () -> Uchan.close chan);
   Ok
     { w_k = k;
       w_sp = sp;
@@ -347,7 +349,7 @@ let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0
       w_proc = proc;
       w_chan = chan;
       w_queues = queues;
-      w_quota = quota;
+      w_caps = caps;
       w_epoch = epoch;
       w_hang_timeout_ns = hang_timeout_ns }
 
@@ -360,7 +362,7 @@ let activate w cls drv =
   let k = w.w_k and sp = w.w_sp and bdf = w.w_bdf and name = w.w_name and proc = w.w_proc in
   trace "activate" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
   let* () = or_kill proc d.d_adoptable in
-  let* grant, pool = or_kill proc (open_pool sp ?quota:w.w_quota bdf ~proc d.d_pool) in
+  let* grant, pool = or_kill proc (open_pool sp ~caps:w.w_caps bdf ~proc d.d_pool) in
   let* proxy, uml =
     or_kill proc
       (attach d k ~parked:true ~proc ~grant ~pool ~chan:w.w_chan ~name ~on_exit:d.d_exit drv)
@@ -376,9 +378,9 @@ let activate w cls drv =
       g_uml = uml;
       g_netdev = d.d_netdev proxy;
       g_queues = w.w_queues;
-      g_quota = w.w_quota;
+      g_caps = w.w_caps;
       g_epoch = w.w_epoch;
       g_relaunch =
         (fun ~epoch ->
            cold d k sp ~uid:w.w_uid ~name ~bdf ?hang_timeout_ns:w.w_hang_timeout_ns
-             ~queues:w.w_queues ?quota:w.w_quota ~epoch drv) }
+             ~queues:w.w_queues ?quota:(Quota.ledger w.w_caps) ~epoch drv) }

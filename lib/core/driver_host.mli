@@ -5,12 +5,14 @@
     started driver is one {e generation} ['p gen], indexed by its
     class's kernel-side proxy.  The steps, in order:
 
-    + spawn: chown the device's sud files to the driver's UID and spawn
-      the driver process;
+    + spawn: chown the device's sud files to the driver's UID, spawn
+      the driver process and create its capability table
+      ({!Quota.caps}), which the process's death revokes newest first;
     + grant + DMA pool: open the device (resetting it) and map the shared
       buffer pool, sized by the class;
     + uchan rings: one ring pair per deliverable vector, the count
-      negotiated down against the driver's {!Quota.t} and charged to it;
+      negotiated down against the driver's {!Quota.t}; the footprint
+      and the channel's close are recorded in the table;
     + proxy + serve + wait: create the class proxy, start the SUD-UML
       dispatch loop in the driver, and wait for the driver to register
       with its class subsystem.
@@ -105,11 +107,13 @@ val launch :
     size, capped at {!Uchan.max_queues}) — the datapath width the driver
     sees through [pd_msix_vectors].
 
-    With [quota], the driver's whole footprint is charged to the ledger:
-    the device grant and its DMA mappings (via {!Safe_pci.open_device}),
-    the uchan ring memory (the queue count is first {e negotiated} down
-    until the footprint fits the remaining budget), and every
-    driver-side notification kick draws a token ({!Quota.note_notify}).
+    Everything the generation holds — the device grant and what the
+    driver acquires through it ({!Safe_pci.open_device}), the uchan
+    rings — is an entry of its capability table.  With [quota] the
+    table counts against that ledger: the queue count is first
+    {e negotiated} down until the ring footprint fits the remaining
+    budget, and every driver-side notification kick draws a token
+    ({!Quota.note_notify}).
     [epoch] (default 0) is the uchan generation stamp: the channel stamps
     it into every outgoing header and its conformance validator rejects
     ingress frames carrying any other — {!restart} starts the
@@ -117,8 +121,7 @@ val launch :
     adjudicate as stale.
 
     On error every step taken so far is undone: the half-built process
-    is killed and its exit hooks release the grant and the ring
-    charge. *)
+    is killed, which revokes its table. *)
 
 val proc : _ gen -> Process.t
 val chan : _ gen -> Uchan.t
@@ -142,15 +145,17 @@ val queues : _ gen -> int
 (** Ring pairs on this driver's uchan. *)
 
 val quota : _ gen -> Quota.t option
+(** The ledger the generation's table counts against. *)
 
 val epoch : _ gen -> int
 (** The uchan generation stamp this instance marshals into (and demands
     of) every message header. *)
 
 val kill : _ gen -> unit
-(** kill -9: the process dies, the grant is revoked, the uchan closes,
-    and the class's exit action runs (an unsupervised netdev
-    disappears; a blk proxy quiesces). *)
+(** kill -9: the process dies, the class's exit action runs (an
+    unsupervised netdev disappears; a blk proxy quiesces), and the
+    capability table is revoked: the grant with everything acquired
+    through it, and the rings, whose channel closes. *)
 
 val restart : 'p gen -> ('p gen, string) result
 (** Kill (if still alive) and start a fresh driver process for the same
@@ -164,13 +169,14 @@ val set_memory_limit : _ gen -> bytes:int -> unit
 
     A [warm] generation is pre-forked and parked before attach: the
     process is spawned and its epoch-stamped uchan rings are allocated
-    and charged to the same per-driver {!Quota.t} ledger as the live
-    generation.  The device grant is exclusive per BDF {e and opening
-    it resets the device}, so everything device-facing — grant, DMA
-    pool, proxy, driver init — waits for {!activate}, which the
-    supervisor calls at swap time: the dead generation's kill has
-    released the grant and the FLR has left the device in exactly the
-    quiesced state a fresh driver expects to initialize against. *)
+    and recorded in its own capability table, which counts against the
+    same per-driver {!Quota.t} ledger as the live generation's.  The
+    device grant is exclusive per BDF {e and opening it resets the
+    device}, so everything device-facing — grant, DMA pool, proxy,
+    driver init — waits for {!activate}, which the supervisor calls at
+    swap time: the dead generation's kill has revoked its grant and the
+    FLR has left the device in exactly the quiesced state a fresh
+    driver expects to initialize against. *)
 
 type warm
 
@@ -186,15 +192,17 @@ val prefork :
   bdf:Bus.bdf ->
   unit ->
   (warm, string) result
-(** Spawn and park a standby generation.  [queues] (default 1) should
-    be the live generation's negotiated width — without a grant the
-    standby cannot size itself from the MSI-X table. *)
+(** Spawn and park a standby generation: its table holds the rings
+    alone until {!activate}.  [queues] (default 1) should be the live
+    generation's negotiated width — without a grant the standby cannot
+    size itself from the MSI-X table. *)
 
 val warm_proc : warm -> Process.t
 val warm_chan : warm -> Uchan.t
 
 val discard_warm : warm -> unit
-(** Kill the parked process; its exit hooks release the ring charge. *)
+(** Kill the parked process, which revokes its table: the rings'
+    footprint leaves the ledger and the channel closes. *)
 
 val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
 (** Finish a parked generation against the freshly reset device: open
@@ -205,5 +213,6 @@ val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
     record whose block device exists); wifi, audio and usb have no
     standby.  On success the caller swaps the proxy in with
     {!Proxy_class.adopt} and replays via [resume]; on error the standby
-    process has been killed (its grant released), so a cold start can
-    follow. *)
+    process has been killed (its table revoked), so a cold start can
+    follow.  The activated generation's class exit action runs before
+    the table's revocation, whose last step closes the channel. *)

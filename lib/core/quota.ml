@@ -1,4 +1,4 @@
-(* Per-driver resource ledger.
+(* Per-driver resource ledger and the capability tables it reads.
 
    RLIMIT_AS bounds how much the driver process can map, but nothing
    bounded what a driver could make the *kernel* hold on its behalf:
@@ -9,13 +9,21 @@
    restarts with the generation — a crash-looping driver cannot launder
    its footprint by dying.
 
+   A generation's holdings live in one capability table (paper §3.2,
+   §4.1: death revokes the device grant, the IOMMU mappings, the
+   interrupt vectors and the IO ports).  Each entry carries the action
+   that revokes it, so the death hook is one newest-first walk, and the
+   ledger reads its usage by folding over the tables that hold anything
+   instead of keeping counters that must agree with them.
+
    Design rules, per the paper's "never allocate on behalf of the
    driver" discipline:
 
-   - Exhaustion produces {e backpressure}, never kernel allocation: a
-     charge over limit waits a bounded time for capacity (the resource
-     may be mid-release by a dying sibling generation), then fails with
-     an [Error] the caller maps to a denied syscall, and is counted.
+   - Exhaustion produces {e backpressure}, never kernel allocation:
+     admission over limit waits a bounded time for capacity (the
+     resource may be mid-revocation by a dying sibling generation), then
+     fails with an [Error] the caller maps to a denied syscall, and is
+     counted.  Admission comes before the kernel acquires anything.
    - Notification/IRQ-kick buckets are per queue.  Driver-side kicks are
      never suppressed (starving the trusted worker would wedge the
      ring): a dry bucket counts an overflow, and sustained overflow is a
@@ -46,6 +54,13 @@ let default_limits =
     notify_burst = 4096;
     notify_rate = 1_000_000 }
 
+type cap =
+  | Grant
+  | Dma of { iova : int; phys : int; pages : int }
+  | Io_ports of { base : int; len : int }
+  | Vectors of int array
+  | Rings of { bytes : int }
+
 type bucket = {
   mutable bk_tokens : int;
   mutable bk_last_ns : int;
@@ -55,15 +70,35 @@ type t = {
   eng : Engine.t;
   q_name : string;
   lim : limits;
-  mutable grants : int;
-  mutable dma_bytes : int;
-  mutable iopt_pages : int;
-  mutable uchan_bytes : int;
+  mutable tables : caps list;             (* the tables holding anything *)
   buckets : (int, bucket) Hashtbl.t;      (* queue -> bucket *)
   qm_denied : Sud_obs.Metrics.counter;
   qm_notify_overflow : Sud_obs.Metrics.counter;
   qm_irq_dropped : Sud_obs.Metrics.counter;
 }
+
+and caps = {
+  c_ledger : t option;
+  mutable c_held : entry list;            (* newest first *)
+}
+
+and entry = {
+  e_cap : cap;
+  e_revoke : unit -> unit;
+}
+
+(* IO-page-table cost of mapping [pages] 4K pages: the leaf PTE pages
+   (512 entries each) plus one interior page per mapping — the kernel
+   memory the IOMMU walk tables consume on the driver's behalf. *)
+let iopt_pages_for ~pages = 1 + ((pages + 511) / 512)
+
+let usage t f =
+  List.fold_left (fun n c -> List.fold_left (fun n e -> n + f e.e_cap) n c.c_held) 0 t.tables
+
+let grants t = usage t (function Grant -> 1 | _ -> 0)
+let dma_bytes t = usage t (function Dma d -> d.pages * Bus.page_size | _ -> 0)
+let iopt_pages t = usage t (function Dma d -> iopt_pages_for ~pages:d.pages | _ -> 0)
+let uchan_bytes t = usage t (function Rings r -> r.bytes | _ -> 0)
 
 let create eng ?(limits = default_limits) ~name () =
   let labels = [ ("driver", name) ] in
@@ -72,10 +107,7 @@ let create eng ?(limits = default_limits) ~name () =
     { eng;
       q_name = name;
       lim = limits;
-      grants = 0;
-      dma_bytes = 0;
-      iopt_pages = 0;
-      uchan_bytes = 0;
+      tables = [];
       buckets = Hashtbl.create 4;
       qm_denied = c "denied";
       qm_notify_overflow = c "notify_overflow";
@@ -83,107 +115,96 @@ let create eng ?(limits = default_limits) ~name () =
   in
   ignore
     (Sud_obs.Metrics.gauge ~labels ~subsystem:"quota" ~name:"dma_bytes"
-       (fun () -> t.dma_bytes)
+       (fun () -> dma_bytes t)
      : Sud_obs.Metrics.gauge);
   ignore
     (Sud_obs.Metrics.gauge ~labels ~subsystem:"quota" ~name:"uchan_bytes"
-       (fun () -> t.uchan_bytes)
+       (fun () -> uchan_bytes t)
      : Sud_obs.Metrics.gauge);
   t
 
-let grants t = t.grants
-let dma_bytes t = t.dma_bytes
-let iopt_pages t = t.iopt_pages
-let uchan_bytes t = t.uchan_bytes
 let denials t = Sud_obs.Metrics.get t.qm_denied
 let notify_overflows t = Sud_obs.Metrics.get t.qm_notify_overflow
 let irq_kicks_dropped t = Sud_obs.Metrics.get t.qm_irq_dropped
 
-(* IO-page-table cost of mapping [pages] 4K pages: the leaf PTE pages
-   (512 entries each) plus one interior page per mapping — the kernel
-   memory the IOMMU walk tables consume on the driver's behalf. *)
-let iopt_pages_for ~pages = 1 + ((pages + 511) / 512)
+(* ---- capability tables ---- *)
+
+(* A table counts against its ledger while it holds anything, so the
+   fold never walks a dead generation's empty table. *)
+let set_held c held =
+  (match c.c_ledger, c.c_held, held with
+   | Some t, [], _ :: _ -> t.tables <- c :: t.tables
+   | Some t, _ :: _, [] -> t.tables <- List.filter (fun c' -> c' != c) t.tables
+   | Some _, _, _ | None, _, _ -> ());
+  c.c_held <- held
+
+let revoke c pred =
+  let gone, kept = List.partition (fun e -> pred e.e_cap) c.c_held in
+  set_held c kept;
+  List.iter (fun e -> e.e_revoke ()) gone
+
+let table ledger proc =
+  let c = { c_ledger = ledger; c_held = [] } in
+  Process.on_exit proc (fun () -> revoke c (fun _ -> true));
+  c
+
+let ledger c = c.c_ledger
+let held c = c.c_held
+let cap e = e.e_cap
+let record c cap ~revoke = set_held c ({ e_cap = cap; e_revoke = revoke } :: c.c_held)
+
+let drop c pred =
+  let e = List.find_opt (fun e -> pred e.e_cap) c.c_held in
+  Option.iter (fun e -> set_held c (List.filter (fun e' -> e' != e) c.c_held)) e;
+  Option.map cap e
+
+(* The resource [cap] would exhaust, if any. *)
+let exhausted t = function
+  | Grant when grants t >= t.lim.max_grants -> Some "device grants"
+  | Dma { pages; _ }
+    when dma_bytes t + (pages * Bus.page_size) > t.lim.max_dma_bytes
+         || iopt_pages t + iopt_pages_for ~pages > t.lim.max_iopt_pages ->
+    Some "DMA mappings"
+  | Rings { bytes } when uchan_bytes t + bytes > t.lim.max_uchan_bytes -> Some "uchan slot memory"
+  | Grant | Dma _ | Rings _ | Io_ports _ | Vectors _ -> None
 
 let deny t what =
   Sud_obs.Metrics.incr t.qm_denied;
   Error (Printf.sprintf "quota(%s): %s exhausted" t.q_name what)
 
 (* Bounded backpressure: capacity may be seconds-old garbage a dying
-   generation is mid-way through releasing, so give the release a few
-   chances before failing the charge.  Only meaningful from fiber
-   context; bare callers (tests poking the ledger directly) fail
-   immediately. *)
+   generation is mid-way through revoking, so give the revocation a few
+   chances before denying.  Only meaningful from fiber context; bare
+   callers (tests poking the ledger directly) fail immediately. *)
 let wait_budget_ns = 100_000
 let wait_step_ns = 20_000
 
-let with_backpressure t try_charge what =
-  let rec go waited =
-    match try_charge () with
-    | true -> Ok ()
-    | false ->
-      if waited >= wait_budget_ns then deny t what
-      else begin
-        match Fiber.self () with
-        | exception Failure _ -> deny t what
-        | _ ->
-          ignore (Fiber.sleep t.eng wait_step_ns : Fiber.wake);
-          go (waited + wait_step_ns)
-      end
-  in
-  go 0
-
-let charge_grant t =
-  with_backpressure t
-    (fun () ->
-       if t.grants < t.lim.max_grants then begin
-         t.grants <- t.grants + 1;
-         true
-       end
-       else false)
-    "device grants"
-
-let release_grant t = t.grants <- max 0 (t.grants - 1)
-
-let charge_dma t ~bytes ~pages =
-  let iopt = iopt_pages_for ~pages in
-  with_backpressure t
-    (fun () ->
-       if
-         t.dma_bytes + bytes <= t.lim.max_dma_bytes
-         && t.iopt_pages + iopt <= t.lim.max_iopt_pages
-       then begin
-         t.dma_bytes <- t.dma_bytes + bytes;
-         t.iopt_pages <- t.iopt_pages + iopt;
-         true
-       end
-       else false)
-    "DMA mappings"
-
-let release_dma t ~bytes ~pages =
-  t.dma_bytes <- max 0 (t.dma_bytes - bytes);
-  t.iopt_pages <- max 0 (t.iopt_pages - iopt_pages_for ~pages)
-
-let charge_uchan t ~bytes =
-  with_backpressure t
-    (fun () ->
-       if t.uchan_bytes + bytes <= t.lim.max_uchan_bytes then begin
-         t.uchan_bytes <- t.uchan_bytes + bytes;
-         true
-       end
-       else false)
-    "uchan slot memory"
-
-let release_uchan t ~bytes = t.uchan_bytes <- max 0 (t.uchan_bytes - bytes)
+let admit c cap =
+  match c.c_ledger with
+  | None -> Ok ()
+  | Some t ->
+    let rec go waited =
+      match exhausted t cap with
+      | None -> Ok ()
+      | Some what when waited >= wait_budget_ns -> deny t what
+      | Some what ->
+        (match Fiber.self () with
+         | exception Failure _ -> deny t what
+         | _ ->
+           ignore (Fiber.sleep t.eng wait_step_ns : Fiber.wake);
+           go (waited + wait_step_ns))
+    in
+    go 0
 
 (* Quota negotiation when Driver_host sets up a generation's uchan rings
    (cold launch or warm prefork): rather than failing a start
    whose ring footprint exceeds the budget, clamp the queue count until
    it fits (queue 0 always survives — a channel must exist).  Returns
-   the negotiated count; the caller then charges exactly that. *)
+   the negotiated count; the caller then admits exactly that. *)
 let ring_bytes ~slots ~queues = queues * 2 * slots * Msg.slot_size
 
 let negotiate_queues t ~slots ~queues =
-  let budget = t.lim.max_uchan_bytes - t.uchan_bytes in
+  let budget = t.lim.max_uchan_bytes - uchan_bytes t in
   let rec fit q =
     if q <= 1 then 1
     else if ring_bytes ~slots ~queues:q <= budget then q
@@ -203,28 +224,28 @@ let bucket t queue =
 
 let take_token t queue =
   let lim = t.lim in
-  if lim.notify_burst = max_int then true
-  else begin
-    let b = bucket t queue in
-    let now = Engine.now t.eng in
-    let dt = now - b.bk_last_ns in
-    if dt > 0 then begin
-      (* Refill at notify_rate tokens/s, saturating at the burst depth. *)
-      let refill =
-        if lim.notify_rate >= 1_000_000_000 then max_int
-        else dt / (1_000_000_000 / max 1 lim.notify_rate)
-      in
-      if refill > 0 then begin
-        b.bk_tokens <- min lim.notify_burst (b.bk_tokens + refill);
-        b.bk_last_ns <- now
-      end
-    end;
-    if b.bk_tokens > 0 then begin
-      b.bk_tokens <- b.bk_tokens - 1;
-      true
+  let b = bucket t queue in
+  let now = Engine.now t.eng in
+  let dt = now - b.bk_last_ns in
+  if dt > 0 then begin
+    (* Refill at notify_rate tokens/s, saturating at the burst depth
+       without overflowing the sum. *)
+    let refill =
+      if lim.notify_rate >= 1_000_000_000 then max_int
+      else dt / (1_000_000_000 / max 1 lim.notify_rate)
+    in
+    if refill > 0 then begin
+      b.bk_tokens <-
+        (if refill >= lim.notify_burst - b.bk_tokens then lim.notify_burst
+         else b.bk_tokens + refill);
+      b.bk_last_ns <- now
     end
-    else false
+  end;
+  if b.bk_tokens > 0 then begin
+    b.bk_tokens <- b.bk_tokens - 1;
+    true
   end
+  else false
 
 let note_notify t ~queue =
   if not (take_token t queue) then Sud_obs.Metrics.incr t.qm_notify_overflow

@@ -1,10 +1,16 @@
-(** Per-driver resource ledger.
+(** Per-driver resource ledger and the capability tables it reads.
 
     Bounds what the kernel holds {e on a driver's behalf} — device
     grants, live DMA mappings and the IO-page-table pages backing them,
     uchan ring memory — plus a per-queue token bucket on notifications
     and IRQ kicks.  One quota is created per supervised driver and
     survives restarts with the generation.
+
+    What a generation holds is booked in one place, its capability
+    table ({!caps}): every resource the kernel acquires for it is an
+    entry carrying the action that revokes it, and the generation's
+    death revokes the table newest first.  The quota keeps no usage
+    counters; it reads its usage by folding over its live tables.
 
     Exhaustion produces backpressure (a bounded wait for capacity, then
     a counted denial) instead of kernel allocation.  Driver-side
@@ -35,23 +41,56 @@ type t
 val create : Engine.t -> ?limits:limits -> name:string -> unit -> t
 (** [limits] defaults to {!default_limits}. *)
 
-(** {1 Ledger charges}
+(** {1 Capability tables} *)
 
-    Each charge waits a bounded time for capacity (a dying generation
-    may be mid-release), then fails with a counted denial.  Releases
-    never fail and clamp at zero. *)
+type cap =
+  | Grant  (** the generation's device grant *)
+  | Dma of { iova : int; phys : int; pages : int }
+      (** a region mapped into the device's IOMMU domain *)
+  | Io_ports of { base : int; len : int }
+      (** a port range in the process's IO-permission bitmap *)
+  | Vectors of int array  (** the interrupt vectors requested for the device *)
+  | Rings of { bytes : int }  (** one uchan's ring pairs *)
 
-val charge_grant : t -> (unit, string) result
-val release_grant : t -> unit
+type caps
+(** One driver generation's capability table: the generation's device
+    grant with everything acquired through it, and its rings. *)
 
-val charge_dma : t -> bytes:int -> pages:int -> (unit, string) result
-(** Charges [bytes] of DMA-mapped memory plus the IO-page-table pages
-    implied by mapping [pages] 4K pages ({!iopt_pages_for}). *)
+type entry
+(** A held capability and the action that revokes it. *)
 
-val release_dma : t -> bytes:int -> pages:int -> unit
+val table : t option -> Process.t -> caps
+(** An empty table for a generation running as [proc]; [proc]'s death
+    revokes it, newest first.  With a ledger the table's entries count
+    against it; without one nothing is limited. *)
 
-val charge_uchan : t -> bytes:int -> (unit, string) result
-val release_uchan : t -> bytes:int -> unit
+val ledger : caps -> t option
+
+val admit : caps -> cap -> (unit, string) result
+(** Wait a bounded time for the ledger to have room for [cap] (a dying
+    generation may be mid-revocation), then fail with a counted denial.
+    Only [cap]'s kind and size count: grants, DMA bytes with their
+    IO-page-table pages ({!iopt_pages_for}) and ring bytes are limited;
+    IO ports and vectors always fit.  Admission holds nothing: the
+    caller acquires the resource and {!record}s it without yielding in
+    between. *)
+
+val record : caps -> cap -> revoke:(unit -> unit) -> unit
+(** Enter an acquired resource as the table's newest entry. *)
+
+val drop : caps -> (cap -> bool) -> cap option
+(** The holder gives back the newest capability satisfying the
+    predicate: it leaves the table {e without} running its revocation,
+    and the holder undoes the resource itself. *)
+
+val revoke : caps -> (cap -> bool) -> unit
+(** Remove every capability satisfying the predicate, then run their
+    revocations, newest first. *)
+
+val held : caps -> entry list
+(** Newest first. *)
+
+val cap : entry -> cap
 
 val iopt_pages_for : pages:int -> int
 (** Leaf PTE pages (512 entries each) plus one interior page. *)
@@ -61,9 +100,9 @@ val ring_bytes : slots:int -> queues:int -> int
 
 val negotiate_queues : t -> slots:int -> queues:int -> int
 (** Clamp a requested queue count so its ring footprint fits the
-    remaining uchan budget (never below 1); the caller charges the
-    clamped footprint.  {!Driver_host} negotiates every generation's rings
-    through it, cold or warm. *)
+    remaining uchan budget (never below 1); the caller admits the
+    clamped footprint.  {!Driver_host} negotiates every generation's
+    rings through it, cold or warm. *)
 
 (** {1 Notification / IRQ-kick token bucket (per queue)} *)
 
@@ -75,7 +114,9 @@ val take_irq_token : t -> queue:int -> bool
 (** Kernel-side IRQ forwarding: [false] means the bucket is dry and the
     kick must be dropped (counted in [irq_kicks_dropped]). *)
 
-(** {1 Introspection} *)
+(** {1 Introspection}
+
+    Usage is summed over the live tables' entries. *)
 
 val grants : t -> int
 val dma_bytes : t -> int

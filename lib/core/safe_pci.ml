@@ -1,9 +1,3 @@
-type dma_alloc = {
-  da_iova : int;
-  da_phys : int;
-  da_pages : int;
-}
-
 type reg_dev = {
   mutable rd_owner : int;        (* uid allowed to open; 0 = root only *)
   mutable rd_grant : grant option;
@@ -29,16 +23,13 @@ and grant = {
   g_domain : Iommu.domain;
   mutable g_alive : bool;
   mutable g_next_iova : int;
-  mutable g_allocs : dma_alloc list;
-  mutable g_io_grants : (int * int) list;   (* (base, len) in the IOPB *)
+  g_caps : Quota.caps;   (* the generation's table: this grant, its DMA
+                            regions, IO ports and vectors *)
   g_iopb : Ioport.Iopb.t;
   mutable g_vecs : vec_state array;         (* empty until setup_irqs *)
   mutable g_msix : bool;                    (* vectors ride MSI-X, not legacy MSI *)
   mutable g_sink : (queue:int -> unit) option;
   mutable g_amd_msi_mapped : bool;
-  g_quota : Quota.t option;      (* per-driver ledger; charged for this
-                                    grant, its DMA mappings and IRQ-kick
-                                    tokens when present *)
 }
 
 and t = {
@@ -87,54 +78,46 @@ let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
 (* ---- grant lifecycle ---- *)
 
-let release grant =
+(* Everything the grant holds is an entry in its generation's
+   capability table, and revoking any of them first stops the device:
+   decoding and bus mastering off, then a reset, so no mapping goes
+   while the device could still use it.  The grant dies with the first
+   of its capabilities to be revoked. *)
+let quiesce grant =
   if grant.g_alive then begin
     grant.g_alive <- false;
     let t = grant.g in
-    (* Quiesce the device before revoking its mappings. *)
     Pci_topology.cfg_write t.k.Kernel.topo grant.g_bdf ~off:Pci_cfg.command ~size:2 0;
-    (Device.ops grant.g_dev).Device.reset ();
-    if Array.length grant.g_vecs > 0 then begin
-      Irq.free_irqs t.k.Kernel.irq
-        ~vectors:(Array.map (fun vs -> vs.vs_vector) grant.g_vecs);
-      grant.g_vecs <- [||]
-    end;
-    List.iter
-      (fun da ->
-         Iommu.unmap t.k.Kernel.iommu grant.g_domain ~iova:da.da_iova
-           ~len:(da.da_pages * Bus.page_size);
-         Phys_mem.free_pages t.k.Kernel.mem ~addr:da.da_phys ~pages:da.da_pages;
-         match grant.g_quota with
-         | Some q ->
-           Quota.release_dma q ~bytes:(da.da_pages * Bus.page_size) ~pages:da.da_pages
-         | None -> ())
-      grant.g_allocs;
-    grant.g_allocs <- [];
-    (match grant.g_quota with Some q -> Quota.release_grant q | None -> ());
-    List.iter
-      (fun (base, len) -> Ioport.Iopb.revoke grant.g_iopb ~base ~len)
-      grant.g_io_grants;
-    grant.g_io_grants <- [];
-    Iommu.detach t.k.Kernel.iommu ~source:grant.g_bdf;
-    (match Hashtbl.find_opt t.devices grant.g_bdf with
-     | Some rd -> rd.rd_grant <- None
-     | None -> ());
-    klogf t Klog.Info "sud: released device %s (driver %s)"
-      (Bus.string_of_bdf grant.g_bdf) (Process.name grant.g_proc)
+    (Device.ops grant.g_dev).Device.reset ()
   end
 
-let open_device t ?quota bdf ~proc =
+let record grant cap undo =
+  Quota.record grant.g_caps cap ~revoke:(fun () ->
+      quiesce grant;
+      undo ())
+
+let through_grant = function
+  | Quota.Grant | Quota.Dma _ | Quota.Io_ports _ | Quota.Vectors _ -> true
+  | Quota.Rings _ -> false
+
+let release grant = Quota.revoke grant.g_caps through_grant
+
+let open_device t ~caps bdf ~proc =
   match Hashtbl.find_opt t.devices bdf with
   | None -> Error "device not registered with SUD"
   | Some rd ->
     if rd.rd_owner <> Process.uid proc && Process.uid proc <> 0 then
       Error "permission denied"
     else if rd.rd_grant <> None then Error "device busy (already opened)"
+    else if List.exists (fun e -> through_grant (Quota.cap e)) (Quota.held caps) then
+      (* A table's DMA regions are looked up without naming a device. *)
+      Error "the generation already holds a grant"
     else begin
       match Pci_topology.find_device t.k.Kernel.topo bdf with
       | None -> Error "no such PCI device"
       | Some dev ->
-        match (match quota with None -> Ok () | Some q -> Quota.charge_grant q) with
+        let cap = Quota.Grant in
+        match Quota.admit caps cap with
         | Error e -> Error e
         | Ok () ->
         (* Start from a clean device: reset, decoding off, INTx disabled
@@ -151,17 +134,21 @@ let open_device t ?quota bdf ~proc =
             g_domain = domain;
             g_alive = true;
             g_next_iova = iova_base;
-            g_allocs = [];
-            g_io_grants = [];
+            g_caps = caps;
             g_iopb = Ioport.Iopb.none ();
             g_vecs = [||];
             g_msix = false;
             g_sink = None;
-            g_amd_msi_mapped = false;
-            g_quota = quota }
+            g_amd_msi_mapped = false }
         in
         rd.rd_grant <- Some grant;
-        Process.on_exit proc (fun () -> release grant);
+        (* The oldest of the grant's entries, so revoked last: the
+           domain goes once every mapping in it has. *)
+        record grant cap (fun () ->
+            Iommu.detach t.k.Kernel.iommu ~source:bdf;
+            rd.rd_grant <- None;
+            klogf t Klog.Info "sud: released device %s (driver %s)" (Bus.string_of_bdf bdf)
+              (Process.name proc));
         (* On AMD IOMMUs the MSI window needs an explicit mapping for the
            device to interrupt at all; SUD installs it and can remove it
            to silence a rogue device. *)
@@ -178,6 +165,7 @@ let open_device t ?quota bdf ~proc =
 
 let grant_bdf g = g.g_bdf
 let grant_alive g = g.g_alive
+let grant_caps g = g.g_caps
 
 let vec_of g queue =
   if queue < 0 || queue >= Array.length g.g_vecs then
@@ -309,7 +297,8 @@ let claim_io g ~bar =
   | None -> Error (Printf.sprintf "BAR %d is not an IO BAR" bar)
   | Some (base, len) ->
     Ioport.Iopb.grant g.g_iopb ~base ~len;
-    g.g_io_grants <- (base, len) :: g.g_io_grants;
+    record g (Quota.Io_ports { base; len }) (fun () ->
+        Ioport.Iopb.revoke g.g_iopb ~base ~len);
     let m = model g.g in
     let ports = g.g.k.Kernel.ioports in
     let read ~off ~size =
@@ -326,6 +315,11 @@ let claim_io g ~bar =
 
 (* ---- DMA regions ---- *)
 
+let unmap_dma g ~iova ~phys ~pages =
+  Iommu.unmap g.g.k.Kernel.iommu g.g_domain ~iova ~len:(pages * Bus.page_size);
+  Phys_mem.free_pages g.g.k.Kernel.mem ~addr:phys ~pages;
+  Process.uncharge_memory g.g_proc ~bytes:(pages * Bus.page_size)
+
 let alloc_dma g ~bytes () =
   check_alive g;
   if bytes <= 0 then Error "alloc_dma: empty region"
@@ -334,11 +328,8 @@ let alloc_dma g ~bytes () =
     match Process.charge_memory g.g_proc ~bytes:(pages * Bus.page_size) with
     | exception Process.Rlimit_exceeded m -> Error m
     | () ->
-      match
-        (match g.g_quota with
-         | None -> Ok ()
-         | Some q -> Quota.charge_dma q ~bytes:(pages * Bus.page_size) ~pages)
-      with
+      (* Admission looks at the size only, before any page is taken. *)
+      match Quota.admit g.g_caps (Quota.Dma { iova = 0; phys = 0; pages }) with
       | Error e ->
         (* Ledger full: undo the rlimit charge and deny the mapping —
            backpressure, not kernel allocation. *)
@@ -352,7 +343,7 @@ let alloc_dma g ~bytes () =
       charge g (pages * m.Cost_model.dma_map_ns);
       Iommu.map g.g.k.Kernel.iommu g.g_domain ~iova ~phys ~len:(pages * Bus.page_size)
         ~writable:true;
-      g.g_allocs <- { da_iova = iova; da_phys = phys; da_pages = pages } :: g.g_allocs;
+      record g (Quota.Dma { iova; phys; pages }) (fun () -> unmap_dma g ~iova ~phys ~pages);
       let mem = g.g.k.Kernel.mem in
       let read ~off ~len =
         if off < 0 || len < 0 || off + len > pages * Bus.page_size then
@@ -372,31 +363,26 @@ let alloc_dma g ~bytes () =
   end
 
 let free_dma g region =
-  if g.g_alive then begin
-    match List.find_opt (fun da -> da.da_iova = region.Driver_api.dma_addr) g.g_allocs with
-    | None -> ()
-    | Some da ->
-      g.g_allocs <- List.filter (fun x -> x != da) g.g_allocs;
-      Iommu.unmap g.g.k.Kernel.iommu g.g_domain ~iova:da.da_iova
-        ~len:(da.da_pages * Bus.page_size);
-      Phys_mem.free_pages g.g.k.Kernel.mem ~addr:da.da_phys ~pages:da.da_pages;
-      Process.uncharge_memory g.g_proc ~bytes:(da.da_pages * Bus.page_size);
-      (match g.g_quota with
-       | Some q ->
-         Quota.release_dma q ~bytes:(da.da_pages * Bus.page_size) ~pages:da.da_pages
-       | None -> ())
-  end
+  if g.g_alive then
+    match
+      Quota.drop g.g_caps (function Quota.Dma d -> d.iova = region.Driver_api.dma_addr | _ -> false)
+    with
+    | Some (Quota.Dma { iova; phys; pages }) -> unmap_dma g ~iova ~phys ~pages
+    | Some _ | None -> ()
 
+(* The physical address behind [iova, iova+len) when the whole range
+   lies in one of the grant's DMA regions: the table's, since a table
+   holds one grant. *)
 let lookup_iova g ~iova ~len =
   if len < 0 then None
   else
     List.find_map
-      (fun da ->
-         let size = da.da_pages * Bus.page_size in
-         if iova >= da.da_iova && iova + len <= da.da_iova + size then
-           Some (da.da_phys + (iova - da.da_iova))
-         else None)
-      g.g_allocs
+      (fun e ->
+         match Quota.cap e with
+         | Quota.Dma d when iova >= d.iova && iova + len <= d.iova + (d.pages * Bus.page_size) ->
+           Some (d.phys + (iova - d.iova))
+         | _ -> None)
+      (Quota.held g.g_caps)
 
 let read_driver_mem g ~iova ~len =
   check_alive g;
@@ -515,7 +501,7 @@ let handle_irq g ~queue ~source =
             replay keeps a legitimate device live while a screaming one
             stops costing upcalls.  The drop is counted on the ledger. *)
          let permitted =
-           match g.g_quota with
+           match Quota.ledger g.g_caps with
            | Some q -> Quota.take_irq_token q ~queue
            | None -> true
          in
@@ -527,6 +513,11 @@ let handle_irq g ~queue ~source =
        | None -> ())
     end
   end
+
+let free_vectors g vectors =
+  Irq.free_irqs g.g.k.Kernel.irq ~vectors;
+  g.g_vecs <- [||];
+  g.g_sink <- None
 
 let setup_irqs g ~n ~sink =
   check_alive g;
@@ -560,6 +551,7 @@ let setup_irqs g ~n ~sink =
           vectors;
       g.g_msix <- use_msix;
       g.g_sink <- Some sink;
+      record g (Quota.Vectors vectors) (fun () -> free_vectors g vectors);
       (* The kernel (not the driver) programs MSI/MSI-X address and data,
          and tells the remapper which (source, vector) pairs are legal. *)
       if use_msix then begin
@@ -594,11 +586,9 @@ let setup_irqs g ~n ~sink =
   end
 
 let teardown_irqs g =
-  if Array.length g.g_vecs > 0 then begin
-    Irq.free_irqs g.g.k.Kernel.irq ~vectors:(Array.map (fun vs -> vs.vs_vector) g.g_vecs);
-    g.g_vecs <- [||];
-    g.g_sink <- None
-  end
+  match Quota.drop g.g_caps (function Quota.Vectors _ -> true | _ -> false) with
+  | Some (Quota.Vectors vectors) -> free_vectors g vectors
+  | Some _ | None -> ()
 
 let irq_ack ?(queue = 0) g =
   if g.g_alive && queue < Array.length g.g_vecs then begin
@@ -622,7 +612,10 @@ let irq_ack ?(queue = 0) g =
 let iommu_mappings g = Iommu.mappings g.g_domain
 
 let dma_allocations g =
-  List.rev_map (fun da -> (da.da_iova, da.da_pages * Bus.page_size)) g.g_allocs
+  List.fold_left
+    (fun acc e ->
+       match Quota.cap e with Quota.Dma d -> (d.iova, d.pages * Bus.page_size) :: acc | _ -> acc)
+    [] (Quota.held g.g_caps)
 
 let msi_masks t = t.n_masks
 let ir_escalations t = t.n_ir

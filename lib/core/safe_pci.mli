@@ -39,23 +39,31 @@ val set_owner : t -> Bus.bdf -> uid:int -> unit
 val device_files : t -> Bus.bdf -> string list
 (** Paths as in Figure 6; empty if unregistered. *)
 
-val open_device : t -> ?quota:Quota.t -> Bus.bdf -> proc:Process.t -> (grant, string) result
-(** Checks UID ownership, resets the device, disables legacy INTx,
-    creates a fresh IOMMU domain, and registers cleanup with the process
-    so death revokes everything.  With [quota], the grant is charged to
-    the driver's ledger (and can be denied); its DMA mappings charge
-    bytes + IO-page-table pages, and IRQ forwarding draws per-queue
-    kick tokens (a dry bucket drops the upcall — the masked vector's
-    pending bit latches and the ack-time replay keeps the device
-    live). *)
+val open_device : t -> caps:Quota.caps -> Bus.bdf -> proc:Process.t -> (grant, string) result
+(** Checks UID ownership, admits the grant against [caps]' ledger (it
+    can be denied), resets the device, disables legacy INTx and creates
+    a fresh IOMMU domain.  The grant and everything later acquired
+    through it — DMA regions (bytes and IO-page-table pages count
+    against the ledger), IO-port ranges, interrupt vectors — are
+    entries of [caps], the generation's capability table, so the
+    process's death revokes them all.  With a ledger, IRQ forwarding
+    also draws per-queue kick tokens (a dry bucket drops the upcall —
+    the masked vector's pending bit latches and the ack-time replay
+    keeps the device live).  MMIO windows need no entry: their
+    accessors check the grant. *)
 
 val release : grant -> unit
-(** Revoke the grant: unmap DMA, revoke IO ports, mask MSI, free the
-    vector, detach the IOMMU domain.  Runs automatically when the owning
-    process dies. *)
+(** Revoke the grant's entries in its table, newest first.  The first
+    revocation quiesces the device (command register cleared, device
+    reset) before any mapping goes; then the vectors are freed, the DMA
+    regions unmapped, the IO ports revoked and, last, the IOMMU domain
+    detached.  The process's death does the same through its table. *)
 
 val grant_bdf : grant -> Bus.bdf
 val grant_alive : grant -> bool
+
+val grant_caps : grant -> Quota.caps
+(** The capability table the grant is recorded in: its generation's. *)
 
 val grant_storms : grant -> int
 (** Interrupt-storm escalations attributed to this grant (interrupts

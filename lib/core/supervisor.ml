@@ -236,8 +236,8 @@ let contain t =
 let quiesce_current t =
   match t.cur with Some g -> Proxy_class.quiesce (Driver_host.class_of g) | None -> ()
 
-(* Kill the current generation (its grant is revoked via the exit
-   hooks) and function-level-reset the device. *)
+(* Kill the current generation (its death revokes its capability
+   table) and function-level-reset the device. *)
 let kill_and_reset t =
   (match t.cur with
    | Some g ->
@@ -644,8 +644,8 @@ let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
            sm_outage_ns = h "outage_ns" }) }
   in
   if policy.standby then begin
-    (* The standby generation: process forked, rings allocated and
-       charged to the same quota ledger, parked before attach.  The
+    (* The standby generation: process forked, rings allocated in its
+       own table on the same quota ledger, parked before attach.  The
        grant/DMA pool/driver init are deferred to activation — the
        device has one grant and a reset-on-open, so the parked twin
        must not touch it while the primary owns it. *)

@@ -44,7 +44,7 @@ type policy = {
   backlog_limit : int;  (** frames buffered while recovering *)
   standby : bool;
       (** keep a warm standby generation parked (process forked, rings
-          allocated and charged to the same quota ledger) so a lethal
+          allocated and counted on the same quota ledger) so a lethal
           fault swaps instead of cold-starting, and {!upgrade} is
           possible *)
 }

@@ -23,7 +23,8 @@ let with_grant fn =
        Safe_pci.register_device w.sp w.bdf;
        Safe_pci.set_owner w.sp w.bdf ~uid:1000;
        let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
-       let grant = ok_or_fail "open" (Safe_pci.open_device w.sp w.bdf ~proc) in
+       let caps = Quota.table None proc in
+       let grant = ok_or_fail "open" (Safe_pci.open_device w.sp ~caps w.bdf ~proc) in
        fn w proc grant)
 
 let test_ownership () =
@@ -37,26 +38,27 @@ let test_ownership () =
     (fun k (sp, bdf) ->
        Safe_pci.register_device sp bdf;
        Safe_pci.set_owner sp bdf ~uid:1000;
+       let open_as proc = Safe_pci.open_device sp ~caps:(Quota.table None proc) bdf ~proc in
        let wrong = Process.spawn k.Kernel.procs ~name:"intruder" ~uid:1001 in
-       (match Safe_pci.open_device sp bdf ~proc:wrong with
+       (match open_as wrong with
         | Error e -> Alcotest.(check string) "denied" "permission denied" e
         | Ok _ -> Alcotest.fail "wrong uid must not open");
        let right = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
-       let g = ok_or_fail "owner opens" (Safe_pci.open_device sp bdf ~proc:right) in
+       let g = ok_or_fail "owner opens" (open_as right) in
        (* Exclusive: a second open fails until released. *)
        let second = Process.spawn k.Kernel.procs ~name:"drv2" ~uid:1000 in
-       (match Safe_pci.open_device sp bdf ~proc:second with
+       (match open_as second with
         | Error e -> Alcotest.(check string) "busy" "device busy (already opened)" e
         | Ok _ -> Alcotest.fail "double open");
        Safe_pci.release g;
-       ignore (ok_or_fail "open after release" (Safe_pci.open_device sp bdf ~proc:second)))
+       ignore (ok_or_fail "open after release" (open_as second)))
 
 let test_unregistered_device () =
   run_in_kernel
     (fun k -> Safe_pci.init k)
     (fun k sp ->
        let p = Process.spawn k.Kernel.procs ~name:"x" ~uid:0 in
-       match Safe_pci.open_device sp 99 ~proc:p with
+       match Safe_pci.open_device sp ~caps:(Quota.table None p) 99 ~proc:p with
        | Error e -> Alcotest.(check string) "not registered" "device not registered with SUD" e
        | Ok _ -> Alcotest.fail "opened a ghost device")
 
@@ -164,7 +166,9 @@ let test_msix_pending_replay () =
        Safe_pci.register_device w.sp w.bdf;
        Safe_pci.set_owner w.sp w.bdf ~uid:1000;
        let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
-       let g = ok_or_fail "open" (Safe_pci.open_device w.sp w.bdf ~proc) in
+       let g =
+         ok_or_fail "open" (Safe_pci.open_device w.sp ~caps:(Quota.table None proc) w.bdf ~proc)
+       in
        ok_or_fail "enable" (Safe_pci.enable_device g);
        let hits = Array.make 4 0 in
        ok_or_fail "setup_irqs"
@@ -291,6 +295,28 @@ let test_device_files_listed () =
       Alcotest.(check (list string)) "unregistered: none" []
         (Safe_pci.device_files sp duo.bdf_b))
 
+(* A capability table holds one grant: the grant's DMA regions are
+   looked up in its table without naming the device, so a second device
+   needs a table of its own. *)
+let test_one_grant_per_table () =
+  run_in_kernel setup_duo (fun k duo ->
+      let sp = Safe_pci.init k in
+      List.iter
+        (fun bdf ->
+           Safe_pci.register_device sp bdf;
+           Safe_pci.set_owner sp bdf ~uid:1000)
+        [ duo.bdf_a; duo.bdf_b ];
+      let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+      let caps = Quota.table None proc in
+      ignore (ok_or_fail "first grant" (Safe_pci.open_device sp ~caps duo.bdf_a ~proc));
+      (match Safe_pci.open_device sp ~caps duo.bdf_b ~proc with
+       | Error e ->
+         Alcotest.(check string) "second grant refused" "the generation already holds a grant" e
+       | Ok _ -> Alcotest.fail "two grants in one table");
+      ignore
+        (ok_or_fail "its own table"
+           (Safe_pci.open_device sp ~caps:(Quota.table None proc) duo.bdf_b ~proc)))
+
 let test_delegation () =
   run_in_kernel setup_duo (fun k _duo ->
       let sp = Safe_pci.init k in
@@ -350,7 +376,9 @@ let test_msix_storm_sibling_queues () =
        Safe_pci.register_device w.sp w.bdf;
        Safe_pci.set_owner w.sp w.bdf ~uid:1000;
        let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
-       let g = ok_or_fail "open" (Safe_pci.open_device w.sp w.bdf ~proc) in
+       let g =
+         ok_or_fail "open" (Safe_pci.open_device w.sp ~caps:(Quota.table None proc) w.bdf ~proc)
+       in
        let hits = Array.make 4 0 in
        ok_or_fail "setup_irqs"
          (Safe_pci.setup_irqs g ~n:4 ~sink:(fun ~queue -> hits.(queue) <- hits.(queue) + 1));
@@ -416,5 +444,7 @@ let suite =
     Alcotest.test_case "driver_host: restart" `Quick test_driver_restart_host;
     Alcotest.test_case "sysfs: id matching" `Quick test_sysfs_matching;
     Alcotest.test_case "safe_pci: device files (Figure 6)" `Quick test_device_files_listed;
+    Alcotest.test_case "safe_pci: one grant per capability table" `Quick
+      test_one_grant_per_table;
     Alcotest.test_case "delegation: one process per device" `Quick test_delegation;
     Alcotest.test_case "proxy: xmit from atomic context" `Quick test_xmit_from_atomic_context ]

@@ -61,6 +61,9 @@ let test_conformance_classes () =
   check_v "old epoch now dead" Conformance.Bad_epoch (ing 3);
   check_v "handshake re-armed" Conformance.Early_data (ing ~epoch:8 2)
 
+(* The ledger reads its usage from the capability tables alone: entries
+   recorded here with no-op revocations, one table per generation, are
+   what it limits, and revoking them gives the capacity back. *)
 let test_quota_ledger () =
   run_in_kernel setup_duo (fun k _duo ->
       let limits =
@@ -71,28 +74,36 @@ let test_quota_ledger () =
           max_uchan_bytes = Quota.ring_bytes ~slots:256 ~queues:2 }
       in
       let q = Quota.create k.Kernel.eng ~limits ~name:"t" () in
+      let generation () =
+        Quota.table (Some q) (Process.spawn k.Kernel.procs ~name:"t" ~uid:1000)
+      in
+      let acquire caps cap =
+        Result.map (fun () -> Quota.record caps cap ~revoke:ignore) (Quota.admit caps cap)
+      in
+      let g1 = generation () and g2 = generation () and g3 = generation () in
       (* Grants. *)
-      ok_or_fail "grant 1" (Quota.charge_grant q);
-      ok_or_fail "grant 2" (Quota.charge_grant q);
-      (match Quota.charge_grant q with
+      ok_or_fail "grant 1" (acquire g1 Quota.Grant);
+      ok_or_fail "grant 2" (acquire g2 Quota.Grant);
+      (match acquire g3 Quota.Grant with
        | Ok () -> Alcotest.fail "third grant should be denied"
        | Error _ -> ());
       Alcotest.(check int) "denial counted" 1 (Quota.denials q);
-      Quota.release_grant q;
-      ok_or_fail "grant after release" (Quota.charge_grant q);
+      Quota.revoke g2 (fun _ -> true);
+      ok_or_fail "grant after revoke" (acquire g3 Quota.Grant);
       (* DMA bytes + IO-page-table pages. *)
-      ok_or_fail "dma" (Quota.charge_dma q ~bytes:(4 * 4096) ~pages:4);
+      let dma pages = Quota.Dma { iova = 0; phys = 0; pages } in
+      ok_or_fail "dma" (acquire g1 (dma 4));
       Alcotest.(check int) "iopt pages" (Quota.iopt_pages_for ~pages:4) (Quota.iopt_pages q);
-      (match Quota.charge_dma q ~bytes:(8 * 4096) ~pages:8 with
+      (match acquire g3 (dma 8) with
        | Ok () -> Alcotest.fail "over-limit DMA should be denied"
        | Error _ -> ());
-      Quota.release_dma q ~bytes:(4 * 4096) ~pages:4;
+      Quota.revoke g1 (function Quota.Dma _ -> true | _ -> false);
       Alcotest.(check int) "dma released" 0 (Quota.dma_bytes q);
       Alcotest.(check int) "iopt released" 0 (Quota.iopt_pages q);
       (* Queue negotiation clamps to the remaining uchan budget. *)
       Alcotest.(check int) "8 queues clamp to 2" 2 (Quota.negotiate_queues q ~slots:256 ~queues:8);
-      ok_or_fail "charge rings"
-        (Quota.charge_uchan q ~bytes:(Quota.ring_bytes ~slots:256 ~queues:2));
+      ok_or_fail "record rings"
+        (acquire g1 (Quota.Rings { bytes = Quota.ring_bytes ~slots:256 ~queues:2 }));
       Alcotest.(check int) "budget now fits 1" 1 (Quota.negotiate_queues q ~slots:256 ~queues:8))
 
 let test_quota_token_bucket () =
@@ -119,27 +130,82 @@ let test_quota_token_bucket () =
       Alcotest.(check bool) "refilled 3" true (Quota.take_irq_token q ~queue:0);
       Alcotest.(check bool) "not past refill" false (Quota.take_irq_token q ~queue:0))
 
-let test_quota_charges_driver_footprint () =
-  run_in_kernel setup_duo (fun k duo ->
-      let sp = Safe_pci.init k in
-      let q = Quota.create k.Kernel.eng ~name:"eth0" () in
-      let s =
-        ok_or_fail "start"
-          (Driver_host.launch k sp (Driver_host.net ()) ~bdf:duo.bdf_a ~name:"eth0" ~quota:q E1000.driver)
+(* At 10^9 tokens/s or more the refill is unbounded: adding it to a
+   bucket that still holds a token must saturate at the burst depth, not
+   wrap negative and drop the kick. *)
+let test_quota_bucket_refill_saturates () =
+  run_in_kernel setup_duo (fun k _duo ->
+      let limits =
+        { Quota.default_limits with Quota.notify_burst = 4; notify_rate = 1_000_000_000 }
       in
-      Alcotest.(check int) "grant charged" 1 (Quota.grants q);
-      Alcotest.(check bool) "dma charged" true (Quota.dma_bytes q > 0);
-      Alcotest.(check int) "rings charged"
-        (Quota.ring_bytes ~slots:256 ~queues:(Driver_host.queues s))
-        (Quota.uchan_bytes q);
-      Alcotest.(check bool) "iopt pages charged" true (Quota.iopt_pages q > 0);
-      (* Death releases the whole footprint — nothing to launder. *)
-      Driver_host.kill s;
-      ignore (Fiber.sleep k.Kernel.eng 5_000_000 : Fiber.wake);
-      Alcotest.(check int) "grant released" 0 (Quota.grants q);
-      Alcotest.(check int) "dma released" 0 (Quota.dma_bytes q);
-      Alcotest.(check int) "rings released" 0 (Quota.uchan_bytes q);
-      Alcotest.(check int) "iopt released" 0 (Quota.iopt_pages q))
+      let q = Quota.create k.Kernel.eng ~limits ~name:"fast" () in
+      Alcotest.(check bool) "first token" true (Quota.take_irq_token q ~queue:0);
+      ignore (Fiber.sleep k.Kernel.eng 1_000 : Fiber.wake);
+      Alcotest.(check bool) "refilled, not wrapped" true (Quota.take_irq_token q ~queue:0);
+      Alcotest.(check int) "nothing dropped" 0 (Quota.irq_kicks_dropped q))
+
+(* One driver class's whole footprint lives in its generation's table,
+   and death revokes all of it: the table empties, every ledger usage
+   reads 0, the physical pages come back, and the interrupt space hands
+   back exactly the dead generation's vectors.  [bring_up] runs after
+   the launch (net classes request their vectors at ifconfig up);
+   [holds] names a capability kind the class must have recorded. *)
+let check_footprint_revoked k sp ~bdf ~bring_up ~holds cls drv =
+  let q = Quota.create k.Kernel.eng ~name:"drv" () in
+  let pages_before = Phys_mem.allocated_pages k.Kernel.mem in
+  let s = ok_or_fail "start" (Driver_host.launch k sp cls ~bdf ~name:"drv" ~quota:q drv) in
+  bring_up s;
+  let caps = Safe_pci.grant_caps (Driver_host.grant s) in
+  let held = List.map Quota.cap (Quota.held caps) in
+  Alcotest.(check int) "grant charged" 1 (Quota.grants q);
+  Alcotest.(check bool) "dma charged" true (Quota.dma_bytes q > 0);
+  Alcotest.(check int) "rings charged"
+    (Quota.ring_bytes ~slots:256 ~queues:(Driver_host.queues s))
+    (Quota.uchan_bytes q);
+  Alcotest.(check bool) "iopt pages charged" true (Quota.iopt_pages q > 0);
+  Alcotest.(check bool) "class capability held" true (List.exists holds held);
+  let vectors =
+    List.concat_map (function Quota.Vectors v -> Array.to_list v | _ -> []) held
+  in
+  Alcotest.(check bool) "vectors held" true (vectors <> []);
+  (* Death revokes the whole footprint — nothing to launder. *)
+  Driver_host.kill s;
+  ignore (Fiber.sleep k.Kernel.eng 5_000_000 : Fiber.wake);
+  Alcotest.(check int) "table empty" 0 (List.length (Quota.held caps));
+  Alcotest.(check int) "grant released" 0 (Quota.grants q);
+  Alcotest.(check int) "dma released" 0 (Quota.dma_bytes q);
+  Alcotest.(check int) "rings released" 0 (Quota.uchan_bytes q);
+  Alcotest.(check int) "iopt released" 0 (Quota.iopt_pages q);
+  Alcotest.(check int) "pages back" pages_before (Phys_mem.allocated_pages k.Kernel.mem);
+  Alcotest.(check (list int)) "the dead generation's vectors come back"
+    (List.sort compare vectors)
+    (List.sort compare
+       (Array.to_list (Irq.alloc_vectors k.Kernel.irq ~n:(List.length vectors))))
+
+let ifconfig_up k s = ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net (Driver_host.netdev s))
+
+let test_quota_charges_driver_footprint () =
+  (* e1000: DMA rings and MSI-X vectors. *)
+  run_in_kernel setup_duo (fun k duo ->
+      check_footprint_revoked k (Safe_pci.init k) ~bdf:duo.bdf_a ~bring_up:(ifconfig_up k)
+        ~holds:(function Quota.Dma _ -> true | _ -> false)
+        (Driver_host.net ()) E1000.driver);
+  (* NVMe: per-queue vectors requested at probe. *)
+  run_in_kernel
+    (fun k -> Kernel.attach_pci k (Nvme_dev.device (Nvme_dev.create k.Kernel.eng ())))
+    (fun k bdf ->
+       check_footprint_revoked k (Safe_pci.init k) ~bdf ~bring_up:ignore
+         ~holds:(function Quota.Vectors v -> Array.length v > 1 | _ -> false)
+         (Driver_host.blk ()) Nvme.driver);
+  (* ne2k: an IO-port range in the process's bitmap. *)
+  run_in_kernel
+    (fun k ->
+       let medium = Net_medium.create k.Kernel.eng () in
+       Kernel.attach_pci k (Ne2k_dev.device (Ne2k_dev.create k.Kernel.eng ~mac:mac_a ~medium ())))
+    (fun k bdf ->
+       check_footprint_revoked k (Safe_pci.init k) ~bdf ~bring_up:(ifconfig_up k)
+         ~holds:(function Quota.Io_ports _ -> true | _ -> false)
+         (Driver_host.net ()) Ne2k.driver)
 
 let test_quota_negotiates_queues_at_start () =
   run_in_kernel setup_duo (fun k duo ->
@@ -272,6 +338,8 @@ let suite =
   [ Alcotest.test_case "conformance: every violation class" `Quick test_conformance_classes;
     Alcotest.test_case "quota: ledger charges and denials" `Quick test_quota_ledger;
     Alcotest.test_case "quota: notification token bucket" `Quick test_quota_token_bucket;
+    Alcotest.test_case "quota: a 1e9/s bucket refill saturates" `Quick
+      test_quota_bucket_refill_saturates;
     Alcotest.test_case "quota: charges the driver footprint" `Quick
       test_quota_charges_driver_footprint;
     Alcotest.test_case "quota: negotiates queues at start" `Quick

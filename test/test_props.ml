@@ -142,7 +142,9 @@ let cfg_filter_invariant =
            Safe_pci.register_device sp duo.bdf_a;
            Safe_pci.set_owner sp duo.bdf_a ~uid:1000;
            let proc = Process.spawn k.Kernel.procs ~name:"fuzz" ~uid:1000 in
-           let g = ok_or_fail "open" (Safe_pci.open_device sp duo.bdf_a ~proc) in
+           let g =
+             ok_or_fail "open" (Safe_pci.open_device sp ~caps:(Quota.table None proc) duo.bdf_a ~proc)
+           in
            let bar_before = Pci_topology.bar_region k.Kernel.topo duo.bdf_a ~bar:0 in
            List.iter
              (fun (off, v) ->

@@ -80,6 +80,19 @@ let test_warm_failover () =
       check_page bd 2 'C';
       Alcotest.(check bool) "next standby parks after the swap" true
         (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+      (* The dead generation's rings left the ledger with its table: what
+         remains is the live generation's plus the parked standby's,
+         which mirrors the live queue width. *)
+      let live = Option.get (Supervisor.current_blk sv) in
+      let live_rings =
+        List.fold_left
+          (fun n e -> match Quota.cap e with Quota.Rings r -> n + r.bytes | _ -> n)
+          0
+          (Quota.held (Safe_pci.grant_caps (Driver_host.grant live)))
+      in
+      let standby_rings = Quota.ring_bytes ~slots:256 ~queues:(Driver_host.queues live) in
+      Alcotest.(check int) "ledger ring bytes = live + standby" (live_rings + standby_rings)
+        (Quota.uchan_bytes (Supervisor.quota sv));
       Supervisor.stop sv)
 
 (* A standby that dies while parked is poisoned: it must be discarded
