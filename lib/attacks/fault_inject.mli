@@ -139,9 +139,9 @@ val supervise :
     start and hook its event stream: at every driver death the secret
     must be intact, the dead generation's grant revoked and its
     capability table empty, the IOMMU domain of [bdf] detached, and no
-    previously-mapped iova may still answer from the IOTLB.  The same contract for a NIC and an NVMe.
-    This is how every campaign opens.  Fails with
-    [who] in the message if the start does. *)
+    previously-mapped iova may still answer from the IOTLB.  The same
+    contract for a NIC and an NVMe.  This is how every campaign opens.
+    Fails with [who] in the message if the start does. *)
 
 val invariant_violations : invariant_ctx -> string list
 (** Failures recorded so far, oldest first; must be [[]]. *)

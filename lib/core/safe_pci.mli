@@ -46,7 +46,8 @@ val open_device : t -> caps:Quota.caps -> Bus.bdf -> proc:Process.t -> (grant, s
     through it — DMA regions (bytes and IO-page-table pages count
     against the ledger), IO-port ranges, interrupt vectors — are
     entries of [caps], the generation's capability table, so the
-    process's death revokes them all.  With a ledger, IRQ forwarding
+    process's death revokes them all.  A table holds one grant: a
+    second open against it fails.  With a ledger, IRQ forwarding
     also draws per-queue kick tokens (a dry bucket drops the upcall —
     the masked vector's pending bit latches and the ack-time replay
     keeps the device live).  MMIO windows need no entry: their
@@ -55,9 +56,9 @@ val open_device : t -> caps:Quota.caps -> Bus.bdf -> proc:Process.t -> (grant, s
 val release : grant -> unit
 (** Revoke the grant's entries in its table, newest first.  The first
     revocation quiesces the device (command register cleared, device
-    reset) before any mapping goes; then the vectors are freed, the DMA
-    regions unmapped, the IO ports revoked and, last, the IOMMU domain
-    detached.  The process's death does the same through its table. *)
+    reset) before any mapping goes; its vectors, DMA regions and IO
+    ports follow, and the IOMMU domain is detached last.  The process's
+    death does the same through its table. *)
 
 val grant_bdf : grant -> Bus.bdf
 val grant_alive : grant -> bool
