@@ -320,6 +320,20 @@ let unmap_dma g ~iova ~phys ~pages =
   Phys_mem.free_pages g.g.k.Kernel.mem ~addr:phys ~pages;
   Process.uncharge_memory g.g_proc ~bytes:(pages * Bus.page_size)
 
+(* The physical address behind [iova, iova+len) when the whole range
+   lies in one of the grant's DMA regions: the table's, since a table
+   holds one grant. *)
+let lookup_iova g ~iova ~len =
+  if len < 0 then None
+  else
+    List.find_map
+      (fun e ->
+         match Quota.cap e with
+         | Quota.Dma d when iova >= d.iova && iova + len <= d.iova + (d.pages * Bus.page_size) ->
+           Some (d.phys + (iova - d.iova))
+         | _ -> None)
+      (Quota.held g.g_caps)
+
 let alloc_dma g ~bytes () =
   check_alive g;
   if bytes <= 0 then Error "alloc_dma: empty region"
@@ -339,11 +353,19 @@ let alloc_dma g ~bytes () =
       let phys = Phys_mem.alloc_pages g.g.k.Kernel.mem ~pages in
       let iova = g.g_next_iova in
       g.g_next_iova <- iova + (pages * Bus.page_size);
+      (* Recorded before the mapping's CPU charge, which sleeps: a
+         sibling fiber's admission must count this region. *)
+      record g (Quota.Dma { iova; phys; pages }) (fun () -> unmap_dma g ~iova ~phys ~pages);
       let m = model g.g in
       charge g (pages * m.Cost_model.dma_map_ns);
+      match lookup_iova g ~iova ~len:(pages * Bus.page_size) with
+      | None ->
+        (* Freed or revoked while the charge slept: the pages are gone,
+           so nothing may map them. *)
+        Error "alloc_dma: region revoked while mapping"
+      | Some _ ->
       Iommu.map g.g.k.Kernel.iommu g.g_domain ~iova ~phys ~len:(pages * Bus.page_size)
         ~writable:true;
-      record g (Quota.Dma { iova; phys; pages }) (fun () -> unmap_dma g ~iova ~phys ~pages);
       let mem = g.g.k.Kernel.mem in
       let read ~off ~len =
         if off < 0 || len < 0 || off + len > pages * Bus.page_size then
@@ -369,20 +391,6 @@ let free_dma g region =
     with
     | Some (Quota.Dma { iova; phys; pages }) -> unmap_dma g ~iova ~phys ~pages
     | Some _ | None -> ()
-
-(* The physical address behind [iova, iova+len) when the whole range
-   lies in one of the grant's DMA regions: the table's, since a table
-   holds one grant. *)
-let lookup_iova g ~iova ~len =
-  if len < 0 then None
-  else
-    List.find_map
-      (fun e ->
-         match Quota.cap e with
-         | Quota.Dma d when iova >= d.iova && iova + len <= d.iova + (d.pages * Bus.page_size) ->
-           Some (d.phys + (iova - d.iova))
-         | _ -> None)
-      (Quota.held g.g_caps)
 
 let read_driver_mem g ~iova ~len =
   check_alive g;

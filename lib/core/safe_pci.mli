@@ -100,6 +100,12 @@ val enable_device : grant -> (unit, string) result
 val map_mmio : grant -> bar:int -> (Driver_api.mmio, string) result
 val claim_io : grant -> bar:int -> (Driver_api.pio, string) result
 val alloc_dma : grant -> bytes:int -> unit -> (Driver_api.dma_region, string) result
+(** Map [bytes], rounded up to pages, into the device's IOMMU domain.
+    The region is recorded in the grant's table before the mapping's
+    CPU charge, so concurrent allocations by one generation are
+    admitted against each other; one freed or revoked while that charge
+    sleeps is not mapped, and the call fails. *)
+
 val free_dma : grant -> Driver_api.dma_region -> unit
 val find_capability : grant -> int -> int option
 

@@ -224,6 +224,32 @@ let test_release_revokes_everything () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "dead grant still does MMIO")
 
+(* A region freed by a sibling fiber (or revoked) while its allocation
+   sleeps in the mapping's CPU charge is never mapped: its pages went
+   back when it left the table. *)
+let test_dma_freed_while_mapping () =
+  with_grant (fun w proc g ->
+      let first = ok_or_fail "alloc" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
+      let pages_before = Phys_mem.allocated_pages w.k.Kernel.mem in
+      let next = first.Driver_api.dma_addr + first.Driver_api.dma_size in
+      let result = ref None in
+      ignore
+        (Process.spawn_fiber proc (fun () -> result := Some (Safe_pci.alloc_dma g ~bytes:(4 * 4096) ()))
+         : Fiber.t);
+      ignore
+        (Process.spawn_fiber proc (fun () ->
+             Safe_pci.free_dma g { first with Driver_api.dma_addr = next; dma_size = 4 * 4096 })
+         : Fiber.t);
+      ignore (Fiber.sleep w.k.Kernel.eng 1_000_000 : Fiber.wake);
+      (match !result with
+       | Some (Error _) -> ()
+       | Some (Ok _) -> Alcotest.fail "a freed region was handed out"
+       | None -> Alcotest.fail "the allocation never returned");
+      Alcotest.(check bool) "nothing mapped at its iova" false
+        (List.exists (fun (iova, _, _, _) -> iova = next) (Safe_pci.iommu_mappings g));
+      Alcotest.(check int) "its pages are back" pages_before
+        (Phys_mem.allocated_pages w.k.Kernel.mem))
+
 let test_iova_space_distinct_from_phys () =
   with_grant (fun w _proc g ->
       let r = ok_or_fail "alloc" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
@@ -446,5 +472,7 @@ let suite =
     Alcotest.test_case "safe_pci: device files (Figure 6)" `Quick test_device_files_listed;
     Alcotest.test_case "safe_pci: one grant per capability table" `Quick
       test_one_grant_per_table;
+    Alcotest.test_case "safe_pci: a region freed while mapping is not mapped" `Quick
+      test_dma_freed_while_mapping;
     Alcotest.test_case "delegation: one process per device" `Quick test_delegation;
     Alcotest.test_case "proxy: xmit from atomic context" `Quick test_xmit_from_atomic_context ]

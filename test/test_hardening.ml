@@ -106,6 +106,35 @@ let test_quota_ledger () =
         (acquire g1 (Quota.Rings { bytes = Quota.ring_bytes ~slots:256 ~queues:2 }));
       Alcotest.(check int) "budget now fits 1" 1 (Quota.negotiate_queues q ~slots:256 ~queues:8))
 
+(* Admission and record happen without a yield between them, so two
+   fibers of one generation cannot both pass admission while the first
+   sleeps in its mapping's CPU charge: the second waits out its
+   backpressure and is denied. *)
+let test_quota_concurrent_dma () =
+  run_in_kernel setup_duo (fun k duo ->
+      let sp = Safe_pci.init k in
+      Safe_pci.register_device sp duo.bdf_a;
+      Safe_pci.set_owner sp duo.bdf_a ~uid:1000;
+      let limits = { Quota.default_limits with Quota.max_dma_bytes = 16 * 4096 } in
+      let q = Quota.create k.Kernel.eng ~limits ~name:"t" () in
+      let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+      let grant =
+        ok_or_fail "open" (Safe_pci.open_device sp ~caps:(Quota.table (Some q) proc) duo.bdf_a ~proc)
+      in
+      let results = ref [] in
+      for _ = 1 to 2 do
+        ignore
+          (Process.spawn_fiber proc (fun () ->
+               let r = Safe_pci.alloc_dma grant ~bytes:(12 * 4096) () in
+               results := r :: !results)
+           : Fiber.t)
+      done;
+      ignore (Fiber.sleep k.Kernel.eng 1_000_000 : Fiber.wake);
+      Alcotest.(check int) "both fibers answered" 2 (List.length !results);
+      Alcotest.(check int) "one allocation admitted" 1 (List.length (List.filter Result.is_ok !results));
+      Alcotest.(check int) "the second denied" 1 (Quota.denials q);
+      Alcotest.(check int) "within the ledger" (12 * 4096) (Quota.dma_bytes q))
+
 let test_quota_token_bucket () =
   run_in_kernel setup_duo (fun k _duo ->
       let limits =
@@ -337,6 +366,8 @@ let test_rlimit_across_restart_generation () =
 let suite =
   [ Alcotest.test_case "conformance: every violation class" `Quick test_conformance_classes;
     Alcotest.test_case "quota: ledger charges and denials" `Quick test_quota_ledger;
+    Alcotest.test_case "quota: concurrent DMA allocations stay within it" `Quick
+      test_quota_concurrent_dma;
     Alcotest.test_case "quota: notification token bucket" `Quick test_quota_token_bucket;
     Alcotest.test_case "quota: a 1e9/s bucket refill saturates" `Quick
       test_quota_bucket_refill_saturates;
