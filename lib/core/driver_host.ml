@@ -242,12 +242,11 @@ let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
     clamp_queues (match queues with Some q -> q | None -> Safe_pci.msix_vectors grant)
   in
   let* chan, queues = or_kill proc (rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues ()) in
-  (* A cold generation closes its channel before the class exit action
-     runs, ahead of the table's revocation (whose close is then a
-     no-op). *)
+  (* A cold generation revokes its rings, closing the channel, before
+     the class exit action runs and the table revokes the rest. *)
   let on_exit proxy =
     trace "exit" [ "driver", name ];
-    Uchan.close chan;
+    Quota.revoke caps (function Quota.Rings _ -> true | _ -> false);
     d.d_exit proxy
   in
   let* proxy, uml =
