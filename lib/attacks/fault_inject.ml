@@ -295,9 +295,9 @@ let install_invariants ~k ~bdf sv ~secret_addr =
         in
         if Bytes.to_string now <> secret then
           violate ctx "death %d: kernel secret page corrupted" ctx.iv_deaths;
-        (* The dead generation holds no capability: its grant, DMA
-           regions, IO ports, vectors and rings are all revoked, and its
-           IOMMU domain detached. *)
+        (* The dead generation holds no capability: the revocation of
+           its grant, DMA regions, IO ports, vectors and rings all ran,
+           and its IOMMU domain is detached. *)
         (match ctx.iv_snapshot with
          | None -> violate ctx "death %d: no grant snapshot at detection time" ctx.iv_deaths
          | Some (g, iovas) ->

@@ -138,7 +138,9 @@ val supervise :
 (** Plant a canary secret in a fresh kernel page, run the supervised
     start and hook its event stream: at every driver death the secret
     must be intact, the dead generation's grant revoked and its
-    capability table empty, the IOMMU domain of [bdf] detached, and no
+    capability table empty (every entry's revocation ran; whether the
+    revocations free the pages and vectors is the unit tests' to
+    check), the IOMMU domain of [bdf] detached, and no
     previously-mapped iova may still answer from the IOTLB.  The same
     contract for a NIC and an NVMe.  This is how every campaign opens.
     Fails with [who] in the message if the start does. *)
@@ -266,9 +268,9 @@ val soak :
     a seeded plan (default 200 faults over 4 s of simulated time) fires
     every fault class at it.  At every driver death the harness asserts:
     the kernel secret page is untouched, the dead generation's grant is
-    revoked, the device's IOMMU domain is detached, and no previously
-    mapped iova still answers from the IOTLB.  At the end: supervisor
-    [Running], backlog accounting exact
+    revoked and its capability table empty, the device's IOMMU domain
+    is detached, and no previously mapped iova still answers from the
+    IOTLB.  At the end: supervisor [Running], backlog accounting exact
     ([offered = queued + dropped + replayed]), every outage bounded, and
     — when any corruption was injected — at least one slot counted
     malformed over the run. *)
