@@ -304,8 +304,9 @@ let handle_complete t m =
        request bytes, before the buffer goes back to the pool.  The
        driver cannot rewrite data the cache already accepted.  A read
        whose bytes cannot be copied (a revoked grant took the pool with
-       it, or the pool no longer knows the buffer) fails, so the cache
-       never takes a page nobody filled. *)
+       it, before or during the copy's charge, or the pool no longer
+       knows the buffer) fails, so the cache never takes a page nobody
+       filled. *)
     let status =
       match br.br_req with
       | Some rq when base_op br.br_op = Proxy_proto.blk_op_read && status = 0 ->

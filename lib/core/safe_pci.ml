@@ -392,18 +392,24 @@ let free_dma g region =
     | Some (Quota.Dma { iova; phys; pages }) -> unmap_dma g ~iova ~phys ~pages
     | Some _ | None -> ()
 
+(* A revoked grant is an error, not a failure: the proxy may still be
+   finishing a downcall the dead driver sent, and its read then fails
+   the one request instead of the whole kernel. *)
+let revoked = Error "grant revoked"
+
 let read_driver_mem g ~iova ~len =
-  check_alive g;
-  match lookup_iova g ~iova ~len with
-  | Some phys -> Ok (Phys_mem.read g.g.k.Kernel.mem ~addr:phys ~len)
-  | None -> Error (Printf.sprintf "address 0x%x+%d outside driver's DMA regions" iova len)
+  if not g.g_alive then revoked
+  else
+    match lookup_iova g ~iova ~len with
+    | Some phys -> Ok (Phys_mem.read g.g.k.Kernel.mem ~addr:phys ~len)
+    | None -> Error (Printf.sprintf "address 0x%x+%d outside driver's DMA regions" iova len)
 
 (* Allocation-free variant for the fast RX path: the proxy recycles its
    defensive-copy destination buffers, so the bytes land in a pooled
    buffer instead of a fresh one per frame. *)
 let read_driver_mem_into g ~iova ~len ~dst ~dst_off =
-  check_alive g;
-  if len < 0 || dst_off < 0 || dst_off + len > Bytes.length dst then
+  if not g.g_alive then revoked
+  else if len < 0 || dst_off < 0 || dst_off + len > Bytes.length dst then
     Error "read_driver_mem_into: destination out of range"
   else
     match lookup_iova g ~iova ~len with

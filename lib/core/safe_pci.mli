@@ -117,7 +117,9 @@ val read_driver_mem : grant -> iova:int -> len:int -> (bytes, string) result
 (** Read driver-owned DMA memory by the driver's own (IO virtual)
     address, validating that the whole range lies inside the grant's
     mappings — how the proxy pulls packet data out of shared memory
-    without trusting the address the driver sent. *)
+    without trusting the address the driver sent.  [Error] once the
+    grant is revoked: a proxy finishing a dead driver's downcall fails
+    that one request. *)
 
 val read_driver_mem_into :
   grant -> iova:int -> len:int -> dst:bytes -> dst_off:int -> (unit, string) result

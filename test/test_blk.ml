@@ -177,6 +177,36 @@ let test_read_without_its_bytes_fails () =
       Alcotest.(check int) "nothing cached" 0 (Blkdev.cached_pages bd);
       Driver_host.kill s)
 
+(* A kill that lands while the proxy charges a read completion's copy
+   revokes the grant under that copy: the read must fail with a status,
+   not abort the run.  Four cold reads are in flight; one run per kill
+   instant, every 100 ns over the 60 us that follow. *)
+let test_kill_during_read_copy () =
+  let aborted = ref [] in
+  for i = 0 to 600 do
+    let at = i * 100 in
+    match
+      run_in_kernel setup_nvme (fun k w ->
+          let s, bd = launch_blk k w in
+          let eng = k.Kernel.eng in
+          for r = 0 to 3 do
+            ignore
+              (Fiber.spawn eng (fun () ->
+                   ignore
+                     (Blkdev.read bd ~lba:(r * Blkdev.page_sectors)
+                        ~sectors:Blkdev.page_sectors ()
+                      : (bytes, string) result))
+               : Fiber.t)
+          done;
+          ignore (Fiber.sleep eng at : Fiber.wake);
+          Driver_host.kill s;
+          ignore (Fiber.sleep eng 100_000 : Fiber.wake))
+    with
+    | () -> ()
+    | exception e -> aborted := Printf.sprintf "%d ns: %s" at (Printexc.to_string e) :: !aborted
+  done;
+  Alcotest.(check (list string)) "kill instants that aborted the run" [] (List.rev !aborted)
+
 (* The page cache's bound, a constant of Blkdev. *)
 let cache_bound = 1024
 
@@ -523,6 +553,8 @@ let suite =
       test_dirty_pages_outgrow_the_bound;
     Alcotest.test_case "sud-blk: a read without its bytes fails" `Quick
       test_read_without_its_bytes_fails;
+    Alcotest.test_case "sud-blk: a kill during a read's copy fails the read" `Quick
+      test_kill_during_read_copy;
     Alcotest.test_case "sud-blk: concurrent fsyncs clean a page once" `Quick
       test_concurrent_fsyncs_count_a_page_once;
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
