@@ -15,13 +15,13 @@
     - [Hang] — wedge the driver's main upcall loop ({!Uchan.wedge}); the
       heartbeat ping times out;
     - [Corrupt_reply] — the next upcall reply slot is overwritten with
-      garbage; the kernel worker counts it malformed;
+      garbage; the kernel counts it malformed;
     - [Drop_reply] — the next upcall reply evaporates; the sender hits
       the hang deadline;
     - [Dma_violation] — device-level DMA to an unmapped address; the
       IOMMU faults and attributes it to the device's BDF;
     - [Corrupt_batch] — one frame inside the driver's next multi-frame
-      downcall batch is garbled in place; the kernel worker drops exactly
+      downcall batch is garbled in place; the kernel drops exactly
       that frame ([um_malformed_frames] ticks) and delivers its siblings.  The
       only fault class that must {e not} escalate to a restart. *)
 type fault = Crash | Hang | Corrupt_reply | Drop_reply | Dma_violation | Corrupt_batch
@@ -174,7 +174,7 @@ val start_traffic : ?burst:int -> world -> Netdev.t -> gap_ns:int -> traffic
 
 type chan_tally = {
   ct_conf : (string, int) Hashtbl.t;  (** conformance class -> total *)
-  mutable ct_malformed : int;  (** slots the kernel worker rejected *)
+  mutable ct_malformed : int;  (** slots the kernel rejected *)
   mutable ct_malformed_frames : int;  (** frames dropped from batch slots *)
   mutable ct_unsent : int;
       (** corruptions still armed when their generation was tallied:

@@ -3,7 +3,7 @@
    Scenarios show a handful of handwritten attacks contained once; this
    module drives a *real* driver (honest E1000 under supervision, live
    UDP traffic) while a seeded mutation engine sits between it and the
-   kernel worker, garbling marshalled u2k slots in flight
+   kernel side of its entries, garbling marshalled u2k slots in flight
    ([Uchan.set_u2k_mutator]), forging slots the driver never sent
    ([Uchan.inject_raw]) and hammering the doorbell
    ([Uchan.notify_storm]).  Every mutation class maps onto a specific

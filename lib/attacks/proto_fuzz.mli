@@ -1,8 +1,9 @@
 (** Live Byzantine protocol fuzzer for the uchan interface.
 
     A seeded mutation engine sits between a {e real} driver (honest
-    E1000 under supervision, live UDP traffic) and the kernel worker,
-    garbling marshalled u2k slots in flight, forging slots the driver
+    E1000 under supervision, live UDP traffic) and the kernel side of
+    its entries, garbling marshalled u2k slots in flight, forging slots
+    the driver
     never sent and hammering the notification doorbell.  Each mutation
     class maps onto a specific detector, and {!campaign} asserts that
     every class was detected at least once while the soak containment

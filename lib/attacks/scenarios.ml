@@ -781,8 +781,8 @@ let downcall_flood () =
       in
       let s = start_mal w drv in
       ignore (Netstack.ifconfig_up w.k.Kernel.net (Driver_host.netdev s) : (unit, string) result);
-      (* Bystander work must still complete: the flood costs kernel CPU on
-         one schedulable fiber, not the machine. *)
+      (* Bystander work must still complete: the flood's kernel work runs
+         in the flooding driver's own entries, not the machine. *)
       let progress = ref 0 in
       ignore
         (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"bystander"
@@ -797,7 +797,7 @@ let downcall_flood () =
         Sud_obs.Metrics.get (Uchan.metrics (Driver_host.chan s)).Uchan.um_down
       in
       { attack = "downcall flood (uchan spam)";
-        config = "SUD uchan + schedulable kernel worker";
+        config = "SUD uchan, drained in the driver's own entries";
         contained = !progress = 100 && downcalls > 1000;
         evidence =
           Printf.sprintf "driver sent %d downcalls; bystander finished %d/100 slices"

@@ -56,8 +56,8 @@ val io_port_scan : unit -> outcome
     defence, §3.2.1). *)
 
 val downcall_flood : unit -> outcome
-(** uchan spam: the kernel-side worker must stay schedulable, not live-lock
-    the machine. *)
+(** uchan spam: the flood's kernel work runs in the flooding driver's
+    own kernel entries, so bystanders stay schedulable. *)
 
 val kill_and_restart : unit -> outcome
 (** A malicious first driver generation fires DMA at a kernel secret;

@@ -188,7 +188,7 @@ let clamp_queues q = max 1 (min q Uchan.max_queues)
 (* Quota negotiation: clamp the queue count until the ring footprint
    fits the driver's uchan budget, then record exactly the negotiated
    footprint in the generation's table, whose revocation closes the
-   channel.  Every driver-side kick draws a notification token. *)
+   channel.  Every driver-side kernel entry draws a notification token. *)
 let rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues () =
   let slots = 256 in
   let quota = Quota.ledger caps in

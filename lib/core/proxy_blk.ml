@@ -172,6 +172,13 @@ let send_submit t br =
   | None -> `No_buf
   | Some buf1 ->
     br.br_submit_ns <- Engine.now t.k.Kernel.eng;
+    (* A completion's [drain_pending] sends from inside the driver's own
+       kernel entry, where waiting for k2u space would wait on the very
+       driver fiber that is running it.  It never waits: every
+       submission holds a pool buffer (64 of them) until it completes
+       and a flush goes out only on an empty wire, so at most 65
+       submissions, plus an interrupt kick per queue, share the 256
+       slots of a ring. *)
     (match
        Uchan.transfer t.chan ~queue:(queue_of t br) ~from:`Kernel Uchan.Async
          (Msg.make ~kind:Proxy_proto.up_blk_submit

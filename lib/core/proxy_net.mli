@@ -7,7 +7,7 @@
       asynchronous upcall carrying a shared-buffer id (zero further
       copies), ioctls are synchronous {e interruptible} upcalls;
     - driver downcalls ([netif_rx], carrier changes, tx-completion,
-      interrupt acks) are serviced from the uchan worker;
+      interrupt acks) are serviced in the driver's kernel entries;
     - mirrored shared state (MAC address, carrier) is kept in the
       kernel-side [Netdev.t] and updated by downcalls;
     - received packets are pulled out of driver memory with a {e defensive

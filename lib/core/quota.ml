@@ -24,10 +24,10 @@
      resource may be mid-revocation by a dying sibling generation), then
      fails with an [Error] the caller maps to a denied syscall, and is
      counted.  Admission comes before the kernel acquires anything.
-   - Notification/IRQ-kick buckets are per queue.  Driver-side kicks are
-     never suppressed (starving the trusted worker would wedge the
-     ring): a dry bucket counts an overflow, and sustained overflow is a
-     supervisor kill signal.  Kernel-side IRQ forwarding *is* dropped
+   - Notification/IRQ-kick buckets are per queue.  Driver-side kernel
+     entries are never refused (an undrained ring would wedge the
+     channel): a dry bucket counts an overflow, and sustained overflow is
+     a supervisor kill signal.  Kernel-side IRQ forwarding *is* dropped
      when the bucket is dry — the vector is masked and the pending bit
      latches, so the ack-time replay keeps the device live while the
      flood is absorbed at zero upcall cost. *)

@@ -18,6 +18,7 @@ and t = {
   eng : Engine.t;
   mutable state : state;
   mutable pending_kill : bool;
+  mutable deferring : int;    (* depth of [defer_kill] sections it is in *)
 }
 
 type _ Effect.t += Suspend : (t -> unit -> unit) -> wake Effect.t
@@ -27,7 +28,8 @@ let next_id = ref 0
 (* The engine is single-threaded: exactly one fiber executes at a time, so a
    single mutable cell suffices to track it; [nobody] when none does. *)
 let nobody =
-  { fid = 0; fname = ""; eng = Engine.create (); state = Dead; pending_kill = false }
+  { fid = 0; fname = ""; eng = Engine.create (); state = Dead; pending_kill = false;
+    deferring = 0 }
 
 let current = ref nobody
 
@@ -54,11 +56,13 @@ let leave saved e =
   Printexc.raise_with_backtrace e bt
 
 (* One step of a parked fiber: continue it with [w], or unwind it with
-   Killed if a kill came in since the wake was queued. *)
+   Killed if a kill came in since the wake was queued (outside a
+   [defer_kill] section, whose end delivers it). *)
 let step t k w =
   let saved = enter t in
   match
-    if t.pending_kill then Effect.Deep.discontinue k Killed else Effect.Deep.continue k w
+    if t.pending_kill && t.deferring = 0 then Effect.Deep.discontinue k Killed
+    else Effect.Deep.continue k w
   with
   | () -> current := saved
   | exception e -> leave saved e
@@ -93,7 +97,7 @@ let start t main =
 let spawn engine ?name:(fname = "fiber") main =
   incr next_id;
   let t =
-    { fid = !next_id; fname; eng = engine; state = Ready; pending_kill = false }
+    { fid = !next_id; fname; eng = engine; state = Ready; pending_kill = false; deferring = 0 }
   in
   ignore
     (Engine.schedule_now engine (fun () -> if t.pending_kill then finish t else start t main)
@@ -119,6 +123,10 @@ let wake t w =
 let kill t =
   match t.state with
   | Dead -> ()
+  | Ready | Running | Suspended _ when t.deferring > 0 ->
+    (* Inside a [defer_kill] section: its wait, if any, runs to its end,
+       and the section's end raises Killed. *)
+    t.pending_kill <- true
   | Suspended s ->
     end_wait t s;
     t.pending_kill <- true;
@@ -128,6 +136,23 @@ let kill t =
   | Running ->
     (* Only the fiber itself can observe state Running. *)
     raise Killed
+
+let defer_kill f =
+  let t = !current in
+  if t == nobody then f ()
+  else begin
+    t.deferring <- t.deferring + 1;
+    match f () with
+    | r ->
+      t.deferring <- t.deferring - 1;
+      if t.deferring = 0 && t.pending_kill then raise Killed;
+      r
+    | exception e ->
+      (* The exception goes on as it is, so a fault inside the section
+         is not hidden by a kill; the kill stays pending. *)
+      t.deferring <- t.deferring - 1;
+      raise e
+  end
 
 let interrupt t =
   match t.state with

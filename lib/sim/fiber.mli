@@ -49,8 +49,20 @@ val wake : t -> wake -> bool
 
 val kill : t -> unit
 (** Kill the fiber: if suspended, it is resumed with {!Killed}; if it has a
-    wake already in flight, it dies at its next step.  Killing a dead fiber
-    is a no-op. *)
+    wake already in flight, it dies at its next step.  Inside a
+    {!defer_kill} section the kill only pends: the fiber's wait, if any,
+    runs to its end, and the section's end raises {!Killed}.  Killing a
+    dead fiber is a no-op. *)
+
+val defer_kill : (unit -> 'a) -> 'a
+(** [defer_kill f] runs [f ()] with kills of the running fiber deferred
+    to its end, as Linux delivers SIGKILL only when a system call exits:
+    a kill that lands while [f] runs takes effect when [f] returns, by
+    raising {!Killed} there.  If [f] raises, the exception goes on
+    unchanged and the kill stays pending, so the fiber dies at its next
+    step.  Sections nest; outside fiber context it just runs [f].
+    Only the kernel side of a driver's entry may use it (a driver that
+    could defer its own kill could outlive its [kill -9]). *)
 
 val interrupt : t -> bool
 (** Deliver an interrupt: a suspended fiber's wait returns {!Interrupted}.

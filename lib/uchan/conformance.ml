@@ -6,8 +6,8 @@
    already killed, forge completions for RPCs the kernel never issued,
    reuse old sequence numbers, or fire data downcalls before the
    registration handshake.  This module is the protocol layer of the
-   defence: a per-channel validator the kernel worker consults on every
-   driver-to-kernel slot, combining
+   defence: a per-channel validator the kernel consults on every
+   driver-to-kernel slot as a driver's entry drains it, combining
 
    - a generation {b epoch} stamped into every marshalled header (the
      supervisor bumps it on restart, so stale-generation replay is a
@@ -132,7 +132,7 @@ let class_count t v = t.counts.(class_index v)
 let class_counts t =
   List.map (fun cl -> (class_name cl, t.counts.(class_index cl))) all_classes
 
-(* Validate one driver->kernel message before the worker acts on it.
+(* Validate one driver->kernel message before the kernel acts on it.
 
    [issued_hi] is the channel's fresh-seq high-water mark (the largest
    correlation id either side has been handed); [pending] tells whether a

@@ -57,7 +57,7 @@ val check_ingress :
   epoch:int -> is_reply:bool -> seq:int -> kind:int ->
   pending:(int -> bool) -> issued_hi:int ->
   verdict
-(** Validate one driver->kernel message before the worker acts on it.
+(** Validate one driver->kernel message before the kernel acts on it.
     [issued_hi] is the channel's fresh-seq high-water mark; [pending]
     says whether a reply's correlation id still has a waiter.  On
     [Violation] the caller must drop the message. *)

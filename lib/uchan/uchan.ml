@@ -22,16 +22,17 @@ type metrics = {
 }
 
 (* Per-queue slice of the channel: one ring pair, its waitqs, and the
-   driver-side async batch.  Each queue is serviced by its own kernel
-   worker fiber and (for data queues) its own driver fiber, so batches
-   are effectively per-CPU — two queues never contend on a ring. *)
+   driver-side async batch.  Each queue is served by its own driver
+   fiber (for data queues), whose kernel entries drain its u2k ring, so
+   batches are effectively per-CPU — two queues never contend on a
+   ring. *)
 type qstate = {
   qi : int;
   k2u : Ring.t;
   u2k : Ring.t;
   u_waitq : Sync.Waitq.t;                (* driver sleeping in [wait] on this queue *)
-  worker_waitq : Sync.Waitq.t;           (* kernel downcall worker sleeping *)
   k_space : Sync.Waitq.t;                (* kernel waiting for k2u space *)
+  mutable draining : bool;               (* a fiber is draining u2k ([drain]) *)
   mutable batch : Msg.t list;            (* user-side async downcalls, newest first *)
   mutable batch_len : int;               (* |batch|, so batched sends stay O(1) *)
   q_up : Sud_obs.Metrics.counter;        (* per-queue labelled counters *)
@@ -41,6 +42,7 @@ type qstate = {
 
 type t = {
   k : Kernel.t;
+  sud : Cpu.cell;                        (* "kernel:sud": the channel's kernel-side work *)
   label : string;
   qs : qstate array;
   hang_timeout_ns : int;                 (* per-channel sync-upcall deadline *)
@@ -51,13 +53,13 @@ type t = {
   mutable handler : (queue:int -> Msg.t -> Msg.t option) option;
   um : metrics;
   (* Protocol conformance: every driver->kernel slot is stamped with the
-     channel's generation epoch on marshal and adjudicated at ingress by
-     the kernel worker (see {!Conformance}). *)
+     channel's generation epoch on marshal and adjudicated at ingress,
+     in the driver's kernel entry (see {!Conformance}). *)
   epoch : int;
   conf : Conformance.t;
   (* Fault injection (lib/attacks): a wedged channel parks the driver's
      main loop; corrupt/drop counters garble or swallow the next driver
-     replies at the transport, before the kernel worker sees them.  The
+     replies at the transport, before the kernel reads them.  The
      mutator and raw injector are the live-fuzzer hooks: the former
      scribbles on each marshalled u2k slot while it is still borrowed
      (a driver corrupting traffic in flight), the latter forges whole
@@ -67,8 +69,8 @@ type t = {
   mutable drop_next : int;
   mutable corrupt_batch_next : int;
   mutable u2k_mutator : (queue:int -> bytes -> unit) option;
-  (* Observer called before each driver-side worker kick — the quota
-     layer hangs its notification token bucket here. *)
+  (* Observer called on each driver-side kernel entry, before its
+     drain — the quota layer hangs its notification token bucket here. *)
   mutable notify_hook : (queue:int -> unit) option;
   (* Driver-side batch accumulation threshold: how many async downcalls
      pile up on a queue before the batch ships without waiting for the
@@ -79,16 +81,19 @@ type t = {
 
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
-let consume_cur t ns =
-  let cell = Process.cell (Process.current t.k.Kernel.procs) in
+let charge cell ns =
   match Fiber.self () with
   | _ -> Cpu.consume_cell cell ns
   | exception Failure _ -> Cpu.account_cell cell ns
 
+(* Driver-side work and wakeups go on the running process's line; the
+   kernel side of the channel (marshalling upcalls, ringing the driver,
+   draining u2k) is SUD's own work, whichever fiber runs it. *)
+let consume_cur t ns = charge (Process.cell (Process.current t.k.Kernel.procs)) ns
+
 let msg_cost t = consume_cur t (model t).Cost_model.uchan_msg_ns
-let validate_cost t = consume_cur t (model t).Cost_model.uchan_validate_ns
-let notify_cost t = consume_cur t (model t).Cost_model.uchan_notify_ns
 let syscall_cost t = consume_cur t (model t).Cost_model.syscall_ns
+let sud_msg_cost t = charge t.sud (model t).Cost_model.uchan_msg_ns
 
 (* Waking a task that only just blocked is a cheap runqueue operation;
    only genuine sleeps pay the full wakeup latency. *)
@@ -96,11 +101,12 @@ let wakeup_cost_since t ~since =
   if Engine.now t.k.Kernel.eng - since > 2_000 then
     consume_cur t (model t).Cost_model.wakeup_ns
 
-let kick t wq =
-  if Sync.Waitq.waiters wq > 0 then begin
+(* Wake a driver fiber parked in [wait] on [q]. *)
+let kick t q =
+  if Sync.Waitq.waiters q.u_waitq > 0 then begin
     Sud_obs.Metrics.incr t.um.um_notify;
-    notify_cost t;
-    ignore (Sync.Waitq.signal wq : bool)
+    charge t.sud (model t).Cost_model.uchan_notify_ns;
+    ignore (Sync.Waitq.signal q.u_waitq : bool)
   end
 
 let fresh_seq t =
@@ -141,7 +147,7 @@ let fail_all_waiters tbl err =
   let seqs = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) tbl []) in
   List.iter (fun s -> ignore (complete_waiter tbl s (Error err) : bool)) seqs
 
-(* ---- kernel-side workers: drain u2k, dispatching replies and downcalls ---- *)
+(* ---- kernel side of a driver's entry: drain u2k, dispatching replies and downcalls ---- *)
 
 let dispatch_u2k t q decoded =
   match decoded with
@@ -202,7 +208,7 @@ let dispatch_u2k t q decoded =
             | Some r -> { r with Msg.seq = m.Msg.seq }
             | None -> Msg.make ~seq:m.Msg.seq ~kind:m.Msg.kind ()
           in
-          msg_cost t;
+          sud_msg_cost t;
           if not (complete_waiter t.u_pending m.Msg.seq (Ok r)) then
             Klog.printk t.k.Kernel.klog Klog.Debug "uchan(%s): stale downcall reply seq %d"
               t.label m.Msg.seq
@@ -247,30 +253,45 @@ let dispatch_u2k_batch t q decoded =
            dispatch_u2k t q (Ok (Msg.make ~kind ~epoch ~args:[ a0; a1 ] ())))
       entries
 
-let worker_loop t q () =
-  let rec loop () =
-    if not t.closed then begin
-      match Ring.pop_inplace q.u2k read_u2k_slot with
-      | Some decoded ->
-        msg_cost t;
-        validate_cost t;
-        if Sud_obs.Trace.on () then
-          ignore
-            (Sud_obs.Trace.emit ~cat:"uchan" ~name:"pop"
-               ~attrs:[ "chan", t.label; "dir", "u2k"; "queue", string_of_int q.qi ] ());
-        (match decoded with
-         | U2k_scalar d -> dispatch_u2k t q d
-         | U2k_batch d -> dispatch_u2k_batch t q d);
-        loop ()
-      | None ->
-        let since = Engine.now t.k.Kernel.eng in
-        (match Sync.Waitq.wait q.worker_waitq with
-         | Fiber.Interrupted | Fiber.Normal | Fiber.Timeout ->
-           if not t.closed then wakeup_cost_since t ~since;
-           loop ())
-    end
-  in
-  loop ()
+(* Drain [q]'s u2k ring in the fiber that entered the kernel: pop a
+   slot, charge it, adjudicate and dispatch it, until the ring is empty
+   or the channel closes.  One charge per slot, on SUD's line; the first
+   slot also pays the driver's doorbell.  Kills wait for the section's
+   end, as Linux delivers SIGKILL at syscall exit, so no handler stops
+   half-way; a death closes the channel, and the [closed] check at each
+   slot bounds that wait to one handler.  A fiber entering while another
+   drains the queue leaves its slots to that drainer, so a queue's slots
+   dispatch one at a time, in ring order. *)
+let drain t q =
+  if not (q.draining || t.closed || Ring.is_empty q.u2k) then begin
+    q.draining <- true;
+    let m = model t in
+    let per_slot = m.Cost_model.uchan_msg_ns + m.Cost_model.uchan_validate_ns in
+    let rec go ~doorbell =
+      if not t.closed then
+        match Ring.pop_inplace q.u2k read_u2k_slot with
+        | None -> ()
+        | Some decoded ->
+          if doorbell then Sud_obs.Metrics.incr t.um.um_notify;
+          charge t.sud (if doorbell then per_slot + m.Cost_model.uchan_notify_ns else per_slot);
+          if Sud_obs.Trace.on () then
+            ignore
+              (Sud_obs.Trace.emit ~cat:"uchan" ~name:"pop"
+                 ~attrs:[ "chan", t.label; "dir", "u2k"; "queue", string_of_int q.qi ] ());
+          (match decoded with
+           | U2k_scalar d -> dispatch_u2k t q d
+           | U2k_batch d -> dispatch_u2k_batch t q d);
+          go ~doorbell:false
+    in
+    Fun.protect ~finally:(fun () -> q.draining <- false) (fun () ->
+        Fiber.defer_kill (fun () -> go ~doorbell:true))
+  end
+
+(* A driver-side entry into the kernel on [q]: the notify hook sees the
+   doorbell, then the entering fiber drains u2k itself. *)
+let enter t q =
+  (match t.notify_hook with Some f -> f ~queue:q.qi | None -> ());
+  drain t q
 
 let create k ?(slots = 256) ?hang_timeout_ns:(hto = hang_timeout_ns) ?(queues = 1)
     ?(epoch = 0) ?profile ~driver_label () =
@@ -286,8 +307,8 @@ let create k ?(slots = 256) ?hang_timeout_ns:(hto = hang_timeout_ns) ?(queues = 
           k2u = Ring.create ~slots;
           u2k = Ring.create ~slots;
           u_waitq = Sync.Waitq.create ();
-          worker_waitq = Sync.Waitq.create ();
           k_space = Sync.Waitq.create ();
+          draining = false;
           batch = [];
           batch_len = 0;
           q_up = qc "queue_upcalls";
@@ -296,6 +317,7 @@ let create k ?(slots = 256) ?hang_timeout_ns:(hto = hang_timeout_ns) ?(queues = 
   in
   let t =
     { k;
+      sud = Cpu.cell k.Kernel.cpu "kernel:sud";
       label = driver_label;
       qs;
       hang_timeout_ns = hto;
@@ -323,14 +345,6 @@ let create k ?(slots = 256) ?hang_timeout_ns:(hto = hang_timeout_ns) ?(queues = 
       notify_hook = None;
       batch_limit = default_batch_limit }
   in
-  Array.iter
-    (fun q ->
-       ignore
-         (Process.spawn_fiber (Process.kernel_process k.Kernel.procs)
-            ~name:(Printf.sprintf "uchan-worker:%s:q%d" driver_label q.qi)
-            (worker_loop t q)
-          : Fiber.t))
-    t.qs;
   t
 
 let close t =
@@ -341,7 +355,6 @@ let close t =
     Array.iter
       (fun q ->
          ignore (Sync.Waitq.broadcast q.u_waitq : int);
-         ignore (Sync.Waitq.broadcast q.worker_waitq : int);
          ignore (Sync.Waitq.broadcast q.k_space : int))
       t.qs
   end
@@ -353,7 +366,7 @@ let set_downcall_handler t h = t.handler <- Some h
 (* ---- kernel side ---- *)
 
 let push_k2u t q m =
-  msg_cost t;
+  sud_msg_cost t;
   let m = { m with Msg.epoch = t.epoch } in
   if push_flagged q.k2u m ~is_reply:false then begin
     Sud_obs.Metrics.incr t.um.um_up;
@@ -362,7 +375,7 @@ let push_k2u t q m =
       ignore
         (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"uchan" ~name:"push"
            ~attrs:[ "chan", t.label; "dir", "k2u"; "queue", string_of_int q.qi ] ());
-    kick t q.u_waitq;
+    kick t q;
     true
   end
   else false
@@ -376,7 +389,7 @@ let rpc_issue t ~queue ~dir ~seq ~kind =
             "seq", string_of_int seq; "queue", string_of_int queue ]
         ()
     in
-    (* Correlation keys: the per-seq key lets the kernel worker run the
+    (* Correlation keys: the per-seq key lets the driver's entry run the
        downcall handler under this span; the "last" key is the fallback
        parent for faults raised from engine callbacks (device DMA). *)
     Sud_obs.Trace.remember (Printf.sprintf "uchan.rpc.seq:%s:%d" t.label seq) id;
@@ -473,14 +486,6 @@ let ksend_nonblock t q m =
 
 (* ---- user (driver) side ---- *)
 
-(* Driver-side worker kick, with the quota layer's notification token
-   bucket observing every kick (sustained floods are counted there and
-   escalated by the supervisor; the kick itself always lands — starving
-   the trusted worker would just wedge the ring). *)
-let kick_worker t q =
-  (match t.notify_hook with Some f -> f ~queue:q.qi | None -> ());
-  kick t q.worker_waitq
-
 let u2k_mutate t q =
   match t.u2k_mutator with
   | None -> None
@@ -499,7 +504,7 @@ let push_u2k_raw t q m ~is_reply =
   end
   else if is_reply && t.corrupt_next > 0 then begin
     (* Injected fault: garble the slot.  0xFF everywhere guarantees the
-       kernel worker's unmarshal rejects it (arg count out of range). *)
+       kernel's unmarshal rejects it (arg count out of range). *)
     t.corrupt_next <- t.corrupt_next - 1;
     ignore
       (Ring.push_inplace q.u2k (fun slot -> Bytes.fill slot 0 (Bytes.length slot) '\xff')
@@ -555,16 +560,18 @@ let push_u2k_batch t q ~kind ms =
   end
   else false
 
-let flush_queue t q =
+(* Push [q]'s batch onto u2k; the caller's kernel entry then drains it. *)
+let ship t q =
   match q.batch with
   | [] -> ()
   | batch ->
     q.batch <- [];
     q.batch_len <- 0;
     let drop n =
-      (* The kernel worker is live (it is trusted); a full u2k ring
-         just means we outran it — drop oldest-first like a NIC, but
-         count the loss so it shows up next to the send counters. *)
+      (* Every entry drains the ring, so a full one means another fiber
+         of the driver is draining it and has not caught up — drop
+         oldest-first like a NIC, but count the loss so it shows up
+         next to the send counters. *)
       Sud_obs.Metrics.add t.um.um_dropped n;
       Sud_obs.Metrics.add q.q_dropped n
     in
@@ -602,8 +609,15 @@ let flush_queue t q =
         send_scalar m;
         go [] 0 rest
     in
-    go [] 0 (List.rev batch);
-    kick_worker t q
+    go [] 0 (List.rev batch)
+
+(* Ship the batch in a kernel entry of its own: [wait]'s flush, a
+   batch-limit flush, or {!flush}. *)
+let flush_queue t q =
+  if q.batch_len > 0 then begin
+    ship t q;
+    enter t q
+  end
 
 let flush ?queue t =
   match queue with
@@ -623,23 +637,27 @@ let dsend_batched t q m =
 let reply ?(queue = 0) t m =
   let q = qstate_of t queue in
   if not t.closed then begin
-    flush_queue t q;   (* preserve ordering of async downcalls vs. this reply *)
-    if push_u2k_raw t q m ~is_reply:true then kick_worker t q
+    ship t q;   (* preserve ordering of async downcalls vs. this reply *)
+    ignore (push_u2k_raw t q m ~is_reply:true : bool);
+    enter t q
   end
 
 let dsend_sync t q m =
   if t.closed then Error Closed
   else begin
-    flush_queue t q;
+    ship t q;
     let seq = fresh_seq t in
     let m = { m with Msg.seq } in
     let t0 = Engine.now t.k.Kernel.eng in
     let span = rpc_issue t ~queue:q.qi ~dir:"u2k" ~seq ~kind:m.Msg.kind in
-    if not (push_u2k_raw t q m ~is_reply:false) then rpc_finish t ~span ~t0 (Error Hung)
+    let pushed = push_u2k_raw t q m ~is_reply:false in
+    let w = { cell = ref None; wq = Sync.Waitq.create () } in
+    (* Registered before this entry's drain, which may run the downcall's
+       handler and complete the waiter before [await] looks at it. *)
+    if pushed then Hashtbl.replace t.u_pending seq w;
+    enter t q;
+    if not pushed then rpc_finish t ~span ~t0 (Error Hung)
     else begin
-      kick_worker t q;
-      let w = { cell = ref None; wq = Sync.Waitq.create () } in
-      Hashtbl.replace t.u_pending seq w;
       let rec await () =
         match !(w.cell) with
         | Some r -> r
@@ -663,19 +681,19 @@ let dsend_sync t q m =
 let dsend_async t q m =
   if t.closed then Error Closed
   else begin
-    flush_queue t q;
+    ship t q;
     let m = { m with Msg.seq = 0 } in
     let deadline = Engine.now t.k.Kernel.eng + full_grace_ns in
     let rec attempt () =
-      if push_u2k_raw t q m ~is_reply:false then begin
-        kick_worker t q;
-        Ok ()
-      end
+      let pushed = push_u2k_raw t q m ~is_reply:false in
+      enter t q;
+      if pushed then Ok ()
       else if t.closed then Error Closed
       else if Engine.now t.k.Kernel.eng >= deadline then Error Hung
       else begin
-        (* No space waitq on this side: the trusted kernel worker drains
-           continuously, so a short device-style backoff suffices. *)
+        (* No space waitq on this side: the ring stays full only while
+           another fiber drains it, so a short device-style backoff
+           suffices. *)
         ignore (Fiber.sleep t.k.Kernel.eng 10_000 : Fiber.wake);
         attempt ()
       end
@@ -685,11 +703,11 @@ let dsend_async t q m =
 
 let dsend_nonblock t q m =
   if t.closed then false
-  else if push_u2k_raw t q { m with Msg.seq = 0 } ~is_reply:false then begin
-    kick_worker t q;
-    true
+  else begin
+    let pushed = push_u2k_raw t q { m with Msg.seq = 0 } ~is_reply:false in
+    if pushed then enter t q;
+    pushed
   end
-  else false
 
 (* ---- the unified send interface ----
 
@@ -796,22 +814,22 @@ let inject_raw t writer =
   if t.closed then false
   else begin
     let pushed = Ring.push_inplace q.u2k writer in
-    if pushed then kick_worker t q;
+    if pushed then enter t q;
     pushed
   end
 
-(* A doorbell flood: ring queue 0's worker notification [n] times with no
-   slots behind the kicks.  Each kick passes through the notify hook, so
-   the quota layer's token bucket sees (and counts) the storm; the
-   worker just finds the ring empty and goes back to sleep. *)
+(* A doorbell flood: enter the kernel on queue 0 [n] times with no slots
+   behind the entries.  Each entry passes through the notify hook, so
+   the quota layer's token bucket sees (and counts) the storm; each
+   drain just finds the ring empty. *)
 let notify_storm t n =
   let q = qstate_of t 0 in
   if not t.closed then
     for _ = 1 to n do
-      kick_worker t q
+      enter t q
     done
 
-(* Quota layer: observe driver-side worker kicks (notification bucket). *)
+(* Quota layer: observe driver-side kernel entries (notification bucket). *)
 let set_notify_hook t f = t.notify_hook <- f
 
 (* ---- batch tuning ---- *)

@@ -3,9 +3,9 @@
     A channel carries [queues] independent ring pairs (kernel→user,
     user→kernel) of marshalled {!Msg.t}s — queue 0 is the control path
     every channel has; data queues 1..n-1 give a multiqueue device one
-    lock-free lane per hardware queue.  Each queue has its own kernel
-    worker fiber and its own driver-side async batch, so two queues
-    never contend: batches are effectively per-CPU flush buffers.
+    lock-free lane per hardware queue.  Each queue has its own
+    driver-side async batch, so two queues never contend: batches are
+    effectively per-CPU flush buffers.
 
     Synchronous sends are correlated by sequence number and are
     {e interruptible} on the kernel side, so a hung driver leaves an
@@ -15,9 +15,25 @@
     queue), so a burst of downcalls costs one notification — the
     optimization that lets TCP_STREAM match in-kernel throughput.
 
-    CPU costs (marshalling per message, notification per kick, wakeup
-    after sleeping) are charged to the calling fiber through the kernel's
-    CPU pool. *)
+    No kernel thread serves the channel.  Every driver-side kernel entry
+    on a queue — [wait]'s flush, a sync or async send, [reply], a
+    batch-limit flush, {!flush}, {!inject_raw} — drains that queue's
+    driver→kernel ring in the entering fiber: it pops each slot, charges
+    it, adjudicates it ({!Conformance}) and runs the downcall handler,
+    until the ring is empty.  A kill of the entering fiber waits for the
+    drain to end, as Linux delivers SIGKILL at system call exit, so no
+    handler stops half-way; the drain stops at the first slot after the
+    channel closes, so that wait is at most one handler.  A fiber that
+    enters while another fiber drains the queue leaves its slots to
+    that drainer, so a queue's slots dispatch one at a time, in ring
+    order.
+
+    CPU costs are charged through the kernel's CPU pool.  The driver
+    side (marshalling its downcalls, the [wait] syscall, wakeups after
+    sleeping) goes on the running process's line; the kernel side
+    (marshalling upcalls, waking the driver, one charge per drained
+    slot with the entry's doorbell on its first) goes on
+    ["kernel:sud"]. *)
 
 type t
 
@@ -90,8 +106,10 @@ val transfer : t -> ?queue:int -> from:[ `Kernel | `Driver ] -> 'r mode -> Msg.t
 
 val set_downcall_handler : t -> (queue:int -> Msg.t -> Msg.t option) -> unit
 (** Kernel-side service for driver downcalls; return [Some reply] for
-    synchronous downcalls.  Runs in the receiving queue's dedicated
-    kernel worker fiber, with [~queue] naming that queue. *)
+    synchronous downcalls.  Runs in the fiber of the driver's kernel
+    entry that drains the slot, with [~queue] naming the queue, and
+    must never wait on a driver fiber: the one it runs in is busy
+    running it. *)
 
 (** {1 User (driver) side} *)
 
@@ -136,9 +154,9 @@ val hang_timeout_ns : int
     ["uchan"/"rpc"] span at issue (remembered under ["uchan.rpc.last"]
     and a per-seq key) and an ["rpc.complete"] span with the round-trip
     duration; ring pushes/pops emit ["push"]/["pop"] spans carrying the
-    queue index; the kernel worker runs downcall handlers under the
-    issuing RPC's span so downstream work (IOMMU maps, faults) is
-    causally attributed. *)
+    queue index; the drain runs downcall handlers under the issuing
+    RPC's span so downstream work (IOMMU maps, faults) is causally
+    attributed. *)
 
 type metrics = {
   um_up : Sud_obs.Metrics.counter;
@@ -161,7 +179,7 @@ val metrics : t -> metrics
 (** {1 Protocol conformance}
 
     Every driver→kernel slot is adjudicated by a per-channel
-    {!Conformance} validator before the kernel worker acts on it:
+    {!Conformance} validator before the kernel acts on it:
     generation epoch, sequence monotonicity, completion matching, and a
     DFA over message kinds.  Violating messages are dropped and counted
     (metrics under [uchan/proto_violation{chan,class}]); the supervisor
@@ -178,11 +196,11 @@ val proto_violations : t -> int
     per generation ({!Conformance.violations} of {!conformance}). *)
 
 val set_notify_hook : t -> (queue:int -> unit) option -> unit
-(** Observer called on every driver-side worker kick, before the
-    notification lands — the quota layer's per-queue token bucket.  The
-    kick itself is never suppressed (starving the trusted worker would
-    wedge the ring); sustained floods are counted by the hook's owner
-    and escalated by the supervisor. *)
+(** Observer called on every driver-side kernel entry, before its drain
+    — the quota layer's per-queue token bucket.  The entry itself is
+    never refused (an undrained ring would wedge the channel); sustained
+    floods are counted by the hook's owner and escalated by the
+    supervisor. *)
 
 (** {1 Fault injection}
 
@@ -197,8 +215,8 @@ val wedge : t -> unit
 
 val inject_corrupt_replies : t -> int -> unit
 (** Garble the next [n] driver replies: the slot is filled with 0xFF so
-    the kernel worker counts it in {!malformed} and the waiting sender
-    times out. *)
+    the kernel counts it in [um_malformed] and the waiting sender times
+    out. *)
 
 val inject_drop_replies : t -> int -> unit
 (** Swallow the next [n] driver replies in transit; the waiting sender
@@ -207,7 +225,7 @@ val inject_drop_replies : t -> int -> unit
 val inject_corrupt_batch_frames : t -> int -> unit
 (** Garble one frame inside each of the next [n] scatter-gather batch
     slots the driver flushes: that frame's per-entry checksum fails, the
-    kernel worker counts it in [um_malformed_frames] and drops it, and
+    kernel counts it in [um_malformed_frames] and drops it, and
     the sibling frames in the batch still deliver. *)
 
 val armed_corruptions : t -> int
@@ -223,12 +241,13 @@ val set_u2k_mutator : t -> (queue:int -> bytes -> unit) option -> unit
 val inject_raw : t -> (bytes -> unit) -> bool
 (** Live-fuzzer hook: forge one raw u2k slot the driver never sent on
     queue 0 — [writer] fills the borrowed {!Msg.slot_size}-byte slot —
-    then kick the kernel worker.  [false] if the ring was full or the
-    channel closed. *)
+    then enter the kernel on queue 0, whose drain adjudicates it in the
+    calling fiber.  [false] if the ring was full or the channel
+    closed. *)
 
 val notify_storm : t -> int -> unit
-(** Live-fuzzer hook: ring queue 0's kernel worker doorbell [n] times
-    with no slots behind the kicks — a malicious driver hammering the notify
-    syscall.  Every kick passes through the {!set_notify_hook} observer,
-    so the quota token bucket counts the storm; the worker itself just
-    finds an empty ring. *)
+(** Live-fuzzer hook: enter the kernel on queue 0 [n] times with no
+    slots behind the entries — a malicious driver hammering the notify
+    syscall.  Every entry passes through the {!set_notify_hook}
+    observer, so the quota token bucket counts the storm; each drain
+    just finds an empty ring. *)

@@ -45,6 +45,15 @@ report "Fiber.suspend outside lib/sim (use Fiber.sleep or a Sync wait, which own
   "$(srcs 'Fiber\.suspend' lib bin bench test examples \
      | grep -vE '^(lib/sim/|test/test_sim\.ml:)')"
 
+# Kill deferral: a fiber inside Fiber.defer_kill outlives its kill until
+# the section ends.  The kernel half of a driver's entry (the u2k drain
+# in lib/uchan/uchan.ml) uses it to finish the handler it is in; used
+# anywhere a driver's own code runs, it would let a driver put off its
+# kill -9.  test_sim.ml drives the primitive itself.
+report "Fiber.defer_kill outside lib/sim and lib/uchan/uchan.ml (a driver could put off its own kill)" \
+  "$(srcs 'Fiber\.defer_kill' lib bin bench test examples \
+     | grep -vE '^(lib/sim/|lib/uchan/uchan\.ml:|test/test_sim\.ml:)')"
+
 # DMA confinement: device models and drivers reach physical memory only
 # through Pci_topology's DMA path, which checks every IOVA page of a
 # transfer against the IOMMU.  A direct Phys_mem call from a device

@@ -178,7 +178,7 @@ let test_trace_disabled_words () =
   let untraced = upcall_words () in
   Alcotest.(check (list (pair string (float 0.))))
     "minor words per op, tracing off"
-    [ ("ring push+pop in place", 2.); ("IOTLB hit", 6.); ("async upcall to a parked driver", 471.) ]
+    [ ("ring push+pop in place", 2.); ("IOTLB hit", 6.); ("async upcall to a parked driver", 467.) ]
     [ ("ring push+pop in place", words_per_op ring_push_pop);
       ("IOTLB hit", words_per_op iotlb_hit);
       ("async upcall to a parked driver", untraced) ];

@@ -92,6 +92,68 @@ let test_fiber_kill_runs_cleanup () =
   Alcotest.(check bool) "Fun.protect ran on kill" true !cleaned;
   Alcotest.(check bool) "fiber dead" false (Fiber.is_alive f)
 
+(* A kill that lands inside [defer_kill] waits for the section's end:
+   the section's sleep runs its full length, the rest of the section
+   runs, and the fiber dies as the section returns, running its
+   Fun.protect cleanup.  A fiber that kills itself inside a section
+   keeps running to the section's end the same way. *)
+let test_fiber_defer_kill () =
+  let eng = Engine.create () in
+  let section_done = ref false and after = ref false and died_at = ref (-1) in
+  let f =
+    Fiber.spawn eng (fun () ->
+        Fun.protect
+          ~finally:(fun () -> died_at := Engine.now eng)
+          (fun () ->
+             Fiber.defer_kill (fun () ->
+                 ignore (Fiber.sleep eng 100 : Fiber.wake);
+                 section_done := true);
+             after := true))
+  in
+  ignore (Engine.schedule_after eng 10 (fun () -> Fiber.kill f) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check bool) "the section ran to its end" true !section_done;
+  Alcotest.(check bool) "nothing after the section ran" false !after;
+  Alcotest.(check int) "died as the section ended" 100 !died_at;
+  Alcotest.(check bool) "fiber dead" false (Fiber.is_alive f);
+  let eng = Engine.create () in
+  let steps = ref [] in
+  let g =
+    Fiber.spawn eng (fun () ->
+        Fun.protect
+          ~finally:(fun () -> steps := "cleanup" :: !steps)
+          (fun () ->
+             Fiber.defer_kill (fun () ->
+                 Fiber.kill (Fiber.self ());
+                 steps := "after self-kill" :: !steps);
+             steps := "after section" :: !steps))
+  in
+  Engine.run eng;
+  Alcotest.(check (list string)) "a self-kill lands at the section's end"
+    [ "after self-kill"; "cleanup" ] (List.rev !steps);
+  Alcotest.(check bool) "self-killed fiber dead" false (Fiber.is_alive g)
+
+(* Outside a section a kill is immediate, also in a fiber that ran a
+   section before. *)
+let test_fiber_kill_outside_section () =
+  let eng = Engine.create () in
+  let died_at = ref (-1) and section_done = ref false in
+  let f =
+    Fiber.spawn eng (fun () ->
+        Fun.protect
+          ~finally:(fun () -> died_at := Engine.now eng)
+          (fun () ->
+             Fiber.defer_kill (fun () ->
+                 ignore (Fiber.sleep eng 50 : Fiber.wake);
+                 section_done := true);
+             ignore (Fiber.sleep eng 100 : Fiber.wake)))
+  in
+  ignore (Engine.schedule_after eng 60 (fun () -> Fiber.kill f) : Engine.handle);
+  Engine.run eng;
+  Alcotest.(check bool) "the earlier section ran" true !section_done;
+  Alcotest.(check int) "died at the kill" 60 !died_at;
+  Alcotest.(check bool) "fiber dead" false (Fiber.is_alive f)
+
 let test_fiber_interrupt () =
   let eng = Engine.create () in
   let got = ref None in
@@ -603,6 +665,10 @@ let suite =
     Alcotest.test_case "engine: negative delay" `Quick test_engine_negative_delay;
     Alcotest.test_case "fiber: sleep" `Quick test_fiber_sleep;
     Alcotest.test_case "fiber: kill runs cleanup" `Quick test_fiber_kill_runs_cleanup;
+    Alcotest.test_case "fiber: a kill inside defer_kill lands at its end" `Quick
+      test_fiber_defer_kill;
+    Alcotest.test_case "fiber: a kill outside defer_kill is immediate" `Quick
+      test_fiber_kill_outside_section;
     Alcotest.test_case "fiber: interrupt" `Quick test_fiber_interrupt;
     Alcotest.test_case "fiber: stale wake dropped" `Quick test_fiber_stale_wake;
     Alcotest.test_case "fiber: poll holds at once" `Quick test_poll_holds;

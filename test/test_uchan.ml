@@ -209,6 +209,73 @@ let test_uchan_downcall () =
       Alcotest.(check (list int)) "batched asyncs arrived in order" [ 101; 102 ]
         (List.rev !asyncs))
 
+(* The sender's own kernel entry drains its sync downcall: the handler
+   runs in the sending fiber, and the reply is in place before the
+   sender would wait for it.  No kernel fiber serves the channel. *)
+let test_uchan_sync_in_own_entry () =
+  with_kernel (fun eng k ->
+      let pending = Engine.pending eng in
+      let chan = Uchan.create k ~driver_label:"d" () in
+      Alcotest.(check int) "create starts no fiber" pending (Engine.pending eng);
+      let ran_in = ref (-1) in
+      Uchan.set_downcall_handler chan (fun ~queue:_ m ->
+          ran_in := Fiber.id (Fiber.self ());
+          Some (Msg.make ~kind:m.Msg.kind ~args:[ 42 ] ()));
+      let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+      let result = ref None in
+      let f =
+        Process.spawn_fiber proc (fun () ->
+            result := Some (Uchan.transfer chan ~from:`Driver Uchan.Sync (Msg.make ~kind:7 ())))
+      in
+      Engine.run ~max_time:100_000_000 eng;
+      (match !result with
+       | Some (Ok r) -> Alcotest.(check int) "reply" 42 (Msg.arg r 0)
+       | _ -> Alcotest.fail "sync downcall failed");
+      Alcotest.(check int) "handler ran in the sender's fiber" (Fiber.id f) !ran_in)
+
+(* A death closes the channel, and a drain stops at the first slot
+   boundary after that.  So a driver whose second fiber keeps refilling
+   u2k is dead within one handler (and the slot's own charge) of its
+   kill, though the ring still holds a backlog. *)
+let test_uchan_kill_bounds_drain () =
+  with_kernel (fun eng k ->
+      let chan = Uchan.create k ~driver_label:"d" () in
+      Uchan.set_batch_limit chan 1;
+      let handler_ns = 5_000 and handled = ref 0 in
+      Uchan.set_downcall_handler chan (fun ~queue:_ _ ->
+          Cpu.consume k.Kernel.cpu ~label:"kernel:sud" handler_ns;
+          incr handled;
+          None);
+      let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+      Process.on_exit proc (fun () -> Uchan.close chan);
+      let deaths = ref [] in
+      let refill () =
+        try
+          while not (Uchan.is_closed chan) do
+            Uchan.transfer chan ~from:`Driver Uchan.Batched (Msg.make ~kind:5 ())
+          done
+        with Fiber.Killed ->
+          deaths := Engine.now eng :: !deaths;
+          raise Fiber.Killed
+      in
+      let a = Process.spawn_fiber proc refill and b = Process.spawn_fiber proc refill in
+      let kill_at = 200_000 in
+      ignore (Engine.schedule_after eng kill_at (fun () -> Process.kill proc) : Engine.handle);
+      Engine.run ~max_time:10_000_000 eng;
+      let m = Cost_model.default in
+      let bound =
+        kill_at + handler_ns + m.Cost_model.uchan_msg_ns + m.Cost_model.uchan_validate_ns
+        + m.Cost_model.uchan_notify_ns
+      in
+      Alcotest.(check int) "both fibers died by Killed" 2 (List.length !deaths);
+      Alcotest.(check bool) "fibers dead" false (Fiber.is_alive a || Fiber.is_alive b);
+      List.iter
+        (fun at ->
+           if at > bound then Alcotest.failf "a fiber died at %d ns, after the bound %d" at bound)
+        !deaths;
+      let pushed = Sud_obs.Metrics.get (Uchan.metrics chan).Uchan.um_down in
+      Alcotest.(check bool) "slots were left in the ring" true (pushed > !handled + 1))
+
 (* Fault containment inside a batch slot: garbling one frame must drop
    exactly that frame (um_malformed ticks once), deliver its siblings in
    order, and leave the channel fully usable. *)
@@ -407,5 +474,9 @@ let suite =
     Alcotest.test_case "uchan: downcalls + batching order" `Quick test_uchan_downcall;
     Alcotest.test_case "uchan: corrupt batch frame contained" `Quick
       test_uchan_batch_corrupt_frame;
-    Alcotest.test_case "uchan: try_asend bounded" `Quick test_uchan_try_asend_full ]
+    Alcotest.test_case "uchan: try_asend bounded" `Quick test_uchan_try_asend_full;
+    Alcotest.test_case "uchan: a sync downcall runs in its sender's entry" `Quick
+      test_uchan_sync_in_own_entry;
+    Alcotest.test_case "uchan: a kill stops a refilled drain within one handler" `Quick
+      test_uchan_kill_bounds_drain ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
