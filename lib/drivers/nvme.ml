@@ -40,9 +40,11 @@ let sq_doorbell q = R.db_base + (q * 8)
 let cq_doorbell q = R.db_base + (q * 8) + 4
 
 (* Drain queue [q]'s completion ring: consume entries whose phase tag
-   matches, map cid -> slot -> proxy tag, hand each to the host. *)
+   matches, map cid -> slot -> proxy tag, hand each to the host.  The
+   CQ head doorbell is one MMIO write per pass, not per entry, as in
+   Linux's nvme_process_cq. *)
 let poll_cq st q =
-  let progressed = ref true in
+  let consumed = ref false and progressed = ref true in
   while !progressed do
     progressed := false;
     let off = q.cq_head * R.cqe_size in
@@ -57,7 +59,6 @@ let poll_cq st q =
         q.cq_head <- 0;
         q.phase <- 1 - q.phase
       end;
-      w32 st (cq_doorbell q.qi) q.cq_head;
       (* A cid outside the slot table, or naming a free slot, is a device
          (or firmware-fault-injection) lie; there is no request to
          complete, so all we can do is drop it — the genuinely
@@ -68,9 +69,11 @@ let poll_cq st q =
         q.outstanding <- q.outstanding - 1;
         st.cb.Driver_api.bc_complete ~queue:q.qi ~tag ~status
       end;
+      consumed := true;
       progressed := true
     end
-  done
+  done;
+  if !consumed then w32 st (cq_doorbell q.qi) q.cq_head
 
 let irq_handler st ~queue =
   let q = st.qs.(if queue >= 0 && queue < Array.length st.qs then queue else 0) in
