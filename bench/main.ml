@@ -325,8 +325,8 @@ let ablation_batching () =
              Uchan.transfer chan ~from:`Driver Uchan.Batched
                (Msg.make ~kind:Proxy_proto.down_tx_done ());
              if not batch then begin
-               (* No batching: enter the kernel for every message and let
-                  the worker drain and go back to sleep. *)
+               (* No batching: enter the kernel for every message, whose
+                  entry drains it, then sleep. *)
                Uchan.flush chan;
                ignore (Fiber.sleep eng 2_000 : Fiber.wake)
              end
