@@ -3,12 +3,12 @@
     A seeded mutation engine sits between a {e real} driver (honest
     E1000 under supervision, live UDP traffic) and the kernel side of
     its entries, garbling marshalled u2k slots in flight, forging slots
-    the driver
-    never sent and hammering the notification doorbell.  Each mutation
-    class maps onto a specific detector, and {!campaign} asserts that
-    every class was detected at least once while the soak containment
-    invariants (kernel secret intact, grant revoked on death, no stale
-    IOTLB translation) held across all the driver deaths it provoked. *)
+    the driver never sent and hammering the notification doorbell.
+    Each mutation class maps onto a specific detector, and {!campaign}
+    asserts that every class was detected at least once while the soak
+    containment invariants (kernel secret intact, grant revoked on
+    death, no stale IOTLB translation) held across all the driver
+    deaths it provoked. *)
 
 type mutation =
   | Kind_swap
