@@ -322,7 +322,7 @@ let ablation_batching () =
     ignore
       (Process.spawn_fiber proc ~name:"sender" (fun () ->
            for _ = 1 to 1000 do
-             Uchan.transfer chan ~from:`Driver Uchan.Batched
+             Uchan.downcall_batched chan
                (Msg.make ~kind:Proxy_proto.down_tx_done ());
              if not batch then begin
                (* No batching: enter the kernel for every message, whose

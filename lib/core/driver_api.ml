@@ -175,8 +175,3 @@ type usb_host_driver = {
   ud_ids : (int * int) list;
   ud_probe : env -> pcidev -> (usb_host_instance, string) result;
 }
-
-let charge cell ns =
-  match Fiber.self () with
-  | _ -> Cpu.consume_cell cell ns
-  | exception Failure _ -> Cpu.account_cell cell ns

@@ -232,8 +232,3 @@ type usb_host_driver = {
   ud_ids : (int * int) list;
   ud_probe : env -> pcidev -> (usb_host_instance, string) result;
 }
-
-val charge : Cpu.cell -> int -> unit
-(** Charge CPU to a ledger cell: blocking [consume_cell] when called from a
-    fiber, non-blocking [account_cell] from event context (interrupt
-    handlers). *)

@@ -52,7 +52,7 @@ type ('d, 'p) desc = {
     parked:bool -> Kernel.t -> chan:Uchan.t -> grant:Safe_pci.grant -> pool:Bufpool.t ->
     name:string -> 'p;
   d_serve : Sud_uml.t -> 'd -> unit;
-  d_ready : parked:bool -> 'p -> timeout_ns:int -> bool;
+  d_ready : 'p -> timeout_ns:int -> bool;  (* parked registrations count *)
   d_netdev : 'p -> Netdev.t option;
   d_exit : 'p -> unit;  (* on driver death, after the channel closed *)
   d_instance : 'p -> Proxy_class.instance;
@@ -77,10 +77,7 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
            Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ~parked
              ?adopt:adopt_netdev ());
       d_serve = Sud_uml.serve_net;
-      d_ready =
-        (fun ~parked p ~timeout_ns ->
-           if parked then Proxy_net.wait_registered p ~timeout_ns
-           else Proxy_net.wait_ready p ~timeout_ns <> None);
+      d_ready = Proxy_net.wait_registered;
       d_netdev =
         (fun p -> match Proxy_net.netdev p with Some _ as d -> d | None -> adopt_netdev);
       (* A supervised device keeps its netdev across driver deaths; the
@@ -99,10 +96,7 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
         (fun ~parked k ~chan ~grant ~pool ~name ->
            Proxy_blk.create k ~chan ~grant ~pool ~name ~parked ?adopt ());
       d_serve = Sud_uml.serve_blk;
-      d_ready =
-        (fun ~parked p ~timeout_ns ->
-           if parked then Proxy_blk.wait_registered p ~timeout_ns
-           else Proxy_blk.wait_ready p ~timeout_ns <> None);
+      d_ready = Proxy_blk.wait_registered;
       d_netdev = (fun _ -> None);
       (* The blkdev (cache, staging, retention in the persist record)
          survives the driver's death; new requests park in staging until
@@ -120,7 +114,7 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
       d_proxy =
         (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_wifi.create k ~chan ~grant ~pool ~name ());
       d_serve = Sud_uml.serve_wifi;
-      d_ready = (fun ~parked:_ p ~timeout_ns -> Proxy_wifi.wait_ready p ~timeout_ns <> None);
+      d_ready = (fun p -> Proxy_net.wait_registered (Proxy_wifi.net p));
       d_netdev = Proxy_wifi.netdev;
       d_exit = (fun p -> Proxy_net.unregister (Proxy_wifi.net p));
       d_instance = Proxy_wifi.instance;
@@ -132,7 +126,7 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
       d_proxy =
         (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_audio.create k ~chan ~grant ~pool ~name ());
       d_serve = Sud_uml.serve_audio;
-      d_ready = (fun ~parked:_ p ~timeout_ns -> Proxy_audio.wait_ready p ~timeout_ns);
+      d_ready = Proxy_audio.wait_ready;
       d_netdev = (fun _ -> None);
       d_exit = ignore;
       d_instance = Proxy_audio.instance;
@@ -146,7 +140,7 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
       d_serve = (fun uml d -> Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard d);
       (* Block and input surfaces appear as the driver enumerates its bus
          ([Proxy_usb.wait_block]); there is no single registration. *)
-      d_ready = (fun ~parked:_ _ ~timeout_ns:_ -> true);
+      d_ready = (fun _ ~timeout_ns:_ -> true);
       d_netdev = (fun _ -> None);
       d_exit = ignore;
       d_instance = Proxy_usb.instance;
@@ -219,7 +213,7 @@ let attach d k ~parked ~proc ~grant ~pool ~chan ~name ~on_exit drv =
   Process.on_exit proc (fun () -> on_exit proxy);
   ignore
     (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> d.d_serve uml drv) : Fiber.t);
-  if d.d_ready ~parked proxy ~timeout_ns:100_000_000 then Ok (proxy, uml)
+  if d.d_ready proxy ~timeout_ns:100_000_000 then Ok (proxy, uml)
   else Error ("driver did not register with the " ^ d.d_name ^ " proxy")
 
 (* A failing step kills the half-built generation; its table's

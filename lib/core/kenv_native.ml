@@ -6,11 +6,11 @@ let env (k : Kernel.t) ~label =
       (fun ms -> ignore (Fiber.sleep k.Kernel.eng (ms * 1_000_000) : Fiber.wake));
     env_usleep = (fun us -> ignore (Fiber.sleep k.Kernel.eng (us * 1_000) : Fiber.wake));
     env_may_sleep = (fun () -> not (Preempt.in_atomic k.Kernel.preempt));
-    env_udelay = (fun us -> Driver_api.charge cell (us * 1_000));
+    env_udelay = (fun us -> Cpu.charge cell (us * 1_000));
     env_printk = (fun s -> Klog.printk k.Kernel.klog Klog.Info "%s: %s" label s);
     env_spawn =
       (fun ~name fn -> ignore (Process.spawn_fiber kernel ~name fn : Fiber.t));
-    env_consume = (fun ns -> Driver_api.charge cell ns) }
+    env_consume = (fun ns -> Cpu.charge cell ns) }
 
 let pcidev (k : Kernel.t) bdf ~label =
   match Pci_topology.find_device k.Kernel.topo bdf with
@@ -20,7 +20,7 @@ let pcidev (k : Kernel.t) bdf ~label =
     let cpu = k.Kernel.cpu in
     let m = Cpu.cost_model cpu in
     let cell = Cpu.cell cpu label in
-    let charge ns = Driver_api.charge cell ns in
+    let charge ns = Cpu.charge cell ns in
     let cfg = Device.cfg dev in
     let vectors = ref None in
     let cfg_read ~off ~size =

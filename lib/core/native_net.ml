@@ -36,7 +36,7 @@ let attach ?name (k : Kernel.t) (drv : Driver_api.net_driver) bdf =
                   buffer; the skb wraps that data with no extra copy.
                   RX queue fan-out happens in the stack's RPS, so the
                   queue index needs no plumbing here. *)
-               Driver_api.charge cell m.Cost_model.skb_alloc_ns;
+               Cpu.charge cell m.Cost_model.skb_alloc_ns;
                match !dev_ref with
                | None -> ()
                | Some dev ->
@@ -73,7 +73,7 @@ let attach ?name (k : Kernel.t) (drv : Driver_api.net_driver) bdf =
                    | None -> Netdev.Xmit_busy
                    | Some slot ->
                      let addr = arena.base + (slot * arena_slot_size) in
-                     Driver_api.charge cell (Cost_model.copy_cost m ~bytes:len);
+                     Cpu.charge cell (Cost_model.copy_cost m ~bytes:len);
                      Phys_mem.write k.Kernel.mem ~addr skb.Skbuff.data;
                      (match
                         inst.Driver_api.ni_xmit ~queue

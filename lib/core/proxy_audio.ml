@@ -58,32 +58,14 @@ let create k ~chan ~grant ~pool ~name () =
       else handle_downcall t m);
   t
 
-let wait_cond k waitq ~timeout_ns cond =
-  let deadline = Engine.now k.Kernel.eng + timeout_ns in
-  let rec loop () =
-    if cond () then true
-    else begin
-      let left = deadline - Engine.now k.Kernel.eng in
-      if left <= 0 then false
-      else
-        match Sync.Waitq.wait_timeout k.Kernel.eng waitq left with
-        | Fiber.Interrupted -> false
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-    end
-  in
-  loop ()
+let wait_cond t waitq ~timeout_ns cond =
+  Sync.Waitq.await t.k.Kernel.eng waitq ~timeout_ns cond = Fiber.Normal
 
-let wait_ready t ~timeout_ns = wait_cond t.k t.ready_wait ~timeout_ns (fun () -> t.ready)
+let wait_ready t ~timeout_ns = wait_cond t t.ready_wait ~timeout_ns (fun () -> t.ready)
 
 let sync_call t kind args =
   if t.quiescing then Error "driver quiesced"
-  else
-  match Uchan.transfer t.chan ~from:`Kernel Uchan.Sync (Msg.make ~kind ~args ()) with
-  | Error Uchan.Hung -> Error "driver hung"
-  | Error Uchan.Interrupted -> Error "interrupted"
-  | Error Uchan.Closed -> Error "driver is gone"
-  | Ok r when Msg.arg r 0 <> 0 -> Error (Bytes.to_string r.Msg.payload)
-  | Ok r -> Ok r
+  else Proxy_proto.status (Uchan.call t.chan (Msg.make ~kind ~args ()))
 
 let start t = Result.map (fun _ -> ()) (sync_call t Proxy_proto.up_audio_start [])
 let stop t = Result.map (fun _ -> ()) (sync_call t Proxy_proto.up_audio_stop [])
@@ -97,7 +79,7 @@ let write t pcm =
     let n = min (Bytes.length pcm) buf.Bufpool.size in
     Bufpool.write t.pool buf ~off:0 (Bytes.sub pcm 0 n);
     (match
-       Uchan.transfer t.chan ~from:`Kernel Uchan.Async
+       Uchan.post t.chan
          (Msg.make ~kind:Proxy_proto.up_audio_write ~args:[ buf.Bufpool.id; n ] ())
      with
      | Ok () -> n
@@ -114,7 +96,7 @@ let periods_elapsed t = t.periods
 
 let wait_period t ~timeout_ns =
   let before = t.periods in
-  wait_cond t.k t.period_wait ~timeout_ns (fun () -> t.periods > before)
+  wait_cond t t.period_wait ~timeout_ns (fun () -> t.periods > before)
 
 (* Handoff carries the mirrored playback position, so an adopted
    generation continues the period count instead of restarting at 0. *)

@@ -160,7 +160,7 @@ let send_submit t br =
                (* The single data copy on the write path: kernel-private
                   request bytes -> shared buffer.  The retained copy in
                   [rq_data] is what replay re-sends after a crash. *)
-               Driver_api.charge t.sud
+               Cpu.charge t.sud
                  (Cost_model.copy_cost (model t) ~bytes:(Bytes.length rq.Blkdev.rq_data));
                Bufpool.write t.pool buf ~off:0 rq.Blkdev.rq_data
              | None -> ());
@@ -180,7 +180,7 @@ let send_submit t br =
        submissions, plus an interrupt kick per queue, share the 256
        slots of a ring. *)
     (match
-       Uchan.transfer t.chan ~queue:(queue_of t br) ~from:`Kernel Uchan.Async
+       Uchan.post ~queue:(queue_of t br) t.chan
          (Msg.make ~kind:Proxy_proto.up_blk_submit
             ~args:[ br.br_tag; br.br_op; br.br_lba; br.br_count; buf1 ] ())
      with
@@ -320,8 +320,7 @@ let handle_complete t m =
         (match Bufpool.get t.pool br.br_buf with
          | Some buf when Safe_pci.grant_alive t.grant ->
            let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
-           Driver_api.charge t.sud
-             (Cost_model.copy_cost (model t) ~bytes:len);
+           Cpu.charge t.sud (Cost_model.copy_cost (model t) ~bytes:len);
            (match
               Safe_pci.read_driver_mem_into t.grant ~iova:buf.Bufpool.addr ~len
                 ~dst:rq.Blkdev.rq_data ~dst_off:0
@@ -486,33 +485,8 @@ let inflight_summary t =
   ^ Printf.sprintf "\npending %d on_wire %d quiescing %b is_hung %b"
       (Queue.length t.pending) t.on_wire t.quiescing t.is_hung
 
-let wait_ready t ~timeout_ns =
-  let deadline = Engine.now t.k.Kernel.eng + timeout_ns in
-  let rec loop () =
-    if t.nqueues > 0 then t.p.p_blkdev
-    else
-      let left = deadline - Engine.now t.k.Kernel.eng in
-      if left <= 0 then None
-      else
-        match Sync.Waitq.wait_timeout t.k.Kernel.eng t.ready left with
-        | Fiber.Interrupted -> None
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-  in
-  loop ()
-
 let wait_registered t ~timeout_ns =
-  let deadline = Engine.now t.k.Kernel.eng + timeout_ns in
-  let rec loop () =
-    if t.nqueues > 0 then true
-    else
-      let left = deadline - Engine.now t.k.Kernel.eng in
-      if left <= 0 then false
-      else
-        match Sync.Waitq.wait_timeout t.k.Kernel.eng t.ready left with
-        | Fiber.Interrupted -> false
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-  in
-  loop ()
+  Sync.Waitq.await t.k.Kernel.eng t.ready ~timeout_ns (fun () -> t.nqueues > 0) = Fiber.Normal
 
 let request_timeout_ns = 10_000_000
 

@@ -53,14 +53,11 @@ val create :
     forged; quiesce does not detach; {!Proxy_class.resume} refuses to
     serve until {!Proxy_class.adopt} swaps the proxy in. *)
 
-val wait_ready : t -> timeout_ns:int -> Blkdev.t option
-(** Block until the driver registers its block device (or time out). *)
-
 val wait_registered : t -> timeout_ns:int -> bool
-(** Like {!wait_ready} but keyed on the registration downcall alone, so
-    it is also satisfied by a {e parked} registration (which leaves the
-    blkdev with the live generation) — the warm-standby readiness
-    probe. *)
+(** Block until the driver registers its block device (or time out).
+    Keyed on the registration downcall alone, so a {e parked}
+    registration (which leaves the blkdev with the live generation)
+    counts: this is also the warm-standby readiness probe. *)
 
 type Proxy_class.state += Blk_state of persist
 (** The blk class's handoff payload: the generation-independent persist

@@ -33,7 +33,7 @@ let adopt (Instance ((module P), x)) st = P.adopt x st
    implementation serves every proxy class. *)
 let heartbeat inst =
   match
-    Uchan.transfer (chan inst) ~from:`Kernel Uchan.Sync
+    Uchan.call (chan inst)
       (Msg.make ~kind:Proxy_proto.up_ping ())
   with
   | Ok _ -> Ok ()

@@ -86,36 +86,28 @@ let dq t q =
 
 (* ---- netdev ops: kernel callbacks -> upcalls ---- *)
 
+(* A sync upcall's result, after recording a [Hung] one against the
+   driver. *)
+let hung_on t why r =
+  (match r with Error Uchan.Hung -> mark_hung t why | Ok _ | Error _ -> ());
+  r
+
 let do_open t () =
-  match Uchan.transfer t.chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:Proxy_proto.up_net_open ()) with
-  | Ok r when Msg.arg r 0 = 0 -> Ok ()
-  | Ok r -> Error (Bytes.to_string r.Msg.payload)
-  | Error Uchan.Hung ->
-    mark_hung t "open upcall timed out";
-    Error "driver hung"
-  | Error Uchan.Interrupted -> Error "interrupted"
-  | Error Uchan.Closed -> Error "driver is gone"
+  Uchan.call t.chan (Msg.make ~kind:Proxy_proto.up_net_open ())
+  |> hung_on t "open upcall timed out" |> Proxy_proto.status |> Result.map ignore
 
 let do_stop t () =
-  match Uchan.transfer t.chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:Proxy_proto.up_net_stop ()) with
-  | Ok _ -> ()
-  | Error Uchan.Hung -> mark_hung t "stop upcall timed out"
-  | Error (Uchan.Interrupted | Uchan.Closed) -> ()
+  ignore
+    (hung_on t "stop upcall timed out"
+       (Uchan.call t.chan (Msg.make ~kind:Proxy_proto.up_net_stop ()))
+     : (Msg.t, Uchan.error) result)
 
 let do_ioctl t ~cmd ~arg =
   if t.quiescing then Error "driver quiesced"
   else
-  match
-    Uchan.transfer t.chan ~from:`Kernel Uchan.Sync
-      (Msg.make ~kind:Proxy_proto.up_net_ioctl ~args:[ cmd; arg ] ())
-  with
-  | Ok r when Msg.arg r 0 = 0 -> Ok (Msg.arg r 1)
-  | Ok r -> Error (Bytes.to_string r.Msg.payload)
-  | Error Uchan.Hung ->
-    mark_hung t "ioctl upcall timed out";
-    Error "driver hung"
-  | Error Uchan.Interrupted -> Error "interrupted"
-  | Error Uchan.Closed -> Error "driver is gone"
+    Uchan.call t.chan (Msg.make ~kind:Proxy_proto.up_net_ioctl ~args:[ cmd; arg ] ())
+    |> hung_on t "ioctl upcall timed out" |> Proxy_proto.status
+    |> Result.map (fun r -> Msg.arg r 1)
 
 let do_xmit t ~queue skb =
   if t.quiescing then Netdev.Xmit_busy
@@ -133,11 +125,10 @@ let do_xmit t ~queue skb =
          driver and the device then use the same bytes in place.  The
          upcall rides the ring matching the TX queue, so queue q's
          traffic wakes only the driver's queue-q service fiber. *)
-      Driver_api.charge t.sud
-        (Cost_model.copy_cost (model t) ~bytes:len);
+      Cpu.charge t.sud (Cost_model.copy_cost (model t) ~bytes:len);
       Bufpool.write t.pool buf ~off:0 skb.Skbuff.data;
       match
-        Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Kernel Uchan.Async
+        Uchan.post ~queue:(uq t queue) t.chan
           (Msg.make ~kind:Proxy_proto.up_net_xmit ~args:[ buf.Bufpool.id; len ] ())
       with
       | Ok () -> Netdev.Xmit_ok
@@ -174,8 +165,7 @@ let handle_rx t ~queue m =
            folds the transport checksum over the copy, so it costs
            max(copy, checksum) + epsilon instead of two full passes, and
            the verdict is immune to the driver rewriting its buffer. *)
-        Driver_api.charge t.sud
-          (Cost_model.fused_copy_checksum_cost (model t) ~bytes:len);
+        Cpu.charge t.sud (Cost_model.fused_copy_checksum_cost (model t) ~bytes:len);
         if not (Netstack.frame_checksum_ok buf) then begin
           Sud_obs.Metrics.incr t.rx_csum_bad;
           pool_put t buf;
@@ -348,35 +338,10 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
 
 let netdev t = t.dev
 
-let wait_ready t ~timeout_ns =
-  let deadline = Engine.now t.k.Kernel.eng + timeout_ns in
-  let rec loop () =
-    match t.dev with
-    | Some dev -> Some dev
-    | None ->
-      let left = deadline - Engine.now t.k.Kernel.eng in
-      if left <= 0 then None
-      else
-        match Sync.Waitq.wait_timeout t.k.Kernel.eng t.ready left with
-        | Fiber.Interrupted -> None
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-  in
-  loop ()
-
 let wait_registered t ~timeout_ns =
-  let deadline = Engine.now t.k.Kernel.eng + timeout_ns in
-  let registered () = t.dev <> None || t.pending_attach <> None in
-  let rec loop () =
-    if registered () then true
-    else
-      let left = deadline - Engine.now t.k.Kernel.eng in
-      if left <= 0 then false
-      else
-        match Sync.Waitq.wait_timeout t.k.Kernel.eng t.ready left with
-        | Fiber.Interrupted -> false
-        | Fiber.Normal | Fiber.Timeout -> loop ()
-  in
-  loop ()
+  Sync.Waitq.await t.k.Kernel.eng t.ready ~timeout_ns (fun () ->
+      t.dev <> None || t.pending_attach <> None)
+  = Fiber.Normal
 
 let hung t = t.is_hung
 

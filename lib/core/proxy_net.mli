@@ -43,13 +43,10 @@ val create :
 
 val netdev : t -> Netdev.t option
 
-val wait_ready : t -> timeout_ns:int -> Netdev.t option
-(** Block (fiber) until the driver has registered, or time out. *)
-
 val wait_registered : t -> timeout_ns:int -> bool
-(** Like {!wait_ready} but also satisfied by a {e parked} registration
-    (one recorded but not yet applied) — the warm-standby readiness
-    probe. *)
+(** Block (fiber) until the driver has registered, or time out.  A
+    {e parked} registration (one recorded but not yet applied) counts:
+    this is also the warm-standby readiness probe. *)
 
 type Proxy_class.state += Net_state of { dev : Netdev.t option; up : bool }
 (** The net class's handoff payload: the surviving kernel netdev (if

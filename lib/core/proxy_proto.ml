@@ -66,10 +66,30 @@ let down_input_key = op 114 "input_key"                (* async; args [keycode] 
 let down_wifi_rates = op 115 "wifi_rates"              (* async; payload = rates, one u16 each *)
 let down_audio_register = op 116 "audio_register"      (* sync *)
 let down_blkdev_register = op 117 "blkdev_register"    (* sync; args [capacity; nr_queues] *)
-let down_blk_complete = op 118 "blk_complete"          (* async (Batched); args [tag; status] *)
+let down_blk_complete = op 118 "blk_complete"          (* async, batched; args [tag; status] *)
 let down_printk = op 120 "printk"                      (* async; payload = message *)
 
 let opcodes = List.rev !declared
+
+(* ---- sync replies ----
+
+   A sync reply echoes its request's seq and kind, with a status word in
+   arg 0: 0 then the results on success, 1 and the driver's error text as
+   the payload on failure. *)
+
+let ok m results = Msg.make ~seq:m.Msg.seq ~kind:m.Msg.kind ~args:(0 :: results) ()
+
+let err m e =
+  Msg.make ~seq:m.Msg.seq ~kind:m.Msg.kind ~args:[ 1 ] ~payload:(Bytes.of_string e) ()
+
+(* A sync upcall's outcome as the proxy reports it: the reply, the
+   driver's error text, or what became of the call. *)
+let status = function
+  | Ok r when Msg.arg r 0 = 0 -> Ok r
+  | Ok r -> Error (Bytes.to_string r.Msg.payload)
+  | Error Uchan.Hung -> Error "driver hung"
+  | Error Uchan.Interrupted -> Error "interrupted"
+  | Error Uchan.Closed -> Error "driver is gone"
 
 (* Kind vocabulary for the uchan conformance DFA, covering the
    driver->kernel (downcall) direction the kernel adjudicates.  The

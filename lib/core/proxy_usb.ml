@@ -57,19 +57,9 @@ let create k ~chan ~grant ~pool ~name () =
   t
 
 let wait_block t ~timeout_ns =
-  let deadline = Engine.now t.k.Kernel.eng + timeout_ns in
-  let rec loop () =
-    match t.cap with
-    | Some c -> Some c
-    | None ->
-      let left = deadline - Engine.now t.k.Kernel.eng in
-      if left <= 0 then None
-      else
-        (match Sync.Waitq.wait_timeout t.k.Kernel.eng t.blk_wait left with
-         | Fiber.Interrupted -> None
-         | Fiber.Normal | Fiber.Timeout -> loop ())
-  in
-  loop ()
+  match Sync.Waitq.await t.k.Kernel.eng t.blk_wait ~timeout_ns (fun () -> t.cap <> None) with
+  | Fiber.Normal -> t.cap
+  | Fiber.Timeout | Fiber.Interrupted -> None
 
 (* Block data moves through shared buffers, at most one pool buffer per
    request; larger requests are split. *)
@@ -85,17 +75,12 @@ let read_chunk t ~lba ~count =
       Bufpool.free t.pool buf.Bufpool.id;
       r
     in
-    (match
-       Uchan.transfer t.chan ~from:`Kernel Uchan.Sync
-         (Msg.make ~kind:Proxy_proto.up_blk_read ~args:[ lba; count; buf.Bufpool.id ] ())
-     with
-     | Error Uchan.Hung -> finish (Error "driver hung")
-     | Error Uchan.Interrupted -> finish (Error "interrupted")
-     | Error Uchan.Closed -> finish (Error "driver is gone")
-     | Ok r when Msg.arg r 0 <> 0 -> finish (Error (Bytes.to_string r.Msg.payload))
-     | Ok _ ->
-       (* Defensive copy out of the shared buffer. *)
-       finish (Ok (Bufpool.read t.pool buf ~off:0 ~len:(count * block_size))))
+    Uchan.call t.chan
+      (Msg.make ~kind:Proxy_proto.up_blk_read ~args:[ lba; count; buf.Bufpool.id ] ())
+    |> Proxy_proto.status
+    (* Defensive copy out of the shared buffer. *)
+    |> Result.map (fun _ -> Bufpool.read t.pool buf ~off:0 ~len:(count * block_size))
+    |> finish
 
 let read_blocks t ~lba ~count =
   if count <= 0 then Error "count must be positive"
@@ -125,15 +110,9 @@ let write_chunk t ~lba data =
       Bufpool.free t.pool buf.Bufpool.id;
       r
     in
-    (match
-       Uchan.transfer t.chan ~from:`Kernel Uchan.Sync
-         (Msg.make ~kind:Proxy_proto.up_blk_write ~args:[ lba; count; buf.Bufpool.id ] ())
-     with
-     | Error Uchan.Hung -> finish (Error "driver hung")
-     | Error Uchan.Interrupted -> finish (Error "interrupted")
-     | Error Uchan.Closed -> finish (Error "driver is gone")
-     | Ok r when Msg.arg r 0 <> 0 -> finish (Error (Bytes.to_string r.Msg.payload))
-     | Ok _ -> finish (Ok ()))
+    Uchan.call t.chan
+      (Msg.make ~kind:Proxy_proto.up_blk_write ~args:[ lba; count; buf.Bufpool.id ] ())
+    |> Proxy_proto.status |> Result.map ignore |> finish
 
 let write_blocks t ~lba data =
   if Bytes.length data = 0 || Bytes.length data mod block_size <> 0 then

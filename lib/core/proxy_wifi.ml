@@ -42,48 +42,30 @@ let create k ~chan ~grant ~pool ~name ?defensive_copy () =
 
 let net t = t.pnet
 let netdev t = Proxy_net.netdev t.pnet
-let wait_ready t ~timeout_ns = Proxy_net.wait_ready t.pnet ~timeout_ns
 
 let scan t =
   t.scan_results <- None;
-  match Uchan.transfer t.chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:Proxy_proto.up_wifi_scan ()) with
-  | Error Uchan.Hung -> Error "driver hung"
-  | Error Uchan.Interrupted -> Error "interrupted"
-  | Error Uchan.Closed -> Error "driver is gone"
-  | Ok r when Msg.arg r 0 <> 0 -> Error (Bytes.to_string r.Msg.payload)
+  match Proxy_proto.status (Uchan.call t.chan (Msg.make ~kind:Proxy_proto.up_wifi_scan ())) with
+  | Error e -> Error e
   | Ok _ ->
     (* The firmware scans asynchronously; wait for the completion event. *)
-    let deadline = Engine.now t.k.Kernel.eng + 50_000_000 in
-    let rec await () =
-      match t.scan_results with
-      | Some bssids -> Ok bssids
-      | None ->
-        let left = deadline - Engine.now t.k.Kernel.eng in
-        if left <= 0 then Error "scan timed out"
-        else
-          (match Sync.Waitq.wait_timeout t.k.Kernel.eng t.scan_wait left with
-           | Fiber.Interrupted -> Error "interrupted"
-           | Fiber.Normal | Fiber.Timeout -> await ())
-    in
-    await ()
+    (match
+       Sync.Waitq.await t.k.Kernel.eng t.scan_wait ~timeout_ns:50_000_000 (fun () ->
+           t.scan_results <> None)
+     with
+     | Fiber.Interrupted -> Error "interrupted"
+     | Fiber.Normal | Fiber.Timeout -> Option.to_result ~none:"scan timed out" t.scan_results)
 
 let associate t ~bssid =
-  match
-    Uchan.transfer t.chan ~from:`Kernel Uchan.Sync
-      (Msg.make ~kind:Proxy_proto.up_wifi_assoc ~args:[ bssid ] ())
-  with
-  | Error Uchan.Hung -> Error "driver hung"
-  | Error Uchan.Interrupted -> Error "interrupted"
-  | Error Uchan.Closed -> Error "driver is gone"
-  | Ok r when Msg.arg r 0 <> 0 -> Error (Bytes.to_string r.Msg.payload)
-  | Ok _ -> Ok ()
+  Uchan.call t.chan (Msg.make ~kind:Proxy_proto.up_wifi_assoc ~args:[ bssid ] ())
+  |> Proxy_proto.status |> Result.map ignore
 
 let bitrates t = t.rates
 
 let set_rate t idx =
   (* Queued asynchronously: callable while non-preemptable (§3.1.1). *)
   ignore
-    (Uchan.transfer t.chan ~from:`Kernel Uchan.Nonblock
+    (Uchan.post_nonblock t.chan
        (Msg.make ~kind:Proxy_proto.up_wifi_set_rate ~args:[ idx ] ())
      : bool)
 

@@ -21,7 +21,6 @@ val create :
 
 val net : t -> Proxy_net.t
 val netdev : t -> Netdev.t option
-val wait_ready : t -> timeout_ns:int -> Netdev.t option
 
 val scan : t -> (int list, string) result
 (** Trigger a scan and wait (with timeout) for the firmware's

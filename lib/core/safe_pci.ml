@@ -72,7 +72,7 @@ let device_files t bdf =
 
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
-let charge g ns = Driver_api.charge (Process.cell g.g_proc) ns
+let charge g ns = Cpu.charge (Process.cell g.g_proc) ns
 
 let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 

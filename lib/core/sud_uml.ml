@@ -53,11 +53,11 @@ let env t =
     env_may_sleep = (fun () -> true);
     env_printk =
       (fun s ->
-         Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched t.chan
            (Msg.make ~kind:Proxy_proto.down_printk ~payload:(Bytes.of_string s) ()));
-    env_udelay = (fun us -> Driver_api.charge (Process.cell t.proc) (us * 1_000));
+    env_udelay = (fun us -> Cpu.charge (Process.cell t.proc) (us * 1_000));
     env_spawn = (fun ~name fn -> ignore (Process.spawn_fiber t.proc ~name fn : Fiber.t));
-    env_consume = (fun ns -> Driver_api.charge (Process.cell t.proc) ns) }
+    env_consume = (fun ns -> Cpu.charge (Process.cell t.proc) ns) }
 
 let pcidev t =
   let g = t.grant in
@@ -70,7 +70,7 @@ let pcidev t =
     let chan = t.chan in
     Safe_pci.setup_irqs g ~n ~sink:(fun ~queue ->
         ignore
-          (Uchan.transfer chan ~queue:(uq t queue) ~from:`Kernel Uchan.Nonblock
+          (Uchan.post_nonblock ~queue:(uq t queue) chan
              (Msg.make ~kind:Proxy_proto.up_interrupt ~args:[ queue ] ())
            : bool))
   in
@@ -91,7 +91,7 @@ let pcidev t =
          Safe_pci.teardown_irqs g);
     pd_irq_ack =
       (fun ?(queue = 0) () ->
-         Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_irq_ack ~args:[ queue ] ()));
     pd_msix_vectors =
       (fun () -> min (Safe_pci.msix_vectors g) (Uchan.num_queues t.chan));
@@ -123,12 +123,12 @@ let net_callbacks t st_ref =
          (* skb wrapping + netif_rx downcall bookkeeping in SUD-UML.
             Each RX queue batches onto its own ring: per-queue flush
             buffers, never cross-queue contention. *)
-         Driver_api.charge (Process.cell t.proc) (uml_packet_cost len);
-         Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+         Cpu.charge (Process.cell t.proc) (uml_packet_cost len);
+         Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_netif_rx ~args:[ addr; len ] ()));
     nc_tx_free =
       (fun ~queue ~token ->
-         Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_tx_free ~args:[ token ] ()));
     nc_tx_done =
       (fun ~queue ->
@@ -148,19 +148,22 @@ let net_callbacks t st_ref =
             in
             drain ()
           | Some _ | None -> ());
-         Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_tx_done ()));
     nc_carrier =
       (fun up ->
-         Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched t.chan
            (Msg.make ~kind:Proxy_proto.down_carrier ~args:[ (if up then 1 else 0) ] ())) }
 
-let reply_ok t ?(queue = 0) m ?(args = [ 0 ]) ?payload () =
-  Uchan.reply ~queue t.chan (Msg.make ~seq:m.Msg.seq ~kind:m.Msg.kind ~args ?payload ())
+(* A worker job's outcome, as the sync reply to upcall [m]. *)
+let reply_result t ~queue m = function
+  | Ok () -> Uchan.reply ~queue t.chan (Proxy_proto.ok m [])
+  | Error e -> Uchan.reply ~queue t.chan (Proxy_proto.err m e)
 
-let reply_err t ?(queue = 0) m e =
-  Uchan.reply ~queue t.chan
-    (Msg.make ~seq:m.Msg.seq ~kind:m.Msg.kind ~args:[ 1 ] ~payload:(Bytes.of_string e) ())
+(* Unknown upcall: reply with an error if a reply is expected, so the
+   kernel never blocks on us. *)
+let unsupported t ~queue m =
+  if m.Msg.seq <> 0 then Uchan.reply ~queue t.chan (Proxy_proto.err m "unsupported upcall")
 
 let to_worker t job =
   t.n_worker <- t.n_worker + 1;
@@ -172,7 +175,7 @@ let handle_interrupt t ~queue =
   (match t.irq_handler with Some h -> h ~queue | None -> ());
   (* "The driver indicates that it has finished processing" — ack so the
      kernel unmasks that vector (its siblings were never masked). *)
-  Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+  Uchan.downcall_batched ~queue:(uq t queue) t.chan
     (Msg.make ~kind:Proxy_proto.down_irq_ack ~args:[ queue ] ())
 
 let dispatch_net t st ~queue m =
@@ -183,7 +186,7 @@ let dispatch_net t st ~queue m =
        transmits (paper 6, "Optimized drivers") -- charged here. *)
     let id = Msg.arg m 0 and len = Msg.arg m 1 in
     let txq = if queue < Array.length st.tx_backlog then queue else 0 in
-    Driver_api.charge (Process.cell t.proc) (uml_packet_cost len);
+    Cpu.charge (Process.cell t.proc) (uml_packet_cost len);
     match Bufpool.get t.pool id with
     | None -> ()      (* kernel is trusted; only possible after close *)
     | Some buf ->
@@ -197,34 +200,24 @@ let dispatch_net t st ~queue m =
        | `Ok -> ()
        | `Busy -> st.tx_backlog.(txq) <- st.tx_backlog.(txq) @ [ txb ])
   end
-  else if kind = Proxy_proto.up_interrupt then
-    handle_interrupt t ~queue:(Msg.arg m 0)
-  else if kind = Proxy_proto.up_ping then
-    (* Supervisor heartbeat: answered inline, so a reply proves the main
-       upcall loop is alive, not merely a worker fiber. *)
-    reply_ok t ~queue m ()
   else if kind = Proxy_proto.up_net_open then
-    to_worker t (fun () ->
-        match st.inst.Driver_api.ni_open () with
-        | Ok () -> reply_ok t ~queue m ()
-        | Error e -> reply_err t ~queue m e)
+    to_worker t (fun () -> reply_result t ~queue m (st.inst.Driver_api.ni_open ()))
   else if kind = Proxy_proto.up_net_stop then
     to_worker t (fun () ->
         st.inst.Driver_api.ni_stop ();
-        reply_ok t ~queue m ())
+        Uchan.reply ~queue t.chan (Proxy_proto.ok m []))
   else if kind = Proxy_proto.up_net_ioctl then
     to_worker t (fun () ->
         match st.inst.Driver_api.ni_ioctl ~cmd:(Msg.arg m 0) ~arg:(Msg.arg m 1) with
-        | Ok v -> reply_ok t ~queue m ~args:[ 0; v ] ()
-        | Error e -> reply_err t ~queue m e)
-  else
-    (* Unknown upcall: reply with an error if a reply is expected, so the
-       kernel never blocks on us. *)
-    if m.Msg.seq <> 0 then reply_err t ~queue m "unsupported upcall"
+        | Ok v -> Uchan.reply ~queue t.chan (Proxy_proto.ok m [ v ])
+        | Error e -> Uchan.reply ~queue t.chan (Proxy_proto.err m e))
+  else unsupported t ~queue m
 
 (* One service loop per uchan ring.  Queue 0 runs in the caller's fiber
    (it doubles as the control path); data queues get their own fibers,
-   so a busy ring never delays its siblings' interrupts or heartbeats. *)
+   so a busy ring never delays its siblings' interrupts or heartbeats.
+   Every class answers those two alike, inline; [dispatch] serves the
+   class's own upcalls. *)
 let serve_queues t dispatch =
   let n = Uchan.num_queues t.chan in
   let loop_on queue () =
@@ -232,7 +225,13 @@ let serve_queues t dispatch =
       match Uchan.wait ~queue t.chan with
       | Ok m ->
         t.n_upcalls <- t.n_upcalls + 1;
-        dispatch ~queue m;
+        let kind = m.Msg.kind in
+        if kind = Proxy_proto.up_interrupt then handle_interrupt t ~queue:(Msg.arg m 0)
+        else if kind = Proxy_proto.up_ping then
+          (* Supervisor heartbeat: answered inline, so a reply proves the
+             service loop is alive, not merely a worker fiber. *)
+          Uchan.reply ~queue t.chan (Proxy_proto.ok m [])
+        else dispatch ~queue m;
         loop ()
       | Error Uchan.Interrupted -> loop ()   (* non-fatal signal *)
       | Error (Uchan.Closed | Uchan.Hung) -> ()
@@ -257,7 +256,7 @@ let serve_net t (drv : Driver_api.net_driver) =
     let st = { inst; tx_backlog = Array.make nq [] } in
     st_ref := Some st;
     (match
-       Uchan.transfer t.chan ~from:`Driver Uchan.Sync
+       Uchan.downcall t.chan
          (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ nq ]
             ~payload:inst.Driver_api.ni_mac ())
      with
@@ -272,15 +271,10 @@ let worker_dispatches t = t.n_worker
 let dispatch_wifi t (wi : Driver_api.wifi_instance) st ~queue m =
   let kind = m.Msg.kind in
   if kind = Proxy_proto.up_wifi_scan then
-    to_worker t (fun () ->
-        match wi.Driver_api.wi_scan () with
-        | Ok () -> reply_ok t ~queue m ()
-        | Error e -> reply_err t ~queue m e)
+    to_worker t (fun () -> reply_result t ~queue m (wi.Driver_api.wi_scan ()))
   else if kind = Proxy_proto.up_wifi_assoc then
     to_worker t (fun () ->
-        match wi.Driver_api.wi_associate ~bssid:(Msg.arg m 0) with
-        | Ok () -> reply_ok t ~queue m ()
-        | Error e -> reply_err t ~queue m e)
+        reply_result t ~queue m (wi.Driver_api.wi_associate ~bssid:(Msg.arg m 0)))
   else if kind = Proxy_proto.up_wifi_set_rate then
     (* Asynchronous by design: queued from non-preemptable kernel context. *)
     ignore (wi.Driver_api.wi_set_rate (Msg.arg m 0) : (unit, string) result)
@@ -295,11 +289,11 @@ let serve_wifi t (drv : Driver_api.wifi_driver) =
         (fun bssids ->
            let payload = Bytes.create (2 * List.length bssids) in
            List.iteri (fun i b -> Bytes.set_uint16_le payload (2 * i) b) bssids;
-           Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+           Uchan.downcall_batched t.chan
              (Msg.make ~kind:Proxy_proto.down_wifi_scan_done ~payload ()));
       wc_bss_changed =
         (fun bssid ->
-           Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+           Uchan.downcall_batched t.chan
              (Msg.make ~kind:Proxy_proto.down_wifi_bss_changed ~args:[ bssid ] ())) }
   in
   match drv.Driver_api.wd_probe (env t) (pcidev t) callbacks with
@@ -313,10 +307,10 @@ let serve_wifi t (drv : Driver_api.wifi_driver) =
     let rates = wi.Driver_api.wi_bitrates () in
     let rates_payload = Bytes.create (2 * List.length rates) in
     List.iteri (fun i r -> Bytes.set_uint16_le rates_payload (2 * i) r) rates;
-    Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+    Uchan.downcall_batched t.chan
       (Msg.make ~kind:Proxy_proto.down_wifi_rates ~payload:rates_payload ());
     (match
-       Uchan.transfer t.chan ~from:`Driver Uchan.Sync
+       Uchan.downcall t.chan
          (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ nq ]
             ~payload:inst.Driver_api.ni_mac ())
      with
@@ -334,47 +328,38 @@ let dispatch_audio t (au : Driver_api.audio_instance) ~queue m =
     | None -> ()
     | Some buf ->
       let pcm = Bufpool.read t.pool buf ~off:0 ~len in
-      Driver_api.charge (Process.cell t.proc) 800;
+      Cpu.charge (Process.cell t.proc) 800;
       ignore (au.Driver_api.au_write pcm : int);
-      Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+      Uchan.downcall_batched t.chan
         (Msg.make ~kind:Proxy_proto.down_tx_free ~args:[ id ] ())
   end
-  else if kind = Proxy_proto.up_interrupt then
-    handle_interrupt t ~queue:(Msg.arg m 0)
-  else if kind = Proxy_proto.up_ping then reply_ok t ~queue m ()
   else if kind = Proxy_proto.up_audio_start then
-    to_worker t (fun () ->
-        match au.Driver_api.au_start () with
-        | Ok () -> reply_ok t ~queue m ()
-        | Error e -> reply_err t ~queue m e)
+    to_worker t (fun () -> reply_result t ~queue m (au.Driver_api.au_start ()))
   else if kind = Proxy_proto.up_audio_stop then
     to_worker t (fun () ->
         au.Driver_api.au_stop ();
-        reply_ok t ~queue m ())
+        Uchan.reply ~queue t.chan (Proxy_proto.ok m []))
   else if kind = Proxy_proto.up_audio_set_vol then
-    to_worker t (fun () ->
-        match au.Driver_api.au_set_volume (Msg.arg m 0) with
-        | Ok () -> reply_ok t ~queue m ()
-        | Error e -> reply_err t ~queue m e)
+    to_worker t (fun () -> reply_result t ~queue m (au.Driver_api.au_set_volume (Msg.arg m 0)))
   else if kind = Proxy_proto.up_audio_get_vol then
     to_worker t (fun () ->
         match au.Driver_api.au_get_volume () with
-        | Ok v -> reply_ok t ~queue m ~args:[ 0; v ] ()
-        | Error e -> reply_err t ~queue m e)
-  else if m.Msg.seq <> 0 then reply_err t ~queue m "unsupported upcall"
+        | Ok v -> Uchan.reply ~queue t.chan (Proxy_proto.ok m [ v ])
+        | Error e -> Uchan.reply ~queue t.chan (Proxy_proto.err m e))
+  else unsupported t ~queue m
 
 let serve_audio t (drv : Driver_api.audio_driver) =
   let callbacks =
     { Driver_api.ac_period_elapsed =
         (fun () ->
-           Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+           Uchan.downcall_batched t.chan
              (Msg.make ~kind:Proxy_proto.down_audio_period ())) }
   in
   match drv.Driver_api.ad_probe (env t) (pcidev t) callbacks with
   | Error e -> (env t).Driver_api.env_printk (Printf.sprintf "probe failed: %s" e)
   | Ok au ->
     (match
-       Uchan.transfer t.chan ~from:`Driver Uchan.Sync
+       Uchan.downcall t.chan
          (Msg.make ~kind:Proxy_proto.down_audio_register ())
      with
      | Ok _ -> serve_queues t (dispatch_audio t au)
@@ -422,7 +407,7 @@ let blk_callbacks t st_ref =
          (match !st_ref with
           | Some st -> blk_drain_pending st queue
           | None -> ());
-         Uchan.transfer t.chan ~queue:(uq t queue) ~from:`Driver Uchan.Batched
+         Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_blk_complete ~args:[ tag; status ] ())) }
 
 let dispatch_blk t st ~queue m =
@@ -432,7 +417,7 @@ let dispatch_blk t st ~queue m =
        buffer id is encoded +1 on the wire (0 = no buffer — flush). *)
     let tag = Msg.arg m 0 and op = Msg.arg m 1 and lba = Msg.arg m 2 in
     let count = Msg.arg m 3 and buf1 = Msg.arg m 4 in
-    Driver_api.charge (Process.cell t.proc) 300;
+    Cpu.charge (Process.cell t.proc) 300;
     let addr =
       if buf1 = 0 then Some 0
       else
@@ -444,10 +429,7 @@ let dispatch_blk t st ~queue m =
     | None -> ()
     | Some addr -> blk_try_submit st ~queue ~tag ~op ~lba ~count ~addr
   end
-  else if kind = Proxy_proto.up_interrupt then
-    handle_interrupt t ~queue:(Msg.arg m 0)
-  else if kind = Proxy_proto.up_ping then reply_ok t ~queue m ()
-  else if m.Msg.seq <> 0 then reply_err t ~queue m "unsupported upcall"
+  else unsupported t ~queue m
 
 let serve_blk t (drv : Driver_api.blk_driver) =
   let st_ref = ref None in
@@ -459,7 +441,7 @@ let serve_blk t (drv : Driver_api.blk_driver) =
     let st = { binst; blk_pending = Array.init nq (fun _ -> Queue.create ()) } in
     st_ref := Some st;
     (match
-       Uchan.transfer t.chan ~from:`Driver Uchan.Sync
+       Uchan.downcall t.chan
          (Msg.make ~kind:Proxy_proto.down_blkdev_register
             ~args:[ binst.Driver_api.bi_capacity; binst.Driver_api.bi_queues ] ())
      with
@@ -470,43 +452,31 @@ let serve_blk t (drv : Driver_api.blk_driver) =
 
 let blk_block_size = 512
 
-let dispatch_usb t (blk : Driver_api.block_instance option) ~queue m =
+(* The storage device and shared buffer a block upcall [m] names. *)
+let usb_target t (blk : Driver_api.block_instance option) m =
+  match blk with
+  | None -> Error "no storage device"
+  | Some b ->
+    (match Bufpool.get t.pool (Msg.arg m 2) with
+     | None -> Error "bad buffer"
+     | Some buf when Msg.arg m 1 * blk_block_size > buf.Bufpool.size -> Error "request too large"
+     | Some buf -> Ok (b, buf))
+
+let dispatch_usb t blk ~queue m =
   let kind = m.Msg.kind in
+  let lba = Msg.arg m 0 and count = Msg.arg m 1 in
   if kind = Proxy_proto.up_blk_read then
     to_worker t (fun () ->
-        match blk with
-        | None -> reply_err t ~queue m "no storage device"
-        | Some b ->
-          let lba = Msg.arg m 0 and count = Msg.arg m 1 and id = Msg.arg m 2 in
-          (match Bufpool.get t.pool id with
-           | None -> reply_err t ~queue m "bad buffer"
-           | Some buf when count * blk_block_size > buf.Bufpool.size ->
-             reply_err t ~queue m "request too large"
-           | Some buf ->
-             (match b.Driver_api.bl_read ~lba ~count with
-              | Error e -> reply_err t ~queue m e
-              | Ok data ->
-                Bufpool.write t.pool buf ~off:0 data;
-                reply_ok t ~queue m ())))
+        reply_result t ~queue m
+          (Result.bind (usb_target t blk m) (fun (b, buf) ->
+               Result.map (Bufpool.write t.pool buf ~off:0) (b.Driver_api.bl_read ~lba ~count))))
   else if kind = Proxy_proto.up_blk_write then
     to_worker t (fun () ->
-        match blk with
-        | None -> reply_err t ~queue m "no storage device"
-        | Some b ->
-          let lba = Msg.arg m 0 and count = Msg.arg m 1 and id = Msg.arg m 2 in
-          (match Bufpool.get t.pool id with
-           | None -> reply_err t ~queue m "bad buffer"
-           | Some buf when count * blk_block_size > buf.Bufpool.size ->
-             reply_err t ~queue m "request too large"
-           | Some buf ->
-             let data = Bufpool.read t.pool buf ~off:0 ~len:(count * blk_block_size) in
-             (match b.Driver_api.bl_write ~lba data with
-              | Error e -> reply_err t ~queue m e
-              | Ok () -> reply_ok t ~queue m ())))
-  else if kind = Proxy_proto.up_interrupt then
-    handle_interrupt t ~queue:(Msg.arg m 0)
-  else if kind = Proxy_proto.up_ping then reply_ok t ~queue m ()
-  else if m.Msg.seq <> 0 then reply_err t ~queue m "unsupported upcall"
+        reply_result t ~queue m
+          (Result.bind (usb_target t blk m) (fun (b, buf) ->
+               b.Driver_api.bl_write ~lba
+                 (Bufpool.read t.pool buf ~off:0 ~len:(count * blk_block_size)))))
+  else unsupported t ~queue m
 
 let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) =
   match drv.Driver_api.ud_probe (env t) (pcidev t) with
@@ -523,7 +493,7 @@ let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) 
               | Ok b ->
                 blk := Some b;
                 ignore
-                  (Uchan.transfer t.chan ~from:`Driver Uchan.Sync
+                  (Uchan.downcall t.chan
                      (Msg.make ~kind:Proxy_proto.down_blk_register
                         ~args:[ b.Driver_api.bl_capacity () ] ())
                    : (Msg.t, Uchan.error) result)
@@ -534,7 +504,7 @@ let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) 
               bind_keyboard (env t) ud
                 { Driver_api.ic_key =
                     (fun key ->
-                       Uchan.transfer t.chan ~from:`Driver Uchan.Batched
+                       Uchan.downcall_batched t.chan
                          (Msg.make ~kind:Proxy_proto.down_input_key ~args:[ key ] ())) })
          handles);
     serve_queues t (fun ~queue m ->

@@ -513,16 +513,15 @@ let stream_connect t dev ~dst ~dst_port ~src_port =
   Hashtbl.add t.streams key st;
   stream_send_segment t st ~flags:flag_syn ~payload:Bytes.empty;
   st.snd_next <- st.snd_next + 1;
-  let deadline = Engine.now t.eng + 5_000_000 in
-  let rec wait () =
-    if st.state = Established then Ok st
-    else if Engine.now t.eng >= deadline then Error "connect: timed out"
-    else
-      match Sync.Waitq.wait_timeout t.eng st.conn_wait (deadline - Engine.now t.eng) with
-      | Fiber.Interrupted -> Error "connect: interrupted"
-      | Fiber.Normal | Fiber.Timeout -> wait ()
+  let r =
+    match
+      Sync.Waitq.await t.eng st.conn_wait ~timeout_ns:5_000_000 (fun () ->
+          st.state = Established)
+    with
+    | Fiber.Normal -> Ok st
+    | Fiber.Timeout -> Error "connect: timed out"
+    | Fiber.Interrupted -> Error "connect: interrupted"
   in
-  let r = wait () in
   (match r with Error _ -> Hashtbl.remove t.streams key | Ok _ -> ());
   r
 

@@ -1,6 +1,5 @@
 type t = {
   syscall_ns : int;
-  context_switch_ns : int;
   wakeup_ns : int;
   uchan_msg_ns : int;
   uchan_validate_ns : int;
@@ -21,13 +20,11 @@ type t = {
   softirq_entry_ns : int;
   netstack_rx_ns : int;
   netstack_tx_ns : int;
-  driver_work_ns : int;
   fused_epsilon_ns : int;
 }
 
 let default =
   { syscall_ns = 400;
-    context_switch_ns = 900;
     wakeup_ns = 4_000;
     uchan_msg_ns = 120;
     uchan_validate_ns = 12;
@@ -48,7 +45,6 @@ let default =
     softirq_entry_ns = 1_000;
     netstack_rx_ns = 800;
     netstack_tx_ns = 1_200;
-    driver_work_ns = 350;
     fused_epsilon_ns = 40 }
 
 let scaled per_kb bytes =

@@ -8,7 +8,6 @@
 
 type t = {
   syscall_ns : int;           (** user/kernel crossing *)
-  context_switch_ns : int;    (** address-space switch *)
   wakeup_ns : int;            (** waking a sleeping process (paper: ~4 us) *)
   uchan_msg_ns : int;         (** marshal + ring slot handling, per message *)
   uchan_validate_ns : int;    (** protocol-conformance adjudication per u2k slot
@@ -30,7 +29,6 @@ type t = {
   softirq_entry_ns : int;     (** entering softirq context, paid once per burst *)
   netstack_rx_ns : int;       (** per-packet protocol receive processing *)
   netstack_tx_ns : int;       (** per-packet protocol transmit processing *)
-  driver_work_ns : int;       (** per-packet device-driver bookkeeping *)
   fused_epsilon_ns : int;     (** fixed overhead of the fused copy+checksum sweep *)
 }
 

@@ -77,6 +77,12 @@ let consume_cell c ns =
    total busy time bounded by cores * elapsed in steady state. *)
 let account_cell c ns = if ns > 0 then ignore (book c ns : int)
 
+(* [Fiber.self] fails outside a fiber: an event callback cannot block. *)
+let charge c ns =
+  match Fiber.self () with
+  | _ -> consume_cell c ns
+  | exception Failure _ -> account_cell c ns
+
 let consume t ~label ns = consume_cell (cell t label) ns
 let account t ~label ns = account_cell (cell t label) ns
 

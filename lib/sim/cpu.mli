@@ -40,6 +40,10 @@ val account_cell : cell -> int -> unit
     callbacks (e.g. device-side processing) that should still count against
     utilization. *)
 
+val charge : cell -> int -> unit
+(** [consume_cell] when called from a fiber, [account_cell] from event
+    context (an engine callback, such as an interrupt handler). *)
+
 val consume : t -> label:string -> int -> unit
 (** [consume t ~label ns] is [consume_cell (cell t label) ns]. *)
 

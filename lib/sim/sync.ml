@@ -39,6 +39,20 @@ module Waitq = struct
           Engine.cancel engine timer;
           unfile ())
 
+  let await engine t ~timeout_ns cond =
+    let deadline = Engine.now engine + timeout_ns in
+    let rec loop () =
+      if cond () then Fiber.Normal
+      else
+        let left = deadline - Engine.now engine in
+        if left <= 0 then Fiber.Timeout
+        else
+          match wait_timeout engine t left with
+          | Fiber.Interrupted -> Fiber.Interrupted
+          | Fiber.Normal | Fiber.Timeout -> loop ()
+    in
+    loop ()
+
   let rec signal t =
     match Queue.take_opt t.q with
     | None -> false

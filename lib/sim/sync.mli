@@ -17,6 +17,13 @@ module Waitq : sig
   val wait_timeout : Engine.t -> t -> int -> Fiber.wake
   (** Like {!wait} but also wakes with [Timeout] after the given ns. *)
 
+  val await : Engine.t -> t -> timeout_ns:int -> (unit -> bool) -> Fiber.wake
+  (** [await engine t ~timeout_ns cond] waits on [t] until [cond ()]
+      holds, checking it first and after every wakeup: [Normal] once it
+      holds (at once, without suspending, if it already does), [Timeout]
+      when [timeout_ns] have passed without it, [Interrupted] on an
+      interrupt. *)
+
   (** A wait owns its timer and its queue entry: both die the moment the
       wait ends, however it ends.  A signalled wait's timer is cancelled
       inside {!signal}, so it can neither fire later nor wake the fiber

@@ -81,19 +81,14 @@ type t = {
 
 let model t = Cpu.cost_model t.k.Kernel.cpu
 
-let charge cell ns =
-  match Fiber.self () with
-  | _ -> Cpu.consume_cell cell ns
-  | exception Failure _ -> Cpu.account_cell cell ns
-
 (* Driver-side work and wakeups go on the running process's line; the
    kernel side of the channel (marshalling upcalls, ringing the driver,
    draining u2k) is SUD's own work, whichever fiber runs it. *)
-let consume_cur t ns = charge (Process.cell (Process.current t.k.Kernel.procs)) ns
+let consume_cur t ns = Cpu.charge (Process.cell (Process.current t.k.Kernel.procs)) ns
 
 let msg_cost t = consume_cur t (model t).Cost_model.uchan_msg_ns
 let syscall_cost t = consume_cur t (model t).Cost_model.syscall_ns
-let sud_msg_cost t = charge t.sud (model t).Cost_model.uchan_msg_ns
+let sud_msg_cost t = Cpu.charge t.sud (model t).Cost_model.uchan_msg_ns
 
 (* Waking a task that only just blocked is a cheap runqueue operation;
    only genuine sleeps pay the full wakeup latency. *)
@@ -105,7 +100,7 @@ let wakeup_cost_since t ~since =
 let kick t q =
   if Sync.Waitq.waiters q.u_waitq > 0 then begin
     Sud_obs.Metrics.incr t.um.um_notify;
-    charge t.sud (model t).Cost_model.uchan_notify_ns;
+    Cpu.charge t.sud (model t).Cost_model.uchan_notify_ns;
     ignore (Sync.Waitq.signal q.u_waitq : bool)
   end
 
@@ -273,7 +268,7 @@ let drain t q =
         | None -> ()
         | Some decoded ->
           if doorbell then Sud_obs.Metrics.incr t.um.um_notify;
-          charge t.sud (if doorbell then per_slot + m.Cost_model.uchan_notify_ns else per_slot);
+          Cpu.charge t.sud (if doorbell then per_slot + m.Cost_model.uchan_notify_ns else per_slot);
           if Sud_obs.Trace.on () then
             ignore
               (Sud_obs.Trace.emit ~cat:"uchan" ~name:"pop"
@@ -415,7 +410,8 @@ let rpc_finish t ~span ~t0 r =
          ());
   r
 
-let ksend_sync t q m =
+let call ?(queue = 0) t m =
+  let q = qstate_of t queue in
   if t.closed then Error Closed
   else begin
     let seq = fresh_seq t in
@@ -457,7 +453,8 @@ let ksend_sync t q m =
     end
   end
 
-let ksend_async t q m =
+let post ?(queue = 0) t m =
+  let q = qstate_of t queue in
   if t.closed then Error Closed
   else begin
     let m = { m with Msg.seq = 0 } in
@@ -480,7 +477,8 @@ let ksend_async t q m =
 (* Non-blocking async upcall for interrupt context: a full ring just
    drops the kick (the interrupt is edge-triggered and SUD masks until
    the driver acks anyway). *)
-let ksend_nonblock t q m =
+let post_nonblock ?(queue = 0) t m =
+  let q = qstate_of t queue in
   if t.closed then false
   else push_k2u t q { m with Msg.seq = 0 }
 
@@ -624,7 +622,8 @@ let flush ?queue t =
   | Some qi -> flush_queue t (qstate_of t qi)
   | None -> Array.iter (fun q -> flush_queue t q) t.qs
 
-let dsend_batched t q m =
+let downcall_batched ?(queue = 0) t m =
+  let q = qstate_of t queue in
   if not t.closed then begin
     q.batch <- { m with Msg.seq = 0 } :: q.batch;
     q.batch_len <- q.batch_len + 1;
@@ -642,7 +641,8 @@ let reply ?(queue = 0) t m =
     enter t q
   end
 
-let dsend_sync t q m =
+let downcall ?(queue = 0) t m =
+  let q = qstate_of t queue in
   if t.closed then Error Closed
   else begin
     ship t q;
@@ -677,69 +677,6 @@ let dsend_sync t q m =
       rpc_finish t ~span ~t0 (await ())
     end
   end
-
-let dsend_async t q m =
-  if t.closed then Error Closed
-  else begin
-    ship t q;
-    let m = { m with Msg.seq = 0 } in
-    let deadline = Engine.now t.k.Kernel.eng + full_grace_ns in
-    let rec attempt () =
-      let pushed = push_u2k_raw t q m ~is_reply:false in
-      enter t q;
-      if pushed then Ok ()
-      else if t.closed then Error Closed
-      else if Engine.now t.k.Kernel.eng >= deadline then Error Hung
-      else begin
-        (* No space waitq on this side: the ring stays full only while
-           another fiber drains it, so a short device-style backoff
-           suffices. *)
-        ignore (Fiber.sleep t.k.Kernel.eng 10_000 : Fiber.wake);
-        attempt ()
-      end
-    in
-    attempt ()
-  end
-
-let dsend_nonblock t q m =
-  if t.closed then false
-  else begin
-    let pushed = push_u2k_raw t q { m with Msg.seq = 0 } ~is_reply:false in
-    if pushed then enter t q;
-    pushed
-  end
-
-(* ---- the unified send interface ----
-
-   One entry point for the eight (side × mode) combinations the old API
-   spelled as send/asend/try_asend/usend/uasend.  The mode GADT makes
-   the return type follow the mode, so callers keep precise results
-   without five near-identical functions. *)
-
-type _ mode =
-  | Sync : (Msg.t, error) result mode
-  | Async : (unit, error) result mode
-  | Batched : unit mode
-  | Nonblock : bool mode
-
-let transfer : type r. t -> ?queue:int -> from:[ `Kernel | `Driver ] -> r mode -> Msg.t -> r =
- fun t ?(queue = 0) ~from mode m ->
-  let q = qstate_of t queue in
-  match from, mode with
-  | `Kernel, Sync -> ksend_sync t q m
-  | `Kernel, Async -> ksend_async t q m
-  | `Kernel, Batched ->
-    (* The kernel side has no batching (it is not the side that pays a
-       syscall per kick): fire best-effort and account the loss. *)
-    if not (ksend_nonblock t q m) && not t.closed then begin
-      Sud_obs.Metrics.incr t.um.um_dropped;
-      Sud_obs.Metrics.incr q.q_dropped
-    end
-  | `Kernel, Nonblock -> ksend_nonblock t q m
-  | `Driver, Sync -> dsend_sync t q m
-  | `Driver, Async -> dsend_async t q m
-  | `Driver, Batched -> dsend_batched t q m
-  | `Driver, Nonblock -> dsend_nonblock t q m
 
 let wait ?(queue = 0) t =
   let q = qstate_of t queue in

@@ -11,12 +11,12 @@
     {e interruptible} on the kernel side, so a hung driver leaves an
     abortable wait, never a wedged kernel thread.  Asynchronous
     driver-side sends are batched: they sit in the queue's pending list
-    until the driver next enters the kernel ([wait]/sync send on that
-    queue), so a burst of downcalls costs one notification — the
+    until the driver next enters the kernel ([wait] or a {!downcall} on
+    that queue), so a burst of downcalls costs one notification — the
     optimization that lets TCP_STREAM match in-kernel throughput.
 
     No kernel thread serves the channel.  Every driver-side kernel entry
-    on a queue — [wait]'s flush, a sync or async send, [reply], a
+    on a queue — [wait]'s flush, a {!downcall}, [reply], a
     batch-limit flush, {!flush}, {!inject_raw} — drains that queue's
     driver→kernel ring in the entering fiber: it pops each slot, charges
     it, adjudicates it ({!Conformance}) and runs the downcall handler,
@@ -70,39 +70,45 @@ val num_queues : t -> int
 
 val max_queues : int
 
-(** {1 The unified send interface}
+(** {1 Sends}
 
-    One entry point for every way a message crosses the channel.  The
-    mode GADT ties the return type to the delivery discipline:
+    One function per way a message crosses the channel (paper §3.1):
+    synchronous, interruptible RPCs and asynchronous ones, in each
+    direction.  Each sends on ring pair [queue] (default 0) and raises
+    [Invalid_argument] on a bad queue index.
 
-    - [Sync]: block until the peer replies; [Error Hung] after the
-      channel's hang timeout (kernel side) and interruptible on both
-      sides.
-    - [Async]: enqueue without waiting for a reply; if the ring stays
-      full past a short grace period the peer is presumed hung.
-    - [Batched]: driver side, sit in the queue's local batch until the
-      driver next enters the kernel on that queue (or the channel's batch
-      limit of messages piles up), so a burst costs one notification.
-      At flush, consecutive same-kind batchable messages
-      ({!Msg.Batch.fits}) are coalesced into scatter-gather batch slots
-      — one marshal and one per-message charge per slot of up to
-      {!Msg.Batch.max_frames} frames, not per frame.  On the kernel side
-      (which pays no syscall per kick) this degrades to fire-and-forget
-      that counts drops.
-    - [Nonblock]: never block, safe from interrupt context; [false]
-      when the ring is full or the channel closed. *)
+    Kernel side (upcalls): *)
 
-type _ mode =
-  | Sync : (Msg.t, error) result mode
-  | Async : (unit, error) result mode
-  | Batched : unit mode
-  | Nonblock : bool mode
+val call : ?queue:int -> t -> Msg.t -> (Msg.t, error) result
+(** Synchronous upcall: block until the driver replies.  [Error Hung]
+    after the channel's hang timeout, [Error Interrupted] when the
+    calling fiber is interrupted, [Error Closed] when the channel
+    closes. *)
 
-val transfer : t -> ?queue:int -> from:[ `Kernel | `Driver ] -> 'r mode -> Msg.t -> 'r
-(** [transfer t ~queue ~from mode m] sends [m] on ring pair [queue]
-    (default 0) in the direction implied by [from], with [mode]'s
-    blocking discipline.  Raises [Invalid_argument] on a bad queue
-    index. *)
+val post : ?queue:int -> t -> Msg.t -> (unit, error) result
+(** Asynchronous upcall: enqueue without waiting for a reply.  If the
+    ring stays full past a short grace period the driver is presumed
+    [Hung]. *)
+
+val post_nonblock : ?queue:int -> t -> Msg.t -> bool
+(** Asynchronous upcall that never blocks, safe from interrupt context:
+    [false] when the ring is full or the channel closed. *)
+
+(** Driver side (downcalls): *)
+
+val downcall : ?queue:int -> t -> Msg.t -> (Msg.t, error) result
+(** Synchronous downcall: ships the queue's batch, then enters the
+    kernel, whose drain runs the handler in the calling fiber and returns
+    its reply.  Interruptible. *)
+
+val downcall_batched : ?queue:int -> t -> Msg.t -> unit
+(** Asynchronous downcall: it sits in the queue's batch until the driver
+    next enters the kernel on that queue (or the channel's batch limit
+    of messages piles up), so a burst costs one notification.  At flush,
+    consecutive same-kind batchable messages ({!Msg.Batch.fits}) are
+    coalesced into scatter-gather batch slots — one marshal and one
+    per-message charge per slot of up to {!Msg.Batch.max_frames} frames,
+    not per frame. *)
 
 val set_downcall_handler : t -> (queue:int -> Msg.t -> Msg.t option) -> unit
 (** Kernel-side service for driver downcalls; return [Some reply] for
@@ -130,7 +136,7 @@ val flush : ?queue:int -> t -> unit
 (** {1 Batch tuning} *)
 
 val set_batch_limit : t -> int -> unit
-(** Set the per-queue accumulation threshold for [Batched] driver sends
+(** Set the per-queue accumulation threshold for {!downcall_batched}
     (clamped to at least 1; default 64).  1 flushes
     on every send — the pre-batching wire behaviour — while larger
     values let bursts coalesce into scatter-gather slots.  Flushing

@@ -21,12 +21,14 @@ report "Msg.unmarshal_view outside lib/uchan (ingress must go through Conformanc
      | grep -vE '^lib/uchan/(msg|uchan|conformance)\.mli?:')"
 
 # Batched datapath: data messages on the proxy net path ride the
-# queue-aware Async/Batched transfers so bursts coalesce into
-# scatter-gather batch slots; a Sync transfer of a datapath kind would
-# reintroduce a blocking round-trip per frame.
-report "per-frame Sync send on the proxy net datapath (use ~queue Async/Batched)" \
-  "$(grep -nE 'Uchan\.Sync \(Msg\.make ~kind:Proxy_proto\.(up_net_xmit|up_interrupt|down_netif_rx|down_tx_free)' \
-     lib/core/proxy_net.ml lib/core/sud_uml.ml)"
+# queue-aware asynchronous sends (Uchan.post, Uchan.post_nonblock,
+# Uchan.downcall_batched) so bursts coalesce into scatter-gather batch
+# slots; a sync send (Uchan.call, Uchan.downcall) of a datapath kind
+# would reintroduce a blocking round-trip per frame.  The message may
+# sit on the send's line or on the next one, as every send there does.
+report "per-frame sync send on the proxy net datapath (use ~queue post/downcall_batched)" \
+  "$(grep -nE -A1 'Uchan\.(call|downcall)([^_[:alnum:]]|$)' lib/core/proxy_net.ml lib/core/sud_uml.ml \
+     | grep -E 'Proxy_proto\.(up_net_xmit|up_interrupt|down_netif_rx|down_tx_free)([^_[:alnum:]]|$)')"
 
 # Determinism: stdlib Random is global state the sud-check recorder
 # cannot capture, so runs seeded through it would not replay.  All

@@ -140,7 +140,7 @@ let upcall_words () =
     (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) (fun () ->
          for i = 1 to 2 * n do
            if i = n + 1 then marks.(0) <- Gc.minor_words ();
-           ignore (Uchan.transfer chan ~from:`Kernel Uchan.Async m : (unit, Uchan.error) result);
+           ignore (Uchan.post chan m : (unit, Uchan.error) result);
            ignore (Fiber.sleep eng 10_000 : Fiber.wake)
          done;
          marks.(1) <- Gc.minor_words ();

@@ -352,6 +352,51 @@ let test_waitq_early_signal_frees_timers () =
   Alcotest.(check int) "clock never reached a deadline" n (Engine.now eng);
   Alcotest.(check int) "queue empty" 0 (Engine.pending eng)
 
+(* [await] with a 1,000 ns deadline on a fresh fiber, its condition a
+   flag; [events] run at their instants with the queue, the flag and the
+   fiber.  Returns what [await] returned, when, and how many engine
+   steps passed meanwhile. *)
+let run_await ~ready events =
+  let eng = Engine.create () in
+  let q = Sync.Waitq.create () and flag = ref ready and got = ref None in
+  let f =
+    Fiber.spawn eng (fun () ->
+        let steps = Engine.steps eng in
+        let r = Sync.Waitq.await eng q ~timeout_ns:1_000 (fun () -> !flag) in
+        got := Some (r, Engine.now eng, Engine.steps eng - steps))
+  in
+  List.iter
+    (fun (at, ev) -> ignore (Engine.schedule_after eng at (fun () -> ev q flag f) : Engine.handle))
+    events;
+  Engine.run eng;
+  Alcotest.(check int) "no waiter left" 0 (Sync.Waitq.waiters q);
+  match !got with Some r -> r | None -> Alcotest.fail "await never returned"
+
+(* [await] checks its condition first and after every wakeup, so a
+   wakeup that finds it false waits out the rest of the same deadline. *)
+let test_waitq_await () =
+  let signal q = ignore (Sync.Waitq.signal q : bool) in
+  let spurious = (100, fun q _ _ -> signal q) in
+  let r, at, steps = run_await ~ready:true [] in
+  Alcotest.(check bool) "already true: Normal" true (r = Fiber.Normal);
+  Alcotest.(check (pair int int)) "at once, without suspending" (0, 0) (at, steps);
+  let r, at, _ =
+    run_await ~ready:false
+      [ spurious;
+        (300, fun q flag _ ->
+            flag := true;
+            signal q) ]
+  in
+  Alcotest.(check bool) "a signal with the condition true: Normal" true (r = Fiber.Normal);
+  Alcotest.(check int) "at that signal" 300 at;
+  let r, at, _ = run_await ~ready:false [ spurious ] in
+  Alcotest.(check bool) "never true: Timeout" true (r = Fiber.Timeout);
+  Alcotest.(check int) "at the deadline" 1_000 at;
+  let interrupt = (200, fun _ _ f -> ignore (Fiber.interrupt f : bool)) in
+  let r, at, _ = run_await ~ready:false [ spurious; interrupt ] in
+  Alcotest.(check bool) "interrupted: Interrupted" true (r = Fiber.Interrupted);
+  Alcotest.(check int) "at the interrupt" 200 at
+
 let test_mutex_exclusion () =
   let eng = Engine.create () in
   let mu = Sync.Mutex.create () in
@@ -683,6 +728,8 @@ let suite =
       test_waitq_compacts_dead_entries;
     Alcotest.test_case "waitq: early signals free their timers" `Quick
       test_waitq_early_signal_frees_timers;
+    Alcotest.test_case "waitq: await checks its condition on every wakeup" `Quick
+      test_waitq_await;
     Alcotest.test_case "mutex: exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mailbox: blocking send/recv" `Quick test_mailbox_blocking;
     Alcotest.test_case "cpu: one core serializes" `Quick test_cpu_serializes;

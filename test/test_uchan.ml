@@ -128,7 +128,7 @@ let test_uchan_sync_upcall () =
              serve ())
          : Fiber.t);
       in_fiber eng k (fun () ->
-          match Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:4 ~args:[ 21 ] ()) with
+          match Uchan.call chan (Msg.make ~kind:4 ~args:[ 21 ] ()) with
           | Ok r -> Alcotest.(check int) "doubled" 42 (Msg.arg r 0)
           | Error _ -> Alcotest.fail "sync send failed"))
 
@@ -139,7 +139,7 @@ let test_uchan_hang_detection () =
          timeout, not block forever. *)
       in_fiber eng k (fun () ->
           let t0 = Engine.now eng in
-          (match Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:1 ()) with
+          (match Uchan.call chan (Msg.make ~kind:1 ()) with
            | Error Uchan.Hung -> ()
            | Ok _ | Error _ -> Alcotest.fail "expected Hung");
           Alcotest.(check bool) "took about the hang timeout" true
@@ -153,7 +153,7 @@ let test_uchan_interruptible () =
       let caller =
         Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"ifconfig"
           (fun () ->
-             result := Some (Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:1 ()));
+             result := Some (Uchan.call chan (Msg.make ~kind:1 ()));
              finished_at := Engine.now eng)
       in
       (* Ctrl-C after 1ms, well before the hang timeout. *)
@@ -173,14 +173,14 @@ let test_uchan_close_unblocks () =
       let result = ref None in
       ignore
         (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"caller"
-           (fun () -> result := Some (Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:1 ())))
+           (fun () -> result := Some (Uchan.call chan (Msg.make ~kind:1 ())))
          : Fiber.t);
       ignore (Engine.schedule_after eng 1_000 (fun () -> Uchan.close chan) : Engine.handle);
       Engine.run ~max_time:20_000_000 eng;
       Alcotest.(check bool) "failed with Closed" true (!result = Some (Error Uchan.Closed));
       Alcotest.(check bool) "is_closed" true (Uchan.is_closed chan);
       Alcotest.(check bool) "send after close" true
-        (Uchan.transfer chan ~from:`Kernel Uchan.Sync (Msg.make ~kind:1 ()) = Error Uchan.Closed))
+        (Uchan.call chan (Msg.make ~kind:1 ()) = Error Uchan.Closed))
 
 let test_uchan_downcall () =
   with_kernel (fun eng k ->
@@ -196,15 +196,15 @@ let test_uchan_downcall () =
       let sync_result = ref None in
       ignore
         (Process.spawn_fiber proc (fun () ->
-             Uchan.transfer chan ~from:`Driver Uchan.Batched (Msg.make ~kind:101 ());
-             Uchan.transfer chan ~from:`Driver Uchan.Batched (Msg.make ~kind:102 ());
-             sync_result := Some (Uchan.transfer chan ~from:`Driver Uchan.Sync (Msg.make ~kind:103 ())))
+             Uchan.downcall_batched chan (Msg.make ~kind:101 ());
+             Uchan.downcall_batched chan (Msg.make ~kind:102 ());
+             sync_result := Some (Uchan.downcall chan (Msg.make ~kind:103 ())))
          : Fiber.t);
       Engine.run ~max_time:100_000_000 eng;
       (match !sync_result with
        | Some (Ok r) -> Alcotest.(check int) "reply delivered directly" 99 (Msg.arg r 0)
        | _ -> Alcotest.fail "sync downcall failed");
-      (* usend flushes the batch first: async downcalls arrive in order
+      (* The sync downcall ships the batch first: async downcalls arrive in order
          before the sync one completes. *)
       Alcotest.(check (list int)) "batched asyncs arrived in order" [ 101; 102 ]
         (List.rev !asyncs))
@@ -225,7 +225,7 @@ let test_uchan_sync_in_own_entry () =
       let result = ref None in
       let f =
         Process.spawn_fiber proc (fun () ->
-            result := Some (Uchan.transfer chan ~from:`Driver Uchan.Sync (Msg.make ~kind:7 ())))
+            result := Some (Uchan.downcall chan (Msg.make ~kind:7 ())))
       in
       Engine.run ~max_time:100_000_000 eng;
       (match !result with
@@ -252,7 +252,7 @@ let test_uchan_kill_bounds_drain () =
       let refill () =
         try
           while not (Uchan.is_closed chan) do
-            Uchan.transfer chan ~from:`Driver Uchan.Batched (Msg.make ~kind:5 ())
+            Uchan.downcall_batched chan (Msg.make ~kind:5 ())
           done
         with Fiber.Killed ->
           deaths := Engine.now eng :: !deaths;
@@ -295,14 +295,14 @@ let test_uchan_batch_corrupt_frame () =
       ignore
         (Process.spawn_fiber proc (fun () ->
              for i = 1 to 5 do
-               Uchan.transfer chan ~from:`Driver Uchan.Batched
+               Uchan.downcall_batched chan
                  (Msg.make ~kind:31 ~args:[ i; 0 ] ())
              done;
              (* Arm before the flush: the run of 5 goes out as one batch
                 slot with its last frame garbled on the ring. *)
              Uchan.inject_corrupt_batch_frames chan 1;
              Uchan.flush chan;
-             after := Some (Uchan.transfer chan ~from:`Driver Uchan.Sync (Msg.make ~kind:32 ())))
+             after := Some (Uchan.downcall chan (Msg.make ~kind:32 ())))
          : Fiber.t);
       Engine.run ~max_time:100_000_000 eng;
       Alcotest.(check (list int)) "siblings delivered in order" [ 1; 2; 3; 4 ]
@@ -318,10 +318,10 @@ let test_uchan_batch_corrupt_frame () =
 let test_uchan_try_asend_full () =
   with_kernel (fun _ k ->
       let chan = Uchan.create k ~slots:4 ~driver_label:"d" () in
-      (* Nobody drains: the ring fills and try_asend turns false instead of
+      (* Nobody drains: the ring fills and post_nonblock turns false instead of
          blocking (interrupt context requirement). *)
       let sent = ref 0 in
-      while Uchan.transfer chan ~from:`Kernel Uchan.Nonblock (Msg.make ~kind:5 ()) do incr sent done;
+      while Uchan.post_nonblock chan (Msg.make ~kind:5 ()) do incr sent done;
       Alcotest.(check int) "bounded by ring size" 4 !sent)
 
 (* ---- property tests ---- *)
@@ -442,11 +442,11 @@ let qcheck_cases =
                     List.iteri
                       (fun i flow ->
                          push sent flow i;
-                         Uchan.transfer chan ~from:`Driver Uchan.Batched
+                         Uchan.downcall_batched chan
                            (Msg.make ~kind:(10 + flow) ~args:[ i; 0 ] ()))
                       flows;
                     (match
-                       Uchan.transfer chan ~from:`Driver Uchan.Sync (Msg.make ~kind:9 ())
+                       Uchan.downcall chan (Msg.make ~kind:9 ())
                      with
                      | Ok _ -> finished := true
                      | Error _ -> ()))
