@@ -173,6 +173,37 @@ let usb_launch () =
        ignore (ok_or_fail "read" (Proxy_usb.read_blocks proxy ~lba:0 ~count:1) : bytes);
        Driver_host.kill s)
 
+(* The SUD net receive path: the peer sends 64 datagrams to a DUT socket
+   in bursts of 8, and each crosses the untrusted e1000's RX downcalls and
+   the proxy's copy before the socket sees it. *)
+let net_rx () =
+  let rig = Netperf.make_rig Netperf.Sud_driver in
+  let dut = rig.Netperf.dut and peer = rig.Netperf.peer in
+  let received = ref 0 in
+  ignore
+    (Process.spawn_fiber (Process.kernel_process dut.Kernel.procs) ~name:"rx-sink" (fun () ->
+         let sock = Netstack.udp_bind dut.Kernel.net rig.dev_dut ~port:7 in
+         while !received < 64 && Netstack.udp_recv dut.Kernel.net sock <> None do
+           incr received
+         done)
+     : Fiber.t);
+  ignore
+    (Process.spawn_fiber (Process.kernel_process peer.Kernel.procs) ~name:"rx-source" (fun () ->
+         let sock = Netstack.udp_bind peer.Kernel.net rig.dev_peer ~port:9000 in
+         let dst = Netdev.mac rig.dev_dut in
+         for _ = 1 to 8 do
+           for _ = 1 to 8 do
+             ignore
+               (Netstack.udp_sendto peer.Kernel.net sock ~dst ~dst_port:7 (Bytes.make 64 'r')
+                : [ `Sent | `Dropped ])
+           done;
+           ignore (Fiber.sleep rig.eng 100_000 : Fiber.wake)
+         done)
+     : Fiber.t);
+  Engine.run ~max_time:(Engine.now rig.eng + 10_000_000) rig.eng;
+  Alcotest.(check int) "every datagram delivered" 64 !received;
+  fingerprint rig.eng
+
 let entries =
   List.map scenario Scenario.all
   @ [ picked "mini-soak";
@@ -184,7 +215,8 @@ let entries =
       ("launch/blk", blk_launch);
       ("launch/wifi", wifi_launch);
       ("launch/audio", audio_launch);
-      ("launch/usb", usb_launch) ]
+      ("launch/usb", usb_launch);
+      ("rx/net", net_rx) ]
   @ List.map net_recovery (List.filter Fault_inject.lethal Fault_inject.all_faults)
   @ List.map blk_recovery Fault_inject.all_blk_faults
   @ List.map warm_blk_recovery Fault_inject.all_blk_faults
