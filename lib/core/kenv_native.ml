@@ -121,7 +121,7 @@ let pcidev (k : Kernel.t) bdf ~label =
               Array.iteri
                 (fun qi v ->
                    Pci_cfg.msix_configure cfg ~vector:qi ~address:Bus.msi_window_base ~data:v;
-                   Pci_cfg.msix_set_mask cfg ~vector:qi false)
+                   Device.set_msix_mask dev ~vector:qi false)
                 vs;
               Pci_cfg.msix_set_enabled cfg true
             end

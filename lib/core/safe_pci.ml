@@ -424,7 +424,7 @@ let read_driver_mem_into g ~iova ~len ~dst ~dst_off =
    mask bit); MSI-X masks one table entry, leaving sibling queues hot. *)
 let set_vector_mask g vs masked =
   Cpu.account_cell g.g.sud (model g.g).Cost_model.msi_mask_ns;
-  if g.g_msix then Pci_cfg.msix_set_mask (Device.cfg g.g_dev) ~vector:vs.vs_queue masked
+  if g.g_msix then Device.set_msix_mask g.g_dev ~vector:vs.vs_queue masked
   else Pci_cfg.msi_set_mask (Device.cfg g.g_dev) masked
 
 let mask_vector g ~queue =
@@ -460,7 +460,7 @@ let escalate g vs =
       t.n_ir <- t.n_ir + 1;
       Cpu.account_cell t.sud (model t).Cost_model.irte_update_ns;
       Irq.mask t.k.Kernel.irq ~vector:vs.vs_vector;
-      Pci_cfg.msix_set_mask (Device.cfg g.g_dev) ~vector:vs.vs_queue true;
+      Device.set_msix_mask g.g_dev ~vector:vs.vs_queue true;
       klogf t Klog.Warn "sud: %s: interrupt storm on queue %d, vector quarantined (siblings live)"
         (Bus.string_of_bdf g.g_bdf) vs.vs_queue
     end
@@ -503,17 +503,19 @@ let handle_irq g ~queue ~source =
       let t = g.g in
       (* NAPI-style coalescing: mask the vector for the duration of the
          driver's poll.  Device-side raises in the window latch in the
-         MSI-X pending-bit array at zero CPU cost and are replayed by
-         [irq_ack], so under load one upcall covers a whole batch of
-         frames while an idle link still gets an immediate upcall. *)
+         MSI-X pending-bit array at zero CPU cost, and the device sends
+         the latched message when [irq_ack] unmasks, so under load one
+         upcall covers a whole batch of frames while an idle link still
+         gets an immediate upcall. *)
       mask_vector g ~queue;
       (match g.g_sink with
        | Some sink ->
          (* Rate limiting at the forwarding boundary: a dry per-queue
             token bucket absorbs an interrupt flood here — the vector is
-            already masked and the pending bit latches, so [irq_ack]'s
-            replay keeps a legitimate device live while a screaming one
-            stops costing upcalls.  The drop is counted on the ledger. *)
+            already masked and the pending bit latches, so the message
+            the unmask at [irq_ack] brings keeps a legitimate device live
+            while a screaming one stops costing upcalls.  The drop is
+            counted on the ledger. *)
          let permitted =
            match Quota.ledger g.g_caps with
            | Some q -> Quota.take_irq_token q ~queue
@@ -604,22 +606,12 @@ let teardown_irqs g =
   | Some (Quota.Vectors vectors) -> free_vectors g vectors
   | Some _ | None -> ()
 
+(* An interrupt the device raised during the poll window latched in the
+   MSI-X pending-bit array, and the device sends it when the unmask
+   lands.  A quarantined vector stays silent.  Legacy MSI has no pending
+   latch — the driver's post-ack re-poll covers that edge. *)
 let irq_ack ?(queue = 0) g =
-  if g.g_alive && queue < Array.length g.g_vecs then begin
-    let vs = vec_of g queue in
-    (* Interrupts the device raised during the poll window latched in
-       the MSI-X pending-bit array; unmasking clears that bit with no
-       re-delivery, so read it first and replay after the unmask.  A
-       quarantined vector stays silent.  Legacy MSI has no pending
-       latch — the driver's post-ack re-poll covers that edge. *)
-    let replay =
-      g.g_msix && vs.vs_masked && not vs.vs_quarantined
-      && Pci_cfg.msix_pending (Device.cfg g.g_dev) ~vector:queue
-    in
-    unmask_vector g ~queue;
-    if replay then
-      ignore (Device.raise_msix g.g_dev ~vector:queue : (unit, Bus.fault) result)
-  end
+  if g.g_alive && queue < Array.length g.g_vecs then unmask_vector g ~queue
 
 (* ---- observability ---- *)
 

@@ -19,9 +19,9 @@
     - {b Interrupts}: the kernel owns the MSI capability.  Interrupts are
       forwarded to a sink (the proxy's upcall path) and the vector is
       masked for the duration of the driver's poll, NAPI-style: device
-      raises in the window latch in the MSI-X pending-bit array and are
-      replayed when the driver acks, so under load one upcall covers a
-      batch of frames.  Interrupts arriving {e while masked} cannot come
+      raises in the window latch in the MSI-X pending-bit array and the
+      device sends them when the driver's ack unmasks, so under load one
+      upcall covers a batch of frames.  Interrupts arriving {e while masked} cannot come
       from the device (it latches instead) — they are DMA writes to the
       MSI window, and escalate to interrupt remapping (Intel) or
       unmapping the MSI window (AMD) — or are logged as a livelock
@@ -49,8 +49,8 @@ val open_device : t -> caps:Quota.caps -> Bus.bdf -> proc:Process.t -> (grant, s
     process's death revokes them all.  A table holds one grant: a
     second open against it fails.  With a ledger, IRQ forwarding
     also draws per-queue kick tokens (a dry bucket drops the upcall —
-    the masked vector's pending bit latches and the ack-time replay
-    keeps the device live).  MMIO windows need no entry: their
+    the masked vector's pending bit latches and the device sends it at
+    the ack's unmask, which keeps the device live).  MMIO windows need no entry: their
     accessors check the grant. *)
 
 val release : grant -> unit
@@ -138,10 +138,10 @@ val teardown_irqs : grant -> unit
 
 val irq_ack : ?queue:int -> grant -> unit
 (** The driver finished its poll of queue [queue] (default 0): unmask
-    the vector and replay any interrupt that latched in the MSI-X
-    pending-bit array during the poll window (unmasking clears the PBA
-    bit with no re-delivery, so the replay is explicit).  Quarantined
-    vectors stay silenced. *)
+    the vector.  An interrupt that latched in the MSI-X pending-bit
+    array during the poll window is sent by the device as the unmask
+    lands ({!Device.set_msix_mask}).  Quarantined vectors stay
+    silenced. *)
 
 (** {1 Observability} *)
 

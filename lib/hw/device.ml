@@ -88,3 +88,9 @@ let raise_msix t ~vector =
   else
     send_message t ~addr:(Pci_cfg.msix_address t.dcfg ~vector)
       ~data:(Pci_cfg.msix_data t.dcfg ~vector)
+
+let set_msix_mask t ~vector masked =
+  let pending = Pci_cfg.msix_pending t.dcfg ~vector in
+  Pci_cfg.msix_set_mask t.dcfg ~vector masked;
+  if pending && not masked then
+    ignore (raise_msix t ~vector : (unit, Bus.fault) result)

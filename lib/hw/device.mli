@@ -55,6 +55,12 @@ val raise_msix : t -> vector:int -> (unit, Bus.fault) result
     out on the bus, so masking one storming vector never silences its
     siblings. *)
 
+val set_msix_mask : t -> vector:int -> bool -> unit
+(** Set or clear one MSI-X table entry's mask bit.  Unmasking an entry
+    whose pending bit is set clears the bit and sends the entry's
+    message, as the spec requires of the function, so an interrupt the
+    mask held back is delivered once it lifts. *)
+
 val no_io : ops
 (** Placeholder ops for devices built in two steps (state first, ops
     after); every operation raises [Failure]. *)

@@ -113,7 +113,8 @@ val msix_data : t -> vector:int -> int
 
 val msix_set_mask : t -> vector:int -> bool -> unit
 (** Set/clear one entry's mask bit.  Unmasking clears the pending bit
-    (the device re-raises if the condition persists). *)
+    and sends nothing: {!Device.set_msix_mask} is the unmask that
+    delivers the pending message. *)
 
 val msix_masked : t -> vector:int -> bool
 
