@@ -64,6 +64,18 @@ report "Phys_mem. in lib/hw or lib/drivers outside phys_mem.ml(i) and pci_topolo
   "$(srcs 'Phys_mem\.' lib/hw lib/drivers \
      | grep -vE '^lib/hw/(phys_mem|pci_topology)\.mli?:')"
 
+# Interrupts come from the device: an MSI or MSI-X message is sent, and a
+# masked MSI-X vector's pending bit latched or replayed, only by the
+# device model, which knows whether its interrupt condition still holds
+# (Device.set_msix_mask sends a pending message on unmask).  Kernel code
+# that raised a device's vector could replay an interrupt the device has
+# already withdrawn, and one that wrote the mask or pending bit directly
+# could drop or invent one.
+report "MSI/MSI-X raise, pending latch or raw mask write outside lib/hw (mask through Device.set_msix_mask)" \
+  "$(srcs '(Device\.raise_msix?|Pci_cfg\.msix_set_(mask|pending))([^_[:alnum:]]|$)' \
+       lib bin bench examples \
+     | grep -vE '^lib/hw/')"
+
 # One JSON codec: every JSON document the program writes or reads is a
 # Json.t, printed and parsed by lib/obs/json.ml.  A key spelled out in a
 # format string or a scanner's pattern is a second codec, one that
