@@ -322,6 +322,13 @@ let write32 t off v =
          end
          else if q.cqn > 0 then begin
            q.cq_head <- v mod q.cqn;
+           (* The driver has reaped every entry posted so far, so the
+              queue's interrupt condition is gone.  MSI-X asks the
+              function to clear the pending bit then, "to avoid sending
+              a spurious interrupt message later when software unmasks
+              the vector"; a later completion latches it again. *)
+           if q.cq_head = q.cq_tail then
+             Pci_cfg.msix_set_pending (Device.cfg t.dev) ~vector:qi false;
            kick t qi                       (* CQ space may unstall the SQ *)
          end
        | _ -> ())

@@ -3,7 +3,10 @@
     Paired submission/completion queues in host memory (64-byte SQEs,
     16-byte CQEs with a phase tag), per-queue doorbells, one MSI-X
     vector per queue pair, and all data movement by DMA through the
-    IOMMU.
+    IOMMU.  A queue's MSI-X pending bit follows its completion queue: a
+    CQ head doorbell that reaps every posted entry clears it, so
+    unmasking the vector replays only completions the driver has not
+    reaped.
 
     Durability model: writes land in a {e volatile} write cache; only a
     flush command (or a write carrying the FUA flag) moves sectors to

@@ -199,6 +199,66 @@ let test_msix_pending_replay () =
        Alcotest.(check bool) "unmasked when idle" false (Safe_pci.vector_masked g ~queue:1);
        ignore k)
 
+(* The NVMe model's pending bit follows its completion queue: a
+   completion posted while the vector is masked latches it, and a CQ head
+   doorbell that reaps every posted entry clears it, so the ack replays
+   only completions the driver has not reaped. *)
+let test_nvme_pending_follows_cq () =
+  run_in_kernel
+    (fun k ->
+       let nvme = Nvme_dev.create k.Kernel.eng () in
+       (Nvme_dev.device nvme, Kernel.attach_pci k (Nvme_dev.device nvme), Safe_pci.init k))
+    (fun k (dev, bdf, sp) ->
+       Safe_pci.register_device sp bdf;
+       Safe_pci.set_owner sp bdf ~uid:1000;
+       let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+       let g = ok_or_fail "open" (Safe_pci.open_device sp ~caps:(Quota.table None proc) bdf ~proc) in
+       ok_or_fail "enable" (Safe_pci.enable_device g);
+       let hits = ref 0 in
+       ok_or_fail "setup_irqs"
+         (Safe_pci.setup_irqs g ~n:(Safe_pci.msix_vectors g) ~sink:(fun ~queue ->
+              if queue = 0 then incr hits));
+       let mmio = ok_or_fail "map" (Safe_pci.map_mmio g ~bar:0) in
+       let w32 off v = mmio.Driver_api.mmio_write ~off ~size:4 v in
+       let sq = ok_or_fail "sq" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
+       let cq = ok_or_fail "cq" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
+       let q0 = Nvme_dev.Regs.qcfg_base in
+       w32 (q0 + Nvme_dev.Regs.sq_base_lo) sq.Driver_api.dma_addr;
+       w32 (q0 + Nvme_dev.Regs.sq_size) 8;
+       w32 (q0 + Nvme_dev.Regs.cq_base_lo) cq.Driver_api.dma_addr;
+       w32 (q0 + Nvme_dev.Regs.cq_size) 8;
+       w32 Nvme_dev.Regs.cc Nvme_dev.Regs.cc_en;
+       let tail = ref 0 in
+       (* Queue 0 runs one flush and posts its completion. *)
+       let complete_flush () =
+         Driver_api.dma_set32 sq ~off:(!tail * Nvme_dev.Regs.sqe_size)
+           (Nvme_dev.Regs.op_flush lor ((!tail + 1) lsl 16));
+         incr tail;
+         w32 Nvme_dev.Regs.db_base !tail;
+         ignore (Fiber.sleep k.Kernel.eng 10_000 : Fiber.wake)
+       in
+       let reap ~head = w32 (Nvme_dev.Regs.db_base + 4) head in
+       let pending () = Pci_cfg.msix_pending (Device.cfg dev) ~vector:0 in
+       complete_flush ();
+       Alcotest.(check int) "first completion interrupts" 1 !hits;
+       Alcotest.(check bool) "masked for the poll" true (Safe_pci.vector_masked g ~queue:0);
+       complete_flush ();
+       Alcotest.(check int) "masked completion not forwarded" 1 !hits;
+       Alcotest.(check bool) "masked completion latches" true (pending ());
+       reap ~head:2;
+       Alcotest.(check bool) "reaped: pending cleared" false (pending ());
+       Safe_pci.irq_ack g;
+       Alcotest.(check int) "ack replays nothing reaped" 1 !hits;
+       Alcotest.(check bool) "unmasked" false (Safe_pci.vector_masked g ~queue:0);
+       complete_flush ();
+       Alcotest.(check int) "unmasked: next completion interrupts" 2 !hits;
+       complete_flush ();
+       reap ~head:3;
+       Alcotest.(check bool) "one entry left: pending kept" true (pending ());
+       Safe_pci.irq_ack g;
+       Alcotest.(check int) "ack replays the unreaped entry" 3 !hits;
+       Alcotest.(check bool) "replay re-masks" true (Safe_pci.vector_masked g ~queue:0))
+
 let test_release_revokes_everything () =
   with_grant (fun w proc g ->
       ok_or_fail "enable" (Safe_pci.enable_device g);
@@ -462,6 +522,8 @@ let suite =
     Alcotest.test_case "safe_pci: IRQ mask/ack" `Quick test_irq_mask_and_ack;
     Alcotest.test_case "safe_pci: MSI-X pending replay at ack" `Quick
       test_msix_pending_replay;
+    Alcotest.test_case "safe_pci: NVMe pending bit follows its completion queue" `Quick
+      test_nvme_pending_follows_cq;
     Alcotest.test_case "safe_pci: MSI-X storm quarantines one vector" `Quick
       test_msix_storm_sibling_queues;
     Alcotest.test_case "safe_pci: release revokes all" `Quick test_release_revokes_everything;
