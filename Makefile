@@ -34,8 +34,8 @@ gates:
 # Multiqueue sweep: aggregate UDP RX at 1/2/4/8 queues; exits nonzero
 # unless 4 queues beat 1 queue by >= 2x with traffic actually spread
 # across RX queues.  This gate currently fails: the sweep runs on a
-# 1 GbE link, where 1 queue already reaches 979.1 kpps and 2-8 queues
-# sit at the 1126.4 kpps wire ceiling, so 4q/1q is 1.15x.
+# 1 GbE link, where 1 queue already reaches 859.1 kpps and 2-8 queues
+# sit at the ~1126 kpps wire ceiling, so 4q/1q is 1.311x.
 bench-mq:
 	dune exec bench/main.exe -- mq
 

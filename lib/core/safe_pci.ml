@@ -513,9 +513,9 @@ let handle_irq g ~queue ~source =
          (* Rate limiting at the forwarding boundary: a dry per-queue
             token bucket absorbs an interrupt flood here — the vector is
             already masked and the pending bit latches, so the message
-            the unmask at [irq_ack] brings keeps a legitimate device live
-            while a screaming one stops costing upcalls.  The drop is
-            counted on the ledger. *)
+            the device sends when [irq_ack] unmasks keeps a legitimate
+            device live while a screaming one stops costing upcalls.
+            The drop is counted on the ledger. *)
          let permitted =
            match Quota.ledger g.g_caps with
            | Some q -> Quota.take_irq_token q ~queue

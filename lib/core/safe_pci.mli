@@ -21,11 +21,12 @@
       masked for the duration of the driver's poll, NAPI-style: device
       raises in the window latch in the MSI-X pending-bit array and the
       device sends them when the driver's ack unmasks, so under load one
-      upcall covers a batch of frames.  Interrupts arriving {e while masked} cannot come
-      from the device (it latches instead) — they are DMA writes to the
-      MSI window, and escalate to interrupt remapping (Intel) or
-      unmapping the MSI window (AMD) — or are logged as a livelock
-      vulnerability on the paper's testbed configuration. *)
+      upcall covers a batch of frames.  Interrupts arriving {e while
+      masked} cannot come from the device (it latches instead) — they
+      are DMA writes to the MSI window, and escalate to interrupt
+      remapping (Intel) or unmapping the MSI window (AMD) — or are
+      logged as a livelock vulnerability on the paper's testbed
+      configuration. *)
 
 type t
 type grant
@@ -49,9 +50,9 @@ val open_device : t -> caps:Quota.caps -> Bus.bdf -> proc:Process.t -> (grant, s
     process's death revokes them all.  A table holds one grant: a
     second open against it fails.  With a ledger, IRQ forwarding
     also draws per-queue kick tokens (a dry bucket drops the upcall —
-    the masked vector's pending bit latches and the device sends it at
-    the ack's unmask, which keeps the device live).  MMIO windows need no entry: their
-    accessors check the grant. *)
+    the masked vector's pending bit latches and the device sends it
+    when the ack unmasks, which keeps the device live).  MMIO windows
+    need no entry: their accessors check the grant. *)
 
 val release : grant -> unit
 (** Revoke the grant's entries in its table, newest first.  The first

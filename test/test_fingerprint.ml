@@ -4,9 +4,9 @@
    The entries cover every driver bring-up path: each registered
    scenario, the warm-standby blk harness (prefork + activation), a warm
    net failover, and a short launch/kill of each device class.  They
-   also cover every fault-injection harness the scenarios do not run:
-   the single-fault recovery measures of each lethal class, cold and
-   warm, and both quarantine campaigns.  All of these run FIFO; the two
+   also cover the SUD net receive path and every fault-injection harness
+   the scenarios do not run: the single-fault recovery measures of each
+   lethal class, cold and warm, and both quarantine campaigns.  All of these run FIFO; the two
    mini soaks also run under a seeded random picker, which pins the
    engine's picker path (ready-set gathering and the picks it offers).
 
