@@ -3,7 +3,8 @@
    every entry below keeps its pinned [Engine.trace_hash] and step count.
    The entries cover every driver bring-up path: each registered
    scenario, the warm-standby blk harness (prefork + activation), a warm
-   net failover, and a short launch/kill of each device class.  They
+   net failover and a live net upgrade, and a short launch/kill of each
+   device class.  They
    also cover the SUD net receive path and every fault-injection harness
    the scenarios do not run: the single-fault recovery measures of each
    lethal class, cold and warm, and both quarantine campaigns.  All of these run FIFO; the two
@@ -61,6 +62,34 @@ let warm_net_failover () =
       ok_or_fail "failover" (Supervisor.failover sv);
       Alcotest.(check int) "warm swap" 1 (Supervisor.warm_swaps sv);
       settle w.k 5);
+  fingerprint w.Fault_inject.eng
+
+(* The same NIC under broadcast traffic, then one live upgrade: the
+   drained generation hands its netdev to the activated standby, and
+   frames keep reaching the wire. *)
+let warm_net_upgrade () =
+  let w = Fault_inject.make_world () in
+  Kernel.run w.Fault_inject.k (fun () ->
+      let sv =
+        ok_or_fail "supervise"
+          (Supervisor.start w.k w.sp ~policy:(Fault_inject.warm_policy ~max_restarts:10)
+             ~bdf:w.bdf Fault_inject.honest_factory)
+      in
+      let dev = Supervisor.netdev sv in
+      ok_or_fail "up" (Netstack.ifconfig_up w.k.Kernel.net dev);
+      let tr = Fault_inject.start_traffic w dev ~gap_ns:200_000 in
+      if not (Fault_inject.wait_standby_ready ~eng:w.eng sv ~budget_ms:2_000) then
+        Alcotest.fail "standby never became ready";
+      ok_or_fail "upgrade" (Supervisor.upgrade sv);
+      let st = Supervisor.stats sv in
+      Alcotest.(check int) "one upgrade" 1 st.Supervisor.st_upgrades;
+      Alcotest.(check int) "no detection" 0 st.Supervisor.st_detections;
+      Alcotest.(check bool) "netdev kept" true (Supervisor.netdev sv == dev);
+      Alcotest.(check bool) "netdev still up" true (Netdev.is_up dev);
+      let wire0 = !(w.wire) in
+      settle w.k 5;
+      tr.Fault_inject.tr_stop <- true;
+      Alcotest.(check bool) "frames reach the wire after the upgrade" true (!(w.wire) > wire0));
   fingerprint w.Fault_inject.eng
 
 let recovery tag measure fault =
@@ -211,6 +240,7 @@ let entries =
       upgrade_soak "a";
       upgrade_soak "b";
       ("supervisor/warm-net-failover", warm_net_failover);
+      ("supervisor/warm-net-upgrade", warm_net_upgrade);
       ("launch/net", net_launch);
       ("launch/blk", blk_launch);
       ("launch/wifi", wifi_launch);
