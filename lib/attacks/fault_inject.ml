@@ -900,8 +900,10 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
       let eng = w.bw_eng in
       let sv, d = durable ~who:"upgrade_soak" w ~policy:(warm_policy ~max_restarts:max_int) in
       let ctx = d.dr_ctx in
-      (* One rng drives both the writer and the interleavings. *)
+      (* The writer and the interleavings draw from separate streams, so
+         a change in IO speed leaves the drawn interleavings as they are. *)
       let rng = Rng.create ~seed in
+      let irng = Rng.create ~seed:(Rng.derive ~root:seed "upgrade-soak:interleavings") in
       start_writer w.bw_k d (fun gen ->
           acked_write d rng gen;
           if gen mod 6 = 0 then
@@ -913,7 +915,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
       (* Let the first writes land and the first standby warm up. *)
       ignore (Fiber.sleep eng 5_000_000 : Fiber.wake);
       for i = 1 to interleavings do
-        (match Rng.int rng 6 with
+        (match Rng.int irng 6 with
          | 0 ->
            (* Plain live upgrade: zero-loss swap to the standby. *)
            warm ();
@@ -933,7 +935,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
            (* A device-level fault that escalates through the request
               timeout — recovery with retained-write replay. *)
            let f =
-             match Rng.int rng 3 with
+             match Rng.int irng 3 with
              | 0 -> Corrupt_completion
              | 1 -> Drop_completion
              | _ -> Drop_flush
@@ -961,7 +963,7 @@ let upgrade_soak ?sched ?seed ?(interleavings = 20) () =
               fail ("driver not running" or double failover), but acked
               writes must survive regardless. *)
            warm ();
-           let delay_ns = 200_000 + Rng.int rng 3_000_000 in
+           let delay_ns = 200_000 + Rng.int irng 3_000_000 in
            ignore
              (Process.spawn_fiber (Process.kernel_process w.bw_k.Kernel.procs)
                 ~name:"upgrade-crasher" (fun () ->
