@@ -211,8 +211,8 @@ val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
     and wait for it to register.  The class must name the surviving
     kernel object to take over (net: [adopt_netdev]; blk: an [adopt]
     record whose block device exists); wifi, audio and usb have no
-    standby.  On success the caller swaps the proxy in with
-    {!Proxy_class.adopt} and replays via [resume]; on error the standby
-    process has been killed (its table revoked), so a cold start can
-    follow.  The activated generation's class exit action runs before
-    the table's revocation, whose last step closes the channel. *)
+    standby.  On success the proxy's first {!Proxy_class.resume} swaps
+    it in and replays; on error the standby process has been killed
+    (its table revoked), so a cold start can follow.  The activated
+    generation's class exit action runs before the table's revocation,
+    whose last step closes the channel. *)

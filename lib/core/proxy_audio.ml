@@ -98,26 +98,14 @@ let wait_period t ~timeout_ns =
   let before = t.periods in
   wait_cond t t.period_wait ~timeout_ns (fun () -> t.periods > before)
 
-(* Handoff carries the mirrored playback position, so an adopted
-   generation continues the period count instead of restarting at 0. *)
-type Proxy_class.state += Audio_state of { periods : int }
-
-let handoff t = Audio_state { periods = t.periods }
-
-let adopt t st =
-  match st with Audio_state { periods } -> t.periods <- periods | _ -> ()
-
 let instance t =
   Proxy_class.Instance
     ( (module struct
         type nonrec t = t
 
-        let class_name = "audio"
         let chan t = t.chan
         let hung _ = false
         let quiesce t = t.quiescing <- true
         let resume t = t.quiescing <- false
-        let handoff = handoff
-        let adopt = adopt
       end),
       t )

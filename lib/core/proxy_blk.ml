@@ -70,21 +70,18 @@ type t = {
   grant : Safe_pci.grant;
   pool : Bufpool.t;
   name : string;
-  (* Mutable so a warm standby can adopt the surviving persist record at
-     swap time; everywhere else it is fixed at creation. *)
-  mutable p : persist;
+  p : persist;
   ready : Sync.Waitq.t;
   mutable nqueues : int;             (* device queues; 0 until registered *)
   mutable capacity : int;
   mutable is_hung : bool;
   mutable quiescing : bool;
-  (* Warm-standby parking: a parked proxy may share the live generation's
-     persist record (so readiness probes and the eventual adoption see
-     it) but must treat it as read-only — registration is recorded, not
-     applied; completions are forged by definition (nothing was ever
-     submitted on this channel); quiesce must not detach the live
-     blkdev; and the live generation's in-flight ages are not this
-     proxy's hang signal. *)
+  (* Warm-standby parking: a parked proxy shares the persist record the
+     live generation left behind but treats it as read-only until its
+     first [resume] swaps it in — registration is recorded, not applied;
+     completions are forged by definition (nothing was ever submitted on
+     this channel); quiesce must not detach the blkdev; and the earlier
+     generation's in-flight ages are not this proxy's hang signal. *)
   mutable parked : bool;
   (* Submissions on the wire this generation (sent, not yet completed).
      A flush is held until this drains to zero: rings are per-LBA, so a
@@ -366,7 +363,7 @@ let handle_register t m =
   else if t.parked then begin
     (* Parked (warm-standby) registration: record the driver's geometry
        and report ready, leaving persist record, blkdev and issuer with
-       the live generation until [adopt] swaps this proxy in. *)
+       the live generation until [resume] swaps this proxy in. *)
     t.capacity <- Msg.arg m 0;
     t.nqueues <- max 1 (Msg.arg m 1);
     ignore (Sync.Waitq.broadcast t.ready : int);
@@ -516,10 +513,19 @@ let quiesce t =
 (* Called on the NEW generation after a supervised restart: replay the
    retention and the in-flight set in tag order on the fresh channel,
    owe a trailing barrier, then reattach the device so staged requests
-   follow the replay. *)
+   follow the replay.  A parked proxy's first resume is its swap-in: the
+   recorded registration supplies the fresh generation's geometry, and
+   the surviving blkdev (cache, staging queue, waiting readers) keeps its
+   identity. *)
 let resume t =
-  if t.parked then ()   (* must be adopted before it may serve *)
-  else begin
+  if t.parked then begin
+    (match t.p.p_blkdev with
+     | Some bd ->
+       if t.capacity > 0 then Blkdev.set_capacity bd t.capacity;
+       if Blkdev.find t.k.Kernel.blk t.name = None then Blkdev.register t.k.Kernel.blk bd
+     | None -> ());
+    t.parked <- false
+  end;
   t.quiescing <- false;
   match t.p.p_blkdev with
   | None -> ()
@@ -544,42 +550,15 @@ let resume t =
         (if List.length all = 1 then "" else "s");
     attach_issuer t bd;
     maybe_replay_flush t
-  end
-
-(* ---- handoff / adopt: the generation-swap contract ---- *)
-
-type Proxy_class.state += Blk_state of persist
-
-let handoff t = Blk_state t.p
-
-let adopt t st =
-  match st with
-  | Blk_state p ->
-    if t.parked then begin
-      t.p <- p;
-      (match p.p_blkdev with
-       | Some bd ->
-         (* The standby's recorded registration supplies the fresh
-            generation's geometry; the surviving blkdev (cache, staging
-            queue, waiting readers) keeps its identity. *)
-         if t.capacity > 0 then Blkdev.set_capacity bd t.capacity;
-         if Blkdev.find t.k.Kernel.blk t.name = None then Blkdev.register t.k.Kernel.blk bd
-       | None -> ());
-      t.parked <- false
-    end
-  | _ -> ()
 
 let instance t =
   Proxy_class.Instance
     ( (module struct
         type nonrec t = t
 
-        let class_name = "blk"
         let chan t = t.chan
         let hung = hung
         let quiesce = quiesce
         let resume = resume
-        let handoff = handoff
-        let adopt = adopt
       end),
       t )

@@ -46,22 +46,18 @@ val create :
     {!Proxy_class.hung} reports it — the escalation path for
     dropped/corrupted completions and dropped flushes.
 
-    With [~parked:true] (warm standby) the proxy may share the live
-    generation's [?adopt] persist record but treats it as read-only:
-    registration is recorded (geometry + ready broadcast) without
-    touching persist, blkdev or issuer; completions are counted as
-    forged; quiesce does not detach; {!Proxy_class.resume} refuses to
-    serve until {!Proxy_class.adopt} swaps the proxy in. *)
+    With [~parked:true] (warm standby) the proxy shares the [?adopt]
+    persist record but treats it as read-only until its first
+    {!Proxy_class.resume}, which swaps the proxy in: registration is
+    recorded (geometry + ready broadcast) without touching persist,
+    blkdev or issuer; completions are counted as forged; quiesce does
+    not detach. *)
 
 val wait_registered : t -> timeout_ns:int -> bool
 (** Block until the driver registers its block device (or time out).
     Keyed on the registration downcall alone, so a {e parked}
     registration (which leaves the blkdev with the live generation)
     counts: this is also the warm-standby readiness probe. *)
-
-type Proxy_class.state += Blk_state of persist
-(** The blk class's handoff payload: the generation-independent persist
-    record (tags, in-flight table, retention, surviving blkdev). *)
 
 val blkdev : t -> Blkdev.t option
 val inflight : t -> int

@@ -1,31 +1,18 @@
-(* Class-specific handoff payloads are injected by each proxy module as
-   extension constructors, so this module stays independent of the
-   concrete proxies while the supervisor can still thread their state
-   through a swap without pattern-matching on classes. *)
-type state = ..
-type state += No_state
-
 module type S = sig
   type t
 
-  val class_name : string
   val chan : t -> Uchan.t
   val hung : t -> bool
   val quiesce : t -> unit
   val resume : t -> unit
-  val handoff : t -> state
-  val adopt : t -> state -> unit
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
 
-let class_name (Instance ((module P), _)) = P.class_name
 let chan (Instance ((module P), x)) = P.chan x
 let hung (Instance ((module P), x)) = P.hung x
 let quiesce (Instance ((module P), x)) = P.quiesce x
 let resume (Instance ((module P), x)) = P.resume x
-let handoff (Instance ((module P), x)) = P.handoff x
-let adopt (Instance ((module P), x)) st = P.adopt x st
 
 (* The shared heartbeat: every SUD driver's queue-0 service loop answers
    [up_ping] inline (any reply — even an error reply from a class that

@@ -9,11 +9,11 @@ type t = {
   adopt : Netdev.t option;       (* surviving netdev from a prior driver generation *)
   mutable dev : Netdev.t option;
   (* Warm-standby parking: a parked proxy lets its driver initialize and
-     register, but records the registration instead of touching the
-     netstack — the kernel-facing netdev stays with the live generation
-     until the supervisor swaps this proxy in via [adopt]. *)
+     register, but records the registration's MAC instead of touching
+     the netstack — the netdev stays as the supervisor left it until the
+     proxy's first [resume] swaps it in. *)
   mutable parked : bool;
-  mutable pending_attach : (bytes * int) option;   (* mac, tx_queues *)
+  mutable pending_mac : bytes option;
   ready : Sync.Waitq.t;
   mutable is_hung : bool;
   (* Lifecycle gate: between quiesce and resume the proxy admits no new
@@ -199,12 +199,25 @@ let make_ops t =
     ndo_start_xmit = (fun ~queue skb -> do_xmit t ~queue skb);
     ndo_do_ioctl = (fun ~cmd ~arg -> do_ioctl t ~cmd ~arg) }
 
+(* Supervised restart: the netdev survived the previous driver's death,
+   and the fresh generation takes it over in place (its MAC and ops;
+   name, queues and backlog stay), re-registering it only if it left the
+   stack.  A live registration and a parked proxy's swap-in both land
+   here. *)
+let take_over t dev mac =
+  Netdev.set_mac dev mac;
+  Netdev.set_ops dev (make_ops t);
+  if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
+    Netstack.register_netdev t.k.Kernel.net dev;
+  t.dev <- Some dev;
+  ignore (Sync.Waitq.broadcast t.ready : int)
+
 let handle_register t m =
-  if Bytes.length m.Msg.payload = 6 && t.parked && t.pending_attach = None then begin
+  if Bytes.length m.Msg.payload = 6 && t.parked && t.pending_mac = None then begin
     (* Parked (warm-standby) registration: accept the driver's identity
-       so it can finish initializing, but leave the netstack alone — the
-       live generation still owns the netdev.  [adopt] applies this. *)
-    t.pending_attach <- Some (Bytes.copy m.Msg.payload, max 1 (Msg.arg m 0));
+       so it can finish initializing, but leave the netstack alone until
+       [resume] swaps this proxy in. *)
+    t.pending_mac <- Some (Bytes.copy m.Msg.payload);
     ignore (Sync.Waitq.broadcast t.ready : int);
     Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 0 ] ())
   end
@@ -214,28 +227,17 @@ let handle_register t m =
         (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"proxy" ~name:"register"
            ~attrs:[ "driver", t.name ] ());
     let mac = Bytes.copy m.Msg.payload in
-    (* The register downcall carries the driver's queue count; the netdev
-       gets that many TX queues, clamped by the rings the channel has. *)
-    let tx_queues = min (max 1 (Msg.arg m 0)) (Uchan.num_queues t.chan) in
-    let ops = make_ops t in
-    let dev =
-      match t.adopt with
-      | Some dev ->
-        (* Supervised restart: the netdev survived the previous driver's
-           death; the fresh generation takes it over in place instead of
-           registering a new one. *)
-        Netdev.set_mac dev mac;
-        Netdev.set_ops dev ops;
-        if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
-          Netstack.register_netdev t.k.Kernel.net dev;
-        dev
-      | None ->
-        let dev = Netdev.create ~name:t.name ~mac ~ops ~tx_queues () in
-        Netstack.register_netdev t.k.Kernel.net dev;
-        dev
-    in
-    t.dev <- Some dev;
-    ignore (Sync.Waitq.broadcast t.ready : int);
+    (match t.adopt with
+     | Some dev -> take_over t dev mac
+     | None ->
+       (* The register downcall carries the driver's queue count; the
+          netdev gets that many TX queues, clamped by the rings the
+          channel has. *)
+       let tx_queues = min (max 1 (Msg.arg m 0)) (Uchan.num_queues t.chan) in
+       let dev = Netdev.create ~name:t.name ~mac ~ops:(make_ops t) ~tx_queues () in
+       Netstack.register_netdev t.k.Kernel.net dev;
+       t.dev <- Some dev;
+       ignore (Sync.Waitq.broadcast t.ready : int));
     Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 0 ] ())
   end
   else Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 1 ] ())
@@ -306,7 +308,7 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
       adopt;
       dev = None;
       parked;
-      pending_attach = None;
+      pending_mac = None;
       ready = Sync.Waitq.create ();
       is_hung = false;
       quiescing = false;
@@ -340,16 +342,23 @@ let netdev t = t.dev
 
 let wait_registered t ~timeout_ns =
   Sync.Waitq.await t.k.Kernel.eng t.ready ~timeout_ns (fun () ->
-      t.dev <> None || t.pending_attach <> None)
+      t.dev <> None || t.pending_mac <> None)
   = Fiber.Normal
 
 let hung t = t.is_hung
 
 let quiesce t = t.quiescing <- true
 
-(* A parked proxy must be adopted before it serves: unparking through
-   resume alone would attach a standby the supervisor never swapped in. *)
-let resume t = if not t.parked then t.quiescing <- false
+(* A parked proxy's first resume is its swap-in: the recorded
+   registration takes over the netdev the proxy was created with. *)
+let resume t =
+  if t.parked then begin
+    (match (t.pending_mac, t.adopt) with
+     | Some mac, Some dev -> take_over t dev mac
+     | _ -> ());
+    t.parked <- false
+  end;
+  t.quiescing <- false
 
 let unregister t =
   match t.dev with
@@ -357,42 +366,6 @@ let unregister t =
     Netstack.unregister_netdev t.k.Kernel.net dev;
     t.dev <- None
   | None -> ()
-
-(* ---- handoff / adopt: the generation-swap contract ---- *)
-
-type Proxy_class.state += Net_state of { dev : Netdev.t option; up : bool }
-
-let handoff t =
-  Net_state
-    { dev = t.dev;
-      up = (match t.dev with Some d -> Netdev.is_up d | None -> false) }
-
-let adopt t st =
-  match st with
-  | Net_state { dev; up = _ } ->
-    if t.parked then begin
-      (match t.pending_attach with
-       | Some (mac, _txq) ->
-         (* The surviving netdev keeps its identity (name, queue count,
-            backlog); the standby's recorded registration supplies the
-            fresh generation's MAC and ops. *)
-         let target = match dev with Some _ as d -> d | None -> t.adopt in
-         (match target with
-          | Some d ->
-            Netdev.set_mac d mac;
-            Netdev.set_ops d (make_ops t);
-            if Netstack.find_netdev t.k.Kernel.net (Netdev.name d) = None then
-              Netstack.register_netdev t.k.Kernel.net d;
-            t.dev <- Some d;
-            ignore (Sync.Waitq.broadcast t.ready : int)
-          | None ->
-            klogf t Klog.Warn
-              "sud-net(%s): adopt with no surviving netdev; awaiting fresh register" t.name)
-       | None -> ());
-      t.parked <- false;
-      t.pending_attach <- None
-    end
-  | _ -> ()
 
 let rx_validation_failures t = Sud_obs.Metrics.get t.rx_bad
 let rx_pool_counters t = (Sud_obs.Metrics.get t.pool_hits, Sud_obs.Metrics.get t.pool_fresh)
@@ -403,12 +376,9 @@ let instance t =
     ( (module struct
         type nonrec t = t
 
-        let class_name = "net"
         let chan t = t.chan
         let hung = hung
         let quiesce = quiesce
         let resume = resume
-        let handoff = handoff
-        let adopt = adopt
       end),
       t )

@@ -39,7 +39,7 @@ val create :
     With [~parked:true] (warm standby) the registration downcall is
     {e recorded} instead of applied: the driver initializes and reports
     ready, but the netstack is untouched and the proxy serves no
-    datapath until {!adopt} swaps it in. *)
+    datapath until its first {!resume} swaps it in. *)
 
 val netdev : t -> Netdev.t option
 
@@ -47,19 +47,6 @@ val wait_registered : t -> timeout_ns:int -> bool
 (** Block (fiber) until the driver has registered, or time out.  A
     {e parked} registration (one recorded but not yet applied) counts:
     this is also the warm-standby readiness probe. *)
-
-type Proxy_class.state += Net_state of { dev : Netdev.t option; up : bool }
-(** The net class's handoff payload: the surviving kernel netdev (if
-    any) and its admin-up state at handoff time. *)
-
-val handoff : t -> Proxy_class.state
-(** Snapshot the kernel-facing state ({!Net_state}).  Idempotent. *)
-
-val adopt : t -> Proxy_class.state -> unit
-(** Install a handoff payload.  On a parked proxy this applies the
-    recorded registration to the surviving netdev (MAC and ops swap in;
-    identity, queues and backlog stay) and unparks the datapath.  On a
-    live proxy it is a no-op — registration already attached. *)
 
 val hung : t -> bool
 (** The proxy observed the driver failing to service upcalls. *)
@@ -70,7 +57,10 @@ val quiesce : t -> unit
     before a faulty generation is killed. *)
 
 val resume : t -> unit
-(** Re-open the intake gate after a successful restart. *)
+(** Re-open the intake gate after a successful restart.  On a parked
+    proxy it first applies the recorded registration to the [adopt]
+    netdev (MAC and ops swap in; identity, queues and backlog stay) and
+    unparks the datapath. *)
 
 val unregister : t -> unit
 (** Remove the netdev from the stack (driver death/restart). *)

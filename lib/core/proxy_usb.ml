@@ -134,31 +134,14 @@ let write_blocks t ~lba data =
 let set_key_handler t h = t.key_handler <- Some h
 let keys_received t = t.keys
 
-(* Handoff carries the mirrored device attributes (storage capacity,
-   key count), so adoption restores them without trusting the fresh
-   driver to re-report honestly. *)
-type Proxy_class.state += Usb_state of { cap : int option; keys : int }
-
-let handoff t = Usb_state { cap = t.cap; keys = t.keys }
-
-let adopt t st =
-  match st with
-  | Usb_state { cap; keys } ->
-    t.cap <- cap;
-    t.keys <- keys
-  | _ -> ()
-
 let instance t =
   Proxy_class.Instance
     ( (module struct
         type nonrec t = t
 
-        let class_name = "usb"
         let chan t = t.chan
         let hung _ = false
         let quiesce t = t.quiescing <- true
         let resume t = t.quiescing <- false
-        let handoff = handoff
-        let adopt = adopt
       end),
       t )

@@ -71,34 +71,14 @@ let set_rate t idx =
 
 let current_bss t = t.bss
 
-(* Handoff carries the embedded net state plus the mirrored wireless
-   attributes, so a swapped-in generation starts from the kernel's copy
-   instead of re-learning rates/BSS from the (untrusted) driver. *)
-type Proxy_class.state +=
-    Wifi_state of { net : Proxy_class.state; rates : int list; bss : int option }
-
-let handoff t =
-  Wifi_state { net = Proxy_net.handoff t.pnet; rates = t.rates; bss = t.bss }
-
-let adopt t st =
-  match st with
-  | Wifi_state { net; rates; bss } ->
-    Proxy_net.adopt t.pnet net;
-    t.rates <- rates;
-    t.bss <- bss
-  | _ -> ()
-
 let instance t =
   Proxy_class.Instance
     ( (module struct
         type nonrec t = t
 
-        let class_name = "wifi"
         let chan t = t.chan
         let hung t = Proxy_net.hung t.pnet
         let quiesce t = Proxy_net.quiesce t.pnet
         let resume t = Proxy_net.resume t.pnet
-        let handoff = handoff
-        let adopt = adopt
       end),
       t )

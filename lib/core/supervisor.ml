@@ -296,25 +296,14 @@ let start_generation t =
 
 (* --- Warm-standby machinery -------------------------------------------- *)
 
-(* The class-agnostic snapshot of the live generation's kernel-facing
-   state, captured before the kill so the successor can adopt it.  When
-   the generation is already gone (process reaped before we got here)
-   the persistent target objects are the fallback truth. *)
-let capture_handoff t =
-  match t.cur with
-  | Some g -> Proxy_class.handoff (Driver_host.class_of g)
-  | None ->
-    (match t.target with
-     | Tgt_net netdev -> Proxy_net.Net_state { dev = Some netdev; up = t.was_up }
-     | Tgt_blk persist -> Proxy_blk.Blk_state persist)
-
 (* Claim the parked standby (if warm for this generation) and activate
    it against the persistent target: open the grant (free once the dead
    generation is reaped), run driver init on the freshly reset device,
-   and wait for its register.  The generation comes back still parked —
-   the caller adopts the handoff state into it before resuming.  Any
-   failure — no standby, poisoned at the swap instant, driver init
-   rejected on the reset device — falls back to the cold path. *)
+   and wait for its register.  The generation comes back still parked:
+   its proxy was built with the class's surviving object, and its first
+   resume ([swap_in]) takes that object over.  Any failure — no standby,
+   poisoned at the swap instant, driver init rejected on the reset
+   device — falls back to the cold path. *)
 let take_warm t ~attempt =
   match t.sb with
   | None -> None
@@ -330,14 +319,12 @@ let take_warm t ~attempt =
             t.name e;
           None))
 
-(* Install a fresh generation and restore the datapath: adopt the
-   captured handoff state (a cold generation adopts too — its parked
-   flag is already clear, so this is a no-op for it), resume through the
-   unified lifecycle, reopen/replay the class's kernel-facing object,
-   and start warming the next standby.  Returns the replayed count. *)
-let swap_in t g ~handoff_state =
+(* Install a fresh generation and restore the datapath: resume through
+   the unified lifecycle (a warm generation's first resume swaps its
+   parked proxy in), reopen/replay the class's kernel-facing object, and
+   start warming the next standby.  Returns the replayed count. *)
+let swap_in t g =
   install t g;
-  Proxy_class.adopt (Driver_host.class_of g) handoff_state;
   Proxy_class.resume (Driver_host.class_of g);
   let replayed =
     match t.target with
@@ -381,12 +368,10 @@ let recover t reason =
   emit t (Fault_detected reason);
   t.state <- Recovering;
   set_sysfs_state t "recovering";
-  (* Contain the kernel-facing object, snapshot the class state while the
-     dying generation's proxy is still around (the successor, warm or
-     cold, adopts it after activation), then quiesce the proxy, kill the
-     driver and reset the device. *)
+  (* Contain the kernel-facing object, then quiesce the proxy, kill the
+     driver and reset the device; the successor, warm or cold, takes the
+     object over when it resumes. *)
   contain t;
-  let handoff_state = capture_handoff t in
   quiesce_current t;
   kill_and_reset t;
   let sp_kill =
@@ -401,7 +386,7 @@ let recover t reason =
     t.restarts <- t.restarts + 1;
     Sud_obs.Metrics.incr t.sm.sm_restarts;
     if warm then t.warm_swaps <- t.warm_swaps + 1;
-    let replayed = swap_in t g ~handoff_state in
+    let replayed = swap_in t g in
     let outage = now t - detect_t in
     t.last_recovery <- outage;
     Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
@@ -507,9 +492,9 @@ let wait_standby_ready t ~timeout_ns =
     poll ()
 
 (* Live upgrade: quiesce the running generation, drain its in-flight
-   work to a barrier, hand the class state to the warm standby and
-   resume — the planned twin of the fault path, sharing swap_in.  Not a
-   detection: no fault counters move and no restart budget is consumed.
+   work to a barrier, kill it and resume the warm standby — the planned
+   twin of the fault path, sharing swap_in.  Not a detection: no fault
+   counters move and no restart budget is consumed.
    If the primary dies mid-drain (double failover) the swap proceeds —
    the undrained in-flight set replays through resume, same as a crash.
    A standby lost at the swap instant (poisoned) is never installed;
@@ -529,11 +514,10 @@ let upgrade (T t) =
       set_sysfs_state t "upgrading";
       klogf t Klog.Info "sud: supervisor(%s): live upgrade: draining generation %d" t.name
         t.restarts;
-      (* Contain exactly like a recovery, but quiesce first and drain
-         before the handoff is captured. *)
+      (* Contain exactly like a recovery, then drain before the kill. *)
       contain t;
       quiesce_current t;
-      (* Drain in-flight block requests to a barrier so the handoff is
+      (* Drain in-flight block requests to a barrier so the swap is
          clean; escape if the primary dies under us or the drain stalls
          (whatever remains replays in tag order on resume). *)
       (match t.target with
@@ -552,13 +536,12 @@ let upgrade (T t) =
          in
          drain ()
        | Tgt_net _ -> ());
-      let handoff_state = capture_handoff t in
       kill_and_reset t;
       let attempt = t.restarts + t.upgrades + 1 in
       let installed =
         match take_warm t ~attempt with
         | Some g ->
-          ignore (swap_in t g ~handoff_state : int);
+          ignore (swap_in t g : int);
           true
         | None ->
           (* Standby evaporated between the readiness check and the swap
@@ -566,7 +549,7 @@ let upgrade (T t) =
              generation rather than leaving the device dead. *)
           (match start_generation t with
            | Ok g ->
-             ignore (swap_in t g ~handoff_state : int);
+             ignore (swap_in t g : int);
              true
            | Error e ->
              klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
