@@ -752,7 +752,6 @@ let standby_stats (T t) =
 
 let standby_proc (T t) = Option.map Driver_host.warm_proc (Option.bind t.sb Standby.peek)
 let warm_swaps (T t) = t.warm_swaps
-let upgrades (T t) = t.upgrades
 
 let stats (T t) =
   { st_state = t.state;

@@ -177,9 +177,6 @@ val standby_proc : t -> Process.t option
 val warm_swaps : t -> int
 (** Recoveries that swapped the warm standby in instead of cold-starting. *)
 
-val upgrades : t -> int
-(** Completed live upgrades. *)
-
 val on_event : t -> (event -> unit) -> unit
 (** Subscribe to lifecycle events (delivered synchronously, in
     subscription order, from the watchdog fiber). *)

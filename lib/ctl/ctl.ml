@@ -159,12 +159,13 @@ type driver_row = {
 let warm = Fault_inject.warm_policy ~max_restarts:10
 
 let row ~cls sv =
+  let st = Supervisor.stats sv in
   { dv_name = Supervisor.name sv;
     dv_class = cls;
     dv_state = state_name (Supervisor.state sv);
     dv_standby = standby_name (Supervisor.standby_status sv);
-    dv_restarts = (Supervisor.stats sv).Supervisor.st_restarts;
-    dv_upgrades = Supervisor.upgrades sv }
+    dv_restarts = st.Supervisor.st_restarts;
+    dv_upgrades = st.Supervisor.st_upgrades }
 
 let driver_list () =
   let w = Fault_inject.make_blk_world () in
