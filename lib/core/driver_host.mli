@@ -71,7 +71,11 @@ val blk : ?adopt:Proxy_blk.persist -> unit -> (Driver_api.blk_driver, Proxy_blk.
 (** sud-blk, the asynchronous multiqueue block class: its pool holds
     fully merged 64-sector requests.  A supervisor passes [adopt] (the
     {!Proxy_blk.persist} record carrying tags, in-flight table and
-    unflushed retention across generations) so recovery can replay. *)
+    unflushed retention across generations) so recovery can replay.  A
+    generation whose record already holds a block device serves from its
+    {!Proxy_class.resume}: until then the device stays detached and the
+    requests an earlier generation left in flight are not its to
+    complete. *)
 
 val wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
 val audio : (Driver_api.audio_driver, Proxy_audio.t) cls

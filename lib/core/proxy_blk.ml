@@ -377,26 +377,24 @@ let handle_register t m =
            ~attrs:[ "driver", t.name; "class", "blk" ] ());
     t.capacity <- capacity;
     t.nqueues <- nq;
-    let bd =
+    let bd, created =
       match t.p.p_blkdev with
       | Some bd ->
         (* Supervised restart: the blkdev (cache, staging queue, waiting
            readers) survived the previous generation's death. *)
         Blkdev.set_capacity bd capacity;
-        bd
+        (bd, false)
       | None ->
         let bd = Blkdev.create ~eng:t.k.Kernel.eng ~name:t.name ~capacity () in
         t.p.p_blkdev <- Some bd;
-        bd
+        (bd, true)
     in
     if Blkdev.find t.k.Kernel.blk t.name = None then Blkdev.register t.k.Kernel.blk bd;
-    (* A clean generation attaches straight away.  A generation with
-       surviving state must not: staged requests would overtake the
-       replay, so the supervisor's [resume] call replays first. *)
-    if
-      Hashtbl.length t.p.p_inflight = 0 && t.p.p_unflushed = []
-      && not t.p.p_replay_flush && not t.quiescing
-    then attach_issuer t bd;
+    (* A blkdev this registration created serves straight away.  A
+       surviving one stays detached until [resume] has replayed, even
+       with nothing to replay: staged requests attached now would go out
+       on this wire and then again in the replay of the in-flight set. *)
+    if created then attach_issuer t bd;
     ignore (Sync.Waitq.broadcast t.ready : int);
     Some (Msg.make ~kind:Proxy_proto.down_blkdev_register ~args:[ 0 ] ())
   end
@@ -423,6 +421,9 @@ let handle_downcall t ~queue:_ m =
 
 let create k ~chan ~grant ~pool ~name ?(parked = false) ?adopt () =
   let p = match adopt with Some p -> p | None -> persist_create () in
+  (* The previous generation's wire died with it: no request it left in
+     flight is this generation's to complete until [resume] sends it. *)
+  Hashtbl.iter (fun _ br -> br.br_sent <- false) p.p_inflight;
   let t =
     { k;
       sud = Cpu.cell k.Kernel.cpu "kernel:sud";

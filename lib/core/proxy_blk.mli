@@ -46,6 +46,12 @@ val create :
     {!Proxy_class.hung} reports it — the escalation path for
     dropped/corrupted completions and dropped flushes.
 
+    With [adopt] the proxy takes the record over from a dead generation:
+    every request that generation left in flight counts as unsent (a
+    completion naming it is forged) until {!Proxy_class.resume} sends it
+    again, and a block device that survives stays detached until that
+    resume has replayed.
+
     With [~parked:true] (warm standby) the proxy shares the [?adopt]
     persist record but treats it as read-only until its first
     {!Proxy_class.resume}, which swaps the proxy in: registration is

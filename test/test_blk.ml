@@ -369,6 +369,79 @@ let test_crash_replay () =
       Alcotest.(check string) "cache agrees" (Bytes.to_string data2) (Bytes.to_string rd);
       Supervisor.stop sv)
 
+(* A restart with nothing in flight, retained or owed: the write and the
+   flush staged across the death go out once, after the resume, so the
+   flush is not left waiting on a request the fresh driver never had and
+   the honest driver is not declared hung. *)
+let test_clean_restart () =
+  run_in_kernel setup_nvme (fun k w ->
+      let sv =
+        ok_or_fail "start_blk supervised"
+          (Supervisor.start_blk k w.sp ~policy:{ blk_policy with Supervisor.standby = false }
+             ~bdf:w.bdf nvme_factory)
+      in
+      let reasons = ref [] in
+      Supervisor.on_event sv (function
+          | Supervisor.Fault_detected why -> reasons := why :: !reasons
+          | _ -> ());
+      let bd = Option.get (Supervisor.blkdev sv) in
+      ok_or_fail "write 1" (Blkdev.write bd ~lba:0 (page ~seed:1) ());
+      ok_or_fail "fsync 1" (Blkdev.fsync bd ());
+      ignore (Fiber.sleep k.Kernel.eng 20_000_000 : Fiber.wake);
+      let data = page ~seed:2 in
+      ok_or_fail "write 2" (Blkdev.write bd ~lba:0 data ());
+      (match Supervisor.proc sv with
+       | Some p -> Process.kill p
+       | None -> Alcotest.fail "no driver process");
+      ok_or_fail "fsync across the restart" (Blkdev.fsync bd ());
+      Alcotest.(check (list string)) "one detection, the death" [ "driver process died" ]
+        (List.rev !reasons);
+      check_media_page w.nvme ~lba:0 data "second write";
+      Supervisor.stop sv)
+
+(* A driver that registers one queue, accepts every submission and
+   completes none; [forge] receives its completion callback. *)
+let forging_driver forge =
+  { Nvme.driver with
+    Driver_api.bd_probe =
+      (fun _ _ cb ->
+         forge := Some (fun ~tag -> cb.Driver_api.bc_complete ~queue:0 ~tag ~status:0);
+         Ok
+           { Driver_api.bi_capacity = 1024;
+             bi_queues = 1;
+             bi_submit = (fun ~queue:_ ~tag:_ ~op:_ ~lba:_ ~count:_ ~addr:_ -> `Ok) }) }
+
+(* Two generations on one persist record: the first dies holding a FUA
+   write (tag 0), and the second, before any resume has sent it that
+   write, completes tag 0.  It cannot know that tag, so the completion is
+   forged and the write stays unacknowledged. *)
+let test_fresh_generation_cannot_complete_the_dead_ones () =
+  run_in_kernel setup_nvme (fun k w ->
+      let cls = Driver_host.blk ~adopt:(Proxy_blk.persist_create ()) () in
+      let held = ref [] in
+      let first =
+        ok_or_fail "first generation" (Driver_host.launch k w.sp cls ~bdf:w.bdf (holding_driver held))
+      in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy first)) in
+      let eng = k.Kernel.eng and acked = ref None in
+      ignore
+        (Fiber.spawn eng (fun () -> acked := Some (Blkdev.write_fua bd ~lba:0 (page ~seed:9) ()))
+         : Fiber.t);
+      if not (Fiber.poll eng ~every_ns:1_000 ~budget:1_000 (fun () -> !held <> [])) then
+        Alcotest.fail "the FUA write never reached the first driver";
+      Driver_host.kill first;
+      let forge = ref None in
+      let second =
+        ok_or_fail "second generation"
+          (Driver_host.launch k w.sp cls ~bdf:w.bdf (forging_driver forge))
+      in
+      (Option.get !forge) ~tag:0;
+      Uchan.flush (Driver_host.chan second);
+      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+      Alcotest.(check bool) "the FUA write is unacknowledged" true (!acked = None);
+      Alcotest.(check int) "and still in flight" 1 (Proxy_blk.inflight (Driver_host.proxy second));
+      Driver_host.kill second)
+
 (* NVMe, but while [hold] is set its completions wait in [held] until
    the test delivers them. *)
 let gated_driver ~hold held =
@@ -560,6 +633,10 @@ let suite =
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
       test_clock_spares_a_hit_page;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
+    Alcotest.test_case "sud-blk: a clean restart sends the staged requests once" `Quick
+      test_clean_restart;
+    Alcotest.test_case "sud-blk: a fresh generation cannot complete the dead one's request"
+      `Quick test_fresh_generation_cannot_complete_the_dead_ones;
     Alcotest.test_case "sud-blk: one fiber drains a parked replay" `Quick
       test_replay_drains_once;
     Alcotest.test_case "sud-blk: a page's write in flight outlives a driver death" `Quick
