@@ -348,9 +348,19 @@ let track_outage ctx sv =
   worst
 
 (* Fire [plan] at [sv], let it run out, then let the last recovery
-   settle. *)
-let storm k sv ~duration_ms ~inject ~name plan =
+   settle.  Every detection must find a fault applied since the one
+   before it: one that finds none killed an honest driver that did
+   nothing wrong. *)
+let storm k sv ctx ~duration_ms ~inject ~name plan =
   let stats = run_plan k ~sv ~inject ~name plan in
+  let applied_at_last = ref 0 in
+  Supervisor.on_event sv (function
+      | Supervisor.Fault_detected reason ->
+        if stats.inj_applied = !applied_at_last then
+          violate ctx "spurious recovery: %s with no fault applied since the last detection"
+            reason;
+        applied_at_last := stats.inj_applied
+      | _ -> ());
   ignore (Fiber.sleep k.Kernel.eng ((duration_ms + 200) * 1_000_000) : Fiber.wake);
   ignore
     (Fiber.poll k.Kernel.eng ~every_ns:10_000_000 ~budget:200 (fun () ->
@@ -564,7 +574,7 @@ let soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 4_000) ?plan () =
          actual batch to garble. *)
       let tr = start_traffic ~burst:4 w dev ~gap_ns:800_000 in
       let stats =
-        storm w.k sv ~duration_ms ~inject:(inject ~sv ~dma_violate:(dma_violate w))
+        storm w.k sv ctx ~duration_ms ~inject:(inject ~sv ~dma_violate:(dma_violate w))
           ~name:fault_name plan
       in
       tr.tr_stop <- true;
@@ -804,7 +814,7 @@ let blk_soak ?sched ?seed ?(n_faults = 200) ?(duration_ms = 6_000) ?plan () =
                 | Error e -> io_error d "read of page %d failed: %s" rp e));
           if gen mod 6 = 0 then fsync_and_verify d "periodic check");
       let stats =
-        storm w.bw_k sv ~duration_ms ~inject:(blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme)
+        storm w.bw_k sv ctx ~duration_ms ~inject:(blk_inject ~eng:w.bw_eng ~sv ~nvme:w.bw_nvme)
           ~name:blk_fault_name plan
       in
       stop_writer w.bw_eng d;
