@@ -5,7 +5,7 @@ type 'p gen = {
   g_chan : Uchan.t;
   g_grant : Safe_pci.grant;
   g_proxy : 'p;
-  g_class : Proxy_class.instance;
+  g_class : Proxy_class.t;
   g_uml : Sud_uml.t;
   g_netdev : Netdev.t option;
   g_queues : int;
@@ -41,22 +41,18 @@ let wifi = Wifi
 let audio = Audio
 let usb ~bind_storage ~bind_keyboard = Usb { bind_storage; bind_keyboard }
 
-(* What a class contributes to the one bring-up sequence.  [parked]
-   (warm standby) is only ever true for a class whose [adoptable] is Ok:
-   the lighter classes have no standby and ignore it. *)
+(* What a class contributes to the one bring-up sequence. *)
 type ('d, 'p) desc = {
   d_name : string;
   d_ident : 'd -> string * (int * int) list;  (* driver name, PCI ids *)
   d_pool : int * int;  (* DMA pool: buffers, buffer size *)
   d_proxy :
-    parked:bool -> Kernel.t -> chan:Uchan.t -> grant:Safe_pci.grant -> pool:Bufpool.t ->
-    name:string -> 'p;
+    Kernel.t -> chan:Uchan.t -> grant:Safe_pci.grant -> pool:Bufpool.t -> name:string -> 'p;
   d_serve : Sud_uml.t -> 'd -> unit;
-  d_ready : 'p -> timeout_ns:int -> bool;  (* parked registrations count *)
+  d_ready : 'p -> timeout_ns:int -> bool;
   d_netdev : 'p -> Netdev.t option;
   d_exit : 'p -> unit;  (* on driver death, after the channel closed *)
-  d_instance : 'p -> Proxy_class.instance;
-  d_adoptable : (unit, string) result;  (* may a parked generation take over? *)
+  d_instance : 'p -> Proxy_class.t;
 }
 
 let net_pool = (128, 2048)
@@ -65,36 +61,27 @@ let net_pool = (128, 2048)
    bigger buffers than the net pool. *)
 let blk_pool = (64, 32768)
 
-let no_standby name = Error (name ^ " has no warm standby")
-
 let desc : type d p. (d, p) cls -> (d, p) desc = function
   | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
     { d_name = "net";
       d_ident = (fun d -> (d.Driver_api.nd_name, d.nd_ids));
       d_pool = net_pool;
       d_proxy =
-        (fun ~parked k ~chan ~grant ~pool ~name ->
-           Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ~parked
-             ?adopt:adopt_netdev ());
+        (fun k ~chan ~grant ~pool ~name ->
+           Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ?adopt:adopt_netdev ());
       d_serve = Sud_uml.serve_net;
       d_ready = Proxy_net.wait_registered;
-      d_netdev =
-        (fun p -> match Proxy_net.netdev p with Some _ as d -> d | None -> adopt_netdev);
+      d_netdev = Proxy_net.netdev;
       (* A supervised device keeps its netdev across driver deaths; the
          supervisor owns (un)registration in that case. *)
       d_exit = (fun p -> if unregister_on_exit then Proxy_net.unregister p);
-      d_instance = Proxy_net.instance;
-      d_adoptable =
-        (match adopt_netdev with
-         | Some _ -> Ok ()
-         | None -> Error "no surviving netdev to adopt") }
+      d_instance = Proxy_net.instance }
   | Blk { adopt } ->
     { d_name = "blk";
       d_ident = (fun d -> (d.Driver_api.bd_name, d.bd_ids));
       d_pool = blk_pool;
       d_proxy =
-        (fun ~parked k ~chan ~grant ~pool ~name ->
-           Proxy_blk.create k ~chan ~grant ~pool ~name ~parked ?adopt ());
+        (fun k ~chan ~grant ~pool ~name -> Proxy_blk.create k ~chan ~grant ~pool ~name ?adopt ());
       d_serve = Sud_uml.serve_blk;
       d_ready = Proxy_blk.wait_registered;
       d_netdev = (fun _ -> None);
@@ -102,49 +89,39 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
          survives the driver's death; new requests park in staging until
          a fresh generation resumes. *)
       d_exit = Proxy_blk.quiesce;
-      d_instance = Proxy_blk.instance;
-      d_adoptable =
-        (match Option.bind adopt Proxy_blk.persist_blkdev with
-         | Some _ -> Ok ()
-         | None -> Error "no surviving block device to adopt") }
+      d_instance = Proxy_blk.instance }
   | Wifi ->
     { d_name = "wifi";
       d_ident = (fun d -> (d.Driver_api.wd_name, d.wd_ids));
       d_pool = net_pool;
-      d_proxy =
-        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_wifi.create k ~chan ~grant ~pool ~name ());
+      d_proxy = (fun k ~chan ~grant ~pool ~name -> Proxy_wifi.create k ~chan ~grant ~pool ~name ());
       d_serve = Sud_uml.serve_wifi;
       d_ready = (fun p -> Proxy_net.wait_registered (Proxy_wifi.net p));
       d_netdev = Proxy_wifi.netdev;
       d_exit = (fun p -> Proxy_net.unregister (Proxy_wifi.net p));
-      d_instance = Proxy_wifi.instance;
-      d_adoptable = no_standby "wifi" }
+      d_instance = Proxy_wifi.instance }
   | Audio ->
     { d_name = "audio";
       d_ident = (fun d -> (d.Driver_api.ad_name, d.ad_ids));
       d_pool = net_pool;
-      d_proxy =
-        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_audio.create k ~chan ~grant ~pool ~name ());
+      d_proxy = (fun k ~chan ~grant ~pool ~name -> Proxy_audio.create k ~chan ~grant ~pool ~name ());
       d_serve = Sud_uml.serve_audio;
       d_ready = Proxy_audio.wait_ready;
       d_netdev = (fun _ -> None);
       d_exit = ignore;
-      d_instance = Proxy_audio.instance;
-      d_adoptable = no_standby "audio" }
+      d_instance = Proxy_audio.instance }
   | Usb { bind_storage; bind_keyboard } ->
     { d_name = "usb";
       d_ident = (fun d -> (d.Driver_api.ud_name, d.ud_ids));
       d_pool = net_pool;
-      d_proxy =
-        (fun ~parked:_ k ~chan ~grant ~pool ~name -> Proxy_usb.create k ~chan ~grant ~pool ~name ());
+      d_proxy = (fun k ~chan ~grant ~pool ~name -> Proxy_usb.create k ~chan ~grant ~pool ~name ());
       d_serve = (fun uml d -> Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard d);
       (* Block and input surfaces appear as the driver enumerates its bus
          ([Proxy_usb.wait_block]); there is no single registration. *)
       d_ready = (fun _ ~timeout_ns:_ -> true);
       d_netdev = (fun _ -> None);
       d_exit = ignore;
-      d_instance = Proxy_usb.instance;
-      d_adoptable = no_standby "usb" }
+      d_instance = Proxy_usb.instance }
 
 (* ---- the bring-up steps ---- *)
 
@@ -207,8 +184,8 @@ let rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues () =
    [on_exit] runs at driver death, before the table's revocation
    (exit hooks run last-registered-first, and [spawn] registered the
    table's first). *)
-let attach d k ~parked ~proc ~grant ~pool ~chan ~name ~on_exit drv =
-  let proxy = d.d_proxy ~parked k ~chan ~grant ~pool ~name in
+let attach d k ~proc ~grant ~pool ~chan ~name ~on_exit drv =
+  let proxy = d.d_proxy k ~chan ~grant ~pool ~name in
   let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
   Process.on_exit proc (fun () -> on_exit proxy);
   ignore
@@ -244,7 +221,7 @@ let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
     d.d_exit proxy
   in
   let* proxy, uml =
-    or_kill proc (attach d k ~parked:false ~proc ~grant ~pool ~chan ~name ~on_exit drv)
+    or_kill proc (attach d k ~proc ~grant ~pool ~chan ~name ~on_exit drv)
   in
   Ok
     { g_k = k;
@@ -354,11 +331,10 @@ let activate w cls drv =
   let d = desc cls in
   let k = w.w_k and sp = w.w_sp and bdf = w.w_bdf and name = w.w_name and proc = w.w_proc in
   trace "activate" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
-  let* () = or_kill proc d.d_adoptable in
   let* grant, pool = or_kill proc (open_pool sp ~caps:w.w_caps bdf ~proc d.d_pool) in
   let* proxy, uml =
     or_kill proc
-      (attach d k ~parked:true ~proc ~grant ~pool ~chan:w.w_chan ~name ~on_exit:d.d_exit drv)
+      (attach d k ~proc ~grant ~pool ~chan:w.w_chan ~name ~on_exit:d.d_exit drv)
   in
   Ok
     { g_k = k;

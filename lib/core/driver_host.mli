@@ -73,8 +73,8 @@ val blk : ?adopt:Proxy_blk.persist -> unit -> (Driver_api.blk_driver, Proxy_blk.
     {!Proxy_blk.persist} record carrying tags, in-flight table and
     unflushed retention across generations) so recovery can replay.  A
     generation whose record already holds a block device serves from its
-    {!Proxy_class.resume}: until then the device stays detached and the
-    requests an earlier generation left in flight are not its to
+    proxy's [resume] ({!class_of}): until then the device stays detached
+    and the requests an earlier generation left in flight are not its to
     complete. *)
 
 val wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
@@ -135,14 +135,14 @@ val proxy : 'p gen -> 'p
 val blk_proxy : Proxy_blk.t gen -> Proxy_blk.t
 (** {!proxy} at the blk class. *)
 
-val class_of : _ gen -> Proxy_class.instance
+val class_of : _ gen -> Proxy_class.t
 (** The proxy behind the class-independent supervision surface. *)
 
 val uml : _ gen -> Sud_uml.t
 
 val netdev : _ gen -> Netdev.t
-(** The network device the driver registered (or, warm, adopted); it
-    stays readable after the driver dies.
+(** The network device the driver registered (a fresh one, or the one
+    its class adopts); it stays readable after the driver dies.
     @raise Invalid_argument for a class without one (blk, audio, usb). *)
 
 val queues : _ gen -> int
@@ -210,13 +210,13 @@ val discard_warm : warm -> unit
 
 val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
 (** Finish a parked generation against the freshly reset device: open
-    the grant, build the DMA pool, create the proxy {e parked} (the
-    driver's registration is recorded, not applied), serve the driver,
-    and wait for it to register.  The class must name the surviving
-    kernel object to take over (net: [adopt_netdev]; blk: an [adopt]
-    record whose block device exists); wifi, audio and usb have no
-    standby.  On success the proxy's first {!Proxy_class.resume} swaps
-    it in and replays; on error the standby process has been killed
-    (its table revoked), so a cold start can follow.  The activated
-    generation's class exit action runs before the table's revocation,
-    whose last step closes the channel. *)
+    the grant, build the DMA pool, create the class's proxy exactly as a
+    cold start does, serve the driver, and wait for it to register.  The
+    supervisor passes its own class, which names the surviving kernel
+    object (net: [adopt_netdev]; blk: an [adopt] record), so the
+    driver's registration takes that object over as a cold restart's
+    does, and the proxy's first [resume] ({!class_of}) replays.  On
+    error the standby process has been killed (its table revoked), so a
+    cold start can follow.  The activated generation's class exit action
+    runs before the table's revocation, whose last step closes the
+    channel. *)

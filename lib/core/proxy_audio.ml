@@ -99,13 +99,7 @@ let wait_period t ~timeout_ns =
   wait_cond t t.period_wait ~timeout_ns (fun () -> t.periods > before)
 
 let instance t =
-  Proxy_class.Instance
-    ( (module struct
-        type nonrec t = t
-
-        let chan t = t.chan
-        let hung _ = false
-        let quiesce t = t.quiescing <- true
-        let resume t = t.quiescing <- false
-      end),
-      t )
+  { Proxy_class.chan = t.chan;
+    hung = (fun () -> false);
+    quiesce = (fun () -> t.quiescing <- true);
+    resume = (fun () -> t.quiescing <- false) }

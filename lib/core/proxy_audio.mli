@@ -33,5 +33,5 @@ val periods_elapsed : t -> int
 val wait_period : t -> timeout_ns:int -> bool
 (** Block until the next period-elapsed event (false on timeout). *)
 
-val instance : t -> Proxy_class.instance
+val instance : t -> Proxy_class.t
 (** This proxy behind the class-independent supervision surface. *)

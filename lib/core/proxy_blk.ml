@@ -73,16 +73,8 @@ type t = {
   p : persist;
   ready : Sync.Waitq.t;
   mutable nqueues : int;             (* device queues; 0 until registered *)
-  mutable capacity : int;
   mutable is_hung : bool;
   mutable quiescing : bool;
-  (* Warm-standby parking: a parked proxy shares the persist record the
-     live generation left behind but treats it as read-only until its
-     first [resume] swaps it in — registration is recorded, not applied;
-     completions are forged by definition (nothing was ever submitted on
-     this channel); quiesce must not detach the blkdev; and the earlier
-     generation's in-flight ages are not this proxy's hang signal. *)
-  mutable parked : bool;
   (* Submissions on the wire this generation (sent, not yet completed).
      A flush is held until this drains to zero: rings are per-LBA, so a
      flush racing an in-flight write on another ring could be processed
@@ -283,12 +275,6 @@ let oldest_inflight_tag t =
 let status_data_transfer_error = 0x4
 
 let handle_complete t m =
-  if t.parked then
-    (* A parked standby never submitted anything: any completion it
-       sends can only be forged (possibly naming a live generation's
-       tag through the shared persist record). *)
-    Sud_obs.Metrics.incr t.m_stale
-  else
   let tag = Msg.arg m 0 and status = Msg.arg m 1 in
   match Hashtbl.find_opt t.p.p_inflight tag with
   | None ->
@@ -296,8 +282,9 @@ let handle_complete t m =
        Nothing to acknowledge; count it and move on. *)
     Sud_obs.Metrics.incr t.m_stale
   | Some br when not br.br_sent ->
-    (* In flight but never sent this generation (parked, or awaiting
-       replay): the driver cannot legitimately know this tag — forged. *)
+    (* In flight but never sent this generation (queued behind a
+       refused send, or left by a dead generation for the replay): the
+       driver cannot legitimately know this tag — forged. *)
     Sud_obs.Metrics.incr t.m_stale
   | Some br ->
     Hashtbl.remove t.p.p_inflight tag;
@@ -360,28 +347,19 @@ let attach_issuer t bd = Blkdev.attach bd (fun rq -> issue t rq)
 
 let handle_register t m =
   if t.nqueues > 0 then Some (Msg.make ~kind:Proxy_proto.down_blkdev_register ~args:[ 1 ] ())
-  else if t.parked then begin
-    (* Parked (warm-standby) registration: record the driver's geometry
-       and report ready, leaving persist record, blkdev and issuer with
-       the live generation until [resume] swaps this proxy in. *)
-    t.capacity <- Msg.arg m 0;
-    t.nqueues <- max 1 (Msg.arg m 1);
-    ignore (Sync.Waitq.broadcast t.ready : int);
-    Some (Msg.make ~kind:Proxy_proto.down_blkdev_register ~args:[ 0 ] ())
-  end
   else begin
     let capacity = Msg.arg m 0 and nq = max 1 (Msg.arg m 1) in
     if Sud_obs.Trace.on () then
       ignore
         (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"proxy" ~name:"register"
            ~attrs:[ "driver", t.name; "class", "blk" ] ());
-    t.capacity <- capacity;
     t.nqueues <- nq;
     let bd, created =
       match t.p.p_blkdev with
       | Some bd ->
-        (* Supervised restart: the blkdev (cache, staging queue, waiting
-           readers) survived the previous generation's death. *)
+        (* Supervised restart, cold or warm: the blkdev (cache, staging
+           queue, waiting readers) survived the previous generation's
+           death. *)
         Blkdev.set_capacity bd capacity;
         (bd, false)
       | None ->
@@ -419,7 +397,7 @@ let handle_downcall t ~queue:_ m =
     None
   end
 
-let create k ~chan ~grant ~pool ~name ?(parked = false) ?adopt () =
+let create k ~chan ~grant ~pool ~name ?adopt () =
   let p = match adopt with Some p -> p | None -> persist_create () in
   (* The previous generation's wire died with it: no request it left in
      flight is this generation's to complete until [resume] sends it. *)
@@ -434,10 +412,8 @@ let create k ~chan ~grant ~pool ~name ?(parked = false) ?adopt () =
       p;
       ready = Sync.Waitq.create ();
       nqueues = 0;
-      capacity = 0;
       is_hung = false;
       quiescing = false;
-      parked;
       on_wire = 0;
       pending = Queue.create ();
       draining = false;
@@ -491,11 +467,10 @@ let request_timeout_ns = 10_000_000
 (* Hung when the sync path said so, or when the oldest in-flight request
    outlived the request timeout — the escalation path for dropped and
    corrupted completions and for dropped flushes, none of which produce
-   any other signal.  A parked standby shares the live generation's
-   persist record, whose in-flight ages say nothing about this proxy. *)
+   any other signal. *)
 let hung t =
   t.is_hung
-  || (not t.quiescing) && (not t.parked)
+  || (not t.quiescing)
      &&
      let now = Engine.now t.k.Kernel.eng in
      Hashtbl.fold
@@ -504,29 +479,15 @@ let hung t =
 
 let quiesce t =
   t.quiescing <- true;
-  (* A parked standby dying (or being discarded) must not detach the
-     blkdev the live generation is serving through the shared persist. *)
-  if not t.parked then
-    match t.p.p_blkdev with
-    | Some bd -> if Blkdev.attached bd then Blkdev.detach bd
-    | None -> ()
+  match t.p.p_blkdev with
+  | Some bd -> if Blkdev.attached bd then Blkdev.detach bd
+  | None -> ()
 
 (* Called on the NEW generation after a supervised restart: replay the
    retention and the in-flight set in tag order on the fresh channel,
    owe a trailing barrier, then reattach the device so staged requests
-   follow the replay.  A parked proxy's first resume is its swap-in: the
-   recorded registration supplies the fresh generation's geometry, and
-   the surviving blkdev (cache, staging queue, waiting readers) keeps its
-   identity. *)
+   follow the replay. *)
 let resume t =
-  if t.parked then begin
-    (match t.p.p_blkdev with
-     | Some bd ->
-       if t.capacity > 0 then Blkdev.set_capacity bd t.capacity;
-       if Blkdev.find t.k.Kernel.blk t.name = None then Blkdev.register t.k.Kernel.blk bd
-     | None -> ());
-    t.parked <- false
-  end;
   t.quiescing <- false;
   match t.p.p_blkdev with
   | None -> ()
@@ -553,13 +514,7 @@ let resume t =
     maybe_replay_flush t
 
 let instance t =
-  Proxy_class.Instance
-    ( (module struct
-        type nonrec t = t
-
-        let chan t = t.chan
-        let hung = hung
-        let quiesce = quiesce
-        let resume = resume
-      end),
-      t )
+  { Proxy_class.chan = t.chan;
+    hung = (fun () -> hung t);
+    quiesce = (fun () -> quiesce t);
+    resume = (fun () -> resume t) }

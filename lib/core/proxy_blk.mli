@@ -6,8 +6,8 @@
     increasing idempotency tag that survives driver generations in the
     {!persist} record, along with the in-flight table and the
     unflushed-retention list (completed writes not yet proven durable
-    by a Flush completion).  After a supervised restart,
-    {!Proxy_class.resume} replays both sets in tag order and owes a
+    by a Flush completion).  After a supervised restart, the proxy's
+    [resume] ({!instance}) replays both sets in tag order and owes a
     trailing barrier; {!Blkdev.complete} fires upstream completions at
     most once, so replay is idempotent: {e no acknowledged write is ever
     lost, and no unacknowledged write becomes visible without being
@@ -38,32 +38,23 @@ val create :
   grant:Safe_pci.grant ->
   pool:Bufpool.t ->
   name:string ->
-  ?parked:bool ->
   ?adopt:persist ->
   unit ->
   t
-(** A submitted request may stay uncompleted for 10 ms before
-    {!Proxy_class.hung} reports it — the escalation path for
+(** A submitted request may stay uncompleted for 10 ms before the
+    proxy's [hung] ({!instance}) reports it — the escalation path for
     dropped/corrupted completions and dropped flushes.
 
-    With [adopt] the proxy takes the record over from a dead generation:
-    every request that generation left in flight counts as unsent (a
-    completion naming it is forged) until {!Proxy_class.resume} sends it
-    again, and a block device that survives stays detached until that
-    resume has replayed.
-
-    With [~parked:true] (warm standby) the proxy shares the [?adopt]
-    persist record but treats it as read-only until its first
-    {!Proxy_class.resume}, which swaps the proxy in: registration is
-    recorded (geometry + ready broadcast) without touching persist,
-    blkdev or issuer; completions are counted as forged; quiesce does
-    not detach. *)
+    With [adopt] the proxy takes the record over from a dead generation,
+    cold or warm: every request that generation left in flight counts as
+    unsent (a completion naming it is forged) until the proxy's
+    [resume] sends it again, and the registration takes over a block
+    device that survives (its geometry; re-registered if it left the
+    kernel's table) but leaves it detached until that [resume] has
+    replayed. *)
 
 val wait_registered : t -> timeout_ns:int -> bool
-(** Block until the driver registers its block device (or time out).
-    Keyed on the registration downcall alone, so a {e parked}
-    registration (which leaves the blkdev with the live generation)
-    counts: this is also the warm-standby readiness probe. *)
+(** Block until the driver registers its block device (or time out). *)
 
 val blkdev : t -> Blkdev.t option
 val inflight : t -> int
@@ -81,6 +72,5 @@ val quiesce : t -> unit
 (** Detach the block device (staging absorbs new requests) and admit no
     further submissions from this generation.  Idempotent. *)
 
-val instance : t -> Proxy_class.instance
-(** This proxy as a member of the unified device-class API
-    (class name ["blk"]). *)
+val instance : t -> Proxy_class.t
+(** This proxy behind the class-independent supervision surface. *)

@@ -8,12 +8,6 @@ type t = {
   defensive_copy : bool;
   adopt : Netdev.t option;       (* surviving netdev from a prior driver generation *)
   mutable dev : Netdev.t option;
-  (* Warm-standby parking: a parked proxy lets its driver initialize and
-     register, but records the registration's MAC instead of touching
-     the netstack — the netdev stays as the supervisor left it until the
-     proxy's first [resume] swaps it in. *)
-  mutable parked : bool;
-  mutable pending_mac : bytes option;
   ready : Sync.Waitq.t;
   mutable is_hung : bool;
   (* Lifecycle gate: between quiesce and resume the proxy admits no new
@@ -199,45 +193,36 @@ let make_ops t =
     ndo_start_xmit = (fun ~queue skb -> do_xmit t ~queue skb);
     ndo_do_ioctl = (fun ~cmd ~arg -> do_ioctl t ~cmd ~arg) }
 
-(* Supervised restart: the netdev survived the previous driver's death,
-   and the fresh generation takes it over in place (its MAC and ops;
-   name, queues and backlog stay), re-registering it only if it left the
-   stack.  A live registration and a parked proxy's swap-in both land
-   here. *)
-let take_over t dev mac =
-  Netdev.set_mac dev mac;
-  Netdev.set_ops dev (make_ops t);
-  if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
-    Netstack.register_netdev t.k.Kernel.net dev;
-  t.dev <- Some dev;
-  ignore (Sync.Waitq.broadcast t.ready : int)
-
 let handle_register t m =
-  if Bytes.length m.Msg.payload = 6 && t.parked && t.pending_mac = None then begin
-    (* Parked (warm-standby) registration: accept the driver's identity
-       so it can finish initializing, but leave the netstack alone until
-       [resume] swaps this proxy in. *)
-    t.pending_mac <- Some (Bytes.copy m.Msg.payload);
-    ignore (Sync.Waitq.broadcast t.ready : int);
-    Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 0 ] ())
-  end
-  else if Bytes.length m.Msg.payload = 6 && not t.parked && t.dev = None then begin
+  if Bytes.length m.Msg.payload = 6 && t.dev = None then begin
     if Sud_obs.Trace.on () then
       ignore
         (Sud_obs.Trace.emit ~parent:(Sud_obs.Trace.current ()) ~cat:"proxy" ~name:"register"
            ~attrs:[ "driver", t.name ] ());
     let mac = Bytes.copy m.Msg.payload in
-    (match t.adopt with
-     | Some dev -> take_over t dev mac
-     | None ->
-       (* The register downcall carries the driver's queue count; the
-          netdev gets that many TX queues, clamped by the rings the
-          channel has. *)
-       let tx_queues = min (max 1 (Msg.arg m 0)) (Uchan.num_queues t.chan) in
-       let dev = Netdev.create ~name:t.name ~mac ~ops:(make_ops t) ~tx_queues () in
-       Netstack.register_netdev t.k.Kernel.net dev;
-       t.dev <- Some dev;
-       ignore (Sync.Waitq.broadcast t.ready : int));
+    let dev =
+      match t.adopt with
+      | Some dev ->
+        (* Supervised restart, cold or warm: the netdev survived the
+           previous driver's death, and the fresh generation takes it
+           over in place (its MAC and ops; name, queues and backlog
+           stay), re-registering it only if it left the stack. *)
+        Netdev.set_mac dev mac;
+        Netdev.set_ops dev (make_ops t);
+        if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
+          Netstack.register_netdev t.k.Kernel.net dev;
+        dev
+      | None ->
+        (* The register downcall carries the driver's queue count; the
+           netdev gets that many TX queues, clamped by the rings the
+           channel has. *)
+        let tx_queues = min (max 1 (Msg.arg m 0)) (Uchan.num_queues t.chan) in
+        let dev = Netdev.create ~name:t.name ~mac ~ops:(make_ops t) ~tx_queues () in
+        Netstack.register_netdev t.k.Kernel.net dev;
+        dev
+    in
+    t.dev <- Some dev;
+    ignore (Sync.Waitq.broadcast t.ready : int);
     Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 0 ] ())
   end
   else Some (Msg.make ~kind:Proxy_proto.down_net_register ~args:[ 1 ] ())
@@ -295,7 +280,7 @@ let handle_downcall t ~queue m =
     None
   end
 
-let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false) ?adopt () =
+let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?adopt () =
   let nq = Uchan.num_queues chan in
   let t =
     { k;
@@ -307,8 +292,6 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
       defensive_copy;
       adopt;
       dev = None;
-      parked;
-      pending_mac = None;
       ready = Sync.Waitq.create ();
       is_hung = false;
       quiescing = false;
@@ -341,24 +324,9 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?(parked = false)
 let netdev t = t.dev
 
 let wait_registered t ~timeout_ns =
-  Sync.Waitq.await t.k.Kernel.eng t.ready ~timeout_ns (fun () ->
-      t.dev <> None || t.pending_mac <> None)
-  = Fiber.Normal
+  Sync.Waitq.await t.k.Kernel.eng t.ready ~timeout_ns (fun () -> t.dev <> None) = Fiber.Normal
 
 let hung t = t.is_hung
-
-let quiesce t = t.quiescing <- true
-
-(* A parked proxy's first resume is its swap-in: the recorded
-   registration takes over the netdev the proxy was created with. *)
-let resume t =
-  if t.parked then begin
-    (match (t.pending_mac, t.adopt) with
-     | Some mac, Some dev -> take_over t dev mac
-     | _ -> ());
-    t.parked <- false
-  end;
-  t.quiescing <- false
 
 let unregister t =
   match t.dev with
@@ -372,13 +340,7 @@ let rx_pool_counters t = (Sud_obs.Metrics.get t.pool_hits, Sud_obs.Metrics.get t
 let frames_per_poll t = t.frames_per_poll
 
 let instance t =
-  Proxy_class.Instance
-    ( (module struct
-        type nonrec t = t
-
-        let chan t = t.chan
-        let hung = hung
-        let quiesce = quiesce
-        let resume = resume
-      end),
-      t )
+  { Proxy_class.chan = t.chan;
+    hung = (fun () -> t.is_hung);
+    quiesce = (fun () -> t.quiescing <- true);
+    resume = (fun () -> t.quiescing <- false) }

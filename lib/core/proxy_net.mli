@@ -25,7 +25,6 @@ val create :
   pool:Bufpool.t ->
   name:string ->
   ?defensive_copy:bool ->
-  ?parked:bool ->
   ?adopt:Netdev.t ->
   unit ->
   t
@@ -34,33 +33,15 @@ val create :
     proxy does not create a fresh netdev at registration: it takes over
     the given one — swapping in its own ops and MAC, re-registering it
     with the stack only if it is absent — so a supervised device keeps
-    one netdev identity across driver restarts.
-
-    With [~parked:true] (warm standby) the registration downcall is
-    {e recorded} instead of applied: the driver initializes and reports
-    ready, but the netstack is untouched and the proxy serves no
-    datapath until its first {!resume} swaps it in. *)
+    one netdev identity across driver restarts, cold or warm. *)
 
 val netdev : t -> Netdev.t option
 
 val wait_registered : t -> timeout_ns:int -> bool
-(** Block (fiber) until the driver has registered, or time out.  A
-    {e parked} registration (one recorded but not yet applied) counts:
-    this is also the warm-standby readiness probe. *)
+(** Block (fiber) until the driver has registered, or time out. *)
 
 val hung : t -> bool
 (** The proxy observed the driver failing to service upcalls. *)
-
-val quiesce : t -> unit
-(** Stop admitting new upcalls: transmits bounce as [Xmit_busy] (the
-    supervisor's backlog catches them), ioctls fail fast.  Called
-    before a faulty generation is killed. *)
-
-val resume : t -> unit
-(** Re-open the intake gate after a successful restart.  On a parked
-    proxy it first applies the recorded registration to the [adopt]
-    netdev (MAC and ops swap in; identity, queues and backlog stay) and
-    unparks the datapath. *)
 
 val unregister : t -> unit
 (** Remove the netdev from the stack (driver death/restart). *)
@@ -77,8 +58,11 @@ val frames_per_poll : t -> Sud_obs.Metrics.histogram
     the NAPI coalescing factor (1 = no coalescing; higher buckets mean
     one upcall covered a batch of frames). *)
 
-val instance : t -> Proxy_class.instance
-(** This proxy behind the class-independent supervision surface. *)
+val instance : t -> Proxy_class.t
+(** This proxy behind the class-independent supervision surface.  Its
+    [quiesce] stops admitting upcalls: transmits bounce as [Xmit_busy]
+    (the supervisor's backlog catches them) and ioctls fail fast.  Its
+    [resume] re-opens that gate. *)
 
 val handle_downcall : t -> queue:int -> Msg.t -> Msg.t option
 (** The downcall dispatcher ([queue] is the ring the message arrived

@@ -135,13 +135,7 @@ let set_key_handler t h = t.key_handler <- Some h
 let keys_received t = t.keys
 
 let instance t =
-  Proxy_class.Instance
-    ( (module struct
-        type nonrec t = t
-
-        let chan t = t.chan
-        let hung _ = false
-        let quiesce t = t.quiescing <- true
-        let resume t = t.quiescing <- false
-      end),
-      t )
+  { Proxy_class.chan = t.chan;
+    hung = (fun () -> false);
+    quiesce = (fun () -> t.quiescing <- true);
+    resume = (fun () -> t.quiescing <- false) }

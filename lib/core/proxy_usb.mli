@@ -33,5 +33,5 @@ val set_key_handler : t -> (int -> unit) -> unit
 
 val keys_received : t -> int
 
-val instance : t -> Proxy_class.instance
+val instance : t -> Proxy_class.t
 (** This proxy behind the class-independent supervision surface. *)

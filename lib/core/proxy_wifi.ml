@@ -71,14 +71,5 @@ let set_rate t idx =
 
 let current_bss t = t.bss
 
-let instance t =
-  Proxy_class.Instance
-    ( (module struct
-        type nonrec t = t
-
-        let chan t = t.chan
-        let hung t = Proxy_net.hung t.pnet
-        let quiesce t = Proxy_net.quiesce t.pnet
-        let resume t = Proxy_net.resume t.pnet
-      end),
-      t )
+(* The wireless lifecycle is the Ethernet one: same channel, same gate. *)
+let instance t = Proxy_net.instance t.pnet

@@ -39,5 +39,5 @@ val set_rate : t -> int -> unit
 val current_bss : t -> int option
 (** Mirrored; updated by the driver's bss_changed downcalls. *)
 
-val instance : t -> Proxy_class.instance
+val instance : t -> Proxy_class.t
 (** This proxy behind the class-independent supervision surface. *)

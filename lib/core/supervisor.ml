@@ -178,7 +178,7 @@ let health_check t =
       Some "uchan ring flood"
     else if Quota.notify_overflows t.quota - t.last_overflow >= overflow_threshold then
       Some "notification flood (quota overflow)"
-    else if Proxy_class.hung (Driver_host.class_of g) then Some "upcall hung"
+    else if (Driver_host.class_of g).Proxy_class.hung () then Some "upcall hung"
     else begin
       t.last_dropped <- Sud_obs.Metrics.get um.Uchan.um_dropped;
       t.last_overflow <- Quota.notify_overflows t.quota;
@@ -234,7 +234,7 @@ let contain t =
   | Tgt_blk _ -> ()
 
 let quiesce_current t =
-  match t.cur with Some g -> Proxy_class.quiesce (Driver_host.class_of g) | None -> ()
+  match t.cur with Some g -> (Driver_host.class_of g).Proxy_class.quiesce () | None -> ()
 
 (* Kill the current generation (its death revokes its capability
    table) and function-level-reset the device. *)
@@ -299,11 +299,10 @@ let start_generation t =
 (* Claim the parked standby (if warm for this generation) and activate
    it against the persistent target: open the grant (free once the dead
    generation is reaped), run driver init on the freshly reset device,
-   and wait for its register.  The generation comes back still parked:
-   its proxy was built with the class's surviving object, and its first
-   resume ([swap_in]) takes that object over.  Any failure — no standby,
-   poisoned at the swap instant, driver init rejected on the reset
-   device — falls back to the cold path. *)
+   and wait for its register, which takes over the surviving object
+   [t.cls] names exactly as a cold restart's does.  Any failure — no
+   standby, poisoned at the swap instant, driver init rejected on the
+   reset device — falls back to the cold path. *)
 let take_warm t ~attempt =
   match t.sb with
   | None -> None
@@ -319,13 +318,13 @@ let take_warm t ~attempt =
             t.name e;
           None))
 
-(* Install a fresh generation and restore the datapath: resume through
-   the unified lifecycle (a warm generation's first resume swaps its
-   parked proxy in), reopen/replay the class's kernel-facing object, and
-   start warming the next standby.  Returns the replayed count. *)
+(* Install a fresh generation, warm or cold, and restore the datapath:
+   resume through the unified lifecycle (the blk proxy replays there),
+   reopen/replay the class's kernel-facing object, and start warming
+   the next standby.  Returns the replayed count. *)
 let swap_in t g =
   install t g;
-  Proxy_class.resume (Driver_host.class_of g);
+  (Driver_host.class_of g).Proxy_class.resume ();
   let replayed =
     match t.target with
     | Tgt_net netdev ->
@@ -707,7 +706,7 @@ let stop (T t) =
        (* Quiesce-then-kill: an administrative stop goes through the same
           lifecycle edge as a recovery, so in-flight state is retained
           (blk) or backlogged (net) rather than torn mid-request. *)
-       Proxy_class.quiesce (Driver_host.class_of g);
+       (Driver_host.class_of g).Proxy_class.quiesce ();
        Driver_host.kill g;
        t.cur <- None
      | None -> ());

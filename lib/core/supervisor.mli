@@ -108,9 +108,10 @@ val start_blk :
   (t, string) result
 (** Supervise a sud-blk driver.  Detection is identical to the net case;
     containment detaches the blkdev (requests park in its staging
-    queue), and recovery goes through {!Proxy_class.resume}, which
-    replays the retained and in-flight requests in tag order before the
-    staged ones — the crash-consistency story. *)
+    queue), and recovery goes through the fresh proxy's [resume]
+    ({!Proxy_class.t}), which replays the retained and in-flight
+    requests in tag order before the staged ones — the
+    crash-consistency story. *)
 
 val stop : t -> unit
 (** Administrative stop: quiesce then kill the current driver, discard
@@ -119,9 +120,9 @@ val stop : t -> unit
 
 val upgrade : t -> (unit, string) result
 (** Zero-loss live upgrade: wait (bounded) for a warm standby, quiesce
-    the running generation, drain its in-flight work to a barrier, hand
-    the class state (netdev identity / blk persist record) to the
-    standby, and resume.  No acked write is lost and no frame is
+    the running generation, drain its in-flight work to a barrier, kill
+    it, activate the standby, whose registration takes over the
+    surviving netdev or blkdev, and resume.  No acked write is lost and no frame is
     reordered within a flow across the swap.  Not a detection: fault
     counters and the restart budget are untouched; the sysfs [sud_state]
     reads ["upgrading"] for the duration.  If the primary dies mid-drain

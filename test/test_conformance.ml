@@ -1,5 +1,5 @@
 (* The unified proxy lifecycle contract, checked against every device
-   class through Proxy_class.instance — the same capability the
+   class through its Proxy_class record — the same capability the
    supervisor holds.  One generic exerciser asserts what the interface
    promises (healthy instances are not hung and answer the heartbeat;
    quiesce and resume are idempotent and leave the instance healthy);
@@ -19,16 +19,16 @@ let heartbeat_ok what inst =
 (* The class-independent contract.  Quiesce/resume must be callable
    repeatedly in any healthy state (the supervisor retries recovery
    steps), and a full cycle must leave the control path answering. *)
-let exercise what (inst : Proxy_class.instance) =
+let exercise what (inst : Proxy_class.t) =
   Alcotest.(check bool) (what ^ ": healthy instance not hung") false
-    (Proxy_class.hung inst);
+    (inst.Proxy_class.hung ());
   heartbeat_ok what inst;
-  Proxy_class.quiesce inst;
-  Proxy_class.quiesce inst;
-  Proxy_class.resume inst;
-  Proxy_class.resume inst;
+  inst.Proxy_class.quiesce ();
+  inst.Proxy_class.quiesce ();
+  inst.Proxy_class.resume ();
+  inst.Proxy_class.resume ();
   Alcotest.(check bool) (what ^ ": not hung after quiesce/resume") false
-    (Proxy_class.hung inst);
+    (inst.Proxy_class.hung ());
   heartbeat_ok (what ^ " (after cycle)") inst
 
 let test_net () =
@@ -133,7 +133,7 @@ let test_blk () =
          quiesced must become durable once resumed. *)
       let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
       let data = Bytes.make Blkdev.page_size 'Q' in
-      Proxy_class.quiesce inst;
+      inst.Proxy_class.quiesce ();
       let done_ = ref None in
       ignore
         (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"writer"
@@ -141,7 +141,7 @@ let test_blk () =
          : Fiber.t);
       ignore (Fiber.sleep k.Kernel.eng 2_000_000 : Fiber.wake);
       Alcotest.(check bool) "write held while quiesced" true (!done_ = None);
-      Proxy_class.resume inst;
+      inst.Proxy_class.resume ();
       let deadline = Engine.now k.Kernel.eng + 2_000_000_000 in
       while !done_ = None && Engine.now k.Kernel.eng < deadline do
         ignore (Fiber.sleep k.Kernel.eng 100_000 : Fiber.wake)
