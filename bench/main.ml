@@ -216,8 +216,9 @@ let figure8 () =
          r.Netperf.value r.Netperf.cpu pval pcpu)
     rows paper_figure8;
   print_endline
-    "\nShape checks: equal TCP throughput at line rate; SUD never beats the kernel\n\
-     driver on UDP streams; UDP_RR rates equal with SUD paying ~2-4x CPU.";
+    "\nThe paper's shape, not checked here: equal TCP throughput at line rate; SUD\n\
+     never beats the kernel driver on UDP streams; UDP_RR rates equal with SUD\n\
+     paying ~2-4x CPU.";
   rows
 
 (* ---- Figure 9: IO virtual memory mappings ---- *)
