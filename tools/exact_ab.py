@@ -12,6 +12,9 @@ the PARENT and the CHANGE checkout with dune.  It then runs in both:
     `bench/main.exe blk-soak smoke`;
   * `bench/main.exe upgrade-soak`, the live upgrades, poisoned
     standbys and double failovers of a supervised NVMe under load;
+  * `bench/main.exe blkperf`, the block path's durable IOPS at queue
+    depths 1, 4 and 16 and its recovery latency per storage fault
+    class;
   * `sudctl trace smoke`, which exports a traced recovery as JSONL,
     reads it back and looks for the causal chain in what it read.
 
@@ -20,17 +23,17 @@ simulated behaviour leaves every compared value identical.  For a
 benchmark run those are the `digest`, the `fingerprint` (trace hash,
 steps, ops, samples), the `attempted` and `failed` op counts and every
 key of the `exact` block; wall-clock and allocation figures are not
-compared.  For a soak and the trace smoke they are every line of its
-standard output and its exit status.
+compared.  For a soak, blkperf and the trace smoke they are every line
+of its standard output and its exit status.
 
 Prints one line per run (12 benchmark runs with the 3 workloads, then 3
-soaks and the smoke: 16 in all), and under it each differing key or
-line with both values.  The script writes nothing to either checkout:
-dune builds each one, and the soaks and the smoke run in a temporary
-directory, which takes their traces/ output.  The soaks take about 10 s
-per checkout.  Exit status: 0 when every compared value
-is identical, 1 on any difference, 2 on a usage or build error or a
-benchmark run that printed no result.
+soaks, blkperf and the smoke: 17 in all), and under it each differing
+key or line with both values.  The script writes nothing to either
+checkout: dune builds each one, and the soaks, blkperf and the smoke
+run in a temporary directory, which takes their traces/ output.  The
+soaks take about 10 s per checkout and blkperf about 3 s.  Exit status:
+0 when every compared value is identical, 1 on any difference, 2 on a
+usage or build error or a benchmark run that printed no result.
 """
 
 import itertools
@@ -46,7 +49,8 @@ TOP_KEYS = ("digest", "fingerprint", "attempted", "failed")
 # Runs compared by their whole output: an executable under
 # _build/default and its arguments.
 OUTPUT_RUNS = (("bench/main.exe", "soak"), ("bench/main.exe", "blk-soak", "smoke"),
-               ("bench/main.exe", "upgrade-soak"), ("bin/sudctl.exe", "trace", "smoke"))
+               ("bench/main.exe", "upgrade-soak"), ("bench/main.exe", "blkperf"),
+               ("bin/sudctl.exe", "trace", "smoke"))
 
 
 def die(msg):
