@@ -259,6 +259,89 @@ let test_nvme_pending_follows_cq () =
        Alcotest.(check int) "ack replays the unreaped entry" 3 !hits;
        Alcotest.(check bool) "replay re-masks" true (Safe_pci.vector_masked g ~queue:0))
 
+(* A device whose interrupt condition never clears: queue 0's completion
+   queue is never reaped, so its pending bit is never cleared for it,
+   and its driver acks after every completion, so every ack replays the
+   latched message.  On a grant with a quota ledger, the per-queue
+   interrupt token bucket bounds the upcalls forwarded; the dropped ones
+   still leave the vector masked, so nothing escalates, and a sibling
+   vector keeps delivering. *)
+let test_irq_bucket_bounds_a_condition_that_never_clears () =
+  run_in_kernel
+    (fun k ->
+       let nvme = Nvme_dev.create k.Kernel.eng () in
+       (Kernel.attach_pci k (Nvme_dev.device nvme), Safe_pci.init k))
+    (fun k (bdf, sp) ->
+       Safe_pci.register_device sp bdf;
+       Safe_pci.set_owner sp bdf ~uid:1000;
+       let proc = Process.spawn k.Kernel.procs ~name:"drv" ~uid:1000 in
+       let burst = 4 in
+       let quota =
+         Quota.create k.Kernel.eng
+           ~limits:{ Quota.default_limits with notify_burst = burst; notify_rate = 1_000 }
+           ~name:"nvme" ()
+       in
+       let g =
+         ok_or_fail "open" (Safe_pci.open_device sp ~caps:(Quota.table (Some quota) proc) bdf ~proc)
+       in
+       ok_or_fail "enable" (Safe_pci.enable_device g);
+       let hits = Array.make (Safe_pci.msix_vectors g) 0 in
+       ok_or_fail "setup_irqs"
+         (Safe_pci.setup_irqs g ~n:(Safe_pci.msix_vectors g) ~sink:(fun ~queue ->
+              hits.(queue) <- hits.(queue) + 1));
+       let mmio = ok_or_fail "map" (Safe_pci.map_mmio g ~bar:0) in
+       let w32 off v = mmio.Driver_api.mmio_write ~off ~size:4 v in
+       let entries = 64 in
+       let queue q =
+         let sq = ok_or_fail "sq" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
+         let cq = ok_or_fail "cq" (Safe_pci.alloc_dma g ~bytes:4096 ()) in
+         let base = Nvme_dev.Regs.qcfg_base + (q * Nvme_dev.Regs.qcfg_stride) in
+         w32 (base + Nvme_dev.Regs.sq_base_lo) sq.Driver_api.dma_addr;
+         w32 (base + Nvme_dev.Regs.sq_size) entries;
+         w32 (base + Nvme_dev.Regs.cq_base_lo) cq.Driver_api.dma_addr;
+         w32 (base + Nvme_dev.Regs.cq_size) entries;
+         (sq, ref 0)
+       in
+       let queues = [| queue 0; queue 1 |] in
+       w32 Nvme_dev.Regs.cc Nvme_dev.Regs.cc_en;
+       (* Queue [q] runs one flush and posts its completion. *)
+       let complete_flush q =
+         let sq, tail = queues.(q) in
+         Driver_api.dma_set32 sq ~off:(!tail * Nvme_dev.Regs.sqe_size)
+           (Nvme_dev.Regs.op_flush lor ((!tail + 1) lsl 16));
+         incr tail;
+         w32 (Nvme_dev.Regs.db_base + (q * 8)) !tail;
+         ignore (Fiber.sleep k.Kernel.eng 10_000 : Fiber.wake)
+       in
+       complete_flush 0;
+       let rounds = 40 in
+       for _ = 1 to rounds do
+         complete_flush 0;
+         Safe_pci.irq_ack g
+       done;
+       Alcotest.(check int) "the bucket bounds the upcalls forwarded" burst hits.(0);
+       Alcotest.(check int) "the rest are dropped and counted" (rounds + 1 - burst)
+         (Quota.irq_kicks_dropped quota);
+       Alcotest.(check bool) "the vector is masked" true (Safe_pci.vector_masked g ~queue:0);
+       Alcotest.(check int) "no storm escalation" 0 (Safe_pci.grant_storms g);
+       Alcotest.(check bool) "not quarantined" false (Safe_pci.vector_quarantined g ~queue:0);
+       (* The sibling delivers each completion it is sent. *)
+       for i = 1 to 2 do
+         complete_flush 1;
+         Alcotest.(check int) (Printf.sprintf "sibling upcall %d" i) i hits.(1);
+         w32 (Nvme_dev.Regs.db_base + 12) i;
+         Safe_pci.irq_ack ~queue:1 g
+       done;
+       Alcotest.(check bool) "sibling unmasked" false (Safe_pci.vector_masked g ~queue:1);
+       Alcotest.(check int) "upcalls forwarded on the grant" (burst + 2)
+         (Safe_pci.grant_irqs_delivered g);
+       (* The bucket refills at its rate: a millisecond later the next
+          replay is forwarded again. *)
+       ignore (Fiber.sleep k.Kernel.eng 1_000_000 : Fiber.wake);
+       complete_flush 0;
+       Safe_pci.irq_ack g;
+       Alcotest.(check int) "one token a millisecond" (burst + 1) hits.(0))
+
 let test_release_revokes_everything () =
   with_grant (fun w proc g ->
       ok_or_fail "enable" (Safe_pci.enable_device g);
@@ -524,6 +607,8 @@ let suite =
       test_msix_pending_replay;
     Alcotest.test_case "safe_pci: NVMe pending bit follows its completion queue" `Quick
       test_nvme_pending_follows_cq;
+    Alcotest.test_case "safe_pci: the IRQ bucket bounds a condition that never clears" `Quick
+      test_irq_bucket_bounds_a_condition_that_never_clears;
     Alcotest.test_case "safe_pci: MSI-X storm quarantines one vector" `Quick
       test_msix_storm_sibling_queues;
     Alcotest.test_case "safe_pci: release revokes all" `Quick test_release_revokes_everything;
