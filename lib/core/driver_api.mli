@@ -60,8 +60,9 @@ type pcidev = {
   pd_free_irq : unit -> unit;
   pd_irq_ack : ?queue:int -> unit -> unit;
       (** Tell the environment interrupt processing finished on [queue]
-          (default [0]; under SUD this unmasks that vector, in-kernel it
-          is a no-op). *)
+          (default [0]; under SUD this unmasks that vector, for a
+          sud-blk driver on MSI-X once its upcall ring has drained;
+          in-kernel it is a no-op). *)
   pd_msix_vectors : unit -> int;
       (** How many distinct vectors this environment can deliver to the
           driver: the device's MSI-X table size, further clamped under

@@ -606,6 +606,8 @@ let teardown_irqs g =
   | Some (Quota.Vectors vectors) -> free_vectors g vectors
   | Some _ | None -> ()
 
+let irqs_latch g = g.g_msix
+
 (* An interrupt the device raised during the poll window latched in the
    MSI-X pending-bit array, and the device sends it when the unmask
    lands.  A quarantined vector stays silent.  Legacy MSI has no pending

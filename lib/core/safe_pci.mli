@@ -137,6 +137,11 @@ val setup_irqs : grant -> n:int -> sink:(queue:int -> unit) -> (unit, string) re
 
 val teardown_irqs : grant -> unit
 
+val irqs_latch : grant -> bool
+(** Whether the vectors {!setup_irqs} programmed are MSI-X entries,
+    which latch a raise while masked and send it at the unmask.  Legacy
+    MSI (one vector) drops such a raise. *)
+
 val irq_ack : ?queue:int -> grant -> unit
 (** The driver finished its poll of queue [queue] (default 0): unmask
     the vector.  An interrupt that latched in the MSI-X pending-bit

@@ -5,6 +5,9 @@ type t = {
   chan : Uchan.t;
   pool : Bufpool.t;
   mutable irq_handler : (queue:int -> unit) option;
+  (* Per uchan ring: an interrupt ack recorded but not yet sent.  Empty
+     unless the acks are deferred, which only sud-blk on MSI-X does. *)
+  mutable acks_owed : bool array;
   work : (unit -> unit) Sync.Mailbox.t;
   mutable n_upcalls : int;
   mutable n_worker : int;
@@ -20,6 +23,7 @@ let create k ~proc ~grant ~chan ~pool =
       chan;
       pool;
       irq_handler = None;
+      acks_owed = [||];
       work = Sync.Mailbox.create ~capacity:64;
       n_upcalls = 0;
       n_worker = 0 }
@@ -59,6 +63,20 @@ let env t =
     env_spawn = (fun ~name fn -> ignore (Process.spawn_fiber t.proc ~name fn : Fiber.t));
     env_consume = (fun ns -> Cpu.charge (Process.cell t.proc) ns) }
 
+let send_irq_ack t ~queue =
+  Uchan.downcall_batched ~queue:(uq t queue) t.chan
+    (Msg.make ~kind:Proxy_proto.down_irq_ack ~args:[ queue ] ())
+
+(* The driver is done with queue [queue]'s interrupt, and the kernel
+   unmasks the vector on the ack.  Under sud-blk on MSI-X the ack is
+   only owed here: the vector stays masked while the ring's fiber keeps
+   polling, and [settle_ack] sends one ack once the ring has drained.
+   Everything else acks at once. *)
+let irq_ack t ~queue =
+  let r = uq t queue in
+  if r < Array.length t.acks_owed then t.acks_owed.(r) <- true
+  else send_irq_ack t ~queue
+
 let pcidev t =
   let g = t.grant in
   let bdf = Safe_pci.grant_bdf g in
@@ -89,10 +107,7 @@ let pcidev t =
       (fun () ->
          t.irq_handler <- None;
          Safe_pci.teardown_irqs g);
-    pd_irq_ack =
-      (fun ?(queue = 0) () ->
-         Uchan.downcall_batched ~queue:(uq t queue) t.chan
-           (Msg.make ~kind:Proxy_proto.down_irq_ack ~args:[ queue ] ()));
+    pd_irq_ack = (fun ?(queue = 0) () -> irq_ack t ~queue);
     pd_msix_vectors =
       (fun () -> min (Safe_pci.msix_vectors g) (Uchan.num_queues t.chan));
     pd_find_capability = (fun id -> Safe_pci.find_capability g id) }
@@ -171,12 +186,29 @@ let to_worker t job =
   | `Ok -> ()
   | `Interrupted -> ()
 
+let run_irq_handler t ~queue = match t.irq_handler with Some h -> h ~queue | None -> ()
+
+let ack_owed t ~queue = queue < Array.length t.acks_owed && t.acks_owed.(queue)
+
 let handle_interrupt t ~queue =
-  (match t.irq_handler with Some h -> h ~queue | None -> ());
+  run_irq_handler t ~queue;
   (* "The driver indicates that it has finished processing" — ack so the
-     kernel unmasks that vector (its siblings were never masked). *)
-  Uchan.downcall_batched ~queue:(uq t queue) t.chan
-    (Msg.make ~kind:Proxy_proto.down_irq_ack ~args:[ queue ] ())
+     kernel unmasks that vector (its siblings were never masked).  A
+     deferred ack is recorded once however often the driver's own
+     handler acked. *)
+  irq_ack t ~queue
+
+(* sud-blk, after each message on ring [queue] (device queue [queue]
+   rides ring [queue]): once no message waits, poll once more and send
+   the one ack this busy period owes.  A completion that lands after
+   the poll latches the masked vector's pending bit, and the device
+   sends it as the ack unmasks. *)
+let settle_ack t ~queue =
+  if ack_owed t ~queue && not (Uchan.pending ~queue t.chan) then begin
+    run_irq_handler t ~queue;
+    t.acks_owed.(queue) <- false;
+    send_irq_ack t ~queue
+  end
 
 let dispatch_net t st ~queue m =
   let kind = m.Msg.kind in
@@ -232,6 +264,7 @@ let serve_queues t dispatch =
              service loop is alive, not merely a worker fiber. *)
           Uchan.reply ~queue t.chan (Proxy_proto.ok m [])
         else dispatch ~queue m;
+        settle_ack t ~queue;
         loop ()
       | Error Uchan.Interrupted -> loop ()   (* non-fatal signal *)
       | Error (Uchan.Closed | Uchan.Hung) -> ()
@@ -427,7 +460,11 @@ let dispatch_blk t st ~queue m =
     in
     match addr with
     | None -> ()
-    | Some addr -> blk_try_submit st ~queue ~tag ~op ~lba ~count ~addr
+    | Some addr ->
+      blk_try_submit st ~queue ~tag ~op ~lba ~count ~addr;
+      (* With the ack owed the vector is masked: reap what completed
+         meanwhile, with no interrupt. *)
+      if ack_owed t ~queue then run_irq_handler t ~queue
   end
   else unsupported t ~queue m
 
@@ -440,6 +477,9 @@ let serve_blk t (drv : Driver_api.blk_driver) =
     let nq = Uchan.num_queues t.chan in
     let st = { binst; blk_pending = Array.init nq (fun _ -> Queue.create ()) } in
     st_ref := Some st;
+    (* Acks wait for the ring to drain only where a completion after the
+       last poll latches behind the mask: legacy MSI would drop it. *)
+    if Safe_pci.irqs_latch t.grant then t.acks_owed <- Array.make nq false;
     (match
        Uchan.downcall t.chan
          (Msg.make ~kind:Proxy_proto.down_blkdev_register

@@ -38,7 +38,18 @@ val serve_blk : t -> Driver_api.blk_driver -> unit
     ([down_blkdev_register] carries capacity and queue count) and serve
     the submission upcalls.  Submissions the hardware queue refuses park
     in a per-ring FIFO retried on every completion, so ordering is
-    preserved end to end. *)
+    preserved end to end.
+
+    On MSI-X ({!Safe_pci.irqs_latch}) interrupts are acked once per busy
+    period.  The driver's ack, and the one the dispatch loop owes after
+    its handler, are only recorded: the vector stays masked, and the
+    ring's fiber re-runs the driver's interrupt handler after every
+    submission it dispatches, so the completions that land meanwhile
+    are reaped with no interrupt.  Once no upcall waits on the ring
+    ({!Uchan.pending}) the fiber polls once more and sends one
+    [down_irq_ack]; a completion after that poll latches, and the
+    unmask sends it.  A single-vector device on legacy MSI, which
+    latches nothing, acks at once. *)
 
 val serve_usb :
   t ->

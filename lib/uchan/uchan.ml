@@ -727,6 +727,8 @@ let wait ?(queue = 0) t =
   in
   loop ~slept:None
 
+let pending ?(queue = 0) t = not (Ring.is_empty (qstate_of t queue).k2u)
+
 let metrics t = t.um
 let epoch t = t.epoch
 let conformance t = t.conf

@@ -133,6 +133,11 @@ val flush : ?queue:int -> t -> unit
 (** Force the async batch out (normally implicit in [wait]/sync sends).
     Without [?queue], flushes every queue's batch. *)
 
+val pending : ?queue:int -> t -> bool
+(** Whether a kernel→user message waits on [queue] (default 0) for the
+    next [wait].  A read of the ring's indices in the shared memory: no
+    kernel entry and no charge. *)
+
 (** {1 Batch tuning} *)
 
 val set_batch_limit : t -> int -> unit

@@ -442,6 +442,151 @@ let test_fresh_generation_cannot_complete_the_dead_ones () =
       Alcotest.(check int) "and still in flight" 1 (Proxy_blk.inflight (Driver_host.proxy second));
       Driver_host.kill second)
 
+(* NVMe whose interrupt handler, called for queue [q] while [hold] is
+   set, sets [held] and waits for [hold] to clear before it polls, so the
+   submissions the kernel sends meanwhile queue behind the interrupt.
+   [on_submit] runs as each submission to queue [q] reaches the driver,
+   before the device sees it. *)
+let holding_irq_driver ~q ~hold ~held ~on_submit =
+  { Nvme.driver with
+    Driver_api.bd_probe =
+      (fun env dev cb ->
+         let request_irqs ~n handler =
+           dev.Driver_api.pd_request_irqs ~n (fun ~queue ->
+               if queue = q then
+                 while !hold do
+                   held := true;
+                   env.Driver_api.env_usleep 1
+                 done;
+               handler ~queue)
+         in
+         Result.map
+           (fun bi ->
+              { bi with
+                Driver_api.bi_submit =
+                  (fun ~queue ~tag ~op ~lba ~count ~addr ->
+                     if queue = q then on_submit ();
+                     bi.Driver_api.bi_submit ~queue ~tag ~op ~lba ~count ~addr) })
+           (Nvme.driver.Driver_api.bd_probe env
+              { dev with Driver_api.pd_request_irqs = request_irqs } cb)) }
+
+(* FUA writes [first .. first + n - 1], one fiber each, of pages that all
+   ride ring [q] of four; [acked.(i)] is write [i]'s result once it
+   returns. *)
+let fua_writes_on_ring k bd ~q ~first ~n acked =
+  for i = first to first + n - 1 do
+    let lba = (q + (4 * i)) * Blkdev.page_sectors in
+    ignore
+      (Fiber.spawn k.Kernel.eng (fun () ->
+           acked.(i) <- Some (Blkdev.write_fua bd ~lba (page ~seed:i) ()))
+       : Fiber.t)
+  done
+
+let count_acked acked = Array.fold_left (fun c r -> if r = Some (Ok ()) then c + 1 else c) 0 acked
+
+(* A hosted NVMe on [queues] rings (default four).  Write 0's completion
+   interrupts ring 1 (ring 0 when there is one), whose handler the test
+   holds while writes 1 .. n-1 queue on that ring behind the interrupt.
+   [on_submit g acked] runs as each of them reaches the driver.  Returns
+   the generation, the grant's interrupt count while held, the results
+   and the release. *)
+let held_interrupt ?(queues = 4) k w ~n ~on_submit =
+  let q = min 1 (queues - 1) in
+  let hold = ref true and held = ref false and armed = ref false in
+  let grant = ref None and acked = Array.make n None in
+  let s =
+    ok_or_fail "start_blk"
+      (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf ~queues
+         (holding_irq_driver ~q ~hold ~held ~on_submit:(fun () ->
+              if !armed then on_submit (Option.get !grant) acked)))
+  in
+  let g = Driver_host.grant s and bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+  grant := Some g;
+  fua_writes_on_ring k bd ~q ~first:0 ~n:1 acked;
+  if not (Fiber.poll k.Kernel.eng ~every_ns:1_000 ~budget:1_000 (fun () -> !held)) then
+    Alcotest.fail "write 0 never interrupted";
+  let irqs = Safe_pci.grant_irqs_delivered g in
+  armed := true;
+  fua_writes_on_ring k bd ~q ~first:1 ~n:(n - 1) acked;
+  ignore (Fiber.sleep k.Kernel.eng 50_000 : Fiber.wake);
+  Alcotest.(check int) "the writes wait behind the interrupt" 0 (count_acked acked);
+  (s, irqs, acked, fun () -> hold := false)
+
+(* While the driver works through the writes queued behind an interrupt
+   its ack stays owed: the vector stays masked at every one of their
+   submissions, and the completions that land meanwhile are reaped and
+   acknowledged with no interrupt.  Once the ring is empty the ack
+   unmasks the vector. *)
+let test_masked_while_the_ring_drains () =
+  run_in_kernel setup_nvme (fun k w ->
+      let n = 9 and seen = ref [] in
+      let s, irqs, acked, release =
+        held_interrupt k w ~n ~on_submit:(fun g acked ->
+            seen :=
+              (Safe_pci.vector_masked g ~queue:1, Safe_pci.grant_irqs_delivered g,
+               count_acked acked)
+              :: !seen)
+      in
+      let g = Driver_host.grant s in
+      release ();
+      if not (Fiber.poll k.Kernel.eng ~every_ns:1_000 ~budget:1_000 (fun () -> count_acked acked = n))
+      then Alcotest.fail "the writes were not all acknowledged";
+      Alcotest.(check int) "every queued write reached the driver" (n - 1) (List.length !seen);
+      List.iteri
+        (fun i (masked, delivered, _) ->
+           Alcotest.(check bool) (Printf.sprintf "masked at submission %d" (i + 1)) true masked;
+           Alcotest.(check int) (Printf.sprintf "no interrupt by submission %d" (i + 1)) irqs
+             delivered)
+        (List.rev !seen);
+      let _, _, acked_by_last = List.hd !seen in
+      Alcotest.(check int) "acknowledged by the last submission, with no interrupt" (n - 2)
+        acked_by_last;
+      ignore (Fiber.sleep k.Kernel.eng 10_000 : Fiber.wake);
+      Alcotest.(check bool) "unmasked once the ring is empty" false
+        (Safe_pci.vector_masked g ~queue:1);
+      Driver_host.kill s)
+
+(* One write queued behind the interrupt: the driver submits it with the
+   ack owed and, its ring now empty, polls once more and acks before the
+   completion lands.  The completion latches behind the mask, the ack's
+   unmask replays it, and the write is acknowledged. *)
+let test_ack_replays_a_late_completion () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, irqs, acked, release = held_interrupt k w ~n:2 ~on_submit:(fun _ _ -> ()) in
+      let g = Driver_host.grant s in
+      let cfg = Device.cfg (Nvme_dev.device w.nvme) in
+      let latched = ref false in
+      release ();
+      if
+        not
+          (Fiber.poll k.Kernel.eng ~every_ns:20 ~budget:100_000 (fun () ->
+               if
+                 acked.(1) = None && Safe_pci.vector_masked g ~queue:1
+                 && Pci_cfg.msix_pending cfg ~vector:1
+               then latched := true;
+               count_acked acked = 2))
+      then Alcotest.fail "the writes were not both acknowledged";
+      Alcotest.(check bool) "the completion latched behind the mask" true !latched;
+      Alcotest.(check int) "the unmask replayed it" (irqs + 1) (Safe_pci.grant_irqs_delivered g);
+      ignore (Fiber.sleep k.Kernel.eng 10_000 : Fiber.wake);
+      Alcotest.(check bool) "the replay's ack unmasks" false (Safe_pci.vector_masked g ~queue:1);
+      Driver_host.kill s)
+
+(* With one queue the NVMe runs on legacy MSI, which drops a raise while
+   the vector is masked, so the driver acks at once: the write queued
+   behind the interrupt completes after the unmask and draws its own. *)
+let test_single_vector_acks_at_once () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s, irqs, acked, release = held_interrupt ~queues:1 k w ~n:2 ~on_submit:(fun _ _ -> ()) in
+      let g = Driver_host.grant s in
+      Alcotest.(check bool) "legacy MSI" false
+        (Pci_cfg.msix_enabled (Device.cfg (Nvme_dev.device w.nvme)));
+      release ();
+      if not (Fiber.poll k.Kernel.eng ~every_ns:1_000 ~budget:1_000 (fun () -> count_acked acked = 2))
+      then Alcotest.fail "the write behind the interrupt was not acknowledged";
+      Alcotest.(check int) "by its own interrupt" (irqs + 1) (Safe_pci.grant_irqs_delivered g);
+      Driver_host.kill s)
+
 (* NVMe, but while [hold] is set its completions wait in [held] until
    the test delivers them. *)
 let gated_driver ~hold held =
@@ -637,6 +782,12 @@ let suite =
       test_clean_restart;
     Alcotest.test_case "sud-blk: a fresh generation cannot complete the dead one's request"
       `Quick test_fresh_generation_cannot_complete_the_dead_ones;
+    Alcotest.test_case "sud-blk: the vector stays masked while its ring drains" `Quick
+      test_masked_while_the_ring_drains;
+    Alcotest.test_case "sud-blk: the ack replays a completion that lands after the last poll"
+      `Quick test_ack_replays_a_late_completion;
+    Alcotest.test_case "sud-blk: a single-vector NVMe acks at once" `Quick
+      test_single_vector_acks_at_once;
     Alcotest.test_case "sud-blk: one fiber drains a parked replay" `Quick
       test_replay_drains_once;
     Alcotest.test_case "sud-blk: a page's write in flight outlives a driver death" `Quick
