@@ -15,6 +15,11 @@ the PARENT and the CHANGE checkout with dune.  It then runs in both:
   * `bench/main.exe blkperf`, the block path's durable IOPS at queue
     depths 1, 4 and 16 and its recovery latency per storage fault
     class;
+  * `bench/main.exe fuzz` and `bench/main.exe upgrade`, which reach
+    supervised net recovery through malicious drivers and a protocol
+    crash loop, and which read each checkout's own
+    `bench/baseline.json`, copied into their working directory;
+  * `sudctl security`, the attack scenarios and supervised recoveries;
   * `sudctl trace smoke`, which exports a traced recovery as JSONL,
     reads it back and looks for the causal chain in what it read.
 
@@ -27,11 +32,12 @@ compared.  For a soak, blkperf and the trace smoke they are every line
 of its standard output and its exit status.
 
 Prints one line per run (12 benchmark runs with the 3 workloads, then 3
-soaks, blkperf and the smoke: 17 in all), and under it each differing
-key or line with both values.  The script writes nothing to either
-checkout: dune builds each one, and the soaks, blkperf and the smoke
-run in a temporary directory, which takes their traces/ output.  The
-soaks take about 10 s per checkout and blkperf about 3 s.  Exit status:
+soaks, blkperf, fuzz, upgrade, security and the smoke: 20 in all), and
+under it each differing key or line with both values.  The script
+writes nothing to either checkout: dune builds each one, and every
+whole-output run happens in a temporary directory, which takes its
+traces/ output.  The soaks take about 10 s per checkout, fuzz about
+11 s and blkperf about 3 s.  Exit status:
 0 when every compared value is identical, 1 on any difference, 2 on a
 usage or build error or a benchmark run that printed no result.
 """
@@ -39,6 +45,7 @@ usage or build error or a benchmark run that printed no result.
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,7 +57,9 @@ TOP_KEYS = ("digest", "fingerprint", "attempted", "failed")
 # _build/default and its arguments.
 OUTPUT_RUNS = (("bench/main.exe", "soak"), ("bench/main.exe", "blk-soak", "smoke"),
                ("bench/main.exe", "upgrade-soak"), ("bench/main.exe", "blkperf"),
-               ("bin/sudctl.exe", "trace", "smoke"))
+               ("bench/main.exe", "fuzz"), ("bench/main.exe", "upgrade"),
+               ("bin/sudctl.exe", "security"), ("bin/sudctl.exe", "trace", "smoke"))
+BASELINE = os.path.join("bench", "baseline.json")
 
 
 def die(msg):
@@ -79,10 +88,12 @@ def run(checkout, workload, seed):
 
 def output(checkout, cmd):
     """The stdout lines and exit status of one of OUTPUT_RUNS, run in a
-    fresh temporary directory."""
+    fresh temporary directory that holds the checkout's bench baseline."""
     exe, *args = cmd
     exe = os.path.join(checkout, "_build", "default", exe)
     with tempfile.TemporaryDirectory() as cwd:
+        os.mkdir(os.path.join(cwd, "bench"))
+        shutil.copy(os.path.join(checkout, BASELINE), os.path.join(cwd, BASELINE))
         p = subprocess.run([exe, *args], cwd=cwd, capture_output=True, text=True)
     return p.stdout.splitlines(), p.returncode
 
