@@ -17,11 +17,7 @@ type 'p gen = {
 type started = Proxy_net.t gen
 
 type (_, _) cls =
-  | Net : {
-      defensive_copy : bool;
-      adopt_netdev : Netdev.t option;
-      unregister_on_exit : bool;
-    }
+  | Net : { defensive_copy : bool; adopt : Proxy_net.persist option }
       -> (Driver_api.net_driver, Proxy_net.t) cls
   | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
@@ -33,8 +29,7 @@ type (_, _) cls =
     }
       -> (Driver_api.usb_host_driver, Proxy_usb.t) cls
 
-let net ?(defensive_copy = true) ?adopt_netdev ?(unregister_on_exit = true) () =
-  Net { defensive_copy; adopt_netdev; unregister_on_exit }
+let net ?(defensive_copy = true) ?adopt () = Net { defensive_copy; adopt }
 
 let blk ?adopt () = Blk { adopt }
 let wifi = Wifi
@@ -62,19 +57,19 @@ let net_pool = (128, 2048)
 let blk_pool = (64, 32768)
 
 let desc : type d p. (d, p) cls -> (d, p) desc = function
-  | Net { defensive_copy; adopt_netdev; unregister_on_exit } ->
+  | Net { defensive_copy; adopt } ->
     { d_name = "net";
       d_ident = (fun d -> (d.Driver_api.nd_name, d.nd_ids));
       d_pool = net_pool;
       d_proxy =
         (fun k ~chan ~grant ~pool ~name ->
-           Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ?adopt:adopt_netdev ());
+           Proxy_net.create k ~chan ~grant ~pool ~name ~defensive_copy ?adopt ());
       d_serve = Sud_uml.serve_net;
       d_ready = Proxy_net.wait_registered;
       d_netdev = Proxy_net.netdev;
-      (* A supervised device keeps its netdev across driver deaths; the
-         supervisor owns (un)registration in that case. *)
-      d_exit = (fun p -> if unregister_on_exit then Proxy_net.unregister p);
+      (* An adopted netdev outlives its driver: the persist record keeps
+         it for the next generation, parked by the proxy's quiesce. *)
+      d_exit = (fun p -> if Option.is_none adopt then Proxy_net.unregister p);
       d_instance = Proxy_net.instance }
   | Blk { adopt } ->
     { d_name = "blk";

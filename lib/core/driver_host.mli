@@ -38,11 +38,7 @@ type started = Proxy_net.t gen
     yield the right generation. *)
 
 type (_, _) cls =
-  | Net : {
-      defensive_copy : bool;
-      adopt_netdev : Netdev.t option;
-      unregister_on_exit : bool;
-    }
+  | Net : { defensive_copy : bool; adopt : Proxy_net.persist option }
       -> (Driver_api.net_driver, Proxy_net.t) cls
   | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
@@ -56,16 +52,15 @@ type (_, _) cls =
 
 val net :
   ?defensive_copy:bool ->
-  ?adopt_netdev:Netdev.t ->
-  ?unregister_on_exit:bool ->
+  ?adopt:Proxy_net.persist ->
   unit ->
   (Driver_api.net_driver, Proxy_net.t) cls
 (** Ethernet.  [defensive_copy] (default on) copies received frames out
     of driver memory (off reproduces the TOCTOU-vulnerable
-    configuration).  A supervisor passes [adopt_netdev] (reuse a
-    surviving netdev instead of registering a new one) and
-    [~unregister_on_exit:false] (it owns the netdev; driver death must
-    not tear the interface down). *)
+    configuration).  A supervisor passes [adopt], the
+    {!Proxy_net.persist} record whose netdev every generation takes
+    over; driver death takes the netdev out of the stack exactly when
+    nothing is adopted. *)
 
 val blk : ?adopt:Proxy_blk.persist -> unit -> (Driver_api.blk_driver, Proxy_blk.t) cls
 (** sud-blk, the asynchronous multiqueue block class: its pool holds
@@ -213,7 +208,7 @@ val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
     the grant, build the DMA pool, create the class's proxy exactly as a
     cold start does, serve the driver, and wait for it to register.  The
     supervisor passes its own class, which names the surviving kernel
-    object (net: [adopt_netdev]; blk: an [adopt] record), so the
+    object (an [adopt] record), so the
     driver's registration takes that object over as a cold restart's
     does, and the proxy's first [resume] ({!class_of}) replays.  On
     error the standby process has been killed (its table revoked), so a

@@ -10,13 +10,15 @@
 
     [quiesce] stops the proxy admitting new work while preserving
     everything in flight (the block proxy retains unacknowledged
-    requests for replay; the net proxy refuses transmits, which the
-    supervisor parks in the netdev backlog).  [resume] re-admits work
-    against the restarted driver and replays whatever quiesce retained.
-    A restarted generation's proxy, cold or warm, is created holding the
-    class's surviving kernel object (net: the netdev; blk: the persist
-    record), and its driver's registration takes that object over before
-    the first [resume].  Each proxy builds this record of closures over
+    requests for replay; the net proxy drops carrier and parks transmits
+    in the netdev's backlog).  [resume] re-admits work against the
+    restarted driver and replays whatever quiesce retained (net: it
+    reopens an interface left up, then replays the backlog).
+    A supervised generation's proxy, cold or warm, is created holding its
+    class's persist record, which keeps the surviving kernel object (net:
+    the netdev; blk: the blkdev, with tags, in-flight table and
+    retention), and its driver's registration takes that object over
+    before the first [resume].  Each proxy builds this record of closures over
     itself; the supervisor and driver host hold the record instead of
     pattern-matching on proxy kinds, so adding a device class never
     touches the recovery machinery. *)

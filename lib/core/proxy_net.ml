@@ -1,3 +1,10 @@
+(* What survives a supervised device's driver generations: the netdev,
+   None until the first registration creates it, and the backlog bound. *)
+type persist = { mutable p_netdev : Netdev.t option; p_backlog_limit : int }
+
+let persist_create ~backlog_limit = { p_netdev = None; p_backlog_limit = backlog_limit }
+let persist_netdev p = p.p_netdev
+
 type t = {
   k : Kernel.t;
   sud : Cpu.cell;  (* "kernel:sud", the ledger line of SUD's kernel-side work *)
@@ -6,14 +13,14 @@ type t = {
   pool : Bufpool.t;
   name : string;
   defensive_copy : bool;
-  adopt : Netdev.t option;       (* surviving netdev from a prior driver generation *)
+  adopt : persist option;
   mutable dev : Netdev.t option;
   ready : Sync.Waitq.t;
   mutable is_hung : bool;
   (* Lifecycle gate: between quiesce and resume the proxy admits no new
      upcalls, so nothing enters the channel of a generation about to be
-     killed.  Transmits bounce as Xmit_busy and land in the supervisor's
-     backlog for replay. *)
+     killed.  Transmits bounce as Xmit_busy; an adopted netdev parks
+     them in its backlog instead. *)
   mutable quiescing : bool;
   rx_bad : Sud_obs.Metrics.counter;
   rx_csum_bad : Sud_obs.Metrics.counter;
@@ -202,7 +209,7 @@ let handle_register t m =
     let mac = Bytes.copy m.Msg.payload in
     let dev =
       match t.adopt with
-      | Some dev ->
+      | Some { p_netdev = Some dev; _ } ->
         (* Supervised restart, cold or warm: the netdev survived the
            previous driver's death, and the fresh generation takes it
            over in place (its MAC and ops; name, queues and backlog
@@ -212,12 +219,13 @@ let handle_register t m =
         if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
           Netstack.register_netdev t.k.Kernel.net dev;
         dev
-      | None ->
+      | Some { p_netdev = None; _ } | None ->
         (* The register downcall carries the driver's queue count; the
            netdev gets that many TX queues, clamped by the rings the
            channel has. *)
         let tx_queues = min (max 1 (Msg.arg m 0)) (Uchan.num_queues t.chan) in
         let dev = Netdev.create ~name:t.name ~mac ~ops:(make_ops t) ~tx_queues () in
+        Option.iter (fun p -> p.p_netdev <- Some dev) t.adopt;
         Netstack.register_netdev t.k.Kernel.net dev;
         dev
     in
@@ -339,8 +347,66 @@ let rx_validation_failures t = Sud_obs.Metrics.get t.rx_bad
 let rx_pool_counters t = (Sud_obs.Metrics.get t.pool_hits, Sud_obs.Metrics.get t.pool_fresh)
 let frames_per_poll t = t.frames_per_poll
 
+(* While no driver serves an adopted netdev it degrades instead of
+   vanishing: carrier goes off and transmits park in its bounded
+   per-queue backlog, senders parked on a stopped queue included. *)
+let quiesce t =
+  (match t.adopt with
+   | Some { p_netdev = Some dev; p_backlog_limit = limit } ->
+     Netdev.netif_carrier_off dev;
+     Netdev.set_ops dev
+       { Netdev.ndo_open = (fun () -> Ok ());
+         ndo_stop = (fun () -> ());
+         ndo_start_xmit = (fun ~queue skb -> Netdev.backlog_push dev ~queue ~limit skb);
+         ndo_do_ioctl = (fun ~cmd:_ ~arg:_ -> Error "device recovering") };
+     Netdev.netif_tx_wake_all_queues dev
+   | Some { p_netdev = None; _ } | None -> ());
+  t.quiescing <- true
+
+(* Called on the new generation once its registration has taken the
+   netdev over: reopen it if the administrator left it up, then replay
+   the backlog queue by queue, each in FIFO order.  dev_xmit re-selects
+   the queue with the same RSS hash that parked the frame, so a flow's
+   frames replay onto their original queue in their original order. *)
+let resume t =
+  t.quiescing <- false;
+  match t.adopt with
+  | Some { p_netdev = None; _ } | None -> ()
+  | Some { p_netdev = Some dev; _ } ->
+    (if Netdev.is_up dev then
+       match Netstack.ifconfig_up t.k.Kernel.net dev with
+       | Ok () -> ()
+       | Error e -> klogf t Klog.Warn "sud-net(%s): reopen failed: %s" t.name e);
+    let rec replay q n =
+      if q = Netdev.tx_queues dev then n
+      else
+        match Netdev.backlog_pop dev ~queue:q with
+        | Some skb ->
+          ignore (Netstack.dev_xmit t.k.Kernel.net dev skb : [ `Sent | `Dropped ]);
+          replay q (n + 1)
+        | None -> replay (q + 1) n
+    in
+    let n = replay 0 0 in
+    if n > 0 then
+      klogf t Klog.Info "sud-net(%s): replayed %d frame%s after restart" t.name n
+        (if n = 1 then "" else "s")
+
+(* Take a supervised netdev out of service for good: drop what is
+   parked, carrier off, down and out of the stack. *)
+let release k p =
+  match p.p_netdev with
+  | None -> 0
+  | Some dev ->
+    let dropped = Netdev.backlog_flush_drop dev in
+    Netdev.netif_carrier_off dev;
+    Netdev.set_up dev false;
+    (match Netstack.find_netdev k.Kernel.net (Netdev.name dev) with
+     | Some d when d == dev -> Netstack.unregister_netdev k.Kernel.net dev
+     | Some _ | None -> ());
+    dropped
+
 let instance t =
   { Proxy_class.chan = t.chan;
     hung = (fun () -> t.is_hung);
-    quiesce = (fun () -> t.quiescing <- true);
-    resume = (fun () -> t.quiescing <- false) }
+    quiesce = (fun () -> quiesce t);
+    resume = (fun () -> resume t) }

@@ -18,6 +18,14 @@
 
 type t
 
+(** What survives a supervised device's driver generations: the netdev
+    ([None] until the first registration creates it) and the per-queue
+    backlog limit.  Pass one record to every generation via [?adopt]. *)
+type persist
+
+val persist_create : backlog_limit:int -> persist
+val persist_netdev : persist -> Netdev.t option
+
 val create :
   Kernel.t ->
   chan:Uchan.t ->
@@ -25,15 +33,16 @@ val create :
   pool:Bufpool.t ->
   name:string ->
   ?defensive_copy:bool ->
-  ?adopt:Netdev.t ->
+  ?adopt:persist ->
   unit ->
   t
 (** Installs the downcall handler on [chan].  The netdev appears once the
     driver performs its [down_net_register] downcall.  With [adopt], the
-    proxy does not create a fresh netdev at registration: it takes over
-    the given one — swapping in its own ops and MAC, re-registering it
-    with the stack only if it is absent — so a supervised device keeps
-    one netdev identity across driver restarts, cold or warm. *)
+    first registration records the netdev it creates there, and every
+    later one takes that netdev over instead of creating one — swapping
+    in its own ops and MAC, re-registering it with the stack only if it
+    is absent — so a supervised device keeps one netdev identity across
+    driver restarts, cold or warm. *)
 
 val netdev : t -> Netdev.t option
 
@@ -45,6 +54,11 @@ val hung : t -> bool
 
 val unregister : t -> unit
 (** Remove the netdev from the stack (driver death/restart). *)
+
+val release : Kernel.t -> persist -> int
+(** Take the supervised netdev out of service for good (quarantine, an
+    administrative stop): drop its backlog, carrier off, interface down
+    and out of the stack.  Returns the number of frames dropped. *)
 
 val rx_validation_failures : t -> int
 (** netif_rx downcalls whose address failed validation. *)
@@ -61,8 +75,10 @@ val frames_per_poll : t -> Sud_obs.Metrics.histogram
 val instance : t -> Proxy_class.t
 (** This proxy behind the class-independent supervision surface.  Its
     [quiesce] stops admitting upcalls: transmits bounce as [Xmit_busy]
-    (the supervisor's backlog catches them) and ioctls fail fast.  Its
-    [resume] re-opens that gate. *)
+    and ioctls fail fast; an adopted netdev drops carrier and parks
+    transmits in its bounded per-queue backlog.  Its [resume] re-opens
+    that gate, reopens an adopted netdev left up and replays its
+    backlog queue by queue, so every flow keeps its order. *)
 
 val handle_downcall : t -> queue:int -> Msg.t -> Msg.t option
 (** The downcall dispatcher ([queue] is the ring the message arrived

@@ -7,11 +7,10 @@
    restart budget.  Crash-looping past the budget quarantines the
    device.
 
-   The supervisor is class-independent: detection and the kill/reset/
-   restart machinery run through the unified proxy lifecycle
-   ({!Proxy_class}: hung / heartbeat / quiesce / resume), with only the
-   containment of each class's kernel-facing object (netdev backlog,
-   blkdev staging) specialized per target. *)
+   The supervisor is class-independent: detection, containment (each
+   proxy parks and replays its class's kernel object) and the
+   kill/reset/restart machinery run through the unified proxy lifecycle
+   ({!Proxy_class}).  Only [start] and [start_blk] name a class. *)
 
 type policy = {
   tick_ns : int;
@@ -62,9 +61,6 @@ type stats = {
   st_upgrades : int;
 }
 
-(* The class-specific containment state that survives generations. *)
-type target = Tgt_net of Netdev.t | Tgt_blk of Proxy_blk.persist
-
 (* One supervisor, typed by its driver class: ['d] the driver the
    factory builds, ['p] the proxy of every generation. *)
 type ('d, 'p) sup = {
@@ -73,8 +69,9 @@ type ('d, 'p) sup = {
   bdf : Bus.bdf;
   name : string;
   policy : policy;
-  target : target;
-  cls : ('d, 'p) Driver_host.cls;   (* how every later generation launches *)
+  cls : ('d, 'p) Driver_host.cls;   (* how every generation launches *)
+  release : unit -> string;         (* retire the surviving object, say how *)
+  inflight : unit -> int;           (* work an upgrade drains before its kill *)
   factory : attempt:int -> 'd;
   kickq : Sync.Waitq.t;
   mutable state : state;
@@ -88,7 +85,6 @@ type ('d, 'p) sup = {
   mutable restart_times : int list;     (* attempt timestamps, newest first *)
   mutable last_ok : int;                (* last instant every check passed *)
   mutable gen : int;                    (* driver generation; guards exit hooks *)
-  mutable was_up : bool;
   (* per-generation signal baselines *)
   mutable base_malformed : int;
   mutable base_storms : int;
@@ -190,98 +186,27 @@ let health_check t =
       | Error why -> Some why
     end
 
-(* During recovery the netdev degrades instead of vanishing: frames land
-   in the bounded per-queue backlog and replay once the fresh driver
-   registers. *)
-let backlog_ops t netdev =
-  { Netdev.ndo_open = (fun () -> Ok ());
-    ndo_stop = (fun () -> ());
-    ndo_start_xmit =
-      (fun ~queue skb -> Netdev.backlog_push netdev ~queue ~limit:t.policy.backlog_limit skb);
-    ndo_do_ioctl = (fun ~cmd:_ ~arg:_ -> Error "device recovering") }
-
-(* Replay queue by queue, each in FIFO order.  dev_xmit re-selects the
-   queue with the same RSS hash that parked the frame, so a flow's
-   packets replay onto their original queue in their original order. *)
-let replay_backlog t netdev =
-  let n = ref 0 in
-  for q = 0 to Netdev.tx_queues netdev - 1 do
-    let rec go () =
-      match Netdev.backlog_pop netdev ~queue:q with
-      | None -> ()
-      | Some skb ->
-        ignore (Netstack.dev_xmit t.k.Kernel.net netdev skb : [ `Sent | `Dropped ]);
-        incr n;
-        go ()
-    in
-    go ()
-  done;
-  !n
-
-(* Containment of the class's kernel-facing object, shared by recovery
-   and upgrade: a net target keeps its netdev but drops carrier and parks
-   transmits in the backlog; a blk target is detached by the proxy's
-   quiesce, and its requests park in the blkdev staging queue until the
-   replay. *)
-let contain t =
-  match t.target with
-  | Tgt_net netdev ->
-    t.was_up <- Netdev.is_up netdev;
-    Netdev.netif_carrier_off netdev;
-    Netdev.set_ops netdev (backlog_ops t netdev);
-    (* Senders parked on any stopped queue must fall through to the backlog. *)
-    Netdev.netif_tx_wake_all_queues netdev
-  | Tgt_blk _ -> ()
-
 let quiesce_current t =
   match t.cur with Some g -> (Driver_host.class_of g).Proxy_class.quiesce () | None -> ()
 
-(* Kill the current generation (its death revokes its capability
-   table) and function-level-reset the device. *)
+(* Kill the current generation; its death revokes its capability table. *)
+let kill_current t =
+  Option.iter Driver_host.kill t.cur;
+  t.cur <- None
+
 let kill_and_reset t =
-  (match t.cur with
-   | Some g ->
-     Driver_host.kill g;
-     t.cur <- None
-   | None -> ());
+  kill_current t;
   match Safe_pci.reset_device t.sp t.bdf with
   | Ok () -> ()
   | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reset failed: %s" t.name e
-
-let unregister_netdev t netdev =
-  match Netstack.find_netdev t.k.Kernel.net (Netdev.name netdev) with
-  | Some d when d == netdev -> Netstack.unregister_netdev t.k.Kernel.net netdev
-  | Some _ | None -> ()
 
 let quarantine t reason =
   t.state <- Quarantined;
   Sud_obs.Metrics.incr t.sm.sm_quarantines;
   (* No further generations will run; tear down the parked one too. *)
   (match t.sb with Some sb -> Standby.disable sb | None -> ());
-  (match t.target with
-   | Tgt_net netdev ->
-     let dropped = Netdev.backlog_flush_drop netdev in
-     Netdev.netif_carrier_off netdev;
-     Netdev.set_up netdev false;
-     unregister_netdev t netdev;
-     klogf t Klog.Err
-       "sud: supervisor(%s): quarantined after %d restarts (%s); netdev removed, %d backlogged frames dropped"
-       t.name t.restarts reason dropped
-   | Tgt_blk persist ->
-     (* The blkdev stays registered (readable state for the operator) but
-        detached for good; retention is never dropped, so nothing
-        acknowledged is lost — it is just no longer served. *)
-     let parked =
-       match Proxy_blk.persist_blkdev persist with
-       | Some bd ->
-         if Blkdev.attached bd then Blkdev.detach bd;
-         Blkdev.staged_requests bd
-       | None -> 0
-     in
-     klogf t Klog.Err
-       "sud: supervisor(%s): quarantined after %d restarts (%s); blkdev detached, %d requests parked, %d writes retained"
-       t.name t.restarts reason parked
-       (Proxy_blk.persist_retained persist));
+  klogf t Klog.Err "sud: supervisor(%s): quarantined after %d restarts (%s); %s" t.name
+    t.restarts reason (t.release ());
   set_sysfs_state t "quarantined";
   emit t (Driver_quarantined reason)
 
@@ -318,27 +243,15 @@ let take_warm t ~attempt =
             t.name e;
           None))
 
-(* Install a fresh generation, warm or cold, and restore the datapath:
-   resume through the unified lifecycle (the blk proxy replays there),
-   reopen/replay the class's kernel-facing object, and start warming
-   the next standby.  Returns the replayed count. *)
+(* Install a fresh generation, warm or cold, resume it (its proxy
+   reopens and replays the class's surviving object) and start warming
+   the next standby. *)
 let swap_in t g =
   install t g;
   (Driver_host.class_of g).Proxy_class.resume ();
-  let replayed =
-    match t.target with
-    | Tgt_net netdev ->
-      (if t.was_up then
-         match Netstack.ifconfig_up t.k.Kernel.net netdev with
-         | Ok () -> ()
-         | Error e -> klogf t Klog.Warn "sud: supervisor(%s): reopen failed: %s" t.name e);
-      replay_backlog t netdev
-    | Tgt_blk persist -> Proxy_blk.persist_inflight persist
-  in
   t.state <- Running;
   set_sysfs_state t "running";
-  (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ());
-  replayed
+  (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ())
 
 let recover t reason =
   let detect_t = now t in
@@ -367,10 +280,9 @@ let recover t reason =
   emit t (Fault_detected reason);
   t.state <- Recovering;
   set_sysfs_state t "recovering";
-  (* Contain the kernel-facing object, then quiesce the proxy, kill the
-     driver and reset the device; the successor, warm or cold, takes the
-     object over when it resumes. *)
-  contain t;
+  (* Quiesce the proxy, which parks the class's kernel-facing object,
+     then kill the driver and reset the device; the successor, warm or
+     cold, takes the object over and replays it when it resumes. *)
   quiesce_current t;
   kill_and_reset t;
   let sp_kill =
@@ -385,7 +297,7 @@ let recover t reason =
     t.restarts <- t.restarts + 1;
     Sud_obs.Metrics.incr t.sm.sm_restarts;
     if warm then t.warm_swaps <- t.warm_swaps + 1;
-    let replayed = swap_in t g in
+    swap_in t g;
     let outage = now t - detect_t in
     t.last_recovery <- outage;
     Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
@@ -395,12 +307,9 @@ let recover t reason =
            ~name:(if warm then "swap" else "restart")
            ~attrs:[ "driver", t.name; "gen", string_of_int t.restarts ] ());
     t.last_ok <- now t;
-    klogf t Klog.Info
-      "sud: supervisor(%s): driver %s (gen %d) after %d us outage, %d %s replayed"
-      t.name
+    klogf t Klog.Info "sud: supervisor(%s): driver %s (gen %d) after %d us outage" t.name
       (if warm then "swapped to warm standby" else "restarted")
-      t.restarts (outage / 1_000) replayed
-      (match t.target with Tgt_net _ -> "frames" | Tgt_blk _ -> "requests");
+      t.restarts (outage / 1_000);
     emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
   in
   let budget_left () =
@@ -513,34 +422,28 @@ let upgrade (T t) =
       set_sysfs_state t "upgrading";
       klogf t Klog.Info "sud: supervisor(%s): live upgrade: draining generation %d" t.name
         t.restarts;
-      (* Contain exactly like a recovery, then drain before the kill. *)
-      contain t;
+      (* Contain exactly like a recovery, then drain in-flight work to a
+         barrier so the swap is clean; escape if the primary dies under us
+         or the drain stalls (whatever remains replays on resume). *)
       quiesce_current t;
-      (* Drain in-flight block requests to a barrier so the swap is
-         clean; escape if the primary dies under us or the drain stalls
-         (whatever remains replays in tag order on resume). *)
-      (match t.target with
-       | Tgt_blk persist ->
-         let deadline = now t + 200_000_000 in
-         let rec drain () =
-           if Proxy_blk.persist_inflight persist > 0 && now t < deadline then
-             match t.cur with
-             | Some g when Process.is_alive (Driver_host.proc g) ->
-               ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
-               drain ()
-             | Some _ | None ->
-               klogf t Klog.Warn
-                 "sud: supervisor(%s): primary died during upgrade drain; double failover"
-                 t.name
-         in
-         drain ()
-       | Tgt_net _ -> ());
+      let deadline = now t + 200_000_000 in
+      let rec drain () =
+        if t.inflight () > 0 && now t < deadline then
+          match t.cur with
+          | Some g when Process.is_alive (Driver_host.proc g) ->
+            ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
+            drain ()
+          | Some _ | None ->
+            klogf t Klog.Warn
+              "sud: supervisor(%s): primary died during upgrade drain; double failover" t.name
+      in
+      drain ();
       kill_and_reset t;
       let attempt = t.restarts + t.upgrades + 1 in
       let installed =
         match take_warm t ~attempt with
         | Some g ->
-          ignore (swap_in t g : int);
+          swap_in t g;
           true
         | None ->
           (* Standby evaporated between the readiness check and the swap
@@ -548,7 +451,7 @@ let upgrade (T t) =
              generation rather than leaving the device dead. *)
           (match start_generation t with
            | Ok g ->
-             ignore (swap_in t g : int);
+             swap_in t g;
              true
            | Error e ->
              klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
@@ -582,15 +485,16 @@ let failover (T t) =
      | Quarantined -> Error "failover exhausted the restart budget; quarantined"
      | Recovering | Stopped -> Error "failover did not restore the driver")
 
-let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
+let make ~cls ~release ~inflight ~factory k sp ~policy ~name ~bdf ~quota g =
   let t =
     { k;
       sp;
       bdf;
       name;
       policy;
-      target;
       cls;
+      release;
+      inflight;
       factory;
       kickq = Sync.Waitq.create ();
       state = Running;
@@ -604,7 +508,6 @@ let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
       restart_times = [];
       last_ok = Engine.now k.Kernel.eng;
       gen = 0;
-      was_up = false;
       base_malformed = 0;
       base_storms = 0;
       base_faults = 0;
@@ -665,35 +568,43 @@ let make ~target ~cls ~factory k sp ~policy ~name ~bdf ~quota g =
      : Fiber.t);
   T t
 
+(* Launch the first generation with the class every later one restarts
+   with, and supervise it. *)
+let supervise k sp ~policy ~name ~bdf ~cls ~release ~inflight factory drv =
+  let quota = Quota.create k.Kernel.eng ~name () in
+  Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
+    ~quota ~epoch:0 cls drv
+  |> Result.map (make ~cls ~release ~inflight ~factory k sp ~policy ~name ~bdf ~quota)
+
 let start k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
-  let name = Option.value ~default:drv.Driver_api.nd_name name in
-  let quota = Quota.create k.Kernel.eng ~name () in
-  match
-    Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
-      ~quota ~epoch:0
-      (Driver_host.net ~unregister_on_exit:false ())
-      drv
-  with
-  | Error e -> Error e
-  | Ok g ->
-    (* Later generations take over the netdev the first one registered. *)
-    let netdev = Driver_host.netdev g in
-    let cls = Driver_host.net ~adopt_netdev:netdev ~unregister_on_exit:false () in
-    Ok (make ~target:(Tgt_net netdev) ~cls ~factory k sp ~policy ~name ~bdf ~quota g)
+  let persist = Proxy_net.persist_create ~backlog_limit:policy.backlog_limit in
+  supervise k sp ~policy ~name:(Option.value ~default:drv.Driver_api.nd_name name) ~bdf
+    ~cls:(Driver_host.net ~adopt:persist ())
+    ~release:(fun () ->
+        Printf.sprintf "netdev removed, %d backlogged frames dropped" (Proxy_net.release k persist))
+    ~inflight:(fun () -> 0) factory drv
 
 let start_blk k sp ?(policy = default_policy) ?name ~bdf factory =
   let drv = factory ~attempt:0 in
-  let name = Option.value ~default:drv.Driver_api.bd_name name in
-  let quota = Quota.create k.Kernel.eng ~name () in
   let persist = Proxy_blk.persist_create () in
-  let cls = Driver_host.blk ~adopt:persist () in
-  match
-    Driver_host.launch k sp ~uid:driver_uid ~name ~bdf ~hang_timeout_ns:policy.hang_timeout_ns
-      ~quota ~epoch:0 cls drv
-  with
-  | Error e -> Error e
-  | Ok g -> Ok (make ~target:(Tgt_blk persist) ~cls ~factory k sp ~policy ~name ~bdf ~quota g)
+  (* The blkdev stays registered (readable state for the operator) but
+     detached for good; retention is never dropped, so nothing
+     acknowledged is lost — it is just no longer served. *)
+  let release () =
+    let parked =
+      match Proxy_blk.persist_blkdev persist with
+      | Some bd ->
+        if Blkdev.attached bd then Blkdev.detach bd;
+        Blkdev.staged_requests bd
+      | None -> 0
+    in
+    Printf.sprintf "blkdev detached, %d requests parked, %d writes retained" parked
+      (Proxy_blk.persist_retained persist)
+  in
+  supervise k sp ~policy ~name:(Option.value ~default:drv.Driver_api.bd_name name) ~bdf
+    ~cls:(Driver_host.blk ~adopt:persist ()) ~release
+    ~inflight:(fun () -> Proxy_blk.persist_inflight persist) factory drv
 
 let stop (T t) =
   match t.state with
@@ -701,32 +612,27 @@ let stop (T t) =
   | Running | Recovering ->
     t.state <- Stopped;
     (match t.sb with Some sb -> Standby.disable sb | None -> ());
-    (match t.cur with
-     | Some g ->
-       (* Quiesce-then-kill: an administrative stop goes through the same
-          lifecycle edge as a recovery, so in-flight state is retained
-          (blk) or backlogged (net) rather than torn mid-request. *)
-       (Driver_host.class_of g).Proxy_class.quiesce ();
-       Driver_host.kill g;
-       t.cur <- None
-     | None -> ());
-    (match t.target with
-     | Tgt_net netdev -> unregister_netdev t netdev
-     | Tgt_blk _ -> ());
+    (* Quiesce-then-kill: an administrative stop goes through the same
+       lifecycle edge as a recovery, so in-flight state is retained (blk)
+       or backlogged (net) rather than torn mid-request; the release then
+       takes it out of service as a quarantine does. *)
+    quiesce_current t;
+    kill_current t;
+    klogf t Klog.Info "sud: supervisor(%s): stopped; %s" t.name (t.release ());
     set_sysfs_state t "stopped";
     ignore (Sync.Waitq.signal t.kickq : bool)
 
 let state (T t) = t.state
 
 let netdev (T t) =
-  match t.target with
-  | Tgt_net netdev -> netdev
-  | Tgt_blk _ -> invalid_arg "Supervisor.netdev: blk device"
+  match t.cls with
+  | Driver_host.Net { adopt = Some p; _ } -> Option.get (Proxy_net.persist_netdev p)
+  | _ -> invalid_arg "Supervisor.netdev: blk device"
 
 let blkdev (T t) =
-  match t.target with
-  | Tgt_blk persist -> Proxy_blk.persist_blkdev persist
-  | Tgt_net _ -> None
+  match t.cls with
+  | Driver_host.Blk { adopt = Some p } -> Proxy_blk.persist_blkdev p
+  | _ -> None
 
 let name (T t) = t.name
 

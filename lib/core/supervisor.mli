@@ -21,16 +21,16 @@
     loop must answer inline within the channel's hang timeout, so a
     wedged main loop is caught even when no other traffic is flowing.
 
-    On detection the supervisor kills the driver process (revoking the
-    grant and detaching the IOMMU domain via the normal death path),
-    function-level-resets the device ({!Safe_pci.reset_device}), and
-    restarts the driver with exponential backoff.  While recovering, the
-    netdev does not vanish: carrier goes off and transmits land in a
-    bounded backlog that is replayed once the fresh driver registers and
-    reopens.  A driver that crash-loops past [max_restarts] within
-    [restart_window_ns] is quarantined: netdev unregistered, backlog
-    dropped, sysfs [sud_state] set to ["quarantined"], no further
-    restarts. *)
+    On detection the supervisor quiesces the driver's proxy, kills the
+    driver process (revoking the grant and detaching the IOMMU domain via
+    the normal death path), function-level-resets the device
+    ({!Safe_pci.reset_device}), and restarts the driver with exponential
+    backoff.  Containment is the proxy's own ({!Proxy_class.t}): while
+    recovering, a netdev does not vanish but parks transmits in a bounded
+    backlog that the fresh generation replays.  A driver that crash-loops
+    past [max_restarts] within [restart_window_ns] is quarantined: netdev
+    unregistered, backlog dropped, sysfs [sud_state] set to
+    ["quarantined"], no further restarts. *)
 
 type policy = {
   tick_ns : int;  (** watchdog polling period *)
@@ -92,10 +92,11 @@ val start :
   (attempt:int -> Driver_api.net_driver) ->
   (t, string) result
 (** Start the driver under supervision and spawn the watchdog.  Every
-    generation runs as uid 1000 and has its received frames defensively
-    copied.  The factory is called with [~attempt:0] for the initial
-    start and [~attempt:n] (n ≥ 1) for the n-th restart, so tests can
-    hand the supervisor a malicious driver first and an honest one after
+    generation, the first included, launches from one class witness,
+    runs as uid 1000 and has its received frames defensively copied.
+    The factory is called with [~attempt:0] for the initial start and
+    [~attempt:n] (n ≥ 1) for the n-th restart, so tests can hand the
+    supervisor a malicious driver first and an honest one after
     recovery.  Must be called from a fiber. *)
 
 val start_blk :
@@ -115,7 +116,8 @@ val start_blk :
 
 val stop : t -> unit
 (** Administrative stop: quiesce then kill the current driver, discard
-    the warm standby, unregister the netdev (net targets), end the
+    the warm standby, release the netdev as a quarantine does (it ends
+    down, carrier off, out of the stack, nothing parked), end the
     watchdog.  No restart. *)
 
 val upgrade : t -> (unit, string) result
