@@ -58,6 +58,71 @@ let test_net () =
         Alcotest.(check string) "frame after cycle" "alive" (Bytes.to_string d)
       | None -> Alcotest.fail "nothing received after quiesce/resume")
 
+(* The net proxy contains its own netdev, with no supervisor: on a
+   persist record, quiesce parks transmits in the bounded backlog, and a
+   second generation launched with the same class takes the netdev over
+   and, when it resumes, reopens it and replays the backlog in order. *)
+let test_net_adopted () =
+  run_in_kernel setup_duo (fun k d ->
+      let sp = Safe_pci.init k in
+      let cls = Driver_host.net ~adopt:(Proxy_net.persist_create ~backlog_limit:4) () in
+      let launch what =
+        ok_or_fail what (Driver_host.launch k sp cls ~bdf:d.bdf_a ~name:"eth0" E1000.driver)
+      in
+      let first = launch "first generation" in
+      let dev = Driver_host.netdev first in
+      ok_or_fail "up" (Netstack.ifconfig_up k.Kernel.net dev);
+      let dev_b = up_native ~name:"eth1" k d.bdf_b in
+      let sock_a = Netstack.udp_bind k.Kernel.net dev ~port:68 in
+      let sock_b = Netstack.udp_bind k.Kernel.net dev_b ~port:67 in
+      let backlog () =
+        let nm = Netdev.metrics dev in
+        Sud_obs.Metrics.
+          (get nm.Netdev.nm_bl_offered, gauge_value nm.Netdev.nm_bl_queued,
+           get nm.Netdev.nm_bl_dropped, get nm.Netdev.nm_bl_replayed)
+      in
+      let check_backlog what (offered, queued, dropped, replayed) =
+        let o, q, dr, r = backlog () in
+        Alcotest.(check (list int)) (what ^ ": offered, queued, dropped, replayed")
+          [ offered; queued; dropped; replayed ] [ o; q; dr; r ];
+        Alcotest.(check int) (what ^ ": offered = queued + dropped + replayed") o (q + dr + r)
+      in
+      (Driver_host.class_of first).Proxy_class.quiesce ();
+      Alcotest.(check bool) "carrier off while quiesced" false (Netdev.carrier dev);
+      for i = 1 to 6 do
+        match
+          Netstack.udp_sendto k.Kernel.net sock_a ~dst:(Netdev.mac dev_b) ~dst_port:67
+            (Bytes.of_string (string_of_int i))
+        with
+        | `Sent -> ()
+        | `Dropped -> Alcotest.failf "frame %d bounced instead of parking" i
+      done;
+      check_backlog "quiesced" (6, 4, 2, 0);
+      Driver_host.kill first;
+      Alcotest.(check bool) "an adopted netdev outlives its driver" true
+        (match Netstack.find_netdev k.Kernel.net "eth0" with Some d -> d == dev | None -> false);
+      ignore (Fiber.sleep k.Kernel.eng 1_000 : Fiber.wake);
+      let second = launch "second generation" in
+      Alcotest.(check bool) "the second generation takes the netdev over" true
+        (Driver_host.netdev second == dev);
+      Alcotest.(check int) "nothing replayed before resume" 0 (Netstack.udp_pending sock_b);
+      (Driver_host.class_of second).Proxy_class.resume ();
+      if
+        not
+          (Fiber.poll k.Kernel.eng ~every_ns:100_000 ~budget:100 (fun () ->
+               Netstack.udp_pending sock_b = 4))
+      then Alcotest.fail "the parked frames never arrived";
+      let got =
+        List.init 4 (fun _ ->
+            match Netstack.udp_recv k.Kernel.net sock_b with
+            | Some (b, _) -> Bytes.to_string b
+            | None -> Alcotest.fail "receive interrupted")
+      in
+      Alcotest.(check (list string)) "frames 1-4 replayed in order" [ "1"; "2"; "3"; "4" ] got;
+      Alcotest.(check bool) "reopened" true (Netdev.is_up dev);
+      check_backlog "resumed" (6, 0, 2, 4);
+      Driver_host.kill second)
+
 let test_wifi () =
   run_in_kernel
     (fun k ->
@@ -270,6 +335,8 @@ let prop_no_lost_synced_write =
 
 let suite =
   [ Alcotest.test_case "net proxy honours the lifecycle contract" `Quick test_net;
+    Alcotest.test_case "an adopted net proxy parks and replays its own netdev" `Quick
+      test_net_adopted;
     Alcotest.test_case "wifi proxy honours the lifecycle contract" `Quick test_wifi;
     Alcotest.test_case "audio proxy honours the lifecycle contract" `Quick test_audio;
     Alcotest.test_case "usb proxy honours the lifecycle contract" `Quick test_usb;

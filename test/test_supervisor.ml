@@ -146,6 +146,52 @@ let test_backlog_replayed () =
       Alcotest.(check bool) "parked frames replayed" true (bl.Netdev.bl_replayed >= 5);
       Supervisor.stop sv)
 
+(* An administrative stop releases the netdev as a quarantine does: it
+   ends out of the stack, down, carrier off and with nothing parked.
+   Stopped while running, its carrier was on; stopped mid-outage,
+   frames were parked in its backlog. *)
+let test_stop_releases_netdev ~recovering () =
+  let w = make_world () in
+  let policy =
+    { fast_policy with
+      Supervisor.backoff_initial_ns = 20_000_000;
+      backoff_max_ns = 40_000_000;
+      standby = false }
+  in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised ~policy w in
+      let dev = Supervisor.netdev sv in
+      (match Netstack.ifconfig_up w.k.Kernel.net dev with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+      let nm = Netdev.metrics dev in
+      if recovering then begin
+        let sock = Netstack.udp_bind w.k.Kernel.net dev ~port:9000 in
+        (match Supervisor.proc sv with Some p -> Process.kill p | None -> Alcotest.fail "no proc");
+        settle w 2;
+        Alcotest.(check bool) "recovering" true (Supervisor.state sv = Supervisor.Recovering);
+        for _ = 1 to 5 do
+          ignore
+            (Netstack.udp_sendto w.k.Kernel.net sock ~dst:Skbuff.Mac.broadcast ~dst_port:9000
+               (Bytes.make 64 's')
+             : [ `Sent | `Dropped ])
+        done;
+        Alcotest.(check int) "frames parked" 5 (Sud_obs.Metrics.gauge_value nm.Netdev.nm_bl_queued)
+      end
+      else begin
+        settle w 20;
+        Alcotest.(check bool) "carrier on while running" true (Netdev.carrier dev)
+      end;
+      Supervisor.stop sv;
+      Alcotest.(check bool) "stopped" true (Supervisor.state sv = Supervisor.Stopped);
+      Alcotest.(check bool) "out of the stack" true
+        (Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None);
+      Alcotest.(check bool) "down" false (Netdev.is_up dev);
+      Alcotest.(check bool) "carrier off" false (Netdev.carrier dev);
+      Alcotest.(check int) "nothing parked" 0 (Sud_obs.Metrics.gauge_value nm.Netdev.nm_bl_queued);
+      Alcotest.(check int) "parked frames dropped" (if recovering then 5 else 0)
+        (Sud_obs.Metrics.get nm.Netdev.nm_bl_dropped))
+
 (* A Corrupt_batch injection garbles one frame inside the driver's next
    multi-frame downcall batch.  Containment is in place: that frame is
    dropped and counted malformed, its siblings deliver, and — unlike every
@@ -422,6 +468,10 @@ let suite =
       (test_updown_across_kills ~standby:false);
     Alcotest.test_case "up/down survives kills (warm)" `Quick
       (test_updown_across_kills ~standby:true);
+    Alcotest.test_case "stop releases the netdev (running)" `Quick
+      (test_stop_releases_netdev ~recovering:false);
+    Alcotest.test_case "stop releases the netdev (mid-outage)" `Quick
+      (test_stop_releases_netdev ~recovering:true);
     Alcotest.test_case "corrupt batch frame: contained, no restart" `Quick
       test_batch_corrupt_no_restart;
     Alcotest.test_case "mid-batch crash: un-acked tail replayed" `Quick
