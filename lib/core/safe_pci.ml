@@ -611,7 +611,8 @@ let irqs_latch g = g.g_msix
 (* An interrupt the device raised during the poll window latched in the
    MSI-X pending-bit array, and the device sends it when the unmask
    lands.  A quarantined vector stays silent.  Legacy MSI has no pending
-   latch — the driver's post-ack re-poll covers that edge. *)
+   latch: the driver looks again after its ack (e1000's napi_poll, a
+   single-queue NVMe's interrupt handler). *)
 let irq_ack ?(queue = 0) g =
   if g.g_alive && queue < Array.length g.g_vecs then unmask_vector g ~queue
 

@@ -75,10 +75,19 @@ let poll_cq st q =
   done;
   if !consumed then w32 st (cq_doorbell q.qi) q.cq_head
 
-let irq_handler st ~queue =
+(* Whether the device has posted an entry at queue [q]'s head. *)
+let cq_posted q =
+  (Driver_api.dma_get32 q.cq ~off:((q.cq_head * R.cqe_size) + 12) lsr 16) land 1 = q.phase
+
+(* Poll, then ack, which unmasks the vector.  MSI-X latches a completion
+   posted in between and replays it on the unmask.  On one queue the
+   device signals legacy MSI, which latches nothing, so look again after
+   the ack and go around if an entry landed, as e1000's napi_poll does. *)
+let rec irq_handler st ~queue =
   let q = st.qs.(if queue >= 0 && queue < Array.length st.qs then queue else 0) in
   poll_cq st q;
-  st.pdev.Driver_api.pd_irq_ack ~queue:q.qi ()
+  st.pdev.Driver_api.pd_irq_ack ~queue:q.qi ();
+  if Array.length st.qs = 1 && cq_posted q then irq_handler st ~queue:q.qi
 
 let submit st ~queue ~tag ~op ~lba ~count ~addr =
   let q = st.qs.(if queue >= 0 && queue < Array.length st.qs then queue else 0) in

@@ -587,6 +587,38 @@ let test_single_vector_acks_at_once () =
       Alcotest.(check int) "by its own interrupt" (irqs + 1) (Safe_pci.grant_irqs_delivered g);
       Driver_host.kill s)
 
+(* One queue means legacy MSI, which latches nothing: a completion
+   posted between the handler's poll and its ack's unmask raises no
+   interrupt.  The driver looks at its completion queue again after the
+   ack, so every round of concurrent FUA writes is acknowledged at once
+   rather than when some later IO interrupts. *)
+let test_single_vector_loses_no_completion () =
+  run_in_kernel setup_nvme (fun k w ->
+      let s =
+        ok_or_fail "start_blk"
+          (Driver_host.launch k w.sp (Driver_host.blk ()) ~bdf:w.bdf ~queues:1 Nvme.driver)
+      in
+      let bd = Option.get (Proxy_blk.blkdev (Driver_host.proxy s)) in
+      for round = 0 to 49 do
+        let n = 1 + (round mod 8) in
+        let acked = Array.make n None in
+        for i = 0 to n - 1 do
+          let lba = ((8 * round) + i) * Blkdev.page_sectors in
+          ignore
+            (Fiber.spawn k.Kernel.eng (fun () ->
+                 acked.(i) <- Some (Blkdev.write_fua bd ~lba (page ~seed:i) ()))
+             : Fiber.t)
+        done;
+        if
+          not
+            (Fiber.poll k.Kernel.eng ~every_ns:1_000 ~budget:1_000 (fun () ->
+                 count_acked acked = n))
+        then
+          Alcotest.failf "round %d: %d of %d writes acknowledged within 1 ms" round
+            (count_acked acked) n
+      done;
+      Driver_host.kill s)
+
 (* NVMe, but while [hold] is set its completions wait in [held] until
    the test delivers them. *)
 let gated_driver ~hold held =
@@ -788,6 +820,8 @@ let suite =
       `Quick test_ack_replays_a_late_completion;
     Alcotest.test_case "sud-blk: a single-vector NVMe acks at once" `Quick
       test_single_vector_acks_at_once;
+    Alcotest.test_case "sud-blk: a single-vector NVMe loses no completion to its ack" `Quick
+      test_single_vector_loses_no_completion;
     Alcotest.test_case "sud-blk: one fiber drains a parked replay" `Quick
       test_replay_drains_once;
     Alcotest.test_case "sud-blk: a page's write in flight outlives a driver death" `Quick
