@@ -222,10 +222,10 @@ let start_generation t =
 (* --- Warm-standby machinery -------------------------------------------- *)
 
 (* Claim the parked standby (if warm for this generation) and activate
-   it against the persistent target: open the grant (free once the dead
-   generation is reaped), run driver init on the freshly reset device,
-   and wait for its register, which takes over the surviving object
-   [t.cls] names exactly as a cold restart's does.  Any failure — no
+   it: open the grant (free once the dead generation is reaped), run
+   driver init on the freshly reset device, and wait for its register,
+   which takes over the surviving object [t.cls] names exactly as a
+   cold restart's does.  Any failure — no
    standby, poisoned at the swap instant, driver init rejected on the
    reset device — falls back to the cold path. *)
 let take_warm t ~attempt =

@@ -279,8 +279,9 @@ let rss_stability_test =
 (* Per-queue backlog replay preserves per-flow packet order: frames parked
    while a driver is being restarted come back out in the order each flow
    sent them, because a flow always hashes to one queue and each queue's
-   backlog is FIFO.  This is the invariant that lets the supervisor replay
-   queues one at a time without reordering anybody's stream. *)
+   backlog is FIFO.  This is the invariant that lets the net proxy's
+   resume replay queues one at a time without reordering anybody's
+   stream. *)
 let backlog_replay_order_test =
   let n_flows = 4 in
   let mk_frame ~flow ~seq =
@@ -323,7 +324,7 @@ let backlog_replay_order_test =
             | Netdev.Xmit_ok -> ()
             | Netdev.Xmit_busy -> failwith "unexpected backlog overflow")
          flows;
-       (* Replay the way Supervisor.replay_backlog does: drain queue 0
+       (* Replay the way the net proxy's resume does: drain queue 0
           fully, then queue 1, ... *)
        let replayed = Array.make n_flows [] in
        for q = 0 to queues - 1 do

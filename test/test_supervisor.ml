@@ -341,8 +341,8 @@ let plan_determinism_test =
            (List.filteri (fun i _ -> i < 49) p1)
            (List.tl p1))
 
-(* Restart replay leg of the ordering property: the per-queue backlog the
-   supervisor replays through is strictly FIFO per queue, for arbitrary
+(* Restart replay leg of the ordering property: the per-queue backlog a
+   supervised netdev replays through is strictly FIFO per queue, for arbitrary
    interleavings of parked frames — so a flow (which always hashes to the
    same queue) comes back on the wire in its original order. *)
 let backlog_replay_order_property =
