@@ -349,11 +349,13 @@ let recover t reason =
             t.policy.backoff_max_ns
         in
         ignore (Fiber.sleep t.k.Kernel.eng delay : Fiber.wake);
-        match start_generation t with
-        | Error e ->
-          klogf t Klog.Warn "sud: supervisor(%s): restart attempt failed: %s" t.name e;
-          attempt_start (backoff_exp + 1)
-        | Ok g -> finish g ~warm:false
+        (* A stop during the backoff ends the recovery. *)
+        if t.state = Recovering then
+          match start_generation t with
+          | Error e ->
+            klogf t Klog.Warn "sud: supervisor(%s): restart attempt failed: %s" t.name e;
+            attempt_start (backoff_exp + 1)
+          | Ok g -> finish g ~warm:false
       end
     in
     attempt_start 0

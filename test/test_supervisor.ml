@@ -147,9 +147,9 @@ let test_backlog_replayed () =
       Supervisor.stop sv)
 
 (* An administrative stop releases the netdev as a quarantine does: it
-   ends out of the stack, down, carrier off and with nothing parked.
-   Stopped while running, its carrier was on; stopped mid-outage,
-   frames were parked in its backlog. *)
+   ends out of the stack, down, carrier off and with nothing parked,
+   and stays so.  Stopped while running, its carrier was on; stopped
+   mid-outage, frames were parked in its backlog. *)
 let test_stop_releases_netdev ~recovering () =
   let w = make_world () in
   let policy =
@@ -190,7 +190,14 @@ let test_stop_releases_netdev ~recovering () =
       Alcotest.(check bool) "carrier off" false (Netdev.carrier dev);
       Alcotest.(check int) "nothing parked" 0 (Sud_obs.Metrics.gauge_value nm.Netdev.nm_bl_queued);
       Alcotest.(check int) "parked frames dropped" (if recovering then 5 else 0)
-        (Sud_obs.Metrics.get nm.Netdev.nm_bl_dropped))
+        (Sud_obs.Metrics.get nm.Netdev.nm_bl_dropped);
+      (* Mid-outage the stop lands in the restart backoff: no generation
+         may come up after it. *)
+      settle w 100;
+      Alcotest.(check bool) "still stopped" true (Supervisor.state sv = Supervisor.Stopped);
+      Alcotest.(check bool) "still out of the stack" true
+        (Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None);
+      Alcotest.(check bool) "no driver process" true (Supervisor.proc sv = None))
 
 (* A Corrupt_batch injection garbles one frame inside the driver's next
    multi-frame downcall batch.  Containment is in place: that frame is
