@@ -202,6 +202,22 @@ let usb_launch () =
        ignore (ok_or_fail "read" (Proxy_usb.read_blocks proxy ~lba:0 ~count:1) : bytes);
        Driver_host.kill s)
 
+(* The bus manager: one scan of a two-NIC machine starts an untrusted
+   e1000 driver per NIC, each under its own uid, and both are killed. *)
+let delegation_scan () =
+  launch_and_kill
+    (fun k -> (setup_duo k).bdf_a)
+    (fun k sp _ ->
+       let rows = Delegation.scan_and_start k sp ~registry:[ Delegation.Net E1000.driver ] () in
+       Alcotest.(check int) "one driver per NIC" 2 (List.length rows);
+       List.iter
+         (fun (_, _, r) ->
+            match r with
+            | Ok (Delegation.Started_net s) -> Driver_host.kill s
+            | Ok _ -> Alcotest.fail "not an e1000 generation"
+            | Error e -> Alcotest.fail ("scan: " ^ e))
+         rows)
+
 (* The SUD net receive path: the peer sends 64 datagrams to a DUT socket
    in bursts of 8, and each crosses the untrusted e1000's RX downcalls and
    the proxy's copy before the socket sees it. *)
@@ -246,6 +262,7 @@ let entries =
       ("launch/wifi", wifi_launch);
       ("launch/audio", audio_launch);
       ("launch/usb", usb_launch);
+      ("delegation/scan", delegation_scan);
       ("rx/net", net_rx) ]
   @ List.map net_recovery (List.filter Fault_inject.lethal Fault_inject.all_faults)
   @ List.map blk_recovery Fault_inject.all_blk_faults
