@@ -26,9 +26,9 @@ let () =
          let rows =
            Delegation.scan_and_start k sp
              ~registry:
-               [ Delegation.Net E1000.driver;
-                 Delegation.Wifi Iwl.driver;
-                 Delegation.Audio Hda.driver ]
+               [ Delegation.Driver (Driver_host.net (), E1000.driver);
+                 Delegation.Driver (Driver_host.wifi, Iwl.driver);
+                 Delegation.Driver (Driver_host.audio, Hda.driver) ]
              ()
          in
          Printf.printf "bus scan started %d drivers:\n" (List.length rows);
@@ -36,14 +36,8 @@ let () =
            (fun (bdf, name, result) ->
               let pid_uid =
                 match result with
-                | Ok (Delegation.Started_net s) ->
-                  let p = Driver_host.proc s in
-                  Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
-                | Ok (Delegation.Started_wifi s) ->
-                  let p = Driver_host.proc s in
-                  Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
-                | Ok (Delegation.Started_audio s) ->
-                  let p = Driver_host.proc s in
+                | Ok (Delegation.Started g) ->
+                  let p = Driver_host.proc g in
                   Printf.sprintf "pid %d uid %d" (Process.pid p) (Process.uid p)
                 | Error e -> "FAILED: " ^ e
               in

@@ -2,17 +2,17 @@
     starting each driver by hand, a bus manager scans the PCI bus and starts
     a separate untrusted driver process for every device it has a driver
     for — each under its own UID, so drivers cannot interfere with one
-    another even through SUD's own interfaces. *)
+    another even through SUD's own interfaces.  A registry entry pairs a
+    driver with its {!Driver_host.cls}, so one scan starts a generation of
+    any class. *)
 
 type registry_entry =
-  | Net of Driver_api.net_driver
-  | Wifi of Driver_api.wifi_driver
-  | Audio of Driver_api.audio_driver
+  | Driver : ('d, 'p) Driver_host.cls * 'd -> registry_entry
+      (** A driver and the class it launches as, e.g.
+          [Driver (Driver_host.net (), E1000.driver)]. *)
 
-type started =
-  | Started_net of Driver_host.started
-  | Started_wifi of Proxy_wifi.t Driver_host.gen
-  | Started_audio of Proxy_audio.t Driver_host.gen
+type started = Started : 'p Driver_host.gen -> started
+(** A started generation, whatever its class. *)
 
 val scan_and_start :
   Kernel.t ->
@@ -20,8 +20,9 @@ val scan_and_start :
   registry:registry_entry list ->
   unit ->
   (Bus.bdf * string * (started, string) result) list
-(** Walk sysfs; for each device matching a registry entry, allocate a fresh
-    UID (from 2000, incrementing) and start the driver.
+(** Walk sysfs; for each device whose PCI ids match the first registry
+    entry that binds them ({!Driver_host.ident}), allocate a fresh UID
+    (from 2000, incrementing) and launch the driver in its class.
     Returns one row per matched device: its BDF, the driver name, and the
     start outcome.  Devices without a registered driver are skipped.
     Must run in a fiber. *)

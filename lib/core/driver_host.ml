@@ -1,17 +1,30 @@
+(* A pre-forked generation, parked before attach: the process and its
+   epoch-stamped rings, recorded in its table.  Everything
+   device-facing waits for [activate] (see the interface). *)
+type warm = {
+  w_k : Kernel.t;
+  w_sp : Safe_pci.t;
+  w_bdf : Bus.bdf;
+  w_uid : int;
+  w_name : string;
+  w_proc : Process.t;
+  w_chan : Uchan.t;
+  w_queues : int;
+  w_caps : Quota.caps;
+  w_epoch : int;
+  w_hang_timeout_ns : int option;
+}
+
+(* An activated generation: the parked one it was activated from, and
+   what activation added. *)
 type 'p gen = {
-  g_k : Kernel.t;
-  g_name : string;
-  g_proc : Process.t;
-  g_chan : Uchan.t;
+  g_warm : warm;
   g_grant : Safe_pci.grant;
   g_proxy : 'p;
   g_class : Proxy_class.t;
   g_uml : Sud_uml.t;
   g_netdev : Netdev.t option;
-  g_queues : int;
-  g_caps : Quota.caps;
-  g_epoch : int;
-  g_relaunch : epoch:int -> ('p gen, string) result;
+  g_activate : warm -> ('p gen, string) result;  (* with this one's class and driver *)
 }
 
 type started = Proxy_net.t gen
@@ -118,6 +131,8 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
       d_exit = ignore;
       d_instance = Proxy_usb.instance }
 
+let ident cls drv = (desc cls).d_ident drv
+
 (* ---- the bring-up steps ---- *)
 
 let trace name attrs =
@@ -176,13 +191,13 @@ let rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues () =
     Ok (chan, queues)
 
 (* Proxy, driver main loop, and the wait for the driver to register.
-   [on_exit] runs at driver death, before the table's revocation
-   (exit hooks run last-registered-first, and [spawn] registered the
-   table's first). *)
-let attach d k ~proc ~grant ~pool ~chan ~name ~on_exit drv =
+   The class exit action runs at driver death, before the table's
+   revocation (exit hooks run last-registered-first, and [spawn]
+   registered the table's first). *)
+let attach d k ~proc ~grant ~pool ~chan ~name drv =
   let proxy = d.d_proxy k ~chan ~grant ~pool ~name in
   let uml = Sud_uml.create k ~proc ~grant ~chan ~pool in
-  Process.on_exit proc (fun () -> on_exit proxy);
+  Process.on_exit proc (fun () -> d.d_exit proxy);
   ignore
     (Process.spawn_fiber proc ~name:(name ^ "-main") (fun () -> d.d_serve uml drv) : Fiber.t);
   if d.d_ready proxy ~timeout_ns:100_000_000 then Ok (proxy, uml)
@@ -198,108 +213,9 @@ let or_kill proc = function
 
 let ( let* ) = Result.bind
 
-let rec cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv =
-  trace "start" [ "driver", name; "bdf", Bus.string_of_bdf bdf; "class", d.d_name ];
-  let proc, caps = spawn k sp ?quota ~uid ~name ~bdf () in
-  let* grant, pool = or_kill proc (open_pool sp ~caps bdf ~proc d.d_pool) in
-  (* One uchan ring pair per deliverable vector: the device's MSI-X
-     table sizes the datapath unless the caller narrows it. *)
-  let queues =
-    clamp_queues (match queues with Some q -> q | None -> Safe_pci.msix_vectors grant)
-  in
-  let* chan, queues = or_kill proc (rings k ?hang_timeout_ns ~caps ~epoch ~name ~queues ()) in
-  (* A cold generation revokes its rings, closing the channel, before
-     the class exit action runs and the table revokes the rest. *)
-  let on_exit proxy =
-    trace "exit" [ "driver", name ];
-    Quota.revoke caps (function Quota.Rings _ -> true | _ -> false);
-    d.d_exit proxy
-  in
-  let* proxy, uml =
-    or_kill proc (attach d k ~proc ~grant ~pool ~chan ~name ~on_exit drv)
-  in
-  Ok
-    { g_k = k;
-      g_name = name;
-      g_proc = proc;
-      g_chan = chan;
-      g_grant = grant;
-      g_proxy = proxy;
-      g_class = d.d_instance proxy;
-      g_uml = uml;
-      g_netdev = d.d_netdev proxy;
-      g_queues = queues;
-      g_caps = caps;
-      g_epoch = epoch;
-      g_relaunch =
-        (fun ~epoch -> cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ~queues ?quota ~epoch drv) }
+(* ---- the one bring-up sequence: prefork, then activate ---- *)
 
-let launch k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?queues ?quota ?(epoch = 0) cls drv =
-  let d = desc cls in
-  let drv_name, ids = d.d_ident drv in
-  let name = Option.value ~default:drv_name name in
-  let bdf =
-    match bdf with
-    | Some b -> Ok b
-    | None ->
-      (match Sysfs.match_ids k.Kernel.sysfs ~ids with
-       | [] -> Error ("no matching PCI device in sysfs for " ^ name)
-       | e :: _ -> Ok e.Sysfs.bdf)
-  in
-  Result.bind bdf (fun bdf ->
-      cold d k sp ~uid ~name ~bdf ?hang_timeout_ns ?queues ?quota ~epoch drv)
-
-let proc g = g.g_proc
-let chan g = g.g_chan
-let grant g = g.g_grant
-let proxy g = g.g_proxy
-let blk_proxy = proxy
-let class_of g = g.g_class
-let uml g = g.g_uml
-let queues g = g.g_queues
-let quota g = Quota.ledger g.g_caps
-let epoch g = g.g_epoch
-
-let netdev g =
-  match g.g_netdev with
-  | Some d -> d
-  | None -> invalid_arg ("Driver_host.netdev: " ^ g.g_name ^ " registered no network device")
-
-let kill g = Process.kill g.g_proc
-
-let restart g =
-  kill g;
-  (* Let teardown events (fiber kills, device reset) settle at the current
-     instant before re-opening the device. *)
-  ignore (Fiber.sleep g.g_k.Kernel.eng 1_000 : Fiber.wake);
-  (* The quota survives the restart; the epoch does not — the new
-     generation's channel stamps (and accepts only) epoch+1, so frames
-     replayed from the dead generation adjudicate as [Bad_epoch]. *)
-  g.g_relaunch ~epoch:((g.g_epoch + 1) land Msg.max_epoch)
-
-let set_memory_limit g ~bytes = Process.setrlimit_memory g.g_proc ~bytes:(Some bytes)
-
-(* ---- warm-standby generations ---- *)
-
-(* A pre-forked generation, parked before attach: the process and its
-   epoch-stamped rings, recorded in its table.  Everything
-   device-facing waits for [activate] (see the interface). *)
-type warm = {
-  w_k : Kernel.t;
-  w_sp : Safe_pci.t;
-  w_bdf : Bus.bdf;
-  w_uid : int;
-  w_name : string;
-  w_proc : Process.t;
-  w_chan : Uchan.t;
-  w_queues : int;
-  w_caps : Quota.caps;
-  w_epoch : int;
-  w_hang_timeout_ns : int option;
-}
-
-let prefork k sp ?(uid = 1000) ?hang_timeout_ns ?(queues = 1) ?quota ?(epoch = 0) ~name ~bdf
-    () =
+let prefork k sp ~uid ?hang_timeout_ns ~queues ?quota ~epoch ~name ~bdf () =
   trace "prefork" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
   let proc, caps = spawn k sp ?quota ~uid ~name ~bdf () in
   let* chan, queues =
@@ -322,29 +238,76 @@ let warm_proc w = w.w_proc
 let warm_chan w = w.w_chan
 let discard_warm w = Process.kill w.w_proc
 
-let activate w cls drv =
+let rec activate w cls drv =
   let d = desc cls in
-  let k = w.w_k and sp = w.w_sp and bdf = w.w_bdf and name = w.w_name and proc = w.w_proc in
-  trace "activate" [ "driver", name; "bdf", Bus.string_of_bdf bdf ];
-  let* grant, pool = or_kill proc (open_pool sp ~caps:w.w_caps bdf ~proc d.d_pool) in
-  let* proxy, uml =
-    or_kill proc
-      (attach d k ~proc ~grant ~pool ~chan:w.w_chan ~name ~on_exit:d.d_exit drv)
-  in
+  let bdf = w.w_bdf and name = w.w_name and proc = w.w_proc in
+  trace "activate" [ "driver", name; "bdf", Bus.string_of_bdf bdf; "class", d.d_name ];
+  let* grant, pool = or_kill proc (open_pool w.w_sp ~caps:w.w_caps bdf ~proc d.d_pool) in
+  let* proxy, uml = or_kill proc (attach d w.w_k ~proc ~grant ~pool ~chan:w.w_chan ~name drv) in
   Ok
-    { g_k = k;
-      g_name = name;
-      g_proc = proc;
-      g_chan = w.w_chan;
+    { g_warm = w;
       g_grant = grant;
       g_proxy = proxy;
       g_class = d.d_instance proxy;
       g_uml = uml;
       g_netdev = d.d_netdev proxy;
-      g_queues = w.w_queues;
-      g_caps = w.w_caps;
-      g_epoch = w.w_epoch;
-      g_relaunch =
-        (fun ~epoch ->
-           cold d k sp ~uid:w.w_uid ~name ~bdf ?hang_timeout_ns:w.w_hang_timeout_ns
-             ~queues:w.w_queues ?quota:(Quota.ledger w.w_caps) ~epoch drv) }
+      g_activate = (fun w -> activate w cls drv) }
+
+let launch k sp ?(uid = 1000) ?name ?bdf ?hang_timeout_ns ?queues ?quota ?(epoch = 0) cls drv =
+  let drv_name, ids = ident cls drv in
+  let name = Option.value ~default:drv_name name in
+  let* bdf =
+    match bdf with
+    | Some b -> Ok b
+    | None ->
+      (match Sysfs.match_ids k.Kernel.sysfs ~ids with
+       | [] -> Error ("no matching PCI device in sysfs for " ^ name)
+       | e :: _ -> Ok e.Sysfs.bdf)
+  in
+  (* One uchan ring pair per deliverable vector: the device's MSI-X
+     table sizes the datapath unless the caller narrows it. *)
+  let queues =
+    match queues, Pci_topology.find_device k.Kernel.topo bdf with
+    | Some q, _ -> q
+    | None, Some dev -> max 1 (Pci_cfg.msix_table_size (Device.cfg dev))
+    | None, None -> 1
+  in
+  let* w = prefork k sp ~uid ?hang_timeout_ns ~queues ?quota ~epoch ~name ~bdf () in
+  activate w cls drv
+
+let proc g = g.g_warm.w_proc
+let chan g = g.g_warm.w_chan
+let grant g = g.g_grant
+let proxy g = g.g_proxy
+let blk_proxy = proxy
+let class_of g = g.g_class
+let uml g = g.g_uml
+let queues g = g.g_warm.w_queues
+let quota g = Quota.ledger g.g_warm.w_caps
+let epoch g = g.g_warm.w_epoch
+
+let netdev g =
+  match g.g_netdev with
+  | Some d -> d
+  | None ->
+    invalid_arg ("Driver_host.netdev: " ^ g.g_warm.w_name ^ " registered no network device")
+
+let kill g = Process.kill (proc g)
+
+let restart g =
+  kill g;
+  (* Let teardown events (fiber kills, device reset) settle at the current
+     instant before re-opening the device. *)
+  ignore (Fiber.sleep g.g_warm.w_k.Kernel.eng 1_000 : Fiber.wake);
+  (* The quota survives the restart; the epoch does not — the new
+     generation's channel stamps (and accepts only) epoch+1, so frames
+     replayed from the dead generation adjudicate as [Bad_epoch]. *)
+  let w = g.g_warm in
+  let* next =
+    prefork w.w_k w.w_sp ~uid:w.w_uid ?hang_timeout_ns:w.w_hang_timeout_ns ~queues:w.w_queues
+      ?quota:(Quota.ledger w.w_caps) ~epoch:((w.w_epoch + 1) land Msg.max_epoch) ~name:w.w_name
+      ~bdf:w.w_bdf ()
+  in
+  g.g_activate next
+
+let set_memory_limit g ~bytes = Process.setrlimit_memory (proc g) ~bytes:(Some bytes)

@@ -8,19 +8,23 @@
     + spawn: chown the device's sud files to the driver's UID, spawn
       the driver process and create its capability table
       ({!Quota.caps}), which the process's death revokes newest first;
-    + grant + DMA pool: open the device (resetting it) and map the shared
-      buffer pool, sized by the class;
     + uchan rings: one ring pair per deliverable vector, the count
       negotiated down against the driver's {!Quota.t}; the footprint
       and the channel's close are recorded in the table;
+    + grant + DMA pool: open the device (resetting it) and map the shared
+      buffer pool, sized by the class;
     + proxy + serve + wait: create the class proxy, start the SUD-UML
       dispatch loop in the driver, and wait for the driver to register
       with its class subsystem.
 
-    A cold {!launch} runs the steps in that order.  A warm standby runs
-    the first and third ahead of time ({!prefork}) and the rest at swap
-    time ({!activate}), once the previous generation has released the
-    device.
+    The first two steps are {!prefork}, which parks the generation; the
+    last two are {!activate}.  A cold {!launch} or {!restart} runs one
+    right after the other; a warm standby is pre-forked ahead of time and
+    activated at swap time, once the previous generation has released
+    the device.  Every generation therefore dies the same way: its
+    class's exit action runs first, then its table is revoked newest
+    first, the grant with everything acquired through it before the
+    rings, so the channel closes last.
 
     Must be called from a fiber. *)
 
@@ -84,6 +88,10 @@ val usb :
     enumerates its bus, so launching does not wait for them; use
     {!Proxy_usb.wait_block}. *)
 
+val ident : ('d, _) cls -> 'd -> string * (int * int) list
+(** The driver's name and the PCI (vendor, device) ids it binds, read
+    through its class. *)
+
 (** {1 Cold start} *)
 
 val launch :
@@ -119,8 +127,9 @@ val launch :
     replacement at [epoch + 1], so frames replayed from a dead generation
     adjudicate as stale.
 
-    On error every step taken so far is undone: the half-built process
-    is killed, which revokes its table. *)
+    It runs {!prefork} and then {!activate}.  On error every step taken
+    so far is undone: the half-built process is killed, which revokes
+    its table. *)
 
 val proc : _ gen -> Process.t
 val chan : _ gen -> Uchan.t
@@ -159,7 +168,8 @@ val kill : _ gen -> unit
 val restart : 'p gen -> ('p gen, string) result
 (** Kill (if still alive) and start a fresh driver process for the same
     device, class options, driver and queue width, at the next epoch —
-    the paper's crash-recovery story. *)
+    the paper's crash-recovery story: a {!prefork} and an {!activate},
+    as {!launch}. *)
 
 val set_memory_limit : _ gen -> bytes:int -> unit
 (** setrlimit on the driver process. *)
@@ -182,19 +192,20 @@ type warm
 val prefork :
   Kernel.t ->
   Safe_pci.t ->
-  ?uid:int ->
+  uid:int ->
   ?hang_timeout_ns:int ->
-  ?queues:int ->
+  queues:int ->
   ?quota:Quota.t ->
-  ?epoch:int ->
+  epoch:int ->
   name:string ->
   bdf:Bus.bdf ->
   unit ->
   (warm, string) result
-(** Spawn and park a standby generation: its table holds the rings
-    alone until {!activate}.  [queues] (default 1) should be the live
-    generation's negotiated width — without a grant the standby cannot
-    size itself from the MSI-X table. *)
+(** Spawn and park a generation: its table holds the rings alone until
+    {!activate}.  [queues] is the ring pairs asked for, clamped to
+    [1 .. Uchan.max_queues] and negotiated against [quota] as in
+    {!launch}; a standby should ask for the live generation's
+    negotiated width. *)
 
 val warm_proc : warm -> Process.t
 val warm_chan : warm -> Uchan.t
@@ -212,6 +223,4 @@ val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
     driver's registration takes that object over as a cold restart's
     does, and the proxy's first [resume] ({!class_of}) replays.  On
     error the standby process has been killed (its table revoked), so a
-    cold start can follow.  The activated generation's class exit action
-    runs before the table's revocation, whose last step closes the
-    channel. *)
+    cold start can follow. *)

@@ -95,11 +95,7 @@ let pcidev (k : Kernel.t) bdf ~label =
       Phys_mem.free_pages k.Kernel.mem ~addr:r.Driver_api.dma_addr
         ~pages:(r.Driver_api.dma_size / Bus.page_size)
     in
-    let msix_vectors () =
-      match Pci_cfg.find_capability cfg Pci_cfg.msix_cap_id with
-      | None -> 1
-      | Some _ -> max 1 (Pci_cfg.msix_table_size cfg)
-    in
+    let msix_vectors () = max 1 (Pci_cfg.msix_table_size cfg) in
     let request_irqs ~n handler =
       match !vectors with
       | Some _ -> Error "irq already requested"

@@ -1,6 +1,7 @@
 type t = {
   k : Kernel.t;
   chan : Uchan.t;
+  grant : Safe_pci.grant;
   pool : Bufpool.t;
   name : string;
   mutable ready : bool;
@@ -9,8 +10,6 @@ type t = {
   mutable periods : int;
   period_wait : Sync.Waitq.t;
 }
-
-let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
 
 let handle_downcall t m =
   let kind = m.Msg.kind in
@@ -28,20 +27,13 @@ let handle_downcall t m =
     Bufpool.free t.pool (Msg.arg m 0);
     None
   end
-  else if kind = Proxy_proto.down_irq_ack then None   (* handled by grant in host *)
-  else if kind = Proxy_proto.down_printk then begin
-    klogf t Klog.Info "%s: %s" t.name (Bytes.to_string m.Msg.payload);
-    None
-  end
-  else begin
-    klogf t Klog.Warn "sud-audio(%s): unexpected downcall %d" t.name kind;
-    None
-  end
+  else Proxy_class.downcall t.k t.grant ~cls:"audio" ~name:t.name m
 
 let create k ~chan ~grant ~pool ~name () =
   let t =
     { k;
       chan;
+      grant;
       pool;
       name;
       ready = false;
@@ -50,12 +42,7 @@ let create k ~chan ~grant ~pool ~name () =
       periods = 0;
       period_wait = Sync.Waitq.create () }
   in
-  Uchan.set_downcall_handler chan (fun ~queue:_ m ->
-      if m.Msg.kind = Proxy_proto.down_irq_ack then begin
-        Safe_pci.irq_ack ~queue:(Msg.arg m 0) grant;
-        None
-      end
-      else handle_downcall t m);
+  Uchan.set_downcall_handler chan (fun ~queue:_ m -> handle_downcall t m);
   t
 
 let wait_cond t waitq ~timeout_ns cond =

@@ -384,18 +384,7 @@ let handle_downcall t ~queue:_ m =
     None
   end
   else if kind = Proxy_proto.down_blkdev_register then handle_register t m
-  else if kind = Proxy_proto.down_irq_ack then begin
-    Safe_pci.irq_ack ~queue:(Msg.arg m 0) t.grant;
-    None
-  end
-  else if kind = Proxy_proto.down_printk then begin
-    klogf t Klog.Info "%s: %s" t.name (Bytes.to_string m.Msg.payload);
-    None
-  end
-  else begin
-    klogf t Klog.Warn "sud-blk(%s): unexpected downcall %d" t.name kind;
-    None
-  end
+  else Proxy_class.downcall t.k t.grant ~cls:"blk" ~name:t.name m
 
 let create k ~chan ~grant ~pool ~name ?adopt () =
   let p = match adopt with Some p -> p | None -> persist_create () in

@@ -21,7 +21,11 @@
     before the first [resume].  Each proxy builds this record of closures over
     itself; the supervisor and driver host hold the record instead of
     pattern-matching on proxy kinds, so adding a device class never
-    touches the recovery machinery. *)
+    touches the recovery machinery.
+
+    The downcalls no class owns are answered here once ({!downcall}),
+    as [Sud_uml.serve_queues] answers the class-independent upcalls
+    for every driver. *)
 
 type t = {
   chan : Uchan.t;
@@ -35,6 +39,14 @@ type t = {
       (** Re-admit work after a successful restart and replay whatever
           [quiesce] retained against the new generation.  Idempotent. *)
 }
+
+val downcall :
+  Kernel.t -> Safe_pci.grant -> cls:string -> name:string -> Msg.t -> Msg.t option
+(** The end of every proxy's downcall handler, for the kinds its class
+    does not own: [down_irq_ack] unmasks the named vector through the
+    grant, [down_printk] goes to the kernel log under [name], and any
+    other kind is logged as an unexpected downcall from [sud-<cls>].
+    Always [None]: none of these is answered. *)
 
 val heartbeat : t -> (unit, string) result
 (** Synchronous [up_ping] over the proxy's channel, bounded by the

@@ -262,30 +262,22 @@ let handle_downcall t ~queue m =
      | None -> ());
     None
   end
-  else if kind = Proxy_proto.down_irq_ack then begin
-    (* arg 0 names the device queue whose vector to unmask; older
-       single-queue drivers send no args, and Msg.arg defaults to 0. *)
-    let q = uq t (Msg.arg m 0) in
-    let n = t.frames_since_ack.(q) in
-    if n > 0 then begin
-      (* How many frames one interrupt covered — the NAPI coalescing
-         factor.  Zero-frame acks (TX-only polls, the runtime's redundant
-         post-handler ack) would only dilute the histogram. *)
-      t.frames_since_ack.(q) <- 0;
-      Sud_obs.Metrics.observe t.frames_per_poll n;
-      if n >= napi_budget_hint then Sud_obs.Metrics.incr t.budget_exhausted.(q)
-    end;
-    Safe_pci.irq_ack ~queue:(Msg.arg m 0) t.grant;
-    None
-  end
-  else if kind = Proxy_proto.down_printk then begin
-    klogf t Klog.Info "%s: %s" t.name (Bytes.to_string m.Msg.payload);
-    None
-  end
   else begin
-    (* Unknown downcalls from an untrusted driver are logged, not trusted. *)
-    klogf t Klog.Warn "sud-net(%s): unexpected downcall %d" t.name kind;
-    None
+    if kind = Proxy_proto.down_irq_ack then begin
+      (* arg 0 names the device queue whose vector to unmask; older
+         single-queue drivers send no args, and Msg.arg defaults to 0. *)
+      let q = uq t (Msg.arg m 0) in
+      let n = t.frames_since_ack.(q) in
+      if n > 0 then begin
+        (* How many frames one interrupt covered — the NAPI coalescing
+           factor.  Zero-frame acks (TX-only polls, the runtime's
+           redundant post-handler ack) would only dilute the histogram. *)
+        t.frames_since_ack.(q) <- 0;
+        Sud_obs.Metrics.observe t.frames_per_poll n;
+        if n >= napi_budget_hint then Sud_obs.Metrics.incr t.budget_exhausted.(q)
+      end
+    end;
+    Proxy_class.downcall t.k t.grant ~cls:"net" ~name:t.name m
   end
 
 let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?adopt () =

@@ -12,8 +12,6 @@ type t = {
   mutable keys : int;
 }
 
-let klogf t lvl fmt = Klog.printk t.k.Kernel.klog lvl fmt
-
 let create k ~chan ~grant ~pool ~name () =
   let t =
     { k;
@@ -38,22 +36,11 @@ let create k ~chan ~grant ~pool ~name () =
         (match t.key_handler with Some h -> h (Msg.arg m 0) | None -> ());
         None
       end
-      else if kind = Proxy_proto.down_irq_ack then begin
-        Safe_pci.irq_ack ~queue:(Msg.arg m 0) grant;
-        None
-      end
       else if kind = Proxy_proto.down_tx_free then begin
         Bufpool.free t.pool (Msg.arg m 0);
         None
       end
-      else if kind = Proxy_proto.down_printk then begin
-        klogf t Klog.Info "%s: %s" t.name (Bytes.to_string m.Msg.payload);
-        None
-      end
-      else begin
-        klogf t Klog.Warn "sud-usb(%s): unexpected downcall %d" t.name kind;
-        None
-      end);
+      else Proxy_class.downcall k grant ~cls:"usb" ~name m);
   t
 
 let wait_block t ~timeout_ns =

@@ -260,9 +260,7 @@ let find_capability g id =
 
 let msix_vectors g =
   check_alive g;
-  match Pci_cfg.find_capability (Device.cfg g.g_dev) Pci_cfg.msix_cap_id with
-  | None -> 1
-  | Some _ -> max 1 (Pci_cfg.msix_table_size (Device.cfg g.g_dev))
+  max 1 (Pci_cfg.msix_table_size (Device.cfg g.g_dev))
 
 (* ---- MMIO / IO ports ---- *)
 

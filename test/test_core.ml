@@ -490,15 +490,16 @@ let test_delegation () =
   run_in_kernel setup_duo (fun k _duo ->
       let sp = Safe_pci.init k in
       let rows =
-        Delegation.scan_and_start k sp ~registry:[ Delegation.Net E1000.driver ] ()
+        Delegation.scan_and_start k sp
+          ~registry:[ Delegation.Driver (Driver_host.net (), E1000.driver) ] ()
       in
       Alcotest.(check int) "one driver per NIC" 2 (List.length rows);
       let uids =
         List.filter_map
           (fun (_, _, r) ->
              match r with
-             | Ok (Delegation.Started_net s) -> Some (Process.uid (Driver_host.proc s))
-             | Ok _ | Error _ -> None)
+             | Ok (Delegation.Started g) -> Some (Process.uid (Driver_host.proc g))
+             | Error _ -> None)
           rows
       in
       Alcotest.(check int) "all started" 2 (List.length uids);

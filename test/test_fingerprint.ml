@@ -1,15 +1,17 @@
 (* The fingerprint oracle.  Under a fixed scheduler a run is
    bit-reproducible, so a refactor is behaviour-preserving exactly when
    every entry below keeps its pinned [Engine.trace_hash] and step count.
-   The entries cover every driver bring-up path: each registered
-   scenario, the warm-standby blk harness (prefork + activation), a warm
-   net failover and a live net upgrade, and a short launch/kill of each
-   device class.  They
-   also cover the SUD net receive path and every fault-injection harness
-   the scenarios do not run: the single-fault recovery measures of each
-   lethal class, cold and warm, and both quarantine campaigns.  All of these run FIFO; the two
-   mini soaks also run under a seeded random picker, which pins the
-   engine's picker path (ready-set gathering and the picks it offers).
+   Every driver generation comes up one way, a prefork and then an
+   activate, and the entries reach it from each of its callers: each
+   registered scenario, the warm-standby blk harness, a warm net failover
+   and a live net upgrade, a short launch and kill of each device class
+   (the NIC restarted once), and the bus manager's scan.  They also cover
+   the SUD net receive path and every fault-injection harness the
+   scenarios do not run: the single-fault recovery measures of each
+   lethal class, cold and warm, and both quarantine campaigns.  All of
+   these run FIFO; the two mini soaks also run under a seeded random
+   picker, which pins the engine's picker path (ready-set gathering and
+   the picks it offers).
 
    The metrics hash is left out: the metrics registry is shared by the
    whole process, so it depends on which tests ran before. *)
@@ -208,13 +210,15 @@ let delegation_scan () =
   launch_and_kill
     (fun k -> (setup_duo k).bdf_a)
     (fun k sp _ ->
-       let rows = Delegation.scan_and_start k sp ~registry:[ Delegation.Net E1000.driver ] () in
+       let rows =
+         Delegation.scan_and_start k sp
+           ~registry:[ Delegation.Driver (Driver_host.net (), E1000.driver) ] ()
+       in
        Alcotest.(check int) "one driver per NIC" 2 (List.length rows);
        List.iter
          (fun (_, _, r) ->
             match r with
-            | Ok (Delegation.Started_net s) -> Driver_host.kill s
-            | Ok _ -> Alcotest.fail "not an e1000 generation"
+            | Ok (Delegation.Started g) -> Driver_host.kill g
             | Error e -> Alcotest.fail ("scan: " ^ e))
          rows)
 

@@ -95,6 +95,37 @@ let test_warm_failover () =
         (Quota.uchan_bytes (Supervisor.quota sv));
       Supervisor.stop sv)
 
+(* The kinds in a generation's capability table, newest first. *)
+let cap_kinds g =
+  List.map
+    (fun e ->
+       match Quota.cap e with
+       | Quota.Grant -> "grant"
+       | Quota.Dma _ -> "dma"
+       | Quota.Io_ports _ -> "io_ports"
+       | Quota.Vectors _ -> "vectors"
+       | Quota.Rings _ -> "rings")
+    (Quota.held (Safe_pci.grant_caps (Driver_host.grant g)))
+
+(* Cold or warm, a generation is a prefork and then an activate: the
+   first generation, launched cold, and the warm standby that replaces
+   it hold one table in one order, so both die the same way. *)
+let test_one_table () =
+  let w = Fault_inject.make_blk_world () in
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
+      let eng = w.Fault_inject.bw_eng in
+      let sv = start_warm w in
+      let cold = cap_kinds (Option.get (Supervisor.current_blk sv)) in
+      Alcotest.(check bool) "standby parks Ready" true
+        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+      Alcotest.(check bool) "crash applied" true
+        (Fault_inject.blk_inject ~eng ~sv ~nvme:w.Fault_inject.bw_nvme Fault_inject.Bcrash);
+      Alcotest.(check bool) "recovered" true (wait_restarts ~eng sv 1 ~budget_ms:5_000);
+      Alcotest.(check int) "served by the warm standby" 1 (Supervisor.warm_swaps sv);
+      Alcotest.(check (list string)) "one table" cold
+        (cap_kinds (Option.get (Supervisor.current_blk sv)));
+      Supervisor.stop sv)
+
 (* A standby that dies while parked is poisoned: it must be discarded
    and rebuilt by the watchdog — and the corpse must never become the
    live generation. *)
@@ -365,4 +396,5 @@ let suite =
       test_double_failover;
     Alcotest.test_case "live upgrade: zero loss, not a detection, sysfs transitions"
       `Quick test_upgrade_zero_loss;
+    Alcotest.test_case "cold and warm generations hold one table" `Quick test_one_table;
     QCheck_alcotest.to_alcotest prop_upgrades_compose ]
