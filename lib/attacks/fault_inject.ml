@@ -229,8 +229,7 @@ let secret = "SOAK-SECRET-0xFEEDFACE"
 (* Fast supervision policy so a multi-hundred-fault soak converges in
    bounded simulated time. *)
 let soak_policy ~max_restarts =
-  { Supervisor.default_policy with
-    Supervisor.tick_ns = 1_000_000;
+  { Supervisor.tick_ns = 1_000_000;
     hang_timeout_ns = 10_000_000;
     backoff_initial_ns = 500_000;
     backoff_max_ns = 10_000_000;

@@ -574,13 +574,10 @@ let allocation_bomb () =
 
 (* ---- 11. kill and restart (supervised) ---- *)
 
-(* Fast supervision policy so scenarios converge in a few simulated ms. *)
+(* Fast supervision policy so scenarios converge in a few simulated ms:
+   the soaks' warm watchdog with the default backlog. *)
 let fast_policy =
-  { Supervisor.default_policy with
-    Supervisor.tick_ns = 1_000_000;
-    hang_timeout_ns = 10_000_000;
-    backoff_initial_ns = 500_000;
-    backoff_max_ns = 10_000_000 }
+  { (Fault_inject.warm_policy ~max_restarts:5) with Supervisor.backlog_limit = 256 }
 
 let wait_recovered w sv =
   ignore

@@ -18,7 +18,6 @@ type policy = {
   backoff_initial_ns : int;
   backoff_max_ns : int;
   max_restarts : int;
-  restart_window_ns : int;
   backlog_limit : int;
   standby : bool;
 }
@@ -29,7 +28,6 @@ let default_policy =
     backoff_initial_ns = 2_000_000;
     backoff_max_ns = 200_000_000;
     max_restarts = 5;
-    restart_window_ns = 2_000_000_000;
     backlog_limit = 256;
     standby = true }
 
@@ -38,6 +36,9 @@ let default_policy =
    doorbell flood. *)
 let flood_threshold = 512
 let overflow_threshold = 512
+
+(* The restart budget counts the restarts of the last 2 s. *)
+let restart_window_ns = 2_000_000_000
 
 (* Every supervised driver generation runs as this unprivileged uid. *)
 let driver_uid = 1000
@@ -313,7 +314,7 @@ let recover t reason =
     emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
   in
   let budget_left () =
-    let window_start = now t - t.policy.restart_window_ns in
+    let window_start = now t - restart_window_ns in
     t.restart_times <- List.filter (fun ts -> ts >= window_start) t.restart_times;
     List.length t.restart_times < t.policy.max_restarts
   in

@@ -28,7 +28,7 @@
     backoff.  Containment is the proxy's own ({!Proxy_class.t}): while
     recovering, a netdev does not vanish but parks transmits in a bounded
     backlog that the fresh generation replays.  A driver that crash-loops
-    past [max_restarts] within [restart_window_ns] is quarantined: netdev
+    past [max_restarts] within 2 s is quarantined: netdev
     unregistered, backlog dropped, sysfs [sud_state] set to
     ["quarantined"], no further restarts. *)
 
@@ -39,8 +39,7 @@ type policy = {
           deadline *)
   backoff_initial_ns : int;  (** delay before the first restart *)
   backoff_max_ns : int;  (** cap on the doubled backoff *)
-  max_restarts : int;  (** restart budget within the window *)
-  restart_window_ns : int;
+  max_restarts : int;  (** restart budget within any 2 s *)
   backlog_limit : int;  (** frames buffered while recovering *)
   standby : bool;
       (** keep a warm standby generation parked (process forked, rings
@@ -51,8 +50,9 @@ type policy = {
 
 val default_policy : policy
 (** 5 ms tick, 20 ms hang timeout, 2 ms initial backoff capped at
-    200 ms, 5 restarts per 2 s window, 256-frame backlog, warm standby
-    on.  Under every policy, 512 dropped async downcalls in one tick are
+    200 ms, 5 restarts, 256-frame backlog, warm standby on.  Under every
+    policy the restart budget counts the restarts of the last 2 s, 512
+    dropped async downcalls in one tick are
     a ring flood, 512 notification-kick token-bucket overflows in one
     tick are a doorbell flood, and each driver's {!Quota} has
     {!Quota.default_limits}. *)
