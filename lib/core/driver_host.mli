@@ -174,18 +174,20 @@ val restart : 'p gen -> ('p gen, string) result
 val set_memory_limit : _ gen -> bytes:int -> unit
 (** setrlimit on the driver process. *)
 
-(** {1 Warm-standby generations}
+(** {1 The two halves of a bring-up}
 
-    A [warm] generation is pre-forked and parked before attach: the
-    process is spawned and its epoch-stamped uchan rings are allocated
-    and recorded in its own capability table, which counts against the
-    same per-driver {!Quota.t} ledger as the live generation's.  The
-    device grant is exclusive per BDF {e and opening it resets the
-    device}, so everything device-facing — grant, DMA pool, proxy,
-    driver init — waits for {!activate}, which the supervisor calls at
-    swap time: the dead generation's kill has revoked its grant and the
-    FLR has left the device in exactly the quiesced state a fresh
-    driver expects to initialize against. *)
+    {!launch} and {!restart} run {!prefork} and {!activate} back to
+    back; a warm standby runs them apart.  A [warm] generation is
+    pre-forked and parked before attach: the process is spawned and its
+    epoch-stamped uchan rings are allocated and recorded in its own
+    capability table, which counts against the same per-driver
+    {!Quota.t} ledger as the live generation's.  The device grant is
+    exclusive per BDF {e and opening it resets the device}, so
+    everything device-facing — grant, DMA pool, proxy, driver init —
+    waits for {!activate}, which the supervisor calls at swap time: the
+    dead generation's kill has revoked its grant and the FLR has left
+    the device in exactly the quiesced state a fresh driver expects to
+    initialize against. *)
 
 type warm
 
@@ -215,12 +217,10 @@ val discard_warm : warm -> unit
     footprint leaves the ledger and the channel closes. *)
 
 val activate : warm -> ('d, 'p) cls -> 'd -> ('p gen, string) result
-(** Finish a parked generation against the freshly reset device: open
-    the grant, build the DMA pool, create the class's proxy exactly as a
-    cold start does, serve the driver, and wait for it to register.  The
-    supervisor passes its own class, which names the surviving kernel
-    object (an [adopt] record), so the
-    driver's registration takes that object over as a cold restart's
-    does, and the proxy's first [resume] ({!class_of}) replays.  On
-    error the standby process has been killed (its table revoked), so a
-    cold start can follow. *)
+(** Finish a parked generation: open the grant (resetting the device),
+    build the DMA pool, create the class's proxy, serve the driver, and
+    wait for it to register.  A supervisor passes its own class, which
+    names the surviving kernel object (an [adopt] record), so the
+    driver's registration takes that object over and the proxy's first
+    [resume] ({!class_of}) replays.  On error the parked process has
+    been killed (its table revoked), so a cold start can follow. *)
