@@ -254,6 +254,19 @@ let swap_in t g =
   set_sysfs_state t "running";
   (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ())
 
+(* A stop that lands while a swap brings up the next generation is
+   final: the generation is never installed.  It is quiesced and killed,
+   and the release runs again, since its registration may have put the
+   class's object back in service. *)
+let installable t g =
+  t.state = Recovering
+  || begin
+    (Driver_host.class_of g).Proxy_class.quiesce ();
+    Driver_host.kill g;
+    ignore (t.release () : string);
+    false
+  end
+
 let recover t reason =
   let detect_t = now t in
   t.detections <- t.detections + 1;
@@ -295,23 +308,25 @@ let recover t reason =
   emit t Driver_killed;
   (* Shared bring-up tail for both the warm swap and the cold restart. *)
   let finish g ~warm =
-    t.restarts <- t.restarts + 1;
-    Sud_obs.Metrics.incr t.sm.sm_restarts;
-    if warm then t.warm_swaps <- t.warm_swaps + 1;
-    swap_in t g;
-    let outage = now t - detect_t in
-    t.last_recovery <- outage;
-    Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
-    if sp_kill <> 0 then
-      ignore
-        (Sud_obs.Trace.emit ~parent:sp_kill ~dur_ns:outage ~cat:"sup"
-           ~name:(if warm then "swap" else "restart")
-           ~attrs:[ "driver", t.name; "gen", string_of_int t.restarts ] ());
-    t.last_ok <- now t;
-    klogf t Klog.Info "sud: supervisor(%s): driver %s (gen %d) after %d us outage" t.name
-      (if warm then "swapped to warm standby" else "restarted")
-      t.restarts (outage / 1_000);
-    emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
+    if installable t g then begin
+      t.restarts <- t.restarts + 1;
+      Sud_obs.Metrics.incr t.sm.sm_restarts;
+      if warm then t.warm_swaps <- t.warm_swaps + 1;
+      swap_in t g;
+      let outage = now t - detect_t in
+      t.last_recovery <- outage;
+      Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
+      if sp_kill <> 0 then
+        ignore
+          (Sud_obs.Trace.emit ~parent:sp_kill ~dur_ns:outage ~cat:"sup"
+             ~name:(if warm then "swap" else "restart")
+             ~attrs:[ "driver", t.name; "gen", string_of_int t.restarts ] ());
+      t.last_ok <- now t;
+      klogf t Klog.Info "sud: supervisor(%s): driver %s (gen %d) after %d us outage" t.name
+        (if warm then "swapped to warm standby" else "restarted")
+        t.restarts (outage / 1_000);
+      emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
+    end
   in
   let budget_left () =
     let window_start = now t - restart_window_ns in
@@ -443,35 +458,28 @@ let upgrade (T t) =
       drain ();
       kill_and_reset t;
       let attempt = t.restarts + t.upgrades + 1 in
-      let installed =
+      let next =
         match take_warm t ~attempt with
-        | Some g ->
-          swap_in t g;
-          true
-        | None ->
-          (* Standby evaporated between the readiness check and the swap
-             (e.g. poisoned while draining): cold-start the new
-             generation rather than leaving the device dead. *)
-          (match start_generation t with
-           | Ok g ->
-             swap_in t g;
-             true
-           | Error e ->
-             klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
-             false)
+        | Some g -> Ok g
+        (* Standby evaporated between the readiness check and the swap
+           (e.g. poisoned while draining): cold-start the new
+           generation rather than leaving the device dead. *)
+        | None -> start_generation t
       in
-      if installed then begin
+      match next with
+      | Ok g when installable t g ->
+        swap_in t g;
         t.upgrades <- t.upgrades + 1;
         t.last_ok <- now t;
         klogf t Klog.Info "sud: supervisor(%s): live upgrade complete (gen %d, %d upgrades)"
           t.name t.restarts t.upgrades;
         emit t (Driver_restarted { restarts = t.restarts; outage_ns = now t - t0 });
         Ok ()
-      end
-      else begin
+      | Error e when t.state = Recovering ->
+        klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
         quarantine t "upgrade failed: no standby and cold start failed";
         Error "upgrade failed: no generation could be started"
-      end
+      | Ok _ | Error _ -> Error "supervisor is stopped"
     end
 
 (* Operator-forced failover: exercise the exact fault path (detection,

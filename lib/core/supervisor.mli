@@ -118,7 +118,9 @@ val stop : t -> unit
 (** Administrative stop: quiesce then kill the current driver, discard
     the warm standby, release the netdev as a quarantine does (it ends
     down, carrier off, out of the stack, nothing parked), end the
-    watchdog.  No restart. *)
+    watchdog.  No restart, and final: a generation that a recovery or
+    an upgrade is bringing up when the stop lands is killed instead of
+    installed, and the release runs again. *)
 
 val upgrade : t -> (unit, string) result
 (** Zero-loss live upgrade: wait (bounded) for a warm standby, quiesce
@@ -132,7 +134,8 @@ val upgrade : t -> (unit, string) result
     replays in tag order.  A standby found poisoned at the swap instant
     is discarded — never installed — and the upgrade falls back to a
     cold start of the new generation.  [Error] when not Running, when
-    warming is disabled by policy, or when no standby becomes ready. *)
+    warming is disabled by policy, when no standby becomes ready, or
+    when a {!stop} lands before the swap completes. *)
 
 val failover : t -> (unit, string) result
 (** Operator-forced failover: run the exact fault path — detection

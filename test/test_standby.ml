@@ -214,6 +214,45 @@ let test_double_failover () =
       check_page bd 1 'E';
       Supervisor.stop sv)
 
+(* A stop that lands while an upgrade drains is final: the upgrade
+   fails without quarantining, no generation comes up after the stop,
+   and the blkdev stays detached. *)
+let test_stop_during_upgrade () =
+  let w = Fault_inject.make_blk_world () in
+  Kernel.run ~max_ms:120_000 w.Fault_inject.bw_k (fun () ->
+      let eng = w.Fault_inject.bw_eng in
+      let k = w.Fault_inject.bw_k in
+      let sv = start_warm w in
+      let bd = blkdev sv in
+      let uid = Process.uid (Option.get (Supervisor.proc sv)) in
+      Alcotest.(check bool) "standby parks Ready" true
+        (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+      (* A dropped completion keeps a write in flight, so the drain is
+         still waiting when the stop lands. *)
+      Nvme_dev.inject_drop_completion w.Fault_inject.bw_nvme;
+      let spawn name f =
+        ignore (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name f : Fiber.t)
+      in
+      spawn "stuck-writer" (fun () ->
+          ignore (Blkdev.write_fua bd ~lba:0 (page 'S') () : (unit, string) result));
+      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+      spawn "stopper" (fun () ->
+          ignore (Fiber.sleep eng 2_000_000 : Fiber.wake);
+          Supervisor.stop sv);
+      Alcotest.(check bool) "the upgrade fails" true (Result.is_error (Supervisor.upgrade sv));
+      ignore (Fiber.sleep eng 100_000_000 : Fiber.wake);
+      Alcotest.(check bool) "still stopped" true (Supervisor.state sv = Supervisor.Stopped);
+      Alcotest.(check bool) "no current generation" true (Supervisor.proc sv = None);
+      let rec live_drivers pid n =
+        if pid > 256 then n
+        else
+          match Process.find k.Kernel.procs ~pid with
+          | Some p when Process.is_alive p && Process.uid p = uid -> live_drivers (pid + 1) (n + 1)
+          | Some _ | None -> live_drivers (pid + 1) n
+      in
+      Alcotest.(check int) "no driver process runs" 0 (live_drivers 1 0);
+      Alcotest.(check bool) "blkdev detached" false (Blkdev.attached bd))
+
 (* Live upgrade under load: zero loss, not a detection, and the sysfs
    state walks running -> upgrading -> standby_ready. *)
 let test_upgrade_zero_loss () =
@@ -394,6 +433,8 @@ let suite =
       `Quick test_poisoned_standby_rebuilt;
     Alcotest.test_case "double failover: primary dies mid-upgrade-drain" `Quick
       test_double_failover;
+    Alcotest.test_case "stop during an upgrade's drain is final" `Quick
+      test_stop_during_upgrade;
     Alcotest.test_case "live upgrade: zero loss, not a detection, sysfs transitions"
       `Quick test_upgrade_zero_loss;
     Alcotest.test_case "cold and warm generations hold one table" `Quick test_one_table;

@@ -199,6 +199,51 @@ let test_stop_releases_netdev ~recovering () =
         (Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None);
       Alcotest.(check bool) "no driver process" true (Supervisor.proc sv = None))
 
+(* A stop that lands while the next generation comes up is final.  Cold:
+   the stop lands once the restart's process exists, while its launch
+   waits for the registration.  Warm: it lands as soon as the recovery
+   starts, while the parked standby is activated.  Neither generation
+   may be installed after the stop, and neither may put the netdev back
+   in the stack. *)
+let test_stop_during_bring_up ~standby () =
+  let w = make_world () in
+  let policy =
+    { fast_policy with
+      Supervisor.backoff_initial_ns = 20_000_000;
+      backoff_max_ns = 40_000_000;
+      standby }
+  in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised ~policy w in
+      let dev = Supervisor.netdev sv in
+      let parked =
+        if standby then begin
+          Alcotest.(check bool) "standby parks Ready" true
+            (Fault_inject.wait_standby_ready ~eng:w.eng sv ~budget_ms:2_000);
+          Supervisor.standby_proc sv
+        end
+        else None
+      in
+      let old = match Supervisor.proc sv with Some p -> p | None -> Alcotest.fail "no proc" in
+      Process.kill old;
+      let launched () = Process.find w.k.Kernel.procs ~pid:(Process.pid old + 1) in
+      Alcotest.(check bool) "the next generation is coming up" true
+        (Fiber.poll w.eng ~every_ns:1_000 ~budget:100_000 (fun () ->
+             if standby then Supervisor.state sv = Supervisor.Recovering
+             else launched () <> None));
+      Supervisor.stop sv;
+      settle w 100;
+      Alcotest.(check bool) "still stopped" true (Supervisor.state sv = Supervisor.Stopped);
+      Alcotest.(check bool) "out of the stack" true
+        (Netstack.find_netdev w.k.Kernel.net (Netdev.name dev) = None);
+      Alcotest.(check bool) "no driver process" true (Supervisor.proc sv = None);
+      let dead what p =
+        Alcotest.(check bool) (what ^ " dead") false
+          (match p with Some p -> Process.is_alive p | None -> false)
+      in
+      dead "launched process" (launched ());
+      if standby then dead "parked standby's process" parked)
+
 (* A Corrupt_batch injection garbles one frame inside the driver's next
    multi-frame downcall batch.  Containment is in place: that frame is
    dropped and counted malformed, its siblings deliver, and — unlike every
@@ -479,6 +524,10 @@ let suite =
       (test_stop_releases_netdev ~recovering:false);
     Alcotest.test_case "stop releases the netdev (mid-outage)" `Quick
       (test_stop_releases_netdev ~recovering:true);
+    Alcotest.test_case "stop during a cold restart's launch is final" `Quick
+      (test_stop_during_bring_up ~standby:false);
+    Alcotest.test_case "stop during a warm swap's activation is final" `Quick
+      (test_stop_during_bring_up ~standby:true);
     Alcotest.test_case "corrupt batch frame: contained, no restart" `Quick
       test_batch_corrupt_no_restart;
     Alcotest.test_case "mid-batch crash: un-acked tail replayed" `Quick
