@@ -3,8 +3,9 @@
 
     python3 tools/exact_ab.py PARENT CHANGE
 
-Builds `perfbench/main.exe`, `bench/main.exe` and `bin/sudctl.exe` in
-the PARENT and the CHANGE checkout with dune.  It then runs in both:
+Builds `perfbench/main.exe`, `bench/main.exe`, `bin/sudctl.exe` and the
+eight `examples/*.exe` in the PARENT and the CHANGE checkout with dune.
+It then runs in both:
 
   * `perfbench/main.exe --workload W --seed S --trace 0` for every
     workload of CHANGE's BENCHMARK.json and the seeds 1, 2, 7 and 42;
@@ -21,25 +22,29 @@ the PARENT and the CHANGE checkout with dune.  It then runs in both:
     `bench/baseline.json`, copied into their working directory;
   * `sudctl security`, the attack scenarios and supervised recoveries;
   * `sudctl trace smoke`, which exports a traced recovery as JSONL,
-    reads it back and looks for the causal chain in what it read.
+    reads it back and looks for the causal chain in what it read;
+  * every example under `examples/`, each a short scripted scenario
+    (the USB disk and keyboard, the wifi roam, the audio stream, the
+    bus manager's delegation among them).
 
 Under one seed a run is bit-reproducible, so a change that preserves the
 simulated behaviour leaves every compared value identical.  For a
 benchmark run those are the `digest`, the `fingerprint` (trace hash,
 steps, ops, samples), the `attempted` and `failed` op counts and every
 key of the `exact` block; wall-clock and allocation figures are not
-compared.  For a soak, blkperf and the trace smoke they are every line
-of its standard output and its exit status.
+compared.  For a soak, blkperf, the trace smoke and an example they are
+every line of its standard output and its exit status.
 
 Prints one line per run (12 benchmark runs with the 3 workloads, then 3
-soaks, blkperf, fuzz, upgrade, security and the smoke: 20 in all), and
-under it each differing key or line with both values.  The script
-writes nothing to either checkout: dune builds each one, and every
-whole-output run happens in a temporary directory, which takes its
+soaks, blkperf, fuzz, upgrade, security, the smoke and the 8 examples:
+28 in all), and under it each differing key or line with both values.
+The script writes nothing to either checkout: dune builds each one, and
+every whole-output run happens in a temporary directory, which takes its
 traces/ output.  The soaks take about 10 s per checkout, fuzz about
-11 s and blkperf about 3 s.  Exit status:
-0 when every compared value is identical, 1 on any difference, 2 on a
-usage or build error or a benchmark run that printed no result.
+11 s, blkperf about 3 s and the eight examples well under 1 s together.
+Exit status: 0 when every compared value is identical, 1 on any
+difference, 2 on a usage or build error or a benchmark run that printed
+no result.
 """
 
 import itertools
@@ -58,7 +63,10 @@ TOP_KEYS = ("digest", "fingerprint", "attempted", "failed")
 OUTPUT_RUNS = (("bench/main.exe", "soak"), ("bench/main.exe", "blk-soak", "smoke"),
                ("bench/main.exe", "upgrade-soak"), ("bench/main.exe", "blkperf"),
                ("bench/main.exe", "fuzz"), ("bench/main.exe", "upgrade"),
-               ("bin/sudctl.exe", "security"), ("bin/sudctl.exe", "trace", "smoke"))
+               ("bin/sudctl.exe", "security"), ("bin/sudctl.exe", "trace", "smoke"),
+               *((f"examples/{e}.exe",) for e in (
+                   "quickstart", "malicious_driver", "driver_restart", "wifi_roaming",
+                   "sound_stream", "usb_disk", "click_router", "delegation_demo")))
 BASELINE = os.path.join("bench", "baseline.json")
 
 
@@ -68,8 +76,9 @@ def die(msg):
 
 
 def build(checkout):
+    exes = sorted({f"./{exe}" for exe, *_ in OUTPUT_RUNS})
     r = subprocess.run(["dune", "build", "--root", checkout, "--display", "quiet",
-                        "./perfbench/main.exe", "./bench/main.exe", "./bin/sudctl.exe"],
+                        "./perfbench/main.exe", *exes],
                        cwd=checkout)
     if r.returncode != 0:
         die(f"{checkout}: build failed")
