@@ -5,7 +5,8 @@
    activate, and the entries reach it from each of its callers: each
    registered scenario, the warm-standby blk harness, a warm net failover
    and a live net upgrade, a short launch and kill of each device class
-   (the NIC restarted once), and the bus manager's scan.  They also cover
+   (the NIC restarted once, USB under both host controllers), and the
+   bus manager's scan.  They also cover
    the SUD net receive path and every fault-injection harness the
    scenarios do not run: the single-fault recovery measures of each
    lethal class, cold and warm, and both quarantine campaigns.  All of
@@ -204,6 +205,38 @@ let usb_launch () =
        ignore (ok_or_fail "read" (Proxy_usb.read_blocks proxy ~lba:0 ~count:1) : bytes);
        Driver_host.kill s)
 
+(* The same USB stack under the UHCI controller, with a keyboard beside
+   the disk: one block written and read back, one key pressed. *)
+let uhci_launch () =
+  let kbd = Usb_device.keyboard () in
+  launch_and_kill
+    (fun k ->
+       let hci = Uhci_dev.create k.Kernel.eng ~ports:2 () in
+       Uhci_dev.plug hci ~port:0 (Usb_device.storage ~blocks:16);
+       Uhci_dev.plug hci ~port:1 kbd;
+       Kernel.attach_pci k (Uhci_dev.device hci))
+    (fun k sp bdf ->
+       let s =
+         ok_or_fail "launch"
+           (Driver_host.launch k sp ~bdf
+              (Driver_host.usb ~bind_storage:Ehci.bind_storage ~bind_keyboard:Ehci.poll_keyboard)
+              Uhci.driver)
+       in
+       let proxy = Driver_host.proxy s in
+       let keys = ref 0 in
+       Proxy_usb.set_key_handler proxy (fun _ -> incr keys);
+       (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with
+        | Some _ -> ()
+        | None -> Alcotest.fail "no storage registered");
+       let block = Bytes.make 512 'u' in
+       ok_or_fail "write" (Proxy_usb.write_blocks proxy ~lba:3 block);
+       Alcotest.(check bytes) "read back" block
+         (ok_or_fail "read" (Proxy_usb.read_blocks proxy ~lba:3 ~count:1));
+       Usb_device.keyboard_press kbd ~key:0x10;
+       Alcotest.(check bool) "key delivered" true
+         (Fiber.poll k.Kernel.eng ~every_ns:1_000_000 ~budget:1_000 (fun () -> !keys = 1));
+       Driver_host.kill s)
+
 (* The bus manager: one scan of a two-NIC machine starts an untrusted
    e1000 driver per NIC, each under its own uid, and both are killed. *)
 let delegation_scan () =
@@ -266,6 +299,7 @@ let entries =
       ("launch/wifi", wifi_launch);
       ("launch/audio", audio_launch);
       ("launch/usb", usb_launch);
+      ("launch/uhci", uhci_launch);
       ("delegation/scan", delegation_scan);
       ("rx/net", net_rx) ]
   @ List.map net_recovery (List.filter Fault_inject.lethal Fault_inject.all_faults)
