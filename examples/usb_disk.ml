@@ -18,10 +18,7 @@ let () =
          let sp = Safe_pci.init k in
          let s =
            match
-             Driver_host.launch k sp ~bdf
-               (Driver_host.usb ~bind_storage:Ehci.bind_storage
-                  ~bind_keyboard:Ehci.poll_keyboard)
-               Ehci.driver
+             Driver_host.launch k sp ~bdf Driver_host.usb Ehci.driver
            with
            | Ok s -> s
            | Error e -> failwith e

@@ -168,6 +168,8 @@ type usb_dev_handle = {
 
 type usb_host_instance = {
   uh_enumerate : unit -> (usb_dev_handle list, string) result;
+  uh_storage : usb_dev_handle -> (block_instance, string) result;
+  uh_keyboard : usb_dev_handle -> input_callbacks -> unit;
 }
 
 type usb_host_driver = {

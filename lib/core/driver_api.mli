@@ -226,6 +226,10 @@ type usb_dev_handle = {
 type usb_host_instance = {
   uh_enumerate : unit -> (usb_dev_handle list, string) result;
       (** reset ports, assign addresses, read device descriptors *)
+  uh_storage : usb_dev_handle -> (block_instance, string) result;
+      (** usb-storage: bind a mass-storage device as a block instance *)
+  uh_keyboard : usb_dev_handle -> input_callbacks -> unit;
+      (** usb-hid: poll a keyboard and feed its keys to the callbacks *)
 }
 
 type usb_host_driver = {

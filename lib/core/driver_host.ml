@@ -35,19 +35,14 @@ type (_, _) cls =
   | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
   | Audio : (Driver_api.audio_driver, Proxy_audio.t) cls
-  | Usb : {
-      bind_storage : Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result;
-      bind_keyboard :
-        Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit;
-    }
-      -> (Driver_api.usb_host_driver, Proxy_usb.t) cls
+  | Usb : (Driver_api.usb_host_driver, Proxy_usb.t) cls
 
 let net ?(defensive_copy = true) ?adopt () = Net { defensive_copy; adopt }
 
 let blk ?adopt () = Blk { adopt }
 let wifi = Wifi
 let audio = Audio
-let usb ~bind_storage ~bind_keyboard = Usb { bind_storage; bind_keyboard }
+let usb = Usb
 
 (* What a class contributes to the one bring-up sequence. *)
 type ('d, 'p) desc = {
@@ -118,12 +113,12 @@ let desc : type d p. (d, p) cls -> (d, p) desc = function
       d_netdev = (fun _ -> None);
       d_exit = ignore;
       d_instance = Proxy_audio.instance }
-  | Usb { bind_storage; bind_keyboard } ->
+  | Usb ->
     { d_name = "usb";
       d_ident = (fun d -> (d.Driver_api.ud_name, d.ud_ids));
       d_pool = net_pool;
       d_proxy = (fun k ~chan ~grant ~pool ~name -> Proxy_usb.create k ~chan ~grant ~pool ~name ());
-      d_serve = (fun uml d -> Sud_uml.serve_usb uml ~bind_storage ~bind_keyboard d);
+      d_serve = Sud_uml.serve_usb;
       (* Block and input surfaces appear as the driver enumerates its bus
          ([Proxy_usb.wait_block]); there is no single registration. *)
       d_ready = (fun _ ~timeout_ns:_ -> true);

@@ -47,12 +47,7 @@ type (_, _) cls =
   | Blk : { adopt : Proxy_blk.persist option } -> (Driver_api.blk_driver, Proxy_blk.t) cls
   | Wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
   | Audio : (Driver_api.audio_driver, Proxy_audio.t) cls
-  | Usb : {
-      bind_storage : Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result;
-      bind_keyboard :
-        Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit;
-    }
-      -> (Driver_api.usb_host_driver, Proxy_usb.t) cls
+  | Usb : (Driver_api.usb_host_driver, Proxy_usb.t) cls
 
 val net :
   ?defensive_copy:bool ->
@@ -79,14 +74,11 @@ val blk : ?adopt:Proxy_blk.persist -> unit -> (Driver_api.blk_driver, Proxy_blk.
 val wifi : (Driver_api.wifi_driver, Proxy_wifi.t) cls
 val audio : (Driver_api.audio_driver, Proxy_audio.t) cls
 
-val usb :
-  bind_storage:(Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result) ->
-  bind_keyboard:
-    (Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit) ->
-  (Driver_api.usb_host_driver, Proxy_usb.t) cls
-(** The USB host class: block and input surfaces appear as the driver
-    enumerates its bus, so launching does not wait for them; use
-    {!Proxy_usb.wait_block}. *)
+val usb : (Driver_api.usb_host_driver, Proxy_usb.t) cls
+(** The USB host class.  The host driver brings its own class drivers
+    ({!Driver_api.usb_host_instance}), so the class takes no arguments.
+    Block and input surfaces appear as the driver enumerates its bus,
+    so launching does not wait for them; use {!Proxy_usb.wait_block}. *)
 
 val ident : ('d, _) cls -> 'd -> string * (int * int) list
 (** The driver's name and the PCI (vendor, device) ids it binds, read

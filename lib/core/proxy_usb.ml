@@ -48,75 +48,57 @@ let wait_block t ~timeout_ns =
   | Fiber.Normal -> t.cap
   | Fiber.Timeout | Fiber.Interrupted -> None
 
-(* Block data moves through shared buffers, at most one pool buffer per
-   request; larger requests are split. *)
-let max_blocks_per_req t = Bufpool.buf_size t.pool / block_size
-
-let read_chunk t ~lba ~count =
+(* One block request in one pool buffer: [fill] puts the payload in
+   before the upcall, [drain] copies the reply out of it after. *)
+let request t ~kind ~lba ~count ~fill ~drain =
   if t.quiescing then Error "driver quiesced"
   else
-  match Bufpool.alloc t.pool with
-  | None -> Error "no shared buffers"
-  | Some buf ->
-    let finish r =
+    match Bufpool.alloc t.pool with
+    | None -> Error "no shared buffers"
+    | Some buf ->
+      fill buf;
+      let r =
+        Uchan.call t.chan (Msg.make ~kind ~args:[ lba; count; buf.Bufpool.id ] ())
+        |> Proxy_proto.status
+        |> Result.map (fun _ -> drain buf)
+      in
       Bufpool.free t.pool buf.Bufpool.id;
       r
-    in
-    Uchan.call t.chan
-      (Msg.make ~kind:Proxy_proto.up_blk_read ~args:[ lba; count; buf.Bufpool.id ] ())
-    |> Proxy_proto.status
-    (* Defensive copy out of the shared buffer. *)
-    |> Result.map (fun _ -> Bufpool.read t.pool buf ~off:0 ~len:(count * block_size))
-    |> finish
+
+(* Split [count] blocks at [lba] into requests of at most one pool
+   buffer each, issued in order by [piece]; the first error ends it. *)
+let split t ~lba ~count piece =
+  let chunk = Bufpool.buf_size t.pool / block_size in
+  let rec go lba count acc =
+    if count = 0 then Ok (List.rev acc)
+    else begin
+      let n = min count chunk in
+      match piece ~lba ~count:n with
+      | Error e -> Error e
+      | Ok x -> go (lba + n) (count - n) (x :: acc)
+    end
+  in
+  go lba count []
 
 let read_blocks t ~lba ~count =
   if count <= 0 then Error "count must be positive"
-  else begin
-    let chunk = max_blocks_per_req t in
-    let rec go lba count acc =
-      if count = 0 then Ok (Bytes.concat Bytes.empty (List.rev acc))
-      else begin
-        let n = min count chunk in
-        match read_chunk t ~lba ~count:n with
-        | Error e -> Error e
-        | Ok b -> go (lba + n) (count - n) (b :: acc)
-      end
-    in
-    go lba count []
-  end
-
-let write_chunk t ~lba data =
-  if t.quiescing then Error "driver quiesced"
   else
-  let count = Bytes.length data / block_size in
-  match Bufpool.alloc t.pool with
-  | None -> Error "no shared buffers"
-  | Some buf ->
-    Bufpool.write t.pool buf ~off:0 data;
-    let finish r =
-      Bufpool.free t.pool buf.Bufpool.id;
-      r
-    in
-    Uchan.call t.chan
-      (Msg.make ~kind:Proxy_proto.up_blk_write ~args:[ lba; count; buf.Bufpool.id ] ())
-    |> Proxy_proto.status |> Result.map ignore |> finish
+    split t ~lba ~count (fun ~lba ~count ->
+        (* Defensive copy out of the shared buffer. *)
+        request t ~kind:Proxy_proto.up_blk_read ~lba ~count ~fill:ignore ~drain:(fun buf ->
+            Bufpool.read t.pool buf ~off:0 ~len:(count * block_size)))
+    |> Result.map (Bytes.concat Bytes.empty)
 
 let write_blocks t ~lba data =
-  if Bytes.length data = 0 || Bytes.length data mod block_size <> 0 then
-    Error "write must be whole blocks"
-  else begin
-    let chunk = max_blocks_per_req t * block_size in
-    let rec go lba off =
-      if off >= Bytes.length data then Ok ()
-      else begin
-        let n = min chunk (Bytes.length data - off) in
-        match write_chunk t ~lba (Bytes.sub data off n) with
-        | Error e -> Error e
-        | Ok () -> go (lba + (n / block_size)) (off + n)
-      end
-    in
-    go lba 0
-  end
+  let len = Bytes.length data in
+  if len = 0 || len mod block_size <> 0 then Error "write must be whole blocks"
+  else
+    let first = lba in
+    split t ~lba ~count:(len / block_size) (fun ~lba ~count ->
+        request t ~kind:Proxy_proto.up_blk_write ~lba ~count ~drain:ignore ~fill:(fun buf ->
+            Bufpool.write t.pool buf ~off:0
+              (Bytes.sub data ((lba - first) * block_size) (count * block_size))))
+    |> Result.map ignore
 
 let set_key_handler t h = t.key_handler <- Some h
 let keys_received t = t.keys

@@ -518,7 +518,7 @@ let dispatch_usb t blk ~queue m =
                  (Bufpool.read t.pool buf ~off:0 ~len:(count * blk_block_size)))))
   else unsupported t ~queue m
 
-let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) =
+let serve_usb t (drv : Driver_api.usb_host_driver) =
   match drv.Driver_api.ud_probe (env t) (pcidev t) with
   | Error e -> (env t).Driver_api.env_printk (Printf.sprintf "probe failed: %s" e)
   | Ok host ->
@@ -529,7 +529,7 @@ let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) 
        List.iter
          (fun ud ->
             if ud.Driver_api.ud_class = 0x08 && !blk = None then begin
-              match bind_storage ud with
+              match host.Driver_api.uh_storage ud with
               | Ok b ->
                 blk := Some b;
                 ignore
@@ -541,7 +541,7 @@ let serve_usb t ~bind_storage ~bind_keyboard (drv : Driver_api.usb_host_driver) 
                 (env t).Driver_api.env_printk (Printf.sprintf "usb-storage: %s" e)
             end
             else if ud.Driver_api.ud_class = 0x03 then
-              bind_keyboard (env t) ud
+              host.Driver_api.uh_keyboard ud
                 { Driver_api.ic_key =
                     (fun key ->
                        Uchan.downcall_batched t.chan

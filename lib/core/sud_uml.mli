@@ -51,17 +51,10 @@ val serve_blk : t -> Driver_api.blk_driver -> unit
     unmask sends it.  A single-vector device on legacy MSI, which
     latches nothing, acks at once. *)
 
-val serve_usb :
-  t ->
-  bind_storage:(Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result) ->
-  bind_keyboard:
-    (Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit) ->
-  Driver_api.usb_host_driver ->
-  unit
-(** Probe the host controller, enumerate its bus, bind class drivers
-    (mass storage -> block proxy; HID keyboard -> input downcalls) and
-    serve block/input upcalls.  The binders come from the driver library
-    (usb-storage / usb-hid class drivers). *)
+val serve_usb : t -> Driver_api.usb_host_driver -> unit
+(** Probe the host controller, enumerate its bus, bind the host
+    instance's class drivers (mass storage -> block proxy; HID keyboard
+    -> input downcalls) and serve block upcalls. *)
 
 val upcalls_handled : t -> int
 val worker_dispatches : t -> int

@@ -5,7 +5,6 @@ type state = {
   mmio : Driver_api.mmio;
   sched : Driver_api.dma_region;    (* QH + qTD + transfer buffer arena *)
   xfer_lock : Sync.Mutex.t;         (* one transfer on the schedule at a time *)
-  mutable next_addr : int;          (* next USB device address to assign *)
 }
 
 let r32 st off = st.mmio.Driver_api.mmio_read ~off ~size:4
@@ -63,7 +62,7 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
         let flags =
           Char.code (Bytes.get (st.sched.Driver_api.dma_read ~off:(qtd_off + 8) ~len:1) 0)
         in
-        if flags land R.qtd_active = 0 then poll 1 else Error "transfer timed out (NAK)"
+        if flags land R.qtd_active = 0 then poll 1 else Error Usbcore.nak
       end
       else begin
         st.env.Driver_api.env_msleep 1;
@@ -75,13 +74,10 @@ let submit st ~devaddr ~ep ~ep_type ~dir ~data ~len =
 
 let read_back st len = st.sched.Driver_api.dma_read ~off:buf_off ~len
 
-(* Submit + copy the completion data out while still holding no lock gap:
-   the buffer is only valid until the next transfer reuses the arena, so
-   grab it immediately. *)
-let submit_in st ~devaddr ~ep ~ep_type ~data ~len ~skip =
-  match submit st ~devaddr ~ep ~ep_type ~dir:1 ~data ~len with
-  | Error e -> Error e
-  | Ok actual -> Ok (Bytes.sub (read_back st (skip + actual)) skip actual)
+(* Copy the completion data out at once: the buffer is only valid until
+   the next transfer reuses the arena. *)
+let submit_in st ~ep_type ~devaddr ~ep ~len =
+  Result.map (read_back st) (submit st ~devaddr ~ep ~ep_type ~dir:1 ~data:None ~len)
 
 let control st ~devaddr ~setup ~dir_in ~len =
   if Bytes.length setup <> 8 then Error "setup must be 8 bytes"
@@ -95,71 +91,14 @@ let control st ~devaddr ~setup ~dir_in ~len =
       else Ok Bytes.empty
   end
 
-let setup_packet ~req_type ~request ~value ~index ~length =
-  let s = Bytes.create 8 in
-  Bytes.set s 0 (Char.chr req_type);
-  Bytes.set s 1 (Char.chr request);
-  Bytes.set_uint16_le s 2 value;
-  Bytes.set_uint16_le s 4 index;
-  Bytes.set_uint16_le s 6 length;
-  s
-
-let make_handle st ~address ~cls =
-  { Driver_api.ud_address = address;
-    ud_class = cls;
-    ud_control =
-      (fun ~setup ~dir_in ~len -> control st ~devaddr:address ~setup ~dir_in ~len);
-    ud_bulk_out =
-      (fun ~ep data ->
-         match
-           submit st ~devaddr:address ~ep ~ep_type:R.ep_type_bulk ~dir:0 ~data:(Some data)
-             ~len:(Bytes.length data)
-         with
-         | Ok _ -> Ok ()
-         | Error e -> Error e);
-    ud_bulk_in =
-      (fun ~ep ~len ->
-         submit_in st ~devaddr:address ~ep ~ep_type:R.ep_type_bulk ~data:None ~len ~skip:0);
-    ud_interrupt_in =
-      (fun ~ep ~len ->
-         match
-           submit_in st ~devaddr:address ~ep ~ep_type:R.ep_type_interrupt ~data:None ~len ~skip:0
-         with
-         | Ok report -> Ok (Some report)
-         | Error "transfer timed out (NAK)" -> Ok None
-         | Error e -> Error e) }
-
-let enumerate st () =
-  let nports = 2 in
-  let handles = ref [] in
-  for port = 0 to nports - 1 do
-    let sc = r32 st (R.portsc0 + (4 * port)) in
-    if sc land R.portsc_connect <> 0 then begin
-      (* Reset the port: the device answers at address 0. *)
-      w32 st (R.portsc0 + (4 * port)) (sc lor R.portsc_reset);
-      st.env.Driver_api.env_msleep 10;
-      let address = st.next_addr in
-      st.next_addr <- st.next_addr + 1;
-      let set_addr = setup_packet ~req_type:0x00 ~request:0x05 ~value:address ~index:0 ~length:0 in
-      match control st ~devaddr:0 ~setup:set_addr ~dir_in:false ~len:0 with
-      | Error e -> st.env.Driver_api.env_printk (Printf.sprintf "port %d: set_address: %s" port e)
-      | Ok _ ->
-        let get_desc =
-          setup_packet ~req_type:0x80 ~request:0x06 ~value:0x0100 ~index:0 ~length:18
-        in
-        (match control st ~devaddr:address ~setup:get_desc ~dir_in:true ~len:18 with
-         | Error e ->
-           st.env.Driver_api.env_printk (Printf.sprintf "port %d: get_descriptor: %s" port e)
-         | Ok d when Bytes.length d >= 18 ->
-           let cls = Char.code (Bytes.get d 4) in
-           let set_cfg = setup_packet ~req_type:0x00 ~request:0x09 ~value:1 ~index:0 ~length:0 in
-           ignore (control st ~devaddr:address ~setup:set_cfg ~dir_in:false ~len:0
-                   : (bytes, string) result);
-           handles := make_handle st ~address ~cls :: !handles
-         | Ok _ -> st.env.Driver_api.env_printk "short device descriptor")
-    end
-  done;
-  Ok (List.rev !handles)
+(* One PORTSC read: write the reset back over what it read. *)
+let reset_port st port =
+  let sc = r32 st (R.portsc0 + (4 * port)) in
+  sc land R.portsc_connect <> 0
+  && begin
+    w32 st (R.portsc0 + (4 * port)) (sc lor R.portsc_reset);
+    true
+  end
 
 let probe env pdev =
   match pdev.Driver_api.pd_enable () with
@@ -171,100 +110,19 @@ let probe env pdev =
        (match pdev.Driver_api.pd_alloc_dma ~bytes:Bus.page_size () with
         | Error e -> Error ("schedule arena: " ^ e)
         | Ok sched ->
-          let st = { env; mmio; sched; xfer_lock = Sync.Mutex.create (); next_addr = 1 } in
+          let st = { env; mmio; sched; xfer_lock = Sync.Mutex.create () } in
           w32 st R.usbcmd R.cmd_run;
-          Ok { Driver_api.uh_enumerate = (fun () -> enumerate st ()) }))
+          Ok
+            (Usbcore.host env
+               { Usbcore.reset_port = reset_port st;
+                 control = control st;
+                 bulk_out =
+                   (fun ~devaddr ~ep data ->
+                      submit st ~devaddr ~ep ~ep_type:R.ep_type_bulk ~dir:0 ~data:(Some data)
+                        ~len:(Bytes.length data)
+                      |> Result.map ignore);
+                 bulk_in = submit_in st ~ep_type:R.ep_type_bulk;
+                 interrupt_in = submit_in st ~ep_type:R.ep_type_interrupt })))
 
 let driver =
   { Driver_api.ud_name = "ehci-hcd"; ud_ids = [ (0x8086, 0x293A) ]; ud_probe = probe }
-
-(* ---- class drivers ---- *)
-
-let block_size = 512
-
-let cbw ~tag ~dlen ~dir_in ~cb =
-  let b = Bytes.make 31 '\000' in
-  Bytes.set_int32_le b 0 0x43425355l;  (* 'USBC' *)
-  Bytes.set_int32_le b 4 (Int32.of_int tag);
-  Bytes.set_int32_le b 8 (Int32.of_int dlen);
-  Bytes.set b 12 (if dir_in then '\x80' else '\x00');
-  Bytes.set b 14 (Char.chr (Bytes.length cb));
-  Bytes.blit cb 0 b 15 (Bytes.length cb);
-  b
-
-let bind_storage (ud : Driver_api.usb_dev_handle) =
-  if ud.Driver_api.ud_class <> 0x08 then Error "not a mass-storage device"
-  else begin
-    let tag = ref 0 in
-    let scsi ~cb ~dlen ~dir_in ~out_data =
-      incr tag;
-      match ud.Driver_api.ud_bulk_out ~ep:1 (cbw ~tag:!tag ~dlen ~dir_in ~cb) with
-      | Error e -> Error ("CBW: " ^ e)
-      | Ok () ->
-        let data =
-          if dir_in && dlen > 0 then ud.Driver_api.ud_bulk_in ~ep:2 ~len:dlen
-          else if (not dir_in) && dlen > 0 then
-            match ud.Driver_api.ud_bulk_out ~ep:1 out_data with
-            | Ok () -> Ok Bytes.empty
-            | Error e -> Error e
-          else Ok Bytes.empty
-        in
-        (match data with
-         | Error e -> Error ("data: " ^ e)
-         | Ok payload ->
-           (match ud.Driver_api.ud_bulk_in ~ep:2 ~len:13 with
-            | Error e -> Error ("CSW: " ^ e)
-            | Ok csw when Bytes.length csw = 13 && Bytes.get csw 12 = '\000' -> Ok payload
-            | Ok _ -> Error "SCSI command failed"))
-    in
-    (* READ CAPACITY(10) *)
-    let cap_cb = Bytes.make 10 '\000' in
-    Bytes.set cap_cb 0 '\x25';
-    match scsi ~cb:cap_cb ~dlen:8 ~dir_in:true ~out_data:Bytes.empty with
-    | Error e -> Error ("read capacity: " ^ e)
-    | Ok d when Bytes.length d = 8 ->
-      let last_lba = Int32.to_int (Bytes.get_int32_be d 0) in
-      let capacity = last_lba + 1 in
-      Ok
-        { Driver_api.bl_capacity = (fun () -> capacity);
-          bl_read =
-            (fun ~lba ~count ->
-               if lba < 0 || count <= 0 || lba + count > capacity then Error "bad LBA range"
-               else begin
-                 let cb = Bytes.make 10 '\000' in
-                 Bytes.set cb 0 '\x28';
-                 Bytes.set_int32_be cb 2 (Int32.of_int lba);
-                 Bytes.set_uint16_be cb 7 count;
-                 scsi ~cb ~dlen:(count * block_size) ~dir_in:true ~out_data:Bytes.empty
-               end);
-          bl_write =
-            (fun ~lba data ->
-               let count = Bytes.length data / block_size in
-               if count = 0 || Bytes.length data mod block_size <> 0 then
-                 Error "write must be whole blocks"
-               else if lba < 0 || lba + count > capacity then Error "bad LBA range"
-               else begin
-                 let cb = Bytes.make 10 '\000' in
-                 Bytes.set cb 0 '\x2A';
-                 Bytes.set_int32_be cb 2 (Int32.of_int lba);
-                 Bytes.set_uint16_be cb 7 count;
-                 match scsi ~cb ~dlen:(Bytes.length data) ~dir_in:false ~out_data:data with
-                 | Ok _ -> Ok ()
-                 | Error e -> Error e
-               end) }
-    | Ok _ -> Error "short READ CAPACITY response"
-  end
-
-let poll_keyboard env (ud : Driver_api.usb_dev_handle) (icb : Driver_api.input_callbacks) =
-  env.Driver_api.env_spawn ~name:"usb-kbd-poll" (fun () ->
-      let rec loop () =
-        (match ud.Driver_api.ud_interrupt_in ~ep:1 ~len:8 with
-         | Ok (Some report) when Bytes.length report >= 3 ->
-           let key = Char.code (Bytes.get report 2) in
-           if key <> 0 then icb.Driver_api.ic_key key
-         | Ok (Some _) | Ok None -> ()
-         | Error _ -> ());
-        env.Driver_api.env_msleep 8;
-        loop ()
-      in
-      loop ())

@@ -1,19 +1,8 @@
-(** EHCI-class USB host controller driver plus the class drivers that ride
-    on it: HID keyboard and bulk-only mass storage.
+(** ehci-hcd: the EHCI host controller driver.
 
-    The host driver owns the DMA schedule (queue heads and transfer
-    descriptors live in its DMA region — the structures a malicious USB
-    driver would point at kernel memory), enumerates devices behind the
-    root ports and hands out transfer primitives; the class drivers build
-    a {!Driver_api.block_instance} (SCSI over bulk-only transport) and a
-    keyboard poller on top. *)
+    It owns the DMA schedule (queue heads and transfer descriptors live
+    in its DMA region — the structures a malicious USB driver would
+    point at kernel memory), runs transfers on it and resets root
+    ports; {!Usbcore} enumerates the bus and brings the class drivers. *)
 
 val driver : Driver_api.usb_host_driver
-
-val bind_storage : Driver_api.usb_dev_handle -> (Driver_api.block_instance, string) result
-(** usb-storage: INQUIRY + READ CAPACITY, then READ(10)/WRITE(10). *)
-
-val poll_keyboard :
-  Driver_api.env -> Driver_api.usb_dev_handle -> Driver_api.input_callbacks -> unit
-(** usb-hid: spawn a worker polling the interrupt endpoint (8-byte boot
-    reports) and feeding key events to the callbacks. *)

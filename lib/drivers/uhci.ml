@@ -6,7 +6,6 @@ type state = {
   frames : Driver_api.dma_region;   (* 1024-entry frame list *)
   tds : Driver_api.dma_region;      (* TD + buffer arena *)
   xfer_lock : Sync.Mutex.t;
-  mutable next_addr : int;
 }
 
 let outw st off v = st.io.Driver_api.pio_write ~off ~size:2 v
@@ -64,7 +63,7 @@ let submit st ~pid ~devaddr ~ep ~data ~len =
           land 0xFFFFFFFF
         in
         if ctrl land R.td_active = 0 && ctrl land R.td_stalled = 0 then Ok (ctrl land 0x7FF)
-        else Error "transfer timed out (NAK)"
+        else Error Usbcore.nak
       end
       else begin
         st.env.Driver_api.env_msleep 1;
@@ -89,68 +88,16 @@ let control st ~devaddr ~setup ~dir_in ~len =
       else Ok Bytes.empty
   end
 
-let setup_packet ~req_type ~request ~value ~index ~length =
-  let s = Bytes.create 8 in
-  Bytes.set s 0 (Char.chr req_type);
-  Bytes.set s 1 (Char.chr request);
-  Bytes.set_uint16_le s 2 value;
-  Bytes.set_uint16_le s 4 index;
-  Bytes.set_uint16_le s 6 length;
-  s
+(* Bulk and interrupt IN are the same IN token here. *)
+let data_in st ~devaddr ~ep ~len =
+  Result.map (read_back st) (submit st ~pid:R.pid_in ~devaddr ~ep ~data:None ~len)
 
-let make_handle st ~address ~cls =
-  { Driver_api.ud_address = address;
-    ud_class = cls;
-    ud_control = (fun ~setup ~dir_in ~len -> control st ~devaddr:address ~setup ~dir_in ~len);
-    ud_bulk_out =
-      (fun ~ep data ->
-         match
-           submit st ~pid:R.pid_out ~devaddr:address ~ep ~data:(Some data)
-             ~len:(Bytes.length data)
-         with
-         | Ok _ -> Ok ()
-         | Error e -> Error e);
-    ud_bulk_in =
-      (fun ~ep ~len ->
-         match submit st ~pid:R.pid_in ~devaddr:address ~ep ~data:None ~len with
-         | Ok actual -> Ok (read_back st actual)
-         | Error e -> Error e);
-    ud_interrupt_in =
-      (fun ~ep ~len ->
-         match submit st ~pid:R.pid_in ~devaddr:address ~ep ~data:None ~len with
-         | Ok actual -> Ok (Some (read_back st actual))
-         | Error "transfer timed out (NAK)" -> Ok None
-         | Error e -> Error e) }
-
-let enumerate st () =
-  let handles = ref [] in
-  for port = 0 to 1 do
-    let sc = inw st (R.portsc1 + (2 * port)) in
-    if sc land R.portsc_connect <> 0 then begin
-      outw st (R.portsc1 + (2 * port)) R.portsc_reset;
-      st.env.Driver_api.env_msleep 10;
-      let address = st.next_addr in
-      st.next_addr <- st.next_addr + 1;
-      let set_addr = setup_packet ~req_type:0x00 ~request:0x05 ~value:address ~index:0 ~length:0 in
-      match control st ~devaddr:0 ~setup:set_addr ~dir_in:false ~len:0 with
-      | Error e -> st.env.Driver_api.env_printk (Printf.sprintf "uhci port %d: %s" port e)
-      | Ok _ ->
-        let get_desc =
-          setup_packet ~req_type:0x80 ~request:0x06 ~value:0x0100 ~index:0 ~length:18
-        in
-        (match control st ~devaddr:address ~setup:get_desc ~dir_in:true ~len:18 with
-         | Ok d when Bytes.length d >= 18 ->
-           let cls = Char.code (Bytes.get d 4) in
-           let set_cfg = setup_packet ~req_type:0x00 ~request:0x09 ~value:1 ~index:0 ~length:0 in
-           ignore (control st ~devaddr:address ~setup:set_cfg ~dir_in:false ~len:0
-                   : (bytes, string) result);
-           handles := make_handle st ~address ~cls :: !handles
-         | Ok _ -> st.env.Driver_api.env_printk "uhci: short descriptor"
-         | Error e ->
-           st.env.Driver_api.env_printk (Printf.sprintf "uhci port %d: descriptor: %s" port e))
-    end
-  done;
-  Ok (List.rev !handles)
+let reset_port st port =
+  inw st (R.portsc1 + (2 * port)) land R.portsc_connect <> 0
+  && begin
+    outw st (R.portsc1 + (2 * port)) R.portsc_reset;
+    true
+  end
 
 let probe env pdev =
   match pdev.Driver_api.pd_enable () with
@@ -164,9 +111,7 @@ let probe env pdev =
             pdev.Driver_api.pd_alloc_dma ~bytes:4096 () )
         with
         | Ok frames, Ok tds ->
-          let st =
-            { env; io; frames; tds; xfer_lock = Sync.Mutex.create (); next_addr = 1 }
-          in
+          let st = { env; io; frames; tds; xfer_lock = Sync.Mutex.create () } in
           (* Empty frame list, then run. *)
           let terminate = Bytes.create 4 in
           Bytes.set_int32_le terminate 0 (Int32.of_int R.lp_terminate);
@@ -176,7 +121,17 @@ let probe env pdev =
           outw st R.frbaseadd (frames.Driver_api.dma_addr land 0xFFFF);
           outw st (R.frbaseadd + 2) (frames.Driver_api.dma_addr lsr 16);
           outw st R.usbcmd R.cmd_rs;
-          Ok { Driver_api.uh_enumerate = (fun () -> enumerate st ()) }
+          Ok
+            (Usbcore.host env
+               { Usbcore.reset_port = reset_port st;
+                 control = control st;
+                 bulk_out =
+                   (fun ~devaddr ~ep data ->
+                      submit st ~pid:R.pid_out ~devaddr ~ep ~data:(Some data)
+                        ~len:(Bytes.length data)
+                      |> Result.map ignore);
+                 bulk_in = data_in st;
+                 interrupt_in = data_in st })
         | Error e, _ | _, Error e -> Error ("alloc: " ^ e)))
 
 let driver =

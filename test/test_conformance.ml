@@ -167,10 +167,7 @@ let test_usb () =
        let sp = Safe_pci.init k in
        let s =
          ok_or_fail "start ehci"
-           (Driver_host.launch k sp ~bdf
-              (Driver_host.usb ~bind_storage:Ehci.bind_storage
-                 ~bind_keyboard:Ehci.poll_keyboard)
-              Ehci.driver)
+           (Driver_host.launch k sp ~bdf Driver_host.usb Ehci.driver)
        in
        let proxy = Driver_host.proxy s in
        (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with

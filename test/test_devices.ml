@@ -132,10 +132,7 @@ let test_usb_storage_sud () =
        let sp = Safe_pci.init k in
        let s =
          ok_or_fail "start ehci"
-           (Driver_host.launch k sp ~bdf
-              (Driver_host.usb ~bind_storage:Ehci.bind_storage
-                 ~bind_keyboard:Ehci.poll_keyboard)
-              Ehci.driver)
+           (Driver_host.launch k sp ~bdf Driver_host.usb Ehci.driver)
        in
        let proxy = Driver_host.proxy s in
        let keys = ref [] in
@@ -174,10 +171,7 @@ let test_uhci_storage_sud () =
        let sp = Safe_pci.init k in
        let s =
          ok_or_fail "start uhci"
-           (Driver_host.launch k sp ~bdf
-              (Driver_host.usb ~bind_storage:Ehci.bind_storage
-                 ~bind_keyboard:Ehci.poll_keyboard)
-              Uhci.driver)
+           (Driver_host.launch k sp ~bdf Driver_host.usb Uhci.driver)
        in
        let proxy = Driver_host.proxy s in
        let keys = ref 0 in

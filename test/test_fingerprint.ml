@@ -194,9 +194,7 @@ let usb_launch () =
     (fun k sp bdf ->
        let s =
          ok_or_fail "launch"
-           (Driver_host.launch k sp ~bdf
-              (Driver_host.usb ~bind_storage:Ehci.bind_storage ~bind_keyboard:Ehci.poll_keyboard)
-              Ehci.driver)
+           (Driver_host.launch k sp ~bdf Driver_host.usb Ehci.driver)
        in
        let proxy = Driver_host.proxy s in
        (match Proxy_usb.wait_block proxy ~timeout_ns:2_000_000_000 with
@@ -218,9 +216,7 @@ let uhci_launch () =
     (fun k sp bdf ->
        let s =
          ok_or_fail "launch"
-           (Driver_host.launch k sp ~bdf
-              (Driver_host.usb ~bind_storage:Ehci.bind_storage ~bind_keyboard:Ehci.poll_keyboard)
-              Uhci.driver)
+           (Driver_host.launch k sp ~bdf Driver_host.usb Uhci.driver)
        in
        let proxy = Driver_host.proxy s in
        let keys = ref 0 in
