@@ -28,6 +28,33 @@ let no_io =
     io_write = (fun ~bar:_ ~off:_ ~size:_ _ -> fail ());
     reset = (fun () -> fail ()) }
 
+let mmio32 ~read32 ~peek ~write32 ~reset =
+  (* The word a sub-word access falls in, its bit shift and its mask. *)
+  let sub_access off size =
+    let shift = (off land 3) * 8 in
+    (off land lnot 3, shift, ((1 lsl (size * 8)) - 1) lsl shift)
+  in
+  let aligned off size = size = 4 && off land 3 = 0 in
+  { mmio_read =
+      (fun ~bar ~off ~size ->
+         if bar <> 0 then 0
+         else if aligned off size then read32 off
+         else begin
+           let word, shift, mask = sub_access off size in
+           (peek word land mask) lsr shift
+         end);
+    mmio_write =
+      (fun ~bar ~off ~size v ->
+         if bar <> 0 then ()
+         else if aligned off size then write32 off v
+         else begin
+           let word, shift, mask = sub_access off size in
+           write32 word (peek word land lnot mask lor ((v lsl shift) land mask))
+         end);
+    io_read = (fun ~bar:_ ~off:_ ~size -> (1 lsl (size * 8)) - 1);
+    io_write = (fun ~bar:_ ~off:_ ~size:_ _ -> ());
+    reset }
+
 let create ~name ~cfg ~ops = { dname = name; dcfg = cfg; dops = ops; dbdf = None; host = None; spoof = None }
 
 let name t = t.dname

@@ -61,6 +61,17 @@ val set_msix_mask : t -> vector:int -> bool -> unit
     message, as the spec requires of the function, so an interrupt the
     mask held back is delivered once it lifts. *)
 
+val mmio32 :
+  read32:(int -> int) ->
+  peek:(int -> int) ->
+  write32:(int -> int -> unit) ->
+  reset:(unit -> unit) ->
+  ops
+(** A device with a file of 32-bit registers on BAR 0 and no IO ports.
+    An aligned word read goes to [read32], which may have side effects
+    (read-to-clear); a sub-word access reads the word with the
+    side-effect-free [peek], and a sub-word write merges into it. *)
+
 val no_io : ops
 (** Placeholder ops for devices built in two steps (state first, ops
     after); every operation raises [Failure]. *)

@@ -347,29 +347,6 @@ let write32 t off v =
       else if reg = rdh then t.rxr.(q).head <- v
       else if reg = rdt then t.rxr.(q).tail <- v
 
-let sub_access off size =
-  let word = off land lnot 3 and shift = (off land 3) * 8 in
-  let mask = ((1 lsl (size * 8)) - 1) lsl shift in
-  (word, shift, mask)
-
-let mmio_read t ~bar ~off ~size =
-  if bar <> 0 then 0
-  else if size = 4 && off land 3 = 0 then read32 t off
-  else begin
-    let word, shift, mask = sub_access off size in
-    (peek t word land mask) lsr shift
-  end
-
-let mmio_write t ~bar ~off ~size v =
-  if bar = 0 then begin
-    if size = 4 && off land 3 = 0 then write32 t off v
-    else begin
-      let word, shift, mask = sub_access off size in
-      let merged = peek t word land lnot mask lor ((v lsl shift) land mask) in
-      write32 t word merged
-    end
-  end
-
 let create eng ~mac ~medium ?(queues = 1) () =
   if Bytes.length mac <> 6 then invalid_arg "E1000_dev.create: MAC must be 6 bytes";
   if queues < 1 || queues > max_queues then
@@ -423,11 +400,8 @@ let create eng ~mac ~medium ?(queues = 1) () =
   let t = Lazy.force t in
   reset t;
   Device.set_ops t.dev
-    { Device.mmio_read = (fun ~bar ~off ~size -> mmio_read t ~bar ~off ~size);
-      mmio_write = (fun ~bar ~off ~size v -> mmio_write t ~bar ~off ~size v);
-      io_read = (fun ~bar:_ ~off:_ ~size -> (1 lsl (size * 8)) - 1);
-      io_write = (fun ~bar:_ ~off:_ ~size:_ _ -> ());
-      reset = (fun () -> reset t) };
+    (Device.mmio32 ~read32:(read32 t) ~peek:(peek t) ~write32:(write32 t)
+       ~reset:(fun () -> reset t));
   t
 
 let device t = t.dev

@@ -333,29 +333,6 @@ let write32 t off v =
          end
        | _ -> ())
 
-let sub_access off size =
-  let word = off land lnot 3 and shift = (off land 3) * 8 in
-  let mask = ((1 lsl (size * 8)) - 1) lsl shift in
-  (word, shift, mask)
-
-let mmio_read t ~bar ~off ~size =
-  if bar <> 0 then 0
-  else if size = 4 && off land 3 = 0 then peek t off
-  else begin
-    let word, shift, mask = sub_access off size in
-    (peek t word land mask) lsr shift
-  end
-
-let mmio_write t ~bar ~off ~size v =
-  if bar = 0 then begin
-    if size = 4 && off land 3 = 0 then write32 t off v
-    else begin
-      let word, shift, mask = sub_access off size in
-      let merged = peek t word land lnot mask lor ((v lsl shift) land mask) in
-      write32 t word merged
-    end
-  end
-
 let create eng ?(capacity = 16384) () =
   let cfg =
     Pci_cfg.create ~vendor:0x8086 ~device:0x0953 ~class_code:0x010802
@@ -383,11 +360,8 @@ let create eng ?(capacity = 16384) () =
   in
   reset t;
   Device.set_ops t.dev
-    { Device.mmio_read = (fun ~bar ~off ~size -> mmio_read t ~bar ~off ~size);
-      mmio_write = (fun ~bar ~off ~size v -> mmio_write t ~bar ~off ~size v);
-      io_read = (fun ~bar:_ ~off:_ ~size -> (1 lsl (size * 8)) - 1);
-      io_write = (fun ~bar:_ ~off:_ ~size:_ _ -> ());
-      reset = (fun () -> reset t) };
+    (Device.mmio32 ~read32:(peek t) ~peek:(peek t) ~write32:(write32 t)
+       ~reset:(fun () -> reset t));
   t
 
 let device t = t.dev
