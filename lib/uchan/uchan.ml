@@ -410,8 +410,8 @@ let rpc_finish t ~span ~t0 r =
          ());
   r
 
-let call ?(queue = 0) t m =
-  let q = qstate_of t queue in
+let call t m =
+  let q = t.qs.(0) in
   if t.closed then Error Closed
   else begin
     let seq = fresh_seq t in
@@ -641,8 +641,8 @@ let reply ?(queue = 0) t m =
     enter t q
   end
 
-let downcall ?(queue = 0) t m =
-  let q = qstate_of t queue in
+let downcall t m =
+  let q = t.qs.(0) in
   if t.closed then Error Closed
   else begin
     ship t q;

@@ -74,12 +74,13 @@ val max_queues : int
 
     One function per way a message crosses the channel (paper §3.1):
     synchronous, interruptible RPCs and asynchronous ones, in each
-    direction.  Each sends on ring pair [queue] (default 0) and raises
-    [Invalid_argument] on a bad queue index.
+    direction.  The synchronous ones ride ring 0, the control path the
+    heartbeat relies on; the others take a ring [queue] (default 0) and
+    raise [Invalid_argument] on a bad index.
 
     Kernel side (upcalls): *)
 
-val call : ?queue:int -> t -> Msg.t -> (Msg.t, error) result
+val call : t -> Msg.t -> (Msg.t, error) result
 (** Synchronous upcall: block until the driver replies.  [Error Hung]
     after the channel's hang timeout, [Error Interrupted] when the
     calling fiber is interrupted, [Error Closed] when the channel
@@ -96,8 +97,8 @@ val post_nonblock : ?queue:int -> t -> Msg.t -> bool
 
 (** Driver side (downcalls): *)
 
-val downcall : ?queue:int -> t -> Msg.t -> (Msg.t, error) result
-(** Synchronous downcall: ships the queue's batch, then enters the
+val downcall : t -> Msg.t -> (Msg.t, error) result
+(** Synchronous downcall: ships ring 0's batch, then enters the
     kernel, whose drain runs the handler in the calling fiber and returns
     its reply.  Interruptible. *)
 
