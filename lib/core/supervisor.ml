@@ -442,11 +442,12 @@ let upgrade (T t) =
         t.restarts;
       (* Contain exactly like a recovery, then drain in-flight work to a
          barrier so the swap is clean; escape if the primary dies under us
-         or the drain stalls (whatever remains replays on resume). *)
+         or the drain stalls (whatever remains replays on resume), or a
+         stop lands, which ends the upgrade before any reset. *)
       quiesce_current t;
       let deadline = now t + 200_000_000 in
       let rec drain () =
-        if t.inflight () > 0 && now t < deadline then
+        if t.inflight () > 0 && now t < deadline && t.state = Recovering then
           match t.cur with
           | Some g when Process.is_alive (Driver_host.proc g) ->
             ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
@@ -456,30 +457,33 @@ let upgrade (T t) =
               "sud: supervisor(%s): primary died during upgrade drain; double failover" t.name
       in
       drain ();
-      kill_and_reset t;
-      let attempt = t.restarts + t.upgrades + 1 in
-      let next =
-        match take_warm t ~attempt with
-        | Some g -> Ok g
-        (* Standby evaporated between the readiness check and the swap
-           (e.g. poisoned while draining): cold-start the new
-           generation rather than leaving the device dead. *)
-        | None -> start_generation t
-      in
-      match next with
-      | Ok g when installable t g ->
-        swap_in t g;
-        t.upgrades <- t.upgrades + 1;
-        t.last_ok <- now t;
-        klogf t Klog.Info "sud: supervisor(%s): live upgrade complete (gen %d, %d upgrades)"
-          t.name t.restarts t.upgrades;
-        emit t (Driver_restarted { restarts = t.restarts; outage_ns = now t - t0 });
-        Ok ()
-      | Error e when t.state = Recovering ->
-        klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
-        quarantine t "upgrade failed: no standby and cold start failed";
-        Error "upgrade failed: no generation could be started"
-      | Ok _ | Error _ -> Error "supervisor is stopped"
+      if t.state <> Recovering then Error "supervisor is stopped"
+      else begin
+        kill_and_reset t;
+        let attempt = t.restarts + t.upgrades + 1 in
+        let next =
+          match take_warm t ~attempt with
+          | Some g -> Ok g
+          (* Standby evaporated between the readiness check and the swap
+             (e.g. poisoned while draining): cold-start the new
+             generation rather than leaving the device dead. *)
+          | None -> start_generation t
+        in
+        match next with
+        | Ok g when installable t g ->
+          swap_in t g;
+          t.upgrades <- t.upgrades + 1;
+          t.last_ok <- now t;
+          klogf t Klog.Info "sud: supervisor(%s): live upgrade complete (gen %d, %d upgrades)"
+            t.name t.restarts t.upgrades;
+          emit t (Driver_restarted { restarts = t.restarts; outage_ns = now t - t0 });
+          Ok ()
+        | Error e when t.state = Recovering ->
+          klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
+          quarantine t "upgrade failed: no standby and cold start failed";
+          Error "upgrade failed: no generation could be started"
+        | Ok _ | Error _ -> Error "supervisor is stopped"
+      end
     end
 
 (* Operator-forced failover: exercise the exact fault path (detection,

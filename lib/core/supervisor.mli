@@ -135,7 +135,8 @@ val upgrade : t -> (unit, string) result
     is discarded — never installed — and the upgrade falls back to a
     cold start of the new generation.  [Error] when not Running, when
     warming is disabled by policy, when no standby becomes ready, or
-    when a {!stop} lands before the swap completes. *)
+    when a {!stop} lands before the swap completes; a stop during the
+    drain ends it there, before the device is reset. *)
 
 val failover : t -> (unit, string) result
 (** Operator-forced failover: run the exact fault path — detection

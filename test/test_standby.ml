@@ -236,11 +236,19 @@ let test_stop_during_upgrade () =
       spawn "stuck-writer" (fun () ->
           ignore (Blkdev.write_fua bd ~lba:0 (page 'S') () : (unit, string) result));
       ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+      let stopped_at = ref max_int in
       spawn "stopper" (fun () ->
           ignore (Fiber.sleep eng 2_000_000 : Fiber.wake);
+          stopped_at := Engine.now eng;
           Supervisor.stop sv);
       Alcotest.(check bool) "the upgrade fails" true (Result.is_error (Supervisor.upgrade sv));
       ignore (Fiber.sleep eng 100_000_000 : Fiber.wake);
+      (* The stop ends the drain: nothing resets the device after it. *)
+      let resets_after =
+        List.filter (fun (ts, _, _) -> ts >= !stopped_at)
+          (Klog.matching k.Kernel.klog "function-level reset")
+      in
+      Alcotest.(check int) "no reset after the stop" 0 (List.length resets_after);
       Alcotest.(check bool) "still stopped" true (Supervisor.state sv = Supervisor.Stopped);
       Alcotest.(check bool) "no current generation" true (Supervisor.proc sv = None);
       let rec live_drivers pid n =
