@@ -22,6 +22,9 @@ type t = {
      killed.  Transmits bounce as Xmit_busy; an adopted netdev parks
      them in its backlog instead. *)
   mutable quiescing : bool;
+  (* The parked frame [resume] is handing to the driver: the only
+     transmit an adopted netdev lets through before its backlog drains. *)
+  mutable replaying : Skbuff.t option;
   rx_bad : Sud_obs.Metrics.counter;
   rx_csum_bad : Sud_obs.Metrics.counter;
   (* Defensive-copy buffer recycling: freed buffers keyed by size, so a
@@ -200,6 +203,17 @@ let make_ops t =
     ndo_start_xmit = (fun ~queue skb -> do_xmit t ~queue skb);
     ndo_do_ioctl = (fun ~cmd ~arg -> do_ioctl t ~cmd ~arg) }
 
+(* A new generation's ops on an adopted netdev until [resume] has
+   drained the backlog: open, stop and ioctl are live, but a transmit
+   parks behind what the outage parked, so no frame overtakes them. *)
+let parking_ops t dev ~limit =
+  { (make_ops t) with
+    Netdev.ndo_start_xmit =
+      (fun ~queue skb ->
+         match t.replaying with
+         | Some r when r == skb -> do_xmit t ~queue skb
+         | Some _ | None -> Netdev.backlog_push dev ~queue ~limit skb) }
+
 let handle_register t m =
   if Bytes.length m.Msg.payload = 6 && t.dev = None then begin
     if Sud_obs.Trace.on () then
@@ -209,13 +223,15 @@ let handle_register t m =
     let mac = Bytes.copy m.Msg.payload in
     let dev =
       match t.adopt with
-      | Some { p_netdev = Some dev; _ } ->
+      | Some { p_netdev = Some dev; p_backlog_limit = limit } ->
         (* Supervised restart, cold or warm: the netdev survived the
            previous driver's death, and the fresh generation takes it
            over in place (its MAC and ops; name, queues and backlog
-           stay), re-registering it only if it left the stack. *)
+           stay), re-registering it only if it left the stack.  Its
+           transmits go live only once [resume] has replayed the
+           backlog. *)
         Netdev.set_mac dev mac;
-        Netdev.set_ops dev (make_ops t);
+        Netdev.set_ops dev (parking_ops t dev ~limit);
         if Netstack.find_netdev t.k.Kernel.net (Netdev.name dev) = None then
           Netstack.register_netdev t.k.Kernel.net dev;
         dev
@@ -295,6 +311,7 @@ let create k ~chan ~grant ~pool ~name ?(defensive_copy = true) ?adopt () =
       ready = Sync.Waitq.create ();
       is_hung = false;
       quiescing = false;
+      replaying = None;
       rx_bad =
         Sud_obs.Metrics.counter ~labels:[ "driver", name ] ~subsystem:"proxy"
           ~name:"rx_validation_failures" ();
@@ -359,7 +376,11 @@ let quiesce t =
    netdev over: reopen it if the administrator left it up, then replay
    the backlog queue by queue, each in FIFO order.  dev_xmit re-selects
    the queue with the same RSS hash that parked the frame, so a flow's
-   frames replay onto their original queue in their original order. *)
+   frames replay onto their original queue in their original order.
+   Frames offered meanwhile park behind the replay, so passes repeat
+   until every queue is empty; the live ops go in with no suspension
+   after that check.  A quiesce ends the replay and leaves the rest
+   parked for the next generation. *)
 let resume t =
   t.quiescing <- false;
   match t.adopt with
@@ -370,13 +391,21 @@ let resume t =
        | Ok () -> ()
        | Error e -> klogf t Klog.Warn "sud-net(%s): reopen failed: %s" t.name e);
     let rec replay q n =
-      if q = Netdev.tx_queues dev then n
-      else
+      if t.quiescing then n
+      else if q < Netdev.tx_queues dev then
         match Netdev.backlog_pop dev ~queue:q with
         | Some skb ->
+          t.replaying <- Some skb;
           ignore (Netstack.dev_xmit t.k.Kernel.net dev skb : [ `Sent | `Dropped ]);
+          t.replaying <- None;
           replay q (n + 1)
         | None -> replay (q + 1) n
+      else if Sud_obs.Metrics.gauge_value (Netdev.metrics dev).Netdev.nm_bl_queued > 0 then
+        replay 0 n
+      else begin
+        Netdev.set_ops dev (make_ops t);
+        n
+      end
     in
     let n = replay 0 0 in
     if n > 0 then

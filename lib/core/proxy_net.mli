@@ -42,7 +42,8 @@ val create :
     later one takes that netdev over instead of creating one — swapping
     in its own ops and MAC, re-registering it with the stack only if it
     is absent — so a supervised device keeps one netdev identity across
-    driver restarts, cold or warm. *)
+    driver restarts, cold or warm.  Until its [resume] has replayed the
+    backlog, the taken-over netdev's transmits keep parking. *)
 
 val netdev : t -> Netdev.t option
 
@@ -78,7 +79,10 @@ val instance : t -> Proxy_class.t
     and ioctls fail fast; an adopted netdev drops carrier and parks
     transmits in its bounded per-queue backlog.  Its [resume] re-opens
     that gate, reopens an adopted netdev left up and replays its
-    backlog queue by queue, so every flow keeps its order. *)
+    backlog queue by queue, frames offered meanwhile parking behind the
+    replay, and makes transmits live once every queue is empty, so
+    every flow keeps its order.  A quiesce mid-replay leaves the rest
+    parked. *)
 
 val handle_downcall : t -> queue:int -> Msg.t -> Msg.t option
 (** The downcall dispatcher ([queue] is the ring the message arrived

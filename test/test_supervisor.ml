@@ -99,6 +99,63 @@ let test_updown_across_kills ~standby () =
       Alcotest.(check bool) "recovery path" standby (Supervisor.warm_swaps sv > 0);
       Supervisor.stop sv)
 
+(* A flow sent without pause across a supervised restart reaches the
+   wire in send order: a frame offered after the new generation
+   registers, while its resume still replays the backlog, parks behind
+   the backlog instead of overtaking it. *)
+let test_restart_keeps_flow_order ~standby () =
+  let w = make_world () in
+  let policy = { fast_policy with Supervisor.standby } in
+  let frame seq =
+    let b = Bytes.make 64 '\x00' in
+    Bytes.set_uint16_be b 15 1000;
+    Bytes.set_uint16_be b 17 7;
+    Bytes.set_int32_be b Rss.flow_span (Int32.of_int seq);
+    b
+  in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised ~policy w in
+      let dev = Supervisor.netdev sv in
+      (match Netstack.ifconfig_up w.k.Kernel.net dev with
+       | Ok () -> ()
+       | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+      if standby then
+        Alcotest.(check bool) "standby parks Ready" true
+          (Fault_inject.wait_standby_ready ~eng:w.eng sv ~budget_ms:2_000);
+      let wire = ref [] in
+      ignore
+        (Net_medium.attach w.medium ~rx:(fun f ->
+             if Bytes.length f = 64 && Bytes.get_uint16_be f 15 = 1000 then
+               wire := Int32.to_int (Bytes.get_int32_be f Rss.flow_span) :: !wire)
+         : Net_medium.port);
+      let sending = ref true in
+      ignore
+        (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"flow" (fun () ->
+             let rec send seq =
+               if !sending then begin
+                 ignore
+                   (Netstack.dev_xmit w.k.Kernel.net dev (Skbuff.of_bytes (frame seq))
+                    : [ `Sent | `Dropped ]);
+                 ignore (Fiber.sleep w.eng 3_000 : Fiber.wake);
+                 send (seq + 1)
+               end
+             in
+             send 0)
+         : Fiber.t);
+      settle w 5;
+      (match Supervisor.proc sv with Some p -> Process.kill p | None -> Alcotest.fail "no proc");
+      settle w 50;
+      sending := false;
+      Alcotest.(check bool) "running again" true (Supervisor.state sv = Supervisor.Running);
+      Alcotest.(check bool) "recovery path" standby (Supervisor.warm_swaps sv > 0);
+      let wire = List.rev !wire in
+      Alcotest.(check bool) "the flow kept flowing" true (List.length wire > 5_000);
+      let below, _ =
+        List.fold_left (fun (n, top) s -> if s < top then (n + 1, top) else (n, s)) (0, -1) wire
+      in
+      Alcotest.(check int) "frames below the running maximum" 0 below;
+      Supervisor.stop sv)
+
 (* While the driver is down the netdev degrades into a backlog; frames
    offered during the outage are replayed, and the counters always satisfy
    offered = queued + dropped + replayed. *)
@@ -516,6 +573,10 @@ let suite =
   [ Alcotest.test_case "supervised driver starts running" `Quick test_starts_running;
     Alcotest.test_case "kill -9 → autonomous restart" `Quick test_kill_auto_restart;
     Alcotest.test_case "outage backlog parked and replayed" `Quick test_backlog_replayed;
+    Alcotest.test_case "restart keeps a flow in order (cold)" `Quick
+      (test_restart_keeps_flow_order ~standby:false);
+    Alcotest.test_case "restart keeps a flow in order (warm)" `Quick
+      (test_restart_keeps_flow_order ~standby:true);
     Alcotest.test_case "up/down survives kills (cold)" `Quick
       (test_updown_across_kills ~standby:false);
     Alcotest.test_case "up/down survives kills (warm)" `Quick
