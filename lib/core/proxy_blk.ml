@@ -136,7 +136,8 @@ let send_submit t br =
       match Bufpool.alloc t.pool with
       | None -> None
       | Some buf ->
-        if br.br_count * Blkdev.sector_size > buf.Bufpool.size then begin
+        let len = br.br_count * Blkdev.sector_size in
+        if len > buf.Bufpool.size then begin
           Bufpool.free t.pool buf.Bufpool.id;
           klogf t Klog.Warn "sud-blk(%s): request of %d sectors exceeds pool buffers"
             t.name br.br_count;
@@ -151,7 +152,9 @@ let send_submit t br =
                   [rq_data] is what replay re-sends after a crash. *)
                Cpu.charge t.sud
                  (Cost_model.copy_cost (model t) ~bytes:(Bytes.length rq.Blkdev.rq_data));
-               Bufpool.write t.pool buf ~off:0 rq.Blkdev.rq_data
+               Bufpool.write t.pool buf
+                 ~off:(Bufpool.request_addr buf ~len - buf.Bufpool.addr)
+                 rq.Blkdev.rq_data
              | None -> ());
           br.br_buf <- buf.Bufpool.id;
           Some (buf.Bufpool.id + 1)
@@ -306,8 +309,9 @@ let handle_complete t m =
            let len = min (br.br_count * Blkdev.sector_size) (Bytes.length rq.Blkdev.rq_data) in
            Cpu.charge t.sud (Cost_model.copy_cost (model t) ~bytes:len);
            (match
-              Safe_pci.read_driver_mem_into t.grant ~iova:buf.Bufpool.addr ~len
-                ~dst:rq.Blkdev.rq_data ~dst_off:0
+              Safe_pci.read_driver_mem_into t.grant
+                ~iova:(Bufpool.request_addr buf ~len:(br.br_count * Blkdev.sector_size))
+                ~len ~dst:rq.Blkdev.rq_data ~dst_off:0
             with
             | Ok () -> status
             | Error e ->

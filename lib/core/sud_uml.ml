@@ -455,7 +455,7 @@ let dispatch_blk t st ~queue m =
       if buf1 = 0 then Some 0
       else
         match Bufpool.get t.pool (buf1 - 1) with
-        | Some buf -> Some buf.Bufpool.addr
+        | Some buf -> Some (Bufpool.request_addr buf ~len:(count * Blkdev.sector_size))
         | None -> None    (* kernel is trusted; only possible after close *)
     in
     match addr with

@@ -37,6 +37,15 @@ let free t id =
 
 let get t id = if id >= 0 && id < t.n && t.allocated.(id) then Some (mk t id) else None
 
+let page_size = 4096  (* the IOMMU's page *)
+
+let request_addr b ~len =
+  let pages = b.size / page_size in
+  if pages <= 1 then b.addr
+  else
+    let need = (len + page_size - 1) / page_size in
+    b.addr + (max 0 (min (b.id / pages mod pages) (pages - need)) * page_size)
+
 let in_use t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.allocated
 
 let check b ~off ~len =

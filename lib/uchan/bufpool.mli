@@ -35,6 +35,16 @@ val free : t -> int -> unit
 val get : t -> int -> buf option
 (** Validate a buffer id received from the untrusted side. *)
 
+val request_addr : buf -> len:int -> int
+(** The bus address at which a request of [len] bytes starts inside
+    [buf], the same on the kernel side and the driver side.  A buffer of
+    one page or less starts it at [buf.addr].  In a buffer of P pages,
+    buffer i starts it at page ⌊i/P⌋ mod P of the buffer, moved back
+    just far enough that the request still fits.  A pool's first pages
+    per buffer fall into few sets of the direct-mapped IOTLB (buffers of
+    8 pages: 8 of its 64 sets); this spreads the single-page requests of
+    consecutive buffers over every set. *)
+
 val in_use : t -> int
 
 val read : t -> buf -> off:int -> len:int -> bytes

@@ -369,6 +369,48 @@ let test_crash_replay () =
       Alcotest.(check string) "cache agrees" (Bytes.to_string data2) (Bytes.to_string rd);
       Supervisor.stop sv)
 
+(* The shared pool stays IOTLB-resident: a burst of 4 KiB cold reads
+   from 16 readers through a supervised 4-queue NVMe finds at least 85%
+   of its translations in the IOTLB, since each pool buffer's
+   single-page requests use a page in a set of their own. *)
+let test_cold_reads_stay_iotlb_resident () =
+  run_in_kernel setup_nvme (fun k w ->
+      let sv =
+        ok_or_fail "start_blk supervised"
+          (Supervisor.start_blk k w.sp ~policy:blk_policy ~bdf:w.bdf nvme_factory)
+      in
+      let bd = Option.get (Supervisor.blkdev sv) in
+      let iotlb () =
+        let m = Iommu.metrics k.Kernel.iommu in
+        ( Sud_obs.Metrics.gauge_value m.Iommu.im_hits,
+          Sud_obs.Metrics.gauge_value m.Iommu.im_misses )
+      in
+      let readers = 16 and reads = 64 in
+      let hits0, misses0 = iotlb () in
+      let running = ref readers in
+      for r = 0 to readers - 1 do
+        ignore
+          (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"cold-reader"
+             (fun () ->
+                for j = 0 to reads - 1 do
+                  let lba = ((r * 128) + j) * Blkdev.page_sectors in
+                  ignore
+                    (ok_or_fail "cold read"
+                       (Blkdev.read bd ~lba ~sectors:Blkdev.page_sectors ())
+                     : bytes)
+                done;
+                decr running)
+           : Fiber.t)
+      done;
+      if not (Fiber.poll k.Kernel.eng ~every_ns:100_000 ~budget:10_000 (fun () -> !running = 0))
+      then Alcotest.fail "the reads never finished";
+      let hits1, misses1 = iotlb () in
+      let hits = hits1 - hits0 and misses = misses1 - misses0 in
+      let ratio = float_of_int hits /. float_of_int (hits + misses) in
+      if ratio < 0.85 then
+        Alcotest.failf "IOTLB hit ratio %.3f (%d hits, %d misses) under 0.85" ratio hits misses;
+      Supervisor.stop sv)
+
 (* A restart with nothing in flight, retained or owed: the write and the
    flush staged across the death go out once, after the resume, so the
    flush is not left waiting on a request the fresh driver never had and
@@ -810,6 +852,8 @@ let suite =
     Alcotest.test_case "sud-blk: CLOCK spares a page hit since the hand passed" `Quick
       test_clock_spares_a_hit_page;
     Alcotest.test_case "sud-blk: crash replay keeps acked writes" `Quick test_crash_replay;
+    Alcotest.test_case "sud-blk: cold reads keep the pool IOTLB-resident" `Quick
+      test_cold_reads_stay_iotlb_resident;
     Alcotest.test_case "sud-blk: a clean restart sends the staged requests once" `Quick
       test_clean_restart;
     Alcotest.test_case "sud-blk: a fresh generation cannot complete the dead one's request"

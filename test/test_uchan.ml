@@ -109,6 +109,46 @@ let test_bufpool_validation () =
   Alcotest.check_raises "oob" (Invalid_argument "Bufpool: out of bounds") (fun () ->
       ignore (Bufpool.read p b ~off:250 ~len:10 : bytes))
 
+(* The block pool's geometry, 64 buffers of 8 pages: each buffer's
+   single-page request lands on a page of its own IOTLB set, where the
+   buffers' first pages share 8 sets; a request of a whole buffer still
+   starts at it.  A pool of one-page buffers keeps every request at its
+   buffer's address. *)
+let test_bufpool_request_spread () =
+  let page = 4096 in
+  let pool ~count ~buf_size =
+    Bufpool.create
+      ~read:(fun ~off:_ ~len -> Bytes.create len)
+      ~write:(fun ~off:_ ~data:_ -> ())
+      ~base_addr:0x40000000 ~count ~buf_size
+  in
+  let all p = List.init 64 (fun _ -> Option.get (Bufpool.alloc p)) in
+  let blk = all (pool ~count:64 ~buf_size:(64 * Blkdev.sector_size)) in
+  let inside b ~len =
+    let a = Bufpool.request_addr b ~len in
+    a mod page = 0 && a >= b.Bufpool.addr && a + len <= b.Bufpool.addr + b.Bufpool.size
+  in
+  let sets =
+    List.sort_uniq compare
+      (List.map (fun b -> Bufpool.request_addr b ~len:page / page mod Iommu.iotlb_slots) blk)
+  in
+  Alcotest.(check int) "single-page requests: one IOTLB set per buffer" 64 (List.length sets);
+  List.iter
+    (fun b ->
+       List.iter
+         (fun len ->
+            if not (inside b ~len) then
+              Alcotest.failf "buffer %d: a %d-byte request leaves it" b.Bufpool.id len)
+         [ 512; page; 3 * page; 5 * page + 512; b.Bufpool.size ];
+       Alcotest.(check int) "a full request starts at its buffer" b.Bufpool.addr
+         (Bufpool.request_addr b ~len:b.Bufpool.size))
+    blk;
+  List.iter
+    (fun b ->
+       Alcotest.(check int) "one-page buffers keep their address" b.Bufpool.addr
+         (Bufpool.request_addr b ~len:page))
+    (all (pool ~count:64 ~buf_size:page))
+
 (* ---- uchan RPC semantics ---- *)
 
 let test_uchan_sync_upcall () =
@@ -467,6 +507,8 @@ let suite =
     Alcotest.test_case "bufpool: alloc/free" `Quick test_bufpool_alloc_free;
     Alcotest.test_case "bufpool: exhaustion" `Quick test_bufpool_exhaustion;
     Alcotest.test_case "bufpool: validation + rw" `Quick test_bufpool_validation;
+    Alcotest.test_case "bufpool: requests spread over the IOTLB sets" `Quick
+      test_bufpool_request_spread;
     Alcotest.test_case "uchan: sync upcall" `Quick test_uchan_sync_upcall;
     Alcotest.test_case "uchan: hang detection" `Quick test_uchan_hang_detection;
     Alcotest.test_case "uchan: interruptible (Ctrl-C)" `Quick test_uchan_interruptible;
