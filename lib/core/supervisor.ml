@@ -75,6 +75,12 @@ type ('d, 'p) sup = {
   inflight : unit -> int;           (* work an upgrade drains before its kill *)
   factory : attempt:int -> 'd;
   kickq : Sync.Waitq.t;
+  (* Every transition holds [lock], so a stop lands between two.  A stop
+     sets [stopping] and wakes [stopq] before it waits for the lock: a
+     backoff or a drain in flight ends at once. *)
+  lock : Sync.Mutex.t;
+  stopq : Sync.Waitq.t;
+  mutable stopping : bool;
   mutable state : state;
   mutable cur : 'p Driver_host.gen option;
   mutable listeners : (event -> unit) list;
@@ -254,18 +260,12 @@ let swap_in t g =
   set_sysfs_state t "running";
   (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ())
 
-(* A stop that lands while a swap brings up the next generation is
-   final: the generation is never installed.  It is quiesced and killed,
-   and the release runs again, since its registration may have put the
-   class's object back in service. *)
-let installable t g =
-  t.state = Recovering
-  || begin
-    (Driver_host.class_of g).Proxy_class.quiesce ();
-    Driver_host.kill g;
-    ignore (t.release () : string);
-    false
-  end
+(* The restart backoff and the upgrade drain: sleep [ns] unless a stop
+   is waiting, and say whether one is. *)
+let pause t ns =
+  if not t.stopping then
+    ignore (Sync.Waitq.wait_timeout t.k.Kernel.eng t.stopq ns : Fiber.wake);
+  t.stopping
 
 let recover t reason =
   let detect_t = now t in
@@ -308,25 +308,23 @@ let recover t reason =
   emit t Driver_killed;
   (* Shared bring-up tail for both the warm swap and the cold restart. *)
   let finish g ~warm =
-    if installable t g then begin
-      t.restarts <- t.restarts + 1;
-      Sud_obs.Metrics.incr t.sm.sm_restarts;
-      if warm then t.warm_swaps <- t.warm_swaps + 1;
-      swap_in t g;
-      let outage = now t - detect_t in
-      t.last_recovery <- outage;
-      Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
-      if sp_kill <> 0 then
-        ignore
-          (Sud_obs.Trace.emit ~parent:sp_kill ~dur_ns:outage ~cat:"sup"
-             ~name:(if warm then "swap" else "restart")
-             ~attrs:[ "driver", t.name; "gen", string_of_int t.restarts ] ());
-      t.last_ok <- now t;
-      klogf t Klog.Info "sud: supervisor(%s): driver %s (gen %d) after %d us outage" t.name
-        (if warm then "swapped to warm standby" else "restarted")
-        t.restarts (outage / 1_000);
-      emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
-    end
+    t.restarts <- t.restarts + 1;
+    Sud_obs.Metrics.incr t.sm.sm_restarts;
+    if warm then t.warm_swaps <- t.warm_swaps + 1;
+    swap_in t g;
+    let outage = now t - detect_t in
+    t.last_recovery <- outage;
+    Sud_obs.Metrics.observe t.sm.sm_outage_ns outage;
+    if sp_kill <> 0 then
+      ignore
+        (Sud_obs.Trace.emit ~parent:sp_kill ~dur_ns:outage ~cat:"sup"
+           ~name:(if warm then "swap" else "restart")
+           ~attrs:[ "driver", t.name; "gen", string_of_int t.restarts ] ());
+    t.last_ok <- now t;
+    klogf t Klog.Info "sud: supervisor(%s): driver %s (gen %d) after %d us outage" t.name
+      (if warm then "swapped to warm standby" else "restarted")
+      t.restarts (outage / 1_000);
+    emit t (Driver_restarted { restarts = t.restarts; outage_ns = outage })
   in
   let budget_left () =
     let window_start = now t - restart_window_ns in
@@ -364,9 +362,8 @@ let recover t reason =
           min (t.policy.backoff_initial_ns * (1 lsl min backoff_exp 16))
             t.policy.backoff_max_ns
         in
-        ignore (Fiber.sleep t.k.Kernel.eng delay : Fiber.wake);
-        (* A stop during the backoff ends the recovery. *)
-        if t.state = Recovering then
+        (* A stop waiting for the lock ends the recovery here. *)
+        if not (pause t delay) then
           match start_generation t with
           | Error e ->
             klogf t Klog.Warn "sud: supervisor(%s): restart attempt failed: %s" t.name e;
@@ -382,16 +379,18 @@ let rec watchdog t () =
   | Quarantined | Stopped -> ()
   | Running | Recovering ->
     ignore (Sync.Waitq.wait_timeout t.k.Kernel.eng t.kickq t.policy.tick_ns : Fiber.wake);
-    (match t.state with
-     | Running ->
-       (match health_check t with
-        | None ->
-          t.last_ok <- now t;
-          (* Converge the standby each healthy tick: a stale or poisoned
-             parked generation is discarded and a fresh one warmed. *)
-          (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ())
-        | Some reason -> recover t reason)
-     | Recovering | Quarantined | Stopped -> ());
+    (* A tick during an upgrade does not wait for its lock; one that waits
+       for a command's lock reads the state the command left. *)
+    if t.state = Running then
+      Sync.Mutex.with_lock t.lock (fun () ->
+          if t.state = Running then
+            match health_check t with
+            | None ->
+              t.last_ok <- now t;
+              (* Converge the standby each healthy tick: a stale or poisoned
+                 parked generation is discarded and a fresh one warmed. *)
+              (match t.sb with Some sb -> Standby.ensure sb ~tag:t.gen | None -> ())
+            | Some reason -> recover t reason);
     watchdog t ()
 
 (* --- Live upgrade / forced failover ------------------------------------ *)
@@ -417,6 +416,19 @@ let wait_standby_ready t ~timeout_ns =
     in
     poll ()
 
+(* A commanded transition runs from Running only: the state is read
+   before [prepare], which runs outside the lock, and again under it. *)
+let command t ?(prepare = Result.ok) f =
+  let running () =
+    match t.state with
+    | Quarantined -> Error "driver is quarantined"
+    | Stopped -> Error "supervisor is stopped"
+    | Recovering -> Error "driver is recovering"
+    | Running -> Ok ()
+  in
+  Result.(bind (bind (running ()) prepare) (fun () ->
+      Sync.Mutex.with_lock t.lock (fun () -> bind (running ()) f)))
+
 (* Live upgrade: quiesce the running generation, drain its in-flight
    work to a barrier, kill it and resume the warm standby — the planned
    twin of the fault path, sharing swap_in.  Not a detection: no fault
@@ -426,79 +438,70 @@ let wait_standby_ready t ~timeout_ns =
    A standby lost at the swap instant (poisoned) is never installed;
    the upgrade falls back to a cold start of the new generation. *)
 let upgrade (T t) =
-  match t.state with
-  | Quarantined -> Error "driver is quarantined"
-  | Stopped -> Error "supervisor is stopped"
-  | Recovering -> Error "driver is recovering"
-  | Running ->
-    if t.sb = None then Error "warm standby disabled by policy"
-    else if not (wait_standby_ready t ~timeout_ns:1_000_000_000) then
-      Error "no warm standby became ready"
-    else begin
-      let t0 = now t in
-      t.state <- Recovering;
-      set_sysfs_state t "upgrading";
-      klogf t Klog.Info "sud: supervisor(%s): live upgrade: draining generation %d" t.name
-        t.restarts;
-      (* Contain exactly like a recovery, then drain in-flight work to a
-         barrier so the swap is clean; escape if the primary dies under us
-         or the drain stalls (whatever remains replays on resume), or a
-         stop lands, which ends the upgrade before any reset. *)
-      quiesce_current t;
-      let deadline = now t + 200_000_000 in
-      let rec drain () =
-        if t.inflight () > 0 && now t < deadline && t.state = Recovering then
-          match t.cur with
-          | Some g when Process.is_alive (Driver_host.proc g) ->
-            ignore (Fiber.sleep t.k.Kernel.eng 200_000 : Fiber.wake);
-            drain ()
-          | Some _ | None ->
-            klogf t Klog.Warn
-              "sud: supervisor(%s): primary died during upgrade drain; double failover" t.name
-      in
-      drain ();
-      if t.state <> Recovering then Error "supervisor is stopped"
-      else begin
-        kill_and_reset t;
-        let attempt = t.restarts + t.upgrades + 1 in
-        let next =
-          match take_warm t ~attempt with
-          | Some g -> Ok g
-          (* Standby evaporated between the readiness check and the swap
-             (e.g. poisoned while draining): cold-start the new
-             generation rather than leaving the device dead. *)
-          | None -> start_generation t
-        in
-        match next with
-        | Ok g when installable t g ->
-          swap_in t g;
-          t.upgrades <- t.upgrades + 1;
-          t.last_ok <- now t;
-          klogf t Klog.Info "sud: supervisor(%s): live upgrade complete (gen %d, %d upgrades)"
-            t.name t.restarts t.upgrades;
-          emit t (Driver_restarted { restarts = t.restarts; outage_ns = now t - t0 });
-          Ok ()
-        | Error e when t.state = Recovering ->
-          klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
-          quarantine t "upgrade failed: no standby and cold start failed";
-          Error "upgrade failed: no generation could be started"
-        | Ok _ | Error _ -> Error "supervisor is stopped"
-      end
-    end
+  command t
+    ~prepare:(fun () ->
+        if t.sb = None then Error "warm standby disabled by policy"
+        else if not (wait_standby_ready t ~timeout_ns:1_000_000_000) then
+          Error "no warm standby became ready"
+        else Ok ())
+    (fun () ->
+       let t0 = now t in
+       t.state <- Recovering;
+       set_sysfs_state t "upgrading";
+       klogf t Klog.Info "sud: supervisor(%s): live upgrade: draining generation %d" t.name
+         t.restarts;
+       (* Contain exactly like a recovery, then drain in-flight work to a
+          barrier so the swap is clean; escape if the primary dies under us
+          or the drain stalls (whatever remains replays on resume), or a
+          stop is waiting, which ends the upgrade before any reset. *)
+       quiesce_current t;
+       let deadline = now t + 200_000_000 in
+       let rec drain () =
+         if t.inflight () > 0 && now t < deadline then
+           match t.cur with
+           | Some g when Process.is_alive (Driver_host.proc g) ->
+             if not (pause t 200_000) then drain ()
+           | Some _ | None ->
+             klogf t Klog.Warn
+               "sud: supervisor(%s): primary died during upgrade drain; double failover" t.name
+       in
+       drain ();
+       if t.stopping then Error "supervisor is stopped"
+       else begin
+         kill_and_reset t;
+         let attempt = t.restarts + t.upgrades + 1 in
+         let next =
+           match take_warm t ~attempt with
+           | Some g -> Ok g
+           (* Standby evaporated between the readiness check and the swap
+              (e.g. poisoned while draining): cold-start the new
+              generation rather than leaving the device dead. *)
+           | None -> start_generation t
+         in
+         match next with
+         | Ok g ->
+           swap_in t g;
+           t.upgrades <- t.upgrades + 1;
+           t.last_ok <- now t;
+           klogf t Klog.Info "sud: supervisor(%s): live upgrade complete (gen %d, %d upgrades)"
+             t.name t.restarts t.upgrades;
+           emit t (Driver_restarted { restarts = t.restarts; outage_ns = now t - t0 });
+           Ok ()
+         | Error e ->
+           klogf t Klog.Err "sud: supervisor(%s): upgrade failed cold too: %s" t.name e;
+           quarantine t "upgrade failed: no standby and cold start failed";
+           Error "upgrade failed: no generation could be started"
+       end)
 
 (* Operator-forced failover: exercise the exact fault path (detection,
    kill, FLR, warm swap) on demand — the fire drill for the standby. *)
 let failover (T t) =
-  match t.state with
-  | Quarantined -> Error "driver is quarantined"
-  | Stopped -> Error "supervisor is stopped"
-  | Recovering -> Error "driver is recovering"
-  | Running ->
-    recover t "administrative failover";
-    (match t.state with
-     | Running -> Ok ()
-     | Quarantined -> Error "failover exhausted the restart budget; quarantined"
-     | Recovering | Stopped -> Error "failover did not restore the driver")
+  command t (fun () ->
+      recover t "administrative failover";
+      match t.state with
+      | Running -> Ok ()
+      | Quarantined -> Error "failover exhausted the restart budget; quarantined"
+      | Recovering | Stopped -> Error "failover did not restore the driver")
 
 let make ~cls ~release ~inflight ~factory k sp ~policy ~name ~bdf ~quota g =
   let t =
@@ -512,6 +515,9 @@ let make ~cls ~release ~inflight ~factory k sp ~policy ~name ~bdf ~quota g =
       inflight;
       factory;
       kickq = Sync.Waitq.create ();
+      lock = Sync.Mutex.create ();
+      stopq = Sync.Waitq.create ();
+      stopping = false;
       state = Running;
       cur = None;
       listeners = [];
@@ -622,20 +628,23 @@ let start_blk k sp ?(policy = default_policy) ?name ~bdf factory =
     ~inflight:(fun () -> Proxy_blk.persist_inflight persist) factory drv
 
 let stop (T t) =
-  match t.state with
-  | Stopped | Quarantined -> ()
-  | Running | Recovering ->
-    t.state <- Stopped;
-    (match t.sb with Some sb -> Standby.disable sb | None -> ());
-    (* Quiesce-then-kill: an administrative stop goes through the same
-       lifecycle edge as a recovery, so in-flight state is retained (blk)
-       or backlogged (net) rather than torn mid-request; the release then
-       takes it out of service as a quarantine does. *)
-    quiesce_current t;
-    kill_current t;
-    klogf t Klog.Info "sud: supervisor(%s): stopped; %s" t.name (t.release ());
-    set_sysfs_state t "stopped";
-    ignore (Sync.Waitq.signal t.kickq : bool)
+  t.stopping <- true;
+  ignore (Sync.Waitq.broadcast t.stopq : int);
+  Sync.Mutex.with_lock t.lock (fun () ->
+      match t.state with
+      | Stopped | Quarantined -> ()
+      | Running | Recovering ->
+        t.state <- Stopped;
+        (match t.sb with Some sb -> Standby.disable sb | None -> ());
+        (* Quiesce-then-kill: an administrative stop goes through the same
+           lifecycle edge as a recovery, so in-flight state is retained (blk)
+           or backlogged (net) rather than torn mid-request; the release then
+           takes it out of service as a quarantine does. *)
+        quiesce_current t;
+        kill_current t;
+        klogf t Klog.Info "sud: supervisor(%s): stopped; %s" t.name (t.release ());
+        set_sysfs_state t "stopped";
+        ignore (Sync.Waitq.signal t.kickq : bool))
 
 let state (T t) = t.state
 

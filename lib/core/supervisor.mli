@@ -30,7 +30,12 @@
     backlog that the fresh generation replays.  A driver that crash-loops
     past [max_restarts] within 2 s is quarantined: netdev
     unregistered, backlog dropped, sysfs [sud_state] set to
-    ["quarantined"], no further restarts. *)
+    ["quarantined"], no further restarts.
+
+    One transition runs at a time: a health check and the recovery it
+    starts, an {!upgrade}, a {!failover} and a {!stop} each hold the
+    supervisor's lock, so a stop lands between two of them, never
+    inside one. *)
 
 type policy = {
   tick_ns : int;  (** watchdog polling period *)
@@ -118,9 +123,13 @@ val stop : t -> unit
 (** Administrative stop: quiesce then kill the current driver, discard
     the warm standby, release the netdev as a quarantine does (it ends
     down, carrier off, out of the stack, nothing parked), end the
-    watchdog.  No restart, and final: a generation that a recovery or
-    an upgrade is bringing up when the stop lands is killed instead of
-    installed, and the release runs again. *)
+    watchdog.  No restart, and final.  A stop ends a restart backoff or
+    an upgrade drain at once, before any launch or reset; otherwise it
+    waits for the step in flight (a heartbeat, a launch's registration
+    wait of up to 100 ms, a resume), so a generation that a recovery is
+    bringing up is swapped in and then stopped.  A stop that finds the device quarantined by the
+    recovery it waited for does nothing.  Must be called from a
+    fiber. *)
 
 val upgrade : t -> (unit, string) result
 (** Zero-loss live upgrade: wait (bounded) for a warm standby, quiesce
@@ -133,16 +142,23 @@ val upgrade : t -> (unit, string) result
     the swap proceeds (double failover) and the undrained in-flight set
     replays in tag order.  A standby found poisoned at the swap instant
     is discarded — never installed — and the upgrade falls back to a
-    cold start of the new generation.  [Error] when not Running, when
-    warming is disabled by policy, when no standby becomes ready, or
-    when a {!stop} lands before the swap completes; a stop during the
-    drain ends it there, before the device is reset. *)
+    cold start of the new generation.  The standby wait runs first,
+    while health checks go on; the swap then waits for a health check
+    in flight, so it is never taken for a fault.  [Error] when not
+    Running (read before the standby wait and again before the swap),
+    when warming is disabled by policy, when no standby becomes ready,
+    or when a {!stop} is waiting; a stop during the drain ends it there,
+    before the device is reset. *)
 
 val failover : t -> (unit, string) result
 (** Operator-forced failover: run the exact fault path — detection
     (reason ["administrative failover"]), kill, FLR, warm swap — on
     demand.  The fire drill for the standby machinery.  Counts as a
-    detection and consumes restart budget, exactly like a real fault. *)
+    detection and consumes restart budget, exactly like a real fault.
+    Waits for a health check in flight, so it recovers once.  [Error]
+    when not Running (read before and after that wait), and when the
+    driver does not end Running: quarantined, or a {!stop} that was
+    waiting ended the restart backoff. *)
 
 val state : t -> state
 val netdev : t -> Netdev.t
@@ -185,8 +201,11 @@ val warm_swaps : t -> int
 (** Recoveries that swapped the warm standby in instead of cold-starting. *)
 
 val on_event : t -> (event -> unit) -> unit
-(** Subscribe to lifecycle events (delivered synchronously, in
-    subscription order, from the watchdog fiber). *)
+(** Subscribe to lifecycle events, delivered synchronously in
+    subscription order from the fiber running the transition (the
+    watchdog, or the caller of {!upgrade} or {!failover}), under the
+    supervisor's lock: a listener must not call {!stop}, {!upgrade} or
+    {!failover}. *)
 
 (** {1 Observability}
 

@@ -441,6 +441,77 @@ let test_clean_restart () =
       check_media_page w.nvme ~lba:0 data "second write";
       Supervisor.stop sv)
 
+(* Stop now, then check 50 ms on that the stop was final: the
+   supervisor still stopped, the blkdev detached, no generation
+   installed, and neither a detection nor a device reset after it. *)
+let blk_stop_is_final k sv =
+  let detections () = (Supervisor.stats sv).Supervisor.st_detections in
+  let at = Engine.now k.Kernel.eng and seen = detections () in
+  Supervisor.stop sv;
+  ignore (Fiber.sleep k.Kernel.eng 50_000_000 : Fiber.wake);
+  Alcotest.(check bool) "still stopped" true (Supervisor.state sv = Supervisor.Stopped);
+  Alcotest.(check bool) "blkdev detached" false
+    (Blkdev.attached (Option.get (Supervisor.blkdev sv)));
+  Alcotest.(check bool) "no driver process" true (Supervisor.proc sv = None);
+  Alcotest.(check int) "no detection after the stop" seen (detections ());
+  Alcotest.(check int) "no reset after the stop" 0
+    (List.length
+       (List.filter (fun (ts, _, _) -> ts >= at)
+          (Klog.matching k.Kernel.klog "function-level reset")))
+
+let start_blk_supervised ?(standby = true) k w =
+  ok_or_fail "start_blk supervised"
+    (Supervisor.start_blk k w.sp ~policy:{ blk_policy with Supervisor.standby } ~bdf:w.bdf
+       nvme_factory)
+
+(* A stop that lands once a restart has installed the next generation,
+   while its resume replays the retained writes, waits for the swap and
+   then stops that generation for good.  A writer keeps writes retained:
+   a write every 5 us and an fsync every eighth. *)
+let test_stop_during_resume ~standby () =
+  run_in_kernel setup_nvme (fun k w ->
+      let eng = k.Kernel.eng in
+      let sv = start_blk_supervised ~standby k w in
+      if standby then
+        Alcotest.(check bool) "standby parks Ready" true
+          (Fault_inject.wait_standby_ready ~eng sv ~budget_ms:2_000);
+      let bd = Option.get (Supervisor.blkdev sv) in
+      ignore
+        (Process.spawn_fiber (Process.kernel_process k.Kernel.procs) ~name:"writer" (fun () ->
+             let n = ref 0 in
+             while Supervisor.state sv <> Supervisor.Stopped do
+               ignore
+                 (Blkdev.write bd ~lba:(!n mod 64 * Blkdev.page_sectors) (page ~seed:!n) ()
+                  : (unit, string) result);
+               if !n mod 8 = 7 then ignore (Blkdev.fsync bd () : (unit, string) result);
+               ignore (Fiber.sleep eng 5_000 : Fiber.wake);
+               incr n
+             done)
+         : Fiber.t);
+      ignore (Fiber.sleep eng 1_000_000 : Fiber.wake);
+      (match Supervisor.proc sv with
+       | Some p -> Process.kill p
+       | None -> Alcotest.fail "no driver process");
+      Alcotest.(check bool) "the next generation is installed and resuming" true
+        (Fiber.poll eng ~every_ns:100 ~budget:1_000_000 (fun () ->
+             Supervisor.proc sv <> None && Supervisor.state sv = Supervisor.Recovering));
+      blk_stop_is_final k sv)
+
+(* A stop that lands during a health check waits for the heartbeat's
+   answer; it does not turn into a detection, a reset and a restart. *)
+let test_stop_during_health_check () =
+  run_in_kernel setup_nvme (fun k w ->
+      let sv = start_blk_supervised k w in
+      let up () =
+        match Supervisor.chan sv with
+        | Some c -> Sud_obs.Metrics.get (Uchan.metrics c).Uchan.um_up
+        | None -> 0
+      in
+      let before = up () in
+      Alcotest.(check bool) "a heartbeat is in flight" true
+        (Fiber.poll k.Kernel.eng ~every_ns:100 ~budget:100_000 (fun () -> up () > before));
+      blk_stop_is_final k sv)
+
 (* A driver that registers one queue, accepts every submission and
    completes none; [forge] receives its completion callback. *)
 let forging_driver forge =
@@ -856,6 +927,12 @@ let suite =
       test_cold_reads_stay_iotlb_resident;
     Alcotest.test_case "sud-blk: a clean restart sends the staged requests once" `Quick
       test_clean_restart;
+    Alcotest.test_case "sud-blk: stop during a restart's resume is final (cold)" `Quick
+      (test_stop_during_resume ~standby:false);
+    Alcotest.test_case "sud-blk: stop during a restart's resume is final (warm)" `Quick
+      (test_stop_during_resume ~standby:true);
+    Alcotest.test_case "sud-blk: stop during a health check is final" `Quick
+      test_stop_during_health_check;
     Alcotest.test_case "sud-blk: a fresh generation cannot complete the dead one's request"
       `Quick test_fresh_generation_cannot_complete_the_dead_ones;
     Alcotest.test_case "sud-blk: the vector stays masked while its ring drains" `Quick

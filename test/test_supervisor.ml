@@ -301,6 +301,126 @@ let test_stop_during_bring_up ~standby () =
       dead "launched process" (launched ());
       if standby then dead "parked standby's process" parked)
 
+(* Device resets logged at or after [at]. *)
+let resets_since w at =
+  List.length
+    (List.filter (fun (ts, _, _) -> ts >= at)
+       (Klog.matching w.k.Kernel.klog "function-level reset"))
+
+let detections sv = (Supervisor.stats sv).Supervisor.st_detections
+
+(* Stop now, then check 50 ms on that the stop was final: the
+   supervisor still stopped, the netdev out of the stack, no generation
+   installed, and neither a detection nor a device reset after it. *)
+let stop_is_final ?(what = "") w sv =
+  let at = Engine.now w.eng and seen = detections sv in
+  Supervisor.stop sv;
+  settle w 50;
+  let check name = Alcotest.(check bool) (what ^ name) true in
+  check "still stopped" (Supervisor.state sv = Supervisor.Stopped);
+  check "out of the stack"
+    (Netstack.find_netdev w.k.Kernel.net (Netdev.name (Supervisor.netdev sv)) = None);
+  check "no driver process" (Supervisor.proc sv = None);
+  Alcotest.(check int) (what ^ "no detection after the stop") seen (detections sv);
+  Alcotest.(check int) (what ^ "no reset after the stop") 0 (resets_since w at)
+
+(* A supervised e1000 on the fast policy with its netdev up and a frame
+   sent every 20 us until it is stopped; its driver is then killed.
+   Returns the supervisor and the dead driver's process. *)
+let kill_under_traffic ~standby w =
+  let sv = start_supervised ~policy:{ fast_policy with Supervisor.standby } w in
+  let dev = Supervisor.netdev sv in
+  (match Netstack.ifconfig_up w.k.Kernel.net dev with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail ("ifconfig up: " ^ e));
+  if standby then
+    Alcotest.(check bool) "standby parks Ready" true
+      (Fault_inject.wait_standby_ready ~eng:w.eng sv ~budget_ms:2_000);
+  ignore
+    (Process.spawn_fiber (Process.kernel_process w.k.Kernel.procs) ~name:"flow" (fun () ->
+         while Supervisor.state sv <> Supervisor.Stopped do
+           ignore
+             (Netstack.dev_xmit w.k.Kernel.net dev (Skbuff.of_bytes (Bytes.make 64 '\x00'))
+              : [ `Sent | `Dropped ]);
+           ignore (Fiber.sleep w.eng 20_000 : Fiber.wake)
+         done)
+     : Fiber.t);
+  settle w 5;
+  let old = match Supervisor.proc sv with Some p -> p | None -> Alcotest.fail "no proc" in
+  Process.kill old;
+  (sv, old)
+
+(* A stop that lands once a restart has installed the next generation,
+   while its resume reopens the netdev and replays the backlog, waits
+   for the swap and then stops that generation for good. *)
+let test_stop_during_resume ~standby () =
+  let w = make_world () in
+  Kernel.run w.k (fun () ->
+      let sv, _ = kill_under_traffic ~standby w in
+      Alcotest.(check bool) "the next generation is installed and resuming" true
+        (Fiber.poll w.eng ~every_ns:1_000 ~budget:100_000 (fun () ->
+             Supervisor.proc sv <> None && Supervisor.state sv = Supervisor.Recovering));
+      stop_is_final w sv)
+
+(* One stop every 100 us over the 3 ms after a kill, each in its own
+   world: wherever in the restart it lands, it is final.  A cold stop
+   that finds the next generation not yet launched launches none. *)
+let test_stops_across_restart ~standby () =
+  for i = 0 to 30 do
+    let w = make_world () in
+    Kernel.run w.k (fun () ->
+        let sv, old = kill_under_traffic ~standby w in
+        if i > 0 then ignore (Fiber.sleep w.eng (i * 100_000) : Fiber.wake);
+        let what = Printf.sprintf "stop at +%d us: " (i * 100) in
+        let launched () = Process.find w.k.Kernel.procs ~pid:(Process.pid old + 1) in
+        let none_launched = launched () = None in
+        stop_is_final ~what w sv;
+        if not standby && none_launched then
+          Alcotest.(check bool) (what ^ "no launch after the stop") true (launched () = None))
+  done
+
+(* Wait until the watchdog's heartbeat is on the channel: its upcall
+   count moves while the driver has yet to answer. *)
+let heartbeat_in_flight w sv =
+  let up () =
+    match Supervisor.chan sv with
+    | Some c -> Sud_obs.Metrics.get (Uchan.metrics c).Uchan.um_up
+    | None -> 0
+  in
+  let before = up () in
+  Alcotest.(check bool) "a heartbeat is in flight" true
+    (Fiber.poll w.eng ~every_ns:100 ~budget:100_000 (fun () -> up () > before))
+
+(* A stop that lands during a health check waits for the heartbeat's
+   answer; it does not turn into a detection and a recovery. *)
+let test_stop_during_health_check () =
+  let w = make_world () in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised w in
+      heartbeat_in_flight w sv;
+      stop_is_final w sv)
+
+(* A failover or an upgrade commanded during a health check runs after
+   it, alone: one recovery for the failover, none for the upgrade. *)
+let test_command_during_health_check ~upgrade () =
+  let w = make_world () in
+  Kernel.run w.k (fun () ->
+      let sv = start_supervised w in
+      Alcotest.(check bool) "standby parks Ready" true
+        (Fault_inject.wait_standby_ready ~eng:w.eng sv ~budget_ms:2_000);
+      heartbeat_in_flight w sv;
+      let r = if upgrade then Supervisor.upgrade sv else Supervisor.failover sv in
+      Alcotest.(check bool) "the command succeeds" true (r = Ok ());
+      settle w 50;
+      let st = Supervisor.stats sv in
+      Alcotest.(check bool) "running" true (Supervisor.state sv = Supervisor.Running);
+      Alcotest.(check int) "detections" (if upgrade then 0 else 1) st.Supervisor.st_detections;
+      Alcotest.(check int) "restarts" (if upgrade then 0 else 1) st.Supervisor.st_restarts;
+      Alcotest.(check int) "upgrades" (if upgrade then 1 else 0) st.Supervisor.st_upgrades;
+      Alcotest.(check int) "no failed reset" 0
+        (List.length (Klog.matching w.k.Kernel.klog "reset failed"));
+      Supervisor.stop sv)
+
 (* A Corrupt_batch injection garbles one frame inside the driver's next
    multi-frame downcall batch.  Containment is in place: that frame is
    dropped and counted malformed, its siblings deliver, and — unlike every
@@ -589,6 +709,20 @@ let suite =
       (test_stop_during_bring_up ~standby:false);
     Alcotest.test_case "stop during a warm swap's activation is final" `Quick
       (test_stop_during_bring_up ~standby:true);
+    Alcotest.test_case "stop during a restart's resume is final (cold)" `Quick
+      (test_stop_during_resume ~standby:false);
+    Alcotest.test_case "stop during a restart's resume is final (warm)" `Quick
+      (test_stop_during_resume ~standby:true);
+    Alcotest.test_case "stop during a health check is final" `Quick
+      test_stop_during_health_check;
+    Alcotest.test_case "failover during a health check recovers once" `Quick
+      (test_command_during_health_check ~upgrade:false);
+    Alcotest.test_case "an upgrade during a health check is not a detection" `Quick
+      (test_command_during_health_check ~upgrade:true);
+    Alcotest.test_case "stops across a restart are final (cold)" `Quick
+      (test_stops_across_restart ~standby:false);
+    Alcotest.test_case "stops across a restart are final (warm)" `Quick
+      (test_stops_across_restart ~standby:true);
     Alcotest.test_case "corrupt batch frame: contained, no restart" `Quick
       test_batch_corrupt_no_restart;
     Alcotest.test_case "mid-batch crash: un-acked tail replayed" `Quick
