@@ -395,27 +395,6 @@ let rec watchdog t () =
 
 (* --- Live upgrade / forced failover ------------------------------------ *)
 
-(* Wait (bounded) for a warm standby to be parked Ready for the current
-   generation.  Returns false on timeout or when warming is disabled. *)
-let wait_standby_ready t ~timeout_ns =
-  match t.sb with
-  | None -> false
-  | Some sb ->
-    Standby.ensure sb ~tag:t.gen;
-    let deadline = now t + timeout_ns in
-    let rec poll () =
-      match Standby.status sb with
-      | Standby.Ready -> true
-      | Standby.Disabled -> false
-      | Standby.Idle | Standby.Warming ->
-        if now t >= deadline then false
-        else begin
-          ignore (Fiber.sleep t.k.Kernel.eng 1_000_000 : Fiber.wake);
-          poll ()
-        end
-    in
-    poll ()
-
 (* A commanded transition runs from Running only: the state is read
    before [prepare], which runs outside the lock, and again under it. *)
 let command t ?(prepare = Result.ok) f =
@@ -440,10 +419,17 @@ let command t ?(prepare = Result.ok) f =
 let upgrade (T t) =
   command t
     ~prepare:(fun () ->
-        if t.sb = None then Error "warm standby disabled by policy"
-        else if not (wait_standby_ready t ~timeout_ns:1_000_000_000) then
-          Error "no warm standby became ready"
-        else Ok ())
+        match t.sb with
+        | None -> Error "warm standby disabled by policy"
+        | Some sb ->
+          (* Wait up to 1 s for a standby parked Ready for this generation. *)
+          Standby.ensure sb ~tag:t.gen;
+          ignore
+            (Fiber.poll t.k.Kernel.eng ~every_ns:1_000_000 ~budget:1_000 (fun () ->
+                 List.mem (Standby.status sb) [ Standby.Ready; Standby.Disabled ])
+             : bool);
+          if Standby.status sb = Standby.Ready then Ok ()
+          else Error "no warm standby became ready")
     (fun () ->
        let t0 = now t in
        t.state <- Recovering;
