@@ -112,6 +112,25 @@ let pcidev t =
       (fun () -> min (Safe_pci.msix_vectors g) (Uchan.num_queues t.chan));
     pd_find_capability = (fun id -> Safe_pci.find_capability g id) }
 
+(* ---- the ordered retry FIFO of sud-net and sud-blk ---- *)
+
+(* Per device queue: the submissions its ring refused, oldest first.  A
+   submission parks behind any parked one, so nothing overtakes it, and
+   a freed slot retries the parked ones in order: a flow's frames and a
+   recovery's replayed requests reach the device in the order sent. *)
+let parked_fifo queues = Array.init (max 1 queues) (fun _ -> Queue.create ())
+let ring parked queue = if queue >= 0 && queue < Array.length parked then queue else 0
+
+let submit_in_order parked ~queue submit x =
+  let q = ring parked queue in
+  if not (Queue.is_empty parked.(q) && submit ~queue:q x = `Ok) then Queue.add x parked.(q)
+
+let retry_in_order parked ~queue submit =
+  let q = ring parked queue in
+  while (not (Queue.is_empty parked.(q))) && submit ~queue:q (Queue.peek parked.(q)) = `Ok do
+    ignore (Queue.pop parked.(q))
+  done
+
 (* ---- the net-driver glue: upcall dispatch + downcall callbacks ---- *)
 
 (* Per-packet SUD-UML bookkeeping.  The RX fast path hands the proxy an
@@ -126,11 +145,7 @@ let pcidev t =
    sharing a slot instead of paying it once per packet. *)
 let uml_packet_cost len = if len >= 256 then 250 else 450
 
-type net_state = {
-  inst : Driver_api.net_instance;
-  tx_backlog : Driver_api.txbuf list array;
-      (* per TX queue: frames the ring refused, oldest last *)
-}
+type net_state = { inst : Driver_api.net_instance; tx_parked : Driver_api.txbuf Queue.t array }
 
 let net_callbacks t st_ref =
   { Driver_api.nc_rx =
@@ -149,20 +164,8 @@ let net_callbacks t st_ref =
       (fun ~queue ->
          (* Retry frames this queue's ring previously refused before
             telling the kernel there is room again. *)
-         (match !st_ref with
-          | Some st when queue >= 0 && queue < Array.length st.tx_backlog ->
-            let rec drain () =
-              match st.tx_backlog.(queue) with
-              | [] -> ()
-              | txb :: rest ->
-                (match st.inst.Driver_api.ni_xmit ~queue txb with
-                 | `Ok ->
-                   st.tx_backlog.(queue) <- rest;
-                   drain ()
-                 | `Busy -> ())
-            in
-            drain ()
-          | Some _ | None -> ());
+         Option.iter (fun st -> retry_in_order st.tx_parked ~queue st.inst.Driver_api.ni_xmit)
+           !st_ref;
          Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_tx_done ()));
     nc_carrier =
@@ -217,7 +220,6 @@ let dispatch_net t st ~queue m =
        SUD-UML constructs a socket buffer for every packet the kernel
        transmits (paper 6, "Optimized drivers") -- charged here. *)
     let id = Msg.arg m 0 and len = Msg.arg m 1 in
-    let txq = if queue < Array.length st.tx_backlog then queue else 0 in
     Cpu.charge (Process.cell t.proc) (uml_packet_cost len);
     match Bufpool.get t.pool id with
     | None -> ()      (* kernel is trusted; only possible after close *)
@@ -228,9 +230,7 @@ let dispatch_net t st ~queue m =
           txb_token = buf.Bufpool.id;
           txb_read = (fun () -> Bufpool.read t.pool buf ~off:0 ~len) }
       in
-      (match st.inst.Driver_api.ni_xmit ~queue:txq txb with
-       | `Ok -> ()
-       | `Busy -> st.tx_backlog.(txq) <- st.tx_backlog.(txq) @ [ txb ])
+      submit_in_order st.tx_parked ~queue st.inst.Driver_api.ni_xmit txb
   end
   else if kind = Proxy_proto.up_net_open then
     to_worker t (fun () -> reply_result t ~queue m (st.inst.Driver_api.ni_open ()))
@@ -286,7 +286,7 @@ let serve_net t (drv : Driver_api.net_driver) =
     (env t).Driver_api.env_printk (Printf.sprintf "probe failed: %s" e)
   | Ok inst ->
     let nq = max 1 inst.Driver_api.ni_tx_queues in
-    let st = { inst; tx_backlog = Array.make nq [] } in
+    let st = { inst; tx_parked = parked_fifo nq } in
     st_ref := Some st;
     (match
        Uchan.downcall t.chan
@@ -334,7 +334,7 @@ let serve_wifi t (drv : Driver_api.wifi_driver) =
   | Ok wi ->
     let inst = wi.Driver_api.wi_net in
     let nq = max 1 inst.Driver_api.ni_tx_queues in
-    let st = { inst; tx_backlog = Array.make nq [] } in
+    let st = { inst; tx_parked = parked_fifo nq } in
     st_ref := Some st;
     (* Mirror the static supported-rate set into the kernel (§3.1.1). *)
     let rates = wi.Driver_api.wi_bitrates () in
@@ -401,45 +401,16 @@ let serve_audio t (drv : Driver_api.audio_driver) =
 (* ---- sud-blk: asynchronous NVMe-style block ---- *)
 
 type blk_state = {
-  binst : Driver_api.blkdev_instance;
-  (* Per uchan ring: submissions the hardware queue refused, oldest
-     first — retried in order when a completion frees a slot, so the
-     per-queue FIFO the recovery invariant leans on is preserved. *)
-  blk_pending : (int * int * int * int * int) Queue.t array;
+  blk_parked : (int * int * int * int * int) Queue.t array;
+  blk_submit : queue:int -> int * int * int * int * int -> [ `Ok | `Busy ];
 }
-
-let blk_try_submit st ~queue ~tag ~op ~lba ~count ~addr =
-  let q = if queue >= 0 && queue < Array.length st.blk_pending then queue else 0 in
-  if not (Queue.is_empty st.blk_pending.(q)) then
-    (* Order matters: nothing overtakes a parked submission. *)
-    Queue.add (tag, op, lba, count, addr) st.blk_pending.(q)
-  else
-    match st.binst.Driver_api.bi_submit ~queue:q ~tag ~op ~lba ~count ~addr with
-    | `Ok -> ()
-    | `Busy -> Queue.add (tag, op, lba, count, addr) st.blk_pending.(q)
-
-let blk_drain_pending st queue =
-  let q = if queue >= 0 && queue < Array.length st.blk_pending then queue else 0 in
-  let rec go () =
-    match Queue.peek_opt st.blk_pending.(q) with
-    | None -> ()
-    | Some (tag, op, lba, count, addr) ->
-      (match st.binst.Driver_api.bi_submit ~queue:q ~tag ~op ~lba ~count ~addr with
-       | `Ok ->
-         ignore (Queue.pop st.blk_pending.(q) : int * int * int * int * int);
-         go ()
-       | `Busy -> ())
-  in
-  go ()
 
 let blk_callbacks t st_ref =
   { Driver_api.bc_complete =
       (fun ~queue ~tag ~status ->
          (* A completion frees a submission-queue slot: retry parked
             requests before reporting, so replays drain promptly. *)
-         (match !st_ref with
-          | Some st -> blk_drain_pending st queue
-          | None -> ());
+         Option.iter (fun st -> retry_in_order st.blk_parked ~queue st.blk_submit) !st_ref;
          Uchan.downcall_batched ~queue:(uq t queue) t.chan
            (Msg.make ~kind:Proxy_proto.down_blk_complete ~args:[ tag; status ] ())) }
 
@@ -461,7 +432,7 @@ let dispatch_blk t st ~queue m =
     match addr with
     | None -> ()
     | Some addr ->
-      blk_try_submit st ~queue ~tag ~op ~lba ~count ~addr;
+      submit_in_order st.blk_parked ~queue st.blk_submit (tag, op, lba, count, addr);
       (* With the ack owed the vector is masked: reap what completed
          meanwhile, with no interrupt. *)
       if ack_owed t ~queue then run_irq_handler t ~queue
@@ -475,7 +446,12 @@ let serve_blk t (drv : Driver_api.blk_driver) =
   | Error e -> (env t).Driver_api.env_printk (Printf.sprintf "probe failed: %s" e)
   | Ok binst ->
     let nq = Uchan.num_queues t.chan in
-    let st = { binst; blk_pending = Array.init nq (fun _ -> Queue.create ()) } in
+    let st =
+      { blk_parked = parked_fifo nq;
+        blk_submit =
+          (fun ~queue (tag, op, lba, count, addr) ->
+             binst.Driver_api.bi_submit ~queue ~tag ~op ~lba ~count ~addr) }
+    in
     st_ref := Some st;
     (* Acks wait for the ring to drain only where a completion after the
        last poll latches behind the mask: legacy MSI would drop it. *)
